@@ -241,9 +241,12 @@ def parse_range(text: str) -> tuple[int, int]:
 def _thread_count() -> int:
     raw = os.environ.get("CURVLAB_THREADS", "1")
     try:
-        return max(1, int(raw))
+        threads = int(raw)
     except ValueError:
-        return 1
+        threads = 0
+    if threads < 1:
+        raise GeometryError(f"CURVLAB_THREADS must be a positive integer, got {raw!r}")
+    return min(threads, os.cpu_count() or 1)
 
 
 def _trial_map(fn, trials: int, threads: int) -> list:
@@ -522,23 +525,14 @@ def suite_decomp(cfg: RunConfig) -> list[CheckRecord]:
     def normalize(rm):
         return rm * (1.0 / np.sqrt(rm.norm_sq()))
 
-    def weyl_stats(trial):
-        rm = normalize(generic_sample(trial))
-        dec = decomp.weyl_decompose(rm)
-        w = dec.parts["weyl"]
-        again = decomp.weyl_decompose(w)
-        idem = float(np.abs(again.parts["weyl"].components - w.components).max())
+    def split_stats(rm, decompose, part):
+        """Stats of a scalar / traceless-Ricci / part split of a sample."""
+        dec = decompose(normalize(rm))
+        x = dec.parts[part]
+        again = decompose(x)
+        idem = float(np.abs(again.parts[part].components - x.components).max())
         idem = max(idem, np.sqrt(again.parts["scalar_part"].norm_sq()), np.sqrt(again.parts["ric0_part"].norm_sq()))
-        return dec.residual(), dec.max_cross_inner(), idem, max(tensor.total_traces(w))
-
-    def bochner_stats(trial):
-        rm = normalize(kaehler_sample(trial))
-        dec = decomp.bochner_decompose(rm)
-        b = dec.parts["bochner"]
-        again = decomp.bochner_decompose(b)
-        idem = float(np.abs(again.parts["bochner"].components - b.components).max())
-        idem = max(idem, np.sqrt(again.parts["scalar_part"].norm_sq()), np.sqrt(again.parts["ric0_part"].norm_sq()))
-        return dec.residual(), dec.max_cross_inner(), idem, max(tensor.total_traces(b))
+        return dec.residual(), dec.max_cross_inner(), idem, max(tensor.total_traces(x))
 
     def qk_stats(trial):
         rm = normalize(qk_sample(trial))
@@ -546,9 +540,10 @@ def suite_decomp(cfg: RunConfig) -> list[CheckRecord]:
         r0 = dec.parts["hyperkaehler_part"]
         return dec.residual(), dec.max_cross_inner(), abs(tensor.scalar(r0))
 
+    split_cols = ("residual", "orthogonality", "idempotence", "trace_residual")
     for label, fn, cols in (
-        ("generic", weyl_stats, ("residual", "orthogonality", "idempotence", "trace_residual")),
-        ("kaehler", bochner_stats, ("residual", "orthogonality", "idempotence", "trace_residual")),
+        ("generic", lambda t: split_stats(generic_sample(t), decomp.weyl_decompose, "weyl"), split_cols),
+        ("kaehler", lambda t: split_stats(kaehler_sample(t), decomp.bochner_decompose, "bochner"), split_cols),
         ("qk", qk_stats, ("residual", "orthogonality", "scal_trace_free")),
     ):
         rows = _trial_map(fn, trials, cfg.threads)
@@ -593,15 +588,10 @@ def _build_model(cfg: RunConfig):
     name = (cfg.model or "").replace("_", "-")
     m = cfg.m[0] if cfg.m else None
     n = cfg.n[0] if cfg.n else None
-    if name == "hp":
+    if name in ("hp", "wolf"):
         if m is None:
-            raise GeometryError("spectrum --model hp needs --m")
-        rm = decomp.hp(m)
-        return rm, holonomy.sp_sp1_algebra(rm.space)
-    if name == "wolf":
-        if m is None:
-            raise GeometryError("spectrum --model wolf needs --m")
-        rm = decomp.wolf(m)
+            raise GeometryError(f"spectrum --model {name} needs --m")
+        rm = decomp.hp(m) if name == "hp" else decomp.wolf(m)
         return rm, holonomy.sp_sp1_algebra(rm.space)
     if name == "grassmann":
         if cfg.p is None or cfg.q is None:
@@ -664,18 +654,17 @@ def cmd_decompose(cfg: RunConfig) -> tuple[Report, int]:
             f"tensor carries a {rm.space.kind} structure, cannot decompose as {kind}"
         )
 
+    alg = holonomy.by_name(rm.space, kind)
     if kind == "generic":
         dec = decomp.weyl_decompose(rm)
-        alg = holonomy.so_algebra(rm.space)
-        preset = criteria.weyl_preset(rm.space.n) if rm.space.n >= 4 else None
     elif kind == "kaehler":
         dec = decomp.bochner_decompose(rm)
-        alg = holonomy.u_algebra(rm.space)
-        preset = criteria.kaehler_preset(rm.space.m) if rm.space.m >= 2 else None
     else:
-        alg = holonomy.sp_sp1_algebra(rm.space)
         dec = decomp.qk_decompose(rm, alg)
-        preset = criteria.qk_preset(rm.space.m)
+    try:
+        preset = criteria.preset_for(alg)
+    except GeometryError:
+        preset = None
 
     rop = holonomy.project(tensor.to_operator(rm), alg)
     spec = rop.spectrum()
@@ -720,22 +709,17 @@ def cmd_sample(cfg: RunConfig) -> tuple[Report, int]:
     if kind is None:
         raise GeometryError(f"unknown holonomy tag {cfg.holonomy!r}")
     if kind == "generic":
-        n = cfg.n[0] if cfg.n else 4
-        space = generic(n)
-    elif kind == "kaehler":
-        m = cfg.m[0] if cfg.m else 2
-        space = kaehler(m)
+        space = generic(cfg.n[0] if cfg.n else 4)
     else:
         m = cfg.m[0] if cfg.m else 2
-        space = quaternion_kaehler(m)
-    alg = holonomy.by_name(space, {"generic": "so", "kaehler": "u", "qk": "sp_sp1"}[kind])
+        space = kaehler(m) if kind == "kaehler" else quaternion_kaehler(m)
+    alg = holonomy.by_name(space, kind)
     decomp._bianchi_kernel_basis(alg)
     trials = cfg.trials or 100
-    preset = None
     try:
         preset = criteria.preset_for(alg)
     except GeometryError:
-        pass
+        preset = None
     shift = cfg.condition == "2-nonnegative"
 
     def one(trial: int) -> dict:

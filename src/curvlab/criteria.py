@@ -133,12 +133,20 @@ def hat_norm_formula(op, algebra: HolonomyAlgebra | None = None) -> HatNorm:
     return HatNorm(total=float(per.sum()), per_component=per, eigenvalues=lam)
 
 
+def _self_term(op, algebra: HolonomyAlgebra | None = None) -> tuple[float, float]:
+    """Self curvature term and its scale, the same sum with |eigenvalues|."""
+    lam, cp = _rotated_structure(op, algebra)
+    diffs = (lam[:, None] - lam[None, :]) ** 2
+    cp_sq = cp**2
+    value = float(np.einsum("g,ab,gab->", lam, diffs, cp_sq))
+    scale = float(np.einsum("g,ab,gab->", np.abs(lam), diffs, cp_sq))
+    return value, scale
+
+
 def curvature_term_self(op, algebra: HolonomyAlgebra | None = None) -> float:
     """Curvature term of an operator paired with its own hat components,
     evaluated purely from the spectrum and structure constants."""
-    lam, cp = _rotated_structure(op, algebra)
-    diffs = (lam[:, None] - lam[None, :]) ** 2
-    return float(np.einsum("g,ab,gab->", lam, diffs, cp**2))
+    return _self_term(op, algebra)[0]
 
 
 def invariance_defect(t, algebra: HolonomyAlgebra) -> float:
@@ -326,15 +334,11 @@ def negative_term_search(
     from .decomp import random_algebra_curvature
 
     for trial in range(trials):
-        rng = np.random.default_rng(seed ^ trial)
+        rng = np.random.default_rng([seed, trial])
         rm = random_algebra_curvature(algebra, rng=rng)
         if shift:
             rm, _ = two_nonnegative_shift(rm, algebra)
-        op = project(to_operator(rm), algebra)
-        lam, cp = _rotated_structure(op, None)
-        diffs = (lam[:, None] - lam[None, :]) ** 2
-        value = float(np.einsum("g,ab,gab->", lam, diffs, cp**2))
-        scale = float(np.einsum("g,ab,gab->", np.abs(lam), diffs, cp**2))
+        value, scale = _self_term(project(to_operator(rm), algebra))
         if value < -1e-9 * (1.0 + scale):
             return {"trial": trial, "value": value, "scale": scale}
     return None

@@ -18,6 +18,7 @@ test suite plays against each other.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 from dataclasses import dataclass, field
@@ -47,6 +48,13 @@ from .tensor import (
 # model spaces
 
 
+def _read_only(rm: CurvatureTensor) -> CurvatureTensor:
+    """Freeze a model that functools.cache shares between all callers."""
+    rm.components.flags.writeable = False
+    return rm
+
+
+@functools.cache
 def sphere(n: int, radius: float = 2**-0.5) -> CurvatureTensor:
     """Round-sphere tensor; the default radius makes the operator 2 * id."""
     if n < 2:
@@ -55,9 +63,10 @@ def sphere(n: int, radius: float = 2**-0.5) -> CurvatureTensor:
         raise GeometryError("radius must be positive")
     space = generic(n)
     g = np.eye(n)
-    return CurvatureTensor(space, _kn_array(g, g) / (2 * radius**2))
+    return _read_only(CurvatureTensor(space, _kn_array(g, g) / (2 * radius**2)))
 
 
+@functools.cache
 def const_hol(m: int, scal: float | None = None) -> CurvatureTensor:
     """Constant-holomorphic-curvature tensor on the standard Kaehler R^{2m}.
 
@@ -77,7 +86,7 @@ def const_hol(m: int, scal: float | None = None) -> CurvatureTensor:
         + 0.5 * _kn_array(omega, omega)
         + 2.0 * np.einsum("xy,zw->xyzw", omega, omega)
     )
-    return CurvatureTensor(space, (scal / (4.0 * m * (m + 1))) * unit)
+    return _read_only(CurvatureTensor(space, (scal / (4.0 * m * (m + 1))) * unit))
 
 
 def _conjugation_on_bivectors(space: EuclideanSpace, s: np.ndarray) -> np.ndarray:
@@ -87,6 +96,7 @@ def _conjugation_on_bivectors(space: EuclideanSpace, s: np.ndarray) -> np.ndarra
     return s[np.ix_(jj, jj)] * s[np.ix_(ii, ii)] - s[np.ix_(jj, ii)] * s[np.ix_(ii, jj)]
 
 
+@functools.cache
 def hp(m: int) -> CurvatureTensor:
     """Quaternionic projective model: identity plus the three structure
     conjugations plus twice the projections onto the parallel forms."""
@@ -101,7 +111,7 @@ def hp(m: int) -> CurvatureTensor:
     for L in ("I", "J", "K"):
         w = frame.omega[L].coeffs
         mat += 2.0 * np.outer(w, w)
-    return CurvatureTensor(space, _tensor_array_from_matrix(space, mat))
+    return _read_only(CurvatureTensor(space, _tensor_array_from_matrix(space, mat)))
 
 
 def grassmannian(p: int, q: int) -> CurvatureTensor:

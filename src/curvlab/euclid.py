@@ -365,8 +365,12 @@ def symmetric_eigen(matrix: np.ndarray, rtol: float = 1e-10) -> SpectralData:
         values, vectors = np.linalg.eigh(0.5 * (matrix + matrix.T))
     except np.linalg.LinAlgError as exc:
         raise GeometryError(f"eigensolver did not converge: {exc}") from exc
-    for k in range(vectors.shape[1]):
-        lead = np.argmax(np.abs(vectors[:, k]))
-        if vectors[lead, k] < 0:
-            vectors[:, k] = -vectors[:, k]
-    return SpectralData(values=values, vectors=vectors)
+    return SpectralData(values=values, vectors=_sign_fix(vectors.T).T)
+
+
+def _sign_fix(rows: np.ndarray) -> np.ndarray:
+    """Flip each row so its largest-magnitude entry (the first one, on ties)
+    is positive; returns a new array with the memory layout of rows."""
+    lead = np.argmax(np.abs(rows), axis=1)
+    flip = rows[np.arange(rows.shape[0]), lead] < 0
+    return rows * np.where(flip, -1.0, 1.0)[:, None]

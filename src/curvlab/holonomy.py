@@ -13,20 +13,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .euclid import Bivector, EuclideanSpace, GeometryError, wedge
+from .euclid import Bivector, EuclideanSpace, GeometryError, _sign_fix, wedge
 from .tensor import CurvatureOperator, CurvatureTensor, to_operator
 
 _KERNEL_TOL = 1e-8  # singular values below this count as zero
-
-
-def _sign_fix(rows: np.ndarray) -> np.ndarray:
-    """Flip each row so its largest-magnitude entry is positive."""
-    out = rows.copy()
-    for k in range(out.shape[0]):
-        lead = np.argmax(np.abs(out[k]))
-        if out[k, lead] < 0:
-            out[k] = -out[k]
-    return out
 
 
 def _kernel_rows(mapping: np.ndarray) -> np.ndarray:
@@ -58,6 +48,7 @@ class HolonomyAlgebra:
         if not np.allclose(gram, np.eye(d), atol=1e-9):
             raise GeometryError(f"basis of {self.name} is not orthonormal")
         defect = self.closure_defect()
+        del self._bracket_coeffs  # (dim, dim, pairs) table; only structure_constants is kept
         if defect > 1e-8:
             raise GeometryError(f"{self.name} is not closed under the bracket ({defect:.2e})")
 
@@ -80,21 +71,21 @@ class HolonomyAlgebra:
         return mats
 
     @cached_property
-    def structure_constants(self) -> np.ndarray:
-        """c[a, b, g] = <[basis_a, basis_b], basis_g>."""
+    def _bracket_coeffs(self) -> np.ndarray:
+        """b[a, b, p]: pair-basis coefficients of [basis_a, basis_b]."""
         ii, jj = self.space.pair_rows, self.space.pair_cols
         prod = np.einsum("aij,bjk->abik", self.matrices, self.matrices)
         comm = prod - prod.transpose(1, 0, 2, 3)
-        comm_coeffs = comm[:, :, jj, ii]  # bracket stays skew, read off pairs
-        return np.einsum("abp,gp->abg", comm_coeffs, self.coeff_matrix)
+        return comm[:, :, jj, ii]  # bracket stays skew, read off pairs
+
+    @cached_property
+    def structure_constants(self) -> np.ndarray:
+        """c[a, b, g] = <[basis_a, basis_b], basis_g>."""
+        return np.einsum("abp,gp->abg", self._bracket_coeffs, self.coeff_matrix)
 
     def closure_defect(self) -> float:
         """Largest bivector-norm distance of a basis bracket from the span."""
-        ii, jj = self.space.pair_rows, self.space.pair_cols
-        prod = np.einsum("aij,bjk->abik", self.matrices, self.matrices)
-        comm = prod - prod.transpose(1, 0, 2, 3)
-        cc = comm[:, :, jj, ii]
-        resid = cc - np.einsum("abg,gp->abp", np.einsum("abp,gp->abg", cc, self.coeff_matrix), self.coeff_matrix)
+        resid = self._bracket_coeffs - np.einsum("abg,gp->abp", self.structure_constants, self.coeff_matrix)
         return float(np.sqrt(np.sum(resid**2, axis=2)).max(initial=0.0))
 
     def coords_of(self, xi: Bivector) -> np.ndarray:

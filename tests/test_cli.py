@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from curvlab import decomp, tensor
+from curvlab import cli, decomp, tensor
 from curvlab.cli import main, parse_range
 from curvlab.euclid import GeometryError
 
@@ -35,6 +35,25 @@ class TestParsing:
     def test_bad_trials(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "tripod", "--trials", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("raw, expected", [(None, 1), ("3", 3), ("4", 4), ("64", 4)])
+    def test_thread_count_capped_at_cpus(self, monkeypatch, raw, expected):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        if raw is None:
+            monkeypatch.delenv("CURVLAB_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("CURVLAB_THREADS", raw)
+        assert cli._thread_count() == expected
+
+    @pytest.mark.parametrize("raw", ["0", "-2", "two", "1.5", ""])
+    def test_bad_thread_count_is_usage_error(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("CURVLAB_THREADS", raw)
+        with pytest.raises(GeometryError):
+            cli._thread_count()
+        code, out, err = run(capsys, "verify", "--suite", "tripod", "--trials", "5")
+        assert code == 2
+        assert out == ""
+        assert "CURVLAB_THREADS" in err
 
 
 class TestVerify:

@@ -225,6 +225,22 @@ class TestShift:
     def test_term_becomes_nonnegative(self, qk2):
         assert negative_term_search(qk2, trials=12, seed=5, shift=True) is None
 
+    def test_seeds_draw_disjoint_samples(self, monkeypatch):
+        alg = so_algebra(generic(4))
+        real = decomp.random_algebra_curvature
+        drawn = []
+
+        def recording(algebra, rng=None, seed=None):
+            drawn[-1].add(real(algebra, rng=rng, seed=seed).components.tobytes())
+            return decomp.sphere(4)  # no witness, so every trial is drawn
+
+        monkeypatch.setattr(decomp, "random_algebra_curvature", recording)
+        for seed in (0, 1):
+            drawn.append(set())
+            assert negative_term_search(alg, trials=20, seed=seed) is None
+        assert len(drawn[0]) == len(drawn[1]) == 20
+        assert drawn[0].isdisjoint(drawn[1])
+
     def test_witness_exists_without_shift(self):
         alg = so_algebra(generic(4))
         witness = negative_term_search(alg, trials=60, seed=0)

@@ -46,6 +46,25 @@ class TestModels:
         rm = const_hol(2, scal=24.0)
         assert scalar(rm) == pytest.approx(24.0)
 
+    def test_models_are_shared_and_read_only(self):
+        assert hp(2) is hp(2)
+        with pytest.raises(ValueError):
+            hp(2).components[0, 1, 0, 1] = 1.0
+        for model in (sphere(4), const_hol(2)):
+            assert not model.components.flags.writeable
+
+    def test_results_built_from_models_are_writable(self, qk2):
+        before = hp(2).components.copy()
+        rm = random_algebra_curvature(qk2, seed=3)
+        shifted, _ = criteria.two_nonnegative_shift(rm, qk2)
+        dec = qk_decompose(rm, qk2)
+        arrays = [shifted.components] + [p.components for p in dec.parts.values()]
+        for arr in arrays:
+            assert arr.flags.writeable
+            assert not np.shares_memory(arr, hp(2).components)
+            arr += 1.0
+        assert np.array_equal(hp(2).components, before)
+
     def test_hp_values(self, hp2):
         assert scalar(hp2) == pytest.approx(128.0)
         assert to_operator(hp2).norm_sq() == pytest.approx(352.0)

@@ -197,3 +197,14 @@ class TestEigen:
         v1 = symmetric_eigen(m).vectors
         v2 = symmetric_eigen(m.copy()).vectors
         assert np.array_equal(v1, v2)
+
+    def test_sign_convention(self, rng):
+        m = rng.standard_normal((7, 7))
+        vectors = symmetric_eigen(m + m.T).vectors
+        lead = np.argmax(np.abs(vectors), axis=0)
+        assert np.all(vectors[lead, np.arange(7)] > 0)
+
+    def test_sign_fix_breaks_ties_at_first_index(self):
+        rows = np.array([[-1.0, 1.0, 0.5], [0.5, 1.0, -1.0], [0.0, -2.0, 0.0]])
+        fixed = euclid._sign_fix(rows)
+        assert np.array_equal(fixed, [[1.0, -1.0, -0.5], [0.5, 1.0, -1.0], [0.0, 2.0, 0.0]])

@@ -5,6 +5,8 @@ from curvlab import decomp, tensor
 from curvlab.euclid import GeometryError, inner, kaehler, quaternion_kaehler
 from curvlab.holonomy import (
     HolonomyAlgebra,
+    _commutator_map,
+    _kernel_rows,
     by_name,
     complement_mass,
     project,
@@ -186,3 +188,11 @@ def test_so_projection_is_identity(so5):
                        np.sort(np.linalg.eigvalsh(op.matrix)))
     assert complement_mass(op, so5) < 1e-12
     assert perm.shape == op.matrix.shape
+
+
+@pytest.mark.parametrize("space", [kaehler(3), quaternion_kaehler(2)], ids=["u3", "qk2"])
+def test_kernel_rows_sign_convention(space):
+    structs = [space.J] if space.kind == "kaehler" else [space.I, space.J, space.K]
+    rows = _kernel_rows(_commutator_map(space, structs))
+    lead = np.argmax(np.abs(rows), axis=1)
+    assert np.all(rows[np.arange(rows.shape[0]), lead] > 0)
