@@ -1,10 +1,10 @@
 """Weighted spectral positivity criteria and curvature terms.
 
-Everything here measures rank-four tensors through their bivector operators;
-squared norms of hat components are one quarter of the component-array norms
-used in the tensor module.  That choice makes the outputs commensurable with
-operator Frobenius norms and with the closed-form model constants.  Rank-two
-inputs are measured as plain arrays.
+Everything here measures rank-four tensors through their bivector operators:
+hat components are the operator hats of tensor.t_hat, and their squared
+norms are Frobenius norms, one quarter of the component-array norms used in
+the tensor module.  That choice makes the outputs commensurable with
+operator Frobenius norms and with the closed-form model constants.
 """
 
 from __future__ import annotations
@@ -47,12 +47,15 @@ def _resolve(op, algebra):
     return op, op.algebra
 
 
-def _hat_flat(t, algebra: HolonomyAlgebra) -> tuple[np.ndarray, float]:
-    """Stacked, flattened hat components and the norm convention factor."""
-    hats = t_hat(t, algebra)
-    rank = hats[0].ndim
-    factor = 0.25 if rank == 4 else 1.0
-    return np.stack([h.reshape(-1) for h in hats]), factor
+def _hat_flat(t, algebra: HolonomyAlgebra) -> np.ndarray:
+    """Operator hats of a curvature tensor, one flattened row per generator.
+
+    A raw rank-four array is validated as a CurvatureTensor first.
+    """
+    if not isinstance(t, CurvatureTensor):
+        t = CurvatureTensor(algebra.space, t)
+    hats = t_hat(to_operator(t), algebra)
+    return hats.reshape(hats.shape[0], -1)
 
 
 @dataclass
@@ -81,19 +84,20 @@ def curvature_term(op, t, algebra: HolonomyAlgebra | None = None) -> CurvatureTe
     of t in this module's convention.
     """
     op, algebra = _resolve(op, algebra)
-    flat, factor = _hat_flat(t, algebra)
-    gram = factor * (flat @ flat.T)
+    flat = _hat_flat(t, algebra)
+    gram = flat @ flat.T
     bilinear = float(np.sum(op.matrix * gram))
     spec = symmetric_eigen(op.matrix)
     rotated = spec.vectors.T @ flat
-    eigen = float(spec.values @ (factor * np.sum(rotated**2, axis=1)))
+    eigen = float(spec.values @ np.sum(rotated**2, axis=1))
     return CurvatureTerm(eigen_route=eigen, bilinear_route=bilinear)
 
 
 def hat_norm_direct(t, algebra: HolonomyAlgebra) -> float:
-    """Brute-force squared hat norm, operator convention for rank four."""
-    flat, factor = _hat_flat(t, algebra)
-    return float(factor * np.sum(flat**2))
+    """Brute-force squared hat norm, operator convention: the sum of the
+    squared Frobenius norms of the operator hats.  No spectrum and no
+    structure constants, so it is independent of hat_norm_formula."""
+    return float(np.sum(_hat_flat(t, algebra) ** 2))
 
 
 @dataclass
@@ -150,10 +154,11 @@ def curvature_term_self(op, algebra: HolonomyAlgebra | None = None) -> float:
 
 
 def invariance_defect(t, algebra: HolonomyAlgebra) -> float:
-    """Largest component-array norm among the hat components; zero iff the
-    tensor is invariant under the algebra."""
-    flat, _ = _hat_flat(t, algebra)
-    return float(np.sqrt(np.sum(flat**2, axis=1)).max(initial=0.0))
+    """Largest component-array norm among the hat components (twice the
+    Frobenius norm of the operator hat); zero iff the tensor is invariant
+    under the algebra."""
+    flat = _hat_flat(t, algebra)
+    return 2.0 * float(np.sqrt(np.sum(flat**2, axis=1)).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

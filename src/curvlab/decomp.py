@@ -358,9 +358,12 @@ def _bianchi_kernel_basis(algebra: HolonomyAlgebra) -> np.ndarray:
     The Bianchi sum of a pair-symmetric array is totally antisymmetric, so
     it vanishes iff it vanishes at strictly increasing index quadruples;
     each quadruple contributes one linear constraint on the operator.
+    Cached on what the basis depends on, the dimension and the algebra's
+    coefficient rows, so algebras that share a name (u(3) on two complex
+    structures) get their own bases.
     """
     space = algebra.space
-    key = (space.kind, space.n, algebra.name)
+    key = (space.n, algebra.coeff_matrix.tobytes())
     with _KERNEL_LOCK:
         hit = _KERNEL_CACHE.get(key)
     if hit is not None:

@@ -71,6 +71,32 @@ class HolonomyAlgebra:
         return mats
 
     @cached_property
+    def bivector_action(self) -> np.ndarray:
+        """Derivation action of the basis on the pair basis, shape (dim, D, D).
+
+        Slice a is the antisymmetric matrix N_a with which generator a acts on
+        bivectors; the hat of a bivector operator R along a is N_a R + (N_a R)^T.
+        Entry (P, P') with P = (x, y), P' = (u, v) is
+        -(a[u, x][v = y] - a[v, x][u = y] + [x = u] a[v, y] - [x = v] a[u, y]),
+        gathered only where one of the indicators holds.
+        """
+        rows, cols = self.space.pair_rows, self.space.pair_cols
+        x, y = rows[:, None], cols[:, None]
+        u, v = rows[None, :], cols[None, :]
+        a = self.matrices
+        act = np.zeros((self.dim, rows.shape[0], rows.shape[0]))
+        # (sign, indicator, index of a read on P', index of a read on P)
+        for sign, mask, first, second in (
+            (-1.0, v == y, rows, rows),
+            (1.0, u == y, cols, rows),
+            (-1.0, x == u, cols, cols),
+            (1.0, x == v, rows, cols),
+        ):
+            p, q = np.nonzero(mask)
+            act[:, p, q] += sign * a[:, first[q], second[p]]
+        return act
+
+    @cached_property
     def _bracket_coeffs(self) -> np.ndarray:
         """b[a, b, p]: pair-basis coefficients of [basis_a, basis_b]."""
         ii, jj = self.space.pair_rows, self.space.pair_cols

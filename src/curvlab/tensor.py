@@ -10,7 +10,14 @@ Conventions, fixed once here and relied on everywhere else:
   g (*) g is twice the identity on bivectors;
 * squared norms: the component-array norm of a curvature tensor is four
   times the Frobenius norm of its bivector operator.  Functions below say
-  which one they return.
+  which one they return;
+* hat components (derivatives along an algebra's basis rotations) are
+  computed on bivector operators, H_a = N_a R + (N_a R)^T with N_a the
+  algebra's cached bivector_action.  t_hat returns that (dim, D, D) stack,
+  Frobenius convention, for an unrestricted CurvatureOperator, and rank-four
+  component arrays scattered from it, component convention, for a
+  CurvatureTensor.  lie_action keeps the slot-by-slot definition as the
+  independent single-generator reference.
 """
 
 from __future__ import annotations
@@ -251,18 +258,44 @@ def lie_action(gen: Bivector, t):
     return _lie_array(a, np.asarray(t, dtype=float))
 
 
-def t_hat(t, algebra) -> list[np.ndarray]:
-    """Components of the derivative of t along an algebra's basis rotations.
+def t_hat(t, algebra) -> np.ndarray | list[np.ndarray]:
+    """Derivatives of t along an algebra's basis rotations, in basis order.
 
-    Returns one array per basis element, in basis order.  The squared norms
-    of these components are the basic ingredient of the positivity criteria.
+    * CurvatureOperator on the full bivector space: one (dim, D, D) stack of
+      hat operators H_a = N_a R + (N_a R)^T, N_a = algebra.bivector_action[a];
+      squared norms are Frobenius norms (operator convention).
+    * CurvatureTensor, or any other array validated as one: a list of
+      rank-four component arrays, each scattered from the operator hat, so
+      its squared norm is four times the Frobenius norm of H_a (component
+      convention).
+    * rank-two array: a list of rank-two arrays, the derivation per slot.
+
+    A restricted operator has lost the off-algebra entries its hats need and
+    raises GeometryError.
     """
-    arr = t.components if isinstance(t, CurvatureTensor) else np.asarray(t, dtype=float)
-    return [_lie_array(a, arr) for a in algebra.matrices]
+    if isinstance(t, CurvatureOperator):
+        if t.algebra is not None:
+            raise GeometryError("hat components need a full bivector-space operator")
+        op = t
+    else:
+        arr = t.components if isinstance(t, CurvatureTensor) else np.asarray(t, dtype=float)
+        if arr.ndim == 2:
+            return [_lie_array(a, arr) for a in algebra.matrices]
+        rm = t if isinstance(t, CurvatureTensor) else CurvatureTensor(algebra.space, arr)
+        op = to_operator(rm)
+    acted = algebra.bivector_action @ op.matrix
+    hats = acted + acted.transpose(0, 2, 1)
+    if op is t:
+        return hats
+    return [_tensor_array_from_matrix(op.space, h) for h in hats]
 
 
 def t_hat_norm_sq(t, algebra) -> float:
-    """Total squared norm of the hat components, component-array convention."""
+    """Total squared norm of the hat components, component-array convention:
+    for a curvature tensor, four times the Frobenius norms of its operator
+    hats."""
+    if isinstance(t, CurvatureTensor):
+        return 4.0 * float(np.sum(t_hat(to_operator(t), algebra) ** 2))
     return float(sum(np.sum(h**2) for h in t_hat(t, algebra)))
 
 

@@ -25,6 +25,20 @@ def u3(u3_space):
 
 
 @pytest.fixture(scope="session")
+def u3_swapped_space(u3_space):
+    """kaehler(3) with J conjugated by the swap of coordinates 0 and 1."""
+    p = np.eye(6)[[1, 0, 2, 3, 4, 5]]
+    return euclid.EuclideanSpace(
+        6, euclid.HolonomyStructure("kaehler", J=p @ u3_space.J @ p.T)
+    )
+
+
+@pytest.fixture(scope="session")
+def u3_swapped(u3_swapped_space):
+    return holonomy.u_algebra(u3_swapped_space)
+
+
+@pytest.fixture(scope="session")
 def qk2_space():
     return euclid.quaternion_kaehler(2)
 

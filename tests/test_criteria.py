@@ -82,6 +82,34 @@ class TestHatNorms:
         assert invariance_defect(rm, so5) > 1e-3
 
 
+class TestNormConventions:
+    """hat_norm_direct, invariance_defect and t_hat_norm_sq pinned to the
+    component arrays of lie_action, so a factor-of-2 or -4 slip shows."""
+
+    @pytest.fixture(params=["so5", "qk2"])
+    def case(self, request, rng):
+        alg = request.getfixturevalue(request.param)
+        rm = tensor.random_curvature(alg.space, rng=rng)
+        comp_sq = [
+            float(np.sum(tensor.lie_action(gen, rm).components ** 2))
+            for gen in alg.basis
+        ]
+        assert max(comp_sq) > 1e-3
+        return rm, alg, comp_sq
+
+    def test_hat_norm_direct_is_quarter_component_sum(self, case):
+        rm, alg, comp_sq = case
+        assert hat_norm_direct(rm, alg) == pytest.approx(0.25 * sum(comp_sq), rel=1e-12)
+
+    def test_invariance_defect_is_max_component_norm(self, case):
+        rm, alg, comp_sq = case
+        assert invariance_defect(rm, alg) == pytest.approx(np.sqrt(max(comp_sq)), rel=1e-12)
+
+    def test_t_hat_norm_sq_is_component_sum(self, case):
+        rm, alg, comp_sq = case
+        assert tensor.t_hat_norm_sq(rm, alg) == pytest.approx(sum(comp_sq), rel=1e-12)
+
+
 class TestCurvatureTerm:
     def test_routes_and_self_consistency(self, qk2, rng):
         rm = decomp.random_algebra_curvature(qk2, rng=rng)

@@ -3,6 +3,7 @@ import pytest
 
 from curvlab import criteria, holonomy, tensor
 from curvlab.decomp import (
+    _bianchi_kernel_basis,
     bochner_decompose,
     bochner_explicit,
     const_hol,
@@ -193,6 +194,17 @@ class TestKernelSampler:
         assert curvature_space_dim(holonomy.so_algebra(generic(n))) == n * n * (
             n * n - 1
         ) // 12
+
+    def test_cache_tells_apart_complex_structures(self, u3, u3_swapped):
+        # both algebras are named u(3); their kernels live on different pairs
+        random_algebra_curvature(u3, seed=0)
+        rm = random_algebra_curvature(u3_swapped, seed=0)
+        assert holonomy.complement_mass(to_operator(rm), u3_swapped) < 1e-10
+        assert curvature_space_dim(u3_swapped) == 36
+
+    def test_rebuilt_algebra_hits_cache(self):
+        first = _bianchi_kernel_basis(holonomy.u_algebra(kaehler(3)))
+        assert _bianchi_kernel_basis(holonomy.u_algebra(kaehler(3))) is first
 
     def test_samples_have_symmetries(self, qk2, rng):
         rm = random_algebra_curvature(qk2, rng=rng)

@@ -184,6 +184,51 @@ class TestHats:
         assert hats[0].shape == (5, 5)
 
 
+@pytest.fixture(params=["so5", "u3", "u3_swapped", "qk2"])
+def hat_algebra(request):
+    return request.getfixturevalue(request.param)
+
+
+def _close(got, ref, rtol=1e-12):
+    return float(np.abs(got - ref).max()) <= rtol * (1.0 + float(np.abs(ref).max()))
+
+
+class TestOperatorHats:
+    """t_hat on bivector operators against lie_action, the slot-by-slot
+    single-generator reference, on tensors that are not invariant."""
+
+    def test_operator_hats_match_lie_action(self, hat_algebra, rng):
+        rm = random_curvature(hat_algebra.space, rng=rng)
+        hats = t_hat(to_operator(rm), hat_algebra)
+        d = hat_algebra.space.bivector_dim
+        assert hats.shape == (hat_algebra.dim, d, d)
+        for b, gen in enumerate(hat_algebra.basis):
+            assert _close(hats[b], to_operator(lie_action(gen, rm)).matrix)
+
+    def test_tensor_hats_match_lie_action(self, hat_algebra, rng):
+        rm = random_curvature(hat_algebra.space, rng=rng)
+        hats = t_hat(rm, hat_algebra)
+        assert len(hats) == hat_algebra.dim
+        for b, gen in enumerate(hat_algebra.basis):
+            assert _close(hats[b], lie_action(gen, rm).components)
+
+    def test_bivector_action_is_antisymmetric(self, hat_algebra):
+        act = hat_algebra.bivector_action
+        assert np.abs(act + act.transpose(0, 2, 1)).max() == 0.0
+
+    def test_restricted_operator_raises(self, hat_algebra, rng):
+        rm = random_curvature(hat_algebra.space, rng=rng)
+        with pytest.raises(euclid.GeometryError):
+            t_hat(holonomy.project(to_operator(rm), hat_algebra), hat_algebra)
+
+    def test_raw_array_is_validated(self, so5, rng):
+        rm = random_curvature(so5.space, rng=rng)
+        for got, ref in zip(t_hat(rm.components, so5), t_hat(rm, so5)):
+            assert np.array_equal(got, ref)
+        with pytest.raises(SymmetryError):
+            t_hat(rng.standard_normal((5,) * 4), so5)
+
+
 class TestTraces:
     def test_sphere_ricci(self):
         rm = decomp.sphere(6)
