@@ -257,8 +257,9 @@ def _trial_map(fn, trials: int, threads: int) -> list:
 
 
 def _trial_rng(seed: int, tag: int, trial: int) -> np.random.Generator:
-    # disjoint streams per (suite instance, trial); trial counts stay < 2^16
-    return np.random.default_rng((seed << 20) ^ (tag << 16) ^ trial)
+    # disjoint streams per (suite instance, trial): the entropy is the tuple
+    # itself, so no field spills into another (tags and trials stay < 2^32)
+    return np.random.default_rng([seed, tag, trial])
 
 
 # ---------------------------------------------------------------------------
@@ -827,6 +828,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg.trials = args.trials
     if cfg.trials is not None and cfg.trials < 1:
         raise GeometryError("--trials must be at least 1")
+    if cfg.seed < 0:
+        raise GeometryError("--seed must be a non-negative integer")
     cfg.suite = getattr(args, "suite", None)
     cfg.model = getattr(args, "model", None)
     cfg.holonomy = getattr(args, "holonomy", None)

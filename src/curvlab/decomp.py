@@ -28,7 +28,6 @@ import numpy as np
 from .euclid import (
     EuclideanSpace,
     GeometryError,
-    _pair_table,
     generic,
     kaehler as kaehler_space,
     quaternion_kaehler,
@@ -350,14 +349,119 @@ def qk_decompose(
 _KERNEL_CACHE: dict = {}
 _KERNEL_LOCK = threading.Lock()
 
+# Rank rule of `_null_space`: a Gram eigenvalue at or below RANK_RTOL times the
+# largest one is null.  The Bianchi constraints have nonzero singular values
+# of order 1 and null ones at rounding level (<= 1e-15), so no eigenvalue may
+# fall inside (GAP_LO, GAP_HI) times the largest: there the rule would decide
+# the rank by rounding.
+RANK_RTOL = 1e-8
+GAP_LO, GAP_HI = 1e-12, 1e-4
+
+
+@functools.cache
+def _packed_sym(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Packed coordinates x -> sum_s x_s E_s on symmetric d x d matrices.
+
+    s runs over the pairs (a, b), a <= b, in `triu_indices` order, and
+    E_s = w_s (e_a e_b^T + e_b e_a^T) with w_s = 1/2 on the diagonal and
+    1/sqrt(2) off it, so the E_s are Frobenius-orthonormal.  Returns the
+    read-only arrays (a, b, w).
+    """
+    a, b = np.triu_indices(d)
+    w = np.where(a == b, 0.5, np.sqrt(0.5))
+    for arr in (a, b, w):
+        arr.flags.writeable = False
+    return a, b, w
+
+
+def _gram_rank(w: np.ndarray) -> int:
+    """Rank of a Gram matrix from its ascending eigenvalues w.
+
+    An eigenvalue counts when it exceeds RANK_RTOL times the largest.  Raises
+    GeometryError when one lies inside the band (GAP_LO, GAP_HI) times the
+    largest.
+    """
+    top = w[-1] if w.size else 0.0
+    borderline = (w > GAP_LO * top) & (w < GAP_HI * top)
+    if borderline.any():
+        raise GeometryError(
+            f"Bianchi constraint spectrum has no clear gap: eigenvalue "
+            f"{w[borderline][0]:.3e} against largest {top:.3e}"
+        )
+    return int(np.count_nonzero(w > RANK_RTOL * top))
+
+
+def _null_space(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal rows, shape (k, S), spanning {x : x @ rows = 0}, rows (S, Q).
+
+    The spectrum comes from `eigh` of the smaller Gram matrix.  For Q >= S
+    the null eigenvectors of rows rows^T are the basis.  For Q < S the kept
+    eigenvectors u of rows^T rows give the range rows u, whose orthogonal
+    complement is read off a complete QR.  Callers pass rows as a temporary,
+    so the wide case frees it before the eigensolve.  The result owns its
+    memory, so no S x S factor outlives the call.
+    """
+    s, q = rows.shape
+    if q >= s:
+        gram = rows @ rows.T
+        del rows
+        w, v = np.linalg.eigh(gram)
+        del gram
+        return v[:, : s - _gram_rank(w)].T.copy()
+    w, v = np.linalg.eigh(rows.T @ rows)
+    rank = _gram_rank(w)
+    span = rows @ v[:, q - rank:]
+    del rows, v
+    return np.linalg.qr(span, mode="complete")[0][:, rank:].T.copy()
+
+
+def _bianchi_rows(algebra: HolonomyAlgebra) -> np.ndarray:
+    """Bianchi constraints on Sym^2 of the algebra, shape (S, C(n,4)).
+
+    Row s is the Bianchi sum M[ij,kl] + M[jk,il] - M[ik,jl] of the full-space
+    matrix M = c^T E_s c (`_packed_sym`) at each quadruple i < j < k < l.
+    """
+    space, d = algebra.space, algebra.dim
+    n = space.n
+    pair = np.zeros((n, n), dtype=np.intp)
+    pair[space.pair_rows, space.pair_cols] = np.arange(space.pair_rows.size)
+    quads = np.array(list(itertools.combinations(range(n), 4)), dtype=np.intp).reshape(-1, 4)
+    c = algebra.coeff_matrix
+    g1, g2, g3, g4, g5, g6 = (
+        c[:, pair[quads[:, x], quads[:, y]]]
+        for x, y in ((0, 1), (2, 3), (1, 2), (0, 3), (0, 2), (1, 3))
+    )
+    _, _, w = _packed_sym(d)
+    rows = np.empty((w.size, quads.shape[0]))
+    start = 0
+    for a in range(d):  # the rows (a, b), b >= a, of e_a e_b^T + e_b e_a^T
+        stop = start + d - a
+        rows[start:stop] = (
+            g1[a] * g2[a:] + g1[a:] * g2[a]
+            + g3[a] * g4[a:] + g3[a:] * g4[a]
+            - g5[a] * g6[a:] - g5[a:] * g6[a]
+        )
+        start = stop
+    rows *= w[:, None]
+    return rows
+
 
 def _bianchi_kernel_basis(algebra: HolonomyAlgebra) -> np.ndarray:
-    """Orthonormal basis, shape (k, d, d), of the symmetric operators on the
-    algebra whose full-space extension satisfies the Bianchi identity.
+    """Orthonormal basis of the symmetric operators on the algebra whose
+    full-space extension satisfies the Bianchi identity: shape (k, S), in the
+    packed coordinates of `_packed_sym`, S = d(d+1)/2.
 
     The Bianchi sum of a pair-symmetric array is totally antisymmetric, so
     it vanishes iff it vanishes at strictly increasing index quadruples;
-    each quadruple contributes one linear constraint on the operator.
+    each quadruple contributes one linear constraint (`_bianchi_rows`).  The
+    kernel comes from `eigh` of the smaller of the two Gram matrices, with
+    no C(n,4) x C(n,4) factor (`_null_space`).  An eigenvalue is null when it
+    is at most RANK_RTOL times the largest, and the build raises
+    GeometryError when any eigenvalue lies inside the gap band (GAP_LO,
+    GAP_HI) times the largest, so a borderline eigenvalue cannot silently
+    change the dimension.  The packed coordinates are Frobenius-orthonormal,
+    so any orthonormal basis of the kernel gives the same standard Gaussian
+    on the curvature space.
     Cached on what the basis depends on, the dimension and the algebra's
     coefficient rows, so algebras that share a name (u(3) on two complex
     structures) get their own bases.
@@ -369,48 +473,7 @@ def _bianchi_kernel_basis(algebra: HolonomyAlgebra) -> np.ndarray:
     if hit is not None:
         return hit
 
-    n, d = space.n, algebra.dim
-    _, _, lookup = _pair_table(n)
-    quads = list(itertools.combinations(range(n), 4))
-    q_ij = np.array([lookup[(i, j)] for i, j, k, l in quads], dtype=np.intp)
-    q_kl = np.array([lookup[(k, l)] for i, j, k, l in quads], dtype=np.intp)
-    q_jk = np.array([lookup[(j, k)] for i, j, k, l in quads], dtype=np.intp)
-    q_il = np.array([lookup[(i, l)] for i, j, k, l in quads], dtype=np.intp)
-    q_ik = np.array([lookup[(i, k)] for i, j, k, l in quads], dtype=np.intp)
-    q_jl = np.array([lookup[(j, l)] for i, j, k, l in quads], dtype=np.intp)
-
-    c = algebra.coeff_matrix  # rows span the algebra inside the pair basis
-    sym_pairs = [(a, b) for a in range(d) for b in range(a, d)]
-    rows = np.zeros((len(sym_pairs), len(quads)))
-    # full-space matrix of the sym basis element is c^T S c; evaluate the
-    # Bianchi combination M[ij,kl] + M[jk,il] - M[ik,jl] by gathering columns
-    g1, g2 = c[:, q_ij], c[:, q_kl]
-    g3, g4 = c[:, q_jk], c[:, q_il]
-    g5, g6 = c[:, q_ik], c[:, q_jl]
-    for row, (a, b) in enumerate(sym_pairs):
-        if a == b:
-            rows[row] = g1[a] * g2[a] + g3[a] * g4[a] - g5[a] * g6[a]
-        else:
-            rows[row] = (
-                g1[a] * g2[b] + g1[b] * g2[a]
-                + g3[a] * g4[b] + g3[b] * g4[a]
-                - g5[a] * g6[b] - g5[b] * g6[a]
-            ) / np.sqrt(2)
-
-    _, s, vh = np.linalg.svd(rows.T, full_matrices=True)
-    rank = int(np.sum(s > 1e-8))
-    coeff_basis = vh[rank:]
-
-    basis = np.zeros((coeff_basis.shape[0], d, d))
-    for kdx, vec in enumerate(coeff_basis):
-        s_mat = np.zeros((d, d))
-        for (a, b), val in zip(sym_pairs, vec):
-            if a == b:
-                s_mat[a, a] = val
-            else:
-                s_mat[a, b] = val / np.sqrt(2)
-                s_mat[b, a] = val / np.sqrt(2)
-        basis[kdx] = s_mat
+    basis = _null_space(_bianchi_rows(algebra))
 
     with _KERNEL_LOCK:
         _KERNEL_CACHE[key] = basis
@@ -432,7 +495,11 @@ def random_algebra_curvature(
         rng = np.random.default_rng(seed)
     basis = _bianchi_kernel_basis(algebra)
     coeffs = rng.standard_normal(basis.shape[0])
-    s = np.einsum("k,kab->ab", coeffs, basis)
+    a, b, w = _packed_sym(algebra.dim)
+    x = w * (coeffs @ basis)
+    s = np.zeros((algebra.dim, algebra.dim))
+    s[a, b] = x
+    s[b, a] += x
     c = algebra.coeff_matrix
     full = c.T @ s @ c
     return CurvatureTensor(algebra.space, _tensor_array_from_matrix(algebra.space, full))

@@ -55,6 +55,25 @@ class TestParsing:
         assert out == ""
         assert "CURVLAB_THREADS" in err
 
+    @pytest.mark.parametrize("command", [
+        ("verify", "--suite", "tripod", "--trials", "5"),
+        ("sample", "--holonomy", "so", "--n", "4", "--trials", "3"),
+    ])
+    def test_negative_seed_is_usage_error(self, capsys, command):
+        code, out, err = run(capsys, *command, "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert "--seed" in err
+
+    @pytest.mark.parametrize("a, b", [
+        ((0, 17, 0), (1, 1, 0)),  # tag bits spilled into the seed bits
+        ((0, 2, 65536), (0, 3, 0)),  # trial bits spilled into the tag bits
+    ])
+    def test_trial_streams_are_disjoint(self, a, b):
+        draw_a = cli._trial_rng(*a).standard_normal(8)
+        draw_b = cli._trial_rng(*b).standard_normal(8)
+        assert not np.array_equal(draw_a, draw_b)
+
 
 class TestVerify:
     def test_hp_passes(self, capsys):

@@ -1,7 +1,10 @@
+import itertools
+from math import comb
+
 import numpy as np
 import pytest
 
-from curvlab import criteria, holonomy, tensor
+from curvlab import criteria, decomp, holonomy, tensor
 from curvlab.decomp import (
     _bianchi_kernel_basis,
     bochner_decompose,
@@ -17,7 +20,7 @@ from curvlab.decomp import (
     wolf,
 )
 from curvlab.euclid import GeometryError, generic, kaehler, quaternion_kaehler
-from curvlab.tensor import scalar, to_operator, total_traces
+from curvlab.tensor import _tensor_array_from_matrix, scalar, to_operator, total_traces
 
 
 class TestModels:
@@ -229,3 +232,96 @@ class TestKernelSampler:
             mats.append(to_operator(rm).matrix.reshape(-1))
         rank = np.linalg.matrix_rank(np.stack(mats), tol=1e-8)
         assert rank == dim
+
+
+def _sym_units(d: int) -> np.ndarray:
+    """Symmetric d x d units of the packed coordinates, built entrywise.
+
+    Unit s is (a, b), a <= b, in `triu_indices` order: 1 at (a, a), or
+    1/sqrt(2) at both (a, b) and (b, a).
+    """
+    units = []
+    for a, b in zip(*np.triu_indices(d)):
+        e = np.zeros((d, d))
+        e[a, b] = e[b, a] = 1.0 if a == b else np.sqrt(0.5)
+        units.append(e)
+    return np.stack(units)
+
+
+def _svd_kernel_projector(algebra) -> np.ndarray:
+    """Projector onto the Bianchi kernel in packed coordinates, from a full SVD.
+
+    The constraint matrix is built from rank-four arrays: column s is the
+    Bianchi sum of c^T E_s c at the quadruples i < j < k < l.
+    """
+    c, n = algebra.coeff_matrix, algebra.space.n
+    quads = tuple(np.array(list(itertools.combinations(range(n), 4))).T)
+    cols = [
+        tensor.bianchi_sum(_tensor_array_from_matrix(algebra.space, c.T @ e @ c))[quads]
+        for e in _sym_units(algebra.dim)
+    ]
+    _, s, vh = np.linalg.svd(np.stack(cols, axis=1), full_matrices=True)
+    null = vh[int(np.sum(s > 1e-10 * s[0])):]
+    return null.T @ null
+
+
+class TestKernelBasis:
+    @pytest.mark.parametrize(
+        "tag,space,expected",
+        [pytest.param("so", generic(n), n * n * (n * n - 1) // 12, id=f"so{n}")
+         for n in range(4, 8)]
+        + [pytest.param("u", kaehler(m), (m * (m + 1) // 2) ** 2, id=f"u{m}")
+           for m in range(2, 6)]
+        + [pytest.param("sp", quaternion_kaehler(m), comb(2 * m + 3, 4) + 1, id=f"qk{m}")
+           for m in range(2, 6)],
+    )
+    def test_closed_form_dimensions(self, tag, space, expected):
+        assert curvature_space_dim(holonomy.by_name(space, tag)) == expected
+
+    @pytest.mark.parametrize(
+        "builder",
+        [
+            lambda: holonomy.so_algebra(generic(5)),
+            lambda: holonomy.u_algebra(kaehler(3)),
+            lambda: holonomy.sp_sp1_algebra(quaternion_kaehler(2)),
+            lambda: holonomy.sp_sp1_algebra(quaternion_kaehler(3)),
+        ],
+        ids=["so5", "u3", "qk2", "qk3"],
+    )
+    def test_basis_is_the_svd_null_space(self, builder):
+        alg = builder()
+        basis = _bianchi_kernel_basis(alg)
+        mats = np.einsum("ks,sab->kab", basis, _sym_units(alg.dim))
+        gram = np.einsum("kab,lab->kl", mats, mats)
+        assert np.abs(gram - np.eye(len(basis))).max() < 1e-12
+        assert np.abs(basis.T @ basis - _svd_kernel_projector(alg)).max() < 1e-10
+        c = alg.coeff_matrix
+        for s in mats:
+            tensor.check_curvature_symmetries(
+                _tensor_array_from_matrix(alg.space, c.T @ s @ c)
+            )
+
+    @staticmethod
+    def _constraints(shape, singular_values, seed=0):
+        rng = np.random.default_rng(seed)
+        u = np.linalg.qr(rng.standard_normal((shape[0], shape[0])))[0]
+        v = np.linalg.qr(rng.standard_normal((shape[1], shape[1])))[0]
+        r = len(singular_values)
+        return (u[:, :r] * singular_values) @ v[:, :r].T
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-6])
+    @pytest.mark.parametrize("shape", [(6, 9), (9, 6)], ids=["wide", "narrow"])
+    def test_null_space_of_gapped_constraints(self, shape, scale):
+        # the rank rule is relative: scaling the constraints keeps the rank
+        rows = self._constraints(shape, [scale, 0.8 * scale, 0.5 * scale])
+        null = decomp._null_space(rows)
+        assert null.shape == (shape[0] - 3, shape[0])
+        assert np.abs(null @ null.T - np.eye(shape[0] - 3)).max() < 1e-12
+        assert np.abs(null @ rows).max() < 1e-12 * scale
+
+    @pytest.mark.parametrize("shape", [(6, 9), (9, 6)], ids=["wide", "narrow"])
+    def test_singular_value_inside_the_gap_raises(self, shape):
+        # sigma = 1e-4 puts a Gram eigenvalue at 1e-8 of the largest
+        rows = self._constraints(shape, [1.0, 0.8, 0.5, 1e-4])
+        with pytest.raises(GeometryError, match="no clear gap"):
+            decomp._null_space(rows)
