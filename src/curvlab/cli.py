@@ -413,8 +413,8 @@ def suite_bochner_norm(cfg: RunConfig) -> list[CheckRecord]:
             ratio = tensor.t_hat_norm_sq(b, alg) / b.norm_sq()
             b_unit = b * (1.0 / np.sqrt(b.norm_sq()))
             other = decomp.bochner_explicit(rm)
-            gap = float(np.abs(b.components - other.components).max()) / (
-                1.0 + float(np.abs(rm.components).max())
+            gap = float(np.abs(b.matrix - other.matrix).max()) / (
+                1.0 + float(np.abs(rm.matrix).max())
             )
             return ratio, max(tensor.total_traces(b_unit)), gap
 
@@ -531,7 +531,7 @@ def suite_decomp(cfg: RunConfig) -> list[CheckRecord]:
         dec = decompose(normalize(rm))
         x = dec.parts[part]
         again = decompose(x)
-        idem = float(np.abs(again.parts[part].components - x.components).max())
+        idem = float(np.abs(again.parts[part].matrix - x.matrix).max())
         idem = max(idem, np.sqrt(again.parts["scalar_part"].norm_sq()), np.sqrt(again.parts["ric0_part"].norm_sq()))
         return dec.residual(), dec.max_cross_inner(), idem, max(tensor.total_traces(x))
 
@@ -636,20 +636,11 @@ def cmd_spectrum(cfg: RunConfig) -> tuple[Report, int]:
 # decompose
 
 
-_HOLONOMY_TAGS = {
-    "generic": "generic", "so": "generic", "weyl": "generic",
-    "kaehler": "kaehler", "u": "kaehler", "bochner": "kaehler",
-    "qk": "qk", "sp": "qk", "sp_sp1": "qk",
-}
-
-
 def cmd_decompose(cfg: RunConfig) -> tuple[Report, int]:
     if not cfg.input_path:
         raise GeometryError("decompose needs an input tensor file")
     rm = tensor.load_tensor(cfg.input_path)
-    kind = _HOLONOMY_TAGS.get((cfg.holonomy or rm.space.kind).lower())
-    if kind is None:
-        raise GeometryError(f"unknown holonomy tag {cfg.holonomy!r}")
+    kind = holonomy.holonomy_kind(cfg.holonomy or rm.space.kind)
     if kind != rm.space.kind:
         raise GeometryError(
             f"tensor carries a {rm.space.kind} structure, cannot decompose as {kind}"
@@ -705,16 +696,17 @@ def cmd_decompose(cfg: RunConfig) -> tuple[Report, int]:
 
 
 def cmd_sample(cfg: RunConfig) -> tuple[Report, int]:
-    tag = (cfg.holonomy or "so").lower()
-    kind = _HOLONOMY_TAGS.get(tag)
-    if kind is None:
-        raise GeometryError(f"unknown holonomy tag {cfg.holonomy!r}")
+    kind = holonomy.holonomy_kind(cfg.holonomy or "so")
     if kind == "generic":
         space = generic(cfg.n[0] if cfg.n else 4)
     else:
         m = cfg.m[0] if cfg.m else 2
         space = kaehler(m) if kind == "kaehler" else quaternion_kaehler(m)
     alg = holonomy.by_name(space, kind)
+    if alg.dim < 2:
+        raise GeometryError(
+            f"sample reads the two smallest eigenvalues, {alg.name} has dimension {alg.dim}"
+        )
     decomp._bianchi_kernel_basis(alg)
     trials = cfg.trials or 100
     try:

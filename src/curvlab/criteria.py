@@ -53,7 +53,7 @@ def _hat_flat(t, algebra: HolonomyAlgebra) -> np.ndarray:
     A raw rank-four array is validated as a CurvatureTensor first.
     """
     if not isinstance(t, CurvatureTensor):
-        t = CurvatureTensor(algebra.space, t)
+        t = CurvatureTensor.from_components(algebra.space, t)
     hats = t_hat(to_operator(t), algebra)
     return hats.reshape(hats.shape[0], -1)
 

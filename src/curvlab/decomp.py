@@ -35,8 +35,10 @@ from .euclid import (
 from .holonomy import HolonomyAlgebra, complement_mass, sp_sp1_algebra
 from .tensor import (
     CurvatureTensor,
-    _kn_array,
-    _tensor_array_from_matrix,
+    _kn_matrix,
+    _kn_tables,
+    _pair_outer,
+    _quad_pairs,
     ricci,
     scalar,
     to_operator,
@@ -49,7 +51,7 @@ from .tensor import (
 
 def _read_only(rm: CurvatureTensor) -> CurvatureTensor:
     """Freeze a model that functools.cache shares between all callers."""
-    rm.components.flags.writeable = False
+    rm.matrix.flags.writeable = False
     return rm
 
 
@@ -62,7 +64,7 @@ def sphere(n: int, radius: float = 2**-0.5) -> CurvatureTensor:
         raise GeometryError("radius must be positive")
     space = generic(n)
     g = np.eye(n)
-    return _read_only(CurvatureTensor(space, _kn_array(g, g) / (2 * radius**2)))
+    return _read_only(CurvatureTensor(space, _kn_matrix(g, g) / (2 * radius**2)))
 
 
 @functools.cache
@@ -81,18 +83,19 @@ def const_hol(m: int, scal: float | None = None) -> CurvatureTensor:
     g = np.eye(2 * m)
     omega = space.J.T  # bilinear form of the parallel 2-form
     unit = (
-        0.5 * _kn_array(g, g)
-        + 0.5 * _kn_array(omega, omega)
-        + 2.0 * np.einsum("xy,zw->xyzw", omega, omega)
+        0.5 * _kn_matrix(g, g)
+        + 0.5 * _kn_matrix(omega, omega)
+        + 2.0 * _pair_outer(omega, omega)
     )
     return _read_only(CurvatureTensor(space, (scal / (4.0 * m * (m + 1))) * unit))
 
 
 def _conjugation_on_bivectors(space: EuclideanSpace, s: np.ndarray) -> np.ndarray:
     """Matrix of xi -> s mat(xi) s^T on the pair basis."""
-    ii, jj = space.pair_rows, space.pair_cols
-    # (s E_a s^T)[x, y] = s[x, jj_a] s[y, ii_a] - s[x, ii_a] s[y, jj_a]
-    return s[np.ix_(jj, jj)] * s[np.ix_(ii, ii)] - s[np.ix_(jj, ii)] * s[np.ix_(ii, jj)]
+    # entry (xy, zw) is s[y, w] s[x, z] - s[y, z] s[x, w]
+    xz, yw, xw, yz = _kn_tables(space.n)
+    s = s.ravel()
+    return s[yw] * s[xz] - s[yz] * s[xw]
 
 
 @functools.cache
@@ -110,7 +113,7 @@ def hp(m: int) -> CurvatureTensor:
     for L in ("I", "J", "K"):
         w = frame.omega[L].coeffs
         mat += 2.0 * np.outer(w, w)
-    return _read_only(CurvatureTensor(space, _tensor_array_from_matrix(space, mat)))
+    return _read_only(CurvatureTensor(space, mat))
 
 
 def grassmannian(p: int, q: int) -> CurvatureTensor:
@@ -130,7 +133,7 @@ def grassmannian(p: int, q: int) -> CurvatureTensor:
         - np.einsum("ij,kl,bc,ad->iajbkcld", iq, iq, ip, ip)
         + np.einsum("ij,kl,ac,bd->iajbkcld", iq, iq, ip, ip)
     )
-    return CurvatureTensor(generic(n), t8.reshape(n, n, n, n))
+    return CurvatureTensor.from_components(generic(n), t8.reshape(n, n, n, n))
 
 
 def wolf(m: int) -> CurvatureTensor:
@@ -149,7 +152,7 @@ def wolf(m: int) -> CurvatureTensor:
         for j in range(m):
             sigma[4 * j + i] = i * m + j
     space = quaternion_kaehler(m)
-    return CurvatureTensor(space, base[np.ix_(sigma, sigma, sigma, sigma)])
+    return CurvatureTensor.from_components(space, base[np.ix_(sigma, sigma, sigma, sigma)])
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +169,13 @@ class CurvatureDecomposition:
     coefficients: dict = field(default_factory=dict)
 
     def total(self) -> CurvatureTensor:
-        arrays = [p.components for p in self.parts.values()]
+        arrays = [p.matrix for p in self.parts.values()]
         return CurvatureTensor(self.source.space, sum(arrays), validate=False)
 
     def residual(self) -> float:
-        """Component-norm distance between the input and the sum of parts."""
-        return float(np.linalg.norm(self.source.components - self.total().components))
+        """Component-norm distance between the input and the sum of parts,
+        twice the Frobenius distance of the operators."""
+        return 2.0 * float(np.linalg.norm(self.source.matrix - self.total().matrix))
 
     def max_cross_inner(self) -> float:
         """Largest pairwise component inner product between distinct parts."""
@@ -199,9 +203,9 @@ def weyl_decompose(rm: CurvatureTensor) -> CurvatureDecomposition:
     g = np.eye(n)
     sc = scalar(rm)
     ric0 = ricci(rm) - (sc / n) * g
-    scal_arr = (sc / (2.0 * n * (n - 1))) * _kn_array(g, g)
-    ricci_arr = _kn_array(ric0, g) / (n - 2.0)
-    weyl_arr = rm.components - scal_arr - ricci_arr
+    scal_arr = (sc / (2.0 * n * (n - 1))) * _kn_matrix(g, g)
+    ricci_arr = _kn_matrix(ric0, g) / (n - 2.0)
+    weyl_arr = rm.matrix - scal_arr - ricci_arr
     space = rm.space
     return CurvatureDecomposition(
         source=rm,
@@ -216,10 +220,11 @@ def weyl_decompose(rm: CurvatureTensor) -> CurvatureDecomposition:
 
 
 def _check_kaehler_invariance(rm: CurvatureTensor, rtol: float = 1e-9):
-    j = rm.space.J
-    conj = np.einsum("ax,by,abzw->xyzw", j, j, rm.components)
-    scale = 1.0 + float(np.abs(rm.components).max(initial=0.0))
-    if float(np.abs(rm.components - conj).max(initial=0.0)) > rtol * scale:
+    """Raise unless T[x, y, z, w] = sum_ab J[a, x] J[b, y] T[a, b, z, w]: on
+    the operator, M = C M with C the matrix of xi -> J^T mat(xi) J."""
+    conj = _conjugation_on_bivectors(rm.space, rm.space.J.T) @ rm.matrix
+    scale = 1.0 + float(np.abs(rm.matrix).max(initial=0.0))
+    if float(np.abs(rm.matrix - conj).max(initial=0.0)) > rtol * scale:
         raise GeometryError("tensor is not invariant under the complex structure")
 
 
@@ -244,18 +249,18 @@ def bochner_decompose(rm: CurvatureTensor) -> CurvatureDecomposition:
     c1 = sc / (4.0 * m * (m + 1))
     c2 = 1.0 / (2.0 * (m + 2))
     unit = (
-        0.5 * _kn_array(g, g)
-        + 0.5 * _kn_array(omega, omega)
-        + 2.0 * np.einsum("xy,zw->xyzw", omega, omega)
+        0.5 * _kn_matrix(g, g)
+        + 0.5 * _kn_matrix(omega, omega)
+        + 2.0 * _pair_outer(omega, omega)
     )
     middle = c2 * (
-        _kn_array(ric0, g)
-        + _kn_array(rho0, omega)
-        + 2.0 * np.einsum("xy,zw->xyzw", rho0, omega)
-        + 2.0 * np.einsum("xy,zw->xyzw", omega, rho0)
+        _kn_matrix(ric0, g)
+        + _kn_matrix(rho0, omega)
+        + 2.0 * _pair_outer(rho0, omega)
+        + 2.0 * _pair_outer(omega, rho0)
     )
     scal_arr = c1 * unit
-    bochner_arr = rm.components - scal_arr - middle
+    bochner_arr = rm.matrix - scal_arr - middle
     return CurvatureDecomposition(
         source=rm,
         kind="kaehler",
@@ -288,19 +293,19 @@ def bochner_explicit(rm: CurvatureTensor) -> CurvatureTensor:
     c2 = 1.0 / (2.0 * (m + 2))
     c3 = sc / (4.0 * (m + 1) * (m + 2))
     arr = (
-        rm.components
+        rm.matrix
         - c2
         * (
-            _kn_array(ric, g)
-            + _kn_array(rho, omega)
-            + 2.0 * np.einsum("xy,zw->xyzw", rho, omega)
-            + 2.0 * np.einsum("xy,zw->xyzw", omega, rho)
+            _kn_matrix(ric, g)
+            + _kn_matrix(rho, omega)
+            + 2.0 * _pair_outer(rho, omega)
+            + 2.0 * _pair_outer(omega, rho)
         )
         + c3
         * (
-            0.5 * _kn_array(g, g)
-            + 0.5 * _kn_array(omega, omega)
-            + 2.0 * np.einsum("xy,zw->xyzw", omega, omega)
+            0.5 * _kn_matrix(g, g)
+            + 0.5 * _kn_matrix(omega, omega)
+            + 2.0 * _pair_outer(omega, omega)
         )
     )
     return CurvatureTensor(space, arr)
@@ -335,8 +340,8 @@ def qk_decompose(
         source=rm,
         kind="qk",
         parts={
-            "hp_multiple": CurvatureTensor(space, scal_part.components),
-            "hyperkaehler_part": CurvatureTensor(space, rest.components),
+            "hp_multiple": CurvatureTensor(space, scal_part.matrix),
+            "hyperkaehler_part": CurvatureTensor(space, rest.matrix),
         },
         coefficients={"scalar": c},
     )
@@ -420,27 +425,31 @@ def _bianchi_rows(algebra: HolonomyAlgebra) -> np.ndarray:
 
     Row s is the Bianchi sum M[ij,kl] + M[jk,il] - M[ik,jl] of the full-space
     matrix M = c^T E_s c (`_packed_sym`) at each quadruple i < j < k < l.
+    Each block of rows is summed in place, term by term and in the order of
+    the written sum, through one scratch buffer: the build allocates nothing
+    per generator, so its peak memory is the gathered coefficients, the rows
+    and that buffer.
     """
-    space, d = algebra.space, algebra.dim
-    n = space.n
-    pair = np.zeros((n, n), dtype=np.intp)
-    pair[space.pair_rows, space.pair_cols] = np.arange(space.pair_rows.size)
-    quads = np.array(list(itertools.combinations(range(n), 4)), dtype=np.intp).reshape(-1, 4)
-    c = algebra.coeff_matrix
-    g1, g2, g3, g4, g5, g6 = (
-        c[:, pair[quads[:, x], quads[:, y]]]
-        for x, y in ((0, 1), (2, 3), (1, 2), (0, 3), (0, 2), (1, 3))
-    )
+    d = algebra.dim
+    pairs = _quad_pairs(algebra.space.n)
+    gathered = np.empty((6, d, pairs.shape[1]))
+    for k in range(6):
+        np.take(algebra.coeff_matrix, pairs[k], axis=1, out=gathered[k])
+    g1, g2, g3, g4, g5, g6 = gathered
     _, _, w = _packed_sym(d)
-    rows = np.empty((w.size, quads.shape[0]))
+    rows = np.empty((w.size, pairs.shape[1]))
+    scratch = np.empty((d, pairs.shape[1]))
     start = 0
     for a in range(d):  # the rows (a, b), b >= a, of e_a e_b^T + e_b e_a^T
         stop = start + d - a
-        rows[start:stop] = (
-            g1[a] * g2[a:] + g1[a:] * g2[a]
-            + g3[a] * g4[a:] + g3[a:] * g4[a]
-            - g5[a] * g6[a:] - g5[a:] * g6[a]
-        )
+        block, term = rows[start:stop], scratch[: d - a]
+        np.multiply(g1[a], g2[a:], out=block)
+        for x, y, accumulate in (
+            (g1[a:], g2[a], np.add), (g3[a], g4[a:], np.add), (g3[a:], g4[a], np.add),
+            (g5[a], g6[a:], np.subtract), (g5[a:], g6[a], np.subtract),
+        ):
+            np.multiply(x, y, out=term)
+            accumulate(block, term, out=block)
         start = stop
     rows *= w[:, None]
     return rows
@@ -501,5 +510,4 @@ def random_algebra_curvature(
     s[a, b] = x
     s[b, a] += x
     c = algebra.coeff_matrix
-    full = c.T @ s @ c
-    return CurvatureTensor(algebra.space, _tensor_array_from_matrix(algebra.space, full))
+    return CurvatureTensor(algebra.space, c.T @ s @ c)

@@ -20,8 +20,13 @@ _KERNEL_TOL = 1e-8  # singular values below this count as zero
 
 
 def _kernel_rows(mapping: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (as rows) of the kernel of a linear map."""
-    _, s, vh = np.linalg.svd(mapping, full_matrices=True)
+    """Orthonormal basis (as rows) of the kernel of a linear map.
+
+    The commutator maps have at least as many rows as columns, so the
+    reduced SVD already gives the full square right factor; the left factor
+    is never read and stays thin.
+    """
+    _, s, vh = np.linalg.svd(mapping, full_matrices=False)
     rank = int(np.sum(s > _KERNEL_TOL))
     return _sign_fix(vh[rank:])
 
@@ -186,16 +191,31 @@ def sp_sp1_algebra(space: EuclideanSpace) -> HolonomyAlgebra:
     return HolonomyAlgebra(space, f"sp({m})+sp(1)", np.vstack([rows, omegas]))
 
 
+# Short holonomy tags, case-insensitive, and the space kind each one names.
+HOLONOMY_TAGS = {
+    "generic": "generic", "so": "generic", "weyl": "generic",
+    "kaehler": "kaehler", "u": "kaehler", "bochner": "kaehler",
+    "qk": "qk", "sp": "qk", "sp_sp1": "qk",
+}
+
+
+def holonomy_kind(name: str) -> str:
+    """Space kind of a holonomy tag (HOLONOMY_TAGS), or GeometryError."""
+    kind = HOLONOMY_TAGS.get(name.lower())
+    if kind is None:
+        raise GeometryError(f"unknown holonomy tag {name!r}")
+    return kind
+
+
 def by_name(space: EuclideanSpace, name: str) -> HolonomyAlgebra:
-    """Dispatch on a short tag: so, u, or sp_sp1 (alias sp, qk)."""
-    tag = name.lower()
-    if tag in ("so", "generic"):
+    """Holonomy algebra of a tag: so(n), u(m) or sp(m)+sp(1) by the kind it
+    names in HOLONOMY_TAGS."""
+    kind = holonomy_kind(name)
+    if kind == "generic":
         return so_algebra(space)
-    if tag in ("u", "kaehler"):
+    if kind == "kaehler":
         return u_algebra(space)
-    if tag in ("sp_sp1", "sp", "qk"):
-        return sp_sp1_algebra(space)
-    raise GeometryError(f"unknown holonomy tag {name!r}")
+    return sp_sp1_algebra(space)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,18 @@
 
 Conventions, fixed once here and relied on everywhere else:
 
-* components T[x, y, z, w] are antisymmetric in (x, y) and in (z, w) and
-  symmetric under swapping the two pairs; the first Bianchi identity
-  T[x,y,z,w] + T[y,z,x,w] + T[z,x,y,w] = 0 is part of the type invariant;
-* the operator dictionary reads matrix entries directly off components at
-  increasing index pairs, so the operator of the metric double product
-  g (*) g is twice the identity on bivectors;
+* a curvature tensor is stored as its bivector operator: the symmetric
+  D x D matrix M (D = n(n-1)/2) in the lexicographic pair basis, with
+  M[ij, kl] = T[i, j, k, l] for i < j, k < l.  The pair antisymmetries hold
+  by construction; pair interchange is the symmetry of M, and the first
+  Bianchi identity T[x,y,z,w] + T[y,z,x,w] + T[z,x,y,w] = 0 is checked at
+  the C(n,4) increasing quadruples.  Both are part of the type invariant;
+* the rank-four component array is derived from M on request.  Rank-four
+  arrays that come from outside (files, the Grassmannian formula, raw
+  arrays handed to t_hat) are validated slot by slot with
+  check_curvature_symmetries before they are gathered into an operator;
+* the operator of the metric double product g (*) g is twice the identity
+  on bivectors;
 * squared norms: the component-array norm of a curvature tensor is four
   times the Frobenius norm of its bivector operator.  Functions below say
   which one they return;
@@ -18,10 +24,17 @@ Conventions, fixed once here and relied on everywhere else:
   component arrays scattered from it, component convention, for a
   CurvatureTensor.  lie_action keeps the slot-by-slot definition as the
   independent single-generator reference.
+
+Products, traces and projections act on the operator through pair-index
+formulas with index tables cached per dimension.  The rank-four routes
+(_kn_array, bianchi_sum, bianchi_project, _lie_array) stay as the
+references the tests check the pair-index formulas against.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -31,6 +44,7 @@ from .euclid import (
     Bivector,
     EuclideanSpace,
     GeometryError,
+    _pair_table,
     generic,
     kaehler,
     quaternion_kaehler,
@@ -45,50 +59,248 @@ def _sym_scale(a: np.ndarray) -> float:
     return 1.0 + float(np.abs(a).max(initial=0.0))
 
 
+def _freeze(*arrays: np.ndarray):
+    for arr in arrays:
+        arr.flags.writeable = False
+
+
+# ---------------------------------------------------------------------------
+# pair-index tables, cached per dimension
+
+
+@functools.cache
+def _pair_lookup(n: int) -> np.ndarray:
+    """n x n table whose entry (x, y), x != y, is the index of the pair {x, y}.
+
+    The diagonal holds 0; callers weight it out.
+    """
+    rows, cols, _ = _pair_table(n)
+    pair = np.zeros((n, n), dtype=np.intp)
+    pair[rows, cols] = pair[cols, rows] = np.arange(rows.size)
+    _freeze(pair)
+    return pair
+
+
+@functools.cache
+def _quad_pairs(n: int) -> np.ndarray:
+    """Pair indices (ij, kl, jk, il, ik, jl) at every quadruple i < j < k < l,
+    shape (6, C(n,4)), quadruples in `itertools.combinations` order.
+
+    On a symmetric operator M the Bianchi sum at the quadruple is
+    (M[ij, kl] + M[jk, il] - M[ik, jl]) / 3, and the Bianchi sum of a
+    pair-symmetric array is totally antisymmetric, so these are all of it.
+    """
+    quads = np.array(list(itertools.combinations(range(n), 4)), dtype=np.intp).reshape(-1, 4)
+    pair = _pair_lookup(n)
+    out = np.stack(
+        [pair[quads[:, x], quads[:, y]] for x, y in ((0, 1), (2, 3), (1, 2), (0, 3), (0, 2), (1, 3))]
+    )
+    _freeze(out)
+    return out
+
+
+@functools.cache
+def _quad_flat(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat indices into a D x D operator of (ij, kl), (jk, il), (ik, jl) at
+    every quadruple i < j < k < l (see _quad_pairs)."""
+    d = n * (n - 1) // 2
+    ij, kl, jk, il, ik, jl = _quad_pairs(n)
+    out = (ij * d + kl, jk * d + il, ik * d + jl)
+    _freeze(*out)
+    return out
+
+
+@functools.cache
+def _kn_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Flat indices (xz, yw, xw, yz) into an n x n form, each D x D, at the
+    increasing pairs (x, y) (rows) and (z, w) (columns)."""
+    rows, cols, _ = _pair_table(n)
+    x, y = rows[:, None] * n, cols[:, None] * n
+    z, w = rows[None, :], cols[None, :]
+    out = (x + z, y + w, x + w, y + z)
+    _freeze(*out)
+    return out
+
+
+@functools.cache
+def _contraction_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(pair, weight) with T[s, x, s, w] = weight[s, x, w] * M[pair[s, x], pair[s, w]].
+
+    weight is sign(x - s) * sign(w - s): the sign of reading each slot pair
+    off an increasing pair, zero when s repeats an index.
+    """
+    pair = _pair_lookup(n)
+    sign = np.sign(np.arange(n)[None, :] - np.arange(n)[:, None]).astype(float)
+    weight = sign[:, :, None] * sign[:, None, :]
+    _freeze(weight)
+    return pair, weight
+
+
+@functools.cache
+def _dim_of_pairs(d: int) -> int:
+    """Dimension n with n(n-1)/2 = d, or SymmetryError."""
+    n = int(round((1.0 + np.sqrt(1.0 + 8.0 * d)) / 2.0))
+    if n < 2 or n * (n - 1) // 2 != d:
+        raise SymmetryError(f"{d} is not the bivector dimension of any R^n")
+    return n
+
+
+# ---------------------------------------------------------------------------
+# symmetry validation and Bianchi projection
+
+
+def check_curvature_symmetries(t: np.ndarray, rtol: float = 1e-10):
+    """Raise SymmetryError unless the rank-four array t has all curvature
+    symmetries plus Bianchi."""
+    tol = rtol * _sym_scale(t)
+    r = float(np.abs(t + t.transpose(1, 0, 2, 3)).max(initial=0.0))
+    if r > tol:
+        raise SymmetryError(f"not antisymmetric in the first pair, residual {r:.3e}")
+    r = float(np.abs(t + t.transpose(0, 1, 3, 2)).max(initial=0.0))
+    if r > tol:
+        raise SymmetryError(f"not antisymmetric in the second pair, residual {r:.3e}")
+    r = float(np.abs(t - t.transpose(2, 3, 0, 1)).max(initial=0.0))
+    if r > tol:
+        raise SymmetryError(f"not symmetric under pair interchange, residual {r:.3e}")
+    r = float(np.abs(bianchi_sum(t)).max(initial=0.0))
+    if r > tol:
+        raise SymmetryError(f"first Bianchi identity fails, residual {r:.3e}")
+
+
+def _quad_bianchi(mat: np.ndarray, n: int) -> np.ndarray:
+    """Bianchi sum T[i,j,k,l] + T[j,k,i,l] + T[k,i,j,l], over 3, of the
+    tensor with operator mat, at every quadruple i < j < k < l."""
+    f1, f2, f3 = _quad_flat(n)
+    flat = mat.ravel()
+    return (flat[f1] + flat[f2] - flat[f3]) / 3.0
+
+
+def check_operator_symmetries(mat: np.ndarray, rtol: float = 1e-10):
+    """Raise SymmetryError unless the D x D matrix mat is the operator of a
+    curvature tensor: symmetric, and Bianchi at the increasing quadruples.
+
+    Same tolerance and messages as check_curvature_symmetries on the array
+    scattered from mat, whose largest entry is mat's; the pair
+    antisymmetries of that array hold by construction.
+    """
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise SymmetryError(f"operator must be a square matrix, got shape {mat.shape}")
+    n = _dim_of_pairs(mat.shape[0])
+    tol = rtol * _sym_scale(mat)
+    r = float(np.abs(mat - mat.T).max(initial=0.0))
+    if r > tol:
+        raise SymmetryError(f"not symmetric under pair interchange, residual {r:.3e}")
+    r = float(np.abs(_quad_bianchi(mat, n)).max(initial=0.0))
+    if r > tol:
+        raise SymmetryError(f"first Bianchi identity fails, residual {r:.3e}")
+
+
+def bianchi_sum(t: np.ndarray) -> np.ndarray:
+    """Cyclic average over the first three slots; zero on curvature tensors."""
+    return (t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)) / 3.0
+
+
+def bianchi_project(t: np.ndarray) -> np.ndarray:
+    """Orthogonal projection of a pair-symmetric array onto Bianchi kernel.
+
+    The cyclic average is itself an orthogonal projection (onto the fully
+    antisymmetric part), so subtracting it projects onto curvature type.
+    """
+    return t - bianchi_sum(t)
+
+
+def _bianchi_project_matrix(mat: np.ndarray) -> np.ndarray:
+    """bianchi_project on the operator of an exactly symmetric matrix.
+
+    The removed part is the four-form with value b at (ij, kl), -b at
+    (ik, jl) and b at (il, jk), b the Bianchi sum at i < j < k < l.  Each
+    slot subtracts the cyclic sum in the order bianchi_project adds it at
+    that slot, so the result is the same to the last bit.
+    """
+    n = _dim_of_pairs(mat.shape[0])
+    ij, kl, jk, il, ik, jl = _quad_pairs(n)
+    a, b, c = mat[ij, kl], mat[jk, il], mat[ik, jl]
+    out = mat.copy()
+    for p, q, cyc in ((ij, kl, a - c + b), (ik, jl, c - a - b), (il, jk, b + a - c)):
+        out[p, q] -= cyc / 3.0
+        out[q, p] = out[p, q]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # core types
 
 
 @dataclass
 class CurvatureTensor:
-    """Rank-four algebraic curvature tensor on a Euclidean space."""
+    """Algebraic curvature tensor on a Euclidean space, stored as its
+    symmetric bivector operator `matrix` (see the module conventions).
+
+    The matrix is validated with check_operator_symmetries unless validate
+    is False.  `components` is the rank-four array, derived on access.
+    """
 
     space: EuclideanSpace
-    components: np.ndarray
+    matrix: np.ndarray
     validate: bool = True
 
     def __post_init__(self):
-        self.components = np.asarray(self.components, dtype=float)
-        n = self.space.n
-        if self.components.shape != (n, n, n, n):
-            raise SymmetryError(
-                f"components must have shape {(n, n, n, n)}, "
-                f"got {self.components.shape}"
-            )
+        self.matrix = np.asarray(self.matrix, dtype=float)
+        d = self.space.bivector_dim
+        if self.matrix.shape != (d, d):
+            raise SymmetryError(f"operator must have shape {(d, d)}, got {self.matrix.shape}")
         if self.validate:
-            check_curvature_symmetries(self.components)
+            check_operator_symmetries(self.matrix)
+
+    @classmethod
+    def from_components(
+        cls, space: EuclideanSpace, components, validate: bool = True
+    ) -> "CurvatureTensor":
+        """Tensor from a rank-four component array, validated slot by slot
+        with check_curvature_symmetries and read off at increasing pairs."""
+        arr = np.asarray(components, dtype=float)
+        n = space.n
+        if arr.shape != (n, n, n, n):
+            raise SymmetryError(f"components must have shape {(n, n, n, n)}, got {arr.shape}")
+        if validate:
+            check_curvature_symmetries(arr)
+        ii, jj = space.pair_rows, space.pair_cols
+        mat = arr[ii[:, None], jj[:, None], ii[None, :], jj[None, :]]
+        return cls(space, mat, validate=False)
+
+    @property
+    def components(self) -> np.ndarray:
+        """Rank-four component array scattered from the operator.
+
+        A new array on each access: writing to it leaves the tensor as it
+        is.  Read-only when the operator is (the shared models).
+        """
+        arr = _tensor_array_from_matrix(self.space, self.matrix)
+        arr.flags.writeable = self.matrix.flags.writeable
+        return arr
 
     # linear combinations stay in the symmetry class, skip re-validation
     def __add__(self, other: "CurvatureTensor") -> "CurvatureTensor":
-        return CurvatureTensor(self.space, self.components + other.components, validate=False)
+        return CurvatureTensor(self.space, self.matrix + other.matrix, validate=False)
 
     def __sub__(self, other: "CurvatureTensor") -> "CurvatureTensor":
-        return CurvatureTensor(self.space, self.components - other.components, validate=False)
+        return CurvatureTensor(self.space, self.matrix - other.matrix, validate=False)
 
     def __mul__(self, scalar: float) -> "CurvatureTensor":
-        return CurvatureTensor(self.space, self.components * float(scalar), validate=False)
+        return CurvatureTensor(self.space, self.matrix * float(scalar), validate=False)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "CurvatureTensor":
-        return CurvatureTensor(self.space, -self.components, validate=False)
+        return CurvatureTensor(self.space, -self.matrix, validate=False)
 
     def norm_sq(self) -> float:
         """Component-array squared norm (four times the operator convention)."""
-        return float(np.sum(self.components**2))
+        return 4.0 * float(np.sum(self.matrix**2))
 
     def inner(self, other: "CurvatureTensor") -> float:
-        return float(np.sum(self.components * other.components))
+        """Component-array inner product (four times the Frobenius pairing)."""
+        return 4.0 * float(np.sum(self.matrix * other.matrix))
 
 
 @dataclass
@@ -126,41 +338,6 @@ class CurvatureOperator:
 
 
 # ---------------------------------------------------------------------------
-# symmetry validation and Bianchi projection
-
-
-def check_curvature_symmetries(t: np.ndarray, rtol: float = 1e-10):
-    """Raise SymmetryError unless t has all curvature symmetries plus Bianchi."""
-    tol = rtol * _sym_scale(t)
-    r = float(np.abs(t + t.transpose(1, 0, 2, 3)).max(initial=0.0))
-    if r > tol:
-        raise SymmetryError(f"not antisymmetric in the first pair, residual {r:.3e}")
-    r = float(np.abs(t + t.transpose(0, 1, 3, 2)).max(initial=0.0))
-    if r > tol:
-        raise SymmetryError(f"not antisymmetric in the second pair, residual {r:.3e}")
-    r = float(np.abs(t - t.transpose(2, 3, 0, 1)).max(initial=0.0))
-    if r > tol:
-        raise SymmetryError(f"not symmetric under pair interchange, residual {r:.3e}")
-    r = float(np.abs(bianchi_sum(t)).max(initial=0.0))
-    if r > tol:
-        raise SymmetryError(f"first Bianchi identity fails, residual {r:.3e}")
-
-
-def bianchi_sum(t: np.ndarray) -> np.ndarray:
-    """Cyclic average over the first three slots; zero on curvature tensors."""
-    return (t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)) / 3.0
-
-
-def bianchi_project(t: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of a pair-symmetric array onto Bianchi kernel.
-
-    The cyclic average is itself an orthogonal projection (onto the fully
-    antisymmetric part), so subtracting it projects onto curvature type.
-    """
-    return t - bianchi_sum(t)
-
-
-# ---------------------------------------------------------------------------
 # products and dictionaries
 
 
@@ -176,13 +353,27 @@ def _kn_array(s: np.ndarray, t: np.ndarray) -> np.ndarray:
     )
 
 
+def _kn_matrix(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """_kn_array read off at increasing pairs (x, y), (z, w): the same four
+    products in the same order, so the same bits."""
+    xz, yw, xw, yz = _kn_tables(s.shape[0])
+    s, t = s.ravel(), t.ravel()
+    return s[xz] * t[yw] - s[xw] * t[yz] + s[yw] * t[xz] - s[yz] * t[xw]
+
+
+def _pair_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Operator of the array a[x, y] b[z, w] read off at increasing pairs."""
+    rows, cols, _ = _pair_table(a.shape[0])
+    return np.outer(a[rows, cols], b[rows, cols])
+
+
 def kulkarni_nomizu(space: EuclideanSpace, s: np.ndarray, t: np.ndarray) -> CurvatureTensor:
     """Kulkarni-Nomizu product of two symmetric bilinear forms.
 
     For s = t = g this gives twice the identity operator on bivectors.
     Antisymmetric inputs break the Bianchi identity and are rejected; the
-    decomposition code uses the raw array combination internally where such
-    terms cancel against each other.
+    decomposition code uses the raw operator combination internally where
+    such terms cancel against each other.
     """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -192,14 +383,12 @@ def kulkarni_nomizu(space: EuclideanSpace, s: np.ndarray, t: np.ndarray) -> Curv
     for name, a in (("first", s), ("second", t)):
         if float(np.abs(a - a.T).max(initial=0.0)) > 1e-10 * _sym_scale(a):
             raise GeometryError(f"{name} form is not symmetric")
-    return CurvatureTensor(space, _kn_array(s, t))
+    return CurvatureTensor(space, _kn_matrix(s, t))
 
 
 def to_operator(rm: CurvatureTensor) -> CurvatureOperator:
-    """Symmetric bivector operator with entries read at increasing pairs."""
-    ii, jj = rm.space.pair_rows, rm.space.pair_cols
-    mat = rm.components[ii[:, None], jj[:, None], ii[None, :], jj[None, :]]
-    return CurvatureOperator(rm.space, mat)
+    """The stored bivector operator, wrapped without a copy."""
+    return CurvatureOperator(rm.space, rm.matrix)
 
 
 def _tensor_array_from_matrix(space: EuclideanSpace, mat: np.ndarray) -> np.ndarray:
@@ -217,11 +406,12 @@ def _tensor_array_from_matrix(space: EuclideanSpace, mat: np.ndarray) -> np.ndar
 
 
 def from_operator(op: CurvatureOperator) -> CurvatureTensor:
-    """Inverse of to_operator.  The operator must act on the full bivector
-    space and satisfy the Bianchi constraint, otherwise SymmetryError."""
+    """Inverse of to_operator, on a copy of the matrix.  The operator must
+    act on the full bivector space and satisfy the Bianchi constraint,
+    otherwise SymmetryError."""
     if op.algebra is not None:
         raise GeometryError("from_operator needs a full bivector-space operator")
-    return CurvatureTensor(op.space, _tensor_array_from_matrix(op.space, op.matrix))
+    return CurvatureTensor(op.space, np.array(op.matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +444,7 @@ def lie_action(gen: Bivector, t):
     """
     a = gen.matrix()
     if isinstance(t, CurvatureTensor):
-        return CurvatureTensor(t.space, _lie_array(a, t.components), validate=False)
+        return CurvatureTensor.from_components(t.space, _lie_array(a, t.components), validate=False)
     return _lie_array(a, np.asarray(t, dtype=float))
 
 
@@ -264,7 +454,7 @@ def t_hat(t, algebra) -> np.ndarray | list[np.ndarray]:
     * CurvatureOperator on the full bivector space: one (dim, D, D) stack of
       hat operators H_a = N_a R + (N_a R)^T, N_a = algebra.bivector_action[a];
       squared norms are Frobenius norms (operator convention).
-    * CurvatureTensor, or any other array validated as one: a list of
+    * CurvatureTensor, or a rank-four array validated as one: a list of
       rank-four component arrays, each scattered from the operator hat, so
       its squared norm is four times the Frobenius norm of H_a (component
       convention).
@@ -278,11 +468,12 @@ def t_hat(t, algebra) -> np.ndarray | list[np.ndarray]:
             raise GeometryError("hat components need a full bivector-space operator")
         op = t
     else:
-        arr = t.components if isinstance(t, CurvatureTensor) else np.asarray(t, dtype=float)
-        if arr.ndim == 2:
-            return [_lie_array(a, arr) for a in algebra.matrices]
-        rm = t if isinstance(t, CurvatureTensor) else CurvatureTensor(algebra.space, arr)
-        op = to_operator(rm)
+        if not isinstance(t, CurvatureTensor):
+            arr = np.asarray(t, dtype=float)
+            if arr.ndim == 2:
+                return [_lie_array(a, arr) for a in algebra.matrices]
+            t = CurvatureTensor.from_components(algebra.space, arr)
+        op = to_operator(t)
     acted = algebra.bivector_action @ op.matrix
     hats = acted + acted.transpose(0, 2, 1)
     if op is t:
@@ -304,13 +495,15 @@ def t_hat_norm_sq(t, algebra) -> float:
 
 
 def ricci(rm: CurvatureTensor) -> np.ndarray:
-    """Contraction over the first slots of each pair."""
-    return np.einsum("sxsw->xw", rm.components)
+    """Contraction over the first slots of each pair, sum_s T[s, x, s, w]."""
+    pair, weight = _contraction_tables(rm.space.n)
+    gathered = rm.matrix[pair[:, :, None], pair[:, None, :]]
+    return (weight * gathered).sum(axis=0)
 
 
 def scalar(rm: CurvatureTensor) -> float:
     """Full metric trace; equals twice the trace of the bivector operator."""
-    return float(np.einsum("sxsx->", rm.components))
+    return 2.0 * float(np.trace(rm.matrix))
 
 
 def total_traces(rm: CurvatureTensor) -> list[float]:
@@ -327,9 +520,12 @@ def total_traces(rm: CurvatureTensor) -> list[float]:
         structs = [rm.space.J]
     elif rm.space.kind == "qk":
         structs = [rm.space.I, rm.space.J, rm.space.K]
+    rows, cols = rm.space.pair_rows, rm.space.pair_cols
     for s in structs:
-        contr = 0.5 * np.einsum("st,stzw->zw", s, rm.components)
-        out.append(float(np.linalg.norm(contr)))
+        # 0.5 sum_{s,t} S[s, t] T[s, t, z, w] at z < w; the n x n contraction
+        # is skew, so its Frobenius norm is sqrt(2) times that of these entries
+        contr = 0.5 * ((s[rows, cols] - s[cols, rows]) @ rm.matrix)
+        out.append(float(np.sqrt(2.0) * np.linalg.norm(contr)))
     return out
 
 
@@ -341,13 +537,12 @@ def random_curvature(
     space: EuclideanSpace, rng: np.random.Generator | None = None, seed: int | None = None
 ) -> CurvatureTensor:
     """Random algebraic curvature tensor: a Gaussian symmetric bivector
-    operator pushed through the dictionary and Bianchi-projected."""
+    operator, Bianchi-projected."""
     if rng is None:
         rng = np.random.default_rng(seed)
     d = space.bivector_dim
     raw = rng.standard_normal((d, d))
-    t = _tensor_array_from_matrix(space, 0.5 * (raw + raw.T))
-    return CurvatureTensor(space, bianchi_project(t))
+    return CurvatureTensor(space, _bianchi_project_matrix(0.5 * (raw + raw.T)))
 
 
 def tensor_to_dict(rm: CurvatureTensor) -> dict:
@@ -390,7 +585,7 @@ def tensor_from_dict(data: dict, space: EuclideanSpace | None = None) -> Curvatu
         )
     if flat.shape != (n**4,):
         raise GeometryError(f"expected {n**4} components, got {flat.shape[0]}")
-    return CurvatureTensor(space, flat.reshape(n, n, n, n))
+    return CurvatureTensor.from_components(space, flat.reshape(n, n, n, n))
 
 
 def save_tensor(rm: CurvatureTensor, path: str):

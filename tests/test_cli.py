@@ -276,6 +276,36 @@ class TestSample:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert any(float(r["curvature_term_self"]) < 0 for r in rows)
 
+    @pytest.mark.parametrize("argv", [("--holonomy", "u", "--m", "1"), ("--n", "2")],
+                             ids=["u1", "so2"])
+    def test_one_dimensional_algebra_is_usage_error(self, capsys, monkeypatch, argv):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(decomp, "_bianchi_kernel_basis", no_sampling)
+        monkeypatch.setattr(decomp, "random_algebra_curvature", no_sampling)
+        code, out, err = run(capsys, "sample", *argv, "--trials", "3")
+        assert code == 2
+        assert out == ""
+        assert "dimension 1" in err
+
+    @pytest.mark.parametrize("tag, size, name", [
+        ("weyl", ("--n", "4"), "so(4)"), ("Generic", ("--n", "4"), "so(4)"),
+        ("bochner", ("--m", "2"), "u(2)"), ("kaehler", ("--m", "2"), "u(2)"),
+        ("sp", ("--m", "2"), "sp(2)+sp(1)"), ("sp_sp1", ("--m", "2"), "sp(2)+sp(1)"),
+    ])
+    def test_holonomy_aliases(self, capsys, tag, size, name):
+        code, out, _ = run(capsys, "sample", "--holonomy", tag, *size, "--trials", "2",
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out)["records"][0]["inputs"] == {"algebra": name}
+
+    def test_unknown_holonomy_tag(self, capsys):
+        code, out, err = run(capsys, "sample", "--holonomy", "Octonion", "--trials", "2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: unknown holonomy tag 'Octonion'\n"
+
     def test_json_format(self, capsys):
         code, out, _ = run(
             capsys, "sample", "--holonomy", "u", "--m", "2", "--trials", "3",

@@ -4,6 +4,7 @@ import pytest
 from curvlab import decomp, tensor
 from curvlab.euclid import GeometryError, inner, kaehler, quaternion_kaehler
 from curvlab.holonomy import (
+    HOLONOMY_TAGS,
     HolonomyAlgebra,
     _commutator_map,
     _kernel_rows,
@@ -196,3 +197,39 @@ def test_kernel_rows_sign_convention(space):
     rows = _kernel_rows(_commutator_map(space, structs))
     lead = np.argmax(np.abs(rows), axis=1)
     assert np.all(rows[np.arange(rows.shape[0]), lead] > 0)
+
+
+@pytest.mark.parametrize(
+    "tag, m", [("u", m) for m in range(2, 6)] + [("sp_sp1", m) for m in range(2, 6)]
+)
+def test_kernel_rows_match_full_svd(tag, m):
+    # the reduced SVD keeps the square right factor of the tall commutator map
+    space = kaehler(m) if tag == "u" else quaternion_kaehler(m)
+    structs = [space.J] if tag == "u" else [space.I, space.J, space.K]
+    mapping = _commutator_map(space, structs)
+    rows = _kernel_rows(mapping)
+    dim = m * m if tag == "u" else m * (2 * m + 1)
+    assert rows.shape == (dim, space.bivector_dim)
+    _, s, vh = np.linalg.svd(mapping, full_matrices=True)
+    ref = vh[int(np.sum(s > 1e-8)):]
+    assert np.abs(rows.T @ rows - ref.T @ ref).max() <= 1e-12
+    assert np.abs(rows @ rows.T - np.eye(dim)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("tag, kind", sorted(HOLONOMY_TAGS.items()))
+def test_every_tag_resolves(tag, kind, so5_space, u3_space, qk2_space):
+    space = {"generic": so5_space, "kaehler": u3_space, "qk": qk2_space}[kind]
+    expected = {"generic": "so(5)", "kaehler": "u(3)", "qk": "sp(2)+sp(1)"}[kind]
+    assert by_name(space, tag).name == expected
+    assert by_name(space, tag.upper()).name == expected
+
+
+def test_tag_aliases():
+    groups = {"generic": {"so", "generic", "weyl"}, "kaehler": {"u", "kaehler", "bochner"},
+              "qk": {"sp_sp1", "sp", "qk"}}
+    assert {k: {t for t, v in HOLONOMY_TAGS.items() if v == k} for k in groups} == groups
+
+
+def test_unknown_tag_message(so5_space):
+    with pytest.raises(GeometryError, match="^unknown holonomy tag 'octonion'$"):
+        by_name(so5_space, "octonion")

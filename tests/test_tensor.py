@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from curvlab.tensor import (
     bianchi_project,
     bianchi_sum,
     check_curvature_symmetries,
+    check_operator_symmetries,
     from_operator,
     kulkarni_nomizu,
     lie_action,
@@ -296,3 +299,163 @@ class TestSerialization:
         )
         with pytest.raises(SymmetryError):
             load_tensor(path)
+
+
+# ---------------------------------------------------------------------------
+# operator storage: pinned to the rank-four references
+
+
+def _gather(space, arr):
+    """Operator entries of a rank-four array, read at increasing pairs."""
+    ii, jj = space.pair_rows, space.pair_cols
+    return arr[ii[:, None], jj[:, None], ii[None, :], jj[None, :]]
+
+
+ALGEBRAS = [("so", n) for n in range(4, 10)] + [("u", m) for m in (2, 3, 4)] + [
+    ("sp_sp1", m) for m in (2, 3)
+]
+_SPACES = {"so": generic, "u": euclid.kaehler, "sp_sp1": euclid.quaternion_kaehler}
+
+
+@functools.cache
+def _algebra(tag, size):
+    return holonomy.by_name(_SPACES[tag](size), tag)
+
+
+@pytest.fixture(params=ALGEBRAS, ids=[f"{t}{s}" for t, s in ALGEBRAS])
+def formula_algebra(request):
+    return _algebra(*request.param)
+
+
+def _symmetric(rng, n):
+    s = rng.standard_normal((n, n))
+    return s + s.T
+
+
+def _skew(rng, n):
+    s = rng.standard_normal((n, n))
+    return s - s.T
+
+
+class TestOperatorStorage:
+    def test_tensor_holds_only_the_operator(self, rng):
+        rm = random_curvature(generic(6), rng=rng)
+        arrays = [v for v in vars(rm).values() if isinstance(v, np.ndarray)]
+        assert [a.shape for a in arrays] == [(15, 15)]
+
+    def test_to_operator_does_not_copy(self, rng):
+        rm = random_curvature(generic(5), rng=rng)
+        assert to_operator(rm).matrix is rm.matrix
+
+    def test_components_are_derived(self, rng):
+        rm = random_curvature(generic(5), rng=rng)
+        comp = rm.components
+        assert np.array_equal(_gather(rm.space, comp), rm.matrix)
+        comp[0, 1, 0, 1] += 1.0
+        assert not np.array_equal(rm.components, comp)
+
+    def test_from_components_round_trip(self, rng):
+        rm = random_curvature(generic(5), rng=rng)
+        back = CurvatureTensor.from_components(rm.space, rm.components)
+        assert np.array_equal(back.matrix, rm.matrix)
+
+    def test_from_components_validates_slots(self, rng):
+        with pytest.raises(SymmetryError, match="first pair"):
+            CurvatureTensor.from_components(generic(4), rng.standard_normal((4,) * 4))
+
+    def test_rank_four_array_is_not_an_operator(self):
+        with pytest.raises(SymmetryError, match="shape"):
+            CurvatureTensor(generic(4), decomp.sphere(4).components)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    base=st.sampled_from([("so", 4), ("so", 5), ("so", 6), ("so", 7), ("u", 3), ("sp_sp1", 2)]),
+    kind=st.sampled_from(["asymmetric", "four-form"]),
+    factor=st.sampled_from([0.1, 0.8, 1.25, 10.0]),
+)
+def test_operator_validation_matches_rank_four(seed, base, kind, factor):
+    # perturb a valid operator off pair symmetry or off Bianchi by 0.1x or 10x
+    # the tolerance, and by 0.8x or 1.25x, which pins the residual's scale;
+    # the constructor decides as the rank-four validator does
+    rng = np.random.default_rng(seed)
+    alg = _algebra(*base)
+    space, n = alg.space, alg.space.n
+    mat = decomp.random_algebra_curvature(alg, rng=rng).matrix.copy()
+    size = factor * 1e-10 * (1.0 + float(np.abs(mat).max())) * rng.choice([-1.0, 1.0])
+    if kind == "asymmetric":
+        p, q = rng.choice(space.bivector_dim, size=2, replace=False)
+        mat[p, q] += size
+    else:
+        i, j, k, l = np.sort(rng.choice(n, size=4, replace=False))
+        for (a, b), (c, d), sign in (((i, j), (k, l), 1), ((i, k), (j, l), -1), ((i, l), (j, k), 1)):
+            p, q = euclid.pair_index(n, a, b), euclid.pair_index(n, c, d)
+            mat[p, q] += sign * size
+            mat[q, p] += sign * size
+    try:
+        check_curvature_symmetries(tensor._tensor_array_from_matrix(space, mat))
+        reference_raises = False
+    except SymmetryError:
+        reference_raises = True
+    try:
+        CurvatureTensor(space, mat)
+        raises = False
+    except SymmetryError:
+        raises = True
+    assert raises == reference_raises == (factor > 1)
+
+
+class TestPairIndexFormulas:
+    """Pair-index formulas on operators against their einsum references on
+    rank-four arrays, 1e-12 relative."""
+
+    def test_kulkarni_nomizu(self, formula_algebra, rng):
+        n = formula_algebra.space.n
+        space = formula_algebra.space
+        sym, skew = _symmetric(rng, n), _skew(rng, n)
+        for s, t in ((sym, np.eye(n)), (sym, _symmetric(rng, n)), (skew, _skew(rng, n))):
+            got = tensor._kn_matrix(s, t)
+            ref = _gather(space, tensor._kn_array(s, t))
+            assert _close(got, ref)
+            assert np.array_equal(got, ref)
+
+    def test_form_products(self, formula_algebra, rng):
+        n = formula_algebra.space.n
+        a, b = _skew(rng, n), _skew(rng, n)
+        ref = _gather(formula_algebra.space, np.einsum("xy,zw->xyzw", a, b))
+        assert _close(tensor._pair_outer(a, b), ref)
+
+    def test_traces(self, formula_algebra, rng):
+        rm = decomp.random_algebra_curvature(formula_algebra, rng=rng)
+        comp = rm.components
+        ric = np.einsum("sxsw->xw", comp)
+        assert _close(ricci(rm), ric)
+        assert _close(np.array(scalar(rm)), np.array(np.einsum("sxsx->", comp)))
+        structs = {"generic": [], "kaehler": ["J"], "qk": ["I", "J", "K"]}[rm.space.kind]
+        ref = [np.linalg.norm(ric)] + [
+            np.linalg.norm(0.5 * np.einsum("st,stzw->zw", getattr(rm.space, s), comp))
+            for s in structs
+        ]
+        assert _close(np.array(total_traces(rm)), np.array(ref))
+
+    def test_conjugation(self, formula_algebra, rng):
+        # T -> sum_ab S[a, x] S[b, y] T[a, b, z, w] is the operator C M, C the
+        # matrix of xi -> S^T mat(xi) S; the Kaehler check uses S = J
+        rm = decomp.random_algebra_curvature(formula_algebra, rng=rng)
+        space = rm.space
+        forms = [rng.standard_normal((space.n, space.n))]
+        if space.kind != "generic":
+            forms.append(space.J)
+        for s in forms:
+            ref = _gather(space, np.einsum("ax,by,abzw->xyzw", s, s, rm.components))
+            assert _close(decomp._conjugation_on_bivectors(space, s.T) @ rm.matrix, ref)
+
+    def test_bianchi_projection(self, formula_algebra, rng):
+        space = formula_algebra.space
+        sym = _symmetric(rng, space.bivector_dim)
+        got = tensor._bianchi_project_matrix(sym)
+        ref = _gather(space, bianchi_project(tensor._tensor_array_from_matrix(space, sym)))
+        assert _close(got, ref)
+        assert np.array_equal(got, ref)
+        check_operator_symmetries(got)
