@@ -97,7 +97,8 @@ def hat_norm_direct(t, algebra: HolonomyAlgebra) -> float:
     """Brute-force squared hat norm, operator convention: the sum of the
     squared Frobenius norms of the operator hats.  No spectrum and no
     structure constants, so it is independent of hat_norm_formula."""
-    return float(np.sum(_hat_flat(t, algebra) ** 2))
+    flat = _hat_flat(t, algebra)
+    return float(np.sum(np.square(flat, out=flat)))
 
 
 @dataclass

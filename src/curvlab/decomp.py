@@ -116,6 +116,7 @@ def hp(m: int) -> CurvatureTensor:
     return _read_only(CurvatureTensor(space, mat))
 
 
+@functools.cache
 def grassmannian(p: int, q: int) -> CurvatureTensor:
     """Curvature tensor of the Grassmannian of p-planes in (p+q)-space.
 
@@ -133,9 +134,10 @@ def grassmannian(p: int, q: int) -> CurvatureTensor:
         - np.einsum("ij,kl,bc,ad->iajbkcld", iq, iq, ip, ip)
         + np.einsum("ij,kl,ac,bd->iajbkcld", iq, iq, ip, ip)
     )
-    return CurvatureTensor.from_components(generic(n), t8.reshape(n, n, n, n))
+    return _read_only(CurvatureTensor.from_components(generic(n), t8.reshape(n, n, n, n)))
 
 
+@functools.cache
 def wolf(m: int) -> CurvatureTensor:
     """grassmannian(m, 4) transported onto the quaternion-Kaehler R^{4m}.
 
@@ -152,7 +154,7 @@ def wolf(m: int) -> CurvatureTensor:
         for j in range(m):
             sigma[4 * j + i] = i * m + j
     space = quaternion_kaehler(m)
-    return CurvatureTensor.from_components(space, base[np.ix_(sigma, sigma, sigma, sigma)])
+    return _read_only(CurvatureTensor.from_components(space, base[np.ix_(sigma, sigma, sigma, sigma)]))
 
 
 # ---------------------------------------------------------------------------
@@ -354,13 +356,18 @@ def qk_decompose(
 _KERNEL_CACHE: dict = {}
 _KERNEL_LOCK = threading.Lock()
 
-# Rank rule of `_null_space`: a Gram eigenvalue at or below RANK_RTOL times the
-# largest one is null.  The Bianchi constraints have nonzero singular values
-# of order 1 and null ones at rounding level (<= 1e-15), so no eigenvalue may
-# fall inside (GAP_LO, GAP_HI) times the largest: there the rule would decide
-# the rank by rounding.
+# Rank rule of `_null_spaces`: a Gram eigenvalue at or below RANK_RTOL times
+# the largest one over all blocks is null.  The Bianchi constraints have
+# nonzero singular values of order 1 and null ones at rounding level
+# (<= 1e-15), so no eigenvalue may fall inside (GAP_LO, GAP_HI) times the
+# largest: there the rule would decide the rank by rounding.
 RANK_RTOL = 1e-8
 GAP_LO, GAP_HI = 1e-12, 1e-4
+# On an algebra that is a sum of character pieces, its coefficients restricted
+# to the pairs of one character have singular values 1 and, past the piece's
+# dimension, rounding-level ones; those below _ADAPT_TOL count as zero.
+_ADAPT_TOL = 1e-10
+_BACK_MAP_ROWS = 64  # kernel rows per chunk of the map back to coeff_matrix
 
 
 @functools.cache
@@ -379,80 +386,161 @@ def _packed_sym(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, b, w
 
 
-def _gram_rank(w: np.ndarray) -> int:
-    """Rank of a Gram matrix from its ascending eigenvalues w.
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Runs of equal keys after a stable sort: (order, starts, counts, values).
 
-    An eigenvalue counts when it exceeds RANK_RTOL times the largest.  Raises
-    GeometryError when one lies inside the band (GAP_LO, GAP_HI) times the
-    largest.
+    Run r is the positions order[starts[r] : starts[r] + counts[r]], all with
+    the key values[r]; the values ascend.
     """
-    top = w[-1] if w.size else 0.0
-    borderline = (w > GAP_LO * top) & (w < GAP_HI * top)
-    if borderline.any():
-        raise GeometryError(
-            f"Bianchi constraint spectrum has no clear gap: eigenvalue "
-            f"{w[borderline][0]:.3e} against largest {top:.3e}"
-        )
-    return int(np.count_nonzero(w > RANK_RTOL * top))
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    starts = np.flatnonzero(np.concatenate(([keys.size > 0], ranked[1:] != ranked[:-1])))
+    counts = np.diff(np.append(starts, keys.size))
+    return order, starts, counts, ranked[starts]
+
+
+def _pair_characters(space: EuclideanSpace) -> np.ndarray:
+    """Sign-flip character of each lexicographic pair, as a uint64 bit set.
+
+    Coordinates x and y are linked when a parallel structure has a nonzero
+    (x, y) entry.  A sign vector that is constant on each connected component
+    commutes with the structures, so it normalizes the holonomy algebra, and
+    it acts on e_x ^ e_y by the product of the two signs.  Bit c stands for
+    component c; a pair's character is the XOR of its coordinates' bits.
+    With more than 64 components every character is 0: one block.
+    """
+    n = space.n
+    link = np.eye(n, dtype=bool)
+    for s in (space.structure.I, space.structure.J, space.structure.K):
+        if s is not None:
+            link |= (s != 0) | (s.T != 0)
+    label = np.arange(n)
+    while True:  # each coordinate takes the smallest label linked to it
+        nxt = np.where(link, label[None, :], n).min(axis=1)
+        if np.array_equal(nxt, label):
+            break
+        label = nxt
+    comp = (np.cumsum(label == np.arange(n)) - 1)[label]
+    if comp.max() >= 64:
+        comp[:] = 0
+    bits = np.left_shift(np.uint64(1), comp.astype(np.uint64))
+    return bits[space.pair_rows] ^ bits[space.pair_cols]
+
+
+def _adapted_basis(coeff: np.ndarray, chars: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Orthonormal rows spanning the row space of coeff, each supported on
+    the pairs of one character, and their characters.
+
+    The rows of one character span the row space of coeff restricted to its
+    pairs.  The algebra is the direct sum of these pieces exactly when their
+    dimensions add up to its own; otherwise this returns None.  Characters
+    with equally many pairs share one batched SVD.
+    """
+    d, big_d = coeff.shape
+    order, starts, counts, values = _runs(chars)
+    rows, row_chars = [], []
+    by_size, size_starts, size_counts, sizes = _runs(counts)
+    for first, count, size in zip(size_starts, size_counts, sizes):
+        runs = by_size[first : first + count]
+        cols = order[starts[runs][:, None] + np.arange(size)]
+        _, sv, vh = np.linalg.svd(coeff[:, cols].transpose(1, 0, 2), full_matrices=False)
+        run, rank = np.nonzero(sv > _ADAPT_TOL)
+        piece = np.zeros((run.size, big_d))
+        piece[np.arange(run.size)[:, None], cols[run]] = vh[run, rank]
+        rows.append(piece)
+        row_chars.append(values[runs][run])
+    if sum(piece.shape[0] for piece in rows) != d:
+        return None
+    return np.concatenate(rows), np.concatenate(row_chars)
+
+
+def _bianchi_blocks(algebra: HolonomyAlgebra):
+    """Gram matrices of the Bianchi constraints on Sym^2 of the algebra,
+    split into exact blocks.
+
+    Returns (u, blocks, free).  The constraints are written over an adapted
+    basis B = u c of the algebra (`_adapted_basis`; u is orthogonal d x d),
+    in the packed coordinates of `_packed_sym` over B: the constraint row of
+    the packed pair s = (a, b) at the quadruple i < j < k < l is the Bianchi
+    sum M[ij,kl] + M[jk,il] - M[ik,jl] of M = B^T E_s B.  B[a] lives on the
+    pairs of one character, so the row vanishes at every quadruple whose
+    character is not char(a) XOR char(b): the rows of one character meet
+    only the quadruples of that character.  blocks lists (positions, grams):
+    grams (count, R, R) are the Gram matrices rows @ rows.T of count blocks
+    of R rows each, positions (count, R) their packed indices; blocks of one
+    shape are built together.  free holds the packed pairs that no quadruple
+    constrains.  An algebra that is not a sum of character pieces gets one
+    character, so one block.
+    """
+    space, c = algebra.space, algebra.coeff_matrix
+    pair_chars = _pair_characters(space)
+    adapted = _adapted_basis(c, pair_chars)
+    if adapted is None:
+        pair_chars = np.zeros_like(pair_chars)
+        adapted = _adapted_basis(c, pair_chars)
+    basis, gen_chars = adapted
+    pa, pb, w = _packed_sym(algebra.dim)
+    quad = _quad_pairs(space.n)
+    s_order, s_starts, s_counts, s_values = _runs(gen_chars[pa] ^ gen_chars[pb])
+    q_order, q_starts, q_counts, q_values = _runs(pair_chars[quad[0]] ^ pair_chars[quad[1]])
+    at = np.searchsorted(q_values, s_values)
+    hit = at < q_values.size
+    hit[hit] = q_values[at[hit]] == s_values[hit]
+    runs = np.flatnonzero(hit)
+    shape_order, shape_starts, shape_counts, _ = _runs(
+        s_counts[runs] * (q_counts.max(initial=0) + 1) + q_counts[at[runs]]
+    )
+    blocks = []
+    for start, count in zip(shape_starts, shape_counts):
+        group = runs[shape_order[start : start + count]]
+        pos = s_order[s_starts[group][:, None] + np.arange(s_counts[group[0]])]
+        quads = q_order[q_starts[at[group]][:, None] + np.arange(q_counts[at[group[0]]])]
+        # basis[:, pair] at the blocks' quadruples is (d, count, K); indexed
+        # by (generator, block) it gives contiguous runs of K
+        blk = np.arange(group.size)[:, None]
+        at_a, at_b = (pa[pos], blk), (pb[pos], blk)
+        rows = np.zeros(pos.shape + quads.shape[1:])
+        for first, second, accumulate in ((0, 1, np.add), (2, 3, np.add), (4, 5, np.subtract)):
+            x, y = basis[:, quad[first][quads]], basis[:, quad[second][quads]]
+            accumulate(rows, x[at_a] * y[at_b], out=rows)
+            accumulate(rows, x[at_b] * y[at_a], out=rows)
+        rows *= w[pos][:, :, None]
+        blocks.append((pos, rows @ rows.transpose(0, 2, 1)))
+    return basis @ c.T, blocks, s_order[np.repeat(~hit, s_counts)]
+
+
+def _null_spaces(grams: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Null spaces of blocks of constraints under one rank rule.
+
+    grams[g] has shape (count, R, R): the Gram matrices rows @ rows.T of
+    count blocks of R constraint rows.  The null space of a block,
+    {x : x @ rows = 0}, is read off `eigh` of its Gram matrix.  One rule
+    covers all blocks: an eigenvalue is null when it is at most RANK_RTOL
+    times the largest eigenvalue of any block, and GeometryError is raised
+    when any eigenvalue lies inside the band (GAP_LO, GAP_HI) times that
+    largest one.  Returns, per entry of grams, the orthonormal null rows
+    (t, R) and the block of each row (t,).
+    """
+    spectra = [np.linalg.eigh(g) for g in grams]
+    top = max((float(w.max()) for w, _ in spectra if w.size), default=0.0)
+    for w, _ in spectra:
+        borderline = (w > GAP_LO * top) & (w < GAP_HI * top)
+        if borderline.any():
+            raise GeometryError(
+                f"Bianchi constraint spectrum has no clear gap: eigenvalue "
+                f"{w[borderline][0]:.3e} against largest {top:.3e}"
+            )
+    out = []
+    for w, v in spectra:
+        owner, col = np.nonzero(w <= RANK_RTOL * top)
+        out.append((v[owner, :, col], owner))
+    return out
 
 
 def _null_space(rows: np.ndarray) -> np.ndarray:
-    """Orthonormal rows, shape (k, S), spanning {x : x @ rows = 0}, rows (S, Q).
-
-    The spectrum comes from `eigh` of the smaller Gram matrix.  For Q >= S
-    the null eigenvectors of rows rows^T are the basis.  For Q < S the kept
-    eigenvectors u of rows^T rows give the range rows u, whose orthogonal
-    complement is read off a complete QR.  Callers pass rows as a temporary,
-    so the wide case frees it before the eigensolve.  The result owns its
-    memory, so no S x S factor outlives the call.
-    """
-    s, q = rows.shape
-    if q >= s:
-        gram = rows @ rows.T
-        del rows
-        w, v = np.linalg.eigh(gram)
-        del gram
-        return v[:, : s - _gram_rank(w)].T.copy()
-    w, v = np.linalg.eigh(rows.T @ rows)
-    rank = _gram_rank(w)
-    span = rows @ v[:, q - rank:]
-    del rows, v
-    return np.linalg.qr(span, mode="complete")[0][:, rank:].T.copy()
-
-
-def _bianchi_rows(algebra: HolonomyAlgebra) -> np.ndarray:
-    """Bianchi constraints on Sym^2 of the algebra, shape (S, C(n,4)).
-
-    Row s is the Bianchi sum M[ij,kl] + M[jk,il] - M[ik,jl] of the full-space
-    matrix M = c^T E_s c (`_packed_sym`) at each quadruple i < j < k < l.
-    Each block of rows is summed in place, term by term and in the order of
-    the written sum, through one scratch buffer: the build allocates nothing
-    per generator, so its peak memory is the gathered coefficients, the rows
-    and that buffer.
-    """
-    d = algebra.dim
-    pairs = _quad_pairs(algebra.space.n)
-    gathered = np.empty((6, d, pairs.shape[1]))
-    for k in range(6):
-        np.take(algebra.coeff_matrix, pairs[k], axis=1, out=gathered[k])
-    g1, g2, g3, g4, g5, g6 = gathered
-    _, _, w = _packed_sym(d)
-    rows = np.empty((w.size, pairs.shape[1]))
-    scratch = np.empty((d, pairs.shape[1]))
-    start = 0
-    for a in range(d):  # the rows (a, b), b >= a, of e_a e_b^T + e_b e_a^T
-        stop = start + d - a
-        block, term = rows[start:stop], scratch[: d - a]
-        np.multiply(g1[a], g2[a:], out=block)
-        for x, y, accumulate in (
-            (g1[a:], g2[a], np.add), (g3[a], g4[a:], np.add), (g3[a:], g4[a], np.add),
-            (g5[a], g6[a:], np.subtract), (g5[a:], g6[a], np.subtract),
-        ):
-            np.multiply(x, y, out=term)
-            accumulate(block, term, out=block)
-        start = stop
-    rows *= w[:, None]
-    return rows
+    """Orthonormal rows, shape (k, S), spanning {x : x @ rows = 0}, rows (S, Q):
+    `_null_spaces` of a single block."""
+    return _null_spaces([(rows @ rows.T)[None]])[0][0]
 
 
 def _bianchi_kernel_basis(algebra: HolonomyAlgebra) -> np.ndarray:
@@ -462,15 +550,21 @@ def _bianchi_kernel_basis(algebra: HolonomyAlgebra) -> np.ndarray:
 
     The Bianchi sum of a pair-symmetric array is totally antisymmetric, so
     it vanishes iff it vanishes at strictly increasing index quadruples;
-    each quadruple contributes one linear constraint (`_bianchi_rows`).  The
-    kernel comes from `eigh` of the smaller of the two Gram matrices, with
-    no C(n,4) x C(n,4) factor (`_null_space`).  An eigenvalue is null when it
-    is at most RANK_RTOL times the largest, and the build raises
-    GeometryError when any eigenvalue lies inside the gap band (GAP_LO,
-    GAP_HI) times the largest, so a borderline eigenvalue cannot silently
-    change the dimension.  The packed coordinates are Frobenius-orthonormal,
-    so any orthonormal basis of the kernel gives the same standard Gaussian
-    on the curvature space.
+    each quadruple contributes one linear constraint.  The constraints split
+    into exact blocks by sign-flip characters (`_bianchi_blocks`), and each
+    block's null space comes from `eigh` of its Gram matrix (`_null_spaces`).
+    The change to the adapted basis is orthogonal on Sym^2, so the block
+    spectra together are the spectrum of the unblocked Gram matrix, and the
+    rank rule reads them against their one largest eigenvalue: an eigenvalue
+    is null when it is at most RANK_RTOL times the largest, and the build
+    raises GeometryError when any eigenvalue lies inside the gap band
+    (GAP_LO, GAP_HI) times the largest, so a borderline eigenvalue cannot
+    silently change the dimension.  The null rows, plus a unit row for each
+    unconstrained packed pair, go back to the packed coordinates of
+    coeff_matrix by the congruence X -> u^T X u, _BACK_MAP_ROWS rows at a
+    time.  The packed coordinates are Frobenius-orthonormal, so any
+    orthonormal basis of the kernel gives the same standard Gaussian on the
+    curvature space.
     Cached on what the basis depends on, the dimension and the algebra's
     coefficient rows, so algebras that share a name (u(3) on two complex
     structures) get their own bases.
@@ -482,7 +576,27 @@ def _bianchi_kernel_basis(algebra: HolonomyAlgebra) -> np.ndarray:
     if hit is not None:
         return hit
 
-    basis = _null_space(_bianchi_rows(algebra))
+    u, blocks, free = _bianchi_blocks(algebra)
+    nulls = _null_spaces([grams for _, grams in blocks])
+    # the kernel rows over the adapted basis, sparse: row r holds the values
+    # val[row_of == r] at the packed indices pos[row_of == r]
+    pos = [p[owner] for (p, _), (_, owner) in zip(blocks, nulls)] + [free[:, None]]
+    val = [v for v, _ in nulls] + [np.ones((free.size, 1))]
+    width = np.concatenate([np.full(p.shape[0], p.shape[1]) for p in pos])
+    k = width.size
+    row_of = np.repeat(np.arange(k), width)
+    pos = np.concatenate([p.ravel() for p in pos])
+    val = np.concatenate([v.ravel() for v in val])
+    d = algebra.dim
+    a, b, w = _packed_sym(d)
+    basis = np.empty((k, a.size))
+    for lo in range(0, k, _BACK_MAP_ROWS):
+        i, j = np.searchsorted(row_of, [lo, lo + _BACK_MAP_ROWS])
+        r, p, x = row_of[i:j] - lo, pos[i:j], val[i:j] * w[pos[i:j]]
+        sym = np.zeros((min(_BACK_MAP_ROWS, k - lo), d, d))
+        sym[r, a[p], b[p]] = x
+        sym[r, b[p], a[p]] += x
+        basis[lo : lo + _BACK_MAP_ROWS] = (u.T @ sym @ u)[:, a, b] * (2.0 * w)
 
     with _KERNEL_LOCK:
         _KERNEL_CACHE[key] = basis

@@ -53,7 +53,7 @@ class HolonomyAlgebra:
         if not np.allclose(gram, np.eye(d), atol=1e-9):
             raise GeometryError(f"basis of {self.name} is not orthonormal")
         defect = self.closure_defect()
-        del self._bracket_coeffs  # (dim, dim, pairs) table; only structure_constants is kept
+        del self._bracket_coeffs  # (pairs, dim * dim) table; only structure_constants is kept
         if defect > 1e-8:
             raise GeometryError(f"{self.name} is not closed under the bracket ({defect:.2e})")
 
@@ -103,21 +103,27 @@ class HolonomyAlgebra:
 
     @cached_property
     def _bracket_coeffs(self) -> np.ndarray:
-        """b[a, b, p]: pair-basis coefficients of [basis_a, basis_b]."""
+        """b[p, a * dim + b]: pair-basis coefficient p of [basis_a, basis_b]."""
+        d, n = self.dim, self.space.n
         ii, jj = self.space.pair_rows, self.space.pair_cols
-        prod = np.einsum("aij,bjk->abik", self.matrices, self.matrices)
-        comm = prod - prod.transpose(1, 0, 2, 3)
-        return comm[:, :, jj, ii]  # bracket stays skew, read off pairs
+        mats = self.matrices
+        # prod[i, a, k, b] = (basis_a basis_b)[i, k] from one GEMM; its
+        # transpose is basis_b basis_a, so the bracket is prod minus that
+        prod = mats.transpose(1, 0, 2).reshape(n * d, n) @ mats.transpose(1, 2, 0).reshape(n, n * d)
+        prod = prod.reshape(n, d, n, d)
+        return (prod[jj, :, ii] - prod[ii, :, jj]).reshape(-1, d * d)  # read off pairs
 
     @cached_property
     def structure_constants(self) -> np.ndarray:
         """c[a, b, g] = <[basis_a, basis_b], basis_g>."""
-        return np.einsum("abp,gp->abg", self._bracket_coeffs, self.coeff_matrix)
+        d = self.dim
+        return (self.coeff_matrix @ self._bracket_coeffs).T.reshape(d, d, d)
 
     def closure_defect(self) -> float:
         """Largest bivector-norm distance of a basis bracket from the span."""
-        resid = self._bracket_coeffs - np.einsum("abg,gp->abp", self.structure_constants, self.coeff_matrix)
-        return float(np.sqrt(np.sum(resid**2, axis=2)).max(initial=0.0))
+        d = self.dim
+        resid = self._bracket_coeffs - self.coeff_matrix.T @ self.structure_constants.reshape(d * d, d).T
+        return float(np.sqrt(np.sum(resid**2, axis=0)).max(initial=0.0))
 
     def coords_of(self, xi: Bivector) -> np.ndarray:
         return self.coeff_matrix @ xi.coeffs

@@ -474,8 +474,9 @@ def t_hat(t, algebra) -> np.ndarray | list[np.ndarray]:
                 return [_lie_array(a, arr) for a in algebra.matrices]
             t = CurvatureTensor.from_components(algebra.space, arr)
         op = to_operator(t)
-    acted = algebra.bivector_action @ op.matrix
-    hats = acted + acted.transpose(0, 2, 1)
+    hats = algebra.bivector_action @ op.matrix
+    for h in hats:  # h + h^T in place, one slice at a time: no second stack
+        np.add(h, h.T, out=h)
     if op is t:
         return hats
     return [_tensor_array_from_matrix(op.space, h) for h in hats]

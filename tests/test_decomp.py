@@ -4,7 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from curvlab import criteria, decomp, holonomy, tensor
+from curvlab import criteria, decomp, euclid, holonomy, tensor
 from curvlab.decomp import (
     _bianchi_kernel_basis,
     bochner_decompose,
@@ -52,22 +52,32 @@ class TestModels:
 
     def test_models_are_shared_and_read_only(self):
         assert hp(2) is hp(2)
+        assert grassmannian(2, 3) is grassmannian(2, 3)
+        assert wolf(2) is wolf(2)
         with pytest.raises(ValueError):
             hp(2).components[0, 1, 0, 1] = 1.0
-        for model in (sphere(4), const_hol(2)):
+        with pytest.raises(ValueError):
+            wolf(2).matrix[0, 0] = 1.0
+        for model in (sphere(4), const_hol(2), grassmannian(2, 3), wolf(2)):
             assert not model.components.flags.writeable
 
     def test_results_built_from_models_are_writable(self, qk2):
-        before = hp(2).components.copy()
+        before = {id(m): m.matrix.copy() for m in (hp(2), wolf(2))}
         rm = random_algebra_curvature(qk2, seed=3)
         shifted, _ = criteria.two_nonnegative_shift(rm, qk2)
         dec = qk_decompose(rm, qk2)
-        arrays = [shifted.components] + [p.components for p in dec.parts.values()]
+        wolf_dec = qk_decompose(wolf(2), qk2)
+        wolf_shifted, _ = criteria.two_nonnegative_shift(wolf(2), qk2)
+        arrays = [shifted.components, wolf_shifted.components] + [
+            p.components for p in (*dec.parts.values(), *wolf_dec.parts.values())
+        ]
         for arr in arrays:
             assert arr.flags.writeable
-            assert not np.shares_memory(arr, hp(2).components)
+            for model in (hp(2), wolf(2)):
+                assert not np.shares_memory(arr, model.matrix)
             arr += 1.0
-        assert np.array_equal(hp(2).components, before)
+        for model in (hp(2), wolf(2)):
+            assert np.array_equal(model.matrix, before[id(model)])
 
     def test_hp_values(self, hp2):
         assert scalar(hp2) == pytest.approx(128.0)
@@ -248,11 +258,12 @@ def _sym_units(d: int) -> np.ndarray:
     return np.stack(units)
 
 
-def _svd_kernel_projector(algebra) -> np.ndarray:
-    """Projector onto the Bianchi kernel in packed coordinates, from a full SVD.
+def _oracle_constraints(algebra) -> np.ndarray:
+    """Unblocked Bianchi constraints in packed coordinates, shape (C(n,4), S).
 
-    The constraint matrix is built from rank-four arrays: column s is the
-    Bianchi sum of c^T E_s c at the quadruples i < j < k < l.
+    Built from rank-four arrays: column s is the Bianchi sum of c^T E_s c at
+    the quadruples i < j < k < l.  The cyclic average is a third of the
+    library's constraint sum M[ij,kl] + M[jk,il] - M[ik,jl].
     """
     c, n = algebra.coeff_matrix, algebra.space.n
     quads = tuple(np.array(list(itertools.combinations(range(n), 4))).T)
@@ -260,9 +271,40 @@ def _svd_kernel_projector(algebra) -> np.ndarray:
         tensor.bianchi_sum(_tensor_array_from_matrix(algebra.space, c.T @ e @ c))[quads]
         for e in _sym_units(algebra.dim)
     ]
-    _, s, vh = np.linalg.svd(np.stack(cols, axis=1), full_matrices=True)
+    return np.stack(cols, axis=1)
+
+
+def _svd_kernel_projector(algebra) -> np.ndarray:
+    """Projector onto the Bianchi kernel in packed coordinates, from a full SVD
+    of the unblocked constraints."""
+    _, s, vh = np.linalg.svd(_oracle_constraints(algebra), full_matrices=True)
     null = vh[int(np.sum(s > 1e-10 * s[0])):]
     return null.T @ null
+
+
+def _rotated_kaehler(m: int, seed: int = 0):
+    """R^{2m} with the standard complex structure conjugated by a random
+    rotation: every coordinate is linked to every other, one component."""
+    q = np.linalg.qr(np.random.default_rng(seed).standard_normal((2 * m, 2 * m)))[0]
+    return euclid.EuclideanSpace(
+        2 * m, euclid.HolonomyStructure("kaehler", J=q @ kaehler(m).J @ q.T)
+    )
+
+
+def _swapped_kaehler(m: int):
+    """kaehler(m) with J conjugated by the swap of coordinates 0 and 1."""
+    p = np.eye(2 * m)[[1, 0, *range(2, 2 * m)]]
+    return euclid.EuclideanSpace(
+        2 * m, euclid.HolonomyStructure("kaehler", J=p @ kaehler(m).J @ p.T)
+    )
+
+
+def _misplaced_unitary(m: int):
+    """The unitary algebra of a rotated complex structure, placed on the
+    standard kaehler(m): closed, but not normalized by the sign flips of the
+    standard structure's components."""
+    rows = holonomy.u_algebra(_rotated_kaehler(m)).coeff_matrix
+    return holonomy.HolonomyAlgebra(kaehler(m), "u(m) rotated", rows)
 
 
 class TestKernelBasis:
@@ -278,15 +320,24 @@ class TestKernelBasis:
     def test_closed_form_dimensions(self, tag, space, expected):
         assert curvature_space_dim(holonomy.by_name(space, tag)) == expected
 
+    def test_closed_form_dimension_sp6(self):
+        # C(15, 4) + 1: out of tier-1 time for one unblocked Gram (S = 3321)
+        alg = holonomy.sp_sp1_algebra(quaternion_kaehler(6))
+        assert curvature_space_dim(alg) == comb(15, 4) + 1
+
     @pytest.mark.parametrize(
         "builder",
         [
             lambda: holonomy.so_algebra(generic(5)),
+            lambda: holonomy.so_algebra(generic(6)),
             lambda: holonomy.u_algebra(kaehler(3)),
+            lambda: holonomy.u_algebra(_swapped_kaehler(3)),
+            lambda: holonomy.u_algebra(_rotated_kaehler(3)),
+            lambda: _misplaced_unitary(3),
             lambda: holonomy.sp_sp1_algebra(quaternion_kaehler(2)),
             lambda: holonomy.sp_sp1_algebra(quaternion_kaehler(3)),
         ],
-        ids=["so5", "u3", "qk2", "qk3"],
+        ids=["so5", "so6", "u3", "u3_swapped", "u3_rotated", "u3_misplaced", "qk2", "qk3"],
     )
     def test_basis_is_the_svd_null_space(self, builder):
         alg = builder()
@@ -325,3 +376,58 @@ class TestKernelBasis:
         rows = self._constraints(shape, [1.0, 0.8, 0.5, 1e-4])
         with pytest.raises(GeometryError, match="no clear gap"):
             decomp._null_space(rows)
+
+    @pytest.mark.parametrize(
+        "builder,blocks",
+        [
+            (lambda: holonomy.so_algebra(generic(6)), 15),
+            (lambda: holonomy.u_algebra(kaehler(3)), 4),
+            (lambda: holonomy.u_algebra(_swapped_kaehler(3)), 4),
+            (lambda: holonomy.u_algebra(_rotated_kaehler(3)), 1),
+            (lambda: _misplaced_unitary(3), 1),
+            (lambda: holonomy.sp_sp1_algebra(quaternion_kaehler(3)), 4),
+        ],
+        ids=["so6", "u3", "u3_swapped", "u3_rotated", "u3_misplaced", "qk3"],
+    )
+    def test_block_spectra_are_the_unblocked_spectrum(self, builder, blocks):
+        alg = builder()
+        u, found, free = decomp._bianchi_blocks(alg)
+        assert np.abs(u @ u.T - np.eye(alg.dim)).max() < 1e-12
+        assert sum(grams.shape[0] for _, grams in found) == blocks
+        spectra = [np.linalg.eigvalsh(grams).ravel() for _, grams in found]
+        blocked = np.sort(np.concatenate(spectra + [np.zeros(free.size)]))
+        # the oracle's cyclic average is a third of the library's constraint
+        oracle = 9.0 * np.linalg.eigvalsh(_oracle_constraints(alg).T @ _oracle_constraints(alg))
+        assert blocked.shape == oracle.shape
+        assert np.abs(blocked - oracle).max() < 1e-12 * oracle[-1]
+
+    def test_misplaced_algebra_is_one_block(self):
+        alg = _misplaced_unitary(3)
+        chars = decomp._pair_characters(alg.space)
+        assert decomp._adapted_basis(alg.coeff_matrix, chars) is None
+        _, found, free = decomp._bianchi_blocks(alg)
+        assert [grams.shape for _, grams in found] == [(1, 45, 45)]
+        assert free.size == 0
+
+    @staticmethod
+    def _gram(eigenvalues, seed=0):
+        q = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(eigenvalues),) * 2))[0]
+        return (q * eigenvalues) @ q.T
+
+    def test_rank_rule_reads_the_largest_eigenvalue_of_all_blocks(self):
+        # a block at rounding level against the other block's scale is null
+        loud = self._gram([1.0, 0.5, 0.0])
+        quiet = self._gram([1e-20, 4e-21, 1e-21], seed=1)
+        [(rows, owner)] = decomp._null_spaces([np.stack([loud, quiet])])
+        assert np.bincount(owner, minlength=2).tolist() == [1, 3]
+        for block, gram in enumerate((loud, quiet)):
+            null = rows[owner == block]
+            assert np.abs(null @ null.T - np.eye(len(null))).max() < 1e-12
+            assert np.abs(null @ gram).max() < 1e-12
+
+    def test_gap_guard_reads_the_largest_eigenvalue_of_all_blocks(self):
+        # 1e-8 of the largest eigenvalue overall, though the largest of its block
+        loud = self._gram([1.0, 0.5])[None]
+        faint = self._gram([1e-8, 1e-8, 0.0], seed=1)[None]
+        with pytest.raises(GeometryError, match="no clear gap"):
+            decomp._null_spaces([loud, faint])

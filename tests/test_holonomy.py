@@ -66,6 +66,14 @@ class TestAlgebras:
                 back = np.einsum("g,gij->ij", c[a, b], mats)
                 assert np.abs(comm - back).max() < 1e-10
 
+    def test_structure_constants_match_the_einsum_reference(self, qk2):
+        # every bracket, from the pairwise products of the basis matrices
+        mats, ii, jj = qk2.matrices, qk2.space.pair_rows, qk2.space.pair_cols
+        prod = np.einsum("aij,bjk->abik", mats, mats)
+        brackets = (prod - prod.transpose(1, 0, 2, 3))[:, :, jj, ii]
+        reference = np.einsum("abp,gp->abg", brackets, qk2.coeff_matrix)
+        assert np.abs(qk2.structure_constants - reference).max() < 1e-14
+
     def test_by_name(self, so5_space, u3_space, qk2_space):
         assert by_name(so5_space, "so").dim == 10
         assert by_name(u3_space, "u").dim == 9
