@@ -26,17 +26,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .euclid import (
-    EuclideanSpace,
     GeometryError,
+    _sign_fix,
     generic,
     kaehler as kaehler_space,
     quaternion_kaehler,
 )
-from .holonomy import HolonomyAlgebra, complement_mass, sp_sp1_algebra
+from .holonomy import (
+    HolonomyAlgebra,
+    _pair_characters,
+    _runs,
+    complement_mass,
+    quaternion_frame,
+    sp_sp1_algebra,
+)
 from .tensor import (
     CurvatureTensor,
+    _conjugation_on_bivectors,
     _kn_matrix,
-    _kn_tables,
     _pair_outer,
     _quad_pairs,
     ricci,
@@ -90,14 +97,6 @@ def const_hol(m: int, scal: float | None = None) -> CurvatureTensor:
     return _read_only(CurvatureTensor(space, (scal / (4.0 * m * (m + 1))) * unit))
 
 
-def _conjugation_on_bivectors(space: EuclideanSpace, s: np.ndarray) -> np.ndarray:
-    """Matrix of xi -> s mat(xi) s^T on the pair basis."""
-    # entry (xy, zw) is s[y, w] s[x, z] - s[y, z] s[x, w]
-    xz, yw, xw, yz = _kn_tables(space.n)
-    s = s.ravel()
-    return s[yw] * s[xz] - s[yz] * s[xw]
-
-
 @functools.cache
 def hp(m: int) -> CurvatureTensor:
     """Quaternionic projective model: identity plus the three structure
@@ -107,8 +106,6 @@ def hp(m: int) -> CurvatureTensor:
     mat = np.eye(d)
     for s in (space.I, space.J, space.K):
         mat += _conjugation_on_bivectors(space, s)
-    from .holonomy import quaternion_frame
-
     frame = quaternion_frame(space)
     for L in ("I", "J", "K"):
         w = frame.omega[L].coeffs
@@ -363,11 +360,6 @@ _KERNEL_LOCK = threading.Lock()
 # largest: there the rule would decide the rank by rounding.
 RANK_RTOL = 1e-8
 GAP_LO, GAP_HI = 1e-12, 1e-4
-# On an algebra that is a sum of character pieces, its coefficients restricted
-# to the pairs of one character have singular values 1 and, past the piece's
-# dimension, rounding-level ones; those below _ADAPT_TOL count as zero.
-_ADAPT_TOL = 1e-10
-_BACK_MAP_ROWS = 64  # kernel rows per chunk of the map back to coeff_matrix
 
 
 @functools.cache
@@ -386,99 +378,30 @@ def _packed_sym(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, b, w
 
 
-def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Runs of equal keys after a stable sort: (order, starts, counts, values).
-
-    Run r is the positions order[starts[r] : starts[r] + counts[r]], all with
-    the key values[r]; the values ascend.
-    """
-    order = np.argsort(keys, kind="stable")
-    ranked = keys[order]
-    starts = np.flatnonzero(np.concatenate(([keys.size > 0], ranked[1:] != ranked[:-1])))
-    counts = np.diff(np.append(starts, keys.size))
-    return order, starts, counts, ranked[starts]
-
-
-def _pair_characters(space: EuclideanSpace) -> np.ndarray:
-    """Sign-flip character of each lexicographic pair, as a uint64 bit set.
-
-    Coordinates x and y are linked when a parallel structure has a nonzero
-    (x, y) entry.  A sign vector that is constant on each connected component
-    commutes with the structures, so it normalizes the holonomy algebra, and
-    it acts on e_x ^ e_y by the product of the two signs.  Bit c stands for
-    component c; a pair's character is the XOR of its coordinates' bits.
-    With more than 64 components every character is 0: one block.
-    """
-    n = space.n
-    link = np.eye(n, dtype=bool)
-    for s in (space.structure.I, space.structure.J, space.structure.K):
-        if s is not None:
-            link |= (s != 0) | (s.T != 0)
-    label = np.arange(n)
-    while True:  # each coordinate takes the smallest label linked to it
-        nxt = np.where(link, label[None, :], n).min(axis=1)
-        if np.array_equal(nxt, label):
-            break
-        label = nxt
-    comp = (np.cumsum(label == np.arange(n)) - 1)[label]
-    if comp.max() >= 64:
-        comp[:] = 0
-    bits = np.left_shift(np.uint64(1), comp.astype(np.uint64))
-    return bits[space.pair_rows] ^ bits[space.pair_cols]
-
-
-def _adapted_basis(coeff: np.ndarray, chars: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Orthonormal rows spanning the row space of coeff, each supported on
-    the pairs of one character, and their characters.
-
-    The rows of one character span the row space of coeff restricted to its
-    pairs.  The algebra is the direct sum of these pieces exactly when their
-    dimensions add up to its own; otherwise this returns None.  Characters
-    with equally many pairs share one batched SVD.
-    """
-    d, big_d = coeff.shape
-    order, starts, counts, values = _runs(chars)
-    rows, row_chars = [], []
-    by_size, size_starts, size_counts, sizes = _runs(counts)
-    for first, count, size in zip(size_starts, size_counts, sizes):
-        runs = by_size[first : first + count]
-        cols = order[starts[runs][:, None] + np.arange(size)]
-        _, sv, vh = np.linalg.svd(coeff[:, cols].transpose(1, 0, 2), full_matrices=False)
-        run, rank = np.nonzero(sv > _ADAPT_TOL)
-        piece = np.zeros((run.size, big_d))
-        piece[np.arange(run.size)[:, None], cols[run]] = vh[run, rank]
-        rows.append(piece)
-        row_chars.append(values[runs][run])
-    if sum(piece.shape[0] for piece in rows) != d:
-        return None
-    return np.concatenate(rows), np.concatenate(row_chars)
-
-
 def _bianchi_blocks(algebra: HolonomyAlgebra):
     """Gram matrices of the Bianchi constraints on Sym^2 of the algebra,
     split into exact blocks.
 
-    Returns (u, blocks, free).  The constraints are written over an adapted
-    basis B = u c of the algebra (`_adapted_basis`; u is orthogonal d x d),
-    in the packed coordinates of `_packed_sym` over B: the constraint row of
-    the packed pair s = (a, b) at the quadruple i < j < k < l is the Bianchi
-    sum M[ij,kl] + M[jk,il] - M[ik,jl] of M = B^T E_s B.  B[a] lives on the
-    pairs of one character, so the row vanishes at every quadruple whose
+    Returns (blocks, free).  The constraints are written in the packed
+    coordinates of `_packed_sym` over the rows c of coeff_matrix: the
+    constraint row of the packed pair s = (a, b) at the quadruple
+    i < j < k < l is the Bianchi sum M[ij,kl] + M[jk,il] - M[ik,jl] of
+    M = c^T E_s c.  The constructors of `holonomy` put each row c[a] on the
+    pairs of one character, so the row of s vanishes at every quadruple whose
     character is not char(a) XOR char(b): the rows of one character meet
     only the quadruples of that character.  blocks lists (positions, grams):
     grams (count, R, R) are the Gram matrices rows @ rows.T of count blocks
     of R rows each, positions (count, R) their packed indices; blocks of one
     shape are built together.  free holds the packed pairs that no quadruple
-    constrains.  An algebra that is not a sum of character pieces gets one
-    character, so one block.
+    constrains.  If any row of c meets two characters, every character is
+    taken as 0: one block.
     """
     space, c = algebra.space, algebra.coeff_matrix
     pair_chars = _pair_characters(space)
-    adapted = _adapted_basis(c, pair_chars)
-    if adapted is None:
-        pair_chars = np.zeros_like(pair_chars)
-        adapted = _adapted_basis(c, pair_chars)
-    basis, gen_chars = adapted
+    support = c != 0
+    gen_chars = pair_chars[np.argmax(support, axis=1)]
+    if np.any(support & (pair_chars != gen_chars[:, None])):
+        pair_chars, gen_chars = np.zeros_like(pair_chars), np.zeros_like(gen_chars)
     pa, pb, w = _packed_sym(algebra.dim)
     quad = _quad_pairs(space.n)
     s_order, s_starts, s_counts, s_values = _runs(gen_chars[pa] ^ gen_chars[pb])
@@ -495,18 +418,18 @@ def _bianchi_blocks(algebra: HolonomyAlgebra):
         group = runs[shape_order[start : start + count]]
         pos = s_order[s_starts[group][:, None] + np.arange(s_counts[group[0]])]
         quads = q_order[q_starts[at[group]][:, None] + np.arange(q_counts[at[group[0]]])]
-        # basis[:, pair] at the blocks' quadruples is (d, count, K); indexed
-        # by (generator, block) it gives contiguous runs of K
+        # c[:, pair] at the blocks' quadruples is (d, count, K); indexed by
+        # (generator, block) it gives contiguous runs of K
         blk = np.arange(group.size)[:, None]
         at_a, at_b = (pa[pos], blk), (pb[pos], blk)
         rows = np.zeros(pos.shape + quads.shape[1:])
         for first, second, accumulate in ((0, 1, np.add), (2, 3, np.add), (4, 5, np.subtract)):
-            x, y = basis[:, quad[first][quads]], basis[:, quad[second][quads]]
+            x, y = c[:, quad[first][quads]], c[:, quad[second][quads]]
             accumulate(rows, x[at_a] * y[at_b], out=rows)
             accumulate(rows, x[at_b] * y[at_a], out=rows)
         rows *= w[pos][:, :, None]
         blocks.append((pos, rows @ rows.transpose(0, 2, 1)))
-    return basis @ c.T, blocks, s_order[np.repeat(~hit, s_counts)]
+    return blocks, s_order[np.repeat(~hit, s_counts)]
 
 
 def _null_spaces(grams: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -518,8 +441,17 @@ def _null_spaces(grams: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]
     covers all blocks: an eigenvalue is null when it is at most RANK_RTOL
     times the largest eigenvalue of any block, and GeometryError is raised
     when any eigenvalue lies inside the band (GAP_LO, GAP_HI) times that
-    largest one.  Returns, per entry of grams, the orthonormal null rows
-    (t, R) and the block of each row (t,).
+    largest one.  A null space of dimension t > 1 is degenerate, so `eigh`
+    may return any basis of it, one that moves with the last bits of the
+    Gram matrix (the BLAS thread count, say).  Its rows are therefore the
+    eigenvectors of the fixed form diag(sqrt(1), ..., sqrt(R)) compressed to
+    the null space, a t x t `eigh`, with `_sign_fix` applied: a basis fixed
+    by the space alone, up to rounding, as long as the compressed spectrum
+    is simple.  The square roots keep it simple where diag(1..R) does not:
+    null vectors spread evenly over positions with equal index sums, as in
+    the 48-row blocks of sp(4)+sp(1), compress to repeated eigenvalues.
+    Returns, per entry of grams, the orthonormal null rows (t, R) and the
+    block of each row (t,).
     """
     spectra = [np.linalg.eigh(g) for g in grams]
     top = max((float(w.max()) for w, _ in spectra if w.size), default=0.0)
@@ -532,15 +464,19 @@ def _null_spaces(grams: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]
             )
     out = []
     for w, v in spectra:
-        owner, col = np.nonzero(w <= RANK_RTOL * top)
-        out.append((v[owner, :, col], owner))
+        # eigh sorts ascending, so a block's null vectors are its first columns
+        order, starts, counts, sizes = _runs(np.sum(w <= RANK_RTOL * top, axis=1))
+        form = np.sqrt(np.arange(1.0, w.shape[1] + 1))[:, None]
+        rows, owner = [np.empty((0, w.shape[1]))], [np.empty(0, dtype=np.intp)]
+        for start, count, t in zip(starts, counts, sizes):
+            if t:
+                blocks = order[start : start + count]
+                null = v[blocks, :, :t]  # (count, R, t)
+                _, turn = np.linalg.eigh(null.transpose(0, 2, 1) @ (form * null))
+                rows.append((null @ turn).transpose(0, 2, 1).reshape(-1, w.shape[1]))
+                owner.append(np.repeat(blocks, t))
+        out.append((_sign_fix(np.concatenate(rows)), np.concatenate(owner)))
     return out
-
-
-def _null_space(rows: np.ndarray) -> np.ndarray:
-    """Orthonormal rows, shape (k, S), spanning {x : x @ rows = 0}, rows (S, Q):
-    `_null_spaces` of a single block."""
-    return _null_spaces([(rows @ rows.T)[None]])[0][0]
 
 
 def _bianchi_kernel_basis(algebra: HolonomyAlgebra) -> np.ndarray:
@@ -553,18 +489,17 @@ def _bianchi_kernel_basis(algebra: HolonomyAlgebra) -> np.ndarray:
     each quadruple contributes one linear constraint.  The constraints split
     into exact blocks by sign-flip characters (`_bianchi_blocks`), and each
     block's null space comes from `eigh` of its Gram matrix (`_null_spaces`).
-    The change to the adapted basis is orthogonal on Sym^2, so the block
-    spectra together are the spectrum of the unblocked Gram matrix, and the
-    rank rule reads them against their one largest eigenvalue: an eigenvalue
-    is null when it is at most RANK_RTOL times the largest, and the build
-    raises GeometryError when any eigenvalue lies inside the gap band
-    (GAP_LO, GAP_HI) times the largest, so a borderline eigenvalue cannot
-    silently change the dimension.  The null rows, plus a unit row for each
-    unconstrained packed pair, go back to the packed coordinates of
-    coeff_matrix by the congruence X -> u^T X u, _BACK_MAP_ROWS rows at a
-    time.  The packed coordinates are Frobenius-orthonormal, so any
-    orthonormal basis of the kernel gives the same standard Gaussian on the
-    curvature space.
+    The blocks partition the packed pairs, so the block spectra together are
+    the spectrum of the unblocked Gram matrix, and the rank rule reads them
+    against their one largest eigenvalue: an eigenvalue is null when it is
+    at most RANK_RTOL times the largest, and the build raises GeometryError
+    when any eigenvalue lies inside the gap band (GAP_LO, GAP_HI) times the
+    largest, so a borderline eigenvalue cannot silently change the
+    dimension.  Each null row of a block, and a unit row for each
+    unconstrained packed pair, is one row of the basis, scattered to the
+    packed indices of its block.  The packed coordinates are
+    Frobenius-orthonormal, so any orthonormal basis of the kernel gives the
+    same standard Gaussian on the curvature space.
     Cached on what the basis depends on, the dimension and the algebra's
     coefficient rows, so algebras that share a name (u(3) on two complex
     structures) get their own bases.
@@ -576,27 +511,16 @@ def _bianchi_kernel_basis(algebra: HolonomyAlgebra) -> np.ndarray:
     if hit is not None:
         return hit
 
-    u, blocks, free = _bianchi_blocks(algebra)
+    blocks, free = _bianchi_blocks(algebra)
     nulls = _null_spaces([grams for _, grams in blocks])
-    # the kernel rows over the adapted basis, sparse: row r holds the values
-    # val[row_of == r] at the packed indices pos[row_of == r]
     pos = [p[owner] for (p, _), (_, owner) in zip(blocks, nulls)] + [free[:, None]]
     val = [v for v, _ in nulls] + [np.ones((free.size, 1))]
-    width = np.concatenate([np.full(p.shape[0], p.shape[1]) for p in pos])
-    k = width.size
-    row_of = np.repeat(np.arange(k), width)
-    pos = np.concatenate([p.ravel() for p in pos])
-    val = np.concatenate([v.ravel() for v in val])
-    d = algebra.dim
-    a, b, w = _packed_sym(d)
-    basis = np.empty((k, a.size))
-    for lo in range(0, k, _BACK_MAP_ROWS):
-        i, j = np.searchsorted(row_of, [lo, lo + _BACK_MAP_ROWS])
-        r, p, x = row_of[i:j] - lo, pos[i:j], val[i:j] * w[pos[i:j]]
-        sym = np.zeros((min(_BACK_MAP_ROWS, k - lo), d, d))
-        sym[r, a[p], b[p]] = x
-        sym[r, b[p], a[p]] += x
-        basis[lo : lo + _BACK_MAP_ROWS] = (u.T @ sym @ u)[:, a, b] * (2.0 * w)
+    k = sum(p.shape[0] for p in pos)
+    basis = np.zeros((k, _packed_sym(algebra.dim)[0].size))
+    row = 0
+    for p, v in zip(pos, val):
+        basis[np.arange(row, row + p.shape[0])[:, None], p] = v
+        row += p.shape[0]
 
     with _KERNEL_LOCK:
         _KERNEL_CACHE[key] = basis

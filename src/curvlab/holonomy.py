@@ -1,9 +1,14 @@
 """Holonomy subalgebras of the rotation algebra and quaternionic frames.
 
 Subalgebras are stored as orthonormal coefficient matrices over the
-lexicographic bivector basis.  The unitary and symplectic cases are computed
-as kernels of commutator maps with the parallel structures, so the
-construction works for any admissible structure, not just the standard one.
+lexicographic bivector basis.  The unitary and symplectic cases are the
+commutants of the parallel structures.  The identity and the structures form
+a group up to sign, so the mean of their conjugations on bivectors is the
+orthogonal projector onto the commutant, and the basis spans its range.  That
+works for any admissible structure, not just the standard one.  Each
+conjugation keeps the sign-flip character of a pair (`_pair_characters`), so
+the projector is solved one character at a time and every basis row lies on
+the pairs of one character; the Bianchi kernel is blocked by that basis.
 """
 
 from __future__ import annotations
@@ -14,21 +19,75 @@ from functools import cached_property
 import numpy as np
 
 from .euclid import Bivector, EuclideanSpace, GeometryError, _sign_fix, wedge
-from .tensor import CurvatureOperator, CurvatureTensor, to_operator
-
-_KERNEL_TOL = 1e-8  # singular values below this count as zero
+from .tensor import CurvatureOperator, CurvatureTensor, _conjugation_on_bivectors, to_operator
 
 
-def _kernel_rows(mapping: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (as rows) of the kernel of a linear map.
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Runs of equal keys after a stable sort: (order, starts, counts, values).
 
-    The commutator maps have at least as many rows as columns, so the
-    reduced SVD already gives the full square right factor; the left factor
-    is never read and stays thin.
+    Run r is the positions order[starts[r] : starts[r] + counts[r]], all with
+    the key values[r]; the values ascend.
     """
-    _, s, vh = np.linalg.svd(mapping, full_matrices=False)
-    rank = int(np.sum(s > _KERNEL_TOL))
-    return _sign_fix(vh[rank:])
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    starts = np.flatnonzero(np.concatenate(([keys.size > 0], ranked[1:] != ranked[:-1])))
+    counts = np.diff(np.append(starts, keys.size))
+    return order, starts, counts, ranked[starts]
+
+
+def _pair_characters(space: EuclideanSpace) -> np.ndarray:
+    """Sign-flip character of each lexicographic pair, as a uint64 bit set.
+
+    Coordinates x and y are linked when a parallel structure has a nonzero
+    (x, y) entry.  A sign vector that is constant on each connected component
+    commutes with the structures, so it normalizes the holonomy algebra, and
+    it acts on e_x ^ e_y by the product of the two signs.  Bit c stands for
+    component c; a pair's character is the XOR of its coordinates' bits.
+    With more than 64 components every character is 0: one block.
+    """
+    n = space.n
+    link = np.eye(n, dtype=bool)
+    for s in (space.structure.I, space.structure.J, space.structure.K):
+        if s is not None:
+            link |= (s != 0) | (s.T != 0)
+    label = np.arange(n)
+    while True:  # each coordinate takes the smallest label linked to it
+        nxt = np.where(link, label[None, :], n).min(axis=1)
+        if np.array_equal(nxt, label):
+            break
+        label = nxt
+    comp = (np.cumsum(label == np.arange(n)) - 1)[label]
+    if comp.max() >= 64:
+        comp[:] = 0
+    bits = np.left_shift(np.uint64(1), comp.astype(np.uint64))
+    return bits[space.pair_rows] ^ bits[space.pair_cols]
+
+
+def _commutant_rows(space: EuclideanSpace, structs: list[np.ndarray]) -> np.ndarray:
+    """Orthonormal rows spanning the bivectors that commute with every
+    structure, each row on the pairs of one character.
+
+    The projector onto the commutant is the mean of the identity and the
+    structures' conjugations.  Each conjugation keeps a pair's character, so
+    the projector is block diagonal by character, and the rows of a character
+    are the eigenvectors of its block with eigenvalue above 1/2.  The
+    eigenvalues of a projector are 0 and 1, so 1/2 is a threshold, not a
+    tolerance.
+    """
+    proj = np.eye(space.bivector_dim)
+    for s in structs:
+        proj += _conjugation_on_bivectors(space, s)
+    proj /= len(structs) + 1
+    order, starts, counts, _ = _runs(_pair_characters(space))
+    rows = []
+    for start, count in zip(starts, counts):
+        cols = order[start : start + count]
+        w, v = np.linalg.eigh(proj[np.ix_(cols, cols)])
+        keep = v[:, w > 0.5].T
+        piece = np.zeros((keep.shape[0], space.bivector_dim))
+        piece[:, cols] = keep
+        rows.append(piece)
+    return _sign_fix(np.concatenate(rows))
 
 
 @dataclass(eq=False)
@@ -145,28 +204,11 @@ def so_algebra(space: EuclideanSpace) -> HolonomyAlgebra:
     return HolonomyAlgebra(space, f"so({space.n})", np.eye(d))
 
 
-def _commutator_map(space: EuclideanSpace, structs: list[np.ndarray]) -> np.ndarray:
-    """Matrix of xi -> ([mat(xi), S])_S, columns indexed by bivector pairs."""
-    n = space.n
-    ii, jj = space.pair_rows, space.pair_cols
-    blocks = []
-    for s in structs:
-        # column a of the block is vec(mat(e_a) S - S mat(e_a))
-        col = np.zeros((n * n, space.bivector_dim))
-        for a in range(space.bivector_dim):
-            e = np.zeros((n, n))
-            e[jj[a], ii[a]] = 1.0
-            e[ii[a], jj[a]] = -1.0
-            col[:, a] = (e @ s - s @ e).reshape(-1)
-        blocks.append(col)
-    return np.vstack(blocks)
-
-
 def u_algebra(space: EuclideanSpace) -> HolonomyAlgebra:
     """Bivectors commuting with the complex structure J; dimension (n/2)^2."""
     if space.structure.J is None:
         raise GeometryError("u_algebra needs a space with a complex structure")
-    rows = _kernel_rows(_commutator_map(space, [space.J]))
+    rows = _commutant_rows(space, [space.J])
     m = space.n // 2
     if rows.shape[0] != m * m:
         raise GeometryError(
@@ -180,12 +222,13 @@ def sp_sp1_algebra(space: EuclideanSpace) -> HolonomyAlgebra:
 
     The first block commutes with all of I, J, K; the last three rows are
     the normalized parallel 2-forms.  These are automatically orthogonal to
-    the commuting block.
+    the commuting block, and like its rows they lie on the pairs of one
+    character (0, the pairs inside a quaternionic 4-plane).
     """
     if space.kind != "qk":
         raise GeometryError("sp_sp1_algebra needs a quaternion-Kaehler space")
     m = space.m
-    rows = _kernel_rows(_commutator_map(space, [space.I, space.J, space.K]))
+    rows = _commutant_rows(space, [space.I, space.J, space.K])
     if rows.shape[0] != m * (2 * m + 1):
         raise GeometryError(
             f"symplectic block has dimension {rows.shape[0]}, expected {m * (2 * m + 1)}"

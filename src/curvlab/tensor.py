@@ -367,6 +367,14 @@ def _pair_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.outer(a[rows, cols], b[rows, cols])
 
 
+def _conjugation_on_bivectors(space: EuclideanSpace, s: np.ndarray) -> np.ndarray:
+    """Matrix of xi -> s mat(xi) s^T on the pair basis."""
+    # entry (xy, zw) is s[y, w] s[x, z] - s[y, z] s[x, w]
+    xz, yw, xw, yz = _kn_tables(space.n)
+    s = s.ravel()
+    return s[yw] * s[xz] - s[yz] * s[xw]
+
+
 def kulkarni_nomizu(space: EuclideanSpace, s: np.ndarray, t: np.ndarray) -> CurvatureTensor:
     """Kulkarni-Nomizu product of two symmetric bilinear forms.
 

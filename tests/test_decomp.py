@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 from math import comb
 
 import numpy as np
@@ -190,6 +193,20 @@ class TestQK:
             qk_decompose(rm, qk2)
 
 
+# Saves the sp(5)+sp(1) coefficient rows and a seeded sp(3)+sp(1) sample to
+# the .npz path given as its argument.
+_THREAD_PROBE = """
+import sys
+import numpy as np
+from curvlab import decomp, holonomy
+from curvlab.euclid import quaternion_kaehler
+
+coeff = holonomy.sp_sp1_algebra(quaternion_kaehler(5)).coeff_matrix
+rm = decomp.random_algebra_curvature(holonomy.sp_sp1_algebra(quaternion_kaehler(3)), seed=3)
+np.savez(sys.argv[1], coeff=coeff, sample=rm.matrix)
+"""
+
+
 class TestKernelSampler:
     @pytest.mark.parametrize(
         "builder,expected",
@@ -231,6 +248,41 @@ class TestKernelSampler:
         a = random_algebra_curvature(qk2, seed=11)
         b = random_algebra_curvature(qk2, seed=11)
         assert np.array_equal(a.components, b.components)
+
+    def test_blas_thread_count_moves_samples_only_at_rounding_level(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(decomp.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        runs = []
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}.npz"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=path)
+            subprocess.run([sys.executable, "-c", _THREAD_PROBE, str(out)], env=env, check=True)
+            runs.append(np.load(out))
+        one, two = runs
+        assert one["coeff"].tobytes() == two["coeff"].tobytes()
+        scale = np.abs(one["sample"]).max()
+        assert np.abs(one["sample"] - two["sample"]).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize(
+        "algebra",
+        [pytest.param(holonomy.sp_sp1_algebra(quaternion_kaehler(m)), id=f"qk{m}") for m in (3, 4, 5)]
+        + [pytest.param(holonomy.u_algebra(kaehler(5)), id="u5")],
+    )
+    def test_null_rows_are_fixed_by_the_null_space(self, algebra):
+        # noise at rounding level in the Gram matrices, as from another BLAS
+        # thread count, changes which basis eigh returns of each degenerate
+        # null space, but not the rows _null_spaces makes of it
+        grams = [g for _, g in decomp._bianchi_blocks(algebra)[0]]
+        rng = np.random.default_rng(0)
+        noisy = []
+        for g in grams:
+            e = rng.standard_normal(g.shape)
+            noisy.append(g + 1e-15 * np.abs(g).max() * (e + e.transpose(0, 2, 1)))
+        for (rows, owner), (moved, moved_owner) in zip(
+            decomp._null_spaces(grams), decomp._null_spaces(noisy)
+        ):
+            assert np.array_equal(owner, moved_owner)
+            assert np.abs(rows - moved).max() < 1e-9
 
     def test_so_sampler_spans_curvature_space(self, rng):
         # accumulated samples reach the full generic curvature dimension
@@ -352,6 +404,33 @@ class TestKernelBasis:
                 _tensor_array_from_matrix(alg.space, c.T @ s @ c)
             )
 
+    @pytest.mark.parametrize(
+        "space,adapted",
+        [pytest.param(kaehler(m), True, id=f"u{m}") for m in range(2, 6)]
+        + [pytest.param(quaternion_kaehler(m), True, id=f"qk{m}") for m in range(2, 6)]
+        + [pytest.param(_swapped_kaehler(3), True, id="u3_swapped"),
+           pytest.param(_rotated_kaehler(3), False, id="u3_rotated")],
+    )
+    def test_constructor_rows(self, space, adapted):
+        # the commuting block of u(m) or sp(m)+sp(1), then sp(1)'s three forms
+        m = space.m
+        if space.kind == "kaehler":
+            alg, structs, dim = holonomy.u_algebra(space), [space.J], m * m
+        else:
+            alg, structs, dim = holonomy.sp_sp1_algebra(space), [space.I, space.J, space.K], m * (2 * m + 1)
+        c = alg.coeff_matrix
+        assert c.shape[0] == dim + (3 if space.kind == "qk" else 0)
+        assert np.abs(c @ c.T - np.eye(c.shape[0])).max() <= 1e-12
+        assert np.array_equal(euclid._sign_fix(c), c)
+        mats = alg.matrices[:dim]
+        for s in structs:
+            assert np.abs(mats @ s - s @ mats).max() <= 1e-12
+        if adapted:
+            # each row lies on the pairs of one character: the blocked kernel
+            chars = holonomy._pair_characters(space)
+            assert all(len(set(chars[row])) == 1 for row in c != 0)
+            assert len(set(chars)) > 1
+
     @staticmethod
     def _constraints(shape, singular_values, seed=0):
         rng = np.random.default_rng(seed)
@@ -365,7 +444,7 @@ class TestKernelBasis:
     def test_null_space_of_gapped_constraints(self, shape, scale):
         # the rank rule is relative: scaling the constraints keeps the rank
         rows = self._constraints(shape, [scale, 0.8 * scale, 0.5 * scale])
-        null = decomp._null_space(rows)
+        [(null, _)] = decomp._null_spaces([(rows @ rows.T)[None]])
         assert null.shape == (shape[0] - 3, shape[0])
         assert np.abs(null @ null.T - np.eye(shape[0] - 3)).max() < 1e-12
         assert np.abs(null @ rows).max() < 1e-12 * scale
@@ -375,7 +454,7 @@ class TestKernelBasis:
         # sigma = 1e-4 puts a Gram eigenvalue at 1e-8 of the largest
         rows = self._constraints(shape, [1.0, 0.8, 0.5, 1e-4])
         with pytest.raises(GeometryError, match="no clear gap"):
-            decomp._null_space(rows)
+            decomp._null_spaces([(rows @ rows.T)[None]])
 
     @pytest.mark.parametrize(
         "builder,blocks",
@@ -391,8 +470,7 @@ class TestKernelBasis:
     )
     def test_block_spectra_are_the_unblocked_spectrum(self, builder, blocks):
         alg = builder()
-        u, found, free = decomp._bianchi_blocks(alg)
-        assert np.abs(u @ u.T - np.eye(alg.dim)).max() < 1e-12
+        found, free = decomp._bianchi_blocks(alg)
         assert sum(grams.shape[0] for _, grams in found) == blocks
         spectra = [np.linalg.eigvalsh(grams).ravel() for _, grams in found]
         blocked = np.sort(np.concatenate(spectra + [np.zeros(free.size)]))
@@ -403,9 +481,10 @@ class TestKernelBasis:
 
     def test_misplaced_algebra_is_one_block(self):
         alg = _misplaced_unitary(3)
-        chars = decomp._pair_characters(alg.space)
-        assert decomp._adapted_basis(alg.coeff_matrix, chars) is None
-        _, found, free = decomp._bianchi_blocks(alg)
+        chars = holonomy._pair_characters(alg.space)
+        support = alg.coeff_matrix != 0
+        assert any(len(set(chars[row])) > 1 for row in support)
+        found, free = decomp._bianchi_blocks(alg)
         assert [grams.shape for _, grams in found] == [(1, 45, 45)]
         assert free.size == 0
 

@@ -449,7 +449,7 @@ class TestPairIndexFormulas:
             forms.append(space.J)
         for s in forms:
             ref = _gather(space, np.einsum("ax,by,abzw->xyzw", s, s, rm.components))
-            assert _close(decomp._conjugation_on_bivectors(space, s.T) @ rm.matrix, ref)
+            assert _close(tensor._conjugation_on_bivectors(space, s.T) @ rm.matrix, ref)
 
     def test_bianchi_projection(self, formula_algebra, rng):
         space = formula_algebra.space
