@@ -6,6 +6,7 @@ from curvlab.euclid import GeometryError, inner, kaehler, quaternion_kaehler
 from curvlab.holonomy import (
     HOLONOMY_TAGS,
     HolonomyAlgebra,
+    _commutant_rows,
     by_name,
     complement_mass,
     project,
@@ -195,6 +196,42 @@ def test_so_projection_is_identity(so5):
                        np.sort(np.linalg.eigvalsh(op.matrix)))
     assert complement_mass(op, so5) < 1e-12
     assert perm.shape == op.matrix.shape
+
+
+def _commutator_map(space, structs):
+    # xi -> ([xi, s] for each structure s) on the pair basis, flattened
+    pairs = np.arange(space.bivector_dim)
+    basis = np.zeros((space.bivector_dim, space.n, space.n))
+    basis[pairs, space.pair_rows, space.pair_cols] = 1.0
+    basis[pairs, space.pair_cols, space.pair_rows] = -1.0
+    return np.concatenate(
+        [(basis @ s - s @ basis).reshape(space.bivector_dim, -1).T for s in structs]
+    )
+
+
+@pytest.mark.parametrize("space", [kaehler(3), quaternion_kaehler(2)], ids=["u3", "qk2"])
+def test_kernel_rows_sign_convention(space):
+    structs = [space.J] if space.kind == "kaehler" else [space.I, space.J, space.K]
+    rows = _commutant_rows(space, structs)
+    lead = np.argmax(np.abs(rows), axis=1)
+    assert np.all(rows[np.arange(rows.shape[0]), lead] > 0)
+
+
+@pytest.mark.parametrize(
+    "tag, m", [("u", m) for m in range(2, 6)] + [("sp_sp1", m) for m in range(2, 6)]
+)
+def test_kernel_rows_match_full_svd(tag, m):
+    # the commutant rows span the null space of the commutator map
+    space = kaehler(m) if tag == "u" else quaternion_kaehler(m)
+    structs = [space.J] if tag == "u" else [space.I, space.J, space.K]
+    mapping = _commutator_map(space, structs)
+    rows = _commutant_rows(space, structs)
+    dim = m * m if tag == "u" else m * (2 * m + 1)
+    assert rows.shape == (dim, space.bivector_dim)
+    _, s, vh = np.linalg.svd(mapping, full_matrices=True)
+    ref = vh[int(np.sum(s > 1e-8)):]
+    assert np.abs(rows.T @ rows - ref.T @ ref).max() <= 1e-12
+    assert np.abs(rows @ rows.T - np.eye(dim)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("tag, kind", sorted(HOLONOMY_TAGS.items()))
