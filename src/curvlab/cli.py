@@ -22,7 +22,16 @@ import numpy as np
 from . import criteria, decomp, holonomy, tensor
 from .euclid import GeometryError, generic, kaehler, quaternion_kaehler
 
-GAP = 1e-6  # eigenvalue clustering threshold for spectra
+GAP = 1e-6  # eigenvalue clustering threshold, relative to max|eigenvalue|
+
+# Size caps, checked before any work starts; a request above one is a usage
+# error (exit 2).  Bianchi kernels grow like n^8 and hat stacks like n^6, so
+# these are the sizes the oracle is built and timed for: so(n) up to n = 12,
+# u(m) and sp(m)+sp(1) up to m = 6 (n = 24), and a decompose input file of
+# at most 16 MiB, which holds the n^4 components of an n = 24 tensor.
+MAX_N = 12  # --n
+MAX_M = 6  # --m
+MAX_INPUT_BYTES = 1 << 24
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +187,12 @@ def rec_mults(name, inputs, expected, actual, tol) -> CheckRecord:
 
 
 def _merge_mults(pairs: list[tuple[float, int]], gap: float = GAP) -> list[list]:
+    """Merge an expected (value, count) table at the clustering threshold
+    of SpectralData.multiplicities."""
     out: list[list] = []
+    tol = gap * max((abs(v) for v, _ in pairs), default=0.0)
     for v, c in sorted(pairs):
-        if out and v - out[-1][0] <= gap:
+        if out and v - out[-1][0] <= tol:
             out[-1][1] += c
         else:
             out.append([float(v), int(c)])
@@ -639,6 +651,11 @@ def cmd_spectrum(cfg: RunConfig) -> tuple[Report, int]:
 def cmd_decompose(cfg: RunConfig) -> tuple[Report, int]:
     if not cfg.input_path:
         raise GeometryError("decompose needs an input tensor file")
+    size = os.path.getsize(cfg.input_path)
+    if size > MAX_INPUT_BYTES:
+        raise GeometryError(
+            f"{cfg.input_path} has {size} bytes, above the cap of {MAX_INPUT_BYTES}"
+        )
     rm = tensor.load_tensor(cfg.input_path)
     kind = holonomy.holonomy_kind(cfg.holonomy or rm.space.kind)
     if kind != rm.space.kind:
@@ -815,6 +832,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
                     format=args.format, out=args.out, threads=_thread_count())
     cfg.m = parse_range(args.m) if args.m else None
     cfg.n = parse_range(args.n) if args.n else None
+    for flag, rng, cap in (("--m", cfg.m, MAX_M), ("--n", cfg.n, MAX_N)):
+        if rng is not None and rng[1] > cap:
+            raise GeometryError(f"{flag} {rng[1]} is above the size cap {cap}")
     cfg.p = args.p
     cfg.q = args.q
     cfg.trials = args.trials

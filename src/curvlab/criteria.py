@@ -5,10 +5,19 @@ hat components are the operator hats of tensor.t_hat, and their squared
 norms are Frobenius norms, one quarter of the component-array norms used in
 the tensor module.  That choice makes the outputs commensurable with
 operator Frobenius norms and with the closed-form model constants.
+
+The spectral routes (hat_norm_formula, curvature_term_self) read the
+restricted operator's own spectrum, which it computes at most once, and
+rotate the structure constants into that eigenbasis with three GEMMs, one
+per slot (_rotated_structure).  curvature_term makes its own eigensolve, so
+its eigen route stays independent of everything else a caller has asked of
+the same operator, and its bilinear route needs none.  The shift model's
+two-smallest-eigenvalue sum depends only on the algebra and is cached.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,13 +124,22 @@ class HatNorm:
 
 
 def _rotated_structure(op, algebra):
+    """Spectrum of the restricted operator (its memo, no new eigensolve) and
+    the structure constants in its eigenbasis q,
+    cp[i, j, k] = sum q[a, i] q[b, j] q[g, k] c[a, b, g].
+
+    One GEMM per slot: each contracts the leading axis of the (d, d*d) view
+    with q and appends the rotated axis last, so after three the slots are
+    back in order.  No einsum path search on a per-sample route.
+    """
     op, algebra = _resolve(op, algebra)
-    spec = symmetric_eigen(op.matrix)
+    spec = op.spectrum()
     q = spec.vectors
-    cp = np.einsum(
-        "ai,bj,gk,abg->ijk", q, q, q, algebra.structure_constants, optimize=True
-    )
-    return spec.values, cp
+    d = q.shape[0]
+    cp = algebra.structure_constants
+    for _ in range(3):
+        cp = cp.reshape(d, d * d).T @ q
+    return spec.values, cp.reshape(d, d, d)
 
 
 def hat_norm_formula(op, algebra: HolonomyAlgebra | None = None) -> HatNorm:
@@ -301,6 +319,27 @@ def _shift_model(space) -> CurvatureTensor:
     return hp(space.m)
 
 
+_GAIN_CACHE: dict = {}
+_GAIN_LOCK = threading.Lock()
+
+
+def _shift_gain(model: CurvatureTensor, algebra: HolonomyAlgebra) -> float:
+    """Two-smallest-eigenvalue sum of the shift model restricted to the
+    algebra.  Cached on what it depends on, the space kind and dimension
+    (which pick the model) and the algebra's coefficient rows, so algebras
+    that share a name (u(3) on two complex structures) get their own."""
+    space = model.space
+    key = (space.kind, space.n, algebra.coeff_matrix.tobytes())
+    with _GAIN_LOCK:
+        hit = _GAIN_CACHE.get(key)
+    if hit is not None:
+        return hit
+    gain = float(project(to_operator(model), algebra).spectrum().values[:2].sum())
+    with _GAIN_LOCK:
+        _GAIN_CACHE[key] = gain
+    return gain
+
+
 def two_nonnegative_shift(
     rm: CurvatureTensor, algebra: HolonomyAlgebra
 ) -> tuple[CurvatureTensor, float]:
@@ -315,10 +354,8 @@ def two_nonnegative_shift(
     if algebra.dim < 2:
         raise GeometryError("2-nonnegativity needs an algebra of dimension >= 2")
     model = _shift_model(rm.space)
-    op = project(to_operator(rm), algebra)
-    mop = project(to_operator(model), algebra)
-    s = float(np.sort(op.spectrum().values)[:2].sum())
-    gain = float(np.sort(mop.spectrum().values)[:2].sum())
+    s = float(project(to_operator(rm), algebra).spectrum().values[:2].sum())
+    gain = _shift_gain(model, algebra)
     if gain <= 0:
         raise GeometryError("shift model is not strictly 2-positive on the algebra")
     t = max(0.0, -s / gain) * (1.0 + 1e-12)

@@ -333,11 +333,18 @@ class SpectralData:
     vectors: np.ndarray  # columns are orthonormal eigenvectors
 
     def multiplicities(self, gap: float = 1e-6) -> list[tuple[float, int]]:
-        """Cluster eigenvalues closer than gap; returns (mean, count) pairs."""
+        """Cluster eigenvalues; returns (mean, count) pairs.
+
+        Neighbours join a cluster when they differ by at most
+        gap * max|eigenvalue|, so an operator and any positive multiple of it
+        cluster alike.  No floor: 1 + max|eigenvalue| would leave the gap
+        absolute below unit scale.
+        """
         out: list[tuple[float, int]] = []
         start = 0
+        tol = gap * float(np.abs(self.values).max(initial=0.0))
         for i in range(1, len(self.values) + 1):
-            if i == len(self.values) or self.values[i] - self.values[i - 1] > gap:
+            if i == len(self.values) or self.values[i] - self.values[i - 1] > tol:
                 chunk = self.values[start:i]
                 out.append((float(chunk.mean()), len(chunk)))
                 start = i

@@ -308,8 +308,9 @@ class CurvatureOperator:
     """Symmetric operator on bivectors, optionally restricted to a subalgebra.
 
     With algebra None the matrix acts on the full bivector space in the
-    lexicographic pair basis; otherwise it acts in the coordinates of the
-    algebra's orthonormal basis.
+    lexicographic pair basis, aliasing the tensor's matrix (to_operator);
+    otherwise it acts in the coordinates of the algebra's orthonormal basis,
+    on a read-only copy whose spectrum is computed at most once.
     """
 
     space: EuclideanSpace
@@ -317,17 +318,33 @@ class CurvatureOperator:
     algebra: object | None = None
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=float)
-        d = self.algebra.dim if self.algebra is not None else self.space.bivector_dim
+        if self.algebra is None:
+            self.matrix = np.asarray(self.matrix, dtype=float)
+            d = self.space.bivector_dim
+        else:
+            self.matrix = np.array(self.matrix, dtype=float)
+            _freeze(self.matrix)
+            d = self.algebra.dim
         if self.matrix.shape != (d, d):
             raise GeometryError(f"operator matrix must be {d} x {d}, got {self.matrix.shape}")
         if float(np.abs(self.matrix - self.matrix.T).max(initial=0.0)) > 1e-10 * _sym_scale(self.matrix):
             raise GeometryError("operator matrix is not symmetric")
+        self._spectrum = None  # (matrix, SpectralData) of a restricted operator
 
     def spectrum(self):
+        """Eigendecomposition of the matrix, ascending.  A restricted
+        operator keeps it, with read-only arrays, and hands out the same
+        object on every call."""
         from .euclid import symmetric_eigen
 
-        return symmetric_eigen(self.matrix)
+        if self.algebra is None:
+            return symmetric_eigen(self.matrix)
+        memo = self._spectrum
+        if memo is None or memo[0] is not self.matrix:
+            spec = symmetric_eigen(self.matrix)
+            _freeze(spec.values, spec.vectors)
+            memo = self._spectrum = (self.matrix, spec)
+        return memo[1]
 
     def norm_sq(self) -> float:
         """Frobenius squared norm (one quarter of the component convention)."""

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from curvlab import cli, decomp, tensor
+import curvlab
+from curvlab import cli, criteria, decomp, euclid, holonomy, tensor
 from curvlab.cli import main, parse_range
 from curvlab.euclid import GeometryError
 
@@ -64,6 +65,31 @@ class TestParsing:
         assert code == 2
         assert out == ""
         assert "--seed" in err
+
+    @pytest.mark.parametrize("flag, cap, argv", [
+        ("--n", cli.MAX_N, ("sample", "--holonomy", "so", "--n", str(cli.MAX_N + 1))),
+        ("--n", cli.MAX_N, ("verify", "--suite", "weyl-norm", "--n", f"4..{cli.MAX_N + 1}")),
+        ("--m", cli.MAX_M, ("sample", "--holonomy", "qk", "--m", str(cli.MAX_M + 1))),
+        ("--m", cli.MAX_M, ("verify", "--suite", "wolf", "--m", f"2..{cli.MAX_M + 1}")),
+        ("--m", cli.MAX_M, ("spectrum", "--model", "hp", "--m", str(cli.MAX_M + 1))),
+    ])
+    def test_size_above_cap_is_usage_error(self, capsys, monkeypatch, flag, cap, argv):
+        def no_work(cfg):
+            raise AssertionError("command started")
+
+        for name in ("cmd_verify", "cmd_spectrum", "cmd_sample"):
+            monkeypatch.setattr(cli, name, no_work)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag} {cap + 1} is above the size cap {cap}\n"
+
+    def test_caps_admit_the_sizes_in_use(self):
+        # so(8) and u(5) in the sample sweep, sp(5)+sp(1) in the wolf suite
+        parser = cli._build_parser()
+        for argv in (["sample", "--n", "8"], ["sample", "--m", "5"],
+                     ["verify", "--m", f"2..{cli.MAX_M}"], ["verify", "--n", f"4..{cli.MAX_N}"]):
+            cli._config_from_args(parser.parse_args(argv))
 
     @pytest.mark.parametrize("a, b", [
         ((0, 17, 0), (1, 1, 0)),  # tag bits spilled into the seed bits
@@ -183,6 +209,20 @@ class TestSpectrum:
         assert rec["actual"]["multiplicities"] == [[pytest.approx(2.0), 10]]
         assert rec["inputs"]["domain"] == "full"
 
+    @pytest.mark.parametrize("scale", [1e-7, 1.0, 1e8])
+    def test_clusters_do_not_depend_on_scale(self, scale):
+        # hp(2) on sp(2)+sp(1) has eigenvalues 4 (10 times) and 8 (3 times);
+        # at 1e-7 they lie closer than an absolute 1e-6 gap, at 1e8 the
+        # rounding within a cluster can exceed it
+        rm = decomp.hp(2) * scale
+        alg = holonomy.sp_sp1_algebra(rm.space)
+        spec = holonomy.project(tensor.to_operator(rm), alg).spectrum()
+        mults = spec.multiplicities(cli.GAP)
+        assert [c for _, c in mults] == [10, 3]
+        assert [v for v, _ in mults] == pytest.approx([4.0 * scale, 8.0 * scale], rel=1e-12)
+        expected = cli._merge_mults([(4.0 * scale, 10), (8.0 * scale, 3)])
+        assert [c for _, c in expected] == [10, 3]
+
     def test_missing_parameter(self, capsys):
         code, _, err = run(capsys, "spectrum", "--model", "hp")
         assert code == 2
@@ -232,6 +272,20 @@ class TestDecompose:
         code, _, err = run(capsys, "decompose", str(path))
         assert code == 2
         assert "residual" in err
+
+    def test_input_above_byte_cap_is_usage_error(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "big.json"
+        with open(path, "wb") as fh:
+            fh.truncate(cli.MAX_INPUT_BYTES + 1)  # sparse: nothing is written
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("file read")
+
+        monkeypatch.setattr(tensor, "load_tensor", no_load)
+        code, out, err = run(capsys, "decompose", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"above the cap of {cli.MAX_INPUT_BYTES}" in err
 
     def test_holonomy_structure_mismatch(self, capsys, tmp_path):
         path = tmp_path / "s5.json"
@@ -313,3 +367,36 @@ class TestSample:
         )
         report = json.loads(out)
         assert report["summary"]["total"] == 3
+
+
+def _count_eigensolves(monkeypatch) -> list:
+    """Count euclid.symmetric_eigen calls through every name curvlab binds it by."""
+    calls = []
+    original = euclid.symmetric_eigen
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for mod in (curvlab, euclid, tensor, holonomy, decomp, criteria, cli):
+        for name, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("condition, per_row, per_algebra", [
+    ("2-nonnegative", 2, 1),  # the sample, then the shifted sample; the model once
+    ("none", 1, 0),
+])
+def test_one_eigensolve_per_sampled_operator(capsys, monkeypatch, condition, per_row, per_algebra):
+    monkeypatch.setattr(criteria, "_GAIN_CACHE", {})
+    calls = _count_eigensolves(monkeypatch)
+    argv = ("sample", "--holonomy", "u", "--m", "3", "--trials", "10", "--condition", condition)
+    code, first, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(calls) == 10 * per_row + per_algebra
+    calls.clear()
+    code, again, _ = run(capsys, *argv)
+    assert len(calls) == 10 * per_row
+    assert again == first

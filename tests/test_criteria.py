@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvlab import decomp, holonomy, tensor
+from curvlab import criteria, decomp, holonomy, tensor
 from curvlab.criteria import (
     curvature_term,
     curvature_term_self,
@@ -21,8 +21,9 @@ from curvlab.criteria import (
     weighted_criterion,
     weyl_preset,
     WeightedCriterion,
+    _rotated_structure,
 )
-from curvlab.euclid import GeometryError, generic, quaternion_kaehler
+from curvlab.euclid import GeometryError, generic, kaehler, quaternion_kaehler, symmetric_eigen
 from curvlab.holonomy import project, so_algebra
 from curvlab.tensor import to_operator
 
@@ -269,6 +270,18 @@ class TestShift:
         assert len(drawn[0]) == len(drawn[1]) == 20
         assert drawn[0].isdisjoint(drawn[1])
 
+    def test_gain_is_cached_per_algebra(self, u3, u3_swapped, monkeypatch):
+        # the two u(3) share a name, a space kind and a dimension; only their
+        # coefficient rows tell them apart
+        monkeypatch.setattr(criteria, "_GAIN_CACHE", {})
+        model = decomp.const_hol(3)
+        gains = [criteria._shift_gain(model, alg) for alg in (u3, u3_swapped)]
+        assert len(criteria._GAIN_CACHE) == 2
+        for alg, gain in zip((u3, u3_swapped), gains):
+            fresh = project(to_operator(model), alg).spectrum().values[:2].sum()
+            assert gain == float(fresh)
+            assert criteria._shift_gain(model, alg) == gain
+
     def test_witness_exists_without_shift(self):
         alg = so_algebra(generic(4))
         witness = negative_term_search(alg, trials=60, seed=0)
@@ -297,3 +310,40 @@ def test_self_term_is_tripod_sum_over_triples(seed):
                 total += lambda_tripod(lam[g], lam[a], lam[b]) * cp[a, b, g] ** 2
     expected = curvature_term_self(op)
     assert (2.0 / 3.0) * total == pytest.approx(expected, rel=1e-8, abs=1e-9)
+
+
+def _rotated_reference(op):
+    """The four-operand einsum that the per-slot GEMMs of _rotated_structure
+    replace: the structure constants in the eigenbasis of a fresh solve."""
+    spec = symmetric_eigen(op.matrix)
+    q = spec.vectors
+    c = op.algebra.structure_constants
+    return spec.values, np.einsum("ai,bj,gk,abg->ijk", q, q, q, c, optimize=True)
+
+
+@pytest.mark.parametrize(
+    "builder",
+    [
+        lambda: so_algebra(generic(6)),
+        lambda: holonomy.u_algebra(kaehler(3)),
+        lambda: holonomy.sp_sp1_algebra(quaternion_kaehler(2)),
+    ],
+    ids=["so6", "u3", "qk2"],
+)
+def test_gemm_rotation_matches_einsum(builder):
+    alg = builder()
+    rm = decomp.random_algebra_curvature(alg, seed=11)
+    op = project(to_operator(rm), alg)
+    lam, cp = _rotated_structure(op, None)
+    ref_lam, ref_cp = _rotated_reference(op)
+    assert np.array_equal(lam, ref_lam)
+    assert np.abs(cp - ref_cp).max() <= 1e-13 * np.abs(ref_cp).max()
+    # the restricted operator's matrix and spectrum are read-only, so the
+    # spectrum it keeps cannot go stale
+    assert op.spectrum() is op.spectrum()
+    with pytest.raises(ValueError):
+        op.matrix[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        op.spectrum().vectors[0, 0] = 1.0
+    # a full-space operator still aliases the tensor's matrix
+    assert to_operator(rm).matrix is rm.matrix
