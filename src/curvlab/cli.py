@@ -27,8 +27,9 @@ GAP = 1e-6  # eigenvalue clustering threshold, relative to max|eigenvalue|
 # Size caps, checked before any work starts; a request above one is a usage
 # error (exit 2).  Bianchi kernels grow like n^8 and hat stacks like n^6, so
 # these are the sizes the oracle is built and timed for: so(n) up to n = 12,
-# u(m) and sp(m)+sp(1) up to m = 6 (n = 24), and a decompose input file of
-# at most 16 MiB, which holds the n^4 components of an n = 24 tensor.
+# u(m) and sp(m)+sp(1) up to m = 6 (n = 24), a Grassmannian of dimension
+# p * q at most 24 (4 * MAX_M), and a decompose input file of at most
+# 16 MiB, which holds the n^4 components of an n = 24 tensor.
 MAX_N = 12  # --n
 MAX_M = 6  # --m
 MAX_INPUT_BYTES = 1 << 24
@@ -284,7 +285,7 @@ def suite_hp(cfg: RunConfig) -> list[CheckRecord]:
     out = []
     for m in range(lo, hi + 1):
         rm = decomp.hp(m)
-        alg = holonomy.sp_sp1_algebra(rm.space)
+        alg = holonomy.by_name(rm.space, "sp")
         op = tensor.to_operator(rm)
         rop = holonomy.project(op, alg)
         inputs = {"m": m}
@@ -334,7 +335,7 @@ def suite_wolf(cfg: RunConfig) -> list[CheckRecord]:
     out = []
     for m in range(lo, hi + 1):
         rm = decomp.wolf(m)
-        alg = holonomy.sp_sp1_algebra(rm.space)
+        alg = holonomy.by_name(rm.space, "sp")
         op = tensor.to_operator(rm)
         rop = holonomy.project(op, alg)
         inputs = {"m": m}
@@ -391,7 +392,7 @@ def suite_weyl_norm(cfg: RunConfig) -> list[CheckRecord]:
     out = []
     for n in range(lo, hi + 1):
         space = generic(n)
-        alg = holonomy.so_algebra(space)
+        alg = holonomy.by_name(space, "so")
 
         def one(trial: int, n=n, space=space, alg=alg) -> tuple[float, float]:
             rm = tensor.random_curvature(space, rng=_trial_rng(cfg.seed, n, trial))
@@ -415,7 +416,7 @@ def suite_bochner_norm(cfg: RunConfig) -> list[CheckRecord]:
     out = []
     for m in range(lo, hi + 1):
         space = kaehler(m)
-        alg = holonomy.u_algebra(space)
+        alg = holonomy.by_name(space, "u")
         decomp._bianchi_kernel_basis(alg)  # warm the cache before threading
 
         def one(trial: int, m=m, alg=alg) -> tuple[float, float, float]:
@@ -446,7 +447,7 @@ def suite_qk_ratio(cfg: RunConfig) -> list[CheckRecord]:
     out = []
     for m in range(lo, hi + 1):
         space = quaternion_kaehler(m)
-        alg = holonomy.sp_sp1_algebra(space)
+        alg = holonomy.by_name(space, "sp")
         decomp._bianchi_kernel_basis(alg)
 
         def one(trial: int, m=m, alg=alg) -> float:
@@ -523,10 +524,10 @@ def suite_decomp(cfg: RunConfig) -> list[CheckRecord]:
         return tensor.random_curvature(generic(6), rng=_trial_rng(cfg.seed, 6, trial))
 
     ksp = kaehler(3)
-    ualg = holonomy.u_algebra(ksp)
+    ualg = holonomy.by_name(ksp, "u")
     decomp._bianchi_kernel_basis(ualg)
     qsp = quaternion_kaehler(2)
-    qalg = holonomy.sp_sp1_algebra(qsp)
+    qalg = holonomy.by_name(qsp, "sp")
     decomp._bianchi_kernel_basis(qalg)
 
     def kaehler_sample(trial):
@@ -605,7 +606,7 @@ def _build_model(cfg: RunConfig):
         if m is None:
             raise GeometryError(f"spectrum --model {name} needs --m")
         rm = decomp.hp(m) if name == "hp" else decomp.wolf(m)
-        return rm, holonomy.sp_sp1_algebra(rm.space)
+        return rm, holonomy.by_name(rm.space, "sp")
     if name == "grassmann":
         if cfg.p is None or cfg.q is None:
             raise GeometryError("spectrum --model grassmann needs --p and --q")
@@ -835,6 +836,13 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     for flag, rng, cap in (("--m", cfg.m, MAX_M), ("--n", cfg.n, MAX_N)):
         if rng is not None and rng[1] > cap:
             raise GeometryError(f"{flag} {rng[1]} is above the size cap {cap}")
+    for flag, value in (("--p", args.p), ("--q", args.q)):
+        if value is not None and value < 1:
+            raise GeometryError(f"{flag} must be at least 1")
+    if args.p is not None and args.q is not None and args.p * args.q > 4 * MAX_M:
+        raise GeometryError(
+            f"--p {args.p} --q {args.q} is dimension {args.p * args.q}, above the size cap {4 * MAX_M}"
+        )
     cfg.p = args.p
     cfg.q = args.q
     cfg.trials = args.trials

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomp import const_hol, hp, qk_decompose, sphere
-from .euclid import GeometryError, symmetric_eigen
-from .holonomy import HolonomyAlgebra, project, sp_sp1_algebra
+from .decomp import qk_decompose, structure_model
+from .euclid import GeometryError, _memo, _structure_key, symmetric_eigen
+from .holonomy import HolonomyAlgebra, by_name, project
 from .tensor import CurvatureOperator, CurvatureTensor, t_hat, to_operator
 
 
@@ -293,7 +293,7 @@ def hat_ratio_qk(
     tensors supported on the algebra and raises.
     """
     if algebra is None:
-        algebra = sp_sp1_algebra(rm.space)
+        algebra = by_name(rm.space, "sp")
     hat_sq = hat_norm_direct(rm, algebra)
     dec = qk_decompose(rm, algebra)
     rest_sq = dec.parts["hyperkaehler_part"].norm_sq() / 4.0
@@ -311,33 +311,22 @@ def hat_ratio_qk(
 # spectral repair and search
 
 
-def _shift_model(space) -> CurvatureTensor:
-    if space.kind == "generic":
-        return sphere(space.n)
-    if space.kind == "kaehler":
-        return const_hol(space.m)
-    return hp(space.m)
-
-
 _GAIN_CACHE: dict = {}
 _GAIN_LOCK = threading.Lock()
 
 
 def _shift_gain(model: CurvatureTensor, algebra: HolonomyAlgebra) -> float:
     """Two-smallest-eigenvalue sum of the shift model restricted to the
-    algebra.  Cached on what it depends on, the space kind and dimension
-    (which pick the model) and the algebra's coefficient rows, so algebras
-    that share a name (u(3) on two complex structures) get their own."""
-    space = model.space
-    key = (space.kind, space.n, algebra.coeff_matrix.tobytes())
-    with _GAIN_LOCK:
-        hit = _GAIN_CACHE.get(key)
-    if hit is not None:
-        return hit
-    gain = float(project(to_operator(model), algebra).spectrum().values[:2].sum())
-    with _GAIN_LOCK:
-        _GAIN_CACHE[key] = gain
-    return gain
+    algebra.  Cached on what it depends on, the model's structure
+    (`_structure_key`) and the algebra's coefficient rows, so algebras that
+    share a name (u(3) on two complex structures) get their own."""
+    key = _structure_key(model.space) + (algebra.coeff_matrix.tobytes(),)
+    return _memo(
+        _GAIN_CACHE,
+        _GAIN_LOCK,
+        key,
+        lambda: float(project(to_operator(model), algebra).spectrum().values[:2].sum()),
+    )
 
 
 def two_nonnegative_shift(
@@ -346,14 +335,15 @@ def two_nonnegative_shift(
     """Add the smallest model multiple making the restricted operator
     2-nonnegative.
 
-    The model is picked by the space kind, so it is supported on the
-    holonomy algebra and the shifted tensor stays in the sampled class.
+    The model is the space's own (`decomp.structure_model`), so it is
+    supported on the holonomy algebra of that structure and the shifted
+    tensor stays in the sampled class.
     The two-smallest-eigenvalue sum is superadditive, which makes the
     straight-line shift sufficient.
     """
     if algebra.dim < 2:
         raise GeometryError("2-nonnegativity needs an algebra of dimension >= 2")
-    model = _shift_model(rm.space)
+    model = structure_model(rm.space)
     s = float(project(to_operator(rm), algebra).spectrum().values[:2].sum())
     gain = _shift_gain(model, algebra)
     if gain <= 0:

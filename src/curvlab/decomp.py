@@ -27,18 +27,18 @@ import numpy as np
 
 from .euclid import (
     GeometryError,
+    _memo,
     _sign_fix,
+    _structure_key,
     generic,
     kaehler as kaehler_space,
     quaternion_kaehler,
 )
 from .holonomy import (
     HolonomyAlgebra,
-    _pair_characters,
     _runs,
+    by_name,
     complement_mass,
-    quaternion_frame,
-    sp_sp1_algebra,
 )
 from .tensor import (
     CurvatureTensor,
@@ -84,7 +84,12 @@ def const_hol(m: int, scal: float | None = None) -> CurvatureTensor:
     """
     if m < 1:
         raise GeometryError("const_hol needs at least one complex plane")
-    space = kaehler_space(m)
+    return _read_only(_const_hol_on(kaehler_space(m), scal))
+
+
+def _const_hol_on(space, scal: float | None = None) -> CurvatureTensor:
+    """const_hol on the complex structure J of a Kaehler space."""
+    m = space.m
     if scal is None:
         scal = 4.0 * m * (m + 1)
     g = np.eye(2 * m)
@@ -94,23 +99,43 @@ def const_hol(m: int, scal: float | None = None) -> CurvatureTensor:
         + 0.5 * _kn_matrix(omega, omega)
         + 2.0 * _pair_outer(omega, omega)
     )
-    return _read_only(CurvatureTensor(space, (scal / (4.0 * m * (m + 1))) * unit))
+    return CurvatureTensor(space, (scal / (4.0 * m * (m + 1))) * unit)
 
 
 @functools.cache
 def hp(m: int) -> CurvatureTensor:
     """Quaternionic projective model: identity plus the three structure
     conjugations plus twice the projections onto the parallel forms."""
-    space = quaternion_kaehler(m)
-    d = space.bivector_dim
-    mat = np.eye(d)
-    for s in (space.I, space.J, space.K):
+    return _read_only(_hp_on(quaternion_kaehler(m)))
+
+
+def _hp_on(space) -> CurvatureTensor:
+    """hp on the quaternionic structure I, J, K of a quaternion-Kaehler
+    space; the parallel form of L is the bivector L[x, y], x < y."""
+    mat = np.eye(space.bivector_dim)
+    structs = (space.I, space.J, space.K)
+    for s in structs:
         mat += _conjugation_on_bivectors(space, s)
-    frame = quaternion_frame(space)
-    for L in ("I", "J", "K"):
-        w = frame.omega[L].coeffs
-        mat += 2.0 * np.outer(w, w)
-    return _read_only(CurvatureTensor(space, mat))
+    for s in structs:
+        mat += 2.0 * _pair_outer(s, s)
+    return CurvatureTensor(space, mat)
+
+
+_MODEL_CACHE: dict = {}
+_MODEL_LOCK = threading.Lock()
+
+
+def structure_model(space) -> CurvatureTensor:
+    """The model of a space's kind on the space's own structure: the round
+    sphere, constant holomorphic curvature on its J, or hp on its I, J, K.
+
+    On the standard structures these are sphere(n), const_hol(m) and hp(m),
+    to the bit.  Cached on `_structure_key`, read-only.
+    """
+    if space.kind == "generic":
+        return sphere(space.n)
+    build = _const_hol_on if space.kind == "kaehler" else _hp_on
+    return _memo(_MODEL_CACHE, _MODEL_LOCK, _structure_key(space), lambda: _read_only(build(space)))
 
 
 @functools.cache
@@ -323,7 +348,7 @@ def qk_decompose(
     if space.kind != "qk":
         raise GeometryError("qk_decompose needs a quaternion-Kaehler space")
     if algebra is None:
-        algebra = sp_sp1_algebra(space)
+        algebra = by_name(space, "sp")
     op = to_operator(rm)
     mass = complement_mass(op, algebra)
     if mass > 1e-8 * (1.0 + float(np.abs(op.matrix).max(initial=0.0))):
@@ -331,7 +356,7 @@ def qk_decompose(
             f"operator leaks off the holonomy algebra (mass {mass:.2e})"
         )
     m = space.m
-    model = hp(m)
+    model = structure_model(space)
     c = scalar(rm) / (16.0 * m * (m + 2))
     scal_part = c * model
     rest = rm - scal_part
@@ -393,15 +418,11 @@ def _bianchi_blocks(algebra: HolonomyAlgebra):
     grams (count, R, R) are the Gram matrices rows @ rows.T of count blocks
     of R rows each, positions (count, R) their packed indices; blocks of one
     shape are built together.  free holds the packed pairs that no quadruple
-    constrains.  If any row of c meets two characters, every character is
-    taken as 0: one block.
+    constrains.  The characters are `HolonomyAlgebra.characters`: if any row
+    of c meets two characters, every character is 0 and there is one block.
     """
     space, c = algebra.space, algebra.coeff_matrix
-    pair_chars = _pair_characters(space)
-    support = c != 0
-    gen_chars = pair_chars[np.argmax(support, axis=1)]
-    if np.any(support & (pair_chars != gen_chars[:, None])):
-        pair_chars, gen_chars = np.zeros_like(pair_chars), np.zeros_like(gen_chars)
+    pair_chars, gen_chars = algebra.characters
     pa, pb, w = _packed_sym(algebra.dim)
     quad = _quad_pairs(space.n)
     s_order, s_starts, s_counts, s_values = _runs(gen_chars[pa] ^ gen_chars[pb])
@@ -504,13 +525,12 @@ def _bianchi_kernel_basis(algebra: HolonomyAlgebra) -> np.ndarray:
     coefficient rows, so algebras that share a name (u(3) on two complex
     structures) get their own bases.
     """
-    space = algebra.space
-    key = (space.n, algebra.coeff_matrix.tobytes())
-    with _KERNEL_LOCK:
-        hit = _KERNEL_CACHE.get(key)
-    if hit is not None:
-        return hit
+    key = (algebra.space.n, algebra.coeff_matrix.tobytes())
+    return _memo(_KERNEL_CACHE, _KERNEL_LOCK, key, lambda: _kernel_basis(algebra))
 
+
+def _kernel_basis(algebra: HolonomyAlgebra) -> np.ndarray:
+    """The uncached build of `_bianchi_kernel_basis`."""
     blocks, free = _bianchi_blocks(algebra)
     nulls = _null_spaces([grams for _, grams in blocks])
     pos = [p[owner] for (p, _), (_, owner) in zip(blocks, nulls)] + [free[:, None]]
@@ -521,9 +541,6 @@ def _bianchi_kernel_basis(algebra: HolonomyAlgebra) -> np.ndarray:
     for p, v in zip(pos, val):
         basis[np.arange(row, row + p.shape[0])[:, None], p] = v
         row += p.shape[0]
-
-    with _KERNEL_LOCK:
-        _KERNEL_CACHE[key] = basis
     return basis
 
 

@@ -13,6 +13,7 @@ of the skew matrices, which makes the lexicographic basis orthonormal.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -190,6 +191,28 @@ class EuclideanSpace:
         if self.structure.K is None:
             raise GeometryError("space carries no K structure")
         return self.structure.K
+
+
+def _structure_key(space: EuclideanSpace) -> tuple:
+    """What a result built from a space's structure depends on: the kind,
+    the dimension and the bytes of I, J and K.  Cache keys use it in place
+    of a name, so spaces that share a kind and size but not a structure
+    (u(3) on two complex structures) get their own entries."""
+    st = space.structure
+    return (space.kind, space.n) + tuple(b"" if s is None else s.tobytes() for s in (st.I, st.J, st.K))
+
+
+def _memo(cache: dict, lock: threading.Lock, key, build):
+    """cache[key], from build() on a miss.  The lock guards the dict only:
+    two threads may both build a missing entry, and the first one stored is
+    the one every caller gets."""
+    with lock:
+        hit = cache.get(key)
+    if hit is None:
+        hit = build()
+        with lock:
+            hit = cache.setdefault(key, hit)
+    return hit
 
 
 def generic(n: int) -> EuclideanSpace:

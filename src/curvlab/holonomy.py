@@ -8,18 +8,41 @@ orthogonal projector onto the commutant, and the basis spans its range.  That
 works for any admissible structure, not just the standard one.  Each
 conjugation keeps the sign-flip character of a pair (`_pair_characters`), so
 the projector is solved one character at a time and every basis row lies on
-the pairs of one character; the Bianchi kernel is blocked by that basis.
+the pairs of one character; the Bianchi kernel is blocked by that basis, and so
+is the action of the basis on the pairs (`HolonomyAlgebra.action_blocks`),
+from which the hats are computed.  `by_name` builds each algebra once per
+kind and structure and shares it, read-only.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .euclid import Bivector, EuclideanSpace, GeometryError, _sign_fix, wedge
-from .tensor import CurvatureOperator, CurvatureTensor, _conjugation_on_bivectors, to_operator
+from .euclid import (
+    Bivector,
+    EuclideanSpace,
+    GeometryError,
+    _memo,
+    _sign_fix,
+    _structure_key,
+    wedge,
+)
+from .tensor import (
+    CurvatureOperator,
+    CurvatureTensor,
+    _conjugation_on_bivectors,
+    _freeze,
+    to_operator,
+)
+
+# Output bytes of one batched product in the hats: sources of one block shape
+# share a matmul up to this size, so the temporary stays small beside the
+# (dim, D, D) hat stack (see HolonomyAlgebra.action_blocks).
+_BATCH_BYTES = 1 << 21
 
 
 def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -132,33 +155,127 @@ class HolonomyAlgebra:
         mats = np.zeros((self.dim, n, n))
         mats[:, jj, ii] = self.coeff_matrix
         mats[:, ii, jj] = -self.coeff_matrix
+        _freeze(mats)
         return mats
 
     @cached_property
-    def bivector_action(self) -> np.ndarray:
-        """Derivation action of the basis on the pair basis, shape (dim, D, D).
+    def characters(self) -> tuple[np.ndarray, np.ndarray]:
+        """(pair characters, generator characters), read-only uint64 arrays.
 
-        Slice a is the antisymmetric matrix N_a with which generator a acts on
-        bivectors; the hat of a bivector operator R along a is N_a R + (N_a R)^T.
-        Entry (P, P') with P = (x, y), P' = (u, v) is
-        -(a[u, x][v = y] - a[v, x][u = y] + [x = u] a[v, y] - [x = v] a[u, y]),
-        gathered only where one of the indicators holds.
+        The pair characters are `_pair_characters`; a generator's character
+        is that of the pairs its row lies on.  If any row meets two
+        characters, every character is taken as 0, which makes one block of
+        everything blocked by them.
         """
-        rows, cols = self.space.pair_rows, self.space.pair_cols
-        x, y = rows[:, None], cols[:, None]
-        u, v = rows[None, :], cols[None, :]
-        a = self.matrices
-        act = np.zeros((self.dim, rows.shape[0], rows.shape[0]))
+        pair_chars = _pair_characters(self.space)
+        support = self.coeff_matrix != 0
+        gen_chars = pair_chars[np.argmax(support, axis=1)]
+        if np.any(support & (pair_chars != gen_chars[:, None])):
+            pair_chars, gen_chars = np.zeros_like(pair_chars), np.zeros_like(gen_chars)
+        _freeze(pair_chars, gen_chars)
+        return pair_chars, gen_chars
+
+    @cached_property
+    def action_blocks(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Dense blocks of the derivation action of the basis on the pairs.
+
+        Generator a acts on bivectors by the antisymmetric D x D matrix N_a;
+        the hat of a bivector operator R along a is N_a R + (N_a R)^T.  Entry
+        (P, P') with P = (x, y), P' = (u, v) is
+        -(a[u, x][v = y] - a[v, x][u = y] + [x = u] a[v, y] - [x = v] a[u, y]),
+        nonzero only where the pairs share one index.  Then N_a maps the pairs
+        of character chi(P') to those of chi(P') XOR chi_a (`characters`), so
+        row (a, P) of the stacked products reads only the pairs of the source
+        character chi(P) XOR chi_a.  For one source, the rows that hold a
+        nonzero entry and the source's pairs span a dense block.  Each row
+        (a, P) belongs to one source at most, so it is written once, by plain
+        assignment; rows in no block are zero.
+
+        Each entry is (blocks, sources, targets) for `count` sources of one
+        block shape (T rows, s pairs): blocks (count, T, s), sources
+        (count, s) the sources' pair indices, targets (count, T) the rows
+        a * D + P of the (dim * D, D) view of the stack.  Sources of one shape
+        share a batch until its product would pass _BATCH_BYTES.  All arrays
+        are read-only.  With every character 0 there is one source: the dense
+        action.
+        """
+        n_pairs = self.space.bivector_dim
+        pair_chars, gen_chars = self.characters
+        p_order, p_starts, p_counts, p_values = _runs(pair_chars)
+        col_slot = np.empty(n_pairs, dtype=np.intp)  # place of a pair in its character
+        col_slot[p_order] = np.arange(n_pairs) - np.repeat(p_starts, p_counts)
+        pair_run = np.empty(n_pairs, dtype=np.intp)  # its character's run
+        pair_run[p_order] = np.repeat(np.arange(p_values.size), p_counts)
+
+        # the entries of the action formula at the pairs that share one index,
+        # for the generators whose character they match; zeros are dropped
+        pr, pc = self.space.pair_rows, self.space.pair_cols
+        x, y = pr[:, None], pc[:, None]
+        u, v = pr[None, :], pc[None, :]
+        offdiag = x != u
+        offdiag |= y != v
+        parts = []
         # (sign, indicator, index of a read on P', index of a read on P)
         for sign, mask, first, second in (
-            (-1.0, v == y, rows, rows),
-            (1.0, u == y, cols, rows),
-            (-1.0, x == u, cols, cols),
-            (1.0, x == v, rows, cols),
+            (-1.0, v == y, pr, pr),
+            (1.0, u == y, pc, pr),
+            (-1.0, x == u, pc, pc),
+            (1.0, x == v, pr, pc),
         ):
-            p, q = np.nonzero(mask)
-            act[:, p, q] += sign * a[:, first[q], second[p]]
-        return act
+            p, q = np.nonzero(mask & offdiag)
+            parts.append((p, q, np.full(p.size, sign), first[q], second[p]))
+        p, q, sign, first, second = (np.concatenate(col) for col in zip(*parts))
+        gen, k = np.nonzero((gen_chars[:, None] ^ pair_chars[p]) == pair_chars[q])
+        values = sign[k] * self.matrices[gen, first[k], second[k]]
+        live = values != 0
+        values, q = values[live], q[k[live]]
+        entry_rows = (gen * n_pairs + p[k])[live]
+        entry_cols = col_slot[q]
+
+        # the rows a * D + P that hold an entry, grouped by source run
+        rows, first_entry = np.unique(entry_rows, return_index=True)
+        r_order, r_starts, r_counts, r_runs = _runs(pair_run[q[first_entry]])
+        row_slot = np.empty(rows.size, dtype=np.intp)  # place of a row in its source
+        row_slot[r_order] = np.arange(rows.size) - np.repeat(r_starts, r_counts)
+        entry_slot = row_slot[np.searchsorted(rows, entry_rows)]
+
+        # batches: sources of one shape, cut to at most _BATCH_BYTES of product
+        batch_of = np.empty(p_values.size, dtype=np.intp)
+        place_of = np.empty(p_values.size, dtype=np.intp)
+        shapes = p_counts[r_runs] * (r_counts.max(initial=0) + 1) + r_counts
+        s_order, s_starts, s_counts, _ = _runs(shapes)
+        batches = []
+        for start, count in zip(s_starts, s_counts):
+            group = s_order[start : start + count]
+            height = int(r_counts[group[0]])
+            per = max(1, _BATCH_BYTES // (8 * height * n_pairs))
+            for lo in range(0, group.size, per):
+                member = group[lo : lo + per]
+                batch_of[r_runs[member]] = len(batches)
+                place_of[r_runs[member]] = np.arange(member.size)
+                width = int(p_counts[r_runs[member[0]]])
+                sources = p_order[p_starts[r_runs[member]][:, None] + np.arange(width)]
+                targets = rows[r_order[r_starts[member][:, None] + np.arange(height)]]
+                batches.append((np.zeros((member.size, height, width)), sources, targets))
+        e_run = pair_run[q]
+        e_order, e_starts, e_counts, e_batches = _runs(batch_of[e_run])
+        for start, count, b in zip(e_starts, e_counts, e_batches):
+            sel = e_order[start : start + count]
+            batches[b][0][place_of[e_run[sel]], entry_slot[sel], entry_cols[sel]] = values[sel]
+        for batch in batches:
+            _freeze(*batch)
+        return batches
+
+    @property
+    def bivector_action(self) -> np.ndarray:
+        """The dense (dim, D, D) stack of the N_a, scattered from
+        action_blocks on every access.  A reference for tests: the library
+        computes hats from the blocks."""
+        n_pairs = self.space.bivector_dim
+        act = np.zeros((self.dim * n_pairs, n_pairs))
+        for blocks, sources, targets in self.action_blocks:
+            act[targets[:, :, None], sources[:, None, :]] = blocks
+        return act.reshape(self.dim, n_pairs, n_pairs)
 
     @cached_property
     def _bracket_coeffs(self) -> np.ndarray:
@@ -176,7 +293,9 @@ class HolonomyAlgebra:
     def structure_constants(self) -> np.ndarray:
         """c[a, b, g] = <[basis_a, basis_b], basis_g>."""
         d = self.dim
-        return (self.coeff_matrix @ self._bracket_coeffs).T.reshape(d, d, d)
+        c = (self.coeff_matrix @ self._bracket_coeffs).T.reshape(d, d, d)
+        _freeze(c)
+        return c
 
     def closure_defect(self) -> float:
         """Largest bivector-norm distance of a basis bracket from the span."""
@@ -256,15 +375,32 @@ def holonomy_kind(name: str) -> str:
     return kind
 
 
+_ALGEBRA_CACHE: dict = {}
+_ALGEBRA_LOCK = threading.Lock()
+
+
 def by_name(space: EuclideanSpace, name: str) -> HolonomyAlgebra:
     """Holonomy algebra of a tag: so(n), u(m) or sp(m)+sp(1) by the kind it
-    names in HOLONOMY_TAGS."""
+    names in HOLONOMY_TAGS.
+
+    The library's one route to an algebra.  Each constructor runs once per
+    key, the kind the tag names plus what the basis depends on (the space's
+    kind, dimension and structure matrices, `_structure_key`), never a name.
+    The algebra is shared between callers, so its arrays are read-only.
+    """
     kind = holonomy_kind(name)
-    if kind == "generic":
-        return so_algebra(space)
-    if kind == "kaehler":
-        return u_algebra(space)
-    return sp_sp1_algebra(space)
+
+    def build() -> HolonomyAlgebra:
+        if kind == "generic":
+            alg = so_algebra(space)
+        elif kind == "kaehler":
+            alg = u_algebra(space)
+        else:
+            alg = sp_sp1_algebra(space)
+        _freeze(alg.coeff_matrix)
+        return alg
+
+    return _memo(_ALGEBRA_CACHE, _ALGEBRA_LOCK, (kind,) + _structure_key(space), build)
 
 
 # ---------------------------------------------------------------------------

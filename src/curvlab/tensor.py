@@ -19,7 +19,11 @@ Conventions, fixed once here and relied on everywhere else:
   which one they return;
 * hat components (derivatives along an algebra's basis rotations) are
   computed on bivector operators, H_a = N_a R + (N_a R)^T with N_a the
-  algebra's cached bivector_action.  t_hat returns that (dim, D, D) stack,
+  action of generator a on the pairs.  N_a R comes from the algebra's
+  action_blocks, dense blocks keyed on sign-flip characters, with one
+  batched product per block shape (or per source character, where the
+  batch would be large); the dense (dim, D, D) stack of the N_a is never
+  formed.  t_hat returns the (dim, D, D) stack of the H_a,
   Frobenius convention, for an unrestricted CurvatureOperator, and rank-four
   component arrays scattered from it, component convention, for a
   CurvatureTensor.  lie_action keeps the slot-by-slot definition as the
@@ -477,8 +481,9 @@ def t_hat(t, algebra) -> np.ndarray | list[np.ndarray]:
     """Derivatives of t along an algebra's basis rotations, in basis order.
 
     * CurvatureOperator on the full bivector space: one (dim, D, D) stack of
-      hat operators H_a = N_a R + (N_a R)^T, N_a = algebra.bivector_action[a];
-      squared norms are Frobenius norms (operator convention).
+      hat operators H_a = N_a R + (N_a R)^T, N_a = algebra.bivector_action[a],
+      with N_a R written row by row from algebra.action_blocks; squared
+      norms are Frobenius norms (operator convention).
     * CurvatureTensor, or a rank-four array validated as one: a list of
       rank-four component arrays, each scattered from the operator hat, so
       its squared norm is four times the Frobenius norm of H_a (component
@@ -499,9 +504,15 @@ def t_hat(t, algebra) -> np.ndarray | list[np.ndarray]:
                 return [_lie_array(a, arr) for a in algebra.matrices]
             t = CurvatureTensor.from_components(algebra.space, arr)
         op = to_operator(t)
-    hats = algebra.bivector_action @ op.matrix
+    n_pairs = op.space.bivector_dim
+    hats = np.zeros((algebra.dim, n_pairs, n_pairs))
+    rows = hats.reshape(-1, n_pairs)
+    for blocks, sources, targets in algebra.action_blocks:  # N_a R, one write per row
+        rows[targets.ravel()] = (blocks @ op.matrix[sources]).reshape(-1, n_pairs)
+    turned = np.empty((n_pairs, n_pairs))
     for h in hats:  # h + h^T in place, one slice at a time: no second stack
-        np.add(h, h.T, out=h)
+        np.copyto(turned, h.T)
+        h += turned
     if op is t:
         return hats
     return [_tensor_array_from_matrix(op.space, h) for h in hats]

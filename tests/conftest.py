@@ -4,6 +4,23 @@ import pytest
 from curvlab import decomp, euclid, holonomy
 
 
+def rotated_kaehler(m: int, seed: int = 0):
+    """R^{2m} with the standard complex structure conjugated by a random
+    rotation: every coordinate is linked to every other, one component."""
+    q = np.linalg.qr(np.random.default_rng(seed).standard_normal((2 * m, 2 * m)))[0]
+    return euclid.EuclideanSpace(
+        2 * m, euclid.HolonomyStructure("kaehler", J=q @ euclid.kaehler(m).J @ q.T)
+    )
+
+
+def misplaced_unitary(m: int):
+    """The unitary algebra of a rotated complex structure, placed on the
+    standard kaehler(m): closed, but not normalized by the sign flips of the
+    standard structure's components."""
+    rows = holonomy.u_algebra(rotated_kaehler(m)).coeff_matrix
+    return holonomy.HolonomyAlgebra(euclid.kaehler(m), "u(m) rotated", rows)
+
+
 @pytest.fixture(scope="session")
 def so5_space():
     return euclid.generic(5)

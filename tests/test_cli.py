@@ -84,6 +84,33 @@ class TestParsing:
         assert out == ""
         assert err == f"error: {flag} {cap + 1} is above the size cap {cap}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (("verify", "--suite", "grassmann", "--p", "0", "--q", "3"), "--p must be at least 1"),
+        (("spectrum", "--model", "grassmann", "--p", "2", "--q", "-1"), "--q must be at least 1"),
+        (("verify", "--suite", "grassmann", "--p", "5", "--q", "5"),
+         f"--p 5 --q 5 is dimension 25, above the size cap {4 * cli.MAX_M}"),
+    ], ids=["p_below_1", "q_below_1", "pq_above_cap"])
+    def test_grassmannian_size_is_capped(self, capsys, monkeypatch, argv, message):
+        def no_work(*args):
+            raise AssertionError("work started")
+
+        for name in ("cmd_verify", "cmd_spectrum"):
+            monkeypatch.setattr(cli, name, no_work)
+        monkeypatch.setattr(decomp, "grassmannian", no_work)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_default_grassmannians_still_run(self, capsys):
+        # the default combinations reach p * q = 16; the cap admits 4 * MAX_M
+        parser = cli._build_parser()
+        cli._config_from_args(parser.parse_args(["verify", "--p", "4", "--q", str(cli.MAX_M)]))
+        code, out, _ = run(capsys, "verify", "--suite", "grassmann")
+        assert code == 0
+        names = {r["name"].split(".")[0] for r in json.loads(out)["records"]}
+        assert names == {f"grassmann[{p},{q}]" for p in (2, 3, 4) for q in (2, 3, 4) if p * q <= 16}
+
     def test_caps_admit_the_sizes_in_use(self):
         # so(8) and u(5) in the sample sweep, sp(5)+sp(1) in the wolf suite
         parser = cli._build_parser()

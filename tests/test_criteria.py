@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvlab import criteria, decomp, holonomy, tensor
+from curvlab import criteria, decomp, euclid, holonomy, tensor
 from curvlab.criteria import (
     curvature_term,
     curvature_term_self,
@@ -281,6 +281,24 @@ class TestShift:
             fresh = project(to_operator(model), alg).spectrum().values[:2].sum()
             assert gain == float(fresh)
             assert criteria._shift_gain(model, alg) == gain
+
+    @pytest.mark.parametrize("tag", ["u", "sp"])
+    def test_shift_uses_the_sample_structure(self, tag):
+        # the structures conjugated by the swap of coordinates 0 and 1: the
+        # standard models are not supported on these algebras
+        base = kaehler(3) if tag == "u" else quaternion_kaehler(2)
+        p = np.eye(base.n)[[1, 0, *range(2, base.n)]]
+        st = base.structure
+        swapped = euclid.EuclideanSpace(base.n, euclid.HolonomyStructure(
+            st.kind, *(None if s is None else p @ s @ p.T for s in (st.I, st.J, st.K))))
+        alg = holonomy.by_name(swapped, tag)
+        rm = decomp.random_algebra_curvature(alg, seed=0)
+        shifted, t = two_nonnegative_shift(rm, alg)
+        assert t > 0
+        lam = project(to_operator(shifted), alg).spectrum().values
+        assert lam[0] + lam[1] >= -1e-12 * (1.0 + float(np.abs(lam).max()))
+        scale = 1.0 + float(np.abs(shifted.matrix).max())
+        assert holonomy.complement_mass(shifted, alg) <= 1e-13 * scale
 
     def test_witness_exists_without_shift(self):
         alg = so_algebra(generic(4))

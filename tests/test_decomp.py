@@ -6,6 +6,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from conftest import misplaced_unitary, rotated_kaehler
 
 from curvlab import criteria, decomp, euclid, holonomy, tensor
 from curvlab.decomp import (
@@ -334,29 +335,12 @@ def _svd_kernel_projector(algebra) -> np.ndarray:
     return null.T @ null
 
 
-def _rotated_kaehler(m: int, seed: int = 0):
-    """R^{2m} with the standard complex structure conjugated by a random
-    rotation: every coordinate is linked to every other, one component."""
-    q = np.linalg.qr(np.random.default_rng(seed).standard_normal((2 * m, 2 * m)))[0]
-    return euclid.EuclideanSpace(
-        2 * m, euclid.HolonomyStructure("kaehler", J=q @ kaehler(m).J @ q.T)
-    )
-
-
 def _swapped_kaehler(m: int):
     """kaehler(m) with J conjugated by the swap of coordinates 0 and 1."""
     p = np.eye(2 * m)[[1, 0, *range(2, 2 * m)]]
     return euclid.EuclideanSpace(
         2 * m, euclid.HolonomyStructure("kaehler", J=p @ kaehler(m).J @ p.T)
     )
-
-
-def _misplaced_unitary(m: int):
-    """The unitary algebra of a rotated complex structure, placed on the
-    standard kaehler(m): closed, but not normalized by the sign flips of the
-    standard structure's components."""
-    rows = holonomy.u_algebra(_rotated_kaehler(m)).coeff_matrix
-    return holonomy.HolonomyAlgebra(kaehler(m), "u(m) rotated", rows)
 
 
 class TestKernelBasis:
@@ -384,8 +368,8 @@ class TestKernelBasis:
             lambda: holonomy.so_algebra(generic(6)),
             lambda: holonomy.u_algebra(kaehler(3)),
             lambda: holonomy.u_algebra(_swapped_kaehler(3)),
-            lambda: holonomy.u_algebra(_rotated_kaehler(3)),
-            lambda: _misplaced_unitary(3),
+            lambda: holonomy.u_algebra(rotated_kaehler(3)),
+            lambda: misplaced_unitary(3),
             lambda: holonomy.sp_sp1_algebra(quaternion_kaehler(2)),
             lambda: holonomy.sp_sp1_algebra(quaternion_kaehler(3)),
         ],
@@ -409,7 +393,7 @@ class TestKernelBasis:
         [pytest.param(kaehler(m), True, id=f"u{m}") for m in range(2, 6)]
         + [pytest.param(quaternion_kaehler(m), True, id=f"qk{m}") for m in range(2, 6)]
         + [pytest.param(_swapped_kaehler(3), True, id="u3_swapped"),
-           pytest.param(_rotated_kaehler(3), False, id="u3_rotated")],
+           pytest.param(rotated_kaehler(3), False, id="u3_rotated")],
     )
     def test_constructor_rows(self, space, adapted):
         # the commuting block of u(m) or sp(m)+sp(1), then sp(1)'s three forms
@@ -462,8 +446,8 @@ class TestKernelBasis:
             (lambda: holonomy.so_algebra(generic(6)), 15),
             (lambda: holonomy.u_algebra(kaehler(3)), 4),
             (lambda: holonomy.u_algebra(_swapped_kaehler(3)), 4),
-            (lambda: holonomy.u_algebra(_rotated_kaehler(3)), 1),
-            (lambda: _misplaced_unitary(3), 1),
+            (lambda: holonomy.u_algebra(rotated_kaehler(3)), 1),
+            (lambda: misplaced_unitary(3), 1),
             (lambda: holonomy.sp_sp1_algebra(quaternion_kaehler(3)), 4),
         ],
         ids=["so6", "u3", "u3_swapped", "u3_rotated", "u3_misplaced", "qk3"],
@@ -480,7 +464,7 @@ class TestKernelBasis:
         assert np.abs(blocked - oracle).max() < 1e-12 * oracle[-1]
 
     def test_misplaced_algebra_is_one_block(self):
-        alg = _misplaced_unitary(3)
+        alg = misplaced_unitary(3)
         chars = holonomy._pair_characters(alg.space)
         support = alg.coeff_matrix != 0
         assert any(len(set(chars[row])) > 1 for row in support)

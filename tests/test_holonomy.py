@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
+from conftest import misplaced_unitary, rotated_kaehler
 
-from curvlab import decomp, tensor
-from curvlab.euclid import GeometryError, inner, kaehler, quaternion_kaehler
+from curvlab import decomp, holonomy, tensor
+from curvlab.euclid import (
+    EuclideanSpace,
+    GeometryError,
+    HolonomyStructure,
+    generic,
+    inner,
+    kaehler,
+    quaternion_kaehler,
+)
 from curvlab.holonomy import (
     HOLONOMY_TAGS,
     HolonomyAlgebra,
@@ -251,3 +260,172 @@ def test_tag_aliases():
 def test_unknown_tag_message(so5_space):
     with pytest.raises(GeometryError, match="^unknown holonomy tag 'octonion'$"):
         by_name(so5_space, "octonion")
+
+
+# ---------------------------------------------------------------------------
+# the character-blocked bivector action
+
+
+def _dense_action(alg) -> np.ndarray:
+    """The derivation action of the basis on the pairs, (dim, D, D), by its
+    formula -(a[u, x][v = y] - a[v, x][u = y] + [x = u] a[v, y] - [x = v] a[u, y])
+    at P = (x, y), P' = (u, v): the reference for the blocks."""
+    rows, cols = alg.space.pair_rows, alg.space.pair_cols
+    x, y = rows[:, None], cols[:, None]
+    u, v = rows[None, :], cols[None, :]
+    a = alg.matrices
+    act = np.zeros((alg.dim, rows.size, rows.size))
+    for sign, mask, first, second in (
+        (-1.0, v == y, rows, rows),
+        (1.0, u == y, cols, rows),
+        (-1.0, x == u, cols, cols),
+        (1.0, x == v, rows, cols),
+    ):
+        p, q = np.nonzero(mask)
+        act[:, p, q] += sign * a[:, first[q], second[p]]
+    return act
+
+
+BLOCK_CASES = (
+    [pytest.param(lambda n=n: so_algebra(generic(n)), id=f"so{n}") for n in (5, 9, 10, 11, 12)]
+    + [pytest.param(lambda m=m: u_algebra(kaehler(m)), id=f"u{m}") for m in (3, 5, 6)]
+    + [pytest.param(lambda m=m: sp_sp1_algebra(quaternion_kaehler(m)), id=f"qk{m}") for m in (2, 3, 4, 5)]
+    + [pytest.param(lambda: u_algebra(rotated_kaehler(3)), id="u3_rotated"),
+       pytest.param(lambda: misplaced_unitary(3), id="u3_misplaced")]
+)
+
+
+class TestActionBlocks:
+    @pytest.mark.parametrize("builder", BLOCK_CASES)
+    def test_blocks_hold_exactly_the_nonzeros_of_the_formula(self, builder):
+        alg = builder()
+        ref = _dense_action(alg)
+        n_pairs = alg.space.bivector_dim
+        covered = np.zeros((alg.dim * n_pairs, n_pairs), dtype=int)
+        written = []
+        for blocks, sources, targets in alg.action_blocks:
+            assert not (blocks.flags.writeable or sources.flags.writeable or targets.flags.writeable)
+            assert blocks.shape == targets.shape + sources.shape[1:]
+            np.add.at(covered, (targets[:, :, None], sources[:, None, :]), 1)
+            written.append(targets.ravel())
+            # every stored row holds a nonzero of the formula
+            assert np.all(np.any(blocks != 0, axis=2))
+        written = np.concatenate(written)
+        assert np.unique(written).size == written.size  # one write per row of N_a R
+        assert covered.max() <= 1
+        assert np.array_equal(alg.bivector_action, ref)
+        assert np.all(covered.reshape(ref.shape)[ref != 0] == 1)
+
+    @pytest.mark.parametrize("builder", BLOCK_CASES)
+    def test_blocked_hats_match_lie_action(self, builder):
+        alg = builder()
+        rm = tensor.random_curvature(alg.space, seed=11)
+        hats = tensor.t_hat(tensor.to_operator(rm), alg)
+        d = alg.space.bivector_dim
+        assert hats.shape == (alg.dim, d, d)
+        gens = range(alg.dim)
+        if alg.space.n > 16:
+            # one generator per character, and sp(1): the slot-by-slot
+            # reference costs about 30 ms per generator here
+            gens = sorted(set(np.unique(alg.characters[1], return_index=True)[1]) | {alg.dim - 1})
+        scale = 1.0 + float(np.abs(hats).max())
+        for b in gens:
+            ref = tensor.to_operator(tensor.lie_action(alg.basis[b], rm)).matrix
+            assert float(np.abs(hats[b] - ref).max()) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("builder", [lambda: u_algebra(rotated_kaehler(3)), lambda: misplaced_unitary(3)],
+                             ids=["u3_rotated", "u3_misplaced"])
+    def test_one_block_fallback_is_the_dense_product(self, builder):
+        alg = builder()
+        assert not np.any(alg.characters[0]) and not np.any(alg.characters[1])
+        [(blocks, sources, targets)] = alg.action_blocks
+        assert blocks.shape[0] == 1
+        assert np.array_equal(sources[0], np.arange(alg.space.bivector_dim))
+
+    def test_blocks_are_few_products(self):
+        # matmul calls: one per block shape while the batch stays small, and
+        # at most one per source character
+        assert len(so_algebra(generic(12)).action_blocks) == 1
+        assert len(u_algebra(kaehler(6)).action_blocks) == 2
+        alg = sp_sp1_algebra(quaternion_kaehler(5))
+        assert len(alg.action_blocks) <= 1 + 10  # 0 and the C(5, 2) block pairs
+
+    def test_verify_never_reads_the_dense_stack(self, monkeypatch, capsys):
+        from curvlab import cli
+
+        reads = []
+        blocks = HolonomyAlgebra.action_blocks
+
+        def counted(self):
+            reads.append(self.name)
+            return _dense_action(self)
+
+        monkeypatch.setattr(HolonomyAlgebra, "bivector_action", property(counted))
+        monkeypatch.setattr(holonomy, "_ALGEBRA_CACHE", {})
+        used = []
+        monkeypatch.setattr(HolonomyAlgebra, "action_blocks",
+                            property(lambda self: used.append(self.name) or blocks.func(self)))
+        code = cli.main(["verify", "--m", "2..3", "--n", "4..5", "--trials", "3"])
+        capsys.readouterr()
+        assert code == 1  # the two standing findings
+        assert reads == []
+        assert used  # the pass did compute hats, from the blocks
+
+
+class TestAlgebraCache:
+    def test_by_name_builds_once_per_structure(self, monkeypatch):
+        monkeypatch.setattr(holonomy, "_ALGEBRA_CACHE", {})
+        p = np.eye(6)[[1, 0, 2, 3, 4, 5]]
+        swapped = EuclideanSpace(6, HolonomyStructure("kaehler", J=p @ kaehler(3).J @ p.T))
+        first = by_name(kaehler(3), "u")
+        assert by_name(kaehler(3), "bochner") is first  # a fresh equal space, another tag
+        other = by_name(swapped, "u")
+        assert other is not first and other.name == first.name
+        assert by_name(kaehler(3), "so") is not by_name(generic(6), "so")  # the space is part of it
+        for alg in (first, other):
+            for arr in (alg.coeff_matrix, alg.matrices, alg.structure_constants, *alg.characters):
+                assert not arr.flags.writeable
+
+    def test_verify_builds_each_algebra_once(self, monkeypatch, capsys):
+        from curvlab import cli
+
+        monkeypatch.setattr(holonomy, "_ALGEBRA_CACHE", {})
+        builds = []
+        for name in ("so_algebra", "u_algebra", "sp_sp1_algebra"):
+            original = getattr(holonomy, name)
+
+            def counted(space, original=original):
+                builds.append((original.__name__, space.kind, space.n))
+                return original(space)
+
+            monkeypatch.setattr(holonomy, name, counted)
+        cli.main(["verify", "--m", "2..3", "--n", "4..5", "--trials", "3"])
+        capsys.readouterr()
+        assert builds
+        assert len(builds) == len(set(builds))
+
+    def test_concurrent_callers_share_one_algebra(self, monkeypatch):
+        import sys
+        import threading
+
+        monkeypatch.setattr(holonomy, "_ALGEBRA_CACHE", {})
+        workers = 8  # more than the cores of the hosts this runs on
+        start = threading.Barrier(workers)
+        got = [None] * workers
+
+        def call(i):
+            start.wait(timeout=10)
+            got[i] = by_name(quaternion_kaehler(2), "sp")
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call, args=(i,)) for i in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert all(alg is got[0] for alg in got) and got[0] is not None
