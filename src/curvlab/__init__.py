@@ -35,7 +35,6 @@ from .tensor import (
     save_tensor,
     scalar,
     t_hat,
-    t_hat_norm_sq,
     to_operator,
     total_traces,
 )

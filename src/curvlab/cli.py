@@ -397,7 +397,7 @@ def suite_weyl_norm(cfg: RunConfig) -> list[CheckRecord]:
         def one(trial: int, n=n, space=space, alg=alg) -> tuple[float, float]:
             rm = tensor.random_curvature(space, rng=_trial_rng(cfg.seed, n, trial))
             w = decomp.weyl_decompose(rm).parts["weyl"]
-            ratio = tensor.t_hat_norm_sq(w, alg) / w.norm_sq()
+            ratio = 4.0 * criteria.hat_norm_direct(w, alg) / w.norm_sq()
             w_unit = w * (1.0 / np.sqrt(w.norm_sq()))
             return ratio, max(tensor.total_traces(w_unit))
 
@@ -423,7 +423,7 @@ def suite_bochner_norm(cfg: RunConfig) -> list[CheckRecord]:
             rm = decomp.random_algebra_curvature(alg, rng=_trial_rng(cfg.seed, m, trial))
             dec = decomp.bochner_decompose(rm)
             b = dec.parts["bochner"]
-            ratio = tensor.t_hat_norm_sq(b, alg) / b.norm_sq()
+            ratio = 4.0 * criteria.hat_norm_direct(b, alg) / b.norm_sq()
             b_unit = b * (1.0 / np.sqrt(b.norm_sq()))
             other = decomp.bochner_explicit(rm)
             gap = float(np.abs(b.matrix - other.matrix).max()) / (

@@ -6,6 +6,10 @@ norms are Frobenius norms, one quarter of the component-array norms used in
 the tensor module.  That choice makes the outputs commensurable with
 operator Frobenius norms and with the closed-form model constants.
 
+Hat stacks are reduced here and nowhere else: _hat_norms_sq gives the
+diagonal of the hat Gram, which hat_norm_direct, invariance_defect and the
+eigen route of curvature_term read.
+
 The spectral routes (hat_norm_formula, curvature_term_self) read the
 restricted operator's own spectrum, which it computes at most once, and
 rotate the structure constants into that eigenbasis with three GEMMs, one
@@ -67,6 +71,13 @@ def _hat_flat(t, algebra: HolonomyAlgebra) -> np.ndarray:
     return hats.reshape(hats.shape[0], -1)
 
 
+def _hat_norms_sq(flat: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each row of a flattened hat stack, the
+    diagonal of its Gram.  Squares flat in place, so the caller gives it up,
+    and sums each row pairwise: no second stack is allocated."""
+    return np.sum(np.square(flat, out=flat), axis=1)
+
+
 @dataclass
 class CurvatureTerm:
     """Value of the curvature term computed along two independent routes."""
@@ -97,8 +108,7 @@ def curvature_term(op, t, algebra: HolonomyAlgebra | None = None) -> CurvatureTe
     gram = flat @ flat.T
     bilinear = float(np.sum(op.matrix * gram))
     spec = symmetric_eigen(op.matrix)
-    rotated = spec.vectors.T @ flat
-    eigen = float(spec.values @ np.sum(rotated**2, axis=1))
+    eigen = float(spec.values @ _hat_norms_sq(spec.vectors.T @ flat))
     return CurvatureTerm(eigen_route=eigen, bilinear_route=bilinear)
 
 
@@ -106,8 +116,7 @@ def hat_norm_direct(t, algebra: HolonomyAlgebra) -> float:
     """Brute-force squared hat norm, operator convention: the sum of the
     squared Frobenius norms of the operator hats.  No spectrum and no
     structure constants, so it is independent of hat_norm_formula."""
-    flat = _hat_flat(t, algebra)
-    return float(np.sum(np.square(flat, out=flat)))
+    return float(np.sum(_hat_norms_sq(_hat_flat(t, algebra))))
 
 
 @dataclass
@@ -176,8 +185,7 @@ def invariance_defect(t, algebra: HolonomyAlgebra) -> float:
     """Largest component-array norm among the hat components (twice the
     Frobenius norm of the operator hat); zero iff the tensor is invariant
     under the algebra."""
-    flat = _hat_flat(t, algebra)
-    return 2.0 * float(np.sqrt(np.sum(flat**2, axis=1)).max(initial=0.0))
+    return 2.0 * float(np.sqrt(_hat_norms_sq(_hat_flat(t, algebra)).max(initial=0.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -266,17 +266,6 @@ class HolonomyAlgebra:
             _freeze(*batch)
         return batches
 
-    @property
-    def bivector_action(self) -> np.ndarray:
-        """The dense (dim, D, D) stack of the N_a, scattered from
-        action_blocks on every access.  A reference for tests: the library
-        computes hats from the blocks."""
-        n_pairs = self.space.bivector_dim
-        act = np.zeros((self.dim * n_pairs, n_pairs))
-        for blocks, sources, targets in self.action_blocks:
-            act[targets[:, :, None], sources[:, None, :]] = blocks
-        return act.reshape(self.dim, n_pairs, n_pairs)
-
     @cached_property
     def _bracket_coeffs(self) -> np.ndarray:
         """b[p, a * dim + b]: pair-basis coefficient p of [basis_a, basis_b]."""
@@ -340,9 +329,9 @@ def sp_sp1_algebra(space: EuclideanSpace) -> HolonomyAlgebra:
     """Symplectic algebra plus the quaternionic line, inside so(4m).
 
     The first block commutes with all of I, J, K; the last three rows are
-    the normalized parallel 2-forms.  These are automatically orthogonal to
-    the commuting block, and like its rows they lie on the pairs of one
-    character (0, the pairs inside a quaternionic 4-plane).
+    the normalized parallel 2-forms, the structures read as bivectors.  These
+    are automatically orthogonal to the commuting block, and like its rows
+    they lie on the pairs of one character (0, pairs in a quaternionic 4-plane).
     """
     if space.kind != "qk":
         raise GeometryError("sp_sp1_algebra needs a quaternion-Kaehler space")
@@ -352,10 +341,8 @@ def sp_sp1_algebra(space: EuclideanSpace) -> HolonomyAlgebra:
         raise GeometryError(
             f"symplectic block has dimension {rows.shape[0]}, expected {m * (2 * m + 1)}"
         )
-    frame = quaternion_frame(space)
-    omegas = np.stack(
-        [frame.omega[L].coeffs / np.sqrt(2 * m) for L in ("I", "J", "K")]
-    )
+    pr, pc = space.pair_rows, space.pair_cols
+    omegas = np.stack([s[pc, pr] / np.sqrt(2 * m) for s in (space.I, space.J, space.K)])
     return HolonomyAlgebra(space, f"sp({m})+sp(1)", np.vstack([rows, omegas]))
 
 

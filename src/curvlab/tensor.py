@@ -27,12 +27,13 @@ Conventions, fixed once here and relied on everywhere else:
   Frobenius convention, for an unrestricted CurvatureOperator, and rank-four
   component arrays scattered from it, component convention, for a
   CurvatureTensor.  lie_action keeps the slot-by-slot definition as the
-  independent single-generator reference.
+  independent single-generator reference.  Hat stacks are reduced only in
+  criteria.
 
 Products, traces and projections act on the operator through pair-index
 formulas with index tables cached per dimension.  The rank-four routes
-(_kn_array, bianchi_sum, bianchi_project, _lie_array) stay as the
-references the tests check the pair-index formulas against.
+(bianchi_sum, bianchi_project, _lie_array) stay as the references the tests
+check the pair-index formulas against.
 """
 
 from __future__ import annotations
@@ -362,21 +363,10 @@ class CurvatureOperator:
 # products and dictionaries
 
 
-def _kn_array(s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Double product of two bilinear forms; curvature symmetries need both
-    symmetric or both antisymmetric, and Bianchi only holds in the symmetric
-    case."""
-    return (
-        np.einsum("xz,yw->xyzw", s, t)
-        - np.einsum("xw,yz->xyzw", s, t)
-        + np.einsum("yw,xz->xyzw", s, t)
-        - np.einsum("yz,xw->xyzw", s, t)
-    )
-
-
 def _kn_matrix(s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """_kn_array read off at increasing pairs (x, y), (z, w): the same four
-    products in the same order, so the same bits."""
+    """Double product of two bilinear forms at increasing pairs (x, y), (z, w);
+    curvature symmetries need both symmetric or both antisymmetric, and
+    Bianchi only holds in the symmetric case."""
     xz, yw, xw, yz = _kn_tables(s.shape[0])
     s, t = s.ravel(), t.ravel()
     return s[xz] * t[yw] - s[xw] * t[yz] + s[yw] * t[xz] - s[yz] * t[xw]
@@ -481,9 +471,9 @@ def t_hat(t, algebra) -> np.ndarray | list[np.ndarray]:
     """Derivatives of t along an algebra's basis rotations, in basis order.
 
     * CurvatureOperator on the full bivector space: one (dim, D, D) stack of
-      hat operators H_a = N_a R + (N_a R)^T, N_a = algebra.bivector_action[a],
-      with N_a R written row by row from algebra.action_blocks; squared
-      norms are Frobenius norms (operator convention).
+      hat operators H_a = N_a R + (N_a R)^T, with N_a R written row by row
+      from algebra.action_blocks; squared norms are Frobenius norms
+      (operator convention).
     * CurvatureTensor, or a rank-four array validated as one: a list of
       rank-four component arrays, each scattered from the operator hat, so
       its squared norm is four times the Frobenius norm of H_a (component
@@ -516,15 +506,6 @@ def t_hat(t, algebra) -> np.ndarray | list[np.ndarray]:
     if op is t:
         return hats
     return [_tensor_array_from_matrix(op.space, h) for h in hats]
-
-
-def t_hat_norm_sq(t, algebra) -> float:
-    """Total squared norm of the hat components, component-array convention:
-    for a curvature tensor, four times the Frobenius norms of its operator
-    hats."""
-    if isinstance(t, CurvatureTensor):
-        return 4.0 * float(np.sum(t_hat(to_operator(t), algebra) ** 2))
-    return float(sum(np.sum(h**2) for h in t_hat(t, algebra)))
 
 
 # ---------------------------------------------------------------------------

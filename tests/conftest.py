@@ -21,6 +21,17 @@ def misplaced_unitary(m: int):
     return holonomy.HolonomyAlgebra(euclid.kaehler(m), "u(m) rotated", rows)
 
 
+def scattered_action(alg) -> np.ndarray:
+    """The dense (dim, D, D) stack of the derivation action N_a of the basis
+    on the pairs, scattered from alg.action_blocks.  The library computes
+    hats from the blocks and never forms this stack."""
+    n_pairs = alg.space.bivector_dim
+    act = np.zeros((alg.dim * n_pairs, n_pairs))
+    for blocks, sources, targets in alg.action_blocks:
+        act[targets[:, :, None], sources[:, None, :]] = blocks
+    return act.reshape(alg.dim, n_pairs, n_pairs)
+
+
 @pytest.fixture(scope="session")
 def so5_space():
     return euclid.generic(5)

@@ -84,10 +84,11 @@ class TestHatNorms:
 
 
 class TestNormConventions:
-    """hat_norm_direct, invariance_defect and t_hat_norm_sq pinned to the
-    component arrays of lie_action, so a factor-of-2 or -4 slip shows."""
+    """hat_norm_direct and invariance_defect pinned to the component arrays
+    of lie_action, so a factor-of-2 or -4 slip shows, and the one reduction
+    they read pinned to the diagonal of the hat Gram."""
 
-    @pytest.fixture(params=["so5", "qk2"])
+    @pytest.fixture(params=["so5", "qk2", "u3_swapped"])
     def case(self, request, rng):
         alg = request.getfixturevalue(request.param)
         rm = tensor.random_curvature(alg.space, rng=rng)
@@ -106,9 +107,31 @@ class TestNormConventions:
         rm, alg, comp_sq = case
         assert invariance_defect(rm, alg) == pytest.approx(np.sqrt(max(comp_sq)), rel=1e-12)
 
-    def test_t_hat_norm_sq_is_component_sum(self, case):
-        rm, alg, comp_sq = case
-        assert tensor.t_hat_norm_sq(rm, alg) == pytest.approx(sum(comp_sq), rel=1e-12)
+    def test_reduction_is_gram_diagonal(self, case):
+        rm, alg, _ = case
+        flat = criteria._hat_flat(rm, alg)
+        ref = np.diag(flat @ flat.T)
+        got = criteria._hat_norms_sq(flat)
+        assert np.abs(got - ref).max() <= 1e-12 * ref.max()
+
+
+def test_reductions_allocate_no_second_stack():
+    # the hat stack at sp(4)+sp(1) is 4.5 MB; squaring it out of place would
+    # double the peak
+    import tracemalloc
+
+    alg = holonomy.by_name(quaternion_kaehler(4), "sp")
+    rm = decomp.random_algebra_curvature(alg, rng=np.random.default_rng(5))
+    stack = alg.dim * alg.space.bivector_dim**2 * 8
+    for reduce in (criteria.invariance_defect, criteria.hat_norm_direct):
+        reduce(rm, alg)  # the algebra's cached blocks are built outside the trace
+        tracemalloc.start()
+        try:
+            reduce(rm, alg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * stack, (reduce.__name__, peak / stack)
 
 
 class TestCurvatureTerm:
