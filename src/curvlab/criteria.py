@@ -6,9 +6,12 @@ norms are Frobenius norms, one quarter of the component-array norms used in
 the tensor module.  That choice makes the outputs commensurable with
 operator Frobenius norms and with the closed-form model constants.
 
-Hat stacks are reduced here and nowhere else: _hat_norms_sq gives the
-diagonal of the hat Gram, which hat_norm_direct, invariance_defect and the
-eigen route of curvature_term read.
+Hats are reduced here and nowhere else: _hat_norms_sq gives the diagonal
+of the hat Gram.  hat_norm_direct and invariance_defect read it chunk by
+chunk (_hat_row_norms_sq), from one buffer of at most holonomy._CHUNK_BYTES
+that tensor._hat_chunks refills, so they never hold the (dim, D, D) stack;
+the eigen route of curvature_term reads it on the rotated hats of the whole
+stack, whose Gram its bilinear route needs.
 
 The spectral routes (hat_norm_formula, curvature_term_self) read the
 restricted operator's own spectrum, which it computes at most once, and
@@ -29,7 +32,7 @@ import numpy as np
 from .decomp import qk_decompose, structure_model
 from .euclid import GeometryError, _memo, _structure_key, symmetric_eigen
 from .holonomy import HolonomyAlgebra, by_name, project
-from .tensor import CurvatureOperator, CurvatureTensor, t_hat, to_operator
+from .tensor import CurvatureOperator, CurvatureTensor, _hat_chunks, t_hat, to_operator
 
 
 def lambda_tripod(a: float, b: float, c: float) -> float:
@@ -60,15 +63,16 @@ def _resolve(op, algebra):
     return op, op.algebra
 
 
-def _hat_flat(t, algebra: HolonomyAlgebra) -> np.ndarray:
-    """Operator hats of a curvature tensor, one flattened row per generator.
-
-    A raw rank-four array is validated as a CurvatureTensor first.
-    """
+def _hat_operator(t, algebra: HolonomyAlgebra) -> CurvatureOperator:
+    """Operator of a tensor, or of a raw rank-four array validated as one."""
     if not isinstance(t, CurvatureTensor):
         t = CurvatureTensor.from_components(algebra.space, t)
-    hats = t_hat(to_operator(t), algebra)
-    return hats.reshape(hats.shape[0], -1)
+    return to_operator(t)
+
+
+def _hat_flat(t, algebra: HolonomyAlgebra) -> np.ndarray:
+    """The operator hat stack of a tensor, one flattened row per generator."""
+    return t_hat(_hat_operator(t, algebra), algebra).reshape(algebra.dim, -1)
 
 
 def _hat_norms_sq(flat: np.ndarray) -> np.ndarray:
@@ -76,6 +80,14 @@ def _hat_norms_sq(flat: np.ndarray) -> np.ndarray:
     diagonal of its Gram.  Squares flat in place, so the caller gives it up,
     and sums each row pairwise: no second stack is allocated."""
     return np.sum(np.square(flat, out=flat), axis=1)
+
+
+def _hat_row_norms_sq(t, algebra: HolonomyAlgebra) -> np.ndarray:
+    """_hat_norms_sq of the hat stack of t, chunk by chunk in one buffer."""
+    out = np.empty(algebra.dim)
+    for lo, hats in _hat_chunks(_hat_operator(t, algebra), algebra):
+        out[lo : lo + len(hats)] = _hat_norms_sq(hats.reshape(len(hats), -1))
+    return out
 
 
 @dataclass
@@ -116,7 +128,7 @@ def hat_norm_direct(t, algebra: HolonomyAlgebra) -> float:
     """Brute-force squared hat norm, operator convention: the sum of the
     squared Frobenius norms of the operator hats.  No spectrum and no
     structure constants, so it is independent of hat_norm_formula."""
-    return float(np.sum(_hat_norms_sq(_hat_flat(t, algebra))))
+    return float(np.sum(_hat_row_norms_sq(t, algebra)))
 
 
 @dataclass
@@ -185,7 +197,7 @@ def invariance_defect(t, algebra: HolonomyAlgebra) -> float:
     """Largest component-array norm among the hat components (twice the
     Frobenius norm of the operator hat); zero iff the tensor is invariant
     under the algebra."""
-    return 2.0 * float(np.sqrt(_hat_norms_sq(_hat_flat(t, algebra)).max(initial=0.0)))
+    return 2.0 * float(np.sqrt(_hat_row_norms_sq(t, algebra).max(initial=0.0)))
 
 
 # ---------------------------------------------------------------------------

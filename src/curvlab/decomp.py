@@ -35,6 +35,7 @@ from .euclid import (
     quaternion_kaehler,
 )
 from .holonomy import (
+    _CHUNK_BYTES,
     HolonomyAlgebra,
     _runs,
     by_name,
@@ -385,6 +386,11 @@ _KERNEL_LOCK = threading.Lock()
 # largest: there the rule would decide the rank by rounding.
 RANK_RTOL = 1e-8
 GAP_LO, GAP_HI = 1e-12, 1e-4
+# Floor on the gaps of the compressed form in `_null_spaces`, relative to its
+# range sqrt(R) - 1: Gram noise of 1e-15 turns the null rows by about 1e-15
+# over the gap, so above it they are fixed to 1e-7.  Worst gap over
+# sp(2..7)+sp(1), u(2..6) and so(4..12): 7.4e-8, at sp(7)+sp(1).
+FORM_GAP = 1e-8
 
 
 @functools.cache
@@ -417,7 +423,8 @@ def _bianchi_blocks(algebra: HolonomyAlgebra):
     only the quadruples of that character.  blocks lists (positions, grams):
     grams (count, R, R) are the Gram matrices rows @ rows.T of count blocks
     of R rows each, positions (count, R) their packed indices; blocks of one
-    shape are built together.  free holds the packed pairs that no quadruple
+    shape are built together, in batches whose constraint rows stay within
+    holonomy._CHUNK_BYTES.  free holds the packed pairs that no quadruple
     constrains.  The characters are `HolonomyAlgebra.characters`: if any row
     of c meets two characters, every character is 0 and there is one block.
     """
@@ -439,17 +446,22 @@ def _bianchi_blocks(algebra: HolonomyAlgebra):
         group = runs[shape_order[start : start + count]]
         pos = s_order[s_starts[group][:, None] + np.arange(s_counts[group[0]])]
         quads = q_order[q_starts[at[group]][:, None] + np.arange(q_counts[at[group[0]]])]
-        # c[:, pair] at the blocks' quadruples is (d, count, K); indexed by
-        # (generator, block) it gives contiguous runs of K
-        blk = np.arange(group.size)[:, None]
-        at_a, at_b = (pa[pos], blk), (pb[pos], blk)
-        rows = np.zeros(pos.shape + quads.shape[1:])
-        for first, second, accumulate in ((0, 1, np.add), (2, 3, np.add), (4, 5, np.subtract)):
-            x, y = c[:, quad[first][quads]], c[:, quad[second][quads]]
-            accumulate(rows, x[at_a] * y[at_b], out=rows)
-            accumulate(rows, x[at_b] * y[at_a], out=rows)
-        rows *= w[pos][:, :, None]
-        blocks.append((pos, rows @ rows.transpose(0, 2, 1)))
+        grams = np.empty((group.size, pos.shape[1], pos.shape[1]))
+        per = max(1, _CHUNK_BYTES // (8 * pos.shape[1] * quads.shape[1]))
+        for lo in range(0, group.size, per):
+            sub_pos, sub_quads = pos[lo : lo + per], quads[lo : lo + per]
+            # c[:, pair] at the blocks' quadruples is (d, count, K); indexed by
+            # (generator, block) it gives contiguous runs of K
+            blk = np.arange(sub_pos.shape[0])[:, None]
+            at_a, at_b = (pa[sub_pos], blk), (pb[sub_pos], blk)
+            rows = np.zeros(sub_pos.shape + sub_quads.shape[1:])
+            for first, second, accumulate in ((0, 1, np.add), (2, 3, np.add), (4, 5, np.subtract)):
+                x, y = c[:, quad[first][sub_quads]], c[:, quad[second][sub_quads]]
+                accumulate(rows, x[at_a] * y[at_b], out=rows)
+                accumulate(rows, x[at_b] * y[at_a], out=rows)
+            rows *= w[sub_pos][:, :, None]
+            grams[lo : lo + per] = rows @ rows.transpose(0, 2, 1)
+        blocks.append((pos, grams))
     return blocks, s_order[np.repeat(~hit, s_counts)]
 
 
@@ -471,6 +483,8 @@ def _null_spaces(grams: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]
     is simple.  The square roots keep it simple where diag(1..R) does not:
     null vectors spread evenly over positions with equal index sums, as in
     the 48-row blocks of sp(4)+sp(1), compress to repeated eigenvalues.
+    GeometryError is raised when a compressed spectrum has a gap below
+    FORM_GAP times the form's range: there rounding would pick the basis.
     Returns, per entry of grams, the orthonormal null rows (t, R) and the
     block of each row (t,).
     """
@@ -493,7 +507,10 @@ def _null_spaces(grams: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]
             if t:
                 blocks = order[start : start + count]
                 null = v[blocks, :, :t]  # (count, R, t)
-                _, turn = np.linalg.eigh(null.transpose(0, 2, 1) @ (form * null))
+                vals, turn = np.linalg.eigh(null.transpose(0, 2, 1) @ (form * null))
+                gap = float(np.diff(vals, axis=1).min(initial=np.inf))
+                if gap < FORM_GAP * (form[-1, 0] - form[0, 0]):
+                    raise GeometryError(f"null basis is not fixed by the compressed form (gap {gap:.3e})")
                 rows.append((null @ turn).transpose(0, 2, 1).reshape(-1, w.shape[1]))
                 owner.append(np.repeat(blocks, t))
         out.append((_sign_fix(np.concatenate(rows)), np.concatenate(owner)))

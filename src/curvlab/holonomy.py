@@ -10,8 +10,10 @@ conjugation keeps the sign-flip character of a pair (`_pair_characters`), so
 the projector is solved one character at a time and every basis row lies on
 the pairs of one character; the Bianchi kernel is blocked by that basis, and so
 is the action of the basis on the pairs (`HolonomyAlgebra.action_blocks`),
-from which the hats are computed.  `by_name` builds each algebra once per
-kind and structure and shares it, read-only.
+from which the hats are computed.  Hats and the structure constants are
+built over chunks of generators (`HolonomyAlgebra.chunk_size`), so no array
+of either scales with the whole algebra squared.  `by_name` builds each
+algebra once per kind and structure and shares it, read-only.
 """
 
 from __future__ import annotations
@@ -39,10 +41,13 @@ from .tensor import (
     to_operator,
 )
 
-# Output bytes of one batched product in the hats: sources of one block shape
-# share a matmul up to this size, so the temporary stays small beside the
-# (dim, D, D) hat stack (see HolonomyAlgebra.action_blocks).
-_BATCH_BYTES = 1 << 21
+# Chunk budget: hats and brackets are built over contiguous generator ranges
+# whose arrays stay within this many bytes (HolonomyAlgebra.chunk_size), so
+# neither the (dim, D, D) hat stack nor the (n dim)^2 bracket product is
+# formed; the Bianchi-kernel rows are built in batches of blocks under it too.
+# Small enough that these temporaries come from memory the allocator already
+# holds, not from pages faulted in afresh (about 3 us a page on a 2-core VM).
+_CHUNK_BYTES = 1 << 20
 
 
 def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -118,8 +123,9 @@ class HolonomyAlgebra:
     """Lie subalgebra of skew matrices, with an orthonormal bivector basis.
 
     coeff_matrix has one row per basis element; rows are orthonormal with
-    respect to the bivector inner product.  Closure under the bracket is
-    checked on construction.
+    respect to the bivector inner product.  Construction computes the
+    read-only structure_constants c[a, b, g] = <[basis_a, basis_b], basis_g>
+    and checks closure under the bracket, in one pass (`_brackets`).
     """
 
     space: EuclideanSpace
@@ -134,10 +140,11 @@ class HolonomyAlgebra:
         gram = self.coeff_matrix @ self.coeff_matrix.T
         if not np.allclose(gram, np.eye(d), atol=1e-9):
             raise GeometryError(f"basis of {self.name} is not orthonormal")
-        defect = self.closure_defect()
-        del self._bracket_coeffs  # (pairs, dim * dim) table; only structure_constants is kept
-        if defect > 1e-8:
-            raise GeometryError(f"{self.name} is not closed under the bracket ({defect:.2e})")
+        self.structure_constants, self._closure_defect = self._brackets()
+        if self._closure_defect > 1e-8:
+            raise GeometryError(
+                f"{self.name} is not closed under the bracket ({self._closure_defect:.2e})"
+            )
 
     @property
     def dim(self) -> int:
@@ -175,6 +182,14 @@ class HolonomyAlgebra:
         _freeze(pair_chars, gen_chars)
         return pair_chars, gen_chars
 
+    @property
+    def chunk_size(self) -> int:
+        """Generators per chunk, c * size to (c + 1) * size: its hats
+        (size, D, D) and basis products (n, size, n, dim) fit _CHUNK_BYTES,
+        unless one generator's do not (sp(7)+sp(1)), then a chunk is one."""
+        n, n_pairs = self.space.n, self.space.bivector_dim
+        return max(1, _CHUNK_BYTES // (8 * max(n_pairs * n_pairs, n * n * self.dim)))
+
     @cached_property
     def action_blocks(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Dense blocks of the derivation action of the basis on the pairs.
@@ -186,26 +201,28 @@ class HolonomyAlgebra:
         nonzero only where the pairs share one index.  Then N_a maps the pairs
         of character chi(P') to those of chi(P') XOR chi_a (`characters`), so
         row (a, P) of the stacked products reads only the pairs of the source
-        character chi(P) XOR chi_a.  For one source, the rows that hold a
-        nonzero entry and the source's pairs span a dense block.  Each row
-        (a, P) belongs to one source at most, so it is written once, by plain
-        assignment; rows in no block are zero.
+        character chi(P) XOR chi_a.  Within one chunk of generators
+        (`chunk_size`), the rows of one source that hold a nonzero entry and
+        the source's pairs span a dense block.  Each row (a, P) belongs to one
+        block at most, so it is written once, by plain assignment; rows in no
+        block are zero.
 
-        Each entry is (blocks, sources, targets) for `count` sources of one
-        block shape (T rows, s pairs): blocks (count, T, s), sources
-        (count, s) the sources' pair indices, targets (count, T) the rows
-        a * D + P of the (dim * D, D) view of the stack.  Sources of one shape
-        share a batch until its product would pass _BATCH_BYTES.  All arrays
-        are read-only.  With every character 0 there is one source: the dense
-        action.
+        Each entry is (blocks, sources, targets) for `count` blocks of one
+        chunk and one block shape (T rows, s pairs): blocks (count, T, s),
+        sources (count, s) the sources' pair indices, targets (count, T) the
+        rows a * D + P of the (dim * D, D) view of the hat stack.  There is
+        one entry per chunk and block shape, and the entries of a chunk are
+        consecutive, in chunk order.  All arrays are read-only.  With every
+        character 0 there is one source: the dense action, cut by chunk.
         """
         n_pairs = self.space.bivector_dim
         pair_chars, gen_chars = self.characters
         p_order, p_starts, p_counts, p_values = _runs(pair_chars)
+        n_src = p_values.size
         col_slot = np.empty(n_pairs, dtype=np.intp)  # place of a pair in its character
         col_slot[p_order] = np.arange(n_pairs) - np.repeat(p_starts, p_counts)
         pair_run = np.empty(n_pairs, dtype=np.intp)  # its character's run
-        pair_run[p_order] = np.repeat(np.arange(p_values.size), p_counts)
+        pair_run[p_order] = np.repeat(np.arange(n_src), p_counts)
 
         # the entries of the action formula at the pairs that share one index,
         # for the generators whose character they match; zeros are dropped
@@ -232,65 +249,66 @@ class HolonomyAlgebra:
         entry_rows = (gen * n_pairs + p[k])[live]
         entry_cols = col_slot[q]
 
-        # the rows a * D + P that hold an entry, grouped by source run
+        # the rows a * D + P that hold an entry, grouped by (chunk, source)
         rows, first_entry = np.unique(entry_rows, return_index=True)
-        r_order, r_starts, r_counts, r_runs = _runs(pair_run[q[first_entry]])
-        row_slot = np.empty(rows.size, dtype=np.intp)  # place of a row in its source
+        chunk_of = rows // (self.chunk_size * n_pairs)
+        r_order, r_starts, r_counts, r_keys = _runs(chunk_of * n_src + pair_run[q[first_entry]])
+        row_slot = np.empty(rows.size, dtype=np.intp)  # place of a row in its group
         row_slot[r_order] = np.arange(rows.size) - np.repeat(r_starts, r_counts)
-        entry_slot = row_slot[np.searchsorted(rows, entry_rows)]
+        row_group = np.empty(rows.size, dtype=np.intp)
+        row_group[r_order] = np.repeat(np.arange(r_keys.size), r_counts)
+        at_row = np.searchsorted(rows, entry_rows)
 
-        # batches: sources of one shape, cut to at most _BATCH_BYTES of product
-        batch_of = np.empty(p_values.size, dtype=np.intp)
-        place_of = np.empty(p_values.size, dtype=np.intp)
-        shapes = p_counts[r_runs] * (r_counts.max(initial=0) + 1) + r_counts
+        # entries: the groups of one chunk and one block shape, chunks ascending
+        r_sources = r_keys % n_src
+        widths = p_counts[r_sources]
+        shapes = ((r_keys // n_src) * (n_pairs + 1) + widths) * (rows.size + 1) + r_counts
         s_order, s_starts, s_counts, _ = _runs(shapes)
-        batches = []
+        entry_of = np.empty(r_keys.size, dtype=np.intp)
+        place_of = np.empty(r_keys.size, dtype=np.intp)
+        entries = []
         for start, count in zip(s_starts, s_counts):
-            group = s_order[start : start + count]
-            height = int(r_counts[group[0]])
-            per = max(1, _BATCH_BYTES // (8 * height * n_pairs))
-            for lo in range(0, group.size, per):
-                member = group[lo : lo + per]
-                batch_of[r_runs[member]] = len(batches)
-                place_of[r_runs[member]] = np.arange(member.size)
-                width = int(p_counts[r_runs[member[0]]])
-                sources = p_order[p_starts[r_runs[member]][:, None] + np.arange(width)]
-                targets = rows[r_order[r_starts[member][:, None] + np.arange(height)]]
-                batches.append((np.zeros((member.size, height, width)), sources, targets))
-        e_run = pair_run[q]
-        e_order, e_starts, e_counts, e_batches = _runs(batch_of[e_run])
-        for start, count, b in zip(e_starts, e_counts, e_batches):
+            member = s_order[start : start + count]
+            entry_of[member] = len(entries)
+            place_of[member] = np.arange(count)
+            height, width = int(r_counts[member[0]]), int(widths[member[0]])
+            sources = p_order[p_starts[r_sources[member]][:, None] + np.arange(width)]
+            targets = rows[r_order[r_starts[member][:, None] + np.arange(height)]]
+            entries.append((np.zeros((count, height, width)), sources, targets))
+        e_group = row_group[at_row]
+        e_order, e_starts, e_counts, e_entries = _runs(entry_of[e_group])
+        for start, count, b in zip(e_starts, e_counts, e_entries):
             sel = e_order[start : start + count]
-            batches[b][0][place_of[e_run[sel]], entry_slot[sel], entry_cols[sel]] = values[sel]
-        for batch in batches:
-            _freeze(*batch)
-        return batches
+            entries[b][0][place_of[e_group[sel]], row_slot[at_row[sel]], entry_cols[sel]] = values[sel]
+        for entry in entries:
+            _freeze(*entry)
+        return entries
 
-    @cached_property
-    def _bracket_coeffs(self) -> np.ndarray:
-        """b[p, a * dim + b]: pair-basis coefficient p of [basis_a, basis_b]."""
+    def _brackets(self) -> tuple[np.ndarray, float]:
+        """(structure constants, closure defect) from the basis matrices,
+        one chunk of generators a at a time."""
         d, n = self.dim, self.space.n
         ii, jj = self.space.pair_rows, self.space.pair_cols
-        mats = self.matrices
-        # prod[i, a, k, b] = (basis_a basis_b)[i, k] from one GEMM; its
-        # transpose is basis_b basis_a, so the bracket is prod minus that
-        prod = mats.transpose(1, 0, 2).reshape(n * d, n) @ mats.transpose(1, 2, 0).reshape(n, n * d)
-        prod = prod.reshape(n, d, n, d)
-        return (prod[jj, :, ii] - prod[ii, :, jj]).reshape(-1, d * d)  # read off pairs
-
-    @cached_property
-    def structure_constants(self) -> np.ndarray:
-        """c[a, b, g] = <[basis_a, basis_b], basis_g>."""
-        d = self.dim
-        c = (self.coeff_matrix @ self._bracket_coeffs).T.reshape(d, d, d)
-        _freeze(c)
-        return c
+        mats, coeffs = self.matrices, self.coeff_matrix
+        right = mats.transpose(1, 2, 0).reshape(n, n * d)
+        consts, defect = np.empty((d, d, d)), 0.0
+        for lo in range(0, d, self.chunk_size):
+            size = min(self.chunk_size, d - lo)
+            # prod[i, a, k, b] = (basis_a basis_b)[i, k] from one GEMM; its
+            # transpose is basis_b basis_a, so the bracket is prod minus that
+            prod = (mats[lo : lo + size].transpose(1, 0, 2).reshape(n * size, n) @ right).reshape(n, size, n, d)
+            brackets = (prod[jj, :, ii] - prod[ii, :, jj]).reshape(-1, size * d)  # read off pairs
+            del prod
+            part = coeffs @ brackets
+            consts[lo : lo + size] = part.T.reshape(size, d, d)
+            brackets -= coeffs.T @ part
+            defect = max(defect, float(np.sqrt(np.sum(np.square(brackets, out=brackets), axis=0)).max()))
+        _freeze(consts)
+        return consts, defect
 
     def closure_defect(self) -> float:
         """Largest bivector-norm distance of a basis bracket from the span."""
-        d = self.dim
-        resid = self._bracket_coeffs - self.coeff_matrix.T @ self.structure_constants.reshape(d * d, d).T
-        return float(np.sqrt(np.sum(resid**2, axis=0)).max(initial=0.0))
+        return self._closure_defect
 
     def coords_of(self, xi: Bivector) -> np.ndarray:
         return self.coeff_matrix @ xi.coeffs

@@ -20,14 +20,15 @@ Conventions, fixed once here and relied on everywhere else:
 * hat components (derivatives along an algebra's basis rotations) are
   computed on bivector operators, H_a = N_a R + (N_a R)^T with N_a the
   action of generator a on the pairs.  N_a R comes from the algebra's
-  action_blocks, dense blocks keyed on sign-flip characters, with one
-  batched product per block shape (or per source character, where the
-  batch would be large); the dense (dim, D, D) stack of the N_a is never
-  formed.  t_hat returns the (dim, D, D) stack of the H_a,
-  Frobenius convention, for an unrestricted CurvatureOperator, and rank-four
+  action_blocks, dense blocks keyed on sign-flip characters, one batched
+  product per chunk of generators and block shape; the dense stack of the
+  N_a is never formed.  _hat_chunks is the one routine that fills hats, a
+  chunk at a time, into the views of a stack or into one reused buffer.
+  t_hat returns the whole (dim, D, D) stack of the H_a, Frobenius
+  convention, for an unrestricted CurvatureOperator, and rank-four
   component arrays scattered from it, component convention, for a
   CurvatureTensor.  lie_action keeps the slot-by-slot definition as the
-  independent single-generator reference.  Hat stacks are reduced only in
+  independent single-generator reference.  Hats are reduced only in
   criteria.
 
 Products, traces and projections act on the operator through pair-index
@@ -467,13 +468,40 @@ def lie_action(gen: Bivector, t):
     return _lie_array(a, np.asarray(t, dtype=float))
 
 
+def _hat_chunks(op: CurvatureOperator, algebra, stack: np.ndarray | None = None):
+    """Operator hats H_a = N_a R + (N_a R)^T of op by chunks of generators
+    (`algebra.chunk_size`), in order: yields (lo, hats), hats (size, D, D).
+
+    N_a R is written row by row from the chunk's action_blocks entries, then
+    symmetrized one slice at a time.  The chunks are the views of stack, or
+    else all one buffer that the next chunk overwrites.
+    """
+    n_pairs = op.space.bivector_dim
+    size = algebra.chunk_size
+    buffer = np.empty((min(size, algebra.dim), n_pairs, n_pairs)) if stack is None else None
+    entries, turned, k = algebra.action_blocks, np.empty((n_pairs, n_pairs)), 0
+    for lo in range(0, algebra.dim, size):
+        hi = min(lo + size, algebra.dim)
+        hats = stack[lo:hi] if buffer is None else buffer[: hi - lo]
+        hats.fill(0.0)
+        rows = hats.reshape(-1, n_pairs)
+        while k < len(entries) and entries[k][2].flat[0] < hi * n_pairs:  # N_a R
+            blocks, sources, targets = entries[k]
+            rows[targets.ravel() - lo * n_pairs] = (blocks @ op.matrix[sources]).reshape(-1, n_pairs)
+            k += 1
+        for h in hats:  # h + h^T in place, one slice at a time, in cache
+            np.copyto(turned, h.T)
+            h += turned
+        yield lo, hats
+
+
 def t_hat(t, algebra) -> np.ndarray | list[np.ndarray]:
     """Derivatives of t along an algebra's basis rotations, in basis order.
 
     * CurvatureOperator on the full bivector space: one (dim, D, D) stack of
-      hat operators H_a = N_a R + (N_a R)^T, with N_a R written row by row
-      from algebra.action_blocks; squared norms are Frobenius norms
-      (operator convention).
+      hat operators H_a = N_a R + (N_a R)^T, filled chunk by chunk
+      (`_hat_chunks`); squared norms are Frobenius norms (operator
+      convention).
     * CurvatureTensor, or a rank-four array validated as one: a list of
       rank-four component arrays, each scattered from the operator hat, so
       its squared norm is four times the Frobenius norm of H_a (component
@@ -494,15 +522,9 @@ def t_hat(t, algebra) -> np.ndarray | list[np.ndarray]:
                 return [_lie_array(a, arr) for a in algebra.matrices]
             t = CurvatureTensor.from_components(algebra.space, arr)
         op = to_operator(t)
-    n_pairs = op.space.bivector_dim
-    hats = np.zeros((algebra.dim, n_pairs, n_pairs))
-    rows = hats.reshape(-1, n_pairs)
-    for blocks, sources, targets in algebra.action_blocks:  # N_a R, one write per row
-        rows[targets.ravel()] = (blocks @ op.matrix[sources]).reshape(-1, n_pairs)
-    turned = np.empty((n_pairs, n_pairs))
-    for h in hats:  # h + h^T in place, one slice at a time: no second stack
-        np.copyto(turned, h.T)
-        h += turned
+    hats = np.empty((algebra.dim, op.space.bivector_dim, op.space.bivector_dim))
+    for _ in _hat_chunks(op, algebra, hats):
+        pass
     if op is t:
         return hats
     return [_tensor_array_from_matrix(op.space, h) for h in hats]

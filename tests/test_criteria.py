@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import misplaced_unitary, rotated_kaehler
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -132,6 +133,46 @@ def test_reductions_allocate_no_second_stack():
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * stack, (reduce.__name__, peak / stack)
+
+
+def test_chunked_reductions_hold_no_stack():
+    # the hat stack at sp(5)+sp(1) is 16.7 MB; the reductions hold one chunk
+    # of hats at a time, at most _CHUNK_BYTES, and the temporaries of one
+    import tracemalloc
+
+    alg = holonomy.by_name(quaternion_kaehler(5), "sp")
+    rm = decomp.random_algebra_curvature(alg, rng=np.random.default_rng(5))
+    for reduce in (criteria.invariance_defect, criteria.hat_norm_direct):
+        reduce(rm, alg)  # the algebra's cached blocks are built outside the trace
+        tracemalloc.start()
+        try:
+            reduce(rm, alg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * holonomy._CHUNK_BYTES, (reduce.__name__, peak / holonomy._CHUNK_BYTES)
+
+
+CHUNK_CASES = {
+    "u3_swapped": lambda request: holonomy.u_algebra(request.getfixturevalue("u3_swapped_space")),
+    "u3_rotated": lambda request: holonomy.u_algebra(rotated_kaehler(3)),
+    "u3_misplaced": lambda request: misplaced_unitary(3),
+    "qk3": lambda request: holonomy.sp_sp1_algebra(quaternion_kaehler(3)),
+}
+
+
+@pytest.mark.parametrize("case", list(CHUNK_CASES))
+def test_chunked_norms_are_the_stack_norms(case, request, monkeypatch):
+    # one generator per chunk: every chunk boundary that can fall does
+    monkeypatch.setattr(holonomy, "_CHUNK_BYTES", 1)
+    alg = CHUNK_CASES[case](request)
+    assert alg.chunk_size == 1
+    rm = tensor.random_curvature(alg.space, seed=7)
+    ref = criteria._hat_norms_sq(tensor.t_hat(to_operator(rm), alg).reshape(alg.dim, -1))
+    got = criteria._hat_row_norms_sq(rm, alg)
+    assert np.array_equal(got, ref)
+    assert hat_norm_direct(rm, alg) == float(np.sum(ref))
+    assert invariance_defect(rm, alg) == 2.0 * float(np.sqrt(ref.max()))
 
 
 class TestCurvatureTerm:

@@ -441,6 +441,37 @@ class TestKernelBasis:
             decomp._null_spaces([(rows @ rows.T)[None]])
 
     @pytest.mark.parametrize(
+        "builder",
+        [lambda: holonomy.so_algebra(generic(7)), lambda: holonomy.u_algebra(kaehler(4)),
+         lambda: holonomy.sp_sp1_algebra(quaternion_kaehler(4))],
+        ids=["so7", "u4", "qk4"],
+    )
+    def test_batched_blocks_are_the_whole_blocks(self, builder, monkeypatch):
+        # the constraint rows are built in batches of blocks under the chunk
+        # budget; one block per batch gives the same Gram matrices, bit for bit
+        alg = builder()
+        whole, free = decomp._bianchi_blocks(alg)
+        monkeypatch.setattr(decomp, "_CHUNK_BYTES", 1)
+        single, single_free = decomp._bianchi_blocks(alg)
+        assert max(grams.shape[0] for _, grams in whole) > 1
+        assert np.array_equal(free, single_free)
+        for (pos, grams), (single_pos, single_grams) in zip(whole, single):
+            assert np.array_equal(pos, single_pos) and np.array_equal(grams, single_grams)
+
+    def test_degenerate_compressed_form_raises(self):
+        # a null space on which diag(sqrt(1), sqrt(2), sqrt(3)) is sqrt(2)
+        # times the identity: every basis of it compresses to the same form,
+        # so rounding would pick the rows
+        s = np.sqrt((np.sqrt(2.0) - 1.0) / (np.sqrt(3.0) - 1.0))
+        w = np.array([-s, 0.0, np.sqrt(1.0 - s * s)])
+        with pytest.raises(GeometryError, match="not fixed by the compressed form"):
+            decomp._null_spaces([np.outer(w, w)[None]])
+        # the same null space turned by 1e-3 has a clear gap
+        w = np.array([-np.sin(np.arcsin(s) + 1e-3), 0.0, np.cos(np.arcsin(s) + 1e-3)])
+        [(null, _)] = decomp._null_spaces([np.outer(w, w)[None]])
+        assert np.abs(null @ w).max() < 1e-15
+
+    @pytest.mark.parametrize(
         "builder,blocks",
         [
             (lambda: holonomy.so_algebra(generic(6)), 15),

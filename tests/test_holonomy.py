@@ -74,7 +74,12 @@ class TestAlgebras:
                 back = np.einsum("g,gij->ij", c[a, b], mats)
                 assert np.abs(comm - back).max() < 1e-10
 
-    def test_structure_constants_match_the_einsum_reference(self, qk2):
+    @pytest.mark.parametrize("chunk_bytes", [None, 1], ids=["one_chunk", "one_generator_per_chunk"])
+    def test_structure_constants_match_the_einsum_reference(self, qk2, chunk_bytes, monkeypatch):
+        if chunk_bytes is not None:  # the bracket pass runs over 13 chunks
+            monkeypatch.setattr(holonomy, "_CHUNK_BYTES", chunk_bytes)
+            qk2 = sp_sp1_algebra(qk2.space)
+            assert qk2.chunk_size == 1
         # every bracket, from the pairwise products of the basis matrices
         mats, ii, jj = qk2.matrices, qk2.space.pair_rows, qk2.space.pair_cols
         prod = np.einsum("aij,bjk->abik", mats, mats)
@@ -352,12 +357,21 @@ class TestActionBlocks:
         assert np.array_equal(sources[0], np.arange(alg.space.bivector_dim))
 
     def test_blocks_are_few_products(self):
-        # matmul calls: one per block shape while the batch stays small, and
-        # at most one per source character
-        assert len(so_algebra(generic(12)).action_blocks) == 1
-        assert len(u_algebra(kaehler(6)).action_blocks) == 2
-        alg = sp_sp1_algebra(quaternion_kaehler(5))
-        assert len(alg.action_blocks) <= 1 + 10  # 0 and the C(5, 2) block pairs
+        # one batched product per chunk and block shape, the entries of a
+        # chunk consecutive and in chunk order, and no chunk's hats above the
+        # budget; u(3) is one chunk, the others span several
+        for alg, chunks in ((so_algebra(generic(12)), 6), (u_algebra(kaehler(3)), 1),
+                            (u_algebra(kaehler(6)), 2), (sp_sp1_algebra(quaternion_kaehler(5)), 20)):
+            n_pairs, size = alg.space.bivector_dim, alg.chunk_size
+            assert size * n_pairs**2 * 8 <= holonomy._CHUNK_BYTES
+            assert -(-alg.dim // size) == chunks
+            seen = []
+            for blocks, _, targets in alg.action_blocks:
+                chunk = int(targets.min()) // (size * n_pairs)
+                assert int(targets.max()) // (size * n_pairs) == chunk
+                seen.append((chunk, blocks.shape[1:]))
+            assert len(set(seen)) == len(seen)
+            assert [c for c, _ in seen] == sorted(c for c, _ in seen)
 
     def test_verify_never_reads_the_dense_stack(self, monkeypatch, capsys):
         from curvlab import cli
@@ -373,6 +387,23 @@ class TestActionBlocks:
         capsys.readouterr()
         assert code == 1  # the two standing findings
         assert used  # the pass did compute hats, from the blocks
+
+
+@pytest.mark.parametrize("m,bound_mb", [(5, 10), (7, 32)])
+def test_algebra_build_holds_no_bracket_table(m, bound_mb):
+    # the bracket pass runs chunk by chunk: the whole (n d)^2 product of the
+    # basis matrices would be 10.8 MB at m = 5 and 73 MB at m = 7
+    import tracemalloc
+
+    space = quaternion_kaehler(m)
+    tracemalloc.start()
+    try:
+        alg = sp_sp1_algebra(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert alg.dim == m * (2 * m + 1) + 3
+    assert peak <= bound_mb * 1e6, peak / 1e6
 
 
 class TestAlgebraCache:
