@@ -14,6 +14,13 @@ Models are normalized so the familiar closed forms hold exactly:
 Each decomposition routine returns the orthogonal invariant pieces and is
 paired with an independent route (explicit formula vs subtraction) that the
 test suite plays against each other.
+
+random_algebra_curvature samples the curvature tensors supported on a
+holonomy algebra from an orthonormal basis of the Bianchi kernel on Sym^2 of
+the algebra.  The kernel splits into exact blocks by sign-flip characters,
+and it is cached as those blocks: per run of equal blocks, their packed
+positions and null rows (`_bianchi_kernel_basis`).  No dense (k, S) basis is
+formed; a sample is one batched product per run.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ from .holonomy import (
 from .tensor import (
     CurvatureTensor,
     _conjugation_on_bivectors,
+    _freeze,
     _kn_matrix,
     _pair_outer,
     _quad_pairs,
@@ -517,10 +525,10 @@ def _null_spaces(grams: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]
     return out
 
 
-def _bianchi_kernel_basis(algebra: HolonomyAlgebra) -> np.ndarray:
+def _bianchi_kernel_basis(algebra: HolonomyAlgebra) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Orthonormal basis of the symmetric operators on the algebra whose
-    full-space extension satisfies the Bianchi identity: shape (k, S), in the
-    packed coordinates of `_packed_sym`, S = d(d+1)/2.
+    full-space extension satisfies the Bianchi identity, as blocks in the
+    packed coordinates of `_packed_sym`.
 
     The Bianchi sum of a pair-symmetric array is totally antisymmetric, so
     it vanishes iff it vanishes at strictly increasing index quadruples;
@@ -533,11 +541,18 @@ def _bianchi_kernel_basis(algebra: HolonomyAlgebra) -> np.ndarray:
     at most RANK_RTOL times the largest, and the build raises GeometryError
     when any eigenvalue lies inside the gap band (GAP_LO, GAP_HI) times the
     largest, so a borderline eigenvalue cannot silently change the
-    dimension.  Each null row of a block, and a unit row for each
-    unconstrained packed pair, is one row of the basis, scattered to the
-    packed indices of its block.  The packed coordinates are
-    Frobenius-orthonormal, so any orthonormal basis of the kernel gives the
-    same standard Gaussian on the curvature space.
+    dimension.  The packed coordinates are Frobenius-orthonormal, so any
+    orthonormal basis of the kernel gives the same standard Gaussian on the
+    curvature space.
+
+    Returns a tuple of read-only parts (positions, rows).  A part is a run
+    of count blocks of one shape and one null dimension t: positions
+    (count, R) are the packed indices of each block, rows (count, t, R) its
+    orthonormal null rows.  The last part holds the packed pairs that no
+    quadruple constrains, one unit row each (R = t = 1).  In the order of
+    the parts, blocks and rows, the rows scattered to their positions are
+    the k rows of the basis; k = sum of count * t is the dimension of the
+    curvature space, and no dense (k, S) array is formed.
     Cached on what the basis depends on, the dimension and the algebra's
     coefficient rows, so algebras that share a name (u(3) on two complex
     structures) get their own bases.
@@ -546,24 +561,33 @@ def _bianchi_kernel_basis(algebra: HolonomyAlgebra) -> np.ndarray:
     return _memo(_KERNEL_CACHE, _KERNEL_LOCK, key, lambda: _kernel_basis(algebra))
 
 
-def _kernel_basis(algebra: HolonomyAlgebra) -> np.ndarray:
+def _kernel_basis(algebra: HolonomyAlgebra) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """The uncached build of `_bianchi_kernel_basis`."""
     blocks, free = _bianchi_blocks(algebra)
-    nulls = _null_spaces([grams for _, grams in blocks])
-    pos = [p[owner] for (p, _), (_, owner) in zip(blocks, nulls)] + [free[:, None]]
-    val = [v for v, _ in nulls] + [np.ones((free.size, 1))]
-    k = sum(p.shape[0] for p in pos)
-    basis = np.zeros((k, _packed_sym(algebra.dim)[0].size))
-    row = 0
-    for p, v in zip(pos, val):
-        basis[np.arange(row, row + p.shape[0])[:, None], p] = v
-        row += p.shape[0]
-    return basis
+    parts = []
+    for (pos, _), (rows, owner) in zip(blocks, _null_spaces([grams for _, grams in blocks])):
+        # a block's null rows are consecutive; cut them into runs of blocks
+        # with equal null dimension t
+        firsts = np.flatnonzero(np.diff(owner, prepend=-1))
+        sizes = np.diff(firsts, append=owner.size)
+        runs = np.append(np.flatnonzero(np.diff(sizes, prepend=0)), sizes.size)
+        for lo, hi in zip(runs[:-1], runs[1:]):
+            t, start = sizes[lo], firsts[lo]
+            part_rows = rows[start : start + (hi - lo) * t].reshape(hi - lo, t, rows.shape[1])
+            parts.append((pos[owner[firsts[lo:hi]]], part_rows))
+    parts.append((free[:, None], np.ones((free.size, 1, 1))))
+    _freeze(*(arr for part in parts for arr in part))
+    return tuple(parts)
+
+
+def _kernel_dim(parts) -> int:
+    """Rows of the basis that `_bianchi_kernel_basis` returns as parts."""
+    return sum(rows.shape[0] * rows.shape[1] for _, rows in parts)
 
 
 def curvature_space_dim(algebra: HolonomyAlgebra) -> int:
     """Dimension of the curvature tensors supported on the algebra."""
-    return _bianchi_kernel_basis(algebra).shape[0]
+    return _kernel_dim(_bianchi_kernel_basis(algebra))
 
 
 def random_algebra_curvature(
@@ -574,10 +598,17 @@ def random_algebra_curvature(
     """Gaussian sample from the curvature tensors supported on the algebra."""
     if rng is None:
         rng = np.random.default_rng(seed)
-    basis = _bianchi_kernel_basis(algebra)
-    coeffs = rng.standard_normal(basis.shape[0])
+    parts = _bianchi_kernel_basis(algebra)
+    coeffs = rng.standard_normal(_kernel_dim(parts))
     a, b, w = _packed_sym(algebra.dim)
-    x = w * (coeffs @ basis)
+    # packed pairs of blocks with no null rows stay 0
+    x = np.zeros(a.size)
+    at = 0
+    for pos, rows in parts:
+        count, t, _ = rows.shape
+        x[pos] = (coeffs[at : at + count * t].reshape(count, 1, t) @ rows)[:, 0]
+        at += count * t
+    x *= w
     s = np.zeros((algebra.dim, algebra.dim))
     s[a, b] = x
     s[b, a] += x

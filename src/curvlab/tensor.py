@@ -337,6 +337,14 @@ class CurvatureOperator:
             raise GeometryError("operator matrix is not symmetric")
         self._spectrum = None  # (matrix, SpectralData) of a restricted operator
 
+    @classmethod
+    def _wrap(cls, space: EuclideanSpace, matrix: np.ndarray) -> "CurvatureOperator":
+        """An unrestricted operator on matrix, aliased, with no checks: for a
+        float D x D matrix that is symmetric by construction."""
+        op = cls.__new__(cls)
+        op.space, op.matrix, op.algebra, op._spectrum = space, matrix, None, None
+        return op
+
     def spectrum(self):
         """Eigendecomposition of the matrix, ascending.  A restricted
         operator keeps it, with read-only arrays, and hands out the same
@@ -407,8 +415,10 @@ def kulkarni_nomizu(space: EuclideanSpace, s: np.ndarray, t: np.ndarray) -> Curv
 
 
 def to_operator(rm: CurvatureTensor) -> CurvatureOperator:
-    """The stored bivector operator, wrapped without a copy."""
-    return CurvatureOperator(rm.space, rm.matrix)
+    """The stored bivector operator, wrapped without a copy.  A tensor's
+    matrix is symmetric by the type invariant, so it is not scanned again;
+    CurvatureOperator(space, matrix) still checks matrices from outside."""
+    return CurvatureOperator._wrap(rm.space, rm.matrix)
 
 
 def _tensor_array_from_matrix(space: EuclideanSpace, mat: np.ndarray) -> np.ndarray:

@@ -302,6 +302,28 @@ class TestHatRatio:
         assert a.ratio == pytest.approx(b.ratio, rel=1e-9)
 
 
+@pytest.mark.parametrize("m", [6, 7])
+class TestQkLawsPastCliRange:
+    """The measured laws behind criteria 3 and 4 at sizes `curvlab verify`
+    does not reach (cli.MAX_M = 6 caps --m), called through the library."""
+
+    def test_hat_ratio_is_4_m_plus_2(self, m):
+        alg = holonomy.by_name(quaternion_kaehler(m), "sp")
+        for seed in range(3):
+            hr = hat_ratio_qk(decomp.random_algebra_curvature(alg, seed=seed), alg)
+            assert hr.ratio == pytest.approx(4.0 * (m + 2), rel=1e-9)
+
+    def test_wolf_hat_norm(self, m):
+        alg = holonomy.by_name(quaternion_kaehler(m), "sp")
+        measured = hat_norm_direct(decomp.wolf(m), alg)
+        assert measured == pytest.approx(36.0 * m * (m - 1) * (m + 2), rel=1e-10)
+
+    def test_wolf_hyperkaehler_norm(self, m):
+        alg = holonomy.by_name(quaternion_kaehler(m), "sp")
+        part = decomp.qk_decompose(decomp.wolf(m), alg).parts["hyperkaehler_part"]
+        assert to_operator(part).norm_sq() == pytest.approx(9.0 * m * (m - 1), rel=1e-10)
+
+
 class TestShift:
     def test_makes_two_nonnegative(self, qk2, rng):
         rm = decomp.random_algebra_curvature(qk2, rng=rng)

@@ -335,6 +335,28 @@ def _svd_kernel_projector(algebra) -> np.ndarray:
     return null.T @ null
 
 
+def _dense_basis(algebra) -> np.ndarray:
+    """The kernel basis as one dense (k, S) array: the null rows of every
+    block of every part scattered to the block's packed positions, in the
+    order of parts, blocks and rows.  The library never forms it."""
+    size = algebra.dim * (algebra.dim + 1) // 2
+    dense = []
+    for pos, rows in _bianchi_kernel_basis(algebra):
+        for block_pos, block_rows in zip(pos, rows):
+            for row in block_rows:
+                full = np.zeros(size)
+                full[block_pos] = row
+                dense.append(full)
+    return np.array(dense)
+
+
+def _array_bytes(obj) -> int:
+    """Bytes of the arrays in obj, an array or nested tuples of arrays."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    return sum(_array_bytes(item) for item in obj)
+
+
 def _swapped_kaehler(m: int):
     """kaehler(m) with J conjugated by the swap of coordinates 0 and 1."""
     p = np.eye(2 * m)[[1, 0, *range(2, 2 * m)]]
@@ -377,7 +399,8 @@ class TestKernelBasis:
     )
     def test_basis_is_the_svd_null_space(self, builder):
         alg = builder()
-        basis = _bianchi_kernel_basis(alg)
+        basis = _dense_basis(alg)
+        assert basis.shape[0] == curvature_space_dim(alg)
         mats = np.einsum("ks,sab->kab", basis, _sym_units(alg.dim))
         gram = np.einsum("kab,lab->kl", mats, mats)
         assert np.abs(gram - np.eye(len(basis))).max() < 1e-12
@@ -387,6 +410,77 @@ class TestKernelBasis:
             tensor.check_curvature_symmetries(
                 _tensor_array_from_matrix(alg.space, c.T @ s @ c)
             )
+
+    @pytest.mark.parametrize(
+        "builder",
+        [
+            lambda: holonomy.so_algebra(generic(5)),
+            lambda: holonomy.u_algebra(kaehler(3)),
+            lambda: holonomy.u_algebra(_swapped_kaehler(3)),
+            lambda: holonomy.u_algebra(rotated_kaehler(3)),
+            lambda: misplaced_unitary(3),
+        ]
+        + [(lambda m=m: holonomy.sp_sp1_algebra(quaternion_kaehler(m))) for m in range(2, 6)],
+        ids=["so5", "u3", "u3_swapped", "u3_rotated", "u3_misplaced", "qk2", "qk3", "qk4", "qk5"],
+    )
+    def test_sampler_is_the_dense_product(self, builder):
+        # the per-part products scatter what coeffs @ basis gives on the
+        # assembled basis, up to the order of the sums
+        alg = builder()
+        basis = _dense_basis(alg)
+        a, b, w = decomp._packed_sym(alg.dim)
+        c = alg.coeff_matrix
+        for seed in (0, 1):
+            x = w * (np.random.default_rng(seed).standard_normal(basis.shape[0]) @ basis)
+            s = np.zeros((alg.dim, alg.dim))
+            s[a, b] = x
+            s[b, a] += x
+            ref = c.T @ s @ c
+            got = random_algebra_curvature(alg, seed=seed).matrix
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize(
+        "builder",
+        [lambda: holonomy.so_algebra(generic(6)), lambda: holonomy.u_algebra(kaehler(4)),
+         lambda: misplaced_unitary(3), lambda: holonomy.sp_sp1_algebra(quaternion_kaehler(4))],
+        ids=["so6", "u4", "u3_misplaced", "qk4"],
+    )
+    def test_parts_are_read_only_runs_of_blocks(self, builder):
+        alg = builder()
+        parts = _bianchi_kernel_basis(alg)
+        covered = np.concatenate([pos.ravel() for pos, _ in parts])
+        # no packed pair is in two blocks; pairs of blocks with no null rows
+        # are in none
+        assert np.unique(covered).size == covered.size
+        assert covered.max() < alg.dim * (alg.dim + 1) // 2
+        for pos, rows in parts:
+            assert rows.shape[0] == pos.shape[0] and rows.shape[2] == pos.shape[1]
+            assert rows.shape[1] >= 1
+            assert not pos.flags.writeable and not rows.flags.writeable
+        free_pos, free_rows = parts[-1]
+        assert free_pos.shape[1] == 1 and np.array_equal(free_rows, np.ones(free_rows.shape))
+        assert curvature_space_dim(alg) == sum(rows.shape[0] * rows.shape[1] for _, rows in parts)
+
+    def test_cached_parts_are_small(self):
+        # the dense (k, S) basis at sp(5)+sp(1) is 716 x 1711, 9.8 MB, 8.0%
+        # nonzero; the parts hold the null rows of each block and their
+        # packed positions
+        alg = holonomy.sp_sp1_algebra(quaternion_kaehler(5))
+        assert _array_bytes(_bianchi_kernel_basis(alg)) <= 2_000_000
+
+    def test_uncached_build_peak(self):
+        # the dense build at sp(6)+sp(1) peaked at 43.9 MB, its 36 MB (k, S)
+        # basis included
+        import tracemalloc
+
+        alg = holonomy.sp_sp1_algebra(quaternion_kaehler(6))
+        tracemalloc.start()
+        try:
+            decomp._kernel_basis(alg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20_000_000, peak / 1e6
 
     @pytest.mark.parametrize(
         "space,adapted",

@@ -117,6 +117,23 @@ class TestOperator:
         sp = generic(4)
         with pytest.raises(euclid.GeometryError):
             CurvatureOperator(sp, rng.standard_normal((6, 6)))
+        # a matrix from outside is scanned, though to_operator skips the scan
+        mat = to_operator(random_curvature(sp, rng=rng)).matrix.copy()
+        mat[0, 5] += 1e-6
+        with pytest.raises(euclid.GeometryError, match="not symmetric"):
+            CurvatureOperator(sp, mat)
+
+    def test_to_operator_does_no_symmetry_scan(self, rng, monkeypatch):
+        # the tensor's matrix was validated (or built symmetric) once
+        rm = random_curvature(generic(5), rng=rng)
+
+        def scan(*args):
+            raise AssertionError("symmetry scan on a wrapped tensor")
+
+        monkeypatch.setattr(tensor, "_sym_scale", scan)
+        op = to_operator(rm)
+        assert op.matrix is rm.matrix and op.algebra is None
+        assert op.spectrum().values.shape == (10,)
 
     def test_from_operator_rejects_restricted(self, hp2):
         alg = holonomy.sp_sp1_algebra(hp2.space)
