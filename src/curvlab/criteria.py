@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomp import qk_decompose, structure_model
-from .euclid import GeometryError, _memo, _structure_key, symmetric_eigen
+from .euclid import GeometryError, _memo, symmetric_eigen
 from .holonomy import HolonomyAlgebra, by_name, project
 from .tensor import CurvatureOperator, CurvatureTensor, _hat_chunks, t_hat, to_operator
 
@@ -177,11 +177,16 @@ def hat_norm_formula(op, algebra: HolonomyAlgebra | None = None) -> HatNorm:
     return HatNorm(total=float(per.sum()), per_component=per, eigenvalues=lam)
 
 
+def _self_term_operands(op, algebra) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(eigenvalues, their squared differences, squared rotated structure
+    constants): the operands of the self curvature term."""
+    lam, cp = _rotated_structure(op, algebra)
+    return lam, (lam[:, None] - lam[None, :]) ** 2, cp**2
+
+
 def _self_term(op, algebra: HolonomyAlgebra | None = None) -> tuple[float, float]:
     """Self curvature term and its scale, the same sum with |eigenvalues|."""
-    lam, cp = _rotated_structure(op, algebra)
-    diffs = (lam[:, None] - lam[None, :]) ** 2
-    cp_sq = cp**2
+    lam, diffs, cp_sq = _self_term_operands(op, algebra)
     value = float(np.einsum("g,ab,gab->", lam, diffs, cp_sq))
     scale = float(np.einsum("g,ab,gab->", np.abs(lam), diffs, cp_sq))
     return value, scale
@@ -189,8 +194,10 @@ def _self_term(op, algebra: HolonomyAlgebra | None = None) -> tuple[float, float
 
 def curvature_term_self(op, algebra: HolonomyAlgebra | None = None) -> float:
     """Curvature term of an operator paired with its own hat components,
-    evaluated purely from the spectrum and structure constants."""
-    return _self_term(op, algebra)[0]
+    evaluated purely from the spectrum and structure constants.  The value
+    of `_self_term`, without its scale."""
+    lam, diffs, cp_sq = _self_term_operands(op, algebra)
+    return float(np.einsum("g,ab,gab->", lam, diffs, cp_sq))
 
 
 def invariance_defect(t, algebra: HolonomyAlgebra) -> float:
@@ -338,13 +345,13 @@ _GAIN_LOCK = threading.Lock()
 def _shift_gain(model: CurvatureTensor, algebra: HolonomyAlgebra) -> float:
     """Two-smallest-eigenvalue sum of the shift model restricted to the
     algebra.  Cached on what it depends on, the model's structure
-    (`_structure_key`) and the algebra's coefficient rows, so algebras that
-    share a name (u(3) on two complex structures) get their own."""
-    key = _structure_key(model.space) + (algebra.coeff_matrix.tobytes(),)
+    (`EuclideanSpace.structure_key`) and the algebra's coefficient rows
+    (`HolonomyAlgebra.key`), so algebras that share a name (u(3) on two
+    complex structures) get their own."""
     return _memo(
         _GAIN_CACHE,
         _GAIN_LOCK,
-        key,
+        (model.space.structure_key, algebra.key),
         lambda: float(project(to_operator(model), algebra).spectrum().values[:2].sum()),
     )
 

@@ -21,6 +21,15 @@ the algebra.  The kernel splits into exact blocks by sign-flip characters,
 and it is cached as those blocks: per run of equal blocks, their packed
 positions and null rows (`_bianchi_kernel_basis`).  No dense (k, S) basis is
 formed; a sample is one batched product per run.
+
+Everything here that depends only on a structure or an algebra is built once
+and shared read-only, so a decomposition or a sample computes only what
+depends on its input: the models (functools.cache, and `structure_model` on
+`EuclideanSpace.structure_key`), g (*) g (`tensor._kn_metric`, per n), the
+Kaehler unit of the Bochner routes (the matrix of `structure_model`), the
+J-conjugation on bivectors that checks Kaehler invariance
+(`_kaehler_conjugation`, on the structure key) and the Bianchi kernel (on
+`HolonomyAlgebra.key`).  None is keyed on a name.
 """
 
 from __future__ import annotations
@@ -36,7 +45,6 @@ from .euclid import (
     GeometryError,
     _memo,
     _sign_fix,
-    _structure_key,
     generic,
     kaehler as kaehler_space,
     quaternion_kaehler,
@@ -53,6 +61,7 @@ from .tensor import (
     _conjugation_on_bivectors,
     _freeze,
     _kn_matrix,
+    _kn_metric,
     _pair_outer,
     _quad_pairs,
     ricci,
@@ -78,9 +87,7 @@ def sphere(n: int, radius: float = 2**-0.5) -> CurvatureTensor:
         raise GeometryError("sphere models need dimension at least 2")
     if radius <= 0:
         raise GeometryError("radius must be positive")
-    space = generic(n)
-    g = np.eye(n)
-    return _read_only(CurvatureTensor(space, _kn_matrix(g, g) / (2 * radius**2)))
+    return _read_only(CurvatureTensor(generic(n), _kn_metric(n) / (2 * radius**2)))
 
 
 @functools.cache
@@ -101,10 +108,9 @@ def _const_hol_on(space, scal: float | None = None) -> CurvatureTensor:
     m = space.m
     if scal is None:
         scal = 4.0 * m * (m + 1)
-    g = np.eye(2 * m)
     omega = space.J.T  # bilinear form of the parallel 2-form
     unit = (
-        0.5 * _kn_matrix(g, g)
+        0.5 * _kn_metric(2 * m)
         + 0.5 * _kn_matrix(omega, omega)
         + 2.0 * _pair_outer(omega, omega)
     )
@@ -139,12 +145,14 @@ def structure_model(space) -> CurvatureTensor:
     sphere, constant holomorphic curvature on its J, or hp on its I, J, K.
 
     On the standard structures these are sphere(n), const_hol(m) and hp(m),
-    to the bit.  Cached on `_structure_key`, read-only.
+    to the bit.  The Kaehler model's scale factor is exactly 1.0, so its
+    matrix is the unit 0.5 g(*)g + 0.5 w(*)w + 2 w(x)w of the Bochner routes.
+    Cached on `EuclideanSpace.structure_key`, read-only.
     """
     if space.kind == "generic":
         return sphere(space.n)
     build = _const_hol_on if space.kind == "kaehler" else _hp_on
-    return _memo(_MODEL_CACHE, _MODEL_LOCK, _structure_key(space), lambda: _read_only(build(space)))
+    return _memo(_MODEL_CACHE, _MODEL_LOCK, space.structure_key, lambda: _read_only(build(space)))
 
 
 @functools.cache
@@ -236,7 +244,7 @@ def weyl_decompose(rm: CurvatureTensor) -> CurvatureDecomposition:
     g = np.eye(n)
     sc = scalar(rm)
     ric0 = ricci(rm) - (sc / n) * g
-    scal_arr = (sc / (2.0 * n * (n - 1))) * _kn_matrix(g, g)
+    scal_arr = (sc / (2.0 * n * (n - 1))) * _kn_metric(n)
     ricci_arr = _kn_matrix(ric0, g) / (n - 2.0)
     weyl_arr = rm.matrix - scal_arr - ricci_arr
     space = rm.space
@@ -252,10 +260,26 @@ def weyl_decompose(rm: CurvatureTensor) -> CurvatureDecomposition:
     )
 
 
+_CONJ_CACHE: dict = {}
+_CONJ_LOCK = threading.Lock()
+
+
+def _kaehler_conjugation(space) -> np.ndarray:
+    """Matrix of xi -> J^T mat(xi) J on the pair basis, read-only, cached
+    on the space's structure_key."""
+
+    def build() -> np.ndarray:
+        conj = _conjugation_on_bivectors(space, space.J.T)
+        _freeze(conj)
+        return conj
+
+    return _memo(_CONJ_CACHE, _CONJ_LOCK, space.structure_key, build)
+
+
 def _check_kaehler_invariance(rm: CurvatureTensor, rtol: float = 1e-9):
     """Raise unless T[x, y, z, w] = sum_ab J[a, x] J[b, y] T[a, b, z, w]: on
     the operator, M = C M with C the matrix of xi -> J^T mat(xi) J."""
-    conj = _conjugation_on_bivectors(rm.space, rm.space.J.T) @ rm.matrix
+    conj = _kaehler_conjugation(rm.space) @ rm.matrix
     scale = 1.0 + float(np.abs(rm.matrix).max(initial=0.0))
     if float(np.abs(rm.matrix - conj).max(initial=0.0)) > rtol * scale:
         raise GeometryError("tensor is not invariant under the complex structure")
@@ -281,11 +305,7 @@ def bochner_decompose(rm: CurvatureTensor) -> CurvatureDecomposition:
 
     c1 = sc / (4.0 * m * (m + 1))
     c2 = 1.0 / (2.0 * (m + 2))
-    unit = (
-        0.5 * _kn_matrix(g, g)
-        + 0.5 * _kn_matrix(omega, omega)
-        + 2.0 * _pair_outer(omega, omega)
-    )
+    unit = structure_model(space).matrix
     middle = c2 * (
         _kn_matrix(ric0, g)
         + _kn_matrix(rho0, omega)
@@ -334,12 +354,7 @@ def bochner_explicit(rm: CurvatureTensor) -> CurvatureTensor:
             + 2.0 * _pair_outer(rho, omega)
             + 2.0 * _pair_outer(omega, rho)
         )
-        + c3
-        * (
-            0.5 * _kn_matrix(g, g)
-            + 0.5 * _kn_matrix(omega, omega)
-            + 2.0 * _pair_outer(omega, omega)
-        )
+        + c3 * structure_model(space).matrix
     )
     return CurvatureTensor(space, arr)
 
@@ -553,12 +568,11 @@ def _bianchi_kernel_basis(algebra: HolonomyAlgebra) -> tuple[tuple[np.ndarray, n
     the parts, blocks and rows, the rows scattered to their positions are
     the k rows of the basis; k = sum of count * t is the dimension of the
     curvature space, and no dense (k, S) array is formed.
-    Cached on what the basis depends on, the dimension and the algebra's
-    coefficient rows, so algebras that share a name (u(3) on two complex
-    structures) get their own bases.
+    Cached on what the basis depends on, `HolonomyAlgebra.key` (the
+    dimension and the algebra's coefficient rows), so algebras that share a
+    name (u(3) on two complex structures) get their own bases.
     """
-    key = (algebra.space.n, algebra.coeff_matrix.tobytes())
-    return _memo(_KERNEL_CACHE, _KERNEL_LOCK, key, lambda: _kernel_basis(algebra))
+    return _memo(_KERNEL_CACHE, _KERNEL_LOCK, algebra.key, lambda: _kernel_basis(algebra))
 
 
 def _kernel_basis(algebra: HolonomyAlgebra) -> tuple[tuple[np.ndarray, np.ndarray], ...]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -101,7 +101,9 @@ class HolonomyStructure:
 
     kind is one of "generic", "kaehler", "qk".  For "kaehler" the field J
     holds an orthogonal complex structure; for "qk" the triple (I, J, K)
-    satisfies the quaternion relations with IJ = K.
+    satisfies the quaternion relations with IJ = K.  The structure keeps
+    read-only float copies of the matrices it is given, so what a cache keyed
+    on them (`_structure_key`) holds cannot go stale.
     """
 
     kind: str
@@ -116,6 +118,9 @@ class HolonomyStructure:
             a = getattr(self, name)
             if a is None:
                 continue
+            a = np.array(a, dtype=float)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
             n = a.shape[0]
             if a.shape != (n, n):
                 raise GeometryError(f"structure {name} must be square")
@@ -192,12 +197,19 @@ class EuclideanSpace:
             raise GeometryError("space carries no K structure")
         return self.structure.K
 
+    @cached_property
+    def structure_key(self) -> tuple:
+        """`_structure_key` of this space, built once: the structure's
+        matrices are read-only copies, so the key cannot change."""
+        return _structure_key(self)
+
 
 def _structure_key(space: EuclideanSpace) -> tuple:
     """What a result built from a space's structure depends on: the kind,
     the dimension and the bytes of I, J and K.  Cache keys use it in place
     of a name, so spaces that share a kind and size but not a structure
-    (u(3) on two complex structures) get their own entries."""
+    (u(3) on two complex structures) get their own entries.  Callers read it
+    once per space, as `EuclideanSpace.structure_key`."""
     st = space.structure
     return (space.kind, space.n) + tuple(b"" if s is None else s.tobytes() for s in (st.I, st.J, st.K))
 

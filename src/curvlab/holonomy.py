@@ -30,7 +30,6 @@ from .euclid import (
     GeometryError,
     _memo,
     _sign_fix,
-    _structure_key,
     wedge,
 )
 from .tensor import (
@@ -123,9 +122,11 @@ class HolonomyAlgebra:
     """Lie subalgebra of skew matrices, with an orthonormal bivector basis.
 
     coeff_matrix has one row per basis element; rows are orthonormal with
-    respect to the bivector inner product.  Construction computes the
-    read-only structure_constants c[a, b, g] = <[basis_a, basis_b], basis_g>
-    and checks closure under the bracket, in one pass (`_brackets`).
+    respect to the bivector inner product.  It is a read-only copy of the
+    rows given, so `key` and everything cached on it stay valid.
+    Construction computes the read-only structure_constants
+    c[a, b, g] = <[basis_a, basis_b], basis_g> and checks closure under the
+    bracket, in one pass (`_brackets`).
     """
 
     space: EuclideanSpace
@@ -133,7 +134,8 @@ class HolonomyAlgebra:
     coeff_matrix: np.ndarray
 
     def __post_init__(self):
-        self.coeff_matrix = np.asarray(self.coeff_matrix, dtype=float)
+        self.coeff_matrix = np.array(self.coeff_matrix, dtype=float)
+        _freeze(self.coeff_matrix)
         d, cols = self.coeff_matrix.shape
         if cols != self.space.bivector_dim:
             raise GeometryError("coefficient rows must live on the bivector space")
@@ -149,6 +151,20 @@ class HolonomyAlgebra:
     @property
     def dim(self) -> int:
         return self.coeff_matrix.shape[0]
+
+    @cached_property
+    def key(self) -> tuple:
+        """`_algebra_key` of this algebra, built once per object."""
+        return _algebra_key(self)
+
+    @cached_property
+    def projector(self) -> np.ndarray:
+        """c^T c, the orthogonal projector onto the algebra in the pair
+        basis (D x D, read-only)."""
+        c = self.coeff_matrix
+        p = c.T @ c
+        _freeze(p)
+        return p
 
     @cached_property
     def basis(self) -> list[Bivector]:
@@ -320,6 +336,14 @@ class HolonomyAlgebra:
         return Bivector(self.space, coords @ self.coeff_matrix)
 
 
+def _algebra_key(algebra: HolonomyAlgebra) -> tuple:
+    """What a result built from an algebra's basis depends on: the dimension
+    of the space and the bytes of coeff_matrix, never the name, so algebras
+    that share a name (u(3) on two complex structures) key apart.  Read as
+    `HolonomyAlgebra.key`."""
+    return (algebra.space.n, algebra.coeff_matrix.tobytes())
+
+
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -391,21 +415,11 @@ def by_name(space: EuclideanSpace, name: str) -> HolonomyAlgebra:
     The library's one route to an algebra.  Each constructor runs once per
     key, the kind the tag names plus what the basis depends on (the space's
     kind, dimension and structure matrices, `_structure_key`), never a name.
-    The algebra is shared between callers, so its arrays are read-only.
+    The algebra is shared between callers; its arrays are read-only.
     """
     kind = holonomy_kind(name)
-
-    def build() -> HolonomyAlgebra:
-        if kind == "generic":
-            alg = so_algebra(space)
-        elif kind == "kaehler":
-            alg = u_algebra(space)
-        else:
-            alg = sp_sp1_algebra(space)
-        _freeze(alg.coeff_matrix)
-        return alg
-
-    return _memo(_ALGEBRA_CACHE, _ALGEBRA_LOCK, (kind,) + _structure_key(space), build)
+    build = {"generic": so_algebra, "kaehler": u_algebra, "qk": sp_sp1_algebra}[kind]
+    return _memo(_ALGEBRA_CACHE, _ALGEBRA_LOCK, (kind,) + space.structure_key, lambda: build(space))
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +442,7 @@ def complement_mass(op, algebra: HolonomyAlgebra) -> float:
     annihilated."""
     if isinstance(op, CurvatureTensor):
         op = to_operator(op)
-    c = algebra.coeff_matrix
-    p = c.T @ c
+    p = algebra.projector
     return float(np.linalg.norm(op.matrix - p @ op.matrix @ p))
 
 

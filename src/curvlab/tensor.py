@@ -35,6 +35,13 @@ Products, traces and projections act on the operator through pair-index
 formulas with index tables cached per dimension.  The rank-four routes
 (bianchi_sum, bianchi_project, _lie_array) stay as the references the tests
 check the pair-index formulas against.
+
+What depends only on the dimension or the structure is built once and
+shared read-only, so per-sample calls touch only the sample: per dimension
+(functools.cache) the index tables, the flat indices of the Bianchi
+projection (_project_flat) and the operator of g (*) g (_kn_metric); per
+structure (_memo on EuclideanSpace.structure_key) the rows of the parallel
+forms that total_traces contracts against (_form_rows).
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +58,7 @@ from .euclid import (
     Bivector,
     EuclideanSpace,
     GeometryError,
+    _memo,
     _pair_table,
     generic,
     kaehler,
@@ -114,6 +123,19 @@ def _quad_flat(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     out = (ij * d + kl, jk * d + il, ik * d + jl)
     _freeze(*out)
     return out
+
+
+@functools.cache
+def _project_flat(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into a D x D operator of the slots _bianchi_project_matrix
+    writes at every quadruple i < j < k < l: (3, C(n,4)) arrays of
+    (ij, kl), (ik, jl), (il, jk) and of their transposes."""
+    d = n * (n - 1) // 2
+    ij, kl, jk, il, ik, jl = _quad_pairs(n)
+    first = np.stack([ij * d + kl, ik * d + jl, il * d + jk])
+    second = np.stack([kl * d + ij, jl * d + ik, jk * d + il])
+    _freeze(first, second)
+    return first, second
 
 
 @functools.cache
@@ -223,13 +245,14 @@ def _bianchi_project_matrix(mat: np.ndarray) -> np.ndarray:
     slot subtracts the cyclic sum in the order bianchi_project adds it at
     that slot, so the result is the same to the last bit.
     """
-    n = _dim_of_pairs(mat.shape[0])
-    ij, kl, jk, il, ik, jl = _quad_pairs(n)
-    a, b, c = mat[ij, kl], mat[jk, il], mat[ik, jl]
+    first, second = _project_flat(_dim_of_pairs(mat.shape[0]))
+    src = mat.ravel()
+    a, b, c = src[first[0]], src[second[2]], src[first[1]]  # (ij, kl), (jk, il), (ik, jl)
     out = mat.copy()
-    for p, q, cyc in ((ij, kl, a - c + b), (ik, jl, c - a - b), (il, jk, b + a - c)):
-        out[p, q] -= cyc / 3.0
-        out[q, p] = out[p, q]
+    flat = out.ravel()  # a view: out is a fresh C-ordered copy
+    for pq, qp, cyc in zip(first, second, (a - c + b, c - a - b, b + a - c)):
+        flat[pq] -= cyc / 3.0
+        flat[qp] = flat[pq]
     return out
 
 
@@ -370,6 +393,16 @@ class CurvatureOperator:
 
 # ---------------------------------------------------------------------------
 # products and dictionaries
+
+
+@functools.cache
+def _kn_metric(n: int) -> np.ndarray:
+    """_kn_matrix(g, g) of the metric g = eye(n), read-only: the operator of
+    g (*) g, twice the identity."""
+    g = np.eye(n)
+    out = _kn_matrix(g, g)
+    _freeze(out)
+    return out
 
 
 def _kn_matrix(s: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -565,18 +598,34 @@ def total_traces(rm: CurvatureTensor) -> list[float]:
     trace-free summand of the curvature decomposition.
     """
     out = [float(np.linalg.norm(ricci(rm)))]
-    structs = []
-    if rm.space.kind == "kaehler":
-        structs = [rm.space.J]
-    elif rm.space.kind == "qk":
-        structs = [rm.space.I, rm.space.J, rm.space.K]
-    rows, cols = rm.space.pair_rows, rm.space.pair_cols
-    for s in structs:
+    for form in _form_rows(rm.space):
         # 0.5 sum_{s,t} S[s, t] T[s, t, z, w] at z < w; the n x n contraction
         # is skew, so its Frobenius norm is sqrt(2) times that of these entries
-        contr = 0.5 * ((s[rows, cols] - s[cols, rows]) @ rm.matrix)
+        contr = 0.5 * (form @ rm.matrix)
         out.append(float(np.sqrt(2.0) * np.linalg.norm(contr)))
     return out
+
+
+_FORM_CACHE: dict = {}
+_FORM_LOCK = threading.Lock()
+_FORM_NAMES = {"generic": (), "kaehler": ("J",), "qk": ("I", "J", "K")}
+
+
+def _form_rows(space: EuclideanSpace) -> tuple[np.ndarray, ...]:
+    """S[rows, cols] - S[cols, rows] at the increasing pairs for each
+    parallel structure S of the space (J, or I, J, K; none on a generic
+    space), read-only and cached on the space's structure_key."""
+    names = _FORM_NAMES[space.kind]
+    if not names:
+        return ()
+
+    def build() -> tuple[np.ndarray, ...]:
+        rows, cols = space.pair_rows, space.pair_cols
+        forms = tuple(s[rows, cols] - s[cols, rows] for s in (getattr(space, name) for name in names))
+        _freeze(*forms)
+        return forms
+
+    return _memo(_FORM_CACHE, _FORM_LOCK, space.structure_key, build)
 
 
 # ---------------------------------------------------------------------------

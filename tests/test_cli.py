@@ -197,6 +197,36 @@ class TestDeterminism:
         )
         assert base == threaded
 
+    @pytest.mark.parametrize("suite", ["bochner-norm", "decomp"])
+    def test_trial_threads_fill_cold_caches_alike(self, capsys, monkeypatch, suite):
+        # every per-structure and per-algebra constant is first built inside
+        # the trial threads, where _memo keeps the first entry stored
+        import sys
+
+        def cold():
+            for module, name in (
+                (decomp, "_CONJ_CACHE"), (decomp, "_MODEL_CACHE"), (decomp, "_KERNEL_CACHE"),
+                (tensor, "_FORM_CACHE"), (holonomy, "_ALGEBRA_CACHE"), (criteria, "_GAIN_CACHE"),
+            ):
+                monkeypatch.setattr(module, name, {})
+            tensor._kn_metric.cache_clear()
+            tensor._project_flat.cache_clear()
+
+        argv = ("verify", "--suite", suite, "--trials", "12")
+        cold()
+        _, base, _ = run(capsys, *argv)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        monkeypatch.setenv("CURVLAB_THREADS", "4")
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(2):
+                cold()
+                _, threaded, _ = run(capsys, *argv)
+                assert threaded == base
+        finally:
+            sys.setswitchinterval(old)
+
     def test_seed_changes_sample_rows(self, capsys):
         _, a, _ = run(capsys, "sample", "--holonomy", "so", "--n", "4", "--trials", "3")
         _, b, _ = run(

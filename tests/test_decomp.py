@@ -619,3 +619,172 @@ class TestKernelBasis:
         faint = self._gram([1e-8, 1e-8, 0.0], seed=1)[None]
         with pytest.raises(GeometryError, match="no clear gap"):
             decomp._null_spaces([loud, faint])
+
+
+# ---------------------------------------------------------------------------
+# constants built once per dimension, structure or algebra
+
+
+_CACHE_SPACES = {
+    "kaehler2": lambda: kaehler(2),
+    "kaehler3": lambda: kaehler(3),
+    "kaehler4": lambda: kaehler(4),
+    "kaehler3_swapped": lambda: _swapped_kaehler(3),
+    "kaehler3_rotated": lambda: rotated_kaehler(3),
+    "qk2": lambda: quaternion_kaehler(2),
+    "qk3": lambda: quaternion_kaehler(3),
+}
+_KAEHLER_SPACES = [k for k in _CACHE_SPACES if k.startswith("kaehler")]
+_CACHE_ALGEBRAS = {
+    "so5": lambda: holonomy.by_name(generic(5), "so"),
+    "u3": lambda: holonomy.by_name(kaehler(3), "u"),
+    "u3_swapped": lambda: holonomy.by_name(_swapped_kaehler(3), "u"),
+    "u3_rotated": lambda: holonomy.by_name(rotated_kaehler(3), "u"),
+    "u3_misplaced": lambda: misplaced_unitary(3),
+    "qk2": lambda: holonomy.by_name(quaternion_kaehler(2), "sp"),
+}
+
+
+def _kaehler_unit(space):
+    """0.5 g(*)g + 0.5 w(*)w + 2 w(x)w, built afresh."""
+    g, omega = np.eye(space.n), space.J.T
+    return (
+        0.5 * tensor._kn_matrix(g, g)
+        + 0.5 * tensor._kn_matrix(omega, omega)
+        + 2.0 * tensor._pair_outer(omega, omega)
+    )
+
+
+def _project_2d(mat):
+    """Bianchi projection of a symmetric operator by 2-D fancy indexing, the
+    reference for the flat indices of tensor._bianchi_project_matrix."""
+    ij, kl, jk, il, ik, jl = tensor._quad_pairs(tensor._dim_of_pairs(mat.shape[0]))
+    a, b, c = mat[ij, kl], mat[jk, il], mat[ik, jl]
+    out = mat.copy()
+    for p, q, cyc in ((ij, kl, a - c + b), (ik, jl, c - a - b), (il, jk, b + a - c)):
+        out[p, q] -= cyc / 3.0
+        out[q, p] = out[p, q]
+    return out
+
+
+class TestStructureCaches:
+    """Each cached constant is its uncached formula to the bit, read-only,
+    and keyed on what it depends on."""
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_metric_product(self, n, rng):
+        g = np.eye(n)
+        cached = tensor._kn_metric(n)
+        assert np.array_equal(cached, tensor._kn_matrix(g, g))
+        assert cached is tensor._kn_metric(n) and not cached.flags.writeable
+        rm = tensor.random_curvature(generic(n), rng=rng)
+        sc = scalar(rm)
+        part = weyl_decompose(rm).parts["scalar_part"].matrix
+        assert np.array_equal(part, (sc / (2.0 * n * (n - 1))) * tensor._kn_matrix(g, g))
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_flat_projection(self, n, rng):
+        for arr in tensor._project_flat(n):
+            assert not arr.flags.writeable
+        s = rng.standard_normal((n * (n - 1) // 2,) * 2)
+        for sym in (s + s.T, np.asfortranarray(s + s.T)):
+            assert np.array_equal(tensor._bianchi_project_matrix(sym), _project_2d(sym))
+
+    @pytest.mark.parametrize("name", _KAEHLER_SPACES)
+    def test_kaehler_unit(self, name):
+        space = _CACHE_SPACES[name]()
+        unit = decomp.structure_model(space).matrix
+        assert np.array_equal(unit, _kaehler_unit(space))
+        assert not unit.flags.writeable
+        alg = holonomy.by_name(space, "u")
+        rm = random_algebra_curvature(alg, seed=5)
+        c1 = scalar(rm) / (4.0 * space.m * (space.m + 1))
+        part = bochner_decompose(rm).parts["scalar_part"].matrix
+        assert np.array_equal(part, c1 * _kaehler_unit(space))
+
+    @pytest.mark.parametrize("name", _KAEHLER_SPACES)
+    def test_kaehler_conjugation(self, name):
+        space = _CACHE_SPACES[name]()
+        conj = decomp._kaehler_conjugation(space)
+        assert np.array_equal(conj, tensor._conjugation_on_bivectors(space, space.J.T))
+        assert conj is decomp._kaehler_conjugation(space) and not conj.flags.writeable
+
+    @pytest.mark.parametrize("name", list(_CACHE_SPACES))
+    def test_form_rows(self, name):
+        space = _CACHE_SPACES[name]()
+        rows, cols = space.pair_rows, space.pair_cols
+        structs = [space.J] if space.kind == "kaehler" else [space.I, space.J, space.K]
+        forms = tensor._form_rows(space)
+        assert len(forms) == len(structs)
+        for form, s in zip(forms, structs):
+            assert np.array_equal(form, s[rows, cols] - s[cols, rows])
+            assert not form.flags.writeable
+        assert tensor._form_rows(generic(5)) == ()
+
+    @pytest.mark.parametrize("name", list(_CACHE_ALGEBRAS))
+    def test_projector(self, name, rng):
+        alg = _CACHE_ALGEBRAS[name]()
+        c = alg.coeff_matrix
+        p = c.T @ c
+        assert np.array_equal(alg.projector, p)
+        assert alg.projector is alg.projector and not alg.projector.flags.writeable
+        m = rng.standard_normal((c.shape[1],) * 2)
+        op = tensor.CurvatureOperator(alg.space, m + m.T)
+        assert holonomy.complement_mass(op, alg) == float(np.linalg.norm(op.matrix - p @ op.matrix @ p))
+
+    def test_kaehler_structures_of_one_size_key_apart(self, monkeypatch):
+        caches = [(decomp, "_CONJ_CACHE"), (decomp, "_MODEL_CACHE"), (tensor, "_FORM_CACHE")]
+        for module, name in caches:
+            monkeypatch.setattr(module, name, {})
+        spaces = [kaehler(3), _swapped_kaehler(3), rotated_kaehler(3)]
+        got = [
+            (decomp._kaehler_conjugation(s), decomp.structure_model(s).matrix, tensor._form_rows(s)[0])
+            for s in spaces
+        ]
+        for module, name in caches:
+            assert len(getattr(module, name)) == len(spaces)
+        for a, b in itertools.combinations(got, 2):
+            assert not any(np.array_equal(x, y) for x, y in zip(a, b))
+
+    def test_caller_arrays_are_copied(self):
+        j = np.array(_swapped_kaehler(3).J)
+        space = euclid.EuclideanSpace(6, euclid.HolonomyStructure("kaehler", J=j))
+        rows = np.array(holonomy.by_name(space, "u").coeff_matrix)
+        alg = holonomy.HolonomyAlgebra(space, "u(3)", rows)
+        keys = (space.structure_key, alg.key)
+
+        def built():
+            return (
+                decomp._kaehler_conjugation(space),
+                decomp.structure_model(space).matrix,
+                tensor._form_rows(space)[0],
+                alg.projector,
+                decomp._bianchi_kernel_basis(alg)[0][1],
+            )
+
+        before = built()
+        saved = [np.array(arr) for arr in before]
+        j_saved, rows_saved = j.copy(), rows.copy()
+        j[:] = kaehler(3).J  # another valid complex structure
+        rows[[0, 1]] = rows[[1, 0]]
+        assert np.array_equal(space.J, j_saved) and np.array_equal(alg.coeff_matrix, rows_saved)
+        assert keys == (space.structure_key, alg.key) == (euclid._structure_key(space), holonomy._algebra_key(alg))
+        for old, new, arr in zip(before, built(), saved):
+            assert new is old and np.array_equal(new, arr)
+        for arr in (space.J, alg.coeff_matrix, kaehler(3).J, quaternion_kaehler(2).K):
+            with pytest.raises(ValueError):
+                arr[0, 1] = 1.0
+
+    def test_keys_are_built_once_per_object(self, monkeypatch):
+        builds = []
+        for module, name in ((holonomy, "_algebra_key"), (euclid, "_structure_key")):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda obj, original=original: builds.append(obj) or original(obj))
+        space = kaehler(3)
+        alg = holonomy.u_algebra(space)
+        for seed in range(100):
+            rm = random_algebra_curvature(alg, seed=seed)
+            bochner_decompose(rm)
+            total_traces(rm)
+            criteria.two_nonnegative_shift(rm, alg)
+        assert builds == [alg, space] or builds == [space, alg]
