@@ -19,18 +19,18 @@ rotate the structure constants into that eigenbasis with three GEMMs, one
 per slot (_rotated_structure).  curvature_term makes its own eigensolve, so
 its eigen route stays independent of everything else a caller has asked of
 the same operator, and its bilinear route needs none.  The shift model's
-two-smallest-eigenvalue sum depends only on the algebra and is cached.
+two-smallest-eigenvalue sum depends only on the space and the algebra, and
+is shared per pair of them (`_shift_gain`, through `euclid._shared`).
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .decomp import qk_decompose, structure_model
-from .euclid import GeometryError, _memo, symmetric_eigen
+from .euclid import EuclideanSpace, GeometryError, _shared, symmetric_eigen
 from .holonomy import HolonomyAlgebra, by_name, project
 from .tensor import CurvatureOperator, CurvatureTensor, _hat_chunks, t_hat, to_operator
 
@@ -58,7 +58,7 @@ def _resolve(op, algebra):
         if algebra is None:
             raise GeometryError("an algebra is required to restrict the operator")
         return project(op, algebra), algebra
-    if algebra is not None and algebra is not op.algebra:
+    if algebra is not None and algebra != op.algebra:
         raise GeometryError("operator is already restricted to a different algebra")
     return op, op.algebra
 
@@ -251,10 +251,8 @@ def weighted_criterion(
 
 
 def k_nonnegative(eigenvalues: np.ndarray, k: int) -> bool:
-    lam = np.sort(np.asarray(eigenvalues, dtype=float))
-    if k < 1 or k > lam.shape[0]:
-        raise GeometryError("k out of range for this spectrum")
-    return bool(lam[:k].sum() >= 0.0)
+    """Whether the k smallest eigenvalues have a nonnegative sum."""
+    return weighted_criterion(eigenvalues, WeightedCriterion(k, 0.0)).satisfied
 
 
 def weyl_preset(n: int) -> WeightedCriterion:
@@ -338,22 +336,13 @@ def hat_ratio_qk(
 # spectral repair and search
 
 
-_GAIN_CACHE: dict = {}
-_GAIN_LOCK = threading.Lock()
-
-
-def _shift_gain(model: CurvatureTensor, algebra: HolonomyAlgebra) -> float:
-    """Two-smallest-eigenvalue sum of the shift model restricted to the
-    algebra.  Cached on what it depends on, the model's structure
-    (`EuclideanSpace.structure_key`) and the algebra's coefficient rows
-    (`HolonomyAlgebra.key`), so algebras that share a name (u(3) on two
-    complex structures) get their own."""
-    return _memo(
-        _GAIN_CACHE,
-        _GAIN_LOCK,
-        (model.space.structure_key, algebra.key),
-        lambda: float(project(to_operator(model), algebra).spectrum().values[:2].sum()),
-    )
+@_shared
+def _shift_gain(space: EuclideanSpace, algebra: HolonomyAlgebra) -> float:
+    """Two-smallest-eigenvalue sum of the space's shift model
+    (`decomp.structure_model`) restricted to the algebra, shared per space
+    and algebra: both compare by value, so algebras that share a name (u(3)
+    on two complex structures) get their own."""
+    return float(project(to_operator(structure_model(space)), algebra).spectrum().values[:2].sum())
 
 
 def two_nonnegative_shift(
@@ -372,7 +361,7 @@ def two_nonnegative_shift(
         raise GeometryError("2-nonnegativity needs an algebra of dimension >= 2")
     model = structure_model(rm.space)
     s = float(project(to_operator(rm), algebra).spectrum().values[:2].sum())
-    gain = _shift_gain(model, algebra)
+    gain = _shift_gain(rm.space, algebra)
     if gain <= 0:
         raise GeometryError("shift model is not strictly 2-positive on the algebra")
     t = max(0.0, -s / gain) * (1.0 + 1e-12)

@@ -24,26 +24,26 @@ formed; a sample is one batched product per run.
 
 Everything here that depends only on a structure or an algebra is built once
 and shared read-only, so a decomposition or a sample computes only what
-depends on its input: the models (functools.cache, and `structure_model` on
-`EuclideanSpace.structure_key`), g (*) g (`tensor._kn_metric`, per n), the
-Kaehler unit of the Bochner routes (the matrix of `structure_model`), the
-J-conjugation on bivectors that checks Kaehler invariance
-(`_kaehler_conjugation`, on the structure key) and the Bianchi kernel (on
-`HolonomyAlgebra.key`).  None is keyed on a name.
+depends on its input: the models (functools.cache), g (*) g
+(`tensor._kn_metric`, per n), and through `euclid._shared`, keyed on the
+space or algebra itself, the model of a structure (`structure_model`, whose
+matrix is the Kaehler unit of the Bochner routes), the J-conjugation on
+bivectors that checks Kaehler invariance (`_kaehler_conjugation`) and the
+Bianchi kernel (`_bianchi_kernel_basis`).  Spaces and algebras compare by
+value (`EuclideanSpace.structure_key`, `HolonomyAlgebra.key`), never by name.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .euclid import (
     GeometryError,
-    _memo,
+    _shared,
     _sign_fix,
     generic,
     kaehler as kaehler_space,
@@ -136,10 +136,7 @@ def _hp_on(space) -> CurvatureTensor:
     return CurvatureTensor(space, mat)
 
 
-_MODEL_CACHE: dict = {}
-_MODEL_LOCK = threading.Lock()
-
-
+@_shared
 def structure_model(space) -> CurvatureTensor:
     """The model of a space's kind on the space's own structure: the round
     sphere, constant holomorphic curvature on its J, or hp on its I, J, K.
@@ -147,12 +144,12 @@ def structure_model(space) -> CurvatureTensor:
     On the standard structures these are sphere(n), const_hol(m) and hp(m),
     to the bit.  The Kaehler model's scale factor is exactly 1.0, so its
     matrix is the unit 0.5 g(*)g + 0.5 w(*)w + 2 w(x)w of the Bochner routes.
-    Cached on `EuclideanSpace.structure_key`, read-only.
+    Shared per space, read-only.
     """
     if space.kind == "generic":
         return sphere(space.n)
     build = _const_hol_on if space.kind == "kaehler" else _hp_on
-    return _memo(_MODEL_CACHE, _MODEL_LOCK, space.structure_key, lambda: _read_only(build(space)))
+    return _read_only(build(space))
 
 
 @functools.cache
@@ -260,20 +257,12 @@ def weyl_decompose(rm: CurvatureTensor) -> CurvatureDecomposition:
     )
 
 
-_CONJ_CACHE: dict = {}
-_CONJ_LOCK = threading.Lock()
-
-
+@_shared
 def _kaehler_conjugation(space) -> np.ndarray:
-    """Matrix of xi -> J^T mat(xi) J on the pair basis, read-only, cached
-    on the space's structure_key."""
-
-    def build() -> np.ndarray:
-        conj = _conjugation_on_bivectors(space, space.J.T)
-        _freeze(conj)
-        return conj
-
-    return _memo(_CONJ_CACHE, _CONJ_LOCK, space.structure_key, build)
+    """Matrix of xi -> J^T mat(xi) J on the pair basis, read-only."""
+    conj = _conjugation_on_bivectors(space, space.J.T)
+    _freeze(conj)
+    return conj
 
 
 def _check_kaehler_invariance(rm: CurvatureTensor, rtol: float = 1e-9):
@@ -398,9 +387,6 @@ def qk_decompose(
 # ---------------------------------------------------------------------------
 # random tensors supported on an algebra
 
-
-_KERNEL_CACHE: dict = {}
-_KERNEL_LOCK = threading.Lock()
 
 # Rank rule of `_null_spaces`: a Gram eigenvalue at or below RANK_RTOL times
 # the largest one over all blocks is null.  The Bianchi constraints have
@@ -540,6 +526,7 @@ def _null_spaces(grams: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]
     return out
 
 
+@_shared
 def _bianchi_kernel_basis(algebra: HolonomyAlgebra) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Orthonormal basis of the symmetric operators on the algebra whose
     full-space extension satisfies the Bianchi identity, as blocks in the
@@ -568,15 +555,11 @@ def _bianchi_kernel_basis(algebra: HolonomyAlgebra) -> tuple[tuple[np.ndarray, n
     the parts, blocks and rows, the rows scattered to their positions are
     the k rows of the basis; k = sum of count * t is the dimension of the
     curvature space, and no dense (k, S) array is formed.
-    Cached on what the basis depends on, `HolonomyAlgebra.key` (the
-    dimension and the algebra's coefficient rows), so algebras that share a
-    name (u(3) on two complex structures) get their own bases.
+    Shared per algebra, which compares by `HolonomyAlgebra.key` (the space's
+    structure and the algebra's coefficient rows), so algebras that share a
+    name (u(3) on two complex structures) get their own bases; `__wrapped__`
+    is the uncached build.
     """
-    return _memo(_KERNEL_CACHE, _KERNEL_LOCK, algebra.key, lambda: _kernel_basis(algebra))
-
-
-def _kernel_basis(algebra: HolonomyAlgebra) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The uncached build of `_bianchi_kernel_basis`."""
     blocks, free = _bianchi_blocks(algebra)
     parts = []
     for (pos, _), (rows, owner) in zip(blocks, _null_spaces([grams for _, grams in blocks])):

@@ -9,13 +9,16 @@ identification with skew matrices follows the convention
 so the matrix of X ^ Y is Y X^T - X Y^T and the matrix of e_i ^ e_j has +1 in
 row j, column i.  The inner product on bivectors is half the Frobenius pairing
 of the skew matrices, which makes the lexicographic basis orthonormal.
+
+Spaces compare and hash by `structure_key`, so what `_shared` builds once per
+space is keyed on its structure, never on a name or an object.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -28,9 +31,10 @@ class GeometryError(ValueError):
 # pair bookkeeping
 
 
-@lru_cache(maxsize=None)
+@functools.cache
 def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray, dict[tuple[int, int], int]]:
-    """Index arrays (rows, cols) and lookup for lexicographic pairs i < j."""
+    """Read-only index arrays (rows, cols) and lookup for lexicographic pairs
+    i < j, shared by every space of dimension n."""
     rows, cols = [], []
     lookup = {}
     for i in range(n):
@@ -38,7 +42,9 @@ def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray, dict[tuple[int, int], i
             lookup[(i, j)] = len(rows)
             rows.append(i)
             cols.append(j)
-    return np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), lookup
+    rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols, lookup
 
 
 def pair_count(n: int) -> int:
@@ -95,7 +101,7 @@ def _block_diag(block: np.ndarray, copies: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HolonomyStructure:
     """Parallel complex or quaternionic structure on R^n.
 
@@ -137,9 +143,10 @@ class HolonomyStructure:
                 raise GeometryError("quaternion relations fail: IJ != K")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EuclideanSpace:
-    """R^n with the standard metric and an optional holonomy structure."""
+    """R^n with the standard metric and an optional holonomy structure;
+    spaces are equal, and hash alike, when their `structure_key`s are."""
 
     n: int
     structure: HolonomyStructure = field(
@@ -197,11 +204,19 @@ class EuclideanSpace:
             raise GeometryError("space carries no K structure")
         return self.structure.K
 
-    @cached_property
+    @functools.cached_property
     def structure_key(self) -> tuple:
         """`_structure_key` of this space, built once: the structure's
         matrices are read-only copies, so the key cannot change."""
         return _structure_key(self)
+
+    def __eq__(self, other):
+        if not isinstance(other, EuclideanSpace):
+            return NotImplemented
+        return self.structure_key == other.structure_key
+
+    def __hash__(self):
+        return hash(self.structure_key)
 
 
 def _structure_key(space: EuclideanSpace) -> tuple:
@@ -214,17 +229,22 @@ def _structure_key(space: EuclideanSpace) -> tuple:
     return (space.kind, space.n) + tuple(b"" if s is None else s.tobytes() for s in (st.I, st.J, st.K))
 
 
-def _memo(cache: dict, lock: threading.Lock, key, build):
-    """cache[key], from build() on a miss.  The lock guards the dict only:
-    two threads may both build a missing entry, and the first one stored is
-    the one every caller gets."""
-    with lock:
-        hit = cache.get(key)
-    if hit is None:
-        hit = build()
+def _shared(fn):
+    """functools.cache behind one lock: fn runs once per argument key, and on
+    any thread every caller gets the one result stored.  The lock is held
+    through a build, so a racing caller waits for it; it is reentrant, so a
+    build may call the function again.  cache_clear and cache_info are those
+    of the cache, and __wrapped__ is the uncached fn."""
+    cached = functools.cache(fn)
+    lock = threading.RLock()
+
+    @functools.wraps(fn)
+    def shared(*args):
         with lock:
-            hit = cache.setdefault(key, hit)
-    return hit
+            return cached(*args)
+
+    shared.cache_clear, shared.cache_info = cached.cache_clear, cached.cache_info
+    return shared
 
 
 def generic(n: int) -> EuclideanSpace:

@@ -12,13 +12,12 @@ the pairs of one character; the Bianchi kernel is blocked by that basis, and so
 is the action of the basis on the pairs (`HolonomyAlgebra.action_blocks`),
 from which the hats are computed.  Hats and the structure constants are
 built over chunks of generators (`HolonomyAlgebra.chunk_size`), so no array
-of either scales with the whole algebra squared.  `by_name` builds each
-algebra once per kind and structure and shares it, read-only.
+of either scales with the whole algebra squared.  Algebras compare and hash
+by `HolonomyAlgebra.key`; `by_name` builds each once per space and kind.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,7 +27,7 @@ from .euclid import (
     Bivector,
     EuclideanSpace,
     GeometryError,
-    _memo,
+    _shared,
     _sign_fix,
     wedge,
 )
@@ -123,7 +122,7 @@ class HolonomyAlgebra:
 
     coeff_matrix has one row per basis element; rows are orthonormal with
     respect to the bivector inner product.  It is a read-only copy of the
-    rows given, so `key` and everything cached on it stay valid.
+    rows given, so `key`, by which algebras compare and hash, stays valid.
     Construction computes the read-only structure_constants
     c[a, b, g] = <[basis_a, basis_b], basis_g> and checks closure under the
     bracket, in one pass (`_brackets`).
@@ -156,6 +155,14 @@ class HolonomyAlgebra:
     def key(self) -> tuple:
         """`_algebra_key` of this algebra, built once per object."""
         return _algebra_key(self)
+
+    def __eq__(self, other):
+        if not isinstance(other, HolonomyAlgebra):
+            return NotImplemented
+        return self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
 
     @cached_property
     def projector(self) -> np.ndarray:
@@ -337,11 +344,11 @@ class HolonomyAlgebra:
 
 
 def _algebra_key(algebra: HolonomyAlgebra) -> tuple:
-    """What a result built from an algebra's basis depends on: the dimension
-    of the space and the bytes of coeff_matrix, never the name, so algebras
-    that share a name (u(3) on two complex structures) key apart.  Read as
-    `HolonomyAlgebra.key`."""
-    return (algebra.space.n, algebra.coeff_matrix.tobytes())
+    """What a result built from an algebra's basis depends on: the space's
+    structure key (the structure sets the characters) and the bytes of
+    coeff_matrix, never the name, so u(3) on two complex structures, or equal
+    rows on two structures, key apart.  Read as `HolonomyAlgebra.key`."""
+    return (algebra.space.structure_key, algebra.coeff_matrix.tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -404,22 +411,22 @@ def holonomy_kind(name: str) -> str:
     return kind
 
 
-_ALGEBRA_CACHE: dict = {}
-_ALGEBRA_LOCK = threading.Lock()
-
-
 def by_name(space: EuclideanSpace, name: str) -> HolonomyAlgebra:
     """Holonomy algebra of a tag: so(n), u(m) or sp(m)+sp(1) by the kind it
     names in HOLONOMY_TAGS.
 
     The library's one route to an algebra.  Each constructor runs once per
-    key, the kind the tag names plus what the basis depends on (the space's
-    kind, dimension and structure matrices, `_structure_key`), never a name.
-    The algebra is shared between callers; its arrays are read-only.
+    space and kind (`_algebra`), never per name; the algebra is shared
+    between callers and its arrays are read-only.
     """
-    kind = holonomy_kind(name)
-    build = {"generic": so_algebra, "kaehler": u_algebra, "qk": sp_sp1_algebra}[kind]
-    return _memo(_ALGEBRA_CACHE, _ALGEBRA_LOCK, (kind,) + space.structure_key, lambda: build(space))
+    return _algebra(space, holonomy_kind(name))
+
+
+@_shared
+def _algebra(space: EuclideanSpace, kind: str) -> HolonomyAlgebra:
+    """The constructor of a space kind applied to the space, looked up at
+    call time."""
+    return {"generic": so_algebra, "kaehler": u_algebra, "qk": sp_sp1_algebra}[kind](space)
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,8 @@ What depends only on the dimension or the structure is built once and
 shared read-only, so per-sample calls touch only the sample: per dimension
 (functools.cache) the index tables, the flat indices of the Bianchi
 projection (_project_flat) and the operator of g (*) g (_kn_metric); per
-structure (_memo on EuclideanSpace.structure_key) the rows of the parallel
-forms that total_traces contracts against (_form_rows).
+space (euclid._shared, so equal structures share one entry) the rows of the
+parallel forms that total_traces contracts against (_form_rows).
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +57,8 @@ from .euclid import (
     Bivector,
     EuclideanSpace,
     GeometryError,
-    _memo,
     _pair_table,
+    _shared,
     generic,
     kaehler,
     quaternion_kaehler,
@@ -606,26 +605,19 @@ def total_traces(rm: CurvatureTensor) -> list[float]:
     return out
 
 
-_FORM_CACHE: dict = {}
-_FORM_LOCK = threading.Lock()
 _FORM_NAMES = {"generic": (), "kaehler": ("J",), "qk": ("I", "J", "K")}
 
 
+@_shared
 def _form_rows(space: EuclideanSpace) -> tuple[np.ndarray, ...]:
     """S[rows, cols] - S[cols, rows] at the increasing pairs for each
     parallel structure S of the space (J, or I, J, K; none on a generic
-    space), read-only and cached on the space's structure_key."""
-    names = _FORM_NAMES[space.kind]
-    if not names:
-        return ()
-
-    def build() -> tuple[np.ndarray, ...]:
-        rows, cols = space.pair_rows, space.pair_cols
-        forms = tuple(s[rows, cols] - s[cols, rows] for s in (getattr(space, name) for name in names))
-        _freeze(*forms)
-        return forms
-
-    return _memo(_FORM_CACHE, _FORM_LOCK, space.structure_key, build)
+    space), read-only."""
+    rows, cols = space.pair_rows, space.pair_cols
+    structs = (getattr(space, name) for name in _FORM_NAMES[space.kind])
+    forms = tuple(s[rows, cols] - s[cols, rows] for s in structs)
+    _freeze(*forms)
+    return forms
 
 
 # ---------------------------------------------------------------------------

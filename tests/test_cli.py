@@ -200,17 +200,16 @@ class TestDeterminism:
     @pytest.mark.parametrize("suite", ["bochner-norm", "decomp"])
     def test_trial_threads_fill_cold_caches_alike(self, capsys, monkeypatch, suite):
         # every per-structure and per-algebra constant is first built inside
-        # the trial threads, where _memo keeps the first entry stored
+        # the trial threads, where euclid._shared keeps the one entry stored
         import sys
 
         def cold():
-            for module, name in (
-                (decomp, "_CONJ_CACHE"), (decomp, "_MODEL_CACHE"), (decomp, "_KERNEL_CACHE"),
-                (tensor, "_FORM_CACHE"), (holonomy, "_ALGEBRA_CACHE"), (criteria, "_GAIN_CACHE"),
+            for fn in (
+                decomp._kaehler_conjugation, decomp.structure_model, decomp._bianchi_kernel_basis,
+                tensor._form_rows, holonomy._algebra, criteria._shift_gain,
+                tensor._kn_metric, tensor._project_flat,
             ):
-                monkeypatch.setattr(module, name, {})
-            tensor._kn_metric.cache_clear()
-            tensor._project_flat.cache_clear()
+                fn.cache_clear()
 
         argv = ("verify", "--suite", suite, "--trials", "12")
         cold()
@@ -447,7 +446,7 @@ def _count_eigensolves(monkeypatch) -> list:
     ("none", 1, 0),
 ])
 def test_one_eigensolve_per_sampled_operator(capsys, monkeypatch, condition, per_row, per_algebra):
-    monkeypatch.setattr(criteria, "_GAIN_CACHE", {})
+    criteria._shift_gain.cache_clear()
     calls = _count_eigensolves(monkeypatch)
     argv = ("sample", "--holonomy", "u", "--m", "3", "--trials", "10", "--condition", condition)
     code, first, _ = run(capsys, *argv)

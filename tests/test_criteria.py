@@ -75,6 +75,13 @@ class TestHatNorms:
         rop = project(to_operator(rm), qk2)
         assert direct == pytest.approx(hat_norm_formula(rop).total, rel=1e-9)
 
+    def test_equal_algebra_accepted_for_restricted_operator(self, u3_swapped):
+        alg = holonomy.u_algebra(kaehler(3))
+        rop = project(decomp.random_algebra_curvature(alg, seed=0), alg)
+        assert hat_norm_formula(rop, holonomy.u_algebra(kaehler(3))).total == hat_norm_formula(rop).total
+        with pytest.raises(GeometryError, match="different algebra"):
+            hat_norm_formula(rop, u3_swapped)
+
     def test_invariant_model_has_zero_hat(self, hp2, qk2):
         assert hat_norm_direct(hp2, qk2) < 1e-20
         assert invariance_defect(hp2, qk2) < 1e-9
@@ -356,17 +363,17 @@ class TestShift:
         assert len(drawn[0]) == len(drawn[1]) == 20
         assert drawn[0].isdisjoint(drawn[1])
 
-    def test_gain_is_cached_per_algebra(self, u3, u3_swapped, monkeypatch):
+    def test_gain_is_cached_per_algebra(self, u3, u3_swapped):
         # the two u(3) share a name, a space kind and a dimension; only their
         # coefficient rows tell them apart
-        monkeypatch.setattr(criteria, "_GAIN_CACHE", {})
+        criteria._shift_gain.cache_clear()
         model = decomp.const_hol(3)
-        gains = [criteria._shift_gain(model, alg) for alg in (u3, u3_swapped)]
-        assert len(criteria._GAIN_CACHE) == 2
+        gains = [criteria._shift_gain(model.space, alg) for alg in (u3, u3_swapped)]
+        assert criteria._shift_gain.cache_info().currsize == 2
         for alg, gain in zip((u3, u3_swapped), gains):
             fresh = project(to_operator(model), alg).spectrum().values[:2].sum()
             assert gain == float(fresh)
-            assert criteria._shift_gain(model, alg) == gain
+            assert criteria._shift_gain(model.space, alg) == gain
 
     @pytest.mark.parametrize("tag", ["u", "sp"])
     def test_shift_uses_the_sample_structure(self, tag):

@@ -1,5 +1,9 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
+from conftest import rotated_kaehler
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,6 +46,14 @@ class TestPairs:
         with pytest.raises(GeometryError):
             pair_index(5, 3, 1)
 
+    def test_shared_tables_are_read_only(self):
+        # every space of one dimension reads the same two arrays
+        space = generic(5)
+        assert generic(5).pair_rows is space.pair_rows
+        for arr in (space.pair_rows, space.pair_cols):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
     def test_diagonal_rejected(self):
         with pytest.raises(GeometryError):
             pair_index(5, 2, 2)
@@ -66,6 +78,13 @@ class TestSpaces:
         assert np.allclose(i @ j, k)
         assert np.allclose(j @ i, -k)
         assert np.allclose(j @ k, i)
+
+    def test_spaces_compare_by_structure(self, u3_swapped_space):
+        assert kaehler(3) == kaehler(3) and hash(kaehler(3)) == hash(kaehler(3))
+        assert generic(6) == generic(6) and quaternion_kaehler(2) == quaternion_kaehler(2)
+        assert len({kaehler(3), kaehler(3), generic(6)}) == 2
+        for other in (u3_swapped_space, rotated_kaehler(3), generic(6), kaehler(2)):
+            assert other != kaehler(3)
 
     def test_dimension_guards(self):
         with pytest.raises(GeometryError):
@@ -208,3 +227,58 @@ class TestEigen:
         rows = np.array([[-1.0, 1.0, 0.5], [0.5, 1.0, -1.0], [0.0, -2.0, 0.0]])
         fixed = euclid._sign_fix(rows)
         assert np.array_equal(fixed, [[1.0, -1.0, -0.5], [0.5, 1.0, -1.0], [0.0, 2.0, 0.0]])
+
+
+def test_shared_builds_once_per_key_across_threads():
+    import sys
+    import threading
+
+    builds = []
+
+    @euclid._shared
+    def build(key):
+        builds.append(key)
+        return [key]
+
+    workers = 8
+    start = threading.Barrier(workers)
+    got = [None] * workers
+
+    def call(i):
+        start.wait(timeout=10)
+        got[i] = build(kaehler(3))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(builds) == 1 and all(g is got[0] for g in got)
+    assert build.cache_info().currsize == 1 and build.__wrapped__(1) == [1]
+    build.cache_clear()
+    assert build.cache_info().currsize == 0
+
+
+def test_only_euclid_holds_a_cache_lock():
+    # build-once constants go through euclid._shared; no other library
+    # module keeps a module-level threading lock or a _*_CACHE dict
+    src = pathlib.Path(euclid.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "euclid.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+                lock = isinstance(node.value, ast.Call) and "Lock" in ast.unparse(node.value.func)
+                cache = any(n.startswith("_") and n.endswith("_CACHE") for n in names)
+                if lock or cache:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found

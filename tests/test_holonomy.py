@@ -379,7 +379,7 @@ class TestActionBlocks:
         # the dense action is a test helper (conftest.scattered_action) only
         assert not hasattr(HolonomyAlgebra, "bivector_action")
         blocks = HolonomyAlgebra.action_blocks
-        monkeypatch.setattr(holonomy, "_ALGEBRA_CACHE", {})
+        holonomy._algebra.cache_clear()
         used = []
         monkeypatch.setattr(HolonomyAlgebra, "action_blocks",
                             property(lambda self: used.append(self.name) or blocks.func(self)))
@@ -407,8 +407,15 @@ def test_algebra_build_holds_no_bracket_table(m, bound_mb):
 
 
 class TestAlgebraCache:
-    def test_by_name_builds_once_per_structure(self, monkeypatch):
-        monkeypatch.setattr(holonomy, "_ALGEBRA_CACHE", {})
+    def test_algebras_compare_by_key(self, u3_swapped):
+        first, again = u_algebra(kaehler(3)), u_algebra(kaehler(3))
+        assert first is not again and first == again and hash(first) == hash(again)
+        assert u3_swapped != first and u3_swapped.name == first.name
+        # equal rows on two structures: the structure sets the characters
+        assert so_algebra(kaehler(3)) != so_algebra(generic(6))
+
+    def test_by_name_builds_once_per_structure(self):
+        holonomy._algebra.cache_clear()
         p = np.eye(6)[[1, 0, 2, 3, 4, 5]]
         swapped = EuclideanSpace(6, HolonomyStructure("kaehler", J=p @ kaehler(3).J @ p.T))
         first = by_name(kaehler(3), "u")
@@ -423,7 +430,7 @@ class TestAlgebraCache:
     def test_verify_builds_each_algebra_once(self, monkeypatch, capsys):
         from curvlab import cli
 
-        monkeypatch.setattr(holonomy, "_ALGEBRA_CACHE", {})
+        holonomy._algebra.cache_clear()
         builds = []
         for name in ("so_algebra", "u_algebra", "sp_sp1_algebra"):
             original = getattr(holonomy, name)
@@ -438,11 +445,11 @@ class TestAlgebraCache:
         assert builds
         assert len(builds) == len(set(builds))
 
-    def test_concurrent_callers_share_one_algebra(self, monkeypatch):
+    def test_concurrent_callers_share_one_algebra(self):
         import sys
         import threading
 
-        monkeypatch.setattr(holonomy, "_ALGEBRA_CACHE", {})
+        holonomy._algebra.cache_clear()
         workers = 8  # more than the cores of the hosts this runs on
         start = threading.Barrier(workers)
         got = [None] * workers

@@ -283,6 +283,7 @@ class TestSerialization:
         save_tensor(rm, path)
         back = load_tensor(path)
         assert back.space.kind == "qk"
+        assert back.space == rm.space
         assert np.allclose(back.components, rm.components)
 
     def test_rejects_wrong_length(self, tmp_path):
