@@ -9,6 +9,7 @@ with 17 significant digits so reports are diffable.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -141,6 +142,8 @@ def _render(x) -> str:
 
 
 def _scalar_text(x) -> str:
+    if type(x) is float:
+        return "%.17g" % x
     x = _plain(x)
     if x is None:
         return ""
@@ -792,7 +795,10 @@ def _sample_csv(report: Report) -> str:
 # entry point
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args reads it and
+    leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="curvlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

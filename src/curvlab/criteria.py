@@ -18,9 +18,11 @@ restricted operator's own spectrum, which it computes at most once, and
 rotate the structure constants into that eigenbasis with three GEMMs, one
 per slot (_rotated_structure).  curvature_term makes its own eigensolve, so
 its eigen route stays independent of everything else a caller has asked of
-the same operator, and its bilinear route needs none.  The shift model's
-two-smallest-eigenvalue sum depends only on the space and the algebra, and
-is shared per pair of them (`_shift_gain`, through `euclid._shared`).
+the same operator, and its bilinear route needs none.  The 2-nonnegative
+shift reads only two-smallest-eigenvalue sums, of the sample and of the
+shift model, from a values-only solve (`_two_smallest_sum`); the model's
+depends only on the space and the algebra, and is shared per pair of them
+(`_shift_gain`, through `euclid._shared`).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomp import qk_decompose, structure_model
-from .euclid import EuclideanSpace, GeometryError, _shared, symmetric_eigen
+from .euclid import EuclideanSpace, GeometryError, _shared, symmetric_eigen, symmetric_eigenvalues
 from .holonomy import HolonomyAlgebra, by_name, project
 from .tensor import CurvatureOperator, CurvatureTensor, _hat_chunks, t_hat, to_operator
 
@@ -336,13 +338,19 @@ def hat_ratio_qk(
 # spectral repair and search
 
 
+def _two_smallest_sum(rm: CurvatureTensor, algebra: HolonomyAlgebra) -> float:
+    """lambda_1 + lambda_2 of the tensor's operator restricted to the
+    algebra, from a values-only solve: the shift reads no eigenvector."""
+    return float(symmetric_eigenvalues(project(to_operator(rm), algebra).matrix)[:2].sum())
+
+
 @_shared
 def _shift_gain(space: EuclideanSpace, algebra: HolonomyAlgebra) -> float:
     """Two-smallest-eigenvalue sum of the space's shift model
     (`decomp.structure_model`) restricted to the algebra, shared per space
     and algebra: both compare by value, so algebras that share a name (u(3)
     on two complex structures) get their own."""
-    return float(project(to_operator(structure_model(space)), algebra).spectrum().values[:2].sum())
+    return _two_smallest_sum(structure_model(space), algebra)
 
 
 def two_nonnegative_shift(
@@ -360,7 +368,7 @@ def two_nonnegative_shift(
     if algebra.dim < 2:
         raise GeometryError("2-nonnegativity needs an algebra of dimension >= 2")
     model = structure_model(rm.space)
-    s = float(project(to_operator(rm), algebra).spectrum().values[:2].sum())
+    s = _two_smallest_sum(rm, algebra)
     gain = _shift_gain(rm.space, algebra)
     if gain <= 0:
         raise GeometryError("shift model is not strictly 2-positive on the algebra")

@@ -409,6 +409,19 @@ class SpectralData:
         return (self.vectors * self.values) @ self.vectors.T
 
 
+def _symmetrized(matrix: np.ndarray, rtol: float, solver: str) -> np.ndarray:
+    """0.5 * (M + M^T) of a square matrix M that is symmetric to
+    rtol * (1 + max|entry|); raises GeometryError otherwise.  The one
+    validation of both symmetric solvers, named solver in its messages."""
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise GeometryError(f"{solver} expects a square matrix")
+    scale = 1.0 + float(np.abs(matrix).max(initial=0.0))
+    if float(np.abs(matrix - matrix.T).max(initial=0.0)) > rtol * scale:
+        raise GeometryError("matrix is not symmetric")
+    return 0.5 * (matrix + matrix.T)
+
+
 def symmetric_eigen(matrix: np.ndarray, rtol: float = 1e-10) -> SpectralData:
     """Eigendecomposition of a symmetric matrix with a deterministic sign fix.
 
@@ -417,17 +430,26 @@ def symmetric_eigen(matrix: np.ndarray, rtol: float = 1e-10) -> SpectralData:
     Each eigenvector is normalized so its largest-magnitude entry is positive,
     which pins the output independent of the backing LAPACK build.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise GeometryError("symmetric_eigen expects a square matrix")
-    scale = 1.0 + float(np.abs(matrix).max(initial=0.0))
-    if float(np.abs(matrix - matrix.T).max(initial=0.0)) > rtol * scale:
-        raise GeometryError("matrix is not symmetric")
+    sym = _symmetrized(matrix, rtol, "symmetric_eigen")
     try:
-        values, vectors = np.linalg.eigh(0.5 * (matrix + matrix.T))
+        values, vectors = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise GeometryError(f"eigensolver did not converge: {exc}") from exc
     return SpectralData(values=values, vectors=_sign_fix(vectors.T).T)
+
+
+def symmetric_eigenvalues(matrix: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix, with no eigenvectors.
+
+    The checks of symmetric_eigen, on a cheaper LAPACK path (eigvalsh), so
+    the values agree with symmetric_eigen(matrix).values to rounding, not to
+    the bit.  For callers that read no eigenvector.
+    """
+    sym = _symmetrized(matrix, rtol, "symmetric_eigenvalues")
+    try:
+        return np.linalg.eigvalsh(sym)
+    except np.linalg.LinAlgError as exc:
+        raise GeometryError(f"eigensolver did not converge: {exc}") from exc
 
 
 def _sign_fix(rows: np.ndarray) -> np.ndarray:

@@ -165,15 +165,6 @@ class HolonomyAlgebra:
         return hash(self.key)
 
     @cached_property
-    def projector(self) -> np.ndarray:
-        """c^T c, the orthogonal projector onto the algebra in the pair
-        basis (D x D, read-only)."""
-        c = self.coeff_matrix
-        p = c.T @ c
-        _freeze(p)
-        return p
-
-    @cached_property
     def basis(self) -> list[Bivector]:
         return [Bivector(self.space, row) for row in self.coeff_matrix]
 
@@ -446,11 +437,12 @@ def project(op, algebra: HolonomyAlgebra) -> CurvatureOperator:
 def complement_mass(op, algebra: HolonomyAlgebra) -> float:
     """Frobenius norm of the part of the operator not supported on the
     subalgebra; zero iff the algebra is invariant and the complement is
-    annihilated."""
+    annihilated.  The supported part is c^T (c M c^T) c, through the d x d
+    restriction: no D x D projector is formed."""
     if isinstance(op, CurvatureTensor):
         op = to_operator(op)
-    p = algebra.projector
-    return float(np.linalg.norm(op.matrix - p @ op.matrix @ p))
+    c = algebra.coeff_matrix
+    return float(np.linalg.norm(op.matrix - c.T @ (c @ op.matrix @ c.T) @ c))
 
 
 # ---------------------------------------------------------------------------

@@ -425,34 +425,90 @@ class TestSample:
         assert report["summary"]["total"] == 3
 
 
-def _count_eigensolves(monkeypatch) -> list:
-    """Count euclid.symmetric_eigen calls through every name curvlab binds it by."""
-    calls = []
-    original = euclid.symmetric_eigen
+def _count_eigensolves(monkeypatch) -> dict:
+    """Count euclid.symmetric_eigen ("full") and euclid.symmetric_eigenvalues
+    ("values") calls through every name curvlab binds them by."""
+    calls = {"full": [], "values": []}
+    originals = {"full": euclid.symmetric_eigen, "values": euclid.symmetric_eigenvalues}
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counter(kind):
+        original = originals[kind]
 
+        def counted(*args, **kwargs):
+            calls[kind].append(1)
+            return original(*args, **kwargs)
+
+        return counted
+
+    counted = {id(fn): counter(kind) for kind, fn in originals.items()}
     for mod in (curvlab, euclid, tensor, holonomy, decomp, criteria, cli):
         for name, value in list(vars(mod).items()):
-            if value is original:
-                monkeypatch.setattr(mod, name, counted)
+            if id(value) in counted:
+                monkeypatch.setattr(mod, name, counted[id(value)])
     return calls
 
 
-@pytest.mark.parametrize("condition, per_row, per_algebra", [
-    ("2-nonnegative", 2, 1),  # the sample, then the shifted sample; the model once
-    ("none", 1, 0),
+@pytest.mark.parametrize("condition, values_per_row, values_per_algebra", [
+    ("2-nonnegative", 1, 1),  # the sample's shift sum; the model's once
+    ("none", 0, 0),
 ])
-def test_one_eigensolve_per_sampled_operator(capsys, monkeypatch, condition, per_row, per_algebra):
+def test_one_eigensolve_per_sampled_operator(capsys, monkeypatch, condition, values_per_row,
+                                             values_per_algebra):
+    # every row solves its own (shifted) operator once, with vectors, for
+    # curvature_term_self; the shift reads eigenvalues only
     criteria._shift_gain.cache_clear()
     calls = _count_eigensolves(monkeypatch)
     argv = ("sample", "--holonomy", "u", "--m", "3", "--trials", "10", "--condition", condition)
     code, first, _ = run(capsys, *argv)
     assert code == 0
-    assert len(calls) == 10 * per_row + per_algebra
-    calls.clear()
+    assert len(calls["full"]) == 10
+    assert len(calls["values"]) == 10 * values_per_row + values_per_algebra
+    for kind in calls:
+        calls[kind].clear()
     code, again, _ = run(capsys, *argv)
-    assert len(calls) == 10 * per_row
+    assert len(calls["full"]) == 10
+    assert len(calls["values"]) == 10 * values_per_row
     assert again == first
+
+
+@pytest.mark.parametrize("holonomy_args", [("so", "--n", "6"), ("u", "--m", "3"), ("sp", "--m", "2")],
+                         ids=["so6", "u3", "sp2"])
+@pytest.mark.parametrize("condition", ["2-nonnegative", "none"])
+def test_sample_rows_do_not_depend_on_thread_count(capsys, monkeypatch, holonomy_args, condition):
+    argv = ("sample", "--holonomy", *holonomy_args, "--trials", "12", "--condition", condition)
+    _, base, _ = run(capsys, *argv)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("CURVLAB_THREADS", "2")
+    _, threaded, _ = run(capsys, *argv)
+    assert threaded == base
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    sample = ("sample", "--holonomy", "u", "--m", "2", "--trials", "4",
+              "--condition", "2-nonnegative")
+    code, first, _ = run(capsys, *sample)
+    assert code == 0
+    code, _, _ = run(capsys, "verify", "--suite", "tripod", "--trials", "10")
+    assert code == 0
+    code, last, _ = run(capsys, *sample)
+    assert code == 0
+    assert last == first
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_csv_cells_render_as_before():
+    # %.17g for python and numpy floats, lowercase bools, str(int), "nan";
+    # the python-float shortcut must give the bytes the _plain walk gives
+    row = {
+        "float": 0.1, "np_float": np.float64(0.1), "tiny": 1e-300, "negzero": -0.0,
+        "bool": True, "np_bool": np.bool_(False), "int": 3, "np_int": np.int64(-7),
+        "nan": float("nan"), "np_nan": np.float64("nan"), "none": None,
+    }
+    report = cli.Report(command="sample", config={})
+    report.records.append(cli.CheckRecord(name="sample[0]", inputs={}, expected=None,
+                                          actual=row, tolerance=None, passed=True))
+    assert cli._sample_csv(report) == (
+        "float,np_float,tiny,negzero,bool,np_bool,int,np_int,nan,np_nan,none\n"
+        "0.10000000000000001,0.10000000000000001,1e-300,-0,"
+        "true,false,3,-7,nan,nan,\n"
+    )

@@ -733,14 +733,21 @@ class TestStructureCaches:
 
     @pytest.mark.parametrize("name", list(_CACHE_ALGEBRAS))
     def test_projector(self, name, rng):
+        # complement_mass projects through the d x d restriction c M c^T,
+        # with no D x D projector; p M p with p = c^T c is the same to rounding
         alg = _CACHE_ALGEBRAS[name]()
         c = alg.coeff_matrix
         p = c.T @ c
-        assert np.array_equal(alg.projector, p)
-        assert alg.projector is alg.projector and not alg.projector.flags.writeable
+        assert not hasattr(alg, "projector")
         m = rng.standard_normal((c.shape[1],) * 2)
-        op = tensor.CurvatureOperator(alg.space, m + m.T)
-        assert holonomy.complement_mass(op, alg) == float(np.linalg.norm(op.matrix - p @ op.matrix @ p))
+        supported = c.T @ (c @ (m + m.T) @ c.T) @ c
+        for mat in (m + m.T, supported):
+            op = tensor.CurvatureOperator(alg.space, mat)
+            mass = holonomy.complement_mass(op, alg)
+            assert mass == float(np.linalg.norm(op.matrix - c.T @ (c @ op.matrix @ c.T) @ c))
+            by_p = float(np.linalg.norm(op.matrix - p @ op.matrix @ p))
+            assert abs(mass - by_p) <= 1e-13 * float(np.linalg.norm(op.matrix))
+        assert mass <= 1e-13 * float(np.linalg.norm(supported))
 
     def test_kaehler_structures_of_one_size_key_apart(self):
         caches = [decomp._kaehler_conjugation, decomp.structure_model, tensor._form_rows]
@@ -762,13 +769,14 @@ class TestStructureCaches:
         rows = np.array(holonomy.by_name(space, "u").coeff_matrix)
         alg = holonomy.HolonomyAlgebra(space, "u(3)", rows)
         keys = (space.structure_key, alg.key)
+        op = tensor.to_operator(decomp.structure_model(generic(6)))
+        mass = holonomy.complement_mass(op, alg)
 
         def built():
             return (
                 decomp._kaehler_conjugation(space),
                 decomp.structure_model(space).matrix,
                 tensor._form_rows(space)[0],
-                alg.projector,
                 decomp._bianchi_kernel_basis(alg)[0][1],
             )
 
@@ -781,6 +789,8 @@ class TestStructureCaches:
         assert keys == (space.structure_key, alg.key) == (euclid._structure_key(space), holonomy._algebra_key(alg))
         for old, new, arr in zip(before, built(), saved):
             assert new is old and np.array_equal(new, arr)
+        # the c-route reads the algebra's own read-only rows
+        assert holonomy.complement_mass(op, alg) == mass
         for arr in (space.J, alg.coeff_matrix, kaehler(3).J, quaternion_kaehler(2).K):
             with pytest.raises(ValueError):
                 arr[0, 1] = 1.0

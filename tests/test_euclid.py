@@ -21,6 +21,7 @@ from curvlab.euclid import (
     pair_index,
     quaternion_kaehler,
     symmetric_eigen,
+    symmetric_eigenvalues,
     wedge,
 )
 
@@ -209,6 +210,26 @@ class TestEigen:
     def test_rejects_nonsquare(self, rng):
         with pytest.raises(GeometryError):
             symmetric_eigen(rng.standard_normal((3, 4)))
+
+    @pytest.mark.parametrize("solver", [symmetric_eigen, symmetric_eigenvalues])
+    def test_both_solvers_validate_alike(self, solver, rng):
+        name = solver.__name__
+        with pytest.raises(GeometryError, match=f"^{name} expects a square matrix$"):
+            solver(rng.standard_normal((3, 4)))
+        with pytest.raises(GeometryError, match=f"^{name} expects a square matrix$"):
+            solver(rng.standard_normal(4))
+        with pytest.raises(GeometryError, match="^matrix is not symmetric$"):
+            solver(rng.standard_normal((4, 4)))
+        m = rng.standard_normal((5, 5))
+        m = 100.0 * (m + m.T)
+        # asymmetry below rtol * (1 + max|entry|) is accepted, and the
+        # symmetric part is what is solved
+        skew = np.triu(np.full((5, 5), 1e-9), 1)
+        values = solver(m + skew - skew.T)
+        values = getattr(values, "values", values)
+        np.testing.assert_allclose(values, np.linalg.eigvalsh(m), rtol=0.0, atol=1e-10)
+        with pytest.raises(GeometryError, match="^matrix is not symmetric$"):
+            solver(m + 1e3 * (skew - skew.T))
 
     def test_deterministic_sign(self, rng):
         m = rng.standard_normal((6, 6))
