@@ -409,6 +409,10 @@ class SpectralData:
         return (self.vectors * self.values) @ self.vectors.T
 
 
+# relative tolerance of the symmetry scan that both symmetric solvers make
+_SYMMETRY_RTOL = 1e-10
+
+
 def _symmetrized(matrix: np.ndarray, rtol: float, solver: str) -> np.ndarray:
     """0.5 * (M + M^T) of a square matrix M that is symmetric to
     rtol * (1 + max|entry|); raises GeometryError otherwise.  The one
@@ -422,7 +426,7 @@ def _symmetrized(matrix: np.ndarray, rtol: float, solver: str) -> np.ndarray:
     return 0.5 * (matrix + matrix.T)
 
 
-def symmetric_eigen(matrix: np.ndarray, rtol: float = 1e-10) -> SpectralData:
+def symmetric_eigen(matrix: np.ndarray, rtol: float = _SYMMETRY_RTOL) -> SpectralData:
     """Eigendecomposition of a symmetric matrix with a deterministic sign fix.
 
     Raises GeometryError for non-square or non-symmetric input (measured
@@ -438,14 +442,15 @@ def symmetric_eigen(matrix: np.ndarray, rtol: float = 1e-10) -> SpectralData:
     return SpectralData(values=values, vectors=_sign_fix(vectors.T).T)
 
 
-def symmetric_eigenvalues(matrix: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
+def symmetric_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a symmetric matrix, with no eigenvectors.
 
-    The checks of symmetric_eigen, on a cheaper LAPACK path (eigvalsh), so
-    the values agree with symmetric_eigen(matrix).values to rounding, not to
-    the bit.  For callers that read no eigenvector.
+    The checks of symmetric_eigen at its default tolerance, on a cheaper
+    LAPACK path (eigvalsh), so the values agree with
+    symmetric_eigen(matrix).values to rounding, not to the bit.  For callers
+    that read no eigenvector.
     """
-    sym = _symmetrized(matrix, rtol, "symmetric_eigenvalues")
+    sym = _symmetrized(matrix, _SYMMETRY_RTOL, "symmetric_eigenvalues")
     try:
         return np.linalg.eigvalsh(sym)
     except np.linalg.LinAlgError as exc:

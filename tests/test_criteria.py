@@ -422,6 +422,10 @@ class TestShift:
         assert criteria._shift_gain.cache_info().currsize == 2
         for alg, gain in zip((u3, u3_swapped), gains):
             assert gain == criteria._two_smallest_sum(model, alg)
+            # and against a second route: the full solve, whose LAPACK path
+            # differs, on an operator with highly degenerate eigenvalues
+            lam = project(to_operator(model), alg).spectrum().values
+            assert abs(gain - lam[:2].sum()) <= 1e-12 * (1.0 + float(np.abs(lam).max()))
             assert criteria._shift_gain(model.space, alg) == gain
 
     @pytest.mark.parametrize("tag", ["u", "sp"])
