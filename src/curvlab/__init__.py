@@ -1,24 +1,20 @@
 """Curvature operators on holonomy algebras.
 
-Layers, bottom up: euclid (spaces, bivectors, spectra), tensor (curvature
-tensors and their bivector operators), holonomy (subalgebras and quaternionic
-frames), decomp (models and invariant decompositions), criteria (hat norms
-and weighted positivity conditions), cli (command-line checks).
+Layers, bottom up: euclid (spaces, pair bookkeeping, spectra), tensor
+(curvature tensors and their bivector operators), holonomy (subalgebras as
+coefficient rows and their skew matrices), decomp (models and invariant
+decompositions), criteria (hat norms and weighted positivity conditions), cli
+(command-line checks).
 """
 
 from .euclid import (
-    Bivector,
     EuclideanSpace,
     GeometryError,
     SpectralData,
-    bivector_apply,
-    bracket,
     generic,
-    inner,
     kaehler,
     quaternion_kaehler,
     symmetric_eigen,
-    wedge,
 )
 from .tensor import (
     CurvatureOperator,
@@ -26,8 +22,6 @@ from .tensor import (
     SymmetryError,
     bianchi_project,
     bianchi_sum,
-    from_operator,
-    kulkarni_nomizu,
     lie_action,
     load_tensor,
     random_curvature,
@@ -40,10 +34,8 @@ from .tensor import (
 )
 from .holonomy import (
     HolonomyAlgebra,
-    QuaternionFrame,
     complement_mass,
     project,
-    quaternion_frame,
     so_algebra,
     sp_sp1_algebra,
     u_algebra,
@@ -73,7 +65,6 @@ from .criteria import (
     hat_norm_formula,
     hat_ratio_qk,
     invariance_defect,
-    k_nonnegative,
     kaehler_preset,
     lambda_tripod,
     negative_term_search,

@@ -1,10 +1,12 @@
 """Weighted spectral positivity criteria and curvature terms.
 
-Everything here measures rank-four tensors through their bivector operators:
-hat components are the operator hats of tensor.t_hat, and their squared
-norms are Frobenius norms, one quarter of the component-array norms used in
-the tensor module.  That choice makes the outputs commensurable with
-operator Frobenius norms and with the closed-form model constants.
+Everything here measures curvature tensors through their bivector
+operators: hat components are the operator hats of tensor.t_hat, and their
+squared norms are Frobenius norms, one quarter of the component-array norms
+used in the tensor module.  That choice makes the outputs commensurable with
+operator Frobenius norms and with the closed-form model constants.  Tensors
+come in as CurvatureTensor objects, never as raw rank-four arrays, and
+k-nonnegativity is weighted_criterion with weight 0.
 
 Hats are reduced here and nowhere else: _hat_norms_sq gives the diagonal
 of the hat Gram.  hat_norm_direct and invariance_defect read it chunk by
@@ -65,16 +67,9 @@ def _resolve(op, algebra):
     return op, op.algebra
 
 
-def _hat_operator(t, algebra: HolonomyAlgebra) -> CurvatureOperator:
-    """Operator of a tensor, or of a raw rank-four array validated as one."""
-    if not isinstance(t, CurvatureTensor):
-        t = CurvatureTensor.from_components(algebra.space, t)
-    return to_operator(t)
-
-
 def _hat_flat(t, algebra: HolonomyAlgebra) -> np.ndarray:
     """The operator hat stack of a tensor, one flattened row per generator."""
-    return t_hat(_hat_operator(t, algebra), algebra).reshape(algebra.dim, -1)
+    return t_hat(to_operator(t), algebra).reshape(algebra.dim, -1)
 
 
 def _hat_norms_sq(flat: np.ndarray) -> np.ndarray:
@@ -87,7 +82,7 @@ def _hat_norms_sq(flat: np.ndarray) -> np.ndarray:
 def _hat_row_norms_sq(t, algebra: HolonomyAlgebra) -> np.ndarray:
     """_hat_norms_sq of the hat stack of t, chunk by chunk in one buffer."""
     out = np.empty(algebra.dim)
-    for lo, hats in _hat_chunks(_hat_operator(t, algebra), algebra):
+    for lo, hats in _hat_chunks(to_operator(t), algebra):
         out[lo : lo + len(hats)] = _hat_norms_sq(hats.reshape(len(hats), -1))
     return out
 
@@ -250,11 +245,6 @@ def weighted_criterion(
     if crit.weight:
         value += crit.weight * float(lam[crit.k])
     return CriterionResult(criterion=crit, value=value, satisfied=value >= -tol)
-
-
-def k_nonnegative(eigenvalues: np.ndarray, k: int) -> bool:
-    """Whether the k smallest eigenvalues have a nonnegative sum."""
-    return weighted_criterion(eigenvalues, WeightedCriterion(k, 0.0)).satisfied
 
 
 def weyl_preset(n: int) -> WeightedCriterion:

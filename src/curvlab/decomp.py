@@ -3,8 +3,8 @@
 Models are normalized so the familiar closed forms hold exactly:
 
 * sphere(n):        operator 2 * identity, scalar curvature 2n(n-1);
-* const_hol(m):     the unique unitary-invariant tensor with the given
-                    scalar curvature on R^{2m};
+* const_hol(m):     the unique unitary-invariant tensor with scalar
+                    curvature 4m(m+1) on R^{2m};
 * hp(m):            symmetric-space operator with eigenvalues {4m, 4, 0},
                     squared operator norm 16m(5m+1), scalar 16m(m+2);
 * grassmannian(p,q): plane-Grassmannian tensor, eigenvalues {p, q, 0};
@@ -81,40 +81,37 @@ def _read_only(rm: CurvatureTensor) -> CurvatureTensor:
 
 
 @functools.cache
-def sphere(n: int, radius: float = 2**-0.5) -> CurvatureTensor:
-    """Round-sphere tensor; the default radius makes the operator 2 * id."""
+def sphere(n: int) -> CurvatureTensor:
+    """Round-sphere tensor: g (*) g, whose operator is exactly 2 * id
+    (`tensor._kn_metric`, shared read-only)."""
     if n < 2:
         raise GeometryError("sphere models need dimension at least 2")
-    if radius <= 0:
-        raise GeometryError("radius must be positive")
-    return _read_only(CurvatureTensor(generic(n), _kn_metric(n) / (2 * radius**2)))
+    return _read_only(CurvatureTensor(generic(n), _kn_metric(n)))
 
 
 @functools.cache
-def const_hol(m: int, scal: float | None = None) -> CurvatureTensor:
+def const_hol(m: int) -> CurvatureTensor:
     """Constant-holomorphic-curvature tensor on the standard Kaehler R^{2m}.
 
-    The default scalar curvature 4m(m+1) gives operator eigenvalues
-    {2(m+1), 2, 0}.  The trace-free middle and Bochner parts vanish, which
-    pins this model as the scalar piece of the unitary decomposition.
+    Scalar curvature 4m(m+1), operator eigenvalues {2(m+1), 2, 0}.  The
+    trace-free middle and Bochner parts vanish, which pins this model as the
+    scalar piece of the unitary decomposition.
     """
     if m < 1:
         raise GeometryError("const_hol needs at least one complex plane")
-    return _read_only(_const_hol_on(kaehler_space(m), scal))
+    return _read_only(_const_hol_on(kaehler_space(m)))
 
 
-def _const_hol_on(space, scal: float | None = None) -> CurvatureTensor:
-    """const_hol on the complex structure J of a Kaehler space."""
-    m = space.m
-    if scal is None:
-        scal = 4.0 * m * (m + 1)
+def _const_hol_on(space) -> CurvatureTensor:
+    """const_hol on the complex structure J of a Kaehler space: the unit
+    0.5 g(*)g + 0.5 w(*)w + 2 w(x)w of the Bochner routes."""
     omega = space.J.T  # bilinear form of the parallel 2-form
     unit = (
-        0.5 * _kn_metric(2 * m)
+        0.5 * _kn_metric(space.n)
         + 0.5 * _kn_matrix(omega, omega)
         + 2.0 * _pair_outer(omega, omega)
     )
-    return CurvatureTensor(space, (scal / (4.0 * m * (m + 1))) * unit)
+    return CurvatureTensor(space, unit)
 
 
 @functools.cache
@@ -142,8 +139,8 @@ def structure_model(space) -> CurvatureTensor:
     sphere, constant holomorphic curvature on its J, or hp on its I, J, K.
 
     On the standard structures these are sphere(n), const_hol(m) and hp(m),
-    to the bit.  The Kaehler model's scale factor is exactly 1.0, so its
-    matrix is the unit 0.5 g(*)g + 0.5 w(*)w + 2 w(x)w of the Bochner routes.
+    to the bit.  The Kaehler model's matrix is the unit
+    0.5 g(*)g + 0.5 w(*)w + 2 w(x)w of the Bochner routes.
     Shared per space, read-only.
     """
     if space.kind == "generic":

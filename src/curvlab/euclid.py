@@ -1,14 +1,11 @@
-"""Euclidean spaces with holonomy structure, bivectors, and symmetric spectra.
+"""Euclidean spaces with holonomy structure, pair bookkeeping and symmetric
+spectra.
 
-A bivector lives in the second exterior power of R^n and is stored as its
-coefficient vector over the lexicographic basis {e_i ^ e_j : i < j}.  The
-identification with skew matrices follows the convention
-
-    (X ^ Y) Z = <X, Z> Y - <Y, Z> X,
-
-so the matrix of X ^ Y is Y X^T - X Y^T and the matrix of e_i ^ e_j has +1 in
-row j, column i.  The inner product on bivectors is half the Frobenius pairing
-of the skew matrices, which makes the lexicographic basis orthonormal.
+The second exterior power of R^n is coordinatized over the lexicographic
+pairs {(i, j) : i < j}; `EuclideanSpace.pair_rows` and `pair_cols` list them
+in that order.  Coefficient rows over these pairs are the library's one
+representation of a bivector, and `holonomy.HolonomyAlgebra.matrices` holds
+their skew matrices.
 
 Spaces compare and hash by `structure_key`, so what `_shared` builds once per
 space is keyed on its structure, never on a name or an object.
@@ -32,32 +29,16 @@ class GeometryError(ValueError):
 
 
 @functools.cache
-def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray, dict[tuple[int, int], int]]:
-    """Read-only index arrays (rows, cols) and lookup for lexicographic pairs
-    i < j, shared by every space of dimension n."""
-    rows, cols = [], []
-    lookup = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            lookup[(i, j)] = len(rows)
-            rows.append(i)
-            cols.append(j)
-    rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only index arrays (rows, cols) of the lexicographic pairs i < j,
+    shared by every space of dimension n."""
+    rows, cols = np.triu_indices(n, 1)
     rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols, lookup
+    return rows, cols
 
 
 def pair_count(n: int) -> int:
     return n * (n - 1) // 2
-
-
-def pair_index(n: int, i: int, j: int) -> int:
-    """Position of e_i ^ e_j (i < j) in the lexicographic bivector basis."""
-    _, _, lookup = _pair_table(n)
-    try:
-        return lookup[(i, j)]
-    except KeyError:
-        raise GeometryError(f"({i}, {j}) is not an increasing pair below {n}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -280,103 +261,6 @@ def quaternion_kaehler(m: int) -> EuclideanSpace:
 
 
 # ---------------------------------------------------------------------------
-# bivectors
-
-
-@dataclass
-class Bivector:
-    """Element of the second exterior power, stored over lexicographic pairs."""
-
-    space: EuclideanSpace
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.coeffs.shape != (self.space.bivector_dim,):
-            raise GeometryError(
-                f"expected {self.space.bivector_dim} coefficients, "
-                f"got shape {self.coeffs.shape}"
-            )
-
-    def matrix(self) -> np.ndarray:
-        """Skew matrix acting on R^n; +coeff in row j, column i for pair (i, j)."""
-        n = self.space.n
-        a = np.zeros((n, n))
-        a[self.space.pair_cols, self.space.pair_rows] = self.coeffs
-        a[self.space.pair_rows, self.space.pair_cols] = -self.coeffs
-        return a
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-    def normalized(self) -> "Bivector":
-        nrm = self.norm()
-        if nrm == 0.0:
-            raise GeometryError("cannot normalize the zero bivector")
-        return Bivector(self.space, self.coeffs / nrm)
-
-    def __add__(self, other: "Bivector") -> "Bivector":
-        self._check_same_space(other)
-        return Bivector(self.space, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "Bivector") -> "Bivector":
-        self._check_same_space(other)
-        return Bivector(self.space, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: float) -> "Bivector":
-        return Bivector(self.space, self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar: float) -> "Bivector":
-        return Bivector(self.space, self.coeffs / float(scalar))
-
-    def __neg__(self) -> "Bivector":
-        return Bivector(self.space, -self.coeffs)
-
-    def _check_same_space(self, other: "Bivector"):
-        if other.space.n != self.space.n:
-            raise GeometryError("bivectors live on spaces of different dimension")
-
-
-def from_matrix(space: EuclideanSpace, a: np.ndarray) -> Bivector:
-    """Bivector whose skew matrix is a; the skew part of a is used."""
-    s = 0.5 * (a - a.T)
-    return Bivector(space, s[space.pair_cols, space.pair_rows])
-
-
-def wedge(space: EuclideanSpace, x: np.ndarray, y: np.ndarray) -> Bivector:
-    """x ^ y with the action (x ^ y) z = <x, z> y - <y, z> x."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (space.n,) or y.shape != (space.n,):
-        raise GeometryError("wedge arguments must be vectors of the ambient dimension")
-    ii, jj = space.pair_rows, space.pair_cols
-    return Bivector(space, x[ii] * y[jj] - x[jj] * y[ii])
-
-
-def bivector_apply(xi: Bivector, z: np.ndarray) -> np.ndarray:
-    """Action of xi on a vector through its skew matrix."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != (xi.space.n,):
-        raise GeometryError("vector has wrong dimension for this bivector")
-    return xi.matrix() @ z
-
-
-def bracket(xi: Bivector, eta: Bivector) -> Bivector:
-    """Lie bracket, the commutator of the skew matrices."""
-    xi._check_same_space(eta)
-    a, b = xi.matrix(), eta.matrix()
-    return from_matrix(xi.space, a @ b - b @ a)
-
-
-def inner(xi: Bivector, eta: Bivector) -> float:
-    """Half-Frobenius pairing; the lexicographic pair basis is orthonormal."""
-    xi._check_same_space(eta)
-    return float(xi.coeffs @ eta.coeffs)
-
-
-# ---------------------------------------------------------------------------
 # symmetric spectra
 
 
@@ -404,9 +288,6 @@ class SpectralData:
                 out.append((float(chunk.mean()), len(chunk)))
                 start = i
         return out
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ self.vectors.T
 
 
 # relative tolerance of the symmetry scan that both symmetric solvers make

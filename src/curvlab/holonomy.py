@@ -1,8 +1,18 @@
-"""Holonomy subalgebras of the rotation algebra and quaternionic frames.
+"""Holonomy subalgebras of the rotation algebra.
 
 Subalgebras are stored as orthonormal coefficient matrices over the
-lexicographic bivector basis.  The unitary and symplectic cases are the
-commutants of the parallel structures.  The identity and the structures form
+lexicographic bivector basis, with the skew matrices of the rows in
+`HolonomyAlgebra.matrices`: the row with coefficient 1 at the pair (i, j)
+is the matrix of e_i ^ e_j, which acts by the convention
+
+    (X ^ Y) Z = <X, Z> Y - <Y, Z> X,
+
+so the matrix of X ^ Y is Y X^T - X Y^T, with +1 in row j, column i for
+e_i ^ e_j.  Half the Frobenius pairing of the matrices is the dot product of
+the coefficient rows, so the lexicographic pair basis is orthonormal.
+
+The unitary and symplectic cases are the commutants of the parallel
+structures.  The identity and the structures form
 a group up to sign, so the mean of their conjugations on bivectors is the
 orthogonal projector onto the commutant, and the basis spans its range.  That
 works for any admissible structure, not just the standard one.  Each
@@ -23,14 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .euclid import (
-    Bivector,
-    EuclideanSpace,
-    GeometryError,
-    _shared,
-    _sign_fix,
-    wedge,
-)
+from .euclid import EuclideanSpace, GeometryError, _shared, _sign_fix
 from .tensor import (
     CurvatureOperator,
     CurvatureTensor,
@@ -165,12 +168,9 @@ class HolonomyAlgebra:
         return hash(self.key)
 
     @cached_property
-    def basis(self) -> list[Bivector]:
-        return [Bivector(self.space, row) for row in self.coeff_matrix]
-
-    @cached_property
     def matrices(self) -> np.ndarray:
-        """Stack of the skew matrices of the basis, shape (dim, n, n)."""
+        """Stack of the skew matrices of the basis, shape (dim, n, n): +coeff
+        in row j, column i for the pair (i, j), read-only."""
         n = self.space.n
         ii, jj = self.space.pair_rows, self.space.pair_cols
         mats = np.zeros((self.dim, n, n))
@@ -324,15 +324,6 @@ class HolonomyAlgebra:
         """Largest bivector-norm distance of a basis bracket from the span."""
         return self._closure_defect
 
-    def coords_of(self, xi: Bivector) -> np.ndarray:
-        return self.coeff_matrix @ xi.coeffs
-
-    def embed(self, coords: np.ndarray) -> Bivector:
-        coords = np.asarray(coords, dtype=float)
-        if coords.shape != (self.dim,):
-            raise GeometryError(f"expected {self.dim} coordinates")
-        return Bivector(self.space, coords @ self.coeff_matrix)
-
 
 def _algebra_key(algebra: HolonomyAlgebra) -> tuple:
     """What a result built from an algebra's basis depends on: the space's
@@ -425,13 +416,17 @@ def _algebra(space: EuclideanSpace, kind: str) -> HolonomyAlgebra:
 
 
 def project(op, algebra: HolonomyAlgebra) -> CurvatureOperator:
-    """Restrict a full bivector operator (or tensor) to the subalgebra."""
+    """Restrict a full bivector operator (or tensor) to the subalgebra.
+
+    c M c^T is a fresh array, symmetric to rounding, and the spectrum solves
+    its symmetric part: it is frozen in place, with no copy and no symmetry
+    scan (`CurvatureOperator._wrap`)."""
     if isinstance(op, CurvatureTensor):
         op = to_operator(op)
     if op.algebra is not None:
         raise GeometryError("operator is already restricted")
     c = algebra.coeff_matrix
-    return CurvatureOperator(op.space, c @ op.matrix @ c.T, algebra)
+    return CurvatureOperator._wrap(op.space, c @ op.matrix @ c.T, algebra)
 
 
 def complement_mass(op, algebra: HolonomyAlgebra) -> float:
@@ -443,129 +438,3 @@ def complement_mass(op, algebra: HolonomyAlgebra) -> float:
         op = to_operator(op)
     c = algebra.coeff_matrix
     return float(np.linalg.norm(op.matrix - c.T @ (c @ op.matrix @ c.T) @ c))
-
-
-# ---------------------------------------------------------------------------
-# quaternionic frames
-
-
-@dataclass(eq=False)
-class QuaternionFrame:
-    """Distinguished bivector families on a quaternion-Kaehler space.
-
-    Indices run over the quaternionic blocks 0..m-1.  The families:
-
-    * omega[L]: the parallel 2-form of the structure L, squared norm 2m;
-    * omega_pm[(L, s)]: unit sums/differences of the two halves of omega[L];
-    * w[(i, j)]: diagonal real pair rotations, i < j;
-    * paired[(L, i, j)]: twisted pair rotations, i < j;
-    * diagonal[(L, i)]: traceless single-block rotations;
-    * tilde[(L, k)]: the orthonormal completion of the diagonal family
-      orthogonal to omega[L], k = 0..m-2.
-
-    w + paired + diagonal is an orthonormal basis of the commuting block of
-    sp(m); the omega_pm carry the two sp(1) summands of the symmetric-space
-    operator, w the middle eigenvalue, paired + tilde its kernel.
-    """
-
-    space: EuclideanSpace
-    omega: dict
-    omega_pm: dict
-    w: dict
-    paired: dict
-    diagonal: dict
-    tilde: dict
-
-    def sp_basis(self) -> list[Bivector]:
-        m = self.space.m
-        out = [self.w[(i, j)] for i in range(m) for j in range(i + 1, m)]
-        for L in ("I", "J", "K"):
-            out += [self.paired[(L, i, j)] for i in range(m) for j in range(i + 1, m)]
-        for L in ("I", "J", "K"):
-            out += [self.diagonal[(L, i)] for i in range(m)]
-        return out
-
-    def full_basis(self) -> list[Bivector]:
-        m = self.space.m
-        return self.sp_basis() + [self.omega[L] / np.sqrt(2 * m) for L in ("I", "J", "K")]
-
-    def symmetric_space_eigenbasis(self) -> list[tuple[Bivector, float]]:
-        """Orthonormal eigenbasis, with eigenvalues, of the four-plane
-        Grassmannian curvature operator restricted to this algebra."""
-        m = self.space.m
-        out = [(self.omega_pm[(L, s)], float(m)) for s in ("+", "-") for L in ("I", "J", "K")]
-        out += [(self.w[(i, j)], 4.0) for i in range(m) for j in range(i + 1, m)]
-        for L in ("I", "J", "K"):
-            out += [(self.paired[(L, i, j)], 0.0) for i in range(m) for j in range(i + 1, m)]
-        for L in ("I", "J", "K"):
-            out += [(self.tilde[(L, k)], 0.0) for k in range(m - 1)]
-        return out
-
-
-def quaternion_frame(space: EuclideanSpace) -> QuaternionFrame:
-    if space.kind != "qk":
-        raise GeometryError("quaternion frames need a quaternion-Kaehler space")
-    m = space.m
-    n = space.n
-    # cyclic companions: the L-form pairs e ^ Le with Ae ^ Be
-    cyc = {"I": ("J", "K"), "J": ("K", "I"), "K": ("I", "J")}
-    structs = {"I": space.I, "J": space.J, "K": space.K}
-
-    def unit(i: int) -> np.ndarray:
-        v = np.zeros(n)
-        v[4 * i] = 1.0
-        return v
-
-    omega = {}
-    omega_pm = {}
-    diagonal = {}
-    for L, (A, B) in cyc.items():
-        SL, SA, SB = structs[L], structs[A], structs[B]
-        first = [wedge(space, unit(i), SL @ unit(i)) for i in range(m)]
-        second = [wedge(space, SA @ unit(i), SB @ unit(i)) for i in range(m)]
-        total_first = sum(first[1:], first[0])
-        total_second = sum(second[1:], second[0])
-        omega[L] = total_first + total_second
-        omega_pm[(L, "+")] = (total_first + total_second) / np.sqrt(2 * m)
-        omega_pm[(L, "-")] = (total_first - total_second) / np.sqrt(2 * m)
-        for i in range(m):
-            diagonal[(L, i)] = (first[i] - second[i]) / np.sqrt(2)
-
-    w = {}
-    paired = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            ei, ej = unit(i), unit(j)
-            acc = wedge(space, ei, ej)
-            for L in ("I", "J", "K"):
-                acc = acc + wedge(space, structs[L] @ ei, structs[L] @ ej)
-            w[(i, j)] = acc / 2
-            for L, (A, B) in cyc.items():
-                SL, SA, SB = structs[L], structs[A], structs[B]
-                term = (
-                    wedge(space, ei, SL @ ej)
-                    + wedge(space, ej, SL @ ei)
-                    - wedge(space, SA @ ei, SB @ ej)
-                    - wedge(space, SA @ ej, SB @ ei)
-                )
-                paired[(L, i, j)] = term / 2
-
-    # orthonormal completion of the diagonal family inside each L-slice:
-    # combination of the first k+1 diagonal elements minus (k+1) times the next
-    tilde = {}
-    for L in ("I", "J", "K"):
-        for k in range(m - 1):
-            kk = k + 1
-            acc = diagonal[(L, 0)]
-            for j in range(1, kk):
-                acc = acc + diagonal[(L, j)]
-            tilde[(L, k)] = (acc - kk * diagonal[(L, kk)]) / np.sqrt(kk * kk + kk)
-    return QuaternionFrame(
-        space=space,
-        omega=omega,
-        omega_pm=omega_pm,
-        w=w,
-        paired=paired,
-        diagonal=diagonal,
-        tilde=tilde,
-    )

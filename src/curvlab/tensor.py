@@ -9,9 +9,9 @@ Conventions, fixed once here and relied on everywhere else:
   Bianchi identity T[x,y,z,w] + T[y,z,x,w] + T[z,x,y,w] = 0 is checked at
   the C(n,4) increasing quadruples.  Both are part of the type invariant;
 * the rank-four component array is derived from M on request.  Rank-four
-  arrays that come from outside (files, the Grassmannian formula, raw
-  arrays handed to t_hat) are validated slot by slot with
-  check_curvature_symmetries before they are gathered into an operator;
+  arrays that come from outside (files, the Grassmannian formula) are
+  validated slot by slot with check_curvature_symmetries before they are
+  gathered into an operator;
 * the operator of the metric double product g (*) g is twice the identity
   on bivectors;
 * squared norms: the component-array norm of a curvature tensor is four
@@ -24,17 +24,16 @@ Conventions, fixed once here and relied on everywhere else:
   product per chunk of generators and block shape; the dense stack of the
   N_a is never formed.  _hat_chunks is the one routine that fills hats, a
   chunk at a time, into the views of a stack or into one reused buffer.
-  t_hat returns the whole (dim, D, D) stack of the H_a, Frobenius
-  convention, for an unrestricted CurvatureOperator, and rank-four
-  component arrays scattered from it, component convention, for a
-  CurvatureTensor.  lie_action keeps the slot-by-slot definition as the
-  independent single-generator reference.  Hats are reduced only in
+  t_hat returns the whole (dim, D, D) stack of the H_a of an unrestricted
+  CurvatureOperator, whose squared norms are Frobenius norms.  lie_action
+  keeps the slot-by-slot definition, on the skew matrix of one generator,
+  as the independent single-generator reference.  Hats are reduced only in
   criteria.
 
 Products, traces and projections act on the operator through pair-index
 formulas with index tables cached per dimension.  The rank-four routes
-(bianchi_sum, bianchi_project, _lie_array) stay as the references the tests
-check the pair-index formulas against.
+(bianchi_sum, bianchi_project, lie_action) stay as the references the tests
+check the pair-index formulas and the hats against.
 
 What depends only on the dimension or the structure is built once and
 shared read-only, so per-sample calls touch only the sample: per dimension
@@ -54,7 +53,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .euclid import (
-    Bivector,
     EuclideanSpace,
     GeometryError,
     _pair_table,
@@ -88,7 +86,7 @@ def _pair_lookup(n: int) -> np.ndarray:
 
     The diagonal holds 0; callers weight it out.
     """
-    rows, cols, _ = _pair_table(n)
+    rows, cols = _pair_table(n)
     pair = np.zeros((n, n), dtype=np.intp)
     pair[rows, cols] = pair[cols, rows] = np.arange(rows.size)
     _freeze(pair)
@@ -141,7 +139,7 @@ def _project_flat(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _kn_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Flat indices (xz, yw, xw, yz) into an n x n form, each D x D, at the
     increasing pairs (x, y) (rows) and (z, w) (columns)."""
-    rows, cols, _ = _pair_table(n)
+    rows, cols = _pair_table(n)
     x, y = rows[:, None] * n, cols[:, None] * n
     z, w = rows[None, :], cols[None, :]
     out = (x + z, y + w, x + w, y + z)
@@ -338,7 +336,8 @@ class CurvatureOperator:
     With algebra None the matrix acts on the full bivector space in the
     lexicographic pair basis, aliasing the tensor's matrix (to_operator);
     otherwise it acts in the coordinates of the algebra's orthonormal basis,
-    on a read-only copy whose spectrum is computed at most once.
+    on a read-only matrix whose spectrum is computed at most once: a copy of
+    one given from outside, or the product holonomy.project froze in place.
     """
 
     space: EuclideanSpace
@@ -360,11 +359,14 @@ class CurvatureOperator:
         self._spectrum = None  # (matrix, SpectralData) of a restricted operator
 
     @classmethod
-    def _wrap(cls, space: EuclideanSpace, matrix: np.ndarray) -> "CurvatureOperator":
-        """An unrestricted operator on matrix, aliased, with no checks: for a
-        float D x D matrix that is symmetric by construction."""
+    def _wrap(cls, space: EuclideanSpace, matrix: np.ndarray, algebra=None) -> "CurvatureOperator":
+        """An operator on matrix, aliased, with no checks: for a float matrix
+        of the right shape that is symmetric by construction.  A restricted
+        one (algebra given) freezes matrix in place."""
         op = cls.__new__(cls)
-        op.space, op.matrix, op.algebra, op._spectrum = space, matrix, None, None
+        op.space, op.matrix, op.algebra, op._spectrum = space, matrix, algebra, None
+        if algebra is not None:
+            _freeze(matrix)
         return op
 
     def spectrum(self):
@@ -415,7 +417,7 @@ def _kn_matrix(s: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _pair_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Operator of the array a[x, y] b[z, w] read off at increasing pairs."""
-    rows, cols, _ = _pair_table(a.shape[0])
+    rows, cols = _pair_table(a.shape[0])
     return np.outer(a[rows, cols], b[rows, cols])
 
 
@@ -425,25 +427,6 @@ def _conjugation_on_bivectors(space: EuclideanSpace, s: np.ndarray) -> np.ndarra
     xz, yw, xw, yz = _kn_tables(space.n)
     s = s.ravel()
     return s[yw] * s[xz] - s[yz] * s[xw]
-
-
-def kulkarni_nomizu(space: EuclideanSpace, s: np.ndarray, t: np.ndarray) -> CurvatureTensor:
-    """Kulkarni-Nomizu product of two symmetric bilinear forms.
-
-    For s = t = g this gives twice the identity operator on bivectors.
-    Antisymmetric inputs break the Bianchi identity and are rejected; the
-    decomposition code uses the raw operator combination internally where
-    such terms cancel against each other.
-    """
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    n = space.n
-    if s.shape != (n, n) or t.shape != (n, n):
-        raise GeometryError("forms must be square matrices of the ambient dimension")
-    for name, a in (("first", s), ("second", t)):
-        if float(np.abs(a - a.T).max(initial=0.0)) > 1e-10 * _sym_scale(a):
-            raise GeometryError(f"{name} form is not symmetric")
-    return CurvatureTensor(space, _kn_matrix(s, t))
 
 
 def to_operator(rm: CurvatureTensor) -> CurvatureOperator:
@@ -465,15 +448,6 @@ def _tensor_array_from_matrix(space: EuclideanSpace, mat: np.ndarray) -> np.ndar
     t[r1, c1, c2, r2] = -mat
     t[c1, r1, c2, r2] = mat
     return t
-
-
-def from_operator(op: CurvatureOperator) -> CurvatureTensor:
-    """Inverse of to_operator, on a copy of the matrix.  The operator must
-    act on the full bivector space and satisfy the Bianchi constraint,
-    otherwise SymmetryError."""
-    if op.algebra is not None:
-        raise GeometryError("from_operator needs a full bivector-space operator")
-    return CurvatureTensor(op.space, np.array(op.matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -498,13 +472,14 @@ def _lie_array(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     raise GeometryError(f"lie action supports rank 2 or 4, got rank {t.ndim}")
 
 
-def lie_action(gen: Bivector, t):
-    """Infinitesimal rotation action of a bivector on a tensor.
+def lie_action(a: np.ndarray, t):
+    """Infinitesimal rotation action of a generator, given as its skew
+    matrix (a row of `HolonomyAlgebra.matrices`), on a tensor.
 
     Accepts a rank-2 or rank-4 ndarray, or a CurvatureTensor; returns the
     same kind.  The action preserves the curvature symmetry class.
     """
-    a = gen.matrix()
+    a = np.asarray(a, dtype=float)
     if isinstance(t, CurvatureTensor):
         return CurvatureTensor.from_components(t.space, _lie_array(a, t.components), validate=False)
     return _lie_array(a, np.asarray(t, dtype=float))
@@ -537,39 +512,21 @@ def _hat_chunks(op: CurvatureOperator, algebra, stack: np.ndarray | None = None)
         yield lo, hats
 
 
-def t_hat(t, algebra) -> np.ndarray | list[np.ndarray]:
-    """Derivatives of t along an algebra's basis rotations, in basis order.
+def t_hat(op: CurvatureOperator, algebra) -> np.ndarray:
+    """Hat operators H_a = N_a R + (N_a R)^T of an unrestricted operator
+    along an algebra's basis rotations: one (dim, D, D) stack in basis order,
+    filled chunk by chunk (`_hat_chunks`).  Their squared norms are
+    Frobenius norms (operator convention).
 
-    * CurvatureOperator on the full bivector space: one (dim, D, D) stack of
-      hat operators H_a = N_a R + (N_a R)^T, filled chunk by chunk
-      (`_hat_chunks`); squared norms are Frobenius norms (operator
-      convention).
-    * CurvatureTensor, or a rank-four array validated as one: a list of
-      rank-four component arrays, each scattered from the operator hat, so
-      its squared norm is four times the Frobenius norm of H_a (component
-      convention).
-    * rank-two array: a list of rank-two arrays, the derivation per slot.
-
-    A restricted operator has lost the off-algebra entries its hats need and
-    raises GeometryError.
+    Anything else, a restricted operator included (it has lost the
+    off-algebra entries its hats need), raises GeometryError.
     """
-    if isinstance(t, CurvatureOperator):
-        if t.algebra is not None:
-            raise GeometryError("hat components need a full bivector-space operator")
-        op = t
-    else:
-        if not isinstance(t, CurvatureTensor):
-            arr = np.asarray(t, dtype=float)
-            if arr.ndim == 2:
-                return [_lie_array(a, arr) for a in algebra.matrices]
-            t = CurvatureTensor.from_components(algebra.space, arr)
-        op = to_operator(t)
+    if not isinstance(op, CurvatureOperator) or op.algebra is not None:
+        raise GeometryError("hat components need a full bivector-space operator")
     hats = np.empty((algebra.dim, op.space.bivector_dim, op.space.bivector_dim))
     for _ in _hat_chunks(op, algebra, hats):
         pass
-    if op is t:
-        return hats
-    return [_tensor_array_from_matrix(op.space, h) for h in hats]
+    return hats
 
 
 # ---------------------------------------------------------------------------

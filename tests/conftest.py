@@ -21,6 +21,12 @@ def misplaced_unitary(m: int):
     return holonomy.HolonomyAlgebra(euclid.kaehler(m), "u(m) rotated", rows)
 
 
+def wedge_coeffs(space, x, y) -> np.ndarray:
+    """Coefficients of x ^ y over the lexicographic pairs."""
+    ii, jj = space.pair_rows, space.pair_cols
+    return x[ii] * y[jj] - x[jj] * y[ii]
+
+
 def scattered_action(alg) -> np.ndarray:
     """The dense (dim, D, D) stack of the derivation action N_a of the basis
     on the pairs, scattered from alg.action_blocks.  The library computes

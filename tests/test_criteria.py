@@ -12,7 +12,6 @@ from curvlab.criteria import (
     hat_norm_formula,
     hat_ratio_qk,
     invariance_defect,
-    k_nonnegative,
     kaehler_preset,
     lambda_tripod,
     negative_term_search,
@@ -102,7 +101,7 @@ class TestNormConventions:
         rm = tensor.random_curvature(alg.space, rng=rng)
         comp_sq = [
             float(np.sum(tensor.lie_action(gen, rm).components ** 2))
-            for gen in alg.basis
+            for gen in alg.matrices
         ]
         assert max(comp_sq) > 1e-3
         return rm, alg, comp_sq
@@ -244,11 +243,12 @@ class TestWeightedCriterion:
             WeightedCriterion(k=1, weight=-0.1)
 
     def test_k_nonnegative(self):
+        # k-nonnegativity is the weighted criterion with weight 0
         lam = np.array([-1.0, 2.0, 3.0])
-        assert k_nonnegative(lam, 2)
-        assert not k_nonnegative(lam, 1)
+        assert weighted_criterion(lam, WeightedCriterion(2, 0.0)).satisfied
+        assert not weighted_criterion(lam, WeightedCriterion(1, 0.0)).satisfied
         with pytest.raises(GeometryError):
-            k_nonnegative(lam, 4)
+            weighted_criterion(lam, WeightedCriterion(4, 0.0))
 
 
 class TestPresets:

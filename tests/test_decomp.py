@@ -33,10 +33,10 @@ class TestModels:
         assert np.allclose(op.matrix, 2.0 * np.eye(10))
         assert scalar(sphere(5)) == pytest.approx(40.0)
 
-    def test_sphere_radius_scaling(self):
-        a = sphere(4)
-        b = sphere(4, radius=1.0)
-        assert np.allclose(a.components, 2.0 * b.components)
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_sphere_is_exactly_twice_identity(self, n):
+        assert np.array_equal(to_operator(sphere(n)).matrix, 2.0 * np.eye(n * (n - 1) // 2))
+        assert scalar(sphere(n)) == 2.0 * n * (n - 1)
 
     def test_const_hol_spectrum(self):
         m = 3
@@ -49,10 +49,6 @@ class TestModels:
             (2.0 * (m + 1), 1),
         ]
         assert scalar(rm) == pytest.approx(4.0 * m * (m + 1))
-
-    def test_const_hol_scal_override(self):
-        rm = const_hol(2, scal=24.0)
-        assert scalar(rm) == pytest.approx(24.0)
 
     def test_models_are_shared_and_read_only(self):
         assert hp(2) is hp(2)

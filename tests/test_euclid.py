@@ -1,33 +1,33 @@
 import ast
+import itertools
 import pathlib
 
 import numpy as np
 import pytest
-from conftest import rotated_kaehler
+from conftest import rotated_kaehler, wedge_coeffs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvlab import euclid
+from curvlab import euclid, tensor
 from curvlab.euclid import (
-    Bivector,
     GeometryError,
-    bivector_apply,
-    bracket,
-    from_matrix,
     generic,
-    inner,
     kaehler,
     pair_count,
-    pair_index,
     quaternion_kaehler,
     symmetric_eigen,
     symmetric_eigenvalues,
-    wedge,
 )
+from curvlab.holonomy import HolonomyAlgebra, so_algebra
 
 
 def _vec(rng, n):
     return rng.standard_normal(n)
+
+
+def _bracket_coeffs(alg, a, b):
+    """Coefficients of [a, b] from the structure constants."""
+    return np.einsum("a,b,abg->g", a, b, alg.structure_constants)
 
 
 class TestPairs:
@@ -37,15 +37,12 @@ class TestPairs:
 
     def test_lex_order_round_trip(self):
         n = 6
-        seen = set()
-        for i in range(n):
-            for j in range(i + 1, n):
-                seen.add(pair_index(n, i, j))
-        assert seen == set(range(pair_count(n)))
-
-    def test_decreasing_pair_rejected(self):
-        with pytest.raises(GeometryError):
-            pair_index(5, 3, 1)
+        space = generic(n)
+        pairs = list(itertools.combinations(range(n), 2))
+        assert list(zip(space.pair_rows.tolist(), space.pair_cols.tolist())) == pairs
+        lookup = tensor._pair_lookup(n)
+        assert [lookup[i, j] for i, j in pairs] == list(range(pair_count(n)))
+        assert [lookup[j, i] for i, j in pairs] == list(range(pair_count(n)))
 
     def test_shared_tables_are_read_only(self):
         # every space of one dimension reads the same two arrays
@@ -54,10 +51,6 @@ class TestPairs:
         for arr in (space.pair_rows, space.pair_cols):
             with pytest.raises(ValueError):
                 arr[0] = 0
-
-    def test_diagonal_rejected(self):
-        with pytest.raises(GeometryError):
-            pair_index(5, 2, 2)
 
 
 class TestSpaces:
@@ -95,84 +88,67 @@ class TestSpaces:
 
 
 class TestBivectors:
-    def test_wedge_matrix_action(self, so5_space, rng):
+    """The skew-matrix convention of HolonomyAlgebra.matrices, on so(n),
+    where the coefficient rows are the lexicographic pair basis."""
+
+    def test_wedge_matrix_action(self, so5, rng):
         x, y, z = (_vec(rng, 5) for _ in range(3))
-        b = wedge(so5_space, x, y)
-        expected = x.dot(z) * y - y.dot(z) * x
-        assert np.allclose(b.matrix() @ z, expected)
-        assert np.allclose(bivector_apply(b, z), expected)
+        mat = np.einsum("a,aij->ij", wedge_coeffs(so5.space, x, y), so5.matrices)
+        assert np.allclose(mat @ z, x.dot(z) * y - y.dot(z) * x)
+        assert np.allclose(mat, np.outer(y, x) - np.outer(x, y))
 
-    def test_wedge_antisymmetry(self, so5_space, rng):
-        x, y = _vec(rng, 5), _vec(rng, 5)
-        assert np.allclose(
-            wedge(so5_space, x, y).coeffs, -wedge(so5_space, y, x).coeffs
-        )
+    def test_wedge_antisymmetry(self, so5):
+        mats = so5.matrices
+        assert np.array_equal(mats, -mats.transpose(0, 2, 1))
 
-    def test_matrix_round_trip(self, so5_space, rng):
-        b = Bivector(so5_space, rng.standard_normal(10))
-        back = from_matrix(so5_space, b.matrix())
-        assert np.allclose(back.coeffs, b.coeffs)
+    def test_matrix_round_trip(self, so5, u3, qk2):
+        for alg in (so5, u3, qk2):
+            ii, jj = alg.space.pair_rows, alg.space.pair_cols
+            assert np.array_equal(alg.matrices[:, jj, ii], alg.coeff_matrix)
+            assert np.array_equal(alg.matrices[:, ii, jj], -alg.coeff_matrix)
 
-    def test_from_matrix_takes_skew_part(self, so5_space, rng):
-        m = rng.standard_normal((5, 5))
-        skew = 0.5 * (m - m.T)
-        assert np.allclose(
-            from_matrix(so5_space, m).coeffs, from_matrix(so5_space, skew).coeffs
-        )
+    def test_inner_matches_matrix_trace(self, so5, u3, rng):
+        # half the Frobenius pairing of the matrices is the dot product of
+        # the coefficient rows
+        for alg in (so5, u3):
+            half_frobenius = 0.5 * np.einsum("aij,bij->ab", alg.matrices, alg.matrices)
+            assert np.allclose(half_frobenius, alg.coeff_matrix @ alg.coeff_matrix.T)
+            assert np.allclose(half_frobenius, np.eye(alg.dim))
 
-    def test_inner_matches_matrix_trace(self, so5_space, rng):
-        a = Bivector(so5_space, rng.standard_normal(10))
-        b = Bivector(so5_space, rng.standard_normal(10))
-        assert inner(a, b) == pytest.approx(0.5 * np.trace(a.matrix().T @ b.matrix()))
+    def test_space_mismatch(self, so5_space):
+        # coefficient rows must have one entry per pair of the space
+        with pytest.raises(GeometryError, match="bivector space"):
+            HolonomyAlgebra(so5_space, "bad", np.eye(6))
 
-    def test_norm(self, so5_space):
-        coeffs = np.zeros(10)
-        coeffs[3] = 2.0
-        assert Bivector(so5_space, coeffs).norm() == pytest.approx(2.0)
-
-    def test_arithmetic(self, so5_space, rng):
-        a = Bivector(so5_space, rng.standard_normal(10))
-        b = Bivector(so5_space, rng.standard_normal(10))
-        c = 2.0 * a - b / 2.0
-        assert np.allclose(c.coeffs, 2.0 * a.coeffs - 0.5 * b.coeffs)
-
-    def test_space_mismatch(self, so5_space, rng):
-        a = Bivector(so5_space, rng.standard_normal(10))
-        b = Bivector(generic(4), rng.standard_normal(6))
-        with pytest.raises(GeometryError):
-            _ = a + b
-
-    def test_basis_bracket(self, so5_space):
-        e = np.eye(5)
-        b12 = wedge(so5_space, e[0], e[1])
-        b23 = wedge(so5_space, e[1], e[2])
-        b13 = wedge(so5_space, e[0], e[2])
-        got = bracket(b12, b23)
-        assert np.allclose(got.coeffs, -b13.coeffs)
+    def test_basis_bracket(self, so5):
+        pair = tensor._pair_lookup(5)
+        mats = so5.matrices
+        b12, b23, b13 = mats[pair[0, 1]], mats[pair[1, 2]], mats[pair[0, 2]]
+        assert np.array_equal(b12 @ b23 - b23 @ b12, -b13)
+        assert so5.structure_constants[pair[0, 1], pair[1, 2], pair[0, 2]] == -1.0
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_bracket_is_commutator(seed):
-    sp = generic(5)
+    alg = so_algebra(generic(5))
     rng = np.random.default_rng(seed)
-    a = Bivector(sp, rng.standard_normal(10))
-    b = Bivector(sp, rng.standard_normal(10))
-    lhs = bracket(a, b).matrix()
-    rhs = a.matrix() @ b.matrix() - b.matrix() @ a.matrix()
-    assert np.allclose(lhs, rhs)
+    a, b = rng.standard_normal(10), rng.standard_normal(10)
+    am, bm = (np.einsum("a,aij->ij", v, alg.matrices) for v in (a, b))
+    lhs = np.einsum("g,gij->ij", _bracket_coeffs(alg, a, b), alg.matrices)
+    assert np.allclose(lhs, am @ bm - bm @ am)
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_jacobi_identity(seed):
-    sp = generic(4)
+    alg = so_algebra(generic(4))
     rng = np.random.default_rng(seed)
-    a, b, c = (Bivector(sp, rng.standard_normal(6)) for _ in range(3))
+    a, b, c = (rng.standard_normal(6) for _ in range(3))
     total = (
-        bracket(a, bracket(b, c)).coeffs
-        + bracket(b, bracket(c, a)).coeffs
-        + bracket(c, bracket(a, b)).coeffs
+        _bracket_coeffs(alg, a, _bracket_coeffs(alg, b, c))
+        + _bracket_coeffs(alg, b, _bracket_coeffs(alg, c, a))
+        + _bracket_coeffs(alg, c, _bracket_coeffs(alg, a, b))
     )
     assert np.abs(total).max() < 1e-10 * (1 + np.abs(total).max(initial=0))
 
@@ -181,11 +157,12 @@ def test_jacobi_identity(seed):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_inner_is_ad_invariant(seed):
     # <[c,a],b> + <a,[c,b]> = 0 for the coefficient inner product
-    sp = generic(5)
+    alg = so_algebra(generic(5))
     rng = np.random.default_rng(seed)
-    a, b, c = (Bivector(sp, rng.standard_normal(10)) for _ in range(3))
-    val = inner(bracket(c, a), b) + inner(a, bracket(c, b))
-    assert abs(val) < 1e-9 * (1 + a.norm() * b.norm() * c.norm())
+    a, b, c = (rng.standard_normal(10) for _ in range(3))
+    val = _bracket_coeffs(alg, c, a) @ b + a @ _bracket_coeffs(alg, c, b)
+    norms = np.linalg.norm(a) * np.linalg.norm(b) * np.linalg.norm(c)
+    assert abs(val) < 1e-9 * (1 + norms)
 
 
 class TestEigen:
@@ -195,7 +172,7 @@ class TestEigen:
         m = q @ np.diag(lam) @ q.T
         spec = symmetric_eigen(m)
         assert np.allclose(spec.values, lam)
-        assert np.allclose(spec.reconstruct(), m)
+        assert np.allclose((spec.vectors * spec.values) @ spec.vectors.T, m)
 
     def test_multiplicities(self, rng):
         q, _ = np.linalg.qr(rng.standard_normal((5, 5)))

@@ -1,6 +1,8 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
-from conftest import misplaced_unitary, rotated_kaehler, scattered_action
+from conftest import misplaced_unitary, rotated_kaehler, scattered_action, wedge_coeffs
 
 from curvlab import decomp, holonomy, tensor
 from curvlab.euclid import (
@@ -8,7 +10,6 @@ from curvlab.euclid import (
     GeometryError,
     HolonomyStructure,
     generic,
-    inner,
     kaehler,
     quaternion_kaehler,
 )
@@ -19,7 +20,6 @@ from curvlab.holonomy import (
     by_name,
     complement_mass,
     project,
-    quaternion_frame,
     so_algebra,
     sp_sp1_algebra,
     u_algebra,
@@ -53,13 +53,13 @@ class TestAlgebras:
         # the sp(1) omegas act as the structures themselves; commutation
         # with all three only holds for the sp(m) block, so test closure
         # of the span under conjugation instead
-        from curvlab.euclid import from_matrix
-
+        ii, jj = qk2.space.pair_rows, qk2.space.pair_cols
+        c = qk2.coeff_matrix
         for s in (qk2.space.I, qk2.space.J, qk2.space.K):
             for a in qk2.matrices:
-                conj = from_matrix(qk2.space, s @ a @ s.T)
-                back = qk2.embed(qk2.coords_of(conj))
-                assert np.abs(conj.coeffs - back.coeffs).max() < 1e-10
+                conj = (s @ a @ s.T)[jj, ii]
+                back = (conj @ c.T) @ c
+                assert np.abs(conj - back).max() < 1e-10
 
     def test_structure_constants_antisymmetric(self, qk2):
         c = qk2.structure_constants
@@ -104,17 +104,12 @@ class TestAlgebras:
     def test_rejects_non_closed(self, so5_space):
         # span{e1^e2, e3^e4, e1^e3} is not a subalgebra of so(5)
         rows = np.zeros((3, 10))
-        from curvlab.euclid import pair_index
-
-        rows[0, pair_index(5, 0, 1)] = 1.0
-        rows[1, pair_index(5, 2, 3)] = 1.0
-        rows[2, pair_index(5, 0, 2)] = 1.0
+        pair = tensor._pair_lookup(5)
+        rows[0, pair[0, 1]] = 1.0
+        rows[1, pair[2, 3]] = 1.0
+        rows[2, pair[0, 2]] = 1.0
         with pytest.raises(GeometryError):
             HolonomyAlgebra(so5_space, "bad", rows)
-
-    def test_coords_embed_round_trip(self, qk2, rng):
-        coeffs = rng.standard_normal(qk2.dim)
-        assert np.allclose(qk2.coords_of(qk2.embed(coeffs)), coeffs)
 
 
 class TestProjection:
@@ -130,10 +125,156 @@ class TestProjection:
         op = tensor.to_operator(rm)
         assert complement_mass(op, qk2) > 1e-3
 
+    def test_project_does_no_symmetry_scan(self, qk2, hp2, monkeypatch):
+        # c M c^T is a fresh array: frozen in place, not copied or scanned,
+        # both of which live in CurvatureOperator.__post_init__
+        def post_init(self):
+            raise AssertionError("copy and symmetry scan on a projected operator")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(tensor.CurvatureOperator, "__post_init__", post_init)
+            rop = project(tensor.to_operator(hp2), qk2)
+            assert rop.algebra is qk2 and rop.matrix.shape == (qk2.dim, qk2.dim)
+            assert not rop.matrix.flags.writeable
+            assert rop.spectrum() is rop.spectrum()
+        # a matrix from outside is still copied and scanned
+        mat = np.array(rop.matrix)
+        outside = tensor.CurvatureOperator(qk2.space, mat, qk2)
+        assert outside.matrix is not mat and not outside.matrix.flags.writeable
+        assert np.array_equal(outside.spectrum().values, rop.spectrum().values)
+        mat[0, 1] += 1e-6
+        with pytest.raises(GeometryError, match="not symmetric"):
+            tensor.CurvatureOperator(qk2.space, mat, qk2)
+
     def test_double_restriction_rejected(self, qk2, hp2):
         rop = project(tensor.to_operator(hp2), qk2)
         with pytest.raises(GeometryError):
             project(rop, qk2)
+
+
+# ---------------------------------------------------------------------------
+# quaternionic frames: a reference basis of sp(m)+sp(1), built from wedges
+
+
+@dataclass(eq=False)
+class QuaternionFrame:
+    """Distinguished bivector families on a quaternion-Kaehler space, as
+    coefficient rows over the lexicographic pairs.
+
+    Indices run over the quaternionic blocks 0..m-1.  The families:
+
+    * omega[L]: the parallel 2-form of the structure L, squared norm 2m;
+    * omega_pm[(L, s)]: unit sums/differences of the two halves of omega[L];
+    * w[(i, j)]: diagonal real pair rotations, i < j;
+    * paired[(L, i, j)]: twisted pair rotations, i < j;
+    * diagonal[(L, i)]: traceless single-block rotations;
+    * tilde[(L, k)]: the orthonormal completion of the diagonal family
+      orthogonal to omega[L], k = 0..m-2.
+
+    w + paired + diagonal is an orthonormal basis of the commuting block of
+    sp(m); the omega_pm carry the two sp(1) summands of the symmetric-space
+    operator, w the middle eigenvalue, paired + tilde its kernel.
+    """
+
+    space: EuclideanSpace
+    omega: dict
+    omega_pm: dict
+    w: dict
+    paired: dict
+    diagonal: dict
+    tilde: dict
+
+    def sp_basis(self) -> list[np.ndarray]:
+        m = self.space.m
+        out = [self.w[(i, j)] for i in range(m) for j in range(i + 1, m)]
+        for L in ("I", "J", "K"):
+            out += [self.paired[(L, i, j)] for i in range(m) for j in range(i + 1, m)]
+        for L in ("I", "J", "K"):
+            out += [self.diagonal[(L, i)] for i in range(m)]
+        return out
+
+    def full_basis(self) -> list[np.ndarray]:
+        m = self.space.m
+        return self.sp_basis() + [self.omega[L] / np.sqrt(2 * m) for L in ("I", "J", "K")]
+
+    def symmetric_space_eigenbasis(self) -> list[tuple[np.ndarray, float]]:
+        """Orthonormal eigenbasis, with eigenvalues, of the four-plane
+        Grassmannian curvature operator restricted to this algebra."""
+        m = self.space.m
+        out = [(self.omega_pm[(L, s)], float(m)) for s in ("+", "-") for L in ("I", "J", "K")]
+        out += [(self.w[(i, j)], 4.0) for i in range(m) for j in range(i + 1, m)]
+        for L in ("I", "J", "K"):
+            out += [(self.paired[(L, i, j)], 0.0) for i in range(m) for j in range(i + 1, m)]
+        for L in ("I", "J", "K"):
+            out += [(self.tilde[(L, k)], 0.0) for k in range(m - 1)]
+        return out
+
+
+def quaternion_frame(space: EuclideanSpace) -> QuaternionFrame:
+    m = space.m
+    n = space.n
+    # cyclic companions: the L-form pairs e ^ Le with Ae ^ Be
+    cyc = {"I": ("J", "K"), "J": ("K", "I"), "K": ("I", "J")}
+    structs = {"I": space.I, "J": space.J, "K": space.K}
+
+    def unit(i: int) -> np.ndarray:
+        v = np.zeros(n)
+        v[4 * i] = 1.0
+        return v
+
+    omega = {}
+    omega_pm = {}
+    diagonal = {}
+    for L, (A, B) in cyc.items():
+        SL, SA, SB = structs[L], structs[A], structs[B]
+        first = [wedge_coeffs(space, unit(i), SL @ unit(i)) for i in range(m)]
+        second = [wedge_coeffs(space, SA @ unit(i), SB @ unit(i)) for i in range(m)]
+        total_first = sum(first[1:], first[0])
+        total_second = sum(second[1:], second[0])
+        omega[L] = total_first + total_second
+        omega_pm[(L, "+")] = (total_first + total_second) / np.sqrt(2 * m)
+        omega_pm[(L, "-")] = (total_first - total_second) / np.sqrt(2 * m)
+        for i in range(m):
+            diagonal[(L, i)] = (first[i] - second[i]) / np.sqrt(2)
+
+    w = {}
+    paired = {}
+    for i in range(m):
+        for j in range(i + 1, m):
+            ei, ej = unit(i), unit(j)
+            acc = wedge_coeffs(space, ei, ej)
+            for L in ("I", "J", "K"):
+                acc = acc + wedge_coeffs(space, structs[L] @ ei, structs[L] @ ej)
+            w[(i, j)] = acc / 2
+            for L, (A, B) in cyc.items():
+                SL, SA, SB = structs[L], structs[A], structs[B]
+                term = (
+                    wedge_coeffs(space, ei, SL @ ej)
+                    + wedge_coeffs(space, ej, SL @ ei)
+                    - wedge_coeffs(space, SA @ ei, SB @ ej)
+                    - wedge_coeffs(space, SA @ ej, SB @ ei)
+                )
+                paired[(L, i, j)] = term / 2
+
+    # orthonormal completion of the diagonal family inside each L-slice:
+    # combination of the first k+1 diagonal elements minus (k+1) times the next
+    tilde = {}
+    for L in ("I", "J", "K"):
+        for k in range(m - 1):
+            kk = k + 1
+            acc = diagonal[(L, 0)]
+            for j in range(1, kk):
+                acc = acc + diagonal[(L, j)]
+            tilde[(L, k)] = (acc - kk * diagonal[(L, kk)]) / np.sqrt(kk * kk + kk)
+    return QuaternionFrame(
+        space=space,
+        omega=omega,
+        omega_pm=omega_pm,
+        w=w,
+        paired=paired,
+        diagonal=diagonal,
+        tilde=tilde,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -156,14 +297,14 @@ class TestQuaternionFrame:
         elems = frame3.sp_basis()
         m = 3
         assert len(elems) == m * (2 * m + 1)
-        gram = np.array([[inner(a, b) for b in elems] for a in elems])
+        gram = np.array([[a @ b for b in elems] for a in elems])
         assert np.allclose(gram, np.eye(len(elems)))
 
     def test_full_basis_spans_algebra(self, frame3):
         space = frame3.space
         alg = sp_sp1_algebra(space)
         for el in frame3.full_basis():
-            resid = el.coeffs - alg.coeff_matrix.T @ (alg.coeff_matrix @ el.coeffs)
+            resid = el - alg.coeff_matrix.T @ (alg.coeff_matrix @ el)
             assert np.abs(resid).max() < 1e-10
 
     @pytest.mark.parametrize("m", range(2, 7))
@@ -172,7 +313,7 @@ class TestQuaternionFrame:
         # are the frame's omega / sqrt(2m) to the bit
         space = quaternion_kaehler(m)
         frame = quaternion_frame(space)
-        ref = np.stack([frame.omega[L].coeffs / np.sqrt(2 * m) for L in ("I", "J", "K")])
+        ref = np.stack([frame.omega[L] / np.sqrt(2 * m) for L in ("I", "J", "K")])
         assert np.array_equal(sp_sp1_algebra(space).coeff_matrix[-3:], ref)
 
     def test_eigenbasis_diagonalizes_wolf(self):
@@ -182,7 +323,7 @@ class TestQuaternionFrame:
         rop = project(tensor.to_operator(rm), alg)
         frame = quaternion_frame(rm.space)
         for vec, lam in frame.symmetric_space_eigenbasis():
-            coeffs = alg.coeff_matrix @ vec.coeffs
+            coeffs = alg.coeff_matrix @ vec
             resid = rop.matrix @ coeffs - lam * coeffs
             assert np.abs(resid).max() < 1e-10
 
@@ -344,7 +485,7 @@ class TestActionBlocks:
             gens = sorted(set(np.unique(alg.characters[1], return_index=True)[1]) | {alg.dim - 1})
         scale = 1.0 + float(np.abs(hats).max())
         for b in gens:
-            ref = tensor.to_operator(tensor.lie_action(alg.basis[b], rm)).matrix
+            ref = tensor.to_operator(tensor.lie_action(alg.matrices[b], rm)).matrix
             assert float(np.abs(hats[b] - ref).max()) <= 1e-12 * scale
 
     @pytest.mark.parametrize("builder", [lambda: u_algebra(rotated_kaehler(3)), lambda: misplaced_unitary(3)],

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvlab import decomp, euclid, holonomy, tensor
-from curvlab.euclid import Bivector, generic, wedge
+from curvlab.euclid import generic
 from curvlab.tensor import (
     CurvatureOperator,
     CurvatureTensor,
@@ -16,8 +16,6 @@ from curvlab.tensor import (
     bianchi_sum,
     check_curvature_symmetries,
     check_operator_symmetries,
-    from_operator,
-    kulkarni_nomizu,
     lie_action,
     load_tensor,
     random_curvature,
@@ -71,38 +69,40 @@ class TestSymmetries:
 
 class TestKulkarniNomizu:
     def test_metric_square_is_twice_identity(self):
-        sp = generic(5)
-        rm = kulkarni_nomizu(sp, np.eye(5), np.eye(5))
-        op = to_operator(rm)
-        assert np.allclose(op.matrix, 2.0 * np.eye(10))
+        for n in range(2, 8):
+            g_g = tensor._kn_metric(n)
+            assert np.array_equal(g_g, 2.0 * np.eye(n * (n - 1) // 2))
+            assert not g_g.flags.writeable and tensor._kn_metric(n) is g_g
 
     def test_output_is_curvature(self, rng):
         sp = generic(4)
         s = rng.standard_normal((4, 4))
         s = s + s.T
-        rm = kulkarni_nomizu(sp, s, np.eye(4))
+        rm = CurvatureTensor(sp, tensor._kn_matrix(s, np.eye(4)))
         check_curvature_symmetries(rm.components)
 
     def test_rejects_skew_input(self, rng):
+        # the double product of two antisymmetric forms breaks Bianchi
         sp = generic(4)
-        s = rng.standard_normal((4, 4))
-        with pytest.raises(euclid.GeometryError):
-            kulkarni_nomizu(sp, s - s.T, np.eye(4))
+        s, t = rng.standard_normal((2, 4, 4))
+        with pytest.raises(SymmetryError, match="Bianchi"):
+            CurvatureTensor(sp, tensor._kn_matrix(s - s.T, t - t.T))
 
 
 class TestOperator:
     def test_round_trip(self, rng):
         sp = generic(5)
         rm = random_curvature(sp, rng=rng)
-        back = from_operator(to_operator(rm))
-        assert np.allclose(back.components, rm.components)
+        op = to_operator(rm)
+        back = CurvatureTensor(op.space, np.array(op.matrix))
+        assert np.array_equal(back.components, rm.components)
 
     def test_matrix_entries_are_components(self, rng):
         sp = generic(4)
         rm = random_curvature(sp, rng=rng)
         op = to_operator(rm)
-        a = euclid.pair_index(4, 0, 1)
-        b = euclid.pair_index(4, 2, 3)
+        a = tensor._pair_lookup(4)[0, 1]
+        b = tensor._pair_lookup(4)[2, 3]
         assert op.matrix[a, b] == pytest.approx(rm.components[0, 1, 2, 3])
 
     def test_norm_convention_factor(self, rng):
@@ -135,36 +135,31 @@ class TestOperator:
         assert op.matrix is rm.matrix and op.algebra is None
         assert op.spectrum().values.shape == (10,)
 
-    def test_from_operator_rejects_restricted(self, hp2):
-        alg = holonomy.sp_sp1_algebra(hp2.space)
-        rop = holonomy.project(to_operator(hp2), alg)
-        with pytest.raises(euclid.GeometryError):
-            from_operator(rop)
+
+def _generator(alg, rng):
+    """Skew matrix of a random element of the algebra."""
+    return np.einsum("a,aij->ij", rng.standard_normal(alg.dim), alg.matrices)
 
 
 class TestLieAction:
-    def test_metric_is_invariant(self, so5_space, rng):
-        a = Bivector(so5_space, rng.standard_normal(10))
-        lg = lie_action(a, np.eye(5))
+    def test_metric_is_invariant(self, so5, rng):
+        lg = lie_action(_generator(so5, rng), np.eye(5))
         assert np.abs(lg).max() < 1e-12
 
-    def test_sphere_is_invariant(self, so5_space, rng):
+    def test_sphere_is_invariant(self, so5, rng):
         rm = decomp.sphere(5)
-        a = Bivector(so5_space, rng.standard_normal(10))
-        assert np.abs(lie_action(a, rm).components).max() < 1e-12
+        assert np.abs(lie_action(_generator(so5, rng), rm).components).max() < 1e-12
 
-    def test_preserves_symmetries(self, so5_space, rng):
-        rm = random_curvature(so5_space, rng=rng)
-        a = Bivector(so5_space, rng.standard_normal(10))
-        check_curvature_symmetries(lie_action(a, rm).components, rtol=1e-9)
+    def test_preserves_symmetries(self, so5, rng):
+        rm = random_curvature(so5.space, rng=rng)
+        check_curvature_symmetries(lie_action(_generator(so5, rng), rm).components, rtol=1e-9)
 
-    def test_rank2_derivation(self, so5_space, rng):
+    def test_rank2_derivation(self, so5, rng):
         # L_A acts on a symmetric matrix as minus the symmetrized product
         s = rng.standard_normal((5, 5))
         s = s + s.T
-        a = Bivector(so5_space, rng.standard_normal(10))
-        am = a.matrix()
-        got = lie_action(a, s)
+        am = _generator(so5, rng)
+        got = lie_action(am, s)
         assert np.allclose(got, -(am.T @ s + s @ am))
 
 
@@ -175,27 +170,20 @@ def test_lie_action_is_bracket_compatible(seed):
     sp = generic(4)
     rng = np.random.default_rng(seed)
     rm = random_curvature(sp, rng=rng)
-    a = Bivector(sp, rng.standard_normal(6))
-    b = Bivector(sp, rng.standard_normal(6))
+    a, b = (s - s.T for s in rng.standard_normal((2, 4, 4)))
     lhs = lie_action(a, lie_action(b, rm)).components - lie_action(
         b, lie_action(a, rm)
     ).components
-    rhs = lie_action(euclid.bracket(a, b), rm).components
+    rhs = lie_action(a @ b - b @ a, rm).components
     scale = 1 + np.abs(rhs).max()
     assert np.abs(lhs - rhs).max() < 1e-9 * scale
 
 
 class TestHats:
     def test_invariant_tensor_has_zero_hats(self, so5, rng):
-        hats = t_hat(decomp.sphere(5), so5)
+        hats = t_hat(to_operator(decomp.sphere(5)), so5)
         assert len(hats) == so5.dim
         assert max(np.abs(h).max() for h in hats) < 1e-12
-
-    def test_rank2_hats(self, so5, rng):
-        s = rng.standard_normal((5, 5))
-        s = s + s.T
-        hats = t_hat(s, so5)
-        assert hats[0].shape == (5, 5)
 
 
 @pytest.fixture(params=["so5", "u3", "u3_swapped", "qk2"])
@@ -216,15 +204,17 @@ class TestOperatorHats:
         hats = t_hat(to_operator(rm), hat_algebra)
         d = hat_algebra.space.bivector_dim
         assert hats.shape == (hat_algebra.dim, d, d)
-        for b, gen in enumerate(hat_algebra.basis):
+        for b, gen in enumerate(hat_algebra.matrices):
             assert _close(hats[b], to_operator(lie_action(gen, rm)).matrix)
 
     def test_tensor_hats_match_lie_action(self, hat_algebra, rng):
+        # the component arrays scattered from the operator hats are the
+        # slot-by-slot action on the component array
         rm = random_curvature(hat_algebra.space, rng=rng)
-        hats = t_hat(rm, hat_algebra)
-        assert len(hats) == hat_algebra.dim
-        for b, gen in enumerate(hat_algebra.basis):
-            assert _close(hats[b], lie_action(gen, rm).components)
+        hats = t_hat(to_operator(rm), hat_algebra)
+        for b, gen in enumerate(hat_algebra.matrices):
+            got = tensor._tensor_array_from_matrix(rm.space, hats[b])
+            assert _close(got, lie_action(gen, rm).components)
 
     def test_bivector_action_is_antisymmetric(self, hat_algebra):
         act = scattered_action(hat_algebra)
@@ -236,11 +226,12 @@ class TestOperatorHats:
             t_hat(holonomy.project(to_operator(rm), hat_algebra), hat_algebra)
 
     def test_raw_array_is_validated(self, so5, rng):
+        # one convention, the operator stack: raw rank-four and rank-two
+        # arrays, and tensors, are refused
         rm = random_curvature(so5.space, rng=rng)
-        for got, ref in zip(t_hat(rm.components, so5), t_hat(rm, so5)):
-            assert np.array_equal(got, ref)
-        with pytest.raises(SymmetryError):
-            t_hat(rng.standard_normal((5,) * 4), so5)
+        for arg in (rm, rm.components, rm.matrix, np.eye(5)):
+            with pytest.raises(euclid.GeometryError, match="full bivector-space operator"):
+                t_hat(arg, so5)
 
 
 class TestTraces:
@@ -414,7 +405,7 @@ def test_operator_validation_matches_rank_four(seed, base, kind, factor):
     else:
         i, j, k, l = np.sort(rng.choice(n, size=4, replace=False))
         for (a, b), (c, d), sign in (((i, j), (k, l), 1), ((i, k), (j, l), -1), ((i, l), (j, k), 1)):
-            p, q = euclid.pair_index(n, a, b), euclid.pair_index(n, c, d)
+            p, q = tensor._pair_lookup(n)[a, b], tensor._pair_lookup(n)[c, d]
             mat[p, q] += sign * size
             mat[q, p] += sign * size
     try:
