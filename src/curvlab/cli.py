@@ -1,9 +1,9 @@
 """Command-line front end: verification suites, spectra, decomposition, sweeps.
 
 Reports are deterministic for a fixed (config, seed) pair and byte-identical
-across repeated runs and thread counts; wall-clock timing goes to stderr and
-is kept out of the serialized report for that reason.  Floats are rendered
-with 17 significant digits so reports are diffable.
+across repeated runs; wall-clock timing goes to stderr and is kept out of the
+serialized report for that reason.  Floats are rendered with 17 significant
+digits so reports are diffable.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +23,8 @@ from . import criteria, decomp, holonomy, tensor
 from .euclid import GeometryError, generic, kaehler, quaternion_kaehler
 
 GAP = 1e-6  # eigenvalue clustering threshold, relative to max|eigenvalue|
+RTOL = 1e-8  # relative tolerance of the closed-form checks
+ADJ_TOL = 1e-7  # relative tolerance of matching a published closed form
 
 # Size caps, checked before any work starts; a request above one is a usage
 # error (exit 2).  Bianchi kernels grow like n^8 and hat stacks like n^6, so
@@ -55,7 +56,6 @@ class Report:
     command: str
     config: dict
     records: list = field(default_factory=list)
-    wall_seconds: float = 0.0  # stderr only, never serialized
 
     @property
     def passed(self) -> bool:
@@ -207,36 +207,18 @@ def _merge_mults(pairs: list[tuple[float, int]], gap: float = GAP) -> list[list]
 # config
 
 
-@dataclass
-class RunConfig:
-    command: str
-    suite: str | None = None
-    model: str | None = None
-    m: tuple[int, int] | None = None
-    n: tuple[int, int] | None = None
-    p: int | None = None
-    q: int | None = None
-    trials: int | None = None
-    seed: int = 42
-    tol: float | None = None
-    format: str = "json"
-    out: str | None = None
-    holonomy: str | None = None
-    condition: str | None = None
-    input_path: str | None = None
-    threads: int = 1
+# The report's config echo: the flags a command was given, in this order,
+# with unset ones left out.
+ECHO_KEYS = ("suite", "model", "m", "n", "p", "q", "trials", "seed", "holonomy", "condition", "input_path")
 
-    def rtol(self, default: float) -> float:
-        return self.tol if self.tol is not None else default
 
-    def echo(self) -> dict:
-        keep = {}
-        for k in ("suite", "model", "m", "n", "p", "q", "trials", "seed", "tol",
-                  "holonomy", "condition", "input_path"):
-            v = getattr(self, k)
-            if v is not None:
-                keep[k] = list(v) if isinstance(v, tuple) else v
-        return keep
+def _echo(cfg: argparse.Namespace) -> dict:
+    keep = {}
+    for k in ECHO_KEYS:
+        v = getattr(cfg, k, None)
+        if v is not None:
+            keep[k] = list(v) if isinstance(v, tuple) else v
+    return keep
 
 
 def parse_range(text: str) -> tuple[int, int]:
@@ -254,24 +236,6 @@ def parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("CURVLAB_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise GeometryError(f"CURVLAB_THREADS must be a positive integer, got {raw!r}")
-    return min(threads, os.cpu_count() or 1)
-
-
-def _trial_map(fn, trials: int, threads: int) -> list:
-    if threads <= 1:
-        return [fn(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(trials)))
-
-
 def _trial_rng(seed: int, tag: int, trial: int) -> np.random.Generator:
     # disjoint streams per (suite instance, trial): the entropy is the tuple
     # itself, so no field spills into another (tags and trials stay < 2^32)
@@ -282,9 +246,8 @@ def _trial_rng(seed: int, tag: int, trial: int) -> np.random.Generator:
 # verify suites
 
 
-def suite_hp(cfg: RunConfig) -> list[CheckRecord]:
+def suite_hp(cfg: argparse.Namespace) -> list[CheckRecord]:
     lo, hi = cfg.m or (2, 4)
-    rtol = cfg.rtol(1e-8)
     out = []
     for m in range(lo, hi + 1):
         rm = decomp.hp(m)
@@ -295,16 +258,15 @@ def suite_hp(cfg: RunConfig) -> list[CheckRecord]:
         out.append(rec_eq(f"hp[{m}].algebra_dim", inputs, m * (2 * m + 1) + 3, alg.dim))
         expected = _merge_mults([(4.0, m * (2 * m + 1)), (4.0 * m, 3)])
         actual = [[v, c] for v, c in rop.spectrum().multiplicities(GAP)]
-        out.append(rec_mults(f"hp[{m}].spectrum", inputs, expected, actual, rtol))
-        out.append(rec_close(f"hp[{m}].operator_norm_sq", inputs, 16.0 * m * (5 * m + 1), op.norm_sq(), rtol))
-        out.append(rec_close(f"hp[{m}].scal", inputs, 16.0 * m * (m + 2), tensor.scalar(rm), rtol))
+        out.append(rec_mults(f"hp[{m}].spectrum", inputs, expected, actual, RTOL))
+        out.append(rec_close(f"hp[{m}].operator_norm_sq", inputs, 16.0 * m * (5 * m + 1), op.norm_sq(), RTOL))
+        out.append(rec_close(f"hp[{m}].scal", inputs, 16.0 * m * (m + 2), tensor.scalar(rm), RTOL))
         out.append(rec_leq(f"hp[{m}].complement_mass", inputs, holonomy.complement_mass(op, alg), 1e-9))
         out.append(rec_leq(f"hp[{m}].invariance_defect", inputs, criteria.invariance_defect(rm, alg), 1e-9))
     return out
 
 
-def suite_grassmann(cfg: RunConfig) -> list[CheckRecord]:
-    rtol = cfg.rtol(1e-8)
+def suite_grassmann(cfg: argparse.Namespace) -> list[CheckRecord]:
     if cfg.p is not None and cfg.q is not None:
         combos = [(cfg.p, cfg.q)]
     else:
@@ -320,21 +282,20 @@ def suite_grassmann(cfg: RunConfig) -> list[CheckRecord]:
         )
         actual = [[v, c] for v, c in op.spectrum().multiplicities(GAP)]
         inputs = {"p": p, "q": q}
-        out.append(rec_mults(f"grassmann[{p},{q}].spectrum", inputs, expected, actual, rtol))
+        out.append(rec_mults(f"grassmann[{p},{q}].spectrum", inputs, expected, actual, RTOL))
         out.append(
-            rec_close(f"grassmann[{p},{q}].scal", inputs, float(p * q * (p + q - 2)), tensor.scalar(rm), rtol)
+            rec_close(f"grassmann[{p},{q}].scal", inputs, float(p * q * (p + q - 2)), tensor.scalar(rm), RTOL)
         )
         if p == 4:
             # same number as the quaternionic model family at m = q
             out.append(
-                rec_close(f"grassmann[{p},{q}].scal_qk_crosscheck", inputs, 4.0 * q * (q + 2), tensor.scalar(rm), rtol)
+                rec_close(f"grassmann[{p},{q}].scal_qk_crosscheck", inputs, 4.0 * q * (q + 2), tensor.scalar(rm), RTOL)
             )
     return out
 
 
-def suite_wolf(cfg: RunConfig) -> list[CheckRecord]:
+def suite_wolf(cfg: argparse.Namespace) -> list[CheckRecord]:
     lo, hi = cfg.m or (2, 5)
-    rtol = cfg.rtol(1e-8)
     out = []
     for m in range(lo, hi + 1):
         rm = decomp.wolf(m)
@@ -342,15 +303,15 @@ def suite_wolf(cfg: RunConfig) -> list[CheckRecord]:
         op = tensor.to_operator(rm)
         rop = holonomy.project(op, alg)
         inputs = {"m": m}
-        out.append(rec_close(f"wolf[{m}].operator_norm_sq", inputs, 2.0 * m * (7 * m - 4), op.norm_sq(), rtol))
-        out.append(rec_close(f"wolf[{m}].scal", inputs, 4.0 * m * (m + 2), tensor.scalar(rm), rtol))
+        out.append(rec_close(f"wolf[{m}].operator_norm_sq", inputs, 2.0 * m * (7 * m - 4), op.norm_sq(), RTOL))
+        out.append(rec_close(f"wolf[{m}].scal", inputs, 4.0 * m * (m + 2), tensor.scalar(rm), RTOL))
         kernel = 3 * (m - 1) + 3 * m * (m - 1) // 2
         expected = _merge_mults([(0.0, kernel), (4.0, m * (m - 1) // 2), (float(m), 6)])
         actual = [[v, c] for v, c in rop.spectrum().multiplicities(GAP)]
-        out.append(rec_mults(f"wolf[{m}].spectrum", inputs, expected, actual, rtol))
+        out.append(rec_mults(f"wolf[{m}].spectrum", inputs, expected, actual, RTOL))
         out.append(rec_leq(f"wolf[{m}].complement_mass", inputs, holonomy.complement_mass(op, alg), 1e-9))
         r0_sq = decomp.qk_decompose(rm, alg).parts["hyperkaehler_part"].norm_sq() / 4.0
-        out.append(rec_close(f"wolf[{m}].trace_free_norm_sq", inputs, 9.0 * m * (m - 1), r0_sq, rtol))
+        out.append(rec_close(f"wolf[{m}].trace_free_norm_sq", inputs, 9.0 * m * (m - 1), r0_sq, RTOL))
 
         hat_direct = criteria.hat_norm_direct(rm, alg)
         hat_formula = criteria.hat_norm_formula(rop).total
@@ -365,11 +326,10 @@ def suite_wolf(cfg: RunConfig) -> list[CheckRecord]:
         # adjudication of the two published closed forms against the oracle
         cand_proof = 12.0 * m * (m - 1) * (3 * m + 4)
         cand_statement = 36.0 * m * m * (m - 1)
-        adjtol = cfg.rtol(1e-7)
-        match_proof = abs(hat_direct - cand_proof) <= adjtol * (1.0 + cand_proof)
-        match_statement = abs(hat_direct - cand_statement) <= adjtol * (1.0 + cand_statement)
-        out.append(rec_close(f"wolf[{m}].hat_candidate_proof", inputs, cand_proof, hat_direct, adjtol))
-        out.append(rec_close(f"wolf[{m}].hat_candidate_statement", inputs, cand_statement, hat_direct, adjtol))
+        match_proof = abs(hat_direct - cand_proof) <= ADJ_TOL * (1.0 + cand_proof)
+        match_statement = abs(hat_direct - cand_statement) <= ADJ_TOL * (1.0 + cand_statement)
+        out.append(rec_close(f"wolf[{m}].hat_candidate_proof", inputs, cand_proof, hat_direct, ADJ_TOL))
+        out.append(rec_close(f"wolf[{m}].hat_candidate_statement", inputs, cand_statement, hat_direct, ADJ_TOL))
         out.append(
             rec_bool(
                 f"wolf[{m}].hat_adjudication",
@@ -384,12 +344,12 @@ def suite_wolf(cfg: RunConfig) -> list[CheckRecord]:
             )
         )
         out.append(
-            rec_close(f"wolf[{m}].hat_resolved_form", inputs, 36.0 * m * (m - 1) * (m + 2), hat_direct, rtol)
+            rec_close(f"wolf[{m}].hat_resolved_form", inputs, 36.0 * m * (m - 1) * (m + 2), hat_direct, RTOL)
         )
     return out
 
 
-def suite_weyl_norm(cfg: RunConfig) -> list[CheckRecord]:
+def suite_weyl_norm(cfg: argparse.Namespace) -> list[CheckRecord]:
     lo, hi = cfg.n or (4, 8)
     trials = cfg.trials or 100
     out = []
@@ -404,23 +364,22 @@ def suite_weyl_norm(cfg: RunConfig) -> list[CheckRecord]:
             w_unit = w * (1.0 / np.sqrt(w.norm_sq()))
             return ratio, max(tensor.total_traces(w_unit))
 
-        rows = _trial_map(one, trials, cfg.threads)
+        rows = [one(t) for t in range(trials)]
         target = 4.0 * (n - 1)
         dev = max(abs(r - target) / target for r, _ in rows)
         inputs = {"n": n, "trials": trials}
-        out.append(rec_leq(f"weyl-norm[{n}].ratio_max_rel_dev", inputs, dev, cfg.rtol(1e-8)))
+        out.append(rec_leq(f"weyl-norm[{n}].ratio_max_rel_dev", inputs, dev, RTOL))
         out.append(rec_leq(f"weyl-norm[{n}].trace_residual_max", inputs, max(t for _, t in rows), 1e-10))
     return out
 
 
-def suite_bochner_norm(cfg: RunConfig) -> list[CheckRecord]:
+def suite_bochner_norm(cfg: argparse.Namespace) -> list[CheckRecord]:
     lo, hi = cfg.m or (2, 4)
     trials = cfg.trials or 100
     out = []
     for m in range(lo, hi + 1):
         space = kaehler(m)
         alg = holonomy.by_name(space, "u")
-        decomp._bianchi_kernel_basis(alg)  # warm the cache before threading
 
         def one(trial: int, m=m, alg=alg) -> tuple[float, float, float]:
             rm = decomp.random_algebra_curvature(alg, rng=_trial_rng(cfg.seed, m, trial))
@@ -434,53 +393,51 @@ def suite_bochner_norm(cfg: RunConfig) -> list[CheckRecord]:
             )
             return ratio, max(tensor.total_traces(b_unit)), gap
 
-        rows = _trial_map(one, trials, cfg.threads)
+        rows = [one(t) for t in range(trials)]
         target = 4.0 * (m + 1)
         dev = max(abs(r - target) / target for r, _, _ in rows)
         inputs = {"m": m, "trials": trials}
-        out.append(rec_leq(f"bochner-norm[{m}].ratio_max_rel_dev", inputs, dev, cfg.rtol(1e-8)))
+        out.append(rec_leq(f"bochner-norm[{m}].ratio_max_rel_dev", inputs, dev, RTOL))
         out.append(rec_leq(f"bochner-norm[{m}].trace_residual_max", inputs, max(t for _, t, _ in rows), 1e-10))
         out.append(rec_leq(f"bochner-norm[{m}].route_gap_max", inputs, max(g for _, _, g in rows), 1e-9))
     return out
 
 
-def suite_qk_ratio(cfg: RunConfig) -> list[CheckRecord]:
+def suite_qk_ratio(cfg: argparse.Namespace) -> list[CheckRecord]:
     lo, hi = cfg.m or (2, 4)
     trials = cfg.trials or 100
     out = []
     for m in range(lo, hi + 1):
         space = quaternion_kaehler(m)
         alg = holonomy.by_name(space, "sp")
-        decomp._bianchi_kernel_basis(alg)
 
         def one(trial: int, m=m, alg=alg) -> float:
             rm = decomp.random_algebra_curvature(alg, rng=_trial_rng(cfg.seed, m, trial))
             hr = criteria.hat_ratio_qk(rm, alg)
             return float("nan") if hr.pure_multiple else hr.ratio
 
-        ratios = [r for r in _trial_map(one, trials, cfg.threads) if not np.isnan(r)]
+        ratios = [r for r in (one(t) for t in range(trials)) if not np.isnan(r)]
         inputs = {"m": m, "trials": trials, "nondegenerate": len(ratios)}
         paper_form = (4.0 / 3.0) * (3 * m + 4)
-        adjtol = cfg.rtol(1e-7)
-        matched = sum(1 for r in ratios if abs(r - paper_form) <= adjtol * paper_form)
+        matched = sum(1 for r in ratios if abs(r - paper_form) <= ADJ_TOL * paper_form)
         out.append(
             rec_bool(
                 f"qk-ratio[{m}].matches_published_form",
                 inputs,
                 matched == len(ratios),
-                f"{len(ratios)}/{len(ratios)} within {adjtol:g} of {paper_form:.10g}",
+                f"{len(ratios)}/{len(ratios)} within {ADJ_TOL:g} of {paper_form:.10g}",
                 {"matched": matched, "mean_ratio": float(np.mean(ratios))},
             )
         )
         spread = (max(ratios) - min(ratios)) / abs(np.mean(ratios))
         out.append(rec_leq(f"qk-ratio[{m}].constancy_rel_spread", inputs, spread, 1e-8))
         out.append(
-            rec_close(f"qk-ratio[{m}].measured_constant", inputs, 4.0 * (m + 2), float(np.mean(ratios)), cfg.rtol(1e-8))
+            rec_close(f"qk-ratio[{m}].measured_constant", inputs, 4.0 * (m + 2), float(np.mean(ratios)), RTOL)
         )
     return out
 
 
-def suite_tripod(cfg: RunConfig) -> list[CheckRecord]:
+def suite_tripod(cfg: argparse.Namespace) -> list[CheckRecord]:
     trials = cfg.trials or 500
     rng = np.random.default_rng(cfg.seed)
     out = [
@@ -519,7 +476,7 @@ def suite_tripod(cfg: RunConfig) -> list[CheckRecord]:
     return out
 
 
-def suite_decomp(cfg: RunConfig) -> list[CheckRecord]:
+def suite_decomp(cfg: argparse.Namespace) -> list[CheckRecord]:
     trials = cfg.trials or 200
     out = []
 
@@ -528,10 +485,8 @@ def suite_decomp(cfg: RunConfig) -> list[CheckRecord]:
 
     ksp = kaehler(3)
     ualg = holonomy.by_name(ksp, "u")
-    decomp._bianchi_kernel_basis(ualg)
     qsp = quaternion_kaehler(2)
     qalg = holonomy.by_name(qsp, "sp")
-    decomp._bianchi_kernel_basis(qalg)
 
     def kaehler_sample(trial):
         return decomp.random_algebra_curvature(ualg, rng=_trial_rng(cfg.seed, 17, trial))
@@ -563,7 +518,7 @@ def suite_decomp(cfg: RunConfig) -> list[CheckRecord]:
         ("kaehler", lambda t: split_stats(kaehler_sample(t), decomp.bochner_decompose, "bochner"), split_cols),
         ("qk", qk_stats, ("residual", "orthogonality", "scal_trace_free")),
     ):
-        rows = _trial_map(fn, trials, cfg.threads)
+        rows = [fn(t) for t in range(trials)]
         inputs = {"type": label, "trials": trials}
         for idx, col in enumerate(cols):
             bound = 1e-10 if col == "trace_residual" else 1e-9
@@ -583,16 +538,14 @@ SUITES = {
 }
 
 
-def cmd_verify(cfg: RunConfig) -> tuple[Report, int]:
+def cmd_verify(cfg: argparse.Namespace) -> tuple[Report, int]:
     names = list(SUITES) if cfg.suite in (None, "all") else [cfg.suite]
     for name in names:
         if name not in SUITES:
             raise GeometryError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or all")
-    report = Report(command="verify", config=cfg.echo())
-    start = time.monotonic()
+    report = Report(command="verify", config=_echo(cfg))
     for name in names:
         report.records.extend(SUITES[name](cfg))
-    report.wall_seconds = time.monotonic() - start
     return report, (0 if report.passed else 1)
 
 
@@ -600,7 +553,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[Report, int]:
 # spectrum
 
 
-def _build_model(cfg: RunConfig):
+def _build_model(cfg: argparse.Namespace):
     """Returns (tensor, algebra or None for full-space spectra)."""
     name = (cfg.model or "").replace("_", "-")
     m = cfg.m[0] if cfg.m else None
@@ -625,7 +578,7 @@ def _build_model(cfg: RunConfig):
     raise GeometryError(f"unknown model {cfg.model!r}")
 
 
-def cmd_spectrum(cfg: RunConfig) -> tuple[Report, int]:
+def cmd_spectrum(cfg: argparse.Namespace) -> tuple[Report, int]:
     rm, alg = _build_model(cfg)
     op = tensor.to_operator(rm)
     domain = "full"
@@ -634,7 +587,7 @@ def cmd_spectrum(cfg: RunConfig) -> tuple[Report, int]:
         domain = alg.name
     spec = op.spectrum()
     mults = [[v, c] for v, c in spec.multiplicities(GAP)]
-    report = Report(command="spectrum", config=cfg.echo())
+    report = Report(command="spectrum", config=_echo(cfg))
     report.records.append(
         CheckRecord(
             name=f"spectrum[{cfg.model}]",
@@ -652,7 +605,24 @@ def cmd_spectrum(cfg: RunConfig) -> tuple[Report, int]:
 # decompose
 
 
-def cmd_decompose(cfg: RunConfig) -> tuple[Report, int]:
+def _preset_criterion(alg):
+    """The algebra's preset weighted criterion, as a function of ascending
+    eigenvalues to its CriterionResult; None when the algebra has no preset.
+    Looked up once per algebra, evaluated once per spectrum."""
+    try:
+        preset = criteria.preset_for(alg)
+    except GeometryError:
+        return None
+
+    def evaluate(values: np.ndarray) -> criteria.CriterionResult:
+        # noise-floor slack so exact boundary cases don't flap on rounding
+        slack = 1e-12 * (1.0 + float(np.abs(values).max()))
+        return criteria.weighted_criterion(values, preset, tol=slack)
+
+    return evaluate
+
+
+def cmd_decompose(cfg: argparse.Namespace) -> tuple[Report, int]:
     if not cfg.input_path:
         raise GeometryError("decompose needs an input tensor file")
     size = os.path.getsize(cfg.input_path)
@@ -674,18 +644,12 @@ def cmd_decompose(cfg: RunConfig) -> tuple[Report, int]:
         dec = decomp.bochner_decompose(rm)
     else:
         dec = decomp.qk_decompose(rm, alg)
-    try:
-        preset = criteria.preset_for(alg)
-    except GeometryError:
-        preset = None
 
-    rop = holonomy.project(tensor.to_operator(rm), alg)
-    spec = rop.spectrum()
+    evaluate = _preset_criterion(alg)
     crit = None
-    if preset is not None:
-        # noise-floor slack so exact boundary cases don't flap on rounding
-        slack = 1e-12 * (1.0 + float(np.abs(spec.values).max()))
-        res = criteria.weighted_criterion(spec.values, preset, tol=slack)
+    if evaluate is not None:
+        res = evaluate(holonomy.project(tensor.to_operator(rm), alg).spectrum().values)
+        preset = res.criterion
         crit = {"label": preset.label, "k": preset.k, "weight": preset.weight,
                 "value": res.value, "satisfied": res.satisfied}
 
@@ -698,7 +662,7 @@ def cmd_decompose(cfg: RunConfig) -> tuple[Report, int]:
         rest_sq = dec.parts["hyperkaehler_part"].norm_sq()
         payload["pure_model"] = bool(rest_sq <= 1e-10 * max(1.0, rm.norm_sq()))
 
-    report = Report(command="decompose", config=cfg.echo())
+    report = Report(command="decompose", config=_echo(cfg))
     report.records.append(
         CheckRecord(
             name=f"decompose[{kind}]",
@@ -716,7 +680,7 @@ def cmd_decompose(cfg: RunConfig) -> tuple[Report, int]:
 # sample
 
 
-def cmd_sample(cfg: RunConfig) -> tuple[Report, int]:
+def cmd_sample(cfg: argparse.Namespace) -> tuple[Report, int]:
     kind = holonomy.holonomy_kind(cfg.holonomy or "so")
     if kind == "generic":
         space = generic(cfg.n[0] if cfg.n else 4)
@@ -728,12 +692,8 @@ def cmd_sample(cfg: RunConfig) -> tuple[Report, int]:
         raise GeometryError(
             f"sample reads the two smallest eigenvalues, {alg.name} has dimension {alg.dim}"
         )
-    decomp._bianchi_kernel_basis(alg)
     trials = cfg.trials or 100
-    try:
-        preset = criteria.preset_for(alg)
-    except GeometryError:
-        preset = None
+    criterion = _preset_criterion(alg)
     shift = cfg.condition == "2-nonnegative"
 
     def one(trial: int) -> dict:
@@ -754,9 +714,8 @@ def cmd_sample(cfg: RunConfig) -> tuple[Report, int]:
         }
         if shift:
             row["shift"] = shift_t
-        if preset is not None:
-            slack = 1e-12 * (1.0 + float(np.abs(lam).max()))
-            res = criteria.weighted_criterion(lam, preset, tol=slack)
+        if criterion is not None:
+            res = criterion(lam)
             row["criterion_value"] = res.value
             row["criterion_satisfied"] = res.satisfied
         if kind == "qk":
@@ -764,9 +723,8 @@ def cmd_sample(cfg: RunConfig) -> tuple[Report, int]:
             row["hat_ratio"] = float("nan") if hr.pure_multiple else hr.ratio
         return row
 
-    rows = _trial_map(one, trials, cfg.threads)
-    report = Report(command="sample", config=cfg.echo())
-    for row in rows:
+    report = Report(command="sample", config=_echo(cfg))
+    for row in (one(t) for t in range(trials)):
         report.records.append(
             CheckRecord(
                 name=f"sample[{row['trial']}]",
@@ -801,68 +759,65 @@ def _build_parser() -> argparse.ArgumentParser:
     leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="curvlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    size = {"help": "value, or an inclusive range a..b on verify"}
+    shared = {"seed": {"type": int, "default": 42}, "m": size, "n": size,
+              "p": {"type": int}, "q": {"type": int}, "trials": {"type": int}}
 
-    def common(p, fmt_default="json"):
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--tol", type=float, default=None)
+    def flags(p, names, fmt_default="json"):
+        """Give a command the shared flags it reads, and --format and --out."""
+        for name in names:
+            p.add_argument(f"--{name}", **shared[name])
         p.add_argument("--format", choices=("json", "csv"), default=fmt_default)
         p.add_argument("--out", default=None)
-        p.add_argument("--m", default=None, help="value or inclusive range a..b")
-        p.add_argument("--n", default=None, help="value or inclusive range a..b")
-        p.add_argument("--p", type=int, default=None)
-        p.add_argument("--q", type=int, default=None)
-        p.add_argument("--trials", type=int, default=None)
 
     pv = sub.add_parser("verify", help="run a named check suite")
-    common(pv)
+    flags(pv, ("seed", "m", "n", "p", "q", "trials"))
     pv.add_argument("--suite", default="all")
 
     ps = sub.add_parser("spectrum", help="eigenvalue table of a model operator")
-    common(ps)
+    flags(ps, ("m", "n", "p", "q"))
     ps.add_argument("--model", required=True,
                     choices=("hp", "wolf", "grassmann", "sphere", "const-hol"))
 
     pd = sub.add_parser("decompose", help="decompose a stored tensor")
-    common(pd)
-    pd.add_argument("input", help="tensor JSON file")
+    flags(pd, ())
+    pd.add_argument("input_path", metavar="input", help="tensor JSON file")
     pd.add_argument("--holonomy", "--algebra", dest="holonomy", default=None)
 
     pp = sub.add_parser("sample", help="randomized property sweep")
-    common(pp, fmt_default="csv")
+    flags(pp, ("seed", "m", "n", "trials"), fmt_default="csv")
     pp.add_argument("--holonomy", "--algebra", dest="holonomy", default="so")
     pp.add_argument("--condition", choices=("none", "2-nonnegative"), default="none")
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command, seed=args.seed, tol=args.tol,
-                    format=args.format, out=args.out, threads=_thread_count())
-    cfg.m = parse_range(args.m) if args.m else None
-    cfg.n = parse_range(args.n) if args.n else None
-    for flag, rng, cap in (("--m", cfg.m, MAX_M), ("--n", cfg.n, MAX_N)):
-        if rng is not None and rng[1] > cap:
-            raise GeometryError(f"{flag} {rng[1]} is above the size cap {cap}")
-    for flag, value in (("--p", args.p), ("--q", args.q)):
+def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """Check the parsed flags before any work starts and return them, with
+    --m and --n as (lo, hi) ranges and --condition none as None."""
+    for flag, cap in (("m", MAX_M), ("n", MAX_N)):
+        text = getattr(args, flag, None)
+        if text is None:
+            continue
+        lo, hi = parse_range(text)
+        if hi > cap:
+            raise GeometryError(f"--{flag} {hi} is above the size cap {cap}")
+        if lo != hi and args.command != "verify":
+            raise GeometryError(f"{args.command} takes one value of --{flag}, got the range {text!r}")
+        setattr(args, flag, (lo, hi))
+    p, q = getattr(args, "p", None), getattr(args, "q", None)
+    for flag, value in (("--p", p), ("--q", q)):
         if value is not None and value < 1:
             raise GeometryError(f"{flag} must be at least 1")
-    if args.p is not None and args.q is not None and args.p * args.q > 4 * MAX_M:
-        raise GeometryError(
-            f"--p {args.p} --q {args.q} is dimension {args.p * args.q}, above the size cap {4 * MAX_M}"
-        )
-    cfg.p = args.p
-    cfg.q = args.q
-    cfg.trials = args.trials
-    if cfg.trials is not None and cfg.trials < 1:
+    if p is not None and q is not None and p * q > 4 * MAX_M:
+        raise GeometryError(f"--p {p} --q {q} is dimension {p * q}, above the size cap {4 * MAX_M}")
+    trials = getattr(args, "trials", None)
+    if trials is not None and trials < 1:
         raise GeometryError("--trials must be at least 1")
-    if cfg.seed < 0:
+    if getattr(args, "seed", 0) < 0:
         raise GeometryError("--seed must be a non-negative integer")
-    cfg.suite = getattr(args, "suite", None)
-    cfg.model = getattr(args, "model", None)
-    cfg.holonomy = getattr(args, "holonomy", None)
-    condition = getattr(args, "condition", None)
-    cfg.condition = None if condition in (None, "none") else condition
-    cfg.input_path = getattr(args, "input", None)
-    return cfg
+    if getattr(args, "condition", None) == "none":
+        args.condition = None
+    return args
 
 
 def main(argv=None) -> int:
@@ -879,7 +834,7 @@ def main(argv=None) -> int:
             report, code = cmd_decompose(cfg)
         else:
             report, code = cmd_sample(cfg)
-        report.wall_seconds = time.monotonic() - start
+        wall = time.monotonic() - start
         if cfg.command == "sample" and cfg.format == "csv":
             text = _sample_csv(report)
         elif cfg.format == "csv":
@@ -894,7 +849,7 @@ def main(argv=None) -> int:
         s = report.summary()
         print(
             f"{cfg.command}: {s['passed']}/{s['total']} checks passed "
-            f"in {report.wall_seconds:.2f}s",
+            f"in {wall:.2f}s",
             file=sys.stderr,
         )
         return code

@@ -95,42 +95,20 @@ def const_hol(m: int) -> CurvatureTensor:
 
     Scalar curvature 4m(m+1), operator eigenvalues {2(m+1), 2, 0}.  The
     trace-free middle and Bochner parts vanish, which pins this model as the
-    scalar piece of the unitary decomposition.
+    scalar piece of the unitary decomposition.  The same object as
+    structure_model(kaehler(m)).
     """
     if m < 1:
         raise GeometryError("const_hol needs at least one complex plane")
-    return _read_only(_const_hol_on(kaehler_space(m)))
-
-
-def _const_hol_on(space) -> CurvatureTensor:
-    """const_hol on the complex structure J of a Kaehler space: the unit
-    0.5 g(*)g + 0.5 w(*)w + 2 w(x)w of the Bochner routes."""
-    omega = space.J.T  # bilinear form of the parallel 2-form
-    unit = (
-        0.5 * _kn_metric(space.n)
-        + 0.5 * _kn_matrix(omega, omega)
-        + 2.0 * _pair_outer(omega, omega)
-    )
-    return CurvatureTensor(space, unit)
+    return structure_model(kaehler_space(m))
 
 
 @functools.cache
 def hp(m: int) -> CurvatureTensor:
     """Quaternionic projective model: identity plus the three structure
-    conjugations plus twice the projections onto the parallel forms."""
-    return _read_only(_hp_on(quaternion_kaehler(m)))
-
-
-def _hp_on(space) -> CurvatureTensor:
-    """hp on the quaternionic structure I, J, K of a quaternion-Kaehler
-    space; the parallel form of L is the bivector L[x, y], x < y."""
-    mat = np.eye(space.bivector_dim)
-    structs = (space.I, space.J, space.K)
-    for s in structs:
-        mat += _conjugation_on_bivectors(space, s)
-    for s in structs:
-        mat += 2.0 * _pair_outer(s, s)
-    return CurvatureTensor(space, mat)
+    conjugations plus twice the projections onto the parallel forms.  The
+    same object as structure_model(quaternion_kaehler(m))."""
+    return structure_model(quaternion_kaehler(m))
 
 
 @_shared
@@ -138,15 +116,29 @@ def structure_model(space) -> CurvatureTensor:
     """The model of a space's kind on the space's own structure: the round
     sphere, constant holomorphic curvature on its J, or hp on its I, J, K.
 
-    On the standard structures these are sphere(n), const_hol(m) and hp(m),
-    to the bit.  The Kaehler model's matrix is the unit
-    0.5 g(*)g + 0.5 w(*)w + 2 w(x)w of the Bochner routes.
-    Shared per space, read-only.
+    On the standard structures these are sphere(n), const_hol(m) and hp(m).
+    The Kaehler model's matrix is the unit 0.5 g(*)g + 0.5 w(*)w + 2 w(x)w
+    of the Bochner routes, w the bilinear form of the parallel 2-form; the
+    parallel form of each quaternionic structure L is the bivector L[x, y],
+    x < y.  Shared per space, read-only.
     """
     if space.kind == "generic":
         return sphere(space.n)
-    build = _const_hol_on if space.kind == "kaehler" else _hp_on
-    return _read_only(build(space))
+    if space.kind == "kaehler":
+        omega = space.J.T
+        mat = (
+            0.5 * _kn_metric(space.n)
+            + 0.5 * _kn_matrix(omega, omega)
+            + 2.0 * _pair_outer(omega, omega)
+        )
+    else:
+        mat = np.eye(space.bivector_dim)
+        structs = (space.I, space.J, space.K)
+        for s in structs:
+            mat += _conjugation_on_bivectors(space, s)
+        for s in structs:
+            mat += 2.0 * _pair_outer(s, s)
+    return _read_only(CurvatureTensor(space, mat))
 
 
 @functools.cache

@@ -37,8 +37,8 @@ check the pair-index formulas and the hats against.
 
 What depends only on the dimension or the structure is built once and
 shared read-only, so per-sample calls touch only the sample: per dimension
-(functools.cache) the index tables, the flat indices of the Bianchi
-projection (_project_flat) and the operator of g (*) g (_kn_metric); per
+(functools.cache) the index tables, the flat indices of the Bianchi sum
+and projection (_project_flat) and the operator of g (*) g (_kn_metric); per
 space (euclid._shared, so equal structures share one entry) the rows of the
 parallel forms that total_traces contracts against (_form_rows).
 """
@@ -112,21 +112,11 @@ def _quad_pairs(n: int) -> np.ndarray:
 
 
 @functools.cache
-def _quad_flat(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat indices into a D x D operator of (ij, kl), (jk, il), (ik, jl) at
-    every quadruple i < j < k < l (see _quad_pairs)."""
-    d = n * (n - 1) // 2
-    ij, kl, jk, il, ik, jl = _quad_pairs(n)
-    out = (ij * d + kl, jk * d + il, ik * d + jl)
-    _freeze(*out)
-    return out
-
-
-@functools.cache
 def _project_flat(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices into a D x D operator of the slots _bianchi_project_matrix
     writes at every quadruple i < j < k < l: (3, C(n,4)) arrays of
-    (ij, kl), (ik, jl), (il, jk) and of their transposes."""
+    (ij, kl), (ik, jl), (il, jk) and of their transposes.  The Bianchi sum
+    (_quad_bianchi) reads (ij, kl), (jk, il) and (ik, jl) from them."""
     d = n * (n - 1) // 2
     ij, kl, jk, il, ik, jl = _quad_pairs(n)
     first = np.stack([ij * d + kl, ik * d + jl, il * d + jk])
@@ -195,9 +185,9 @@ def check_curvature_symmetries(t: np.ndarray, rtol: float = 1e-10):
 def _quad_bianchi(mat: np.ndarray, n: int) -> np.ndarray:
     """Bianchi sum T[i,j,k,l] + T[j,k,i,l] + T[k,i,j,l], over 3, of the
     tensor with operator mat, at every quadruple i < j < k < l."""
-    f1, f2, f3 = _quad_flat(n)
+    first, second = _project_flat(n)
     flat = mat.ravel()
-    return (flat[f1] + flat[f2] - flat[f3]) / 3.0
+    return (flat[first[0]] + flat[second[2]] - flat[first[1]]) / 3.0
 
 
 def check_operator_symmetries(mat: np.ndarray, rtol: float = 1e-10):

@@ -17,6 +17,17 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def _clear_shared_caches():
+    """Empty every cache of a per-structure, per-algebra or per-dimension
+    constant that a trial builds on first use."""
+    for fn in (
+        decomp._kaehler_conjugation, decomp.structure_model, decomp._bianchi_kernel_basis,
+        tensor._form_rows, holonomy._algebra, criteria._shift_gain,
+        tensor._kn_metric, tensor._project_flat,
+    ):
+        fn.cache_clear()
+
+
 class TestParsing:
     def test_parse_range(self):
         assert parse_range("3") == (3, 3)
@@ -37,24 +48,72 @@ class TestParsing:
         code, _, err = run(capsys, "verify", "--suite", "tripod", "--trials", "0")
         assert code == 2
 
-    @pytest.mark.parametrize("raw, expected", [(None, 1), ("3", 3), ("4", 4), ("64", 4)])
-    def test_thread_count_capped_at_cpus(self, monkeypatch, raw, expected):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-        if raw is None:
-            monkeypatch.delenv("CURVLAB_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("CURVLAB_THREADS", raw)
-        assert cli._thread_count() == expected
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        subparsers = next(a for a in cli._build_parser()._actions if a.dest == "command")
+        flags = {
+            name: {opt for action in p._actions for opt in action.option_strings} - {"-h", "--help"}
+            for name, p in subparsers.choices.items()
+        }
+        assert flags == {
+            "verify": {"--seed", "--m", "--n", "--p", "--q", "--trials", "--suite", "--format", "--out"},
+            "spectrum": {"--model", "--m", "--n", "--p", "--q", "--format", "--out"},
+            "decompose": {"--holonomy", "--algebra", "--format", "--out"},
+            "sample": {"--seed", "--m", "--n", "--trials", "--holonomy", "--algebra", "--condition",
+                       "--format", "--out"},
+        }
 
-    @pytest.mark.parametrize("raw", ["0", "-2", "two", "1.5", ""])
-    def test_bad_thread_count_is_usage_error(self, capsys, monkeypatch, raw):
-        monkeypatch.setenv("CURVLAB_THREADS", raw)
-        with pytest.raises(GeometryError):
-            cli._thread_count()
-        code, out, err = run(capsys, "verify", "--suite", "tripod", "--trials", "5")
+    @pytest.mark.parametrize("argv", [
+        ("decompose", "t.json", "--seed", "1"),
+        ("decompose", "t.json", "--trials", "3"),
+        ("decompose", "t.json", "--m", "2"),
+        ("spectrum", "--model", "hp", "--m", "2", "--seed", "1"),
+        ("spectrum", "--model", "hp", "--m", "2", "--trials", "3"),
+        ("sample", "--p", "2"),
+        ("sample", "--q", "2"),
+        ("verify", "--tol", "0.5"),
+        ("spectrum", "--model", "hp", "--m", "2", "--tol", "0.5"),
+        ("decompose", "t.json", "--tol", "0.5"),
+        ("sample", "--tol", "0.5"),
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_flag_the_command_does_not_read_is_usage_error(self, capsys, monkeypatch, argv):
+        def no_work(cfg):
+            raise AssertionError("command started")
+
+        for name in ("cmd_verify", "cmd_spectrum", "cmd_decompose", "cmd_sample"):
+            monkeypatch.setattr(cli, name, no_work)
+        with pytest.raises(SystemExit) as exit_:
+            main(list(argv))
+        out = capsys.readouterr()
+        assert exit_.value.code == 2
+        assert out.out == ""
+        assert f"unrecognized arguments: {argv[-2]}" in out.err
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--model", "hp", "--m", "2..4"),
+        ("spectrum", "--model", "sphere", "--n", "4..5"),
+        ("sample", "--holonomy", "so", "--n", "5..8"),
+        ("sample", "--holonomy", "u", "--m", "2..3"),
+    ], ids=["spectrum-m", "spectrum-n", "sample-n", "sample-m"])
+    def test_range_on_a_one_value_command_is_usage_error(self, capsys, monkeypatch, argv):
+        def no_work(cfg):
+            raise AssertionError("command started")
+
+        for name in ("cmd_spectrum", "cmd_sample"):
+            monkeypatch.setattr(cli, name, no_work)
+        code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert "CURVLAB_THREADS" in err
+        assert err == f"error: {argv[0]} takes one value of {argv[-2]}, got the range {argv[-1]!r}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--model", "hp", "--m"),
+        ("sample", "--holonomy", "so", "--trials", "3", "--n"),
+    ])
+    def test_degenerate_range_is_one_value(self, capsys, argv):
+        _, single, _ = run(capsys, *argv, "4")
+        code, degenerate, _ = run(capsys, *argv, "4..4")
+        assert code == 0
+        assert degenerate == single
 
     @pytest.mark.parametrize("command", [
         ("verify", "--suite", "tripod", "--trials", "5"),
@@ -187,44 +246,16 @@ class TestDeterminism:
         _, out2, _ = run(capsys, "verify", "--suite", "hp", "--m", "2")
         assert out1 == out2
 
-    def test_thread_count_does_not_change_bytes(self, capsys, monkeypatch):
-        _, base, _ = run(
-            capsys, "verify", "--suite", "weyl-norm", "--n", "4", "--trials", "12"
-        )
-        monkeypatch.setenv("CURVLAB_THREADS", "4")
-        _, threaded, _ = run(
-            capsys, "verify", "--suite", "weyl-norm", "--n", "4", "--trials", "12"
-        )
-        assert base == threaded
-
     @pytest.mark.parametrize("suite", ["bochner-norm", "decomp"])
-    def test_trial_threads_fill_cold_caches_alike(self, capsys, monkeypatch, suite):
+    def test_trial_threads_fill_cold_caches_alike(self, capsys, suite):
         # every per-structure and per-algebra constant is first built inside
-        # the trial threads, where euclid._shared keeps the one entry stored
-        import sys
-
-        def cold():
-            for fn in (
-                decomp._kaehler_conjugation, decomp.structure_model, decomp._bianchi_kernel_basis,
-                tensor._form_rows, holonomy._algebra, criteria._shift_gain,
-                tensor._kn_metric, tensor._project_flat,
-            ):
-                fn.cache_clear()
-
+        # the first trial; a run that builds them and a run that reads them
+        # give the same bytes
         argv = ("verify", "--suite", suite, "--trials", "12")
-        cold()
-        _, base, _ = run(capsys, *argv)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-        monkeypatch.setenv("CURVLAB_THREADS", "4")
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(2):
-                cold()
-                _, threaded, _ = run(capsys, *argv)
-                assert threaded == base
-        finally:
-            sys.setswitchinterval(old)
+        _clear_shared_caches()
+        _, cold, _ = run(capsys, *argv)
+        _, warm, _ = run(capsys, *argv)
+        assert warm == cold
 
     def test_seed_changes_sample_rows(self, capsys):
         _, a, _ = run(capsys, "sample", "--holonomy", "so", "--n", "4", "--trials", "3")
@@ -474,13 +505,14 @@ def test_one_eigensolve_per_sampled_operator(capsys, monkeypatch, condition, val
 @pytest.mark.parametrize("holonomy_args", [("so", "--n", "6"), ("u", "--m", "3"), ("sp", "--m", "2")],
                          ids=["so6", "u3", "sp2"])
 @pytest.mark.parametrize("condition", ["2-nonnegative", "none"])
-def test_sample_rows_do_not_depend_on_thread_count(capsys, monkeypatch, holonomy_args, condition):
+def test_sample_rows_do_not_depend_on_thread_count(capsys, holonomy_args, condition):
+    # the first row builds the algebra's kernel and shift gain; rows that
+    # build them and rows that read them are the same bytes
     argv = ("sample", "--holonomy", *holonomy_args, "--trials", "12", "--condition", condition)
-    _, base, _ = run(capsys, *argv)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    monkeypatch.setenv("CURVLAB_THREADS", "2")
-    _, threaded, _ = run(capsys, *argv)
-    assert threaded == base
+    _clear_shared_caches()
+    _, cold, _ = run(capsys, *argv)
+    _, warm, _ = run(capsys, *argv)
+    assert warm == cold
 
 
 def test_parser_is_built_once_and_reused(capsys):

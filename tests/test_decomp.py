@@ -61,6 +61,14 @@ class TestModels:
         for model in (sphere(4), const_hol(2), grassmannian(2, 3), wolf(2)):
             assert not model.components.flags.writeable
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_standard_models_are_the_structure_models(self, m):
+        # one object per model: no second cached copy of the same tensor
+        hp.cache_clear()
+        const_hol.cache_clear()
+        assert hp(m) is decomp.structure_model(quaternion_kaehler(m))
+        assert const_hol(m) is decomp.structure_model(kaehler(m))
+
     def test_results_built_from_models_are_writable(self, qk2):
         before = {id(m): m.matrix.copy() for m in (hp(2), wolf(2))}
         rm = random_algebra_curvature(qk2, seed=3)

@@ -1,9 +1,12 @@
-"""Package-level guards: what the package exports is used, and what the
-benchmark instrument wraps is bound."""
+"""Package-level guards: what the package exports is used, what the
+benchmark instrument wraps is bound, and the CLI runs its trials in the
+calling thread."""
 
 import ast
 import importlib
 import pathlib
+import subprocess
+import sys
 import types
 
 import curvlab
@@ -68,3 +71,14 @@ def test_every_wrapped_function_is_bound():
     ]
     assert wrapped
     assert not missing, f"WRAPPED names no longer bound in curvlab: {missing}"
+
+
+def test_cli_starts_no_thread_pool():
+    # trials run one after another in the calling thread: importing the CLI
+    # loads no executor, and no module reads a thread-count setting
+    code = "import sys, curvlab.cli; print('concurrent.futures' in sys.modules)"
+    env = {"PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-B", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
+    readers = [path.name for path in sorted(SRC.glob("*.py")) if "CURVLAB_THREADS" in path.read_text()]
+    assert not readers, f"modules reading CURVLAB_THREADS: {readers}"
