@@ -190,11 +190,11 @@ def rec_mults(name, inputs, expected, actual, tol) -> CheckRecord:
     return CheckRecord(name, inputs, _plain(expected), _plain(actual), tol, ok)
 
 
-def _merge_mults(pairs: list[tuple[float, int]], gap: float = GAP) -> list[list]:
+def _merge_mults(pairs: list[tuple[float, int]]) -> list[list]:
     """Merge an expected (value, count) table at the clustering threshold
-    of SpectralData.multiplicities."""
+    GAP of SpectralData.multiplicities."""
     out: list[list] = []
-    tol = gap * max((abs(v) for v, _ in pairs), default=0.0)
+    tol = GAP * max((abs(v) for v, _ in pairs), default=0.0)
     for v, c in sorted(pairs):
         if out and v - out[-1][0] <= tol:
             out[-1][1] += c
@@ -553,29 +553,32 @@ def cmd_verify(cfg: argparse.Namespace) -> tuple[Report, int]:
 # spectrum
 
 
+def _reject_unread_sizes(cfg: argparse.Namespace, what: str, reads: tuple[str, ...]):
+    """Usage error for a size flag given to what, which reads only reads."""
+    for flag in ("m", "n", "p", "q"):
+        if flag not in reads and getattr(cfg, flag, None) is not None:
+            raise GeometryError(f"{what} does not read --{flag}")
+
+
 def _build_model(cfg: argparse.Namespace):
     """Returns (tensor, algebra or None for full-space spectra)."""
-    name = (cfg.model or "").replace("_", "-")
-    m = cfg.m[0] if cfg.m else None
-    n = cfg.n[0] if cfg.n else None
-    if name in ("hp", "wolf"):
-        if m is None:
-            raise GeometryError(f"spectrum --model {name} needs --m")
-        rm = decomp.hp(m) if name == "hp" else decomp.wolf(m)
-        return rm, holonomy.by_name(rm.space, "sp")
+    name = cfg.model
+    reads = {"grassmann": ("p", "q"), "sphere": ("n",)}.get(name, ("m",))
+    _reject_unread_sizes(cfg, f"spectrum --model {name}", reads)
     if name == "grassmann":
         if cfg.p is None or cfg.q is None:
             raise GeometryError("spectrum --model grassmann needs --p and --q")
         return decomp.grassmannian(cfg.p, cfg.q), None
     if name == "sphere":
-        if n is None:
+        if cfg.n is None:
             raise GeometryError("spectrum --model sphere needs --n")
-        return decomp.sphere(n), None
+        return decomp.sphere(cfg.n[0]), None
+    if cfg.m is None:
+        raise GeometryError(f"spectrum --model {name} needs --m")
     if name == "const-hol":
-        if m is None:
-            raise GeometryError("spectrum --model const-hol needs --m")
-        return decomp.const_hol(m), None
-    raise GeometryError(f"unknown model {cfg.model!r}")
+        return decomp.const_hol(cfg.m[0]), None
+    rm = decomp.hp(cfg.m[0]) if name == "hp" else decomp.wolf(cfg.m[0])
+    return rm, holonomy.by_name(rm.space, "sp")
 
 
 def cmd_spectrum(cfg: argparse.Namespace) -> tuple[Report, int]:
@@ -681,7 +684,8 @@ def cmd_decompose(cfg: argparse.Namespace) -> tuple[Report, int]:
 
 
 def cmd_sample(cfg: argparse.Namespace) -> tuple[Report, int]:
-    kind = holonomy.holonomy_kind(cfg.holonomy or "so")
+    kind = holonomy.holonomy_kind(cfg.holonomy)
+    _reject_unread_sizes(cfg, f"sample --holonomy {cfg.holonomy}", ("n",) if kind == "generic" else ("m",))
     if kind == "generic":
         space = generic(cfg.n[0] if cfg.n else 4)
     else:

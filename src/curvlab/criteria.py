@@ -35,7 +35,7 @@ import numpy as np
 
 from .decomp import qk_decompose, structure_model
 from .euclid import EuclideanSpace, GeometryError, _shared, symmetric_eigen, symmetric_eigenvalues
-from .holonomy import HolonomyAlgebra, by_name, project
+from .holonomy import HolonomyAlgebra, project
 from .tensor import CurvatureOperator, CurvatureTensor, _hat_chunks, t_hat, to_operator
 
 
@@ -54,10 +54,8 @@ def lambda_tripod(a: float, b: float, c: float) -> float:
 
 def _resolve(op, algebra):
     """Normalize (operator, algebra) input combinations to a restricted op."""
-    if isinstance(op, CurvatureTensor):
-        op = to_operator(op)
     if not isinstance(op, CurvatureOperator):
-        raise GeometryError("expected a curvature operator or tensor")
+        raise GeometryError("expected a curvature operator")
     if op.algebra is None:
         if algebra is None:
             raise GeometryError("an algebra is required to restrict the operator")
@@ -297,11 +295,7 @@ class HatRatio:
     pure_multiple: bool
 
 
-def hat_ratio_qk(
-    rm: CurvatureTensor,
-    algebra: HolonomyAlgebra | None = None,
-    rtol: float = 1e-10,
-) -> HatRatio:
+def hat_ratio_qk(rm: CurvatureTensor, algebra: HolonomyAlgebra) -> HatRatio:
     """Ratio |hat|^2 / |trace-free part|^2 for a quaternionic tensor.
 
     Operator-convention norms on both sides.  When the trace-free part
@@ -309,13 +303,11 @@ def hat_ratio_qk(
     undefined; a nonzero hat norm in that situation is impossible for
     tensors supported on the algebra and raises.
     """
-    if algebra is None:
-        algebra = by_name(rm.space, "sp")
     hat_sq = hat_norm_direct(rm, algebra)
     dec = qk_decompose(rm, algebra)
     rest_sq = dec.parts["hyperkaehler_part"].norm_sq() / 4.0
     scale = max(1.0, rm.norm_sq() / 4.0)
-    if rest_sq <= rtol * scale:
+    if rest_sq <= 1e-10 * scale:
         if hat_sq > 1e-8 * scale:
             raise GeometryError(
                 "degenerate trace-free part with nonvanishing hat components"

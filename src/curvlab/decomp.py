@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,6 @@ from .holonomy import (
     _CHUNK_BYTES,
     HolonomyAlgebra,
     _runs,
-    by_name,
     complement_mass,
 )
 from .tensor import (
@@ -192,8 +191,8 @@ class CurvatureDecomposition:
 
     source: CurvatureTensor
     kind: str
-    parts: dict = field(default_factory=dict)
-    coefficients: dict = field(default_factory=dict)
+    parts: dict
+    coefficients: dict
 
     def total(self) -> CurvatureTensor:
         arrays = [p.matrix for p in self.parts.values()]
@@ -254,12 +253,12 @@ def _kaehler_conjugation(space) -> np.ndarray:
     return conj
 
 
-def _check_kaehler_invariance(rm: CurvatureTensor, rtol: float = 1e-9):
+def _check_kaehler_invariance(rm: CurvatureTensor):
     """Raise unless T[x, y, z, w] = sum_ab J[a, x] J[b, y] T[a, b, z, w]: on
     the operator, M = C M with C the matrix of xi -> J^T mat(xi) J."""
     conj = _kaehler_conjugation(rm.space) @ rm.matrix
     scale = 1.0 + float(np.abs(rm.matrix).max(initial=0.0))
-    if float(np.abs(rm.matrix - conj).max(initial=0.0)) > rtol * scale:
+    if float(np.abs(rm.matrix - conj).max(initial=0.0)) > 1e-9 * scale:
         raise GeometryError("tensor is not invariant under the complex structure")
 
 
@@ -337,9 +336,7 @@ def bochner_explicit(rm: CurvatureTensor) -> CurvatureTensor:
     return CurvatureTensor(space, arr)
 
 
-def qk_decompose(
-    rm: CurvatureTensor, algebra: HolonomyAlgebra | None = None
-) -> CurvatureDecomposition:
+def qk_decompose(rm: CurvatureTensor, algebra: HolonomyAlgebra) -> CurvatureDecomposition:
     """Split a quaternion-Kaehler tensor into the model multiple and the
     trace-free remainder.
 
@@ -349,8 +346,6 @@ def qk_decompose(
     space = rm.space
     if space.kind != "qk":
         raise GeometryError("qk_decompose needs a quaternion-Kaehler space")
-    if algebra is None:
-        algebra = by_name(space, "sp")
     op = to_operator(rm)
     mass = complement_mass(op, algebra)
     if mass > 1e-8 * (1.0 + float(np.abs(op.matrix).max(initial=0.0))):
@@ -463,7 +458,7 @@ def _bianchi_blocks(algebra: HolonomyAlgebra):
     return blocks, s_order[np.repeat(~hit, s_counts)]
 
 
-def _null_spaces(grams: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+def _null_spaces(grams: list[np.ndarray]) -> list[list[tuple[np.ndarray, np.ndarray]]]:
     """Null spaces of blocks of constraints under one rank rule.
 
     grams[g] has shape (count, R, R): the Gram matrices rows @ rows.T of
@@ -483,8 +478,9 @@ def _null_spaces(grams: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]
     the 48-row blocks of sp(4)+sp(1), compress to repeated eigenvalues.
     GeometryError is raised when a compressed spectrum has a gap below
     FORM_GAP times the form's range: there rounding would pick the basis.
-    Returns, per entry of grams, the orthonormal null rows (t, R) and the
-    block of each row (t,).
+    Returns, per entry of grams, its runs of blocks of one null dimension
+    t > 0, t ascending: (blocks (count,), C-ordered orthonormal null rows
+    (count, t, R)).
     """
     spectra = [np.linalg.eigh(g) for g in grams]
     top = max((float(w.max()) for w, _ in spectra if w.size), default=0.0)
@@ -500,7 +496,7 @@ def _null_spaces(grams: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]
         # eigh sorts ascending, so a block's null vectors are its first columns
         order, starts, counts, sizes = _runs(np.sum(w <= RANK_RTOL * top, axis=1))
         form = np.sqrt(np.arange(1.0, w.shape[1] + 1))[:, None]
-        rows, owner = [np.empty((0, w.shape[1]))], [np.empty(0, dtype=np.intp)]
+        runs = []
         for start, count, t in zip(starts, counts, sizes):
             if t:
                 blocks = order[start : start + count]
@@ -509,9 +505,10 @@ def _null_spaces(grams: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]
                 gap = float(np.diff(vals, axis=1).min(initial=np.inf))
                 if gap < FORM_GAP * (form[-1, 0] - form[0, 0]):
                     raise GeometryError(f"null basis is not fixed by the compressed form (gap {gap:.3e})")
-                rows.append((null @ turn).transpose(0, 2, 1).reshape(-1, w.shape[1]))
-                owner.append(np.repeat(blocks, t))
-        out.append((_sign_fix(np.concatenate(rows)), np.concatenate(owner)))
+                # C order, or a one-block run is F-ordered and samples round apart
+                rows = np.ascontiguousarray((null @ turn).transpose(0, 2, 1))
+                runs.append((blocks, _sign_fix(rows.reshape(-1, w.shape[1])).reshape(rows.shape)))
+        out.append(runs)
     return out
 
 
@@ -551,16 +548,8 @@ def _bianchi_kernel_basis(algebra: HolonomyAlgebra) -> tuple[tuple[np.ndarray, n
     """
     blocks, free = _bianchi_blocks(algebra)
     parts = []
-    for (pos, _), (rows, owner) in zip(blocks, _null_spaces([grams for _, grams in blocks])):
-        # a block's null rows are consecutive; cut them into runs of blocks
-        # with equal null dimension t
-        firsts = np.flatnonzero(np.diff(owner, prepend=-1))
-        sizes = np.diff(firsts, append=owner.size)
-        runs = np.append(np.flatnonzero(np.diff(sizes, prepend=0)), sizes.size)
-        for lo, hi in zip(runs[:-1], runs[1:]):
-            t, start = sizes[lo], firsts[lo]
-            part_rows = rows[start : start + (hi - lo) * t].reshape(hi - lo, t, rows.shape[1])
-            parts.append((pos[owner[firsts[lo:hi]]], part_rows))
+    for (pos, _), runs in zip(blocks, _null_spaces([grams for _, grams in blocks])):
+        parts.extend((pos[owners], rows) for owners, rows in runs)
     parts.append((free[:, None], np.ones((free.size, 1, 1))))
     _freeze(*(arr for part in parts for arr in part))
     return tuple(parts)

@@ -271,7 +271,7 @@ class SpectralData:
     values: np.ndarray
     vectors: np.ndarray  # columns are orthonormal eigenvectors
 
-    def multiplicities(self, gap: float = 1e-6) -> list[tuple[float, int]]:
+    def multiplicities(self, gap: float) -> list[tuple[float, int]]:
         """Cluster eigenvalues; returns (mean, count) pairs.
 
         Neighbours join a cluster when they differ by at most
@@ -290,32 +290,32 @@ class SpectralData:
         return out
 
 
-# relative tolerance of the symmetry scan that both symmetric solvers make
+# relative tolerance of every symmetry scan: the solvers', tensor's, operators'
 _SYMMETRY_RTOL = 1e-10
 
 
-def _symmetrized(matrix: np.ndarray, rtol: float, solver: str) -> np.ndarray:
+def _symmetrized(matrix: np.ndarray, solver: str) -> np.ndarray:
     """0.5 * (M + M^T) of a square matrix M that is symmetric to
-    rtol * (1 + max|entry|); raises GeometryError otherwise.  The one
-    validation of both symmetric solvers, named solver in its messages."""
+    _SYMMETRY_RTOL * (1 + max|entry|); raises GeometryError otherwise.  The
+    one validation of both symmetric solvers, named solver in its messages."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise GeometryError(f"{solver} expects a square matrix")
     scale = 1.0 + float(np.abs(matrix).max(initial=0.0))
-    if float(np.abs(matrix - matrix.T).max(initial=0.0)) > rtol * scale:
+    if float(np.abs(matrix - matrix.T).max(initial=0.0)) > _SYMMETRY_RTOL * scale:
         raise GeometryError("matrix is not symmetric")
     return 0.5 * (matrix + matrix.T)
 
 
-def symmetric_eigen(matrix: np.ndarray, rtol: float = _SYMMETRY_RTOL) -> SpectralData:
+def symmetric_eigen(matrix: np.ndarray) -> SpectralData:
     """Eigendecomposition of a symmetric matrix with a deterministic sign fix.
 
-    Raises GeometryError for non-square or non-symmetric input (measured
-    against rtol * (1 + max|entry|)) and when the solver fails to converge.
-    Each eigenvector is normalized so its largest-magnitude entry is positive,
-    which pins the output independent of the backing LAPACK build.
+    Raises GeometryError for non-square or non-symmetric input (as
+    _symmetrized) and when the solver fails to converge.  Each eigenvector
+    is normalized so its largest-magnitude entry is positive, which pins the
+    output independent of the backing LAPACK build.
     """
-    sym = _symmetrized(matrix, rtol, "symmetric_eigen")
+    sym = _symmetrized(matrix, "symmetric_eigen")
     try:
         values, vectors = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
@@ -326,12 +326,11 @@ def symmetric_eigen(matrix: np.ndarray, rtol: float = _SYMMETRY_RTOL) -> Spectra
 def symmetric_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a symmetric matrix, with no eigenvectors.
 
-    The checks of symmetric_eigen at its default tolerance, on a cheaper
-    LAPACK path (eigvalsh), so the values agree with
-    symmetric_eigen(matrix).values to rounding, not to the bit.  For callers
-    that read no eigenvector.
+    The checks of symmetric_eigen, on a cheaper LAPACK path (eigvalsh), so
+    the values agree with symmetric_eigen(matrix).values to rounding, not to
+    the bit.  For callers that read no eigenvector.
     """
-    sym = _symmetrized(matrix, _SYMMETRY_RTOL, "symmetric_eigenvalues")
+    sym = _symmetrized(matrix, "symmetric_eigenvalues")
     try:
         return np.linalg.eigvalsh(sym)
     except np.linalg.LinAlgError as exc:

@@ -34,13 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .euclid import EuclideanSpace, GeometryError, _shared, _sign_fix
-from .tensor import (
-    CurvatureOperator,
-    CurvatureTensor,
-    _conjugation_on_bivectors,
-    _freeze,
-    to_operator,
-)
+from .tensor import CurvatureOperator, _conjugation_on_bivectors, _freeze
 
 # Chunk budget: hats and brackets are built over contiguous generator ranges
 # whose arrays stay within this many bytes (HolonomyAlgebra.chunk_size), so
@@ -415,26 +409,23 @@ def _algebra(space: EuclideanSpace, kind: str) -> HolonomyAlgebra:
 # restriction of operators
 
 
-def project(op, algebra: HolonomyAlgebra) -> CurvatureOperator:
-    """Restrict a full bivector operator (or tensor) to the subalgebra.
+def project(op: CurvatureOperator, algebra: HolonomyAlgebra) -> CurvatureOperator:
+    """Restrict a full bivector operator to the subalgebra; a tensor comes
+    in as `tensor.to_operator(rm)`, and anything else raises GeometryError.
 
     c M c^T is a fresh array, symmetric to rounding, and the spectrum solves
     its symmetric part: it is frozen in place, with no copy and no symmetry
     scan (`CurvatureOperator._wrap`)."""
-    if isinstance(op, CurvatureTensor):
-        op = to_operator(op)
-    if op.algebra is not None:
-        raise GeometryError("operator is already restricted")
+    if not isinstance(op, CurvatureOperator) or op.algebra is not None:
+        raise GeometryError("projection needs a full bivector-space operator")
     c = algebra.coeff_matrix
     return CurvatureOperator._wrap(op.space, c @ op.matrix @ c.T, algebra)
 
 
-def complement_mass(op, algebra: HolonomyAlgebra) -> float:
-    """Frobenius norm of the part of the operator not supported on the
-    subalgebra; zero iff the algebra is invariant and the complement is
-    annihilated.  The supported part is c^T (c M c^T) c, through the d x d
-    restriction: no D x D projector is formed."""
-    if isinstance(op, CurvatureTensor):
-        op = to_operator(op)
+def complement_mass(op: CurvatureOperator, algebra: HolonomyAlgebra) -> float:
+    """Frobenius norm of the part of a full bivector operator not supported
+    on the subalgebra; zero iff the algebra is invariant and the complement
+    is annihilated.  The supported part is c^T (c M c^T) c, through the
+    d x d restriction: no D x D projector is formed."""
     c = algebra.coeff_matrix
     return float(np.linalg.norm(op.matrix - c.T @ (c @ op.matrix @ c.T) @ c))

@@ -55,6 +55,7 @@ import numpy as np
 from .euclid import (
     EuclideanSpace,
     GeometryError,
+    _SYMMETRY_RTOL,
     _pair_table,
     _shared,
     generic,
@@ -164,10 +165,10 @@ def _dim_of_pairs(d: int) -> int:
 # symmetry validation and Bianchi projection
 
 
-def check_curvature_symmetries(t: np.ndarray, rtol: float = 1e-10):
+def check_curvature_symmetries(t: np.ndarray):
     """Raise SymmetryError unless the rank-four array t has all curvature
-    symmetries plus Bianchi."""
-    tol = rtol * _sym_scale(t)
+    symmetries plus Bianchi, to _SYMMETRY_RTOL * (1 + max|entry|)."""
+    tol = _SYMMETRY_RTOL * _sym_scale(t)
     r = float(np.abs(t + t.transpose(1, 0, 2, 3)).max(initial=0.0))
     if r > tol:
         raise SymmetryError(f"not antisymmetric in the first pair, residual {r:.3e}")
@@ -190,7 +191,7 @@ def _quad_bianchi(mat: np.ndarray, n: int) -> np.ndarray:
     return (flat[first[0]] + flat[second[2]] - flat[first[1]]) / 3.0
 
 
-def check_operator_symmetries(mat: np.ndarray, rtol: float = 1e-10):
+def check_operator_symmetries(mat: np.ndarray):
     """Raise SymmetryError unless the D x D matrix mat is the operator of a
     curvature tensor: symmetric, and Bianchi at the increasing quadruples.
 
@@ -201,7 +202,7 @@ def check_operator_symmetries(mat: np.ndarray, rtol: float = 1e-10):
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise SymmetryError(f"operator must be a square matrix, got shape {mat.shape}")
     n = _dim_of_pairs(mat.shape[0])
-    tol = rtol * _sym_scale(mat)
+    tol = _SYMMETRY_RTOL * _sym_scale(mat)
     r = float(np.abs(mat - mat.T).max(initial=0.0))
     if r > tol:
         raise SymmetryError(f"not symmetric under pair interchange, residual {r:.3e}")
@@ -269,17 +270,14 @@ class CurvatureTensor:
             check_operator_symmetries(self.matrix)
 
     @classmethod
-    def from_components(
-        cls, space: EuclideanSpace, components, validate: bool = True
-    ) -> "CurvatureTensor":
+    def from_components(cls, space: EuclideanSpace, components) -> "CurvatureTensor":
         """Tensor from a rank-four component array, validated slot by slot
         with check_curvature_symmetries and read off at increasing pairs."""
         arr = np.asarray(components, dtype=float)
         n = space.n
         if arr.shape != (n, n, n, n):
             raise SymmetryError(f"components must have shape {(n, n, n, n)}, got {arr.shape}")
-        if validate:
-            check_curvature_symmetries(arr)
+        check_curvature_symmetries(arr)
         ii, jj = space.pair_rows, space.pair_cols
         mat = arr[ii[:, None], jj[:, None], ii[None, :], jj[None, :]]
         return cls(space, mat, validate=False)
@@ -344,7 +342,7 @@ class CurvatureOperator:
             d = self.algebra.dim
         if self.matrix.shape != (d, d):
             raise GeometryError(f"operator matrix must be {d} x {d}, got {self.matrix.shape}")
-        if float(np.abs(self.matrix - self.matrix.T).max(initial=0.0)) > 1e-10 * _sym_scale(self.matrix):
+        if float(np.abs(self.matrix - self.matrix.T).max(initial=0.0)) > _SYMMETRY_RTOL * _sym_scale(self.matrix):
             raise GeometryError("operator matrix is not symmetric")
         self._spectrum = None  # (matrix, SpectralData) of a restricted operator
 
@@ -471,7 +469,7 @@ def lie_action(a: np.ndarray, t):
     """
     a = np.asarray(a, dtype=float)
     if isinstance(t, CurvatureTensor):
-        return CurvatureTensor.from_components(t.space, _lie_array(a, t.components), validate=False)
+        return CurvatureTensor.from_components(t.space, _lie_array(a, t.components))
     return _lie_array(a, np.asarray(t, dtype=float))
 
 
@@ -605,22 +603,16 @@ def _space_for(n: int, structure: str) -> EuclideanSpace:
     raise GeometryError(f"unknown structure tag {structure!r}")
 
 
-def tensor_from_dict(data: dict, space: EuclideanSpace | None = None) -> CurvatureTensor:
-    """Rebuild a tensor from its dictionary form, validating shape and
-    symmetries.  A caller-provided space must match the stored metadata."""
+def tensor_from_dict(data: dict) -> CurvatureTensor:
+    """Rebuild a tensor from its dictionary form, on the standard space of
+    its dimension and structure tag, validating shape and symmetries."""
     try:
         n = int(data["n"])
         structure = str(data["structure"])
         flat = np.asarray(data["components"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise GeometryError(f"malformed tensor record: {exc}") from exc
-    if space is None:
-        space = _space_for(n, structure)
-    elif space.n != n or space.kind != structure:
-        raise GeometryError(
-            f"stored tensor is {structure} in dimension {n}, "
-            f"target space is {space.kind} in dimension {space.n}"
-        )
+    space = _space_for(n, structure)
     if flat.shape != (n**4,):
         raise GeometryError(f"expected {n**4} components, got {flat.shape[0]}")
     return CurvatureTensor.from_components(space, flat.reshape(n, n, n, n))
@@ -632,10 +624,10 @@ def save_tensor(rm: CurvatureTensor, path: str):
         fh.write("\n")
 
 
-def load_tensor(path: str, space: EuclideanSpace | None = None) -> CurvatureTensor:
+def load_tensor(path: str) -> CurvatureTensor:
     with open(path) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise GeometryError(f"invalid tensor file {path}: {exc}") from exc
-    return tensor_from_dict(data, space)
+    return tensor_from_dict(data)

@@ -105,6 +105,40 @@ class TestParsing:
         assert out == ""
         assert err == f"error: {argv[0]} takes one value of {argv[-2]}, got the range {argv[-1]!r}\n"
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("sample", "--holonomy", "so", "--m", "5"), "--m"),
+        (("sample", "--holonomy", "u", "--n", "8"), "--n"),
+        (("sample", "--holonomy", "sp", "--m", "2", "--n", "8"), "--n"),
+        (("spectrum", "--model", "hp", "--m", "2", "--n", "9"), "--n"),
+        (("spectrum", "--model", "wolf", "--m", "2", "--p", "2"), "--p"),
+        (("spectrum", "--model", "const-hol", "--m", "2", "--q", "2"), "--q"),
+        (("spectrum", "--model", "sphere", "--n", "4", "--m", "2"), "--m"),
+        (("spectrum", "--model", "grassmann", "--p", "2", "--q", "3", "--n", "6"), "--n"),
+    ], ids=["sample-so-m", "sample-u-n", "sample-sp-n", "spectrum-hp-n", "spectrum-wolf-p",
+            "spectrum-const-hol-q", "spectrum-sphere-m", "spectrum-grassmann-n"])
+    def test_size_flag_the_target_does_not_read_is_usage_error(self, capsys, monkeypatch, argv, flag):
+        # each holonomy or model reads its own sizes: sample so --n, u and sp
+        # --m; spectrum hp, wolf and const-hol --m, sphere --n, grassmann
+        # --p --q.  Any other size flag stops the command before any work.
+        def no_work(*args):
+            raise AssertionError("work started")
+
+        for name in ("hp", "wolf", "const_hol", "sphere", "grassmannian"):
+            monkeypatch.setattr(decomp, name, no_work)
+        monkeypatch.setattr(holonomy, "by_name", no_work)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {' '.join(argv[:3])} does not read {flag}\n"
+
+    def test_model_name_with_underscore_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["spectrum", "--model", "const_hol", "--m", "2"])
+        out = capsys.readouterr()
+        assert exit_.value.code == 2
+        assert out.out == ""
+        assert "invalid choice: 'const_hol'" in out.err
+
     @pytest.mark.parametrize("argv", [
         ("spectrum", "--model", "hp", "--m"),
         ("sample", "--holonomy", "so", "--trials", "3", "--n"),

@@ -76,7 +76,7 @@ class TestHatNorms:
 
     def test_equal_algebra_accepted_for_restricted_operator(self, u3_swapped):
         alg = holonomy.u_algebra(kaehler(3))
-        rop = project(decomp.random_algebra_curvature(alg, seed=0), alg)
+        rop = project(to_operator(decomp.random_algebra_curvature(alg, seed=0)), alg)
         assert hat_norm_formula(rop, holonomy.u_algebra(kaehler(3))).total == hat_norm_formula(rop).total
         with pytest.raises(GeometryError, match="different algebra"):
             hat_norm_formula(rop, u3_swapped)
@@ -439,7 +439,7 @@ class TestShift:
         lam = project(to_operator(shifted), alg).spectrum().values
         assert lam[0] + lam[1] >= -1e-12 * (1.0 + float(np.abs(lam).max()))
         scale = 1.0 + float(np.abs(shifted.matrix).max())
-        assert holonomy.complement_mass(shifted, alg) <= 1e-13 * scale
+        assert holonomy.complement_mass(to_operator(shifted), alg) <= 1e-13 * scale
 
     def test_witness_exists_without_shift(self):
         alg = so_algebra(generic(4))

@@ -293,11 +293,11 @@ class TestKernelSampler:
         for g in grams:
             e = rng.standard_normal(g.shape)
             noisy.append(g + 1e-15 * np.abs(g).max() * (e + e.transpose(0, 2, 1)))
-        for (rows, owner), (moved, moved_owner) in zip(
-            decomp._null_spaces(grams), decomp._null_spaces(noisy)
-        ):
-            assert np.array_equal(owner, moved_owner)
-            assert np.abs(rows - moved).max() < 1e-9
+        for runs, moved_runs in zip(decomp._null_spaces(grams), decomp._null_spaces(noisy)):
+            assert len(runs) == len(moved_runs)
+            for (blocks, rows), (moved_blocks, moved) in zip(runs, moved_runs):
+                assert np.array_equal(blocks, moved_blocks) and rows.shape == moved.shape
+                assert np.abs(rows - moved).max() < 1e-9
 
     def test_so_sampler_spans_curvature_space(self, rng):
         # accumulated samples reach the full generic curvature dimension
@@ -471,6 +471,8 @@ class TestKernelBasis:
             assert rows.shape[0] == pos.shape[0] and rows.shape[2] == pos.shape[1]
             assert rows.shape[1] >= 1
             assert not pos.flags.writeable and not rows.flags.writeable
+            # the sampler's batched product rounds by layout
+            assert pos.flags.c_contiguous and rows.flags.c_contiguous
         free_pos, free_rows = parts[-1]
         assert free_pos.shape[1] == 1 and np.array_equal(free_rows, np.ones(free_rows.shape))
         assert curvature_space_dim(alg) == sum(rows.shape[0] * rows.shape[1] for _, rows in parts)
@@ -536,8 +538,11 @@ class TestKernelBasis:
     def test_null_space_of_gapped_constraints(self, shape, scale):
         # the rank rule is relative: scaling the constraints keeps the rank
         rows = self._constraints(shape, [scale, 0.8 * scale, 0.5 * scale])
-        [(null, _)] = decomp._null_spaces([(rows @ rows.T)[None]])
-        assert null.shape == (shape[0] - 3, shape[0])
+        [[(blocks, run_rows)]] = decomp._null_spaces([(rows @ rows.T)[None]])
+        assert blocks.tolist() == [0] and run_rows.shape == (1, shape[0] - 3, shape[0])
+        # a run of one block is C-ordered like any other
+        assert run_rows.flags.c_contiguous
+        null = run_rows[0]
         assert np.abs(null @ null.T - np.eye(shape[0] - 3)).max() < 1e-12
         assert np.abs(null @ rows).max() < 1e-12 * scale
 
@@ -576,8 +581,8 @@ class TestKernelBasis:
             decomp._null_spaces([np.outer(w, w)[None]])
         # the same null space turned by 1e-3 has a clear gap
         w = np.array([-np.sin(np.arcsin(s) + 1e-3), 0.0, np.cos(np.arcsin(s) + 1e-3)])
-        [(null, _)] = decomp._null_spaces([np.outer(w, w)[None]])
-        assert np.abs(null @ w).max() < 1e-15
+        [[(_, null)]] = decomp._null_spaces([np.outer(w, w)[None]])
+        assert null.shape == (1, 2, 3) and np.abs(null @ w).max() < 1e-15
 
     @pytest.mark.parametrize(
         "builder,blocks",
@@ -620,10 +625,10 @@ class TestKernelBasis:
         # a block at rounding level against the other block's scale is null
         loud = self._gram([1.0, 0.5, 0.0])
         quiet = self._gram([1e-20, 4e-21, 1e-21], seed=1)
-        [(rows, owner)] = decomp._null_spaces([np.stack([loud, quiet])])
-        assert np.bincount(owner, minlength=2).tolist() == [1, 3]
-        for block, gram in enumerate((loud, quiet)):
-            null = rows[owner == block]
+        [runs] = decomp._null_spaces([np.stack([loud, quiet])])
+        assert [(blocks.tolist(), rows.shape) for blocks, rows in runs] == [([0], (1, 1, 3)), ([1], (1, 3, 3))]
+        for (_, rows), gram in zip(runs, (loud, quiet)):
+            null = rows[0]
             assert np.abs(null @ null.T - np.eye(len(null))).max() < 1e-12
             assert np.abs(null @ gram).max() < 1e-12
 

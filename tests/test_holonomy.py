@@ -151,6 +151,12 @@ class TestProjection:
         with pytest.raises(GeometryError):
             project(rop, qk2)
 
+    def test_tensor_is_rejected(self, qk2, hp2):
+        # an operator comes in as to_operator(rm); project converts nothing
+        for given in (hp2, hp2.matrix):
+            with pytest.raises(GeometryError, match="full bivector-space operator"):
+                project(given, qk2)
+
 
 # ---------------------------------------------------------------------------
 # quaternionic frames: a reference basis of sp(m)+sp(1), built from wedges

@@ -1,9 +1,10 @@
-"""Package-level guards: what the package exports is used, what the
-benchmark instrument wraps is bound, and the CLI runs its trials in the
-calling thread."""
+"""Package-level guards: what the package exports is used, every defaulted
+parameter is one some caller leaves out, what the benchmark instrument
+wraps is bound, and the CLI runs its trials in the calling thread."""
 
 import ast
 import importlib
+import inspect
 import pathlib
 import subprocess
 import sys
@@ -50,6 +51,61 @@ def test_every_export_is_referenced_or_kept():
     unused = sorted(set(exported) - _referenced() - set(KEPT_REFERENCES))
     assert not unused, f"exported but referenced nowhere in src/curvlab: {unused}"
     assert set(KEPT_REFERENCES) <= set(exported)
+
+
+# Defaulted parameters of the library, each with the callers that leave it
+# out.  A parameter every caller passes is required, or a module constant.
+KEPT_DEFAULTS = {
+    "cli.Report.__init__(records)": "a command's report starts empty and appends its records",
+    "cli.main(argv)": "the console script calls main() to read sys.argv; the tests pass a list",
+    "criteria.WeightedCriterion.__init__(label)": "the presets label their criteria; the tests build bare ones",
+    "criteria._self_term(algebra)": "negative_term_search passes a restricted operator, which carries its algebra",
+    "criteria.curvature_term(algebra)": "the acceptance gate passes a restricted operator alone",
+    "criteria.curvature_term_self(algebra)": "`curvlab sample` passes a restricted operator alone",
+    "criteria.hat_norm_formula(algebra)": "the wolf suite passes a restricted operator alone",
+    "criteria.negative_term_search(seed)": "knob of the seeded adversary search, until a checked adversary replaces it",
+    "criteria.negative_term_search(shift)": "knob of the seeded adversary search, until a checked adversary replaces it",
+    "criteria.negative_term_search(trials)": "knob of the seeded adversary search, until a checked adversary replaces it",
+    "criteria.weighted_criterion(tol)": "the CLI passes its noise-floor slack; an exact check leaves it at 0",
+    "decomp.random_algebra_curvature(rng)": "the suites pass a trial stream; the tests and the acceptance gate pass seed=",
+    "decomp.random_algebra_curvature(seed)": "the suites pass a trial stream; the tests and the acceptance gate pass seed=",
+    "euclid.EuclideanSpace.__init__(structure)": "generic(n) is the space with no holonomy structure",
+    "euclid.HolonomyStructure.__init__(I)": "a structure holds only its kind's matrices: none, J, or I, J, K",
+    "euclid.HolonomyStructure.__init__(J)": "a structure holds only its kind's matrices: none, J, or I, J, K",
+    "euclid.HolonomyStructure.__init__(K)": "a structure holds only its kind's matrices: none, J, or I, J, K",
+    "tensor.CurvatureOperator.__init__(algebra)": "None is the operator on the full bivector space",
+    "tensor.CurvatureOperator._wrap(algebra)": "to_operator wraps a full-space operator; project passes its algebra",
+    "tensor.CurvatureTensor.__init__(validate)": "sums and multiples of curvature tensors skip the scan; any other matrix is checked",
+    "tensor._hat_chunks(stack)": "t_hat fills its stack in place; the hat-norm reductions refill one chunk buffer",
+    "tensor.random_curvature(rng)": "the suites pass a trial stream; the tests pass seed=",
+    "tensor.random_curvature(seed)": "the suites pass a trial stream; the tests pass seed=",
+}
+
+
+def _defaulted() -> set[str]:
+    """"module.qualname(parameter)" of every defaulted parameter of a
+    function, method, classmethod or dataclass __init__ defined in
+    src/curvlab, read through cache wrappers with inspect."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"curvlab.{path.stem}" if path.stem != "__init__" else "curvlab")
+        for obj in vars(module).values():
+            members = [getattr(m, "__func__", m) for m in vars(obj).values()] if inspect.isclass(obj) else [obj]
+            for fn in members:
+                fn = inspect.unwrap(fn) if callable(fn) else fn
+                if not inspect.isfunction(fn) or fn.__module__ != module.__name__:
+                    continue
+                for param in inspect.signature(fn).parameters.values():
+                    if param.default is not param.empty:
+                        found.add(f"{path.stem}.{fn.__qualname__}({param.name})")
+    return found
+
+
+def test_defaulted_parameters_are_kept():
+    found = _defaulted()
+    assert sorted(found - set(KEPT_DEFAULTS)) == [], "defaulted parameters with no reason in KEPT_DEFAULTS"
+    assert sorted(set(KEPT_DEFAULTS) - found) == [], "KEPT_DEFAULTS entries that are gone"
+    assert all(KEPT_DEFAULTS.values())
 
 
 def _wrapped() -> list[tuple]:
