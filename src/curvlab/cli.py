@@ -242,6 +242,14 @@ def _trial_rng(seed: int, tag: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed, tag, trial])
 
 
+def _trial_stacks(seed: int, tag: int, trials: int, space):
+    """The streams of trials 0..trials-1 of one suite instance, in lists of
+    `holonomy.trial_chunk(space)`: a sampler draws each list as one stack."""
+    per = holonomy.trial_chunk(space)
+    for lo in range(0, trials, per):
+        yield [_trial_rng(seed, tag, trial) for trial in range(lo, min(lo + per, trials))]
+
+
 # ---------------------------------------------------------------------------
 # verify suites
 
@@ -356,20 +364,18 @@ def suite_weyl_norm(cfg: argparse.Namespace) -> list[CheckRecord]:
     for n in range(lo, hi + 1):
         space = generic(n)
         alg = holonomy.by_name(space, "so")
-
-        def one(trial: int, n=n, space=space, alg=alg) -> tuple[float, float]:
-            rm = tensor.random_curvature(space, rng=_trial_rng(cfg.seed, n, trial))
+        ratios, traces = [], []
+        for streams in _trial_stacks(cfg.seed, n, trials, space):
+            rm = tensor.random_curvature(space, rng=streams)
             w = decomp.weyl_decompose(rm).parts["weyl"]
-            ratio = 4.0 * criteria.hat_norm_direct(w, alg) / w.norm_sq()
+            ratios.append(4.0 * criteria.hat_norm_direct(w, alg) / w.norm_sq())
             w_unit = w * (1.0 / np.sqrt(w.norm_sq()))
-            return ratio, max(tensor.total_traces(w_unit))
-
-        rows = [one(t) for t in range(trials)]
+            traces.append(np.max(tensor.total_traces(w_unit), axis=0))
         target = 4.0 * (n - 1)
-        dev = max(abs(r - target) / target for r, _ in rows)
+        dev = np.max(np.abs(np.concatenate(ratios) - target) / target)
         inputs = {"n": n, "trials": trials}
         out.append(rec_leq(f"weyl-norm[{n}].ratio_max_rel_dev", inputs, dev, RTOL))
-        out.append(rec_leq(f"weyl-norm[{n}].trace_residual_max", inputs, max(t for _, t in rows), 1e-10))
+        out.append(rec_leq(f"weyl-norm[{n}].trace_residual_max", inputs, np.max(np.concatenate(traces)), 1e-10))
     return out
 
 
@@ -380,26 +386,23 @@ def suite_bochner_norm(cfg: argparse.Namespace) -> list[CheckRecord]:
     for m in range(lo, hi + 1):
         space = kaehler(m)
         alg = holonomy.by_name(space, "u")
-
-        def one(trial: int, m=m, alg=alg) -> tuple[float, float, float]:
-            rm = decomp.random_algebra_curvature(alg, rng=_trial_rng(cfg.seed, m, trial))
-            dec = decomp.bochner_decompose(rm)
-            b = dec.parts["bochner"]
-            ratio = 4.0 * criteria.hat_norm_direct(b, alg) / b.norm_sq()
+        ratios, traces, gaps = [], [], []
+        for streams in _trial_stacks(cfg.seed, m, trials, space):
+            rm = decomp.random_algebra_curvature(alg, rng=streams)
+            b = decomp.bochner_decompose(rm).parts["bochner"]
+            ratios.append(4.0 * criteria.hat_norm_direct(b, alg) / b.norm_sq())
             b_unit = b * (1.0 / np.sqrt(b.norm_sq()))
+            traces.append(np.max(tensor.total_traces(b_unit), axis=0))
             other = decomp.bochner_explicit(rm)
-            gap = float(np.abs(b.matrix - other.matrix).max()) / (
-                1.0 + float(np.abs(rm.matrix).max())
+            gaps.append(
+                np.abs(b.matrix - other.matrix).max(axis=(1, 2)) / (1.0 + np.abs(rm.matrix).max(axis=(1, 2)))
             )
-            return ratio, max(tensor.total_traces(b_unit)), gap
-
-        rows = [one(t) for t in range(trials)]
         target = 4.0 * (m + 1)
-        dev = max(abs(r - target) / target for r, _, _ in rows)
+        dev = np.max(np.abs(np.concatenate(ratios) - target) / target)
         inputs = {"m": m, "trials": trials}
         out.append(rec_leq(f"bochner-norm[{m}].ratio_max_rel_dev", inputs, dev, RTOL))
-        out.append(rec_leq(f"bochner-norm[{m}].trace_residual_max", inputs, max(t for _, t, _ in rows), 1e-10))
-        out.append(rec_leq(f"bochner-norm[{m}].route_gap_max", inputs, max(g for _, _, g in rows), 1e-9))
+        out.append(rec_leq(f"bochner-norm[{m}].trace_residual_max", inputs, np.max(np.concatenate(traces)), 1e-10))
+        out.append(rec_leq(f"bochner-norm[{m}].route_gap_max", inputs, np.max(np.concatenate(gaps)), 1e-9))
     return out
 
 
@@ -410,16 +413,14 @@ def suite_qk_ratio(cfg: argparse.Namespace) -> list[CheckRecord]:
     for m in range(lo, hi + 1):
         space = quaternion_kaehler(m)
         alg = holonomy.by_name(space, "sp")
-
-        def one(trial: int, m=m, alg=alg) -> float:
-            rm = decomp.random_algebra_curvature(alg, rng=_trial_rng(cfg.seed, m, trial))
-            hr = criteria.hat_ratio_qk(rm, alg)
-            return float("nan") if hr.pure_multiple else hr.ratio
-
-        ratios = [r for r in (one(t) for t in range(trials)) if not np.isnan(r)]
+        ratios = np.concatenate([
+            criteria.hat_ratio_qk(decomp.random_algebra_curvature(alg, rng=streams), alg).ratio
+            for streams in _trial_stacks(cfg.seed, m, trials, space)
+        ])
+        ratios = ratios[~np.isnan(ratios)]
         inputs = {"m": m, "trials": trials, "nondegenerate": len(ratios)}
         paper_form = (4.0 / 3.0) * (3 * m + 4)
-        matched = sum(1 for r in ratios if abs(r - paper_form) <= ADJ_TOL * paper_form)
+        matched = int(np.sum(np.abs(ratios - paper_form) <= ADJ_TOL * paper_form))
         out.append(
             rec_bool(
                 f"qk-ratio[{m}].matches_published_form",
@@ -429,7 +430,7 @@ def suite_qk_ratio(cfg: argparse.Namespace) -> list[CheckRecord]:
                 {"matched": matched, "mean_ratio": float(np.mean(ratios))},
             )
         )
-        spread = (max(ratios) - min(ratios)) / abs(np.mean(ratios))
+        spread = (ratios.max() - ratios.min()) / abs(np.mean(ratios))
         out.append(rec_leq(f"qk-ratio[{m}].constancy_rel_spread", inputs, spread, 1e-8))
         out.append(
             rec_close(f"qk-ratio[{m}].measured_constant", inputs, 4.0 * (m + 2), float(np.mean(ratios)), RTOL)
@@ -479,50 +480,47 @@ def suite_tripod(cfg: argparse.Namespace) -> list[CheckRecord]:
 def suite_decomp(cfg: argparse.Namespace) -> list[CheckRecord]:
     trials = cfg.trials or 200
     out = []
-
-    def generic_sample(trial):
-        return tensor.random_curvature(generic(6), rng=_trial_rng(cfg.seed, 6, trial))
-
+    gsp = generic(6)
     ksp = kaehler(3)
     ualg = holonomy.by_name(ksp, "u")
     qsp = quaternion_kaehler(2)
     qalg = holonomy.by_name(qsp, "sp")
 
-    def kaehler_sample(trial):
-        return decomp.random_algebra_curvature(ualg, rng=_trial_rng(cfg.seed, 17, trial))
-
-    def qk_sample(trial):
-        return decomp.random_algebra_curvature(qalg, rng=_trial_rng(cfg.seed, 23, trial))
-
     def normalize(rm):
         return rm * (1.0 / np.sqrt(rm.norm_sq()))
 
     def split_stats(rm, decompose, part):
-        """Stats of a scalar / traceless-Ricci / part split of a sample."""
+        """Per-trial stats of a scalar / traceless-Ricci / part split of a
+        stack of samples."""
         dec = decompose(normalize(rm))
         x = dec.parts[part]
         again = decompose(x)
-        idem = float(np.abs(again.parts[part].matrix - x.matrix).max())
-        idem = max(idem, np.sqrt(again.parts["scalar_part"].norm_sq()), np.sqrt(again.parts["ric0_part"].norm_sq()))
-        return dec.residual(), dec.max_cross_inner(), idem, max(tensor.total_traces(x))
+        idem = np.abs(again.parts[part].matrix - x.matrix).max(axis=(1, 2))
+        idem = np.max([idem, np.sqrt(again.parts["scalar_part"].norm_sq()), np.sqrt(again.parts["ric0_part"].norm_sq())], axis=0)
+        return dec.residual(), dec.max_cross_inner(), idem, np.max(tensor.total_traces(x), axis=0)
 
-    def qk_stats(trial):
-        rm = normalize(qk_sample(trial))
-        dec = decomp.qk_decompose(rm, qalg)
+    def qk_stats(rm):
+        dec = decomp.qk_decompose(normalize(rm), qalg)
         r0 = dec.parts["hyperkaehler_part"]
-        return dec.residual(), dec.max_cross_inner(), abs(tensor.scalar(r0))
+        return dec.residual(), dec.max_cross_inner(), np.abs(tensor.scalar(r0))
 
     split_cols = ("residual", "orthogonality", "idempotence", "trace_residual")
-    for label, fn, cols in (
-        ("generic", lambda t: split_stats(generic_sample(t), decomp.weyl_decompose, "weyl"), split_cols),
-        ("kaehler", lambda t: split_stats(kaehler_sample(t), decomp.bochner_decompose, "bochner"), split_cols),
-        ("qk", qk_stats, ("residual", "orthogonality", "scal_trace_free")),
+    for label, space, tag, fn, cols in (
+        ("generic", gsp, 6,
+         lambda streams: split_stats(tensor.random_curvature(gsp, rng=streams), decomp.weyl_decompose, "weyl"),
+         split_cols),
+        ("kaehler", ksp, 17,
+         lambda streams: split_stats(decomp.random_algebra_curvature(ualg, rng=streams), decomp.bochner_decompose, "bochner"),
+         split_cols),
+        ("qk", qsp, 23,
+         lambda streams: qk_stats(decomp.random_algebra_curvature(qalg, rng=streams)),
+         ("residual", "orthogonality", "scal_trace_free")),
     ):
-        rows = [fn(t) for t in range(trials)]
+        rows = [fn(streams) for streams in _trial_stacks(cfg.seed, tag, trials, space)]
         inputs = {"type": label, "trials": trials}
         for idx, col in enumerate(cols):
             bound = 1e-10 if col == "trace_residual" else 1e-9
-            out.append(rec_leq(f"decomp[{label}].{col}_max", inputs, max(r[idx] for r in rows), bound))
+            out.append(rec_leq(f"decomp[{label}].{col}_max", inputs, max(np.max(r[idx]) for r in rows), bound))
     return out
 
 

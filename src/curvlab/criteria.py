@@ -13,7 +13,10 @@ of the hat Gram.  hat_norm_direct and invariance_defect read it chunk by
 chunk (_hat_row_norms_sq), from one buffer of at most holonomy._CHUNK_BYTES
 that tensor._hat_chunks refills, so they never hold the (dim, D, D) stack;
 the eigen route of curvature_term reads it on the rotated hats of the whole
-stack, whose Gram its bilinear route needs.
+stack, whose Gram its bilinear route needs.  hat_norm_direct,
+invariance_defect and hat_ratio_qk also take a tensor that holds a stack of
+trials (see `tensor`): the chunks then run over (trial, generator) pairs
+and each value is a (T,) array of the one-trial values.
 
 The spectral routes (hat_norm_formula, curvature_term_self) read the
 restricted operator's own spectrum, which it computes at most once, and
@@ -36,7 +39,7 @@ import numpy as np
 from .decomp import qk_decompose, structure_model
 from .euclid import EuclideanSpace, GeometryError, _shared, symmetric_eigen, symmetric_eigenvalues
 from .holonomy import HolonomyAlgebra, project
-from .tensor import CurvatureOperator, CurvatureTensor, _hat_chunks, t_hat, to_operator
+from .tensor import CurvatureOperator, CurvatureTensor, _hat_chunks, _value, t_hat, to_operator
 
 
 def lambda_tripod(a: float, b: float, c: float) -> float:
@@ -74,14 +77,16 @@ def _hat_norms_sq(flat: np.ndarray) -> np.ndarray:
     """Squared Frobenius norm of each row of a flattened hat stack, the
     diagonal of its Gram.  Squares flat in place, so the caller gives it up,
     and sums each row pairwise: no second stack is allocated."""
-    return np.sum(np.square(flat, out=flat), axis=1)
+    return np.sum(np.square(flat, out=flat), axis=-1)
 
 
 def _hat_row_norms_sq(t, algebra: HolonomyAlgebra) -> np.ndarray:
-    """_hat_norms_sq of the hat stack of t, chunk by chunk in one buffer."""
-    out = np.empty(algebra.dim)
-    for lo, hats in _hat_chunks(to_operator(t), algebra):
-        out[lo : lo + len(hats)] = _hat_norms_sq(hats.reshape(len(hats), -1))
+    """_hat_norms_sq of the hat stack of t, chunk by chunk in one buffer:
+    (dim,), or (T, dim) on a stack of trials."""
+    out = np.empty(t.matrix.shape[:-2] + (algebra.dim,))
+    rows = out.reshape(-1, algebra.dim)
+    for trial, lo, hats in _hat_chunks(to_operator(t), algebra):
+        rows[trial : trial + len(hats), lo : lo + hats.shape[1]] = _hat_norms_sq(hats.reshape(hats.shape[:2] + (-1,)))
     return out
 
 
@@ -119,11 +124,12 @@ def curvature_term(op, t, algebra: HolonomyAlgebra | None = None) -> CurvatureTe
     return CurvatureTerm(eigen_route=eigen, bilinear_route=bilinear)
 
 
-def hat_norm_direct(t, algebra: HolonomyAlgebra) -> float:
+def hat_norm_direct(t, algebra: HolonomyAlgebra):
     """Brute-force squared hat norm, operator convention: the sum of the
-    squared Frobenius norms of the operator hats.  No spectrum and no
-    structure constants, so it is independent of hat_norm_formula."""
-    return float(np.sum(_hat_row_norms_sq(t, algebra)))
+    squared Frobenius norms of the operator hats; per trial on a stack.  No
+    spectrum and no structure constants, so it is independent of
+    hat_norm_formula."""
+    return _value(np.sum(_hat_row_norms_sq(t, algebra), axis=-1))
 
 
 @dataclass
@@ -195,11 +201,11 @@ def curvature_term_self(op, algebra: HolonomyAlgebra | None = None) -> float:
     return float(np.einsum("g,ab,gab->", lam, diffs, cp_sq))
 
 
-def invariance_defect(t, algebra: HolonomyAlgebra) -> float:
+def invariance_defect(t, algebra: HolonomyAlgebra):
     """Largest component-array norm among the hat components (twice the
     Frobenius norm of the operator hat); zero iff the tensor is invariant
-    under the algebra."""
-    return 2.0 * float(np.sqrt(_hat_row_norms_sq(t, algebra).max(initial=0.0)))
+    under the algebra.  Per trial on a stack."""
+    return _value(2.0 * np.sqrt(_hat_row_norms_sq(t, algebra).max(axis=-1, initial=0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -287,16 +293,19 @@ def preset_for(algebra: HolonomyAlgebra) -> WeightedCriterion:
 
 @dataclass
 class HatRatio:
-    """Squared hat norm against the squared norm of the trace-free part."""
+    """Squared hat norm against the squared norm of the trace-free part.
+    On a stack of trials each field is a (T,) array, with ratio NaN where
+    pure_multiple holds."""
 
-    hat_norm_sq: float
-    trace_free_norm_sq: float
-    ratio: float | None
-    pure_multiple: bool
+    hat_norm_sq: float | np.ndarray
+    trace_free_norm_sq: float | np.ndarray
+    ratio: float | np.ndarray | None
+    pure_multiple: bool | np.ndarray
 
 
 def hat_ratio_qk(rm: CurvatureTensor, algebra: HolonomyAlgebra) -> HatRatio:
-    """Ratio |hat|^2 / |trace-free part|^2 for a quaternionic tensor.
+    """Ratio |hat|^2 / |trace-free part|^2 for a quaternionic tensor, or per
+    trial for a stack.
 
     Operator-convention norms on both sides.  When the trace-free part
     degenerates the tensor is a pure model multiple and the ratio is
@@ -306,12 +315,15 @@ def hat_ratio_qk(rm: CurvatureTensor, algebra: HolonomyAlgebra) -> HatRatio:
     hat_sq = hat_norm_direct(rm, algebra)
     dec = qk_decompose(rm, algebra)
     rest_sq = dec.parts["hyperkaehler_part"].norm_sq() / 4.0
-    scale = max(1.0, rm.norm_sq() / 4.0)
-    if rest_sq <= 1e-10 * scale:
-        if hat_sq > 1e-8 * scale:
-            raise GeometryError(
-                "degenerate trace-free part with nonvanishing hat components"
-            )
+    scale = np.maximum(1.0, rm.norm_sq() / 4.0)
+    pure = rest_sq <= 1e-10 * scale
+    if np.any(pure & (hat_sq > 1e-8 * scale)):
+        raise GeometryError(
+            "degenerate trace-free part with nonvanishing hat components"
+        )
+    if np.ndim(pure):
+        return HatRatio(hat_sq, rest_sq, np.where(pure, np.nan, hat_sq / np.where(pure, 1.0, rest_sq)), pure)
+    if pure:
         return HatRatio(hat_sq, rest_sq, None, True)
     return HatRatio(hat_sq, rest_sq, hat_sq / rest_sq, False)
 

@@ -13,14 +13,19 @@ Models are normalized so the familiar closed forms hold exactly:
 
 Each decomposition routine returns the orthogonal invariant pieces and is
 paired with an independent route (explicit formula vs subtraction) that the
-test suite plays against each other.
+test suite plays against each other.  On a tensor that holds a (T, D, D)
+stack of trials (see `tensor`) every routine runs once for the stack: the
+parts are stacks, the coefficients, residuals and cross inner products
+(T,) arrays, each trial's entry the one-trial value to the bit, and the
+Kaehler-invariance and leak checks hold every trial to its own tolerance.
 
 random_algebra_curvature samples the curvature tensors supported on a
 holonomy algebra from an orthonormal basis of the Bianchi kernel on Sym^2 of
 the algebra.  The kernel splits into exact blocks by sign-flip characters,
 and it is cached as those blocks: per run of equal blocks, their packed
 positions and null rows (`_bianchi_kernel_basis`).  No dense (k, S) basis is
-formed; a sample is one batched product per run.
+formed; a sample is one batched product per run.  Given a list of
+generators it draws a stack, trial t from generator t.
 
 Everything here that depends only on a structure or an algebra is built once
 and shared read-only, so a decomposition or a sample computes only what
@@ -61,8 +66,12 @@ from .tensor import (
     _freeze,
     _kn_matrix,
     _kn_metric,
+    _lead,
+    _norm,
     _pair_outer,
+    _per_trial,
     _quad_pairs,
+    _value,
     ricci,
     scalar,
     to_operator,
@@ -198,18 +207,20 @@ class CurvatureDecomposition:
         arrays = [p.matrix for p in self.parts.values()]
         return CurvatureTensor(self.source.space, sum(arrays), validate=False)
 
-    def residual(self) -> float:
+    def residual(self):
         """Component-norm distance between the input and the sum of parts,
-        twice the Frobenius distance of the operators."""
-        return 2.0 * float(np.linalg.norm(self.source.matrix - self.total().matrix))
+        twice the Frobenius distance of the operators; per trial on a
+        stack."""
+        return _value(2.0 * _norm(self.source.matrix - self.total().matrix, 2))
 
-    def max_cross_inner(self) -> float:
-        """Largest pairwise component inner product between distinct parts."""
+    def max_cross_inner(self):
+        """Largest pairwise component inner product between distinct parts;
+        per trial on a stack."""
         vals = [0.0]
         items = list(self.parts.values())
         for a, b in itertools.combinations(items, 2):
             vals.append(abs(a.inner(b)))
-        return max(vals)
+        return _value(np.max(np.broadcast_arrays(*vals), axis=0))
 
     def summary(self) -> dict:
         return {
@@ -228,8 +239,8 @@ def weyl_decompose(rm: CurvatureTensor) -> CurvatureDecomposition:
         raise GeometryError("the Weyl part only exists in dimension >= 4")
     g = np.eye(n)
     sc = scalar(rm)
-    ric0 = ricci(rm) - (sc / n) * g
-    scal_arr = (sc / (2.0 * n * (n - 1))) * _kn_metric(n)
+    ric0 = ricci(rm) - _per_trial(sc / n) * g
+    scal_arr = _per_trial(sc / (2.0 * n * (n - 1))) * _kn_metric(n)
     ricci_arr = _kn_matrix(ric0, g) / (n - 2.0)
     weyl_arr = rm.matrix - scal_arr - ricci_arr
     space = rm.space
@@ -255,10 +266,13 @@ def _kaehler_conjugation(space) -> np.ndarray:
 
 def _check_kaehler_invariance(rm: CurvatureTensor):
     """Raise unless T[x, y, z, w] = sum_ab J[a, x] J[b, y] T[a, b, z, w]: on
-    the operator, M = C M with C the matrix of xi -> J^T mat(xi) J."""
-    conj = _kaehler_conjugation(rm.space) @ rm.matrix
-    scale = 1.0 + float(np.abs(rm.matrix).max(initial=0.0))
-    if float(np.abs(rm.matrix - conj).max(initial=0.0)) > 1e-9 * scale:
+    the operator, M = C M with C the matrix of xi -> J^T mat(xi) J.  Every
+    trial of a stack at its own tolerance."""
+    moved = _kaehler_conjugation(rm.space) @ rm.matrix
+    np.subtract(rm.matrix, moved, out=moved)
+    defect = np.abs(moved, out=moved).max(axis=(-2, -1))
+    scale = 1.0 + np.maximum(rm.matrix.max(axis=(-2, -1)), -rm.matrix.min(axis=(-2, -1)))
+    if np.any(defect > 1e-9 * scale):
         raise GeometryError("tensor is not invariant under the complex structure")
 
 
@@ -277,7 +291,7 @@ def bochner_decompose(rm: CurvatureTensor) -> CurvatureDecomposition:
     g = np.eye(n)
     omega = space.J.T
     sc = scalar(rm)
-    ric0 = ricci(rm) - (sc / n) * g
+    ric0 = ricci(rm) - _per_trial(sc / n) * g
     rho0 = space.J.T @ ric0
 
     c1 = sc / (4.0 * m * (m + 1))
@@ -289,7 +303,7 @@ def bochner_decompose(rm: CurvatureTensor) -> CurvatureDecomposition:
         + 2.0 * _pair_outer(rho0, omega)
         + 2.0 * _pair_outer(omega, rho0)
     )
-    scal_arr = c1 * unit
+    scal_arr = _per_trial(c1) * unit
     bochner_arr = rm.matrix - scal_arr - middle
     return CurvatureDecomposition(
         source=rm,
@@ -331,7 +345,7 @@ def bochner_explicit(rm: CurvatureTensor) -> CurvatureTensor:
             + 2.0 * _pair_outer(rho, omega)
             + 2.0 * _pair_outer(omega, rho)
         )
-        + c3 * structure_model(space).matrix
+        + _per_trial(c3) * structure_model(space).matrix
     )
     return CurvatureTensor(space, arr)
 
@@ -341,16 +355,19 @@ def qk_decompose(rm: CurvatureTensor, algebra: HolonomyAlgebra) -> CurvatureDeco
     trace-free remainder.
 
     The operator must be supported on the quaternionic holonomy algebra;
-    its complement mass is checked against 1e-8 relative.
+    its complement mass is checked against 1e-8 relative, on a stack per
+    trial, and the first trial that leaks is reported.
     """
     space = rm.space
     if space.kind != "qk":
         raise GeometryError("qk_decompose needs a quaternion-Kaehler space")
     op = to_operator(rm)
     mass = complement_mass(op, algebra)
-    if mass > 1e-8 * (1.0 + float(np.abs(op.matrix).max(initial=0.0))):
+    scale = 1.0 + np.maximum(op.matrix.max(axis=(-2, -1)), -op.matrix.min(axis=(-2, -1)))
+    leaks = np.flatnonzero(np.atleast_1d(mass > 1e-8 * scale))
+    if leaks.size:
         raise GeometryError(
-            f"operator leaks off the holonomy algebra (mass {mass:.2e})"
+            f"operator leaks off the holonomy algebra (mass {np.atleast_1d(mass)[leaks[0]]:.2e})"
         )
     m = space.m
     model = structure_model(space)
@@ -570,22 +587,29 @@ def random_algebra_curvature(
     rng: np.random.Generator | None = None,
     seed: int | None = None,
 ) -> CurvatureTensor:
-    """Gaussian sample from the curvature tensors supported on the algebra."""
+    """Gaussian sample from the curvature tensors supported on the algebra.
+    A list of generators draws a stack, trial t from generator t, each the
+    tensor that generator alone draws."""
     if rng is None:
         rng = np.random.default_rng(seed)
     parts = _bianchi_kernel_basis(algebra)
-    coeffs = rng.standard_normal(_kernel_dim(parts))
+    k = _kernel_dim(parts)
+    if isinstance(rng, list):
+        coeffs = np.stack([stream.standard_normal(k) for stream in rng])
+    else:
+        coeffs = rng.standard_normal(k)
+    lead, at = coeffs.shape[:-1], _lead(coeffs, 1)
     a, b, w = _packed_sym(algebra.dim)
     # packed pairs of blocks with no null rows stay 0
-    x = np.zeros(a.size)
-    at = 0
+    x = np.zeros(lead + (a.size,))
+    start = 0
     for pos, rows in parts:
         count, t, _ = rows.shape
-        x[pos] = (coeffs[at : at + count * t].reshape(count, 1, t) @ rows)[:, 0]
-        at += count * t
+        x[at + (pos,)] = (coeffs[..., start : start + count * t].reshape(lead + (count, 1, t)) @ rows)[..., 0, :]
+        start += count * t
     x *= w
-    s = np.zeros((algebra.dim, algebra.dim))
-    s[a, b] = x
-    s[b, a] += x
+    s = np.zeros(lead + (algebra.dim, algebra.dim))
+    s[at + (a, b)] = x
+    s[at + (b, a)] += x
     c = algebra.coeff_matrix
     return CurvatureTensor(algebra.space, c.T @ s @ c)

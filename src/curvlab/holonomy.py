@@ -34,15 +34,25 @@ from functools import cached_property
 import numpy as np
 
 from .euclid import EuclideanSpace, GeometryError, _shared, _sign_fix
-from .tensor import CurvatureOperator, _conjugation_on_bivectors, _freeze
+from .tensor import CurvatureOperator, _conjugation_on_bivectors, _freeze, _norm, _value
 
 # Chunk budget: hats and brackets are built over contiguous generator ranges
 # whose arrays stay within this many bytes (HolonomyAlgebra.chunk_size), so
 # neither the (dim, D, D) hat stack nor the (n dim)^2 bracket product is
-# formed; the Bianchi-kernel rows are built in batches of blocks under it too.
+# formed; the Bianchi-kernel rows are built in batches of blocks under it, a
+# stack of trials holds at most half of it in operators (trial_chunk),
+# and hats are filled for as many trials at once as it holds (chunk_trials).
 # Small enough that these temporaries come from memory the allocator already
 # holds, not from pages faulted in afresh (about 3 us a page on a 2-core VM).
 _CHUNK_BYTES = 1 << 20
+
+
+def trial_chunk(space: EuclideanSpace) -> int:
+    """Trials per stack of operators on the space: as many as half of
+    _CHUNK_BYTES holds, at least one.  A decomposition holds its source, its
+    parts and a check's temporary, about five stacks, so one chunk of trials
+    stays within 3 * _CHUNK_BYTES."""
+    return max(1, _CHUNK_BYTES // 2 // (8 * space.bivector_dim**2))
 
 
 def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -197,6 +207,13 @@ class HolonomyAlgebra:
         unless one generator's do not (sp(7)+sp(1)), then a chunk is one."""
         n, n_pairs = self.space.n, self.space.bivector_dim
         return max(1, _CHUNK_BYTES // (8 * max(n_pairs * n_pairs, n * n * self.dim)))
+
+    @property
+    def chunk_trials(self) -> int:
+        """Trials whose hats are filled together (`tensor._hat_chunks`): as
+        many as _CHUNK_BYTES holds of one chunk's hats, at least one."""
+        n_pairs = self.space.bivector_dim
+        return max(1, _CHUNK_BYTES // (8 * n_pairs * n_pairs * min(self.chunk_size, self.dim)))
 
     @cached_property
     def action_blocks(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -422,10 +439,16 @@ def project(op: CurvatureOperator, algebra: HolonomyAlgebra) -> CurvatureOperato
     return CurvatureOperator._wrap(op.space, c @ op.matrix @ c.T, algebra)
 
 
-def complement_mass(op: CurvatureOperator, algebra: HolonomyAlgebra) -> float:
+def complement_mass(op: CurvatureOperator, algebra: HolonomyAlgebra):
     """Frobenius norm of the part of a full bivector operator not supported
     on the subalgebra; zero iff the algebra is invariant and the complement
-    is annihilated.  The supported part is c^T (c M c^T) c, through the
-    d x d restriction: no D x D projector is formed."""
+    is annihilated.  A float, or a (T,) array for an operator on a stack of
+    trials.  The supported part is c^T (c M c^T) c, through the d x d
+    restriction: no D x D projector is formed.  Anything but an unrestricted
+    CurvatureOperator raises GeometryError, as in project."""
+    if not isinstance(op, CurvatureOperator) or op.algebra is not None:
+        raise GeometryError("complement mass needs a full bivector-space operator")
     c = algebra.coeff_matrix
-    return float(np.linalg.norm(op.matrix - c.T @ (c @ op.matrix @ c.T) @ c))
+    rest = c.T @ (c @ op.matrix @ c.T) @ c
+    np.subtract(op.matrix, rest, out=rest)
+    return _value(_norm(rest, 2))

@@ -17,18 +17,26 @@ Conventions, fixed once here and relied on everywhere else:
 * squared norms: the component-array norm of a curvature tensor is four
   times the Frobenius norm of its bivector operator.  Functions below say
   which one they return;
+* stacks: a CurvatureTensor holds one operator (D, D) or a stack of trials
+  (T, D, D), the way one object holds one rotation or many.  Every
+  per-sample kernel reads the trailing two axes, so one tensor is the
+  one-trial case of the same code: a value is a float for one tensor and a
+  (T,) array for a stack, each entry the one-tensor value of its trial to
+  the bit (reductions run per trial, in the one-tensor order).  Checks run
+  per trial at the one-tensor tolerance and report the first trial that
+  fails, with that trial's own message;
 * hat components (derivatives along an algebra's basis rotations) are
   computed on bivector operators, H_a = N_a R + (N_a R)^T with N_a the
   action of generator a on the pairs.  N_a R comes from the algebra's
   action_blocks, dense blocks keyed on sign-flip characters, one batched
   product per chunk of generators and block shape; the dense stack of the
   N_a is never formed.  _hat_chunks is the one routine that fills hats, a
-  chunk at a time, into the views of a stack or into one reused buffer.
-  t_hat returns the whole (dim, D, D) stack of the H_a of an unrestricted
-  CurvatureOperator, whose squared norms are Frobenius norms.  lie_action
-  keeps the slot-by-slot definition, on the skew matrix of one generator,
-  as the independent single-generator reference.  Hats are reduced only in
-  criteria.
+  chunk of (trial, generator) pairs at a time, into one reused buffer of
+  about holonomy._CHUNK_BYTES.  t_hat copies them into the whole (dim, D, D)
+  stack of the H_a of an unrestricted CurvatureOperator, whose squared
+  norms are Frobenius norms.  lie_action keeps the slot-by-slot definition,
+  on the skew matrix of one generator, as the independent single-generator
+  reference.  Hats are reduced only in criteria.
 
 Products, traces and projections act on the operator through pair-index
 formulas with index tables cached per dimension.  The rank-four routes
@@ -70,6 +78,32 @@ class SymmetryError(GeometryError):
 
 def _sym_scale(a: np.ndarray) -> float:
     return 1.0 + float(np.abs(a).max(initial=0.0))
+
+
+def _value(x):
+    """A one-tensor value as a float; a stack's (T,) array as it is."""
+    return x if isinstance(x, np.ndarray) and x.ndim else float(x)
+
+
+def _per_trial(x):
+    """A value (float, or (T,) array on a stack) as a factor of operators:
+    the float itself, or (T, 1, 1)."""
+    return x[:, None, None] if isinstance(x, np.ndarray) and x.ndim else x
+
+
+def _lead(x: np.ndarray, axes: int) -> tuple:
+    """Full slices over the leading axes of x, before its last `axes` ones:
+    x[_lead(x, 1) + (index,)] is x[..., index] on the fast path of numpy's
+    indexing, x[index] for one tensor's array and x[:, index] for a
+    stack's."""
+    return (slice(None),) * (x.ndim - axes)
+
+
+def _norm(x: np.ndarray, axes: int) -> np.ndarray:
+    """Frobenius norm over the trailing axes of x, per leading index: the
+    bits of np.linalg.norm, whose ravel().dot() this batched matmul is."""
+    flat = x.reshape(x.shape[: x.ndim - axes] + (-1,))
+    return np.sqrt((flat[..., None, :] @ flat[..., :, None])[..., 0, 0])
 
 
 def _freeze(*arrays: np.ndarray):
@@ -140,16 +174,18 @@ def _kn_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
 @functools.cache
 def _contraction_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(pair, weight) with T[s, x, s, w] = weight[s, x, w] * M[pair[s, x], pair[s, w]].
+    """(flat, weight) with T[s, x, s, w] = weight[s, x, w] * M.flat[flat[s, x, w]].
 
-    weight is sign(x - s) * sign(w - s): the sign of reading each slot pair
-    off an increasing pair, zero when s repeats an index.
+    flat indexes the D x D operator at (pair[s, x], pair[s, w]); weight is
+    sign(x - s) * sign(w - s): the sign of reading each slot pair off an
+    increasing pair, zero when s repeats an index.
     """
     pair = _pair_lookup(n)
+    flat = pair[:, :, None] * (n * (n - 1) // 2) + pair[:, None, :]
     sign = np.sign(np.arange(n)[None, :] - np.arange(n)[:, None]).astype(float)
     weight = sign[:, :, None] * sign[:, None, :]
-    _freeze(weight)
-    return pair, weight
+    _freeze(flat, weight)
+    return flat, weight
 
 
 @functools.cache
@@ -185,30 +221,38 @@ def check_curvature_symmetries(t: np.ndarray):
 
 def _quad_bianchi(mat: np.ndarray, n: int) -> np.ndarray:
     """Bianchi sum T[i,j,k,l] + T[j,k,i,l] + T[k,i,j,l], over 3, of the
-    tensor with operator mat, at every quadruple i < j < k < l."""
+    tensor with operator mat, at every quadruple i < j < k < l; per trial
+    on a stack."""
     first, second = _project_flat(n)
-    flat = mat.ravel()
-    return (flat[first[0]] + flat[second[2]] - flat[first[1]]) / 3.0
+    flat = mat.reshape(mat.shape[:-2] + (-1,))
+    at = _lead(flat, 1)
+    return (flat[at + (first[0],)] + flat[at + (second[2],)] - flat[at + (first[1],)]) / 3.0
 
 
 def check_operator_symmetries(mat: np.ndarray):
-    """Raise SymmetryError unless the D x D matrix mat is the operator of a
-    curvature tensor: symmetric, and Bianchi at the increasing quadruples.
+    """Raise SymmetryError unless the D x D matrix mat, or every matrix of a
+    (T, D, D) stack, is the operator of a curvature tensor: symmetric, and
+    Bianchi at the increasing quadruples.
 
     Same tolerance and messages as check_curvature_symmetries on the array
-    scattered from mat, whose largest entry is mat's; the pair
-    antisymmetries of that array hold by construction.
+    scattered from a matrix, whose largest entry is the matrix's; the pair
+    antisymmetries of that array hold by construction.  On a stack every
+    trial is checked at its own tolerance, and the first trial that fails
+    raises the message the check of that trial alone raises.
     """
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise SymmetryError(f"operator must be a square matrix, got shape {mat.shape}")
-    n = _dim_of_pairs(mat.shape[0])
-    tol = _SYMMETRY_RTOL * _sym_scale(mat)
-    r = float(np.abs(mat - mat.T).max(initial=0.0))
-    if r > tol:
-        raise SymmetryError(f"not symmetric under pair interchange, residual {r:.3e}")
-    r = float(np.abs(_quad_bianchi(mat, n)).max(initial=0.0))
-    if r > tol:
-        raise SymmetryError(f"first Bianchi identity fails, residual {r:.3e}")
+    if mat.ndim not in (2, 3) or mat.shape[-2] != mat.shape[-1]:
+        raise SymmetryError(f"operator must be a square matrix or a stack of them, got shape {mat.shape}")
+    n = _dim_of_pairs(mat.shape[-1])
+    tol = _SYMMETRY_RTOL * (1.0 + abs(mat).max(axis=(-2, -1)))
+    asym = abs(mat - mat.swapaxes(-1, -2)).max(axis=(-2, -1))
+    bianchi = abs(_quad_bianchi(mat, n)).max(axis=-1, initial=0.0)
+    failed = (asym > tol) | (bianchi > tol)
+    if np.count_nonzero(failed):
+        t = np.flatnonzero(failed)[0]
+        asym, bianchi, tol = (np.atleast_1d(x)[t] for x in (asym, bianchi, tol))
+        if asym > tol:
+            raise SymmetryError(f"not symmetric under pair interchange, residual {asym:.3e}")
+        raise SymmetryError(f"first Bianchi identity fails, residual {bianchi:.3e}")
 
 
 def bianchi_sum(t: np.ndarray) -> np.ndarray:
@@ -226,21 +270,23 @@ def bianchi_project(t: np.ndarray) -> np.ndarray:
 
 
 def _bianchi_project_matrix(mat: np.ndarray) -> np.ndarray:
-    """bianchi_project on the operator of an exactly symmetric matrix.
+    """bianchi_project on the operator of an exactly symmetric matrix, or on
+    each matrix of a stack.
 
     The removed part is the four-form with value b at (ij, kl), -b at
     (ik, jl) and b at (il, jk), b the Bianchi sum at i < j < k < l.  Each
     slot subtracts the cyclic sum in the order bianchi_project adds it at
     that slot, so the result is the same to the last bit.
     """
-    first, second = _project_flat(_dim_of_pairs(mat.shape[0]))
-    src = mat.ravel()
-    a, b, c = src[first[0]], src[second[2]], src[first[1]]  # (ij, kl), (jk, il), (ik, jl)
+    first, second = _project_flat(_dim_of_pairs(mat.shape[-1]))
+    src = mat.reshape(mat.shape[:-2] + (-1,))
+    at = _lead(src, 1)
+    a, b, c = src[at + (first[0],)], src[at + (second[2],)], src[at + (first[1],)]  # (ij, kl), (jk, il), (ik, jl)
     out = mat.copy()
-    flat = out.ravel()  # a view: out is a fresh C-ordered copy
+    flat = out.reshape(src.shape)  # a view: out is a fresh C-ordered copy
     for pq, qp, cyc in zip(first, second, (a - c + b, c - a - b, b + a - c)):
-        flat[pq] -= cyc / 3.0
-        flat[qp] = flat[pq]
+        flat[at + (pq,)] -= cyc / 3.0
+        flat[at + (qp,)] = flat[at + (pq,)]
     return out
 
 
@@ -251,21 +297,27 @@ def _bianchi_project_matrix(mat: np.ndarray) -> np.ndarray:
 @dataclass
 class CurvatureTensor:
     """Algebraic curvature tensor on a Euclidean space, stored as its
-    symmetric bivector operator `matrix` (see the module conventions).
+    symmetric bivector operator `matrix` (see the module conventions): one
+    (D, D) matrix, or a (T, D, D) stack of trials that every kernel of the
+    library reads per trial.
 
     The matrix is validated with check_operator_symmetries unless validate
-    is False.  `components` is the rank-four array, derived on access.
+    is False.  `components` is the rank-four array of one tensor, derived on
+    access.
     """
 
     space: EuclideanSpace
     matrix: np.ndarray
     validate: bool = True
 
+    # an array of per-trial factors times a tensor is the tensor's __rmul__
+    __array_ufunc__ = None
+
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=float)
         d = self.space.bivector_dim
-        if self.matrix.shape != (d, d):
-            raise SymmetryError(f"operator must have shape {(d, d)}, got {self.matrix.shape}")
+        if self.matrix.ndim not in (2, 3) or self.matrix.shape[-2:] != (d, d):
+            raise SymmetryError(f"operator must have shape {(d, d)} or (trials, {d}, {d}), got {self.matrix.shape}")
         if self.validate:
             check_operator_symmetries(self.matrix)
 
@@ -284,7 +336,8 @@ class CurvatureTensor:
 
     @property
     def components(self) -> np.ndarray:
-        """Rank-four component array scattered from the operator.
+        """Rank-four component array scattered from the operator of one
+        tensor.
 
         A new array on each access: writing to it leaves the tensor as it
         is.  Read-only when the operator is (the shared models).
@@ -300,21 +353,23 @@ class CurvatureTensor:
     def __sub__(self, other: "CurvatureTensor") -> "CurvatureTensor":
         return CurvatureTensor(self.space, self.matrix - other.matrix, validate=False)
 
-    def __mul__(self, scalar: float) -> "CurvatureTensor":
-        return CurvatureTensor(self.space, self.matrix * float(scalar), validate=False)
+    def __mul__(self, scalar) -> "CurvatureTensor":
+        """A float scales every trial; a (T,) array scales trial t by its
+        entry t, and makes a stack of one tensor."""
+        return CurvatureTensor(self.space, self.matrix * _per_trial(scalar), validate=False)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "CurvatureTensor":
         return CurvatureTensor(self.space, -self.matrix, validate=False)
 
-    def norm_sq(self) -> float:
+    def norm_sq(self):
         """Component-array squared norm (four times the operator convention)."""
-        return 4.0 * float(np.sum(self.matrix**2))
+        return _value(4.0 * (self.matrix**2).sum(axis=(-2, -1)))
 
-    def inner(self, other: "CurvatureTensor") -> float:
+    def inner(self, other: "CurvatureTensor"):
         """Component-array inner product (four times the Frobenius pairing)."""
-        return 4.0 * float(np.sum(self.matrix * other.matrix))
+        return _value(4.0 * (self.matrix * other.matrix).sum(axis=(-2, -1)))
 
 
 @dataclass
@@ -394,19 +449,33 @@ def _kn_metric(n: int) -> np.ndarray:
     return out
 
 
+def _gather(a: np.ndarray, index: np.ndarray, axes: int) -> np.ndarray:
+    """a's trailing axes flattened and read at index, per leading index, in
+    C order: the layout the one-tensor gather has, so reductions over the
+    result run in its order (a[..., index] puts the index axes first)."""
+    return np.take(a.reshape(a.shape[: a.ndim - axes] + (-1,)), index, axis=-1)
+
+
 def _kn_matrix(s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Double product of two bilinear forms at increasing pairs (x, y), (z, w);
-    curvature symmetries need both symmetric or both antisymmetric, and
-    Bianchi only holds in the symmetric case."""
-    xz, yw, xw, yz = _kn_tables(s.shape[0])
-    s, t = s.ravel(), t.ravel()
-    return s[xz] * t[yw] - s[xw] * t[yz] + s[yw] * t[xz] - s[yz] * t[xw]
+    """Double product of two bilinear forms at increasing pairs (x, y), (z, w),
+    per trial where either is a (T, n, n) stack; curvature symmetries need
+    both symmetric or both antisymmetric, and Bianchi only holds in the
+    symmetric case."""
+    xz, yw, xw, yz = _kn_tables(s.shape[-1])
+    return (
+        _gather(s, xz, 2) * _gather(t, yw, 2)
+        - _gather(s, xw, 2) * _gather(t, yz, 2)
+        + _gather(s, yw, 2) * _gather(t, xz, 2)
+        - _gather(s, yz, 2) * _gather(t, xw, 2)
+    )
 
 
 def _pair_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Operator of the array a[x, y] b[z, w] read off at increasing pairs."""
-    rows, cols = _pair_table(a.shape[0])
-    return np.outer(a[rows, cols], b[rows, cols])
+    """Operator of the array a[x, y] b[z, w] read off at increasing pairs,
+    per trial where either is a stack: the product np.outer forms."""
+    rows, cols = _pair_table(a.shape[-1])
+    at = rows * a.shape[-1] + cols
+    return _gather(a, at, 2)[..., :, None] * _gather(b, at, 2)[..., None, :]
 
 
 def _conjugation_on_bivectors(space: EuclideanSpace, s: np.ndarray) -> np.ndarray:
@@ -473,47 +542,58 @@ def lie_action(a: np.ndarray, t):
     return _lie_array(a, np.asarray(t, dtype=float))
 
 
-def _hat_chunks(op: CurvatureOperator, algebra, stack: np.ndarray | None = None):
-    """Operator hats H_a = N_a R + (N_a R)^T of op by chunks of generators
-    (`algebra.chunk_size`), in order: yields (lo, hats), hats (size, D, D).
+def _hat_chunks(op: CurvatureOperator, algebra):
+    """Operator hats H_a = N_a R + (N_a R)^T of op, one operator or a stack
+    of trials, by chunks of (trial, generator) pairs: yields (t, lo, hats),
+    hats (trials, size, D, D) for the trials from t and the generators from
+    lo.  A chunk is the generators of one `algebra.chunk_size` range for
+    `algebra.chunk_trials` trials; all chunks are one buffer that the next
+    chunk overwrites.
 
-    N_a R is written row by row from the chunk's action_blocks entries, then
-    symmetrized one slice at a time.  The chunks are the views of stack, or
-    else all one buffer that the next chunk overwrites.
+    N_a R is written row by row from the chunk's action_blocks entries, one
+    batched product per entry for all the chunk's trials, then symmetrized
+    one generator at a time, for all the chunk's trials at once, in cache.
     """
     n_pairs = op.space.bivector_dim
-    size = algebra.chunk_size
-    buffer = np.empty((min(size, algebra.dim), n_pairs, n_pairs)) if stack is None else None
-    entries, turned, k = algebra.action_blocks, np.empty((n_pairs, n_pairs)), 0
+    mats = op.matrix.reshape((-1, n_pairs, n_pairs))
+    size, per = algebra.chunk_size, algebra.chunk_trials
+    buffer = np.empty(min(per, len(mats)) * min(size, algebra.dim) * n_pairs * n_pairs)
+    turned = np.empty((min(per, len(mats)), n_pairs, n_pairs))
+    entries, k = algebra.action_blocks, 0
     for lo in range(0, algebra.dim, size):
-        hi = min(lo + size, algebra.dim)
-        hats = stack[lo:hi] if buffer is None else buffer[: hi - lo]
-        hats.fill(0.0)
-        rows = hats.reshape(-1, n_pairs)
-        while k < len(entries) and entries[k][2].flat[0] < hi * n_pairs:  # N_a R
-            blocks, sources, targets = entries[k]
-            rows[targets.ravel() - lo * n_pairs] = (blocks @ op.matrix[sources]).reshape(-1, n_pairs)
+        hi, first = min(lo + size, algebra.dim), k
+        while k < len(entries) and entries[k][2].flat[0] < hi * n_pairs:
             k += 1
-        for h in hats:  # h + h^T in place, one slice at a time, in cache
-            np.copyto(turned, h.T)
-            h += turned
-        yield lo, hats
+        for t in range(0, len(mats), per):
+            sub = mats[t : t + per]
+            hats = buffer[: len(sub) * (hi - lo) * n_pairs * n_pairs].reshape(len(sub), hi - lo, n_pairs, n_pairs)
+            hats.fill(0.0)
+            rows = hats.reshape(len(sub), -1, n_pairs)
+            for blocks, sources, targets in entries[first:k]:  # N_a R
+                rows[:, targets.ravel() - lo * n_pairs] = (blocks @ sub[:, sources]).reshape(len(sub), -1, n_pairs)
+            for g in range(hi - lo):  # h + h^T in place
+                np.copyto(turned[: len(sub)], hats[:, g].transpose(0, 2, 1))
+                hats[:, g] += turned[: len(sub)]
+            yield t, lo, hats
 
 
 def t_hat(op: CurvatureOperator, algebra) -> np.ndarray:
     """Hat operators H_a = N_a R + (N_a R)^T of an unrestricted operator
     along an algebra's basis rotations: one (dim, D, D) stack in basis order,
-    filled chunk by chunk (`_hat_chunks`).  Their squared norms are
-    Frobenius norms (operator convention).
+    (T, dim, D, D) for a stack of trials, copied chunk by chunk from
+    `_hat_chunks`.  Their squared norms are Frobenius norms (operator
+    convention).
 
     Anything else, a restricted operator included (it has lost the
     off-algebra entries its hats need), raises GeometryError.
     """
     if not isinstance(op, CurvatureOperator) or op.algebra is not None:
         raise GeometryError("hat components need a full bivector-space operator")
-    hats = np.empty((algebra.dim, op.space.bivector_dim, op.space.bivector_dim))
-    for _ in _hat_chunks(op, algebra, hats):
-        pass
+    n_pairs = op.space.bivector_dim
+    hats = np.empty(op.matrix.shape[:-2] + (algebra.dim, n_pairs, n_pairs))
+    flat = hats.reshape((-1,) + hats.shape[-3:])
+    for t, lo, chunk in _hat_chunks(op, algebra):
+        flat[t : t + len(chunk), lo : lo + chunk.shape[1]] = chunk
     return hats
 
 
@@ -522,31 +602,32 @@ def t_hat(op: CurvatureOperator, algebra) -> np.ndarray:
 
 
 def ricci(rm: CurvatureTensor) -> np.ndarray:
-    """Contraction over the first slots of each pair, sum_s T[s, x, s, w]."""
-    pair, weight = _contraction_tables(rm.space.n)
-    gathered = rm.matrix[pair[:, :, None], pair[:, None, :]]
-    return (weight * gathered).sum(axis=0)
+    """Contraction over the first slots of each pair, sum_s T[s, x, s, w];
+    (n, n), or (T, n, n) on a stack."""
+    flat, weight = _contraction_tables(rm.space.n)
+    return (weight * _gather(rm.matrix, flat, 2)).sum(axis=-3)
 
 
-def scalar(rm: CurvatureTensor) -> float:
+def scalar(rm: CurvatureTensor):
     """Full metric trace; equals twice the trace of the bivector operator."""
-    return 2.0 * float(np.trace(rm.matrix))
+    return _value(2.0 * np.trace(rm.matrix, axis1=-2, axis2=-1))
 
 
-def total_traces(rm: CurvatureTensor) -> list[float]:
-    """Norms of the independent first-pair contractions.
+def total_traces(rm: CurvatureTensor) -> list:
+    """Norms of the independent first-pair contractions, each a float, or a
+    (T,) array on a stack.
 
     Always contains the Frobenius norm of the Ricci contraction; in the
     presence of complex or quaternionic structures the contractions against
     each parallel form are appended.  All entries vanish on the totally
     trace-free summand of the curvature decomposition.
     """
-    out = [float(np.linalg.norm(ricci(rm)))]
+    out = [_value(_norm(ricci(rm), 2))]
     for form in _form_rows(rm.space):
         # 0.5 sum_{s,t} S[s, t] T[s, t, z, w] at z < w; the n x n contraction
         # is skew, so its Frobenius norm is sqrt(2) times that of these entries
         contr = 0.5 * (form @ rm.matrix)
-        out.append(float(np.sqrt(2.0) * np.linalg.norm(contr)))
+        out.append(_value(np.sqrt(2.0) * _norm(contr, 1)))
     return out
 
 
@@ -573,12 +654,16 @@ def random_curvature(
     space: EuclideanSpace, rng: np.random.Generator | None = None, seed: int | None = None
 ) -> CurvatureTensor:
     """Random algebraic curvature tensor: a Gaussian symmetric bivector
-    operator, Bianchi-projected."""
+    operator, Bianchi-projected.  A list of generators draws a stack, trial
+    t from generator t, each the tensor that generator alone draws."""
     if rng is None:
         rng = np.random.default_rng(seed)
     d = space.bivector_dim
-    raw = rng.standard_normal((d, d))
-    return CurvatureTensor(space, _bianchi_project_matrix(0.5 * (raw + raw.T)))
+    if isinstance(rng, list):
+        raw = np.stack([stream.standard_normal((d, d)) for stream in rng])
+    else:
+        raw = rng.standard_normal((d, d))
+    return CurvatureTensor(space, _bianchi_project_matrix(0.5 * (raw + raw.swapaxes(-1, -2))))
 
 
 def tensor_to_dict(rm: CurvatureTensor) -> dict:

@@ -157,6 +157,17 @@ class TestProjection:
             with pytest.raises(GeometryError, match="full bivector-space operator"):
                 project(given, qk2)
 
+    def test_complement_mass_takes_only_full_operators(self, qk2, hp2, so5):
+        # a tensor, a bare matrix and a restricted operator are refused as in
+        # project: the tensor's matrix once passed, the restricted operator's
+        # 13 rows met numpy's matmul error, and on so(n), where c is the
+        # identity, a restricted operator read as mass 0.0
+        restricted_so = project(tensor.to_operator(tensor.random_curvature(so5.space, seed=1)), so5)
+        for given, alg in ((hp2, qk2), (hp2.matrix, qk2), (project(tensor.to_operator(hp2), qk2), qk2),
+                           (restricted_so, so5)):
+            with pytest.raises(GeometryError, match="^complement mass needs a full bivector-space operator$"):
+                complement_mass(given, alg)
+
 
 # ---------------------------------------------------------------------------
 # quaternionic frames: a reference basis of sp(m)+sp(1), built from wedges

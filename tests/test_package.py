@@ -67,8 +67,8 @@ KEPT_DEFAULTS = {
     "criteria.negative_term_search(shift)": "knob of the seeded adversary search, until a checked adversary replaces it",
     "criteria.negative_term_search(trials)": "knob of the seeded adversary search, until a checked adversary replaces it",
     "criteria.weighted_criterion(tol)": "the CLI passes its noise-floor slack; an exact check leaves it at 0",
-    "decomp.random_algebra_curvature(rng)": "the suites pass a trial stream; the tests and the acceptance gate pass seed=",
-    "decomp.random_algebra_curvature(seed)": "the suites pass a trial stream; the tests and the acceptance gate pass seed=",
+    "decomp.random_algebra_curvature(rng)": "the suites pass lists of trial streams and `sample` one stream; the tests and the acceptance gate pass seed=",
+    "decomp.random_algebra_curvature(seed)": "the suites pass lists of trial streams and `sample` one stream; the tests and the acceptance gate pass seed=",
     "euclid.EuclideanSpace.__init__(structure)": "generic(n) is the space with no holonomy structure",
     "euclid.HolonomyStructure.__init__(I)": "a structure holds only its kind's matrices: none, J, or I, J, K",
     "euclid.HolonomyStructure.__init__(J)": "a structure holds only its kind's matrices: none, J, or I, J, K",
@@ -76,9 +76,8 @@ KEPT_DEFAULTS = {
     "tensor.CurvatureOperator.__init__(algebra)": "None is the operator on the full bivector space",
     "tensor.CurvatureOperator._wrap(algebra)": "to_operator wraps a full-space operator; project passes its algebra",
     "tensor.CurvatureTensor.__init__(validate)": "sums and multiples of curvature tensors skip the scan; any other matrix is checked",
-    "tensor._hat_chunks(stack)": "t_hat fills its stack in place; the hat-norm reductions refill one chunk buffer",
-    "tensor.random_curvature(rng)": "the suites pass a trial stream; the tests pass seed=",
-    "tensor.random_curvature(seed)": "the suites pass a trial stream; the tests pass seed=",
+    "tensor.random_curvature(rng)": "the suites pass lists of trial streams; the tests pass seed=",
+    "tensor.random_curvature(seed)": "the suites pass lists of trial streams; the tests pass seed=",
 }
 
 

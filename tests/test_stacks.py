@@ -1,0 +1,255 @@
+"""Stacks of trials: every per-sample kernel on a (T, D, D) stack equals its
+one-trial calls to the bit, a bad trial in a stack is caught with the
+message the one-trial check gives, and the verify suites run their kernels
+once per chunk of trials within the chunk budget."""
+
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+from conftest import rotated_kaehler
+
+from curvlab import cli, criteria, decomp, holonomy, tensor
+from curvlab.euclid import GeometryError, generic, kaehler, quaternion_kaehler
+from curvlab.tensor import SymmetryError, to_operator
+
+CASES = {
+    **{f"so{n}": (lambda request, n=n: holonomy.so_algebra(generic(n))) for n in range(4, 9)},
+    **{f"u{m}": (lambda request, m=m: holonomy.u_algebra(kaehler(m))) for m in range(2, 5)},
+    **{f"sp{m}": (lambda request, m=m: holonomy.sp_sp1_algebra(quaternion_kaehler(m))) for m in range(2, 5)},
+    "u3_rotated": lambda request: holonomy.u_algebra(rotated_kaehler(3)),
+    "u3_swapped": lambda request: request.getfixturevalue("u3_swapped"),
+}
+
+
+def streams(trials: int, seed: int = 11) -> list:
+    return [np.random.default_rng([seed, trial]) for trial in range(trials)]
+
+
+def trial_count(alg) -> int:
+    """Trials that end in a ragged hat chunk: one more than a chunk holds,
+    or seven, part of one chunk, where a chunk holds more."""
+    return alg.chunk_trials + 1 if alg.chunk_trials < 7 else 7
+
+
+def sample(alg, rng):
+    """The sampler the suites use on alg: generic tensors on so(n)."""
+    if alg.space.kind == "generic":
+        return tensor.random_curvature(alg.space, rng=rng)
+    return decomp.random_algebra_curvature(alg, rng=rng)
+
+
+def same(stacked, singles):
+    """stacked is the values of singles, stacked on a leading axis, bit for bit."""
+    singles = [np.asarray(x, dtype=float) for x in singles]
+    return np.array_equal(np.asarray(stacked, dtype=float), np.stack(singles))
+
+
+def same_parts(stacked, singles):
+    assert list(stacked.parts) == list(singles[0].parts)
+    for name in stacked.parts:
+        assert same(stacked.parts[name].matrix, [d.parts[name].matrix for d in singles]), name
+        assert stacked.parts[name].matrix.flags.c_contiguous, name
+    for name in stacked.coefficients:
+        assert same(np.broadcast_to(stacked.coefficients[name], len(singles)),
+                    [d.coefficients[name] for d in singles]), name
+    assert same(stacked.residual(), [d.residual() for d in singles])
+    assert same(stacked.max_cross_inner(), [d.max_cross_inner() for d in singles])
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_stacked_kernels_are_the_one_trial_calls(case, request):
+    alg = CASES[case](request)
+    trials = trial_count(alg)
+    stack = sample(alg, streams(trials))
+    singles = [sample(alg, g) for g in streams(trials)]
+    assert stack.matrix.shape == (trials,) + singles[0].matrix.shape
+    assert same(stack.matrix, [s.matrix for s in singles])
+
+    # traces, norms and multiples
+    assert same(tensor.scalar(stack), [tensor.scalar(s) for s in singles])
+    assert same(tensor.ricci(stack), [tensor.ricci(s) for s in singles])
+    traces = tensor.total_traces(stack)
+    for k, column in enumerate(traces):
+        assert same(column, [tensor.total_traces(s)[k] for s in singles])
+    assert same(stack.norm_sq(), [s.norm_sq() for s in singles])
+    assert same(stack.inner(stack), [s.inner(s) for s in singles])
+    factors = 1.0 / np.sqrt(stack.norm_sq())
+    assert same((stack * factors).matrix, [(s * f).matrix for s, f in zip(singles, factors)])
+    ric = tensor.ricci(stack)
+    g = np.eye(alg.space.n)
+    assert same(tensor._kn_matrix(ric, g), [tensor._kn_matrix(r, g) for r in ric])
+    assert same(tensor._pair_outer(ric, g), [tensor._pair_outer(r, g) for r in ric])
+    assert same(tensor._pair_outer(g, ric), [tensor._pair_outer(g, r) for r in ric])
+
+    # checks pass on the stack as on each trial
+    tensor.check_operator_symmetries(stack.matrix)
+    assert same(holonomy.complement_mass(to_operator(stack), alg),
+                [holonomy.complement_mass(to_operator(s), alg) for s in singles])
+
+    # hats: every hat formed, chunked over (trial, generator)
+    assert same(criteria._hat_row_norms_sq(stack, alg), [criteria._hat_row_norms_sq(s, alg) for s in singles])
+    assert same(criteria.hat_norm_direct(stack, alg), [criteria.hat_norm_direct(s, alg) for s in singles])
+    assert same(criteria.invariance_defect(stack, alg), [criteria.invariance_defect(s, alg) for s in singles])
+    assert same(tensor.t_hat(to_operator(stack), alg), [tensor.t_hat(to_operator(s), alg) for s in singles])
+
+    # decompositions
+    kind = alg.space.kind
+    if kind == "generic" and alg.space.n >= 4:
+        same_parts(decomp.weyl_decompose(stack), [decomp.weyl_decompose(s) for s in singles])
+    if kind == "kaehler":
+        same_parts(decomp.bochner_decompose(stack), [decomp.bochner_decompose(s) for s in singles])
+        assert same(decomp.bochner_explicit(stack).matrix, [decomp.bochner_explicit(s).matrix for s in singles])
+    if kind == "qk":
+        same_parts(decomp.qk_decompose(stack, alg), [decomp.qk_decompose(s, alg) for s in singles])
+        ratio = criteria.hat_ratio_qk(stack, alg)
+        ones = [criteria.hat_ratio_qk(s, alg) for s in singles]
+        assert same(ratio.hat_norm_sq, [r.hat_norm_sq for r in ones])
+        assert same(ratio.trace_free_norm_sq, [r.trace_free_norm_sq for r in ones])
+        assert same(ratio.ratio, [r.ratio for r in ones])
+        assert not ratio.pure_multiple.any()
+
+
+def test_one_trial_list_is_a_stack_of_one(u3):
+    one = decomp.random_algebra_curvature(u3, rng=streams(1))
+    assert one.matrix.shape == (1, u3.space.bivector_dim, u3.space.bivector_dim)
+    assert np.array_equal(one.matrix[0], decomp.random_algebra_curvature(u3, rng=streams(1)[0]).matrix)
+    assert isinstance(tensor.scalar(decomp.random_algebra_curvature(u3, rng=streams(1)[0])), float)
+
+
+def test_pure_multiple_in_a_stack(qk2):
+    # the model itself is a pure multiple: its ratio is undefined, the
+    # others are not
+    rest = decomp.random_algebra_curvature(qk2, rng=streams(2))
+    stack = tensor.CurvatureTensor(qk2.space, np.concatenate([decomp.hp(2).matrix[None], rest.matrix]))
+    ratio = criteria.hat_ratio_qk(stack, qk2)
+    assert ratio.pure_multiple.tolist() == [True, False, False]
+    assert np.isnan(ratio.ratio[0])
+    assert np.array_equal(ratio.ratio[1:], [criteria.hat_ratio_qk(tensor.CurvatureTensor(qk2.space, m), qk2).ratio
+                                            for m in rest.matrix])
+    assert criteria.hat_ratio_qk(decomp.hp(2), qk2).ratio is None
+
+
+# ---------------------------------------------------------------------------
+# a bad trial in a stack is still caught
+
+
+def _raised(fn, *args):
+    with pytest.raises(GeometryError) as info:
+        fn(*args)
+    return info.type, str(info.value)
+
+
+def _off_bianchi(mat, rng):
+    """mat plus a symmetric perturbation that breaks Bianchi."""
+    raw = rng.standard_normal(mat.shape)
+    return mat + 1e-3 * (raw + raw.T)
+
+
+def _off_symmetry(mat, rng):
+    out = mat.copy()
+    out[0, 1] += 1e-3 * (1.0 + rng.random())
+    return out
+
+
+@pytest.mark.parametrize("bad", [_off_bianchi, _off_symmetry], ids=["off_bianchi", "off_symmetry"])
+@pytest.mark.parametrize("at", [0, 3, 4])
+def test_bad_trial_raises_its_own_message(bad, at):
+    space = generic(6)
+    mats = tensor.random_curvature(space, rng=streams(5)).matrix.copy()
+    mats[at] = bad(mats[at], np.random.default_rng(at))
+    if at < 4:  # a later bad trial does not change which one is reported
+        mats[4] = _off_bianchi(mats[4], np.random.default_rng(9))
+    expected = _raised(tensor.check_operator_symmetries, mats[at])
+    assert expected[0] is SymmetryError
+    assert _raised(tensor.check_operator_symmetries, mats) == expected
+    assert _raised(tensor.CurvatureTensor, space, mats) == expected
+    for good in range(at):
+        tensor.check_operator_symmetries(mats[good])
+
+
+def test_trial_off_the_complex_structure_is_caught(u3):
+    mats = decomp.random_algebra_curvature(u3, rng=streams(4)).matrix.copy()
+    mats[2] = tensor.random_curvature(u3.space, seed=5).matrix
+    stack = tensor.CurvatureTensor(u3.space, mats)
+    one = tensor.CurvatureTensor(u3.space, mats[2])
+    for fn in (decomp.bochner_decompose, decomp.bochner_explicit, decomp._check_kaehler_invariance):
+        assert _raised(fn, stack) == _raised(fn, one)
+        fn(tensor.CurvatureTensor(u3.space, mats[:2]))
+
+
+def test_trial_off_the_algebra_is_caught(qk2):
+    mats = decomp.random_algebra_curvature(qk2, rng=streams(4)).matrix.copy()
+    mats[1] = tensor.random_curvature(qk2.space, seed=5).matrix
+    stack = tensor.CurvatureTensor(qk2.space, mats)
+    one = tensor.CurvatureTensor(qk2.space, mats[1])
+    expected = _raised(decomp.qk_decompose, one, qk2)
+    assert expected[1].startswith("operator leaks off the holonomy algebra")
+    assert _raised(decomp.qk_decompose, stack, qk2) == expected
+    assert _raised(criteria.hat_ratio_qk, stack, qk2) == expected
+
+
+def test_stack_shape_is_checked(so5):
+    d = so5.space.bivector_dim
+    for shape in ((2, 2, d, d), (d, d + 1), (3, d, d + 1)):
+        with pytest.raises(SymmetryError):
+            tensor.CurvatureTensor(so5.space, np.zeros(shape))
+
+
+# ---------------------------------------------------------------------------
+# the suites run per chunk of trials
+
+
+SUITE_SIZES = {"weyl-norm": ("--n", "4..6"), "bochner-norm": ("--m", "2..3"),
+               "qk-ratio": ("--m", "2..3"), "decomp": (None, None)}
+
+
+@pytest.mark.parametrize("suite", list(SUITE_SIZES))
+def test_chunking_leaves_the_report_as_it_is(suite, monkeypatch, capsys):
+    # chunks of 3 out of 7 trials (a ragged last chunk) against one trial
+    # per chunk: the same bytes
+    flag, sizes = SUITE_SIZES[suite]
+    argv = ["verify", "--suite", suite, "--trials", "7", "--seed", "5"] + ([flag, sizes] if flag else [])
+    reports = []
+    for per in (1, 3):
+        monkeypatch.setattr(holonomy, "trial_chunk", lambda space, per=per: per)
+        cli.main(argv)
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["records"]
+
+
+def test_weyl_norm_runs_its_kernels_once_per_chunk(monkeypatch, capsys):
+    calls = {"random_curvature": 0, "weyl_decompose": 0}
+    for module, name in ((tensor, "random_curvature"), (decomp, "weyl_decompose")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    assert cli.main(["verify", "--suite", "weyl-norm"]) == 0
+    capsys.readouterr()
+    chunks = sum(-(-100 // holonomy.trial_chunk(generic(n))) for n in range(4, 9))
+    assert calls == {"random_curvature": chunks, "weyl_decompose": chunks}
+    assert chunks <= 10  # not 100 per size
+
+
+@pytest.mark.parametrize("suite,flag,size,space", [
+    (cli.suite_qk_ratio, "m", 4, quaternion_kaehler(4)),
+    (cli.suite_weyl_norm, "n", 8, generic(8)),
+])
+def test_one_chunk_stays_within_the_budget(suite, flag, size, space):
+    # one chunk of trials: the draw, the checks, the hats over (trial,
+    # generator) and the decomposition, with the cached constants built
+    # outside the trace
+    cfg = cli._config_from_args(cli._build_parser().parse_args(
+        ["verify", f"--{flag}", str(size), "--trials", str(holonomy.trial_chunk(space))]))
+    suite(cfg)
+    tracemalloc.start()
+    try:
+        suite(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * holonomy._CHUNK_BYTES, peak / holonomy._CHUNK_BYTES
