@@ -104,26 +104,12 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _plain(x):
-    """Strip numpy types so rendering sees plain python values."""
-    if isinstance(x, np.ndarray):
-        return [_plain(v) for v in x.tolist()]
-    if isinstance(x, np.bool_):
-        return bool(x)
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, dict):
-        return {str(k): _plain(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_plain(v) for v in x]
-    return x
-
-
 def _render(x) -> str:
-    """Deterministic JSON with 17-significant-digit floats."""
-    x = _plain(x)
+    """Deterministic JSON with 17-significant-digit floats, of the python
+    values a record holds; anything else, a numpy bool or array among them,
+    raises GeometryError."""
+    if type(x) is float:
+        return "%.17g" % x
     if x is None:
         return "null"
     if isinstance(x, bool):
@@ -134,7 +120,7 @@ def _render(x) -> str:
         return "%.17g" % x
     if isinstance(x, str):
         return json.dumps(x)
-    if isinstance(x, list):
+    if isinstance(x, (list, tuple)):
         return "[" + ", ".join(_render(v) for v in x) + "]"
     if isinstance(x, dict):
         return "{" + ", ".join(f"{json.dumps(str(k))}: {_render(v)}" for k, v in x.items()) + "}"
@@ -142,18 +128,10 @@ def _render(x) -> str:
 
 
 def _scalar_text(x) -> str:
-    if type(x) is float:
-        return "%.17g" % x
-    x = _plain(x)
+    """A CSV cell: the _render text, with None empty and strings unquoted."""
     if x is None:
         return ""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        return "%.17g" % x
-    if isinstance(x, (list, dict)):
-        return _render(x)
-    return str(x)
+    return x if isinstance(x, str) else _render(x)
 
 
 def _csv_cell(s: str) -> str:
@@ -175,11 +153,11 @@ def rec_leq(name, inputs, actual, bound) -> CheckRecord:
 
 
 def rec_eq(name, inputs, expected, actual) -> CheckRecord:
-    return CheckRecord(name, inputs, _plain(expected), _plain(actual), None, _plain(expected) == _plain(actual))
+    return CheckRecord(name, inputs, expected, actual, None, expected == actual)
 
 
 def rec_bool(name, inputs, passed, expected, actual) -> CheckRecord:
-    return CheckRecord(name, inputs, _plain(expected), _plain(actual), None, bool(passed))
+    return CheckRecord(name, inputs, expected, actual, None, bool(passed))
 
 
 def rec_mults(name, inputs, expected, actual, tol) -> CheckRecord:
@@ -187,7 +165,7 @@ def rec_mults(name, inputs, expected, actual, tol) -> CheckRecord:
     ok = len(expected) == len(actual) and all(
         ec == ac and abs(ev - av) <= tol for (ev, ec), (av, ac) in zip(expected, actual)
     )
-    return CheckRecord(name, inputs, _plain(expected), _plain(actual), tol, ok)
+    return CheckRecord(name, inputs, expected, actual, tol, ok)
 
 
 def _merge_mults(pairs: list[tuple[float, int]]) -> list[list]:
@@ -237,8 +215,9 @@ def parse_range(text: str) -> tuple[int, int]:
 
 
 def _trial_rng(seed: int, tag: int, trial: int) -> np.random.Generator:
-    # disjoint streams per (suite instance, trial): the entropy is the tuple
-    # itself, so no field spills into another (tags and trials stay < 2^32)
+    # the entropy is the tuple itself, so no field spills into another (tags
+    # and trials stay < 2^32).  A suite's tag is its size (a fixed number for
+    # decomp's rows and for sample), so suites of one size share streams
     return np.random.default_rng([seed, tag, trial])
 
 
@@ -721,8 +700,7 @@ def cmd_sample(cfg: argparse.Namespace) -> tuple[Report, int]:
             row["criterion_value"] = res.value
             row["criterion_satisfied"] = res.satisfied
         if kind == "qk":
-            hr = criteria.hat_ratio_qk(rm, alg)
-            row["hat_ratio"] = float("nan") if hr.pure_multiple else hr.ratio
+            row["hat_ratio"] = criteria.hat_ratio_qk(rm, alg).ratio
         return row
 
     report = Report(command="sample", config=_echo(cfg))

@@ -16,9 +16,12 @@ the eigen route of curvature_term reads it on the rotated hats of the whole
 stack, whose Gram its bilinear route needs.  hat_norm_direct,
 invariance_defect and hat_ratio_qk also take a tensor that holds a stack of
 trials (see `tensor`): the chunks then run over (trial, generator) pairs
-and each value is a (T,) array of the one-trial values.
+and each value is a (T,) array of the one-trial values.  A degenerate hat
+ratio (a pure model multiple) is NaN, for one tensor as on a stack.
 
-The spectral routes (hat_norm_formula, curvature_term_self) read the
+curvature_term and the spectral routes (hat_norm_formula,
+curvature_term_self) take a restricted operator (holonomy.project), which
+carries its algebra; a full-space one raises.  The spectral routes read the
 restricted operator's own spectrum, which it computes at most once, and
 rotate the structure constants into that eigenbasis with three GEMMs, one
 per slot (_rotated_structure).  curvature_term makes its own eigensolve, so
@@ -55,17 +58,14 @@ def lambda_tripod(a: float, b: float, c: float) -> float:
 # hat components against an operator
 
 
-def _resolve(op, algebra):
-    """Normalize (operator, algebra) input combinations to a restricted op."""
-    if not isinstance(op, CurvatureOperator):
-        raise GeometryError("expected a curvature operator")
-    if op.algebra is None:
-        if algebra is None:
-            raise GeometryError("an algebra is required to restrict the operator")
-        return project(op, algebra), algebra
+def _resolve(op, algebra) -> HolonomyAlgebra:
+    """The algebra of a restricted operator, which algebra, when given, must
+    equal.  A full-space operator raises: restrict it with holonomy.project."""
+    if not isinstance(op, CurvatureOperator) or op.algebra is None:
+        raise GeometryError("expected a curvature operator restricted to an algebra")
     if algebra is not None and algebra != op.algebra:
         raise GeometryError("operator is already restricted to a different algebra")
-    return op, op.algebra
+    return op.algebra
 
 
 def _hat_flat(t, algebra: HolonomyAlgebra) -> np.ndarray:
@@ -106,8 +106,9 @@ class CurvatureTerm:
         return abs(self.eigen_route - self.bilinear_route)
 
 
-def curvature_term(op, t, algebra: HolonomyAlgebra | None = None) -> CurvatureTerm:
-    """Pairing of an operator with the hat components of a tensor.
+def curvature_term(op, t) -> CurvatureTerm:
+    """Pairing of a restricted operator with the hat components of a tensor
+    along the operator's algebra.
 
     eigen route: rotate the hats into the operator eigenbasis and weight
     their squared norms by the eigenvalues.  bilinear route: contract the
@@ -115,8 +116,7 @@ def curvature_term(op, t, algebra: HolonomyAlgebra | None = None) -> CurvatureTe
     eigensolve.  For the identity operator the value is the squared hat norm
     of t in this module's convention.
     """
-    op, algebra = _resolve(op, algebra)
-    flat = _hat_flat(t, algebra)
+    flat = _hat_flat(t, _resolve(op, None))
     gram = flat @ flat.T
     bilinear = float(np.sum(op.matrix * gram))
     spec = symmetric_eigen(op.matrix)
@@ -142,19 +142,19 @@ class HatNorm:
 
     total: float
     per_component: np.ndarray
-    eigenvalues: np.ndarray
 
 
 def _rotated_structure(op, algebra):
     """Spectrum of the restricted operator (its memo, no new eigensolve) and
-    the structure constants in its eigenbasis q,
+    the structure constants of its algebra (which algebra, when given, must
+    be) in its eigenbasis q,
     cp[i, j, k] = sum q[a, i] q[b, j] q[g, k] c[a, b, g].
 
     One GEMM per slot: each contracts the leading axis of the (d, d*d) view
     with q and appends the rotated axis last, so after three the slots are
     back in order.  No einsum path search on a per-sample route.
     """
-    op, algebra = _resolve(op, algebra)
+    algebra = _resolve(op, algebra)
     spec = op.spectrum()
     q = spec.vectors
     d = q.shape[0]
@@ -164,7 +164,7 @@ def _rotated_structure(op, algebra):
     return spec.values, cp.reshape(d, d, d)
 
 
-def hat_norm_formula(op, algebra: HolonomyAlgebra | None = None) -> HatNorm:
+def hat_norm_formula(op) -> HatNorm:
     """Squared hat norm of the tensor behind a restricted operator.
 
     Uses only the operator spectrum and the algebra structure constants:
@@ -172,32 +172,33 @@ def hat_norm_formula(op, algebra: HolonomyAlgebra | None = None) -> HatNorm:
     it bridges, weighted by the squared structure constants.  Agrees with
     hat_norm_direct on tensors supported on the algebra.
     """
-    lam, cp = _rotated_structure(op, algebra)
+    lam, cp = _rotated_structure(op, None)
     diffs = (lam[:, None] - lam[None, :]) ** 2
     per = np.einsum("ab,gab->g", diffs, cp**2)
-    return HatNorm(total=float(per.sum()), per_component=per, eigenvalues=lam)
+    return HatNorm(total=float(per.sum()), per_component=per)
 
 
-def _self_term_operands(op, algebra) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _self_term_operands(op) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(eigenvalues, their squared differences, squared rotated structure
-    constants): the operands of the self curvature term."""
-    lam, cp = _rotated_structure(op, algebra)
+    constants) of a restricted operator: the operands of the self curvature
+    term."""
+    lam, cp = _rotated_structure(op, None)
     return lam, (lam[:, None] - lam[None, :]) ** 2, cp**2
 
 
-def _self_term(op, algebra: HolonomyAlgebra | None = None) -> tuple[float, float]:
+def _self_term(op) -> tuple[float, float]:
     """Self curvature term and its scale, the same sum with |eigenvalues|."""
-    lam, diffs, cp_sq = _self_term_operands(op, algebra)
+    lam, diffs, cp_sq = _self_term_operands(op)
     value = float(np.einsum("g,ab,gab->", lam, diffs, cp_sq))
     scale = float(np.einsum("g,ab,gab->", np.abs(lam), diffs, cp_sq))
     return value, scale
 
 
-def curvature_term_self(op, algebra: HolonomyAlgebra | None = None) -> float:
-    """Curvature term of an operator paired with its own hat components,
-    evaluated purely from the spectrum and structure constants.  The value
-    of `_self_term`, without its scale."""
-    lam, diffs, cp_sq = _self_term_operands(op, algebra)
+def curvature_term_self(op) -> float:
+    """Curvature term of a restricted operator paired with its own hat
+    components, evaluated purely from the spectrum and structure constants.
+    The value of `_self_term`, without its scale."""
+    lam, diffs, cp_sq = _self_term_operands(op)
     return float(np.einsum("g,ab,gab->", lam, diffs, cp_sq))
 
 
@@ -219,7 +220,7 @@ class WeightedCriterion:
 
     k: int
     weight: float
-    label: str = ""
+    label: str
 
     def __post_init__(self):
         if self.k < 1:
@@ -235,10 +236,9 @@ class CriterionResult:
     satisfied: bool
 
 
-def weighted_criterion(
-    eigenvalues: np.ndarray, crit: WeightedCriterion, tol: float = 0.0
-) -> CriterionResult:
-    """Evaluate a weighted partial eigenvalue sum on an ascending spectrum."""
+def weighted_criterion(eigenvalues: np.ndarray, crit: WeightedCriterion, tol: float) -> CriterionResult:
+    """Evaluate a weighted partial eigenvalue sum on an ascending spectrum;
+    satisfied when it is at least -tol."""
     lam = np.sort(np.asarray(eigenvalues, dtype=float))
     needed = crit.k + (1 if crit.weight else 0)
     if lam.shape[0] < needed:
@@ -293,13 +293,13 @@ def preset_for(algebra: HolonomyAlgebra) -> WeightedCriterion:
 
 @dataclass
 class HatRatio:
-    """Squared hat norm against the squared norm of the trace-free part.
-    On a stack of trials each field is a (T,) array, with ratio NaN where
-    pure_multiple holds."""
+    """Squared hat norm against the squared norm of the trace-free part,
+    with ratio NaN where pure_multiple holds.  On a stack of trials each
+    field is a (T,) array."""
 
     hat_norm_sq: float | np.ndarray
     trace_free_norm_sq: float | np.ndarray
-    ratio: float | np.ndarray | None
+    ratio: float | np.ndarray
     pure_multiple: bool | np.ndarray
 
 
@@ -309,7 +309,7 @@ def hat_ratio_qk(rm: CurvatureTensor, algebra: HolonomyAlgebra) -> HatRatio:
 
     Operator-convention norms on both sides.  When the trace-free part
     degenerates the tensor is a pure model multiple and the ratio is
-    undefined; a nonzero hat norm in that situation is impossible for
+    undefined, NaN; a nonzero hat norm in that situation is impossible for
     tensors supported on the algebra and raises.
     """
     hat_sq = hat_norm_direct(rm, algebra)
@@ -321,11 +321,8 @@ def hat_ratio_qk(rm: CurvatureTensor, algebra: HolonomyAlgebra) -> HatRatio:
         raise GeometryError(
             "degenerate trace-free part with nonvanishing hat components"
         )
-    if np.ndim(pure):
-        return HatRatio(hat_sq, rest_sq, np.where(pure, np.nan, hat_sq / np.where(pure, 1.0, rest_sq)), pure)
-    if pure:
-        return HatRatio(hat_sq, rest_sq, None, True)
-    return HatRatio(hat_sq, rest_sq, hat_sq / rest_sq, False)
+    ratio = np.where(pure, np.nan, hat_sq / np.where(pure, 1.0, rest_sq))
+    return HatRatio(hat_sq, rest_sq, _value(ratio), pure)
 
 
 # ---------------------------------------------------------------------------

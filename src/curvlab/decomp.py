@@ -17,7 +17,8 @@ test suite plays against each other.  On a tensor that holds a (T, D, D)
 stack of trials (see `tensor`) every routine runs once for the stack: the
 parts are stacks, the coefficients, residuals and cross inner products
 (T,) arrays, each trial's entry the one-trial value to the bit, and the
-Kaehler-invariance and leak checks hold every trial to its own tolerance.
+Kaehler-invariance and leak checks hold every trial to its own tolerance,
+which a NaN fails.
 
 random_algebra_curvature samples the curvature tensors supported on a
 holonomy algebra from an orthonormal basis of the Bianchi kernel on Sym^2 of
@@ -272,7 +273,7 @@ def _check_kaehler_invariance(rm: CurvatureTensor):
     np.subtract(rm.matrix, moved, out=moved)
     defect = np.abs(moved, out=moved).max(axis=(-2, -1))
     scale = 1.0 + np.maximum(rm.matrix.max(axis=(-2, -1)), -rm.matrix.min(axis=(-2, -1)))
-    if np.any(defect > 1e-9 * scale):
+    if not np.all(defect <= 1e-9 * scale):  # NaN fails
         raise GeometryError("tensor is not invariant under the complex structure")
 
 
@@ -364,7 +365,7 @@ def qk_decompose(rm: CurvatureTensor, algebra: HolonomyAlgebra) -> CurvatureDeco
     op = to_operator(rm)
     mass = complement_mass(op, algebra)
     scale = 1.0 + np.maximum(op.matrix.max(axis=(-2, -1)), -op.matrix.min(axis=(-2, -1)))
-    leaks = np.flatnonzero(np.atleast_1d(mass > 1e-8 * scale))
+    leaks = np.flatnonzero(np.atleast_1d(~(mass <= 1e-8 * scale)))  # NaN leaks
     if leaks.size:
         raise GeometryError(
             f"operator leaks off the holonomy algebra (mass {np.atleast_1d(mass)[leaks[0]]:.2e})"

@@ -7,7 +7,8 @@ Conventions, fixed once here and relied on everywhere else:
   M[ij, kl] = T[i, j, k, l] for i < j, k < l.  The pair antisymmetries hold
   by construction; pair interchange is the symmetry of M, and the first
   Bianchi identity T[x,y,z,w] + T[y,z,x,w] + T[z,x,y,w] = 0 is checked at
-  the C(n,4) increasing quadruples.  Both are part of the type invariant;
+  the C(n,4) increasing quadruples.  Both, and finite entries, are part of
+  the type invariant;
 * the rank-four component array is derived from M on request.  Rank-four
   arrays that come from outside (files, the Grassmannian formula) are
   validated slot by slot with check_curvature_symmetries before they are
@@ -77,7 +78,14 @@ class SymmetryError(GeometryError):
 
 
 def _sym_scale(a: np.ndarray) -> float:
+    """1 + max|entry|: NaN or inf exactly when an entry is."""
     return 1.0 + float(np.abs(a).max(initial=0.0))
+
+
+def _non_finite(a: np.ndarray) -> SymmetryError:
+    """The error that names the first non-finite entry of a."""
+    at = tuple(int(i) for i in np.argwhere(~np.isfinite(a))[0])
+    return SymmetryError(f"non-finite entry {a[at]} at {at}")
 
 
 def _value(x):
@@ -202,9 +210,12 @@ def _dim_of_pairs(d: int) -> int:
 
 
 def check_curvature_symmetries(t: np.ndarray):
-    """Raise SymmetryError unless the rank-four array t has all curvature
-    symmetries plus Bianchi, to _SYMMETRY_RTOL * (1 + max|entry|)."""
-    tol = _SYMMETRY_RTOL * _sym_scale(t)
+    """Raise SymmetryError unless the rank-four array t is finite and has
+    all curvature symmetries plus Bianchi, to _SYMMETRY_RTOL * (1 + max|entry|)."""
+    scale = _sym_scale(t)
+    if not np.isfinite(scale):
+        raise _non_finite(t)
+    tol = _SYMMETRY_RTOL * scale
     r = float(np.abs(t + t.transpose(1, 0, 2, 3)).max(initial=0.0))
     if r > tol:
         raise SymmetryError(f"not antisymmetric in the first pair, residual {r:.3e}")
@@ -231,19 +242,29 @@ def _quad_bianchi(mat: np.ndarray, n: int) -> np.ndarray:
 
 def check_operator_symmetries(mat: np.ndarray):
     """Raise SymmetryError unless the D x D matrix mat, or every matrix of a
-    (T, D, D) stack, is the operator of a curvature tensor: symmetric, and
-    Bianchi at the increasing quadruples.
+    (T, D, D) stack, is the operator of a curvature tensor: finite,
+    symmetric, and Bianchi at the increasing quadruples.
 
     Same tolerance and messages as check_curvature_symmetries on the array
     scattered from a matrix, whose largest entry is the matrix's; the pair
     antisymmetries of that array hold by construction.  On a stack every
     trial is checked at its own tolerance, and the first trial that fails
-    raises the message the check of that trial alone raises.
+    raises the message the check of that trial alone raises.  A non-finite
+    entry shows in the largest |entry| of its trial, so finiteness costs one
+    np.isfinite over the (T,) peaks, and no residual is formed from it.
     """
     if mat.ndim not in (2, 3) or mat.shape[-2] != mat.shape[-1]:
         raise SymmetryError(f"operator must be a square matrix or a stack of them, got shape {mat.shape}")
     n = _dim_of_pairs(mat.shape[-1])
-    tol = _SYMMETRY_RTOL * (1.0 + abs(mat).max(axis=(-2, -1)))
+    peak = abs(mat).max(axis=(-2, -1))
+    finite = np.isfinite(peak)
+    if not finite.all():
+        if mat.ndim == 3:
+            first = int(np.argmin(finite))
+            check_operator_symmetries(mat[:first])  # an earlier trial that fails comes first
+            mat = mat[first]
+        raise _non_finite(mat)
+    tol = _SYMMETRY_RTOL * (1.0 + peak)
     asym = abs(mat - mat.swapaxes(-1, -2)).max(axis=(-2, -1))
     bianchi = abs(_quad_bianchi(mat, n)).max(axis=-1, initial=0.0)
     failed = (asym > tol) | (bianchi > tol)
@@ -360,9 +381,6 @@ class CurvatureTensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "CurvatureTensor":
-        return CurvatureTensor(self.space, -self.matrix, validate=False)
-
     def norm_sq(self):
         """Component-array squared norm (four times the operator convention)."""
         return _value(4.0 * (self.matrix**2).sum(axis=(-2, -1)))
@@ -374,30 +392,31 @@ class CurvatureTensor:
 
 @dataclass
 class CurvatureOperator:
-    """Symmetric operator on bivectors, optionally restricted to a subalgebra.
+    """Symmetric operator on bivectors, on the full bivector space or
+    restricted to a subalgebra.
 
-    With algebra None the matrix acts on the full bivector space in the
-    lexicographic pair basis, aliasing the tensor's matrix (to_operator);
-    otherwise it acts in the coordinates of the algebra's orthonormal basis,
-    on a read-only matrix whose spectrum is computed at most once: a copy of
-    one given from outside, or the product holonomy.project froze in place.
+    A restricted operator (algebra given) acts in the coordinates of the
+    algebra's orthonormal basis, on a read-only matrix whose spectrum is
+    computed at most once: a copy of one given from outside, checked finite
+    and symmetric here, or the product holonomy.project froze in place.  A
+    full-space one (algebra None) comes only from to_operator, which aliases
+    the tensor's matrix in the lexicographic pair basis.
     """
 
     space: EuclideanSpace
     matrix: np.ndarray
-    algebra: object | None = None
+    algebra: object | None
 
     def __post_init__(self):
-        if self.algebra is None:
-            self.matrix = np.asarray(self.matrix, dtype=float)
-            d = self.space.bivector_dim
-        else:
-            self.matrix = np.array(self.matrix, dtype=float)
-            _freeze(self.matrix)
-            d = self.algebra.dim
+        self.matrix = np.array(self.matrix, dtype=float)
+        _freeze(self.matrix)
+        d = self.algebra.dim
         if self.matrix.shape != (d, d):
             raise GeometryError(f"operator matrix must be {d} x {d}, got {self.matrix.shape}")
-        if float(np.abs(self.matrix - self.matrix.T).max(initial=0.0)) > _SYMMETRY_RTOL * _sym_scale(self.matrix):
+        scale = _sym_scale(self.matrix)
+        if not np.isfinite(scale):
+            raise _non_finite(self.matrix)
+        if float(np.abs(self.matrix - self.matrix.T).max(initial=0.0)) > _SYMMETRY_RTOL * scale:
             raise GeometryError("operator matrix is not symmetric")
         self._spectrum = None  # (matrix, SpectralData) of a restricted operator
 
@@ -430,9 +449,6 @@ class CurvatureOperator:
     def norm_sq(self) -> float:
         """Frobenius squared norm (one quarter of the component convention)."""
         return float(np.sum(self.matrix**2))
-
-    def trace(self) -> float:
-        return float(np.trace(self.matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -488,8 +504,9 @@ def _conjugation_on_bivectors(space: EuclideanSpace, s: np.ndarray) -> np.ndarra
 
 def to_operator(rm: CurvatureTensor) -> CurvatureOperator:
     """The stored bivector operator, wrapped without a copy.  A tensor's
-    matrix is symmetric by the type invariant, so it is not scanned again;
-    CurvatureOperator(space, matrix) still checks matrices from outside."""
+    matrix is symmetric by the type invariant, so it is not scanned again.
+    This is the one source of full-space operators; the constructor builds
+    restricted ones from outside matrices, and checks them."""
     return CurvatureOperator._wrap(rm.space, rm.matrix)
 
 
@@ -650,14 +667,11 @@ def _form_rows(space: EuclideanSpace) -> tuple[np.ndarray, ...]:
 # random generation and serialization
 
 
-def random_curvature(
-    space: EuclideanSpace, rng: np.random.Generator | None = None, seed: int | None = None
-) -> CurvatureTensor:
+def random_curvature(space: EuclideanSpace, rng) -> CurvatureTensor:
     """Random algebraic curvature tensor: a Gaussian symmetric bivector
-    operator, Bianchi-projected.  A list of generators draws a stack, trial
-    t from generator t, each the tensor that generator alone draws."""
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    operator, Bianchi-projected, drawn from the Generator rng.  A list of
+    generators draws a stack, trial t from generator t, each the tensor that
+    generator alone draws."""
     d = space.bivector_dim
     if isinstance(rng, list):
         raw = np.stack([stream.standard_normal((d, d)) for stream in rng])

@@ -394,6 +394,18 @@ class TestDecompose:
         assert code == 2
         assert "residual" in err
 
+    def test_non_finite_component_is_usage_error(self, capsys, tmp_path):
+        # json reads NaN; a tensor file holding one is refused before any
+        # decomposition, not decomposed into NaN parts
+        comp = decomp.sphere(4).components.copy()
+        comp[0, 1, 0, 1] = comp[1, 0, 1, 0] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"n": 4, "structure": "generic", "components": comp.ravel().tolist()}))
+        code, out, err = run(capsys, "decompose", str(path))
+        assert code == 2
+        assert out == ""
+        assert "non-finite entry nan at (0, 1, 0, 1)" in err
+
     def test_input_above_byte_cap_is_usage_error(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "big.json"
         with open(path, "wb") as fh:
@@ -563,18 +575,20 @@ def test_parser_is_built_once_and_reused(capsys):
 
 
 def test_csv_cells_render_as_before():
-    # %.17g for python and numpy floats, lowercase bools, str(int), "nan";
-    # the python-float shortcut must give the bytes the _plain walk gives
-    row = {
-        "float": 0.1, "np_float": np.float64(0.1), "tiny": 1e-300, "negzero": -0.0,
-        "bool": True, "np_bool": np.bool_(False), "int": 3, "np_int": np.int64(-7),
-        "nan": float("nan"), "np_nan": np.float64("nan"), "none": None,
-    }
+    # %.17g for floats, lowercase bools, str(int), "nan", and None empty;
+    # the python-float shortcut gives the bytes the general branches give
+    row = {"float": 0.1, "tiny": 1e-300, "negzero": -0.0, "bool": True, "int": 3,
+           "nan": float("nan"), "none": None}
     report = cli.Report(command="sample", config={})
     report.records.append(cli.CheckRecord(name="sample[0]", inputs={}, expected=None,
                                           actual=row, tolerance=None, passed=True))
     assert cli._sample_csv(report) == (
-        "float,np_float,tiny,negzero,bool,np_bool,int,np_int,nan,np_nan,none\n"
-        "0.10000000000000001,0.10000000000000001,1e-300,-0,"
-        "true,false,3,-7,nan,nan,\n"
+        "float,tiny,negzero,bool,int,nan,none\n"
+        "0.10000000000000001,1e-300,-0,true,3,nan,\n"
     )
+    # a record holds python values: a numpy scalar that is not a float is
+    # not converted on the way out, it is refused
+    for value in (np.bool_(False), np.int64(-7)):
+        report.records[0].actual = {"cell": value}
+        with pytest.raises(GeometryError, match="cannot serialize"):
+            cli._sample_csv(report)

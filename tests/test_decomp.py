@@ -158,6 +158,13 @@ class TestBochner:
         with pytest.raises(GeometryError):
             bochner_decompose(rm)
 
+    def test_rejects_nan(self, u3):
+        # a tensor built unchecked: the invariance defect is NaN, which fails
+        nan = tensor.CurvatureTensor(u3.space, np.full((15, 15), np.nan), validate=False)
+        for route in (bochner_decompose, bochner_explicit):
+            with pytest.raises(GeometryError, match="not invariant"):
+                route(nan)
+
     def test_const_hol_has_no_bochner(self):
         dec = bochner_decompose(const_hol(3))
         assert dec.parts["bochner"].norm_sq() < 1e-18
@@ -196,6 +203,12 @@ class TestQK:
         rm = tensor.random_curvature(qk2.space, rng=rng)
         with pytest.raises(GeometryError, match="leak"):
             qk_decompose(rm, qk2)
+
+    def test_rejects_nan(self, qk2, hp2):
+        # a tensor built unchecked: its complement mass is NaN, which leaks
+        nan = tensor.CurvatureTensor(qk2.space, hp2.matrix * np.nan, validate=False)
+        with pytest.raises(GeometryError, match="leaks off the holonomy algebra"):
+            qk_decompose(nan, qk2)
 
 
 # Saves the sp(5)+sp(1) coefficient rows and a seeded sp(3)+sp(1) sample to
@@ -751,7 +764,7 @@ class TestStructureCaches:
         m = rng.standard_normal((c.shape[1],) * 2)
         supported = c.T @ (c @ (m + m.T) @ c.T) @ c
         for mat in (m + m.T, supported):
-            op = tensor.CurvatureOperator(alg.space, mat)
+            op = tensor.CurvatureOperator._wrap(alg.space, mat)
             mass = holonomy.complement_mass(op, alg)
             assert mass == float(np.linalg.norm(op.matrix - c.T @ (c @ op.matrix @ c.T) @ c))
             by_p = float(np.linalg.norm(op.matrix - p @ op.matrix @ p))

@@ -58,26 +58,17 @@ def test_every_export_is_referenced_or_kept():
 KEPT_DEFAULTS = {
     "cli.Report.__init__(records)": "a command's report starts empty and appends its records",
     "cli.main(argv)": "the console script calls main() to read sys.argv; the tests pass a list",
-    "criteria.WeightedCriterion.__init__(label)": "the presets label their criteria; the tests build bare ones",
-    "criteria._self_term(algebra)": "negative_term_search passes a restricted operator, which carries its algebra",
-    "criteria.curvature_term(algebra)": "the acceptance gate passes a restricted operator alone",
-    "criteria.curvature_term_self(algebra)": "`curvlab sample` passes a restricted operator alone",
-    "criteria.hat_norm_formula(algebra)": "the wolf suite passes a restricted operator alone",
     "criteria.negative_term_search(seed)": "knob of the seeded adversary search, until a checked adversary replaces it",
     "criteria.negative_term_search(shift)": "knob of the seeded adversary search, until a checked adversary replaces it",
     "criteria.negative_term_search(trials)": "knob of the seeded adversary search, until a checked adversary replaces it",
-    "criteria.weighted_criterion(tol)": "the CLI passes its noise-floor slack; an exact check leaves it at 0",
     "decomp.random_algebra_curvature(rng)": "the suites pass lists of trial streams and `sample` one stream; the tests and the acceptance gate pass seed=",
     "decomp.random_algebra_curvature(seed)": "the suites pass lists of trial streams and `sample` one stream; the tests and the acceptance gate pass seed=",
     "euclid.EuclideanSpace.__init__(structure)": "generic(n) is the space with no holonomy structure",
     "euclid.HolonomyStructure.__init__(I)": "a structure holds only its kind's matrices: none, J, or I, J, K",
     "euclid.HolonomyStructure.__init__(J)": "a structure holds only its kind's matrices: none, J, or I, J, K",
     "euclid.HolonomyStructure.__init__(K)": "a structure holds only its kind's matrices: none, J, or I, J, K",
-    "tensor.CurvatureOperator.__init__(algebra)": "None is the operator on the full bivector space",
     "tensor.CurvatureOperator._wrap(algebra)": "to_operator wraps a full-space operator; project passes its algebra",
     "tensor.CurvatureTensor.__init__(validate)": "sums and multiples of curvature tensors skip the scan; any other matrix is checked",
-    "tensor.random_curvature(rng)": "the suites pass lists of trial streams; the tests pass seed=",
-    "tensor.random_curvature(seed)": "the suites pass lists of trial streams; the tests pass seed=",
 }
 
 

@@ -128,7 +128,7 @@ def test_pure_multiple_in_a_stack(qk2):
     assert np.isnan(ratio.ratio[0])
     assert np.array_equal(ratio.ratio[1:], [criteria.hat_ratio_qk(tensor.CurvatureTensor(qk2.space, m), qk2).ratio
                                             for m in rest.matrix])
-    assert criteria.hat_ratio_qk(decomp.hp(2), qk2).ratio is None
+    assert np.isnan(criteria.hat_ratio_qk(decomp.hp(2), qk2).ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -169,9 +169,46 @@ def test_bad_trial_raises_its_own_message(bad, at):
         tensor.check_operator_symmetries(mats[good])
 
 
+def _nan_entry(mat):
+    out = mat.copy()
+    out[2, 7] = np.nan
+    return out
+
+
+def _lone_inf(mat):
+    # residual and tolerance of this trial are both inf, so no comparison
+    # of the two can reject it
+    out = mat.copy()
+    out[0, 1] = np.inf
+    return out
+
+
+@pytest.mark.parametrize("bad", [_nan_entry, _lone_inf], ids=["nan", "lone_inf"])
+def test_non_finite_trial_raises_its_own_message(bad):
+    space = generic(5)
+    mats = tensor.random_curvature(space, rng=streams(3)).matrix.copy()
+    mats[1] = bad(mats[1])
+    expected = _raised(tensor.check_operator_symmetries, mats[1])
+    assert expected[0] is SymmetryError and expected[1].startswith("non-finite entry")
+    assert _raised(tensor.check_operator_symmetries, mats) == expected
+    assert _raised(tensor.CurvatureTensor, space, mats) == expected
+    for good in (0, 2):
+        tensor.check_operator_symmetries(mats[good])
+
+
+def test_earlier_bad_trial_comes_before_a_non_finite_one():
+    space = generic(5)
+    mats = tensor.random_curvature(space, rng=streams(3)).matrix.copy()
+    mats[0] = _off_symmetry(mats[0], np.random.default_rng(0))
+    mats[1] = _lone_inf(mats[1])
+    expected = _raised(tensor.check_operator_symmetries, mats[0])
+    assert expected[1].startswith("not symmetric")
+    assert _raised(tensor.check_operator_symmetries, mats) == expected
+
+
 def test_trial_off_the_complex_structure_is_caught(u3):
     mats = decomp.random_algebra_curvature(u3, rng=streams(4)).matrix.copy()
-    mats[2] = tensor.random_curvature(u3.space, seed=5).matrix
+    mats[2] = tensor.random_curvature(u3.space, rng=np.random.default_rng(5)).matrix
     stack = tensor.CurvatureTensor(u3.space, mats)
     one = tensor.CurvatureTensor(u3.space, mats[2])
     for fn in (decomp.bochner_decompose, decomp.bochner_explicit, decomp._check_kaehler_invariance):
@@ -181,7 +218,7 @@ def test_trial_off_the_complex_structure_is_caught(u3):
 
 def test_trial_off_the_algebra_is_caught(qk2):
     mats = decomp.random_algebra_curvature(qk2, rng=streams(4)).matrix.copy()
-    mats[1] = tensor.random_curvature(qk2.space, seed=5).matrix
+    mats[1] = tensor.random_curvature(qk2.space, rng=np.random.default_rng(5)).matrix
     stack = tensor.CurvatureTensor(qk2.space, mats)
     one = tensor.CurvatureTensor(qk2.space, mats[1])
     expected = _raised(decomp.qk_decompose, one, qk2)

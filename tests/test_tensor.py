@@ -111,17 +111,41 @@ class TestOperator:
 
     def test_scal_is_twice_trace(self, rng):
         rm = random_curvature(generic(6), rng=rng)
-        assert scalar(rm) == pytest.approx(2.0 * to_operator(rm).trace())
+        assert scalar(rm) == pytest.approx(2.0 * np.trace(to_operator(rm).matrix))
 
     def test_rejects_asymmetric_matrix(self, rng):
         sp = generic(4)
+        so4 = holonomy.so_algebra(sp)
         with pytest.raises(euclid.GeometryError):
-            CurvatureOperator(sp, rng.standard_normal((6, 6)))
-        # a matrix from outside is scanned, though to_operator skips the scan
-        mat = to_operator(random_curvature(sp, rng=rng)).matrix.copy()
+            CurvatureOperator(sp, rng.standard_normal((6, 6)), so4)
+        # a matrix from outside is scanned, though project skips the scan
+        mat = holonomy.project(to_operator(random_curvature(sp, rng=rng)), so4).matrix.copy()
         mat[0, 5] += 1e-6
         with pytest.raises(euclid.GeometryError, match="not symmetric"):
-            CurvatureOperator(sp, mat)
+            CurvatureOperator(sp, mat, so4)
+
+    def test_rejects_non_finite_matrix(self):
+        # a NaN residual compares false against any tolerance, and a lone inf
+        # makes the tolerance inf too: finiteness is checked on its own
+        sp = generic(4)
+        so4 = holonomy.so_algebra(sp)
+        lone_inf = np.zeros((6, 6))
+        lone_inf[0, 1] = np.inf
+        for mat in (np.full((6, 6), np.nan), lone_inf):
+            with pytest.raises(SymmetryError, match="^non-finite entry"):
+                CurvatureTensor(sp, mat)
+            with pytest.raises(SymmetryError, match="^non-finite entry"):
+                CurvatureOperator(sp, mat, so4)
+        with pytest.raises(SymmetryError, match=r"^non-finite entry nan at \(0, 0\)$"):
+            check_operator_symmetries(np.full((6, 6), np.nan))
+        with pytest.raises(SymmetryError, match=r"^non-finite entry inf at \(0, 1\)$"):
+            check_operator_symmetries(lone_inf)
+
+    def test_rejects_non_finite_components(self):
+        comps = decomp.sphere(4).components.copy()
+        comps[0, 1, 0, 1] = comps[1, 0, 1, 0] = np.nan
+        with pytest.raises(SymmetryError, match=r"^non-finite entry nan at \(0, 1, 0, 1\)$"):
+            CurvatureTensor.from_components(generic(4), comps)
 
     def test_to_operator_does_no_symmetry_scan(self, rng, monkeypatch):
         # the tensor's matrix was validated (or built symmetric) once
@@ -254,8 +278,8 @@ class TestRandom:
         check_curvature_symmetries(rm.components)
 
     def test_seeded_reproducibility(self):
-        a = random_curvature(generic(5), seed=7)
-        b = random_curvature(generic(5), seed=7)
+        a = random_curvature(generic(5), rng=np.random.default_rng(7))
+        b = random_curvature(generic(5), rng=np.random.default_rng(7))
         assert np.array_equal(a.components, b.components)
 
 
