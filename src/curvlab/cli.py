@@ -34,6 +34,7 @@ ADJ_TOL = 1e-7  # relative tolerance of matching a published closed form
 # 16 MiB, which holds the n^4 components of an n = 24 tensor.
 MAX_N = 12  # --n
 MAX_M = 6  # --m
+MAX_TRIALS = 10**5  # --trials: a sample row holds about 830 B until rendered, 83 MB at the cap
 MAX_INPUT_BYTES = 1 << 24
 
 
@@ -221,10 +222,9 @@ def _trial_rng(seed: int, tag: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed, tag, trial])
 
 
-def _trial_stacks(seed: int, tag: int, trials: int, space):
+def _trial_stacks(seed: int, tag: int, trials: int, per: int):
     """The streams of trials 0..trials-1 of one suite instance, in lists of
-    `holonomy.trial_chunk(space)`: a sampler draws each list as one stack."""
-    per = holonomy.trial_chunk(space)
+    per: a sampler draws each list as one stack."""
     for lo in range(0, trials, per):
         yield [_trial_rng(seed, tag, trial) for trial in range(lo, min(lo + per, trials))]
 
@@ -344,7 +344,7 @@ def suite_weyl_norm(cfg: argparse.Namespace) -> list[CheckRecord]:
         space = generic(n)
         alg = holonomy.by_name(space, "so")
         ratios, traces = [], []
-        for streams in _trial_stacks(cfg.seed, n, trials, space):
+        for streams in _trial_stacks(cfg.seed, n, trials, holonomy.trial_chunk(space)):
             rm = tensor.random_curvature(space, rng=streams)
             w = decomp.weyl_decompose(rm).parts["weyl"]
             ratios.append(4.0 * criteria.hat_norm_direct(w, alg) / w.norm_sq())
@@ -366,7 +366,7 @@ def suite_bochner_norm(cfg: argparse.Namespace) -> list[CheckRecord]:
         space = kaehler(m)
         alg = holonomy.by_name(space, "u")
         ratios, traces, gaps = [], [], []
-        for streams in _trial_stacks(cfg.seed, m, trials, space):
+        for streams in _trial_stacks(cfg.seed, m, trials, holonomy.trial_chunk(space)):
             rm = decomp.random_algebra_curvature(alg, rng=streams)
             b = decomp.bochner_decompose(rm).parts["bochner"]
             ratios.append(4.0 * criteria.hat_norm_direct(b, alg) / b.norm_sq())
@@ -394,7 +394,7 @@ def suite_qk_ratio(cfg: argparse.Namespace) -> list[CheckRecord]:
         alg = holonomy.by_name(space, "sp")
         ratios = np.concatenate([
             criteria.hat_ratio_qk(decomp.random_algebra_curvature(alg, rng=streams), alg).ratio
-            for streams in _trial_stacks(cfg.seed, m, trials, space)
+            for streams in _trial_stacks(cfg.seed, m, trials, holonomy.trial_chunk(space))
         ])
         ratios = ratios[~np.isnan(ratios)]
         inputs = {"m": m, "trials": trials, "nondegenerate": len(ratios)}
@@ -495,7 +495,7 @@ def suite_decomp(cfg: argparse.Namespace) -> list[CheckRecord]:
          lambda streams: qk_stats(decomp.random_algebra_curvature(qalg, rng=streams)),
          ("residual", "orthogonality", "scal_trace_free")),
     ):
-        rows = [fn(streams) for streams in _trial_stacks(cfg.seed, tag, trials, space)]
+        rows = [fn(streams) for streams in _trial_stacks(cfg.seed, tag, trials, holonomy.trial_chunk(space))]
         inputs = {"type": label, "trials": trials}
         for idx, col in enumerate(cols):
             bound = 1e-10 if col == "trace_residual" else 1e-9
@@ -587,8 +587,8 @@ def cmd_spectrum(cfg: argparse.Namespace) -> tuple[Report, int]:
 
 def _preset_criterion(alg):
     """The algebra's preset weighted criterion, as a function of ascending
-    eigenvalues to its CriterionResult; None when the algebra has no preset.
-    Looked up once per algebra, evaluated once per spectrum."""
+    eigenvalues (one spectrum or a (T, d) stack) to its CriterionResult; None
+    without a preset.  Looked up once per algebra, evaluated once per stack."""
     try:
         preset = criteria.preset_for(alg)
     except GeometryError:
@@ -596,7 +596,7 @@ def _preset_criterion(alg):
 
     def evaluate(values: np.ndarray) -> criteria.CriterionResult:
         # noise-floor slack so exact boundary cases don't flap on rounding
-        slack = 1e-12 * (1.0 + float(np.abs(values).max()))
+        slack = 1e-12 * (1.0 + np.abs(values).max(axis=-1))
         return criteria.weighted_criterion(values, preset, tol=slack)
 
     return evaluate
@@ -673,48 +673,35 @@ def cmd_sample(cfg: argparse.Namespace) -> tuple[Report, int]:
         raise GeometryError(
             f"sample reads the two smallest eigenvalues, {alg.name} has dimension {alg.dim}"
         )
-    trials = cfg.trials or 100
     criterion = _preset_criterion(alg)
     shift = cfg.condition == "2-nonnegative"
-
-    def one(trial: int) -> dict:
-        rm = decomp.random_algebra_curvature(alg, rng=_trial_rng(cfg.seed, 3, trial))
+    report = Report(command="sample", config=_echo(cfg))
+    for streams in _trial_stacks(cfg.seed, 3, cfg.trials or 100, alg.rotation_trials):
+        rm = decomp.random_algebra_curvature(alg, rng=streams)
         rm = rm * (1.0 / np.sqrt(rm.norm_sq()))
-        shift_t = 0.0
         if shift:
             rm, shift_t = criteria.two_nonnegative_shift(rm, alg)
         rop = holonomy.project(tensor.to_operator(rm), alg)
         lam = rop.spectrum().values
-        row = {
-            "trial": trial,
-            "lambda_min_1": float(lam[0]),
-            "lambda_min_2": float(lam[1]),
-            "lambda_min_3": float(lam[2]) if len(lam) > 2 else float("nan"),
-            "lambda_max": float(lam[-1]),
+        cols = {
+            "lambda_min_1": lam[:, 0],
+            "lambda_min_2": lam[:, 1],
+            "lambda_min_3": lam[:, 2],
+            "lambda_max": lam[:, -1],
             "curvature_term_self": criteria.curvature_term_self(rop),
         }
         if shift:
-            row["shift"] = shift_t
+            cols["shift"] = shift_t
         if criterion is not None:
             res = criterion(lam)
-            row["criterion_value"] = res.value
-            row["criterion_satisfied"] = res.satisfied
+            cols["criterion_value"] = res.value
+            cols["criterion_satisfied"] = res.satisfied
         if kind == "qk":
-            row["hat_ratio"] = criteria.hat_ratio_qk(rm, alg).ratio
-        return row
-
-    report = Report(command="sample", config=_echo(cfg))
-    for row in (one(t) for t in range(trials)):
-        report.records.append(
-            CheckRecord(
-                name=f"sample[{row['trial']}]",
-                inputs={"algebra": alg.name},
-                expected=None,
-                actual=row,
-                tolerance=None,
-                passed=True,
-            )
-        )
+            cols["hat_ratio"] = criteria.hat_ratio_qk(rm, alg).ratio
+        for i in range(len(streams)):
+            row = {"trial": len(report.records), **{k: v[i].item() for k, v in cols.items()}}
+            report.records.append(CheckRecord(name=f"sample[{row['trial']}]", inputs={"algebra": alg.name},
+                                              expected=None, actual=row, tolerance=None, passed=True))
     return report, 0
 
 
@@ -793,6 +780,8 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     trials = getattr(args, "trials", None)
     if trials is not None and trials < 1:
         raise GeometryError("--trials must be at least 1")
+    if trials is not None and trials > MAX_TRIALS:
+        raise GeometryError(f"--trials {trials} is above the cap {MAX_TRIALS}")
     if getattr(args, "seed", 0) < 0:
         raise GeometryError("--seed must be a non-negative integer")
     if getattr(args, "condition", None) == "none":

@@ -13,11 +13,12 @@ of the hat Gram.  hat_norm_direct and invariance_defect read it chunk by
 chunk (_hat_row_norms_sq), from one buffer of at most holonomy._CHUNK_BYTES
 that tensor._hat_chunks refills, so they never hold the (dim, D, D) stack;
 the eigen route of curvature_term reads it on the rotated hats of the whole
-stack, whose Gram its bilinear route needs.  hat_norm_direct,
-invariance_defect and hat_ratio_qk also take a tensor that holds a stack of
-trials (see `tensor`): the chunks then run over (trial, generator) pairs
-and each value is a (T,) array of the one-trial values.  A degenerate hat
-ratio (a pure model multiple) is NaN, for one tensor as on a stack.
+stack, whose Gram its bilinear route needs.  The hat norms, hat_ratio_qk,
+the spectral routes, the shift and weighted_criterion also take a stack of
+trials (see `tensor`): a tensor that holds one, an operator projected from
+one, or (T, d) eigenvalues.  Hat chunks then run over (trial, generator)
+pairs, and each value is a (T,) array of the one-trial values.  A
+degenerate hat ratio (a pure model multiple) is NaN, on a stack as well.
 
 curvature_term and the spectral routes (hat_norm_formula,
 curvature_term_self) take a restricted operator (holonomy.project), which
@@ -140,28 +141,28 @@ class HatNorm:
     eigenvalues), not by the original algebra basis.
     """
 
-    total: float
+    total: float | np.ndarray
     per_component: np.ndarray
 
 
 def _rotated_structure(op, algebra):
     """Spectrum of the restricted operator (its memo, no new eigensolve) and
     the structure constants of its algebra (which algebra, when given, must
-    be) in its eigenbasis q,
+    be) in its eigenbasis q, per trial on a stack,
     cp[i, j, k] = sum q[a, i] q[b, j] q[g, k] c[a, b, g].
 
-    One GEMM per slot: each contracts the leading axis of the (d, d*d) view
-    with q and appends the rotated axis last, so after three the slots are
-    back in order.  No einsum path search on a per-sample route.
+    One broadcast GEMM per slot: each contracts the leading slot of the
+    (d, d*d) view with q and appends the rotated axis last, so after three
+    the slots are back in order.  No einsum path search on a per-sample route.
     """
     algebra = _resolve(op, algebra)
     spec = op.spectrum()
     q = spec.vectors
-    d = q.shape[0]
-    cp = algebra.structure_constants
+    d = q.shape[-1]
+    cp = algebra.structure_constants.reshape(d, d * d)
     for _ in range(3):
-        cp = cp.reshape(d, d * d).T @ q
-    return spec.values, cp.reshape(d, d, d)
+        cp = (cp.swapaxes(-1, -2) @ q).reshape(q.shape[:-2] + (d, d * d))
+    return spec.values, cp.reshape(q.shape[:-2] + (d, d, d))
 
 
 def hat_norm_formula(op) -> HatNorm:
@@ -172,34 +173,34 @@ def hat_norm_formula(op) -> HatNorm:
     it bridges, weighted by the squared structure constants.  Agrees with
     hat_norm_direct on tensors supported on the algebra.
     """
-    lam, cp = _rotated_structure(op, None)
-    diffs = (lam[:, None] - lam[None, :]) ** 2
-    per = np.einsum("ab,gab->g", diffs, cp**2)
-    return HatNorm(total=float(per.sum()), per_component=per)
+    _, diffs, cp_sq = _self_term_operands(op)
+    per = np.einsum("...ab,...gab->...g", diffs, cp_sq)
+    return HatNorm(total=_value(per.sum(axis=-1)), per_component=per)
 
 
 def _self_term_operands(op) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(eigenvalues, their squared differences, squared rotated structure
-    constants) of a restricted operator: the operands of the self curvature
-    term."""
+    constants) of a restricted operator, per trial on a stack: the operands
+    of the self curvature term and of hat_norm_formula."""
     lam, cp = _rotated_structure(op, None)
-    return lam, (lam[:, None] - lam[None, :]) ** 2, cp**2
+    return lam, (lam[..., :, None] - lam[..., None, :]) ** 2, np.square(cp, out=cp)
+
+
+def _self_sum(lam: np.ndarray, diffs: np.ndarray, cp_sq: np.ndarray):
+    return _value(np.einsum("...g,...ab,...gab->...", lam, diffs, cp_sq))
 
 
 def _self_term(op) -> tuple[float, float]:
     """Self curvature term and its scale, the same sum with |eigenvalues|."""
     lam, diffs, cp_sq = _self_term_operands(op)
-    value = float(np.einsum("g,ab,gab->", lam, diffs, cp_sq))
-    scale = float(np.einsum("g,ab,gab->", np.abs(lam), diffs, cp_sq))
-    return value, scale
+    return _self_sum(lam, diffs, cp_sq), _self_sum(np.abs(lam), diffs, cp_sq)
 
 
-def curvature_term_self(op) -> float:
+def curvature_term_self(op) -> float | np.ndarray:
     """Curvature term of a restricted operator paired with its own hat
-    components, evaluated purely from the spectrum and structure constants.
-    The value of `_self_term`, without its scale."""
-    lam, diffs, cp_sq = _self_term_operands(op)
-    return float(np.einsum("g,ab,gab->", lam, diffs, cp_sq))
+    components, evaluated purely from the spectrum and structure constants;
+    per trial on a stack.  The value of `_self_term`, without its scale."""
+    return _self_sum(*_self_term_operands(op))
 
 
 def invariance_defect(t, algebra: HolonomyAlgebra):
@@ -232,23 +233,24 @@ class WeightedCriterion:
 @dataclass
 class CriterionResult:
     criterion: WeightedCriterion
-    value: float
-    satisfied: bool
+    value: float | np.ndarray
+    satisfied: bool | np.ndarray
 
 
-def weighted_criterion(eigenvalues: np.ndarray, crit: WeightedCriterion, tol: float) -> CriterionResult:
-    """Evaluate a weighted partial eigenvalue sum on an ascending spectrum;
-    satisfied when it is at least -tol."""
-    lam = np.sort(np.asarray(eigenvalues, dtype=float))
+def weighted_criterion(eigenvalues: np.ndarray, crit: WeightedCriterion, tol) -> CriterionResult:
+    """Evaluate a weighted partial eigenvalue sum on a spectrum, per row on a
+    (T, d) stack (tol a float or (T,)); satisfied when it is at least -tol."""
+    lam = np.sort(np.asarray(eigenvalues, dtype=float), axis=-1)
     needed = crit.k + (1 if crit.weight else 0)
-    if lam.shape[0] < needed:
+    if lam.shape[-1] < needed:
         raise GeometryError(
-            f"criterion needs at least {needed} eigenvalues, got {lam.shape[0]}"
+            f"criterion needs at least {needed} eigenvalues, got {lam.shape[-1]}"
         )
-    value = float(lam[: crit.k].sum())
+    value = lam[..., : crit.k].sum(axis=-1)
     if crit.weight:
-        value += crit.weight * float(lam[crit.k])
-    return CriterionResult(criterion=crit, value=value, satisfied=value >= -tol)
+        value = value + crit.weight * lam[..., crit.k]
+    satisfied = value >= -tol
+    return CriterionResult(crit, _value(value), satisfied if satisfied.ndim else bool(satisfied))
 
 
 def weyl_preset(n: int) -> WeightedCriterion:
@@ -329,10 +331,10 @@ def hat_ratio_qk(rm: CurvatureTensor, algebra: HolonomyAlgebra) -> HatRatio:
 # spectral repair and search
 
 
-def _two_smallest_sum(rm: CurvatureTensor, algebra: HolonomyAlgebra) -> float:
-    """lambda_1 + lambda_2 of the tensor's operator restricted to the
-    algebra, from a values-only solve: the shift reads no eigenvector."""
-    return float(symmetric_eigenvalues(project(to_operator(rm), algebra).matrix)[:2].sum())
+def _two_smallest_sum(rm: CurvatureTensor, algebra: HolonomyAlgebra):
+    """lambda_1 + lambda_2 of the tensor's operator restricted to the algebra,
+    per trial on a stack, from a values-only solve: reads no eigenvector."""
+    return _value(symmetric_eigenvalues(project(to_operator(rm), algebra).matrix)[..., :2].sum(axis=-1))
 
 
 @_shared
@@ -344,11 +346,10 @@ def _shift_gain(space: EuclideanSpace, algebra: HolonomyAlgebra) -> float:
     return _two_smallest_sum(structure_model(space), algebra)
 
 
-def two_nonnegative_shift(
-    rm: CurvatureTensor, algebra: HolonomyAlgebra
-) -> tuple[CurvatureTensor, float]:
+def two_nonnegative_shift(rm: CurvatureTensor, algebra: HolonomyAlgebra) -> tuple[CurvatureTensor, float | np.ndarray]:
     """Add the smallest model multiple making the restricted operator
-    2-nonnegative.
+    2-nonnegative; the multiple is a float, or (T,) for a stack of trials,
+    each shifted by its own.
 
     The model is the space's own (`decomp.structure_model`), so it is
     supported on the holonomy algebra of that structure and the shifted
@@ -363,8 +364,8 @@ def two_nonnegative_shift(
     gain = _shift_gain(rm.space, algebra)
     if gain <= 0:
         raise GeometryError("shift model is not strictly 2-positive on the algebra")
-    t = max(0.0, -s / gain) * (1.0 + 1e-12)
-    return rm + t * model, t
+    t = _value(np.maximum(0.0, -s / gain) * (1.0 + 1e-12))
+    return rm + model * t, t
 
 
 def negative_term_search(

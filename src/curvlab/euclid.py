@@ -295,20 +295,22 @@ _SYMMETRY_RTOL = 1e-10
 
 
 def _symmetrized(matrix: np.ndarray, solver: str) -> np.ndarray:
-    """0.5 * (M + M^T) of a square matrix M that is symmetric to
-    _SYMMETRY_RTOL * (1 + max|entry|); raises GeometryError otherwise.  The
-    one validation of both symmetric solvers, named solver in its messages."""
+    """0.5 * (M + M^T) of a square matrix M, or of each of a stack, symmetric
+    to _SYMMETRY_RTOL * (1 + max|entry|) of its own; raises GeometryError
+    otherwise.  The one validation of both solvers, named solver in messages."""
     matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+    if matrix.ndim < 2 or matrix.shape[-1] != matrix.shape[-2]:
         raise GeometryError(f"{solver} expects a square matrix")
-    scale = 1.0 + float(np.abs(matrix).max(initial=0.0))
-    if float(np.abs(matrix - matrix.T).max(initial=0.0)) > _SYMMETRY_RTOL * scale:
+    scale = 1.0 + np.abs(matrix).max(axis=(-2, -1), initial=0.0)
+    transposed = matrix.swapaxes(-1, -2)
+    if np.any(np.abs(matrix - transposed).max(axis=(-2, -1), initial=0.0) > _SYMMETRY_RTOL * scale):
         raise GeometryError("matrix is not symmetric")
-    return 0.5 * (matrix + matrix.T)
+    return 0.5 * (matrix + transposed)
 
 
 def symmetric_eigen(matrix: np.ndarray) -> SpectralData:
-    """Eigendecomposition of a symmetric matrix with a deterministic sign fix.
+    """Eigendecomposition of a symmetric matrix, or of each of a stack of
+    them, with a deterministic sign fix.
 
     Raises GeometryError for non-square or non-symmetric input (as
     _symmetrized) and when the solver fails to converge.  Each eigenvector
@@ -320,11 +322,11 @@ def symmetric_eigen(matrix: np.ndarray) -> SpectralData:
         values, vectors = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise GeometryError(f"eigensolver did not converge: {exc}") from exc
-    return SpectralData(values=values, vectors=_sign_fix(vectors.T).T)
+    return SpectralData(values=values, vectors=_sign_fix(vectors.swapaxes(-1, -2)).swapaxes(-1, -2))
 
 
 def symmetric_eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric matrix, with no eigenvectors.
+    """Ascending eigenvalues of a symmetric matrix or stack, no eigenvectors.
 
     The checks of symmetric_eigen, on a cheaper LAPACK path (eigvalsh), so
     the values agree with symmetric_eigen(matrix).values to rounding, not to
@@ -338,8 +340,7 @@ def symmetric_eigenvalues(matrix: np.ndarray) -> np.ndarray:
 
 
 def _sign_fix(rows: np.ndarray) -> np.ndarray:
-    """Flip each row so its largest-magnitude entry (the first one, on ties)
-    is positive; returns a new array with the memory layout of rows."""
-    lead = np.argmax(np.abs(rows), axis=1)
-    flip = rows[np.arange(rows.shape[0]), lead] < 0
-    return rows * np.where(flip, -1.0, 1.0)[:, None]
+    """Flip each row (last axis) so its largest-magnitude entry (the first
+    one, on ties) is positive; a new array with the memory layout of rows."""
+    lead = np.argmax(np.abs(rows), axis=-1)[..., None]
+    return rows * np.where(np.take_along_axis(rows, lead, axis=-1) < 0, -1.0, 1.0)

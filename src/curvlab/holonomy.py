@@ -40,8 +40,9 @@ from .tensor import CurvatureOperator, _conjugation_on_bivectors, _freeze, _norm
 # whose arrays stay within this many bytes (HolonomyAlgebra.chunk_size), so
 # neither the (dim, D, D) hat stack nor the (n dim)^2 bracket product is
 # formed; the Bianchi-kernel rows are built in batches of blocks under it, a
-# stack of trials holds at most half of it in operators (trial_chunk),
-# and hats are filled for as many trials at once as it holds (chunk_trials).
+# stack of trials holds at most half of it in operators (trial_chunk) or in
+# rotated structure constants (rotation_trials), and hats are filled for as
+# many trials at once as it holds (chunk_trials).
 # Small enough that these temporaries come from memory the allocator already
 # holds, not from pages faulted in afresh (about 3 us a page on a 2-core VM).
 _CHUNK_BYTES = 1 << 20
@@ -214,6 +215,13 @@ class HolonomyAlgebra:
         many as _CHUNK_BYTES holds of one chunk's hats, at least one."""
         n_pairs = self.space.bivector_dim
         return max(1, _CHUNK_BYTES // (8 * n_pairs * n_pairs * min(self.chunk_size, self.dim)))
+
+    @property
+    def rotation_trials(self) -> int:
+        """Trials per stack of `curvlab sample`: as many as half of _CHUNK_BYTES
+        holds of their rotated structure constants (T, d, d, d), at least one;
+        d^3 >= D^2 here, so their operators fit `trial_chunk` too."""
+        return max(1, _CHUNK_BYTES // 2 // (8 * self.dim**3))
 
     @cached_property
     def action_blocks(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:

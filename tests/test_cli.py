@@ -195,6 +195,22 @@ class TestParsing:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("command", [
+        ("verify", "--suite", "tripod"),
+        ("sample", "--holonomy", "so", "--n", "4"),
+    ], ids=["verify", "sample"])
+    def test_trials_above_cap_is_usage_error(self, capsys, monkeypatch, command):
+        def no_work(cfg):
+            raise AssertionError("command started")
+
+        for name in ("cmd_verify", "cmd_sample"):
+            monkeypatch.setattr(cli, name, no_work)
+        code, out, err = run(capsys, *command, "--trials", str(cli.MAX_TRIALS + 1))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --trials {cli.MAX_TRIALS + 1} is above the cap {cli.MAX_TRIALS}\n"
+        cli._config_from_args(cli._build_parser().parse_args([*command, "--trials", str(cli.MAX_TRIALS)]))
+
     def test_default_grassmannians_still_run(self, capsys):
         # the default combinations reach p * q = 16; the cap admits 4 * MAX_M
         parser = cli._build_parser()
@@ -525,26 +541,31 @@ def _count_eigensolves(monkeypatch) -> dict:
     return calls
 
 
-@pytest.mark.parametrize("condition, values_per_row, values_per_algebra", [
-    ("2-nonnegative", 1, 1),  # the sample's shift sum; the model's once
+@pytest.mark.parametrize("condition, values_per_stack, values_per_algebra", [
+    ("2-nonnegative", 1, 1),  # the stack's shift sums; the model's once
     ("none", 0, 0),
 ])
-def test_one_eigensolve_per_sampled_operator(capsys, monkeypatch, condition, values_per_row,
+def test_one_eigensolve_per_sampled_operator(capsys, monkeypatch, condition, values_per_stack,
                                              values_per_algebra):
-    # every row solves its own (shifted) operator once, with vectors, for
-    # curvature_term_self; the shift reads eigenvalues only
+    # every stack of rows solves its (shifted) operators once, with vectors,
+    # for the eigenvalue columns, the criterion and curvature_term_self; the
+    # shift reads eigenvalues only.  20 rows of u(4) are two stacks, 16 + 4
     criteria._shift_gain.cache_clear()
     calls = _count_eigensolves(monkeypatch)
-    argv = ("sample", "--holonomy", "u", "--m", "3", "--trials", "10", "--condition", condition)
+    rows = 20
+    stacks = -(-rows // holonomy.by_name(euclid.kaehler(4), "u").rotation_trials)
+    assert stacks == 2
+    argv = ("sample", "--holonomy", "u", "--m", "4", "--trials", str(rows), "--condition", condition)
     code, first, _ = run(capsys, *argv)
     assert code == 0
-    assert len(calls["full"]) == 10
-    assert len(calls["values"]) == 10 * values_per_row + values_per_algebra
+    assert len(calls["full"]) == stacks
+    assert len(calls["values"]) == stacks * values_per_stack + values_per_algebra
+    assert len(calls["full"]) + len(calls["values"]) < rows
     for kind in calls:
         calls[kind].clear()
     code, again, _ = run(capsys, *argv)
-    assert len(calls["full"]) == 10
-    assert len(calls["values"]) == 10 * values_per_row
+    assert len(calls["full"]) == stacks
+    assert len(calls["values"]) == stacks * values_per_stack
     assert again == first
 
 

@@ -61,8 +61,8 @@ KEPT_DEFAULTS = {
     "criteria.negative_term_search(seed)": "knob of the seeded adversary search, until a checked adversary replaces it",
     "criteria.negative_term_search(shift)": "knob of the seeded adversary search, until a checked adversary replaces it",
     "criteria.negative_term_search(trials)": "knob of the seeded adversary search, until a checked adversary replaces it",
-    "decomp.random_algebra_curvature(rng)": "the suites pass lists of trial streams and `sample` one stream; the tests and the acceptance gate pass seed=",
-    "decomp.random_algebra_curvature(seed)": "the suites pass lists of trial streams and `sample` one stream; the tests and the acceptance gate pass seed=",
+    "decomp.random_algebra_curvature(rng)": "the suites and `sample` pass lists of trial streams, perfbench one stream; the tests and the acceptance gate pass seed=",
+    "decomp.random_algebra_curvature(seed)": "the suites and `sample` pass lists of trial streams, perfbench one stream; the tests and the acceptance gate pass seed=",
     "euclid.EuclideanSpace.__init__(structure)": "generic(n) is the space with no holonomy structure",
     "euclid.HolonomyStructure.__init__(I)": "a structure holds only its kind's matrices: none, J, or I, J, K",
     "euclid.HolonomyStructure.__init__(J)": "a structure holds only its kind's matrices: none, J, or I, J, K",

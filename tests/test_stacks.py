@@ -1,7 +1,7 @@
 """Stacks of trials: every per-sample kernel on a (T, D, D) stack equals its
 one-trial calls to the bit, a bad trial in a stack is caught with the
-message the one-trial check gives, and the verify suites run their kernels
-once per chunk of trials within the chunk budget."""
+message the one-trial check gives, and the verify suites and `sample` run
+their kernels once per chunk of trials within the chunk budget."""
 
 import json
 import tracemalloc
@@ -11,7 +11,7 @@ import pytest
 from conftest import rotated_kaehler
 
 from curvlab import cli, criteria, decomp, holonomy, tensor
-from curvlab.euclid import GeometryError, generic, kaehler, quaternion_kaehler
+from curvlab.euclid import GeometryError, _symmetrized, generic, kaehler, quaternion_kaehler
 from curvlab.tensor import SymmetryError, to_operator
 
 CASES = {
@@ -109,6 +109,45 @@ def test_stacked_kernels_are_the_one_trial_calls(case, request):
         assert same(ratio.trace_free_norm_sq, [r.trace_free_norm_sq for r in ones])
         assert same(ratio.ratio, [r.ratio for r in ones])
         assert not ratio.pure_multiple.any()
+
+    # the spectral routes of `sample`, on the stack's restricted operators
+    rop = holonomy.project(to_operator(stack), alg)
+    rops = [holonomy.project(to_operator(s), alg) for s in singles]
+    spec = rop.spectrum()
+    assert same(spec.values, [r.spectrum().values for r in rops])
+    assert same(spec.vectors, [r.spectrum().vectors for r in rops])
+    assert same(criteria._rotated_structure(rop, None)[1], [criteria._rotated_structure(r, None)[1] for r in rops])
+    hat = criteria.hat_norm_formula(rop)
+    assert same(hat.total, [criteria.hat_norm_formula(r).total for r in rops])
+    assert same(hat.per_component, [criteria.hat_norm_formula(r).per_component for r in rops])
+    assert same(criteria.curvature_term_self(rop), [criteria.curvature_term_self(r) for r in rops])
+    res = cli._preset_criterion(alg)(spec.values)
+    ones = [cli._preset_criterion(alg)(r.spectrum().values) for r in rops]
+    assert same(res.value, [r.value for r in ones])
+    assert same(res.satisfied, [r.satisfied for r in ones])
+    assert all(type(r.satisfied) is bool for r in ones)
+    shifted, t = criteria.two_nonnegative_shift(stack, alg)
+    ones = [criteria.two_nonnegative_shift(s, alg) for s in singles]
+    assert same(shifted.matrix, [o[0].matrix for o in ones])
+    assert same(t, [o[1] for o in ones])
+
+
+def test_symmetry_is_checked_per_trial(rng):
+    # each trial against its own scale: 1e-9 of asymmetry is inside the
+    # tolerance of a trial at scale 1e3, not of one at 1e-3
+    def trial(scale, asymmetry):
+        m = rng.standard_normal((5, 5))
+        m = scale * (m + m.T)
+        m[0, 1] += asymmetry
+        return m
+
+    good = np.stack([trial(1e-3, 1e-14), trial(1e3, 1e-8)])
+    assert same(_symmetrized(good, "solver"), [_symmetrized(m, "solver") for m in good])
+    bad = np.stack([trial(1e3, 1e-9), trial(1e-3, 1e-9)])
+    _symmetrized(bad[0], "solver")
+    for matrix in (bad[1], bad):
+        with pytest.raises(GeometryError, match="^matrix is not symmetric$"):
+            _symmetrized(matrix, "solver")
 
 
 def test_one_trial_list_is_a_stack_of_one(u3):
@@ -242,16 +281,20 @@ SUITE_SIZES = {"weyl-norm": ("--n", "4..6"), "bochner-norm": ("--m", "2..3"),
                "qk-ratio": ("--m", "2..3"), "decomp": (None, None)}
 
 
-@pytest.mark.parametrize("suite", list(SUITE_SIZES))
+@pytest.mark.parametrize("suite", list(SUITE_SIZES) + ["sample"])
 def test_chunking_leaves_the_report_as_it_is(suite, monkeypatch, capsys):
     # chunks of 3 out of 7 trials (a ragged last chunk) against one trial
     # per chunk: the same bytes
-    flag, sizes = SUITE_SIZES[suite]
-    argv = ["verify", "--suite", suite, "--trials", "7", "--seed", "5"] + ([flag, sizes] if flag else [])
+    if suite == "sample":
+        argv = ["sample", "--holonomy", "qk", "--m", "2", "--condition", "2-nonnegative", "--format", "json"]
+    else:
+        flag, sizes = SUITE_SIZES[suite]
+        argv = ["verify", "--suite", suite] + ([flag, sizes] if flag else [])
     reports = []
     for per in (1, 3):
         monkeypatch.setattr(holonomy, "trial_chunk", lambda space, per=per: per)
-        cli.main(argv)
+        monkeypatch.setattr(holonomy.HolonomyAlgebra, "rotation_trials", per)
+        cli.main(argv + ["--trials", "7", "--seed", "5"])
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1]
     assert json.loads(reports[0])["records"]
@@ -275,13 +318,21 @@ def test_weyl_norm_runs_its_kernels_once_per_chunk(monkeypatch, capsys):
 @pytest.mark.parametrize("suite,flag,size,space", [
     (cli.suite_qk_ratio, "m", 4, quaternion_kaehler(4)),
     (cli.suite_weyl_norm, "n", 8, generic(8)),
+    (cli.cmd_sample, "n", 8, generic(8)),
+    (cli.cmd_sample, "m", 5, kaehler(5)),
 ])
 def test_one_chunk_stays_within_the_budget(suite, flag, size, space):
     # one chunk of trials: the draw, the checks, the hats over (trial,
-    # generator) and the decomposition, with the cached constants built
-    # outside the trace
-    cfg = cli._config_from_args(cli._build_parser().parse_args(
-        ["verify", f"--{flag}", str(size), "--trials", str(holonomy.trial_chunk(space))]))
+    # generator) and the decomposition, or sample's shift, solves and
+    # rotated structure constants, with the cached constants built outside
+    # the trace
+    if suite is cli.cmd_sample:
+        per = holonomy.by_name(space, space.kind).rotation_trials
+        argv = ["sample", "--holonomy", space.kind, "--condition", "2-nonnegative"]
+    else:
+        per = holonomy.trial_chunk(space)
+        argv = ["verify"]
+    cfg = cli._config_from_args(cli._build_parser().parse_args(argv + [f"--{flag}", str(size), "--trials", str(per)]))
     suite(cfg)
     tracemalloc.start()
     try:
@@ -290,3 +341,51 @@ def test_one_chunk_stays_within_the_budget(suite, flag, size, space):
     finally:
         tracemalloc.stop()
     assert peak <= 3 * holonomy._CHUNK_BYTES, peak / holonomy._CHUNK_BYTES
+
+
+# ---------------------------------------------------------------------------
+# sample runs per stack
+
+
+def _one_row(alg, criterion, seed, trial, shift) -> dict:
+    """One row of `curvlab sample`, computed for one trial alone: the
+    reference the rows of the stacked command must equal."""
+    rm = decomp.random_algebra_curvature(alg, rng=cli._trial_rng(seed, 3, trial))
+    rm = rm * (1.0 / np.sqrt(rm.norm_sq()))
+    shift_t = 0.0
+    if shift:
+        rm, shift_t = criteria.two_nonnegative_shift(rm, alg)
+    rop = holonomy.project(to_operator(rm), alg)
+    lam = rop.spectrum().values
+    row = {
+        "trial": trial,
+        "lambda_min_1": float(lam[0]),
+        "lambda_min_2": float(lam[1]),
+        "lambda_min_3": float(lam[2]),
+        "lambda_max": float(lam[-1]),
+        "curvature_term_self": criteria.curvature_term_self(rop),
+    }
+    if shift:
+        row["shift"] = shift_t
+    if criterion is not None:
+        res = criterion(lam)
+        row["criterion_value"] = res.value
+        row["criterion_satisfied"] = res.satisfied
+    if alg.space.kind == "qk":
+        row["hat_ratio"] = criteria.hat_ratio_qk(rm, alg).ratio
+    return row
+
+
+@pytest.mark.parametrize("tag,flag,size", [("so", "n", 6), ("u", "m", 3), ("sp", "m", 2)])
+@pytest.mark.parametrize("condition", ["2-nonnegative", "none"])
+def test_sample_rows_are_the_one_trial_rows(tag, flag, size, condition):
+    # one more trial than a stack holds: a full stack and a ragged one
+    argv = ["sample", "--holonomy", tag, f"--{flag}", str(size), "--condition", condition, "--seed", "3"]
+    cfg = cli._config_from_args(cli._build_parser().parse_args(argv))
+    alg = holonomy.by_name(generic(size) if tag == "so" else kaehler(size) if tag == "u" else quaternion_kaehler(size),
+                           holonomy.holonomy_kind(tag))
+    cfg.trials = alg.rotation_trials + 1
+    report, _ = cli.cmd_sample(cfg)
+    criterion = cli._preset_criterion(alg)
+    rows = [_one_row(alg, criterion, 3, trial, cfg.condition is not None) for trial in range(cfg.trials)]
+    assert cli._render([r.actual for r in report.records]) == cli._render(rows)
