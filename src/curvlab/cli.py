@@ -1,15 +1,19 @@
 """Command-line front end: verification suites, spectra, decomposition, sweeps.
 
 Reports are deterministic for a fixed (config, seed) pair and byte-identical
-across repeated runs; wall-clock timing goes to stderr and is kept out of the
-serialized report for that reason.  Floats are rendered with 17 significant
-digits so reports are diffable.
+across repeated runs and BLAS thread counts (main holds numpy's OpenBLAS at
+one thread for the command); wall-clock timing goes to stderr and is kept out
+of the serialized report for that reason.  Floats are rendered with 17
+significant digits so reports are diffable.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import functools
+import glob
 import itertools
 import json
 import os
@@ -789,20 +793,62 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy bundles
+    (scipy-openblas, 64-bit interface), or None when numpy carries none, as
+    with another BLAS build.  Loading the file numpy has already loaded gives
+    the same library, so its pool is the one numpy's products run on."""
+    numpy_dir = os.path.dirname(np.__file__)
+    for path in sorted(glob.glob(os.path.join(numpy_dir, os.pardir, "numpy.libs", "libscipy_openblas64_*"))):
+        lib = ctypes.CDLL(path)
+        try:
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread and restore its count after.  A
+    threaded product splits its sums differently, which moves report values
+    at rounding level, so reports are byte-identical across
+    OPENBLAS_NUM_THREADS only under this hold; without the library it says
+    so on stderr."""
+    threads = _openblas_threads()
+    if threads is None:
+        print("note: numpy's OpenBLAS thread count cannot be held; report bytes may "
+              "depend on the BLAS thread count", file=sys.stderr)
+        yield
+        return
+    get, put = threads
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = _config_from_args(args)
         start = time.monotonic()
-        if cfg.command == "verify":
-            report, code = cmd_verify(cfg)
-        elif cfg.command == "spectrum":
-            report, code = cmd_spectrum(cfg)
-        elif cfg.command == "decompose":
-            report, code = cmd_decompose(cfg)
-        else:
-            report, code = cmd_sample(cfg)
+        with _one_blas_thread():
+            if cfg.command == "verify":
+                report, code = cmd_verify(cfg)
+            elif cfg.command == "spectrum":
+                report, code = cmd_spectrum(cfg)
+            elif cfg.command == "decompose":
+                report, code = cmd_decompose(cfg)
+            else:
+                report, code = cmd_sample(cfg)
         wall = time.monotonic() - start
         if cfg.command == "sample" and cfg.format == "csv":
             text = _sample_csv(report)

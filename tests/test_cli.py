@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -321,6 +325,47 @@ class TestDeterminism:
             "--out", str(path))
         _, out, _ = run(capsys, "verify", "--suite", "tripod", "--trials", "20")
         assert path.read_text() == out
+
+    def test_reports_do_not_depend_on_the_blas_thread_count(self):
+        # a threaded product splits its sums differently; main holds the
+        # pool at one thread, so 1 and 2 threads give the same bytes
+        src = pathlib.Path(curvlab.__file__).parents[1]
+        outs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(src)}
+            proc = subprocess.run([sys.executable, "-B", "-m", "curvlab.cli", "verify", "--seed", "42"],
+                                  env=env, capture_output=True, timeout=120)
+            assert proc.returncode == 1, proc.stderr[-500:]  # criteria 3 and 4 are red by design
+            assert b"note:" not in proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["records"]
+
+    def test_blas_pool_is_held_at_one_thread_and_restored(self, capsys, monkeypatch):
+        threads = cli._openblas_threads()
+        assert threads is not None, "numpy bundles no scipy-openblas here"
+        get, put = threads
+        seen = []
+
+        def suite(cfg):
+            seen.append(get())
+            return []
+
+        monkeypatch.setitem(cli.SUITES, "hp", suite)
+        before = get()
+        put(2)
+        try:
+            code, _, err = run(capsys, "verify", "--suite", "hp")
+            assert (code, seen, get(), err.startswith("note:")) == (0, [1], 2, False)
+        finally:
+            put(before)
+
+    def test_without_the_bundled_blas_the_contract_is_not_claimed(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
+        code, out, err = run(capsys, "verify", "--suite", "tripod", "--trials", "5")
+        assert code == 0
+        assert json.loads(out)["records"]
+        assert err.startswith("note: numpy's OpenBLAS thread count cannot be held")
 
 
 class TestSpectrum:
