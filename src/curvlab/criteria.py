@@ -36,13 +36,14 @@ depends only on the space and the algebra, and is shared per pair of them
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .decomp import qk_decompose, structure_model
 from .euclid import EuclideanSpace, GeometryError, _shared, symmetric_eigen, symmetric_eigenvalues
-from .holonomy import HolonomyAlgebra, project
+from .holonomy import _CHUNK_BYTES, HolonomyAlgebra, project
 from .tensor import CurvatureOperator, CurvatureTensor, _hat_chunks, _value, t_hat, to_operator
 
 
@@ -154,15 +155,37 @@ def _rotated_structure(op, algebra):
     One broadcast GEMM per slot: each contracts the leading slot of the
     (d, d*d) view with q and appends the rotated axis last, so after three
     the slots are back in order.  No einsum path search on a per-sample route.
+    The first two products go to this thread's `_workspace` when both fit it;
+    the third, which is returned, is always a fresh array.
     """
     algebra = _resolve(op, algebra)
     spec = op.spectrum()
     q = spec.vectors
-    d = q.shape[-1]
+    d, lead = q.shape[-1], q.shape[:-2]
+    shape = lead + (d * d, d)
+    size = int(np.prod(shape))
+    work = _workspace(2 * size)
     cp = algebra.structure_constants.reshape(d, d * d)
-    for _ in range(3):
-        cp = (cp.swapaxes(-1, -2) @ q).reshape(q.shape[:-2] + (d, d * d))
-    return spec.values, cp.reshape(q.shape[:-2] + (d, d, d))
+    for slot in range(3):
+        out = None if work is None or slot == 2 else work[slot * size : (slot + 1) * size].reshape(shape)
+        cp = np.matmul(cp.swapaxes(-1, -2), q, out=out).reshape(lead + (d, d * d))
+    return spec.values, cp.reshape(lead + (d, d, d))
+
+
+_scratch = threading.local()
+
+
+def _workspace(count: int) -> np.ndarray | None:
+    """count floats of a buffer of holonomy._CHUNK_BYTES that this thread
+    reuses from call to call, so its pages are faulted in once, not on every
+    product above the allocator's mmap threshold; None when count floats do
+    not fit it.  Its contents are scratch: nothing returned views it."""
+    if 8 * count > _CHUNK_BYTES:
+        return None
+    buffer = getattr(_scratch, "buffer", None)
+    if buffer is None:
+        buffer = _scratch.buffer = np.empty(_CHUNK_BYTES // 8)
+    return buffer[:count]
 
 
 def hat_norm_formula(op) -> HatNorm:

@@ -510,3 +510,27 @@ def test_gemm_rotation_matches_einsum(builder):
         op.spectrum().vectors[0, 0] = 1.0
     # a full-space operator still aliases the tensor's matrix
     assert to_operator(rm).matrix is rm.matrix
+
+
+def test_rotated_structure_reuses_one_workspace(u3):
+    # the first two products go to one per-thread buffer; the third, which
+    # is returned (and squared in place by its callers), is fresh, so a
+    # second call on another operator leaves the first result as it was
+    ops = [project(to_operator(decomp.random_algebra_curvature(u3, seed=s)), u3) for s in (1, 2)]
+    first = _rotated_structure(ops[0], None)[1]
+    kept = first.copy()
+    second = _rotated_structure(ops[1], None)[1]
+    assert np.array_equal(first, kept)
+    assert not np.array_equal(first, second)
+    assert np.array_equal(second, _rotated_structure(ops[1], None)[1])
+    work = criteria._workspace(2 * first.size)
+    assert np.shares_memory(work, criteria._workspace(1))
+    assert not np.shares_memory(first, work) and not np.shares_memory(second, work)
+    # a product pair above the budget allocates as before
+    assert criteria._workspace(holonomy._CHUNK_BYTES // 8 + 1) is None
+    big = project(to_operator(decomp.random_algebra_curvature(so_algebra(generic(10)), seed=3)), so_algebra(generic(10)))
+    lam, cp = _rotated_structure(big, None)
+    ref_lam, ref_cp = _rotated_reference(big)
+    assert 2 * cp.nbytes > holonomy._CHUNK_BYTES
+    assert np.array_equal(lam, ref_lam)
+    assert np.abs(cp - ref_cp).max() <= 1e-13 * np.abs(ref_cp).max()
