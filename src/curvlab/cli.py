@@ -219,18 +219,28 @@ def parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _trial_rng(seed: int, tag: int, trial: int) -> np.random.Generator:
-    # the entropy is the tuple itself, so no field spills into another (tags
-    # and trials stay < 2^32).  A suite's tag is its size (a fixed number for
-    # decomp's rows and for sample), so suites of one size share streams
-    return np.random.default_rng([seed, tag, trial])
+# One seeded stream per suite instance, numpy.random.default_rng([seed, id,
+# size]): the id is fixed per suite, per decomp row and per `sample`
+# holonomy kind, and the size is the instance's n or m (3, the triples, for
+# tripod).  The triple is the entropy itself, so no field spills into
+# another, and as no size is 0 no key is another's with a trailing zero,
+# which SeedSequence would not tell apart.  Trial t of an instance is the
+# t-th block of draws of its stream, whatever the stacks it is drawn in.
+STREAM_IDS = {
+    "weyl-norm": 1, "bochner-norm": 2, "qk-ratio": 3, "tripod": 4,
+    "decomp[generic]": 5, "decomp[kaehler]": 6, "decomp[qk]": 7,
+    "sample[generic]": 8, "sample[kaehler]": 9, "sample[qk]": 10,
+}
 
 
-def _trial_stacks(seed: int, tag: int, trials: int, per: int):
-    """The streams of trials 0..trials-1 of one suite instance, in lists of
-    per: a sampler draws each list as one stack."""
-    for lo in range(0, trials, per):
-        yield [_trial_rng(seed, tag, trial) for trial in range(lo, min(lo + per, trials))]
+def _stream(seed: int, instance: str, size: int) -> np.random.Generator:
+    return np.random.default_rng([seed, STREAM_IDS[instance], size])
+
+
+def _stack_counts(trials: int, per: int) -> list[int]:
+    """Sizes of the stacks that trials 0..trials-1 are drawn in, per at a
+    time: a sampler given a count draws one stack."""
+    return [min(per, trials - lo) for lo in range(0, trials, per)]
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +357,10 @@ def suite_weyl_norm(cfg: argparse.Namespace) -> list[CheckRecord]:
     for n in range(lo, hi + 1):
         space = generic(n)
         alg = holonomy.by_name(space, "so")
+        rng = _stream(cfg.seed, "weyl-norm", n)
         ratios, traces = [], []
-        for streams in _trial_stacks(cfg.seed, n, trials, holonomy.trial_chunk(space)):
-            rm = tensor.random_curvature(space, rng=streams)
+        for count in _stack_counts(trials, holonomy.trial_chunk(space)):
+            rm = tensor.random_curvature(space, rng, count)
             w = decomp.weyl_decompose(rm).parts["weyl"]
             ratios.append(4.0 * criteria.hat_norm_direct(w, alg) / w.norm_sq())
             w_unit = w * (1.0 / np.sqrt(w.norm_sq()))
@@ -369,9 +380,10 @@ def suite_bochner_norm(cfg: argparse.Namespace) -> list[CheckRecord]:
     for m in range(lo, hi + 1):
         space = kaehler(m)
         alg = holonomy.by_name(space, "u")
+        rng = _stream(cfg.seed, "bochner-norm", m)
         ratios, traces, gaps = [], [], []
-        for streams in _trial_stacks(cfg.seed, m, trials, holonomy.trial_chunk(space)):
-            rm = decomp.random_algebra_curvature(alg, rng=streams)
+        for count in _stack_counts(trials, holonomy.trial_chunk(space)):
+            rm = decomp.random_algebra_curvature(alg, rng, count=count)
             b = decomp.bochner_decompose(rm).parts["bochner"]
             ratios.append(4.0 * criteria.hat_norm_direct(b, alg) / b.norm_sq())
             b_unit = b * (1.0 / np.sqrt(b.norm_sq()))
@@ -396,9 +408,10 @@ def suite_qk_ratio(cfg: argparse.Namespace) -> list[CheckRecord]:
     for m in range(lo, hi + 1):
         space = quaternion_kaehler(m)
         alg = holonomy.by_name(space, "sp")
+        rng = _stream(cfg.seed, "qk-ratio", m)
         ratios = np.concatenate([
-            criteria.hat_ratio_qk(decomp.random_algebra_curvature(alg, rng=streams), alg).ratio
-            for streams in _trial_stacks(cfg.seed, m, trials, holonomy.trial_chunk(space))
+            criteria.hat_ratio_qk(decomp.random_algebra_curvature(alg, rng, count=count), alg).ratio
+            for count in _stack_counts(trials, holonomy.trial_chunk(space))
         ])
         ratios = ratios[~np.isnan(ratios)]
         inputs = {"m": m, "trials": trials, "nondegenerate": len(ratios)}
@@ -423,7 +436,7 @@ def suite_qk_ratio(cfg: argparse.Namespace) -> list[CheckRecord]:
 
 def suite_tripod(cfg: argparse.Namespace) -> list[CheckRecord]:
     trials = cfg.trials or 500
-    rng = np.random.default_rng(cfg.seed)
+    rng = _stream(cfg.seed, "tripod", 3)
     out = [
         rec_eq("tripod.zero_at_equal", {}, 0.0, float(criteria.lambda_tripod(1.0, 1.0, 1.0))),
         rec_eq("tripod.basic_value", {}, 2.0, float(criteria.lambda_tripod(0.0, 1.0, 1.0))),
@@ -488,18 +501,20 @@ def suite_decomp(cfg: argparse.Namespace) -> list[CheckRecord]:
         return dec.residual(), dec.max_cross_inner(), np.abs(tensor.scalar(r0))
 
     split_cols = ("residual", "orthogonality", "idempotence", "trace_residual")
-    for label, space, tag, fn, cols in (
+    for label, space, size, fn, cols in (
         ("generic", gsp, 6,
-         lambda streams: split_stats(tensor.random_curvature(gsp, rng=streams), decomp.weyl_decompose, "weyl"),
+         lambda rng, count: split_stats(tensor.random_curvature(gsp, rng, count), decomp.weyl_decompose, "weyl"),
          split_cols),
-        ("kaehler", ksp, 17,
-         lambda streams: split_stats(decomp.random_algebra_curvature(ualg, rng=streams), decomp.bochner_decompose, "bochner"),
+        ("kaehler", ksp, 3,
+         lambda rng, count: split_stats(decomp.random_algebra_curvature(ualg, rng, count=count),
+                                        decomp.bochner_decompose, "bochner"),
          split_cols),
-        ("qk", qsp, 23,
-         lambda streams: qk_stats(decomp.random_algebra_curvature(qalg, rng=streams)),
+        ("qk", qsp, 2,
+         lambda rng, count: qk_stats(decomp.random_algebra_curvature(qalg, rng, count=count)),
          ("residual", "orthogonality", "scal_trace_free")),
     ):
-        rows = [fn(streams) for streams in _trial_stacks(cfg.seed, tag, trials, holonomy.trial_chunk(space))]
+        rng = _stream(cfg.seed, f"decomp[{label}]", size)
+        rows = [fn(rng, count) for count in _stack_counts(trials, holonomy.trial_chunk(space))]
         inputs = {"type": label, "trials": trials}
         for idx, col in enumerate(cols):
             bound = 1e-10 if col == "trace_residual" else 1e-9
@@ -668,10 +683,11 @@ def cmd_sample(cfg: argparse.Namespace) -> tuple[Report, int]:
     kind = holonomy.holonomy_kind(cfg.holonomy)
     _reject_unread_sizes(cfg, f"sample --holonomy {cfg.holonomy}", ("n",) if kind == "generic" else ("m",))
     if kind == "generic":
-        space = generic(cfg.n[0] if cfg.n else 4)
+        size = cfg.n[0] if cfg.n else 4
+        space = generic(size)
     else:
-        m = cfg.m[0] if cfg.m else 2
-        space = kaehler(m) if kind == "kaehler" else quaternion_kaehler(m)
+        size = cfg.m[0] if cfg.m else 2
+        space = kaehler(size) if kind == "kaehler" else quaternion_kaehler(size)
     alg = holonomy.by_name(space, kind)
     if alg.dim < 2:
         raise GeometryError(
@@ -680,8 +696,9 @@ def cmd_sample(cfg: argparse.Namespace) -> tuple[Report, int]:
     criterion = _preset_criterion(alg)
     shift = cfg.condition == "2-nonnegative"
     report = Report(command="sample", config=_echo(cfg))
-    for streams in _trial_stacks(cfg.seed, 3, cfg.trials or 100, alg.rotation_trials):
-        rm = decomp.random_algebra_curvature(alg, rng=streams)
+    rng = _stream(cfg.seed, f"sample[{kind}]", size)
+    for count in _stack_counts(cfg.trials or 100, alg.rotation_trials):
+        rm = decomp.random_algebra_curvature(alg, rng, count=count)
         rm = rm * (1.0 / np.sqrt(rm.norm_sq()))
         if shift:
             rm, shift_t = criteria.two_nonnegative_shift(rm, alg)
@@ -702,7 +719,7 @@ def cmd_sample(cfg: argparse.Namespace) -> tuple[Report, int]:
             cols["criterion_satisfied"] = res.satisfied
         if kind == "qk":
             cols["hat_ratio"] = criteria.hat_ratio_qk(rm, alg).ratio
-        for i in range(len(streams)):
+        for i in range(count):
             row = {"trial": len(report.records), **{k: v[i].item() for k, v in cols.items()}}
             report.records.append(CheckRecord(name=f"sample[{row['trial']}]", inputs={"algebra": alg.name},
                                               expected=None, actual=row, tolerance=None, passed=True))

@@ -587,18 +587,16 @@ def random_algebra_curvature(
     algebra: HolonomyAlgebra,
     rng: np.random.Generator | None = None,
     seed: int | None = None,
+    count: int | None = None,
 ) -> CurvatureTensor:
     """Gaussian sample from the curvature tensors supported on the algebra.
-    A list of generators draws a stack, trial t from generator t, each the
-    tensor that generator alone draws."""
+    A count draws a stack of that many trials in one call, trial t the
+    tensor that the t-th of as many one-tensor draws from rng would give."""
     if rng is None:
         rng = np.random.default_rng(seed)
     parts = _bianchi_kernel_basis(algebra)
     k = _kernel_dim(parts)
-    if isinstance(rng, list):
-        coeffs = np.stack([stream.standard_normal(k) for stream in rng])
-    else:
-        coeffs = rng.standard_normal(k)
+    coeffs = rng.standard_normal(k if count is None else (count, k))
     lead, at = coeffs.shape[:-1], _lead(coeffs, 1)
     a, b, w = _packed_sym(algebra.dim)
     # packed pairs of blocks with no null rows stay 0

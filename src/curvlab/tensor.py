@@ -667,16 +667,13 @@ def _form_rows(space: EuclideanSpace) -> tuple[np.ndarray, ...]:
 # random generation and serialization
 
 
-def random_curvature(space: EuclideanSpace, rng) -> CurvatureTensor:
+def random_curvature(space: EuclideanSpace, rng, count: int | None = None) -> CurvatureTensor:
     """Random algebraic curvature tensor: a Gaussian symmetric bivector
-    operator, Bianchi-projected, drawn from the Generator rng.  A list of
-    generators draws a stack, trial t from generator t, each the tensor that
-    generator alone draws."""
+    operator, Bianchi-projected, drawn from the Generator rng.  A count draws
+    a stack of that many trials in one call, trial t the tensor that the
+    t-th of as many one-tensor draws from rng would give."""
     d = space.bivector_dim
-    if isinstance(rng, list):
-        raw = np.stack([stream.standard_normal((d, d)) for stream in rng])
-    else:
-        raw = rng.standard_normal((d, d))
+    raw = rng.standard_normal((d, d) if count is None else (count, d, d))
     return CurvatureTensor(space, _bianchi_project_matrix(0.5 * (raw + raw.swapaxes(-1, -2))))
 
 

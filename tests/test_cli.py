@@ -231,15 +231,6 @@ class TestParsing:
                      ["verify", "--m", f"2..{cli.MAX_M}"], ["verify", "--n", f"4..{cli.MAX_N}"]):
             cli._config_from_args(parser.parse_args(argv))
 
-    @pytest.mark.parametrize("a, b", [
-        ((0, 17, 0), (1, 1, 0)),  # tag bits spilled into the seed bits
-        ((0, 2, 65536), (0, 3, 0)),  # trial bits spilled into the tag bits
-    ])
-    def test_trial_streams_are_disjoint(self, a, b):
-        draw_a = cli._trial_rng(*a).standard_normal(8)
-        draw_b = cli._trial_rng(*b).standard_normal(8)
-        assert not np.array_equal(draw_a, draw_b)
-
 
 class TestVerify:
     def test_hp_passes(self, capsys):
@@ -294,6 +285,22 @@ class TestVerify:
         assert all("grassmann[2,3]" in r["name"] for r in report["records"])
 
 
+def _recorded_streams(monkeypatch, capsys, argv) -> list[tuple]:
+    """The key of every Generator a command builds through
+    numpy.random.default_rng, in order."""
+    keys = []
+
+    def recording(seed=None):
+        keys.append(tuple(seed))
+        return default_rng(seed)
+
+    default_rng = np.random.default_rng
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "default_rng", recording)
+        run(capsys, *argv)
+    return keys
+
+
 class TestDeterminism:
     def test_repeat_runs_are_byte_identical(self, capsys):
         _, out1, _ = run(capsys, "verify", "--suite", "hp", "--m", "2")
@@ -325,6 +332,31 @@ class TestDeterminism:
             "--out", str(path))
         _, out, _ = run(capsys, "verify", "--suite", "tripod", "--trials", "20")
         assert path.read_text() == out
+
+    def test_stream_keys_are_distinct(self, capsys, monkeypatch):
+        # every suite instance of a default verify and `sample` on each
+        # holonomy kind: no two draw from one stream, not even through
+        # SeedSequence equating a key with the key plus a trailing zero
+        keys = _recorded_streams(monkeypatch, capsys, ["verify", "--seed", "42"])
+        for argv in (("so", "--n", "4"), ("u", "--m", "2"), ("sp", "--m", "2")):
+            keys += _recorded_streams(monkeypatch, capsys, ["sample", "--holonomy", *argv, "--seed", "42"])
+        assert len(keys) == 18
+        assert len(set(keys)) == len(keys)
+        states = {tuple(np.random.SeedSequence(list(key)).generate_state(4)) for key in keys}
+        assert len(states) == len(keys)
+
+    def test_one_generator_per_suite_instance(self, capsys, monkeypatch):
+        # trials are consecutive draws of their instance's stream, not a
+        # Generator each
+        ids = {v: k for k, v in cli.STREAM_IDS.items()}
+        keys = _recorded_streams(monkeypatch, capsys, ["verify", "--seed", "1"])
+        built = {}
+        for _, stream_id, _ in keys:
+            built[ids[stream_id]] = built.get(ids[stream_id], 0) + 1
+        assert built == {"weyl-norm": 5, "bochner-norm": 3, "qk-ratio": 3, "tripod": 1,
+                         "decomp[generic]": 1, "decomp[kaehler]": 1, "decomp[qk]": 1}
+        keys = _recorded_streams(monkeypatch, capsys, ["sample", "--holonomy", "u", "--m", "3", "--trials", "250"])
+        assert keys == [(42, cli.STREAM_IDS["sample[kaehler]"], 3)]
 
     def test_reports_do_not_depend_on_the_blas_thread_count(self):
         # a threaded product splits its sums differently; main holds the

@@ -61,14 +61,16 @@ KEPT_DEFAULTS = {
     "criteria.negative_term_search(seed)": "knob of the seeded adversary search, until a checked adversary replaces it",
     "criteria.negative_term_search(shift)": "knob of the seeded adversary search, until a checked adversary replaces it",
     "criteria.negative_term_search(trials)": "knob of the seeded adversary search, until a checked adversary replaces it",
-    "decomp.random_algebra_curvature(rng)": "the suites and `sample` pass lists of trial streams, perfbench one stream; the tests and the acceptance gate pass seed=",
-    "decomp.random_algebra_curvature(seed)": "the suites and `sample` pass lists of trial streams, perfbench one stream; the tests and the acceptance gate pass seed=",
+    "decomp.random_algebra_curvature(count)": "the suites and `sample` draw stacks of count trials; perfbench's cold-start, the tests and the acceptance gate draw one tensor",
+    "decomp.random_algebra_curvature(rng)": "the suites and `sample` pass their instance's stream, perfbench one stream; the tests and the acceptance gate pass seed=",
+    "decomp.random_algebra_curvature(seed)": "the suites and `sample` pass their instance's stream, perfbench one stream; the tests and the acceptance gate pass seed=",
     "euclid.EuclideanSpace.__init__(structure)": "generic(n) is the space with no holonomy structure",
     "euclid.HolonomyStructure.__init__(I)": "a structure holds only its kind's matrices: none, J, or I, J, K",
     "euclid.HolonomyStructure.__init__(J)": "a structure holds only its kind's matrices: none, J, or I, J, K",
     "euclid.HolonomyStructure.__init__(K)": "a structure holds only its kind's matrices: none, J, or I, J, K",
     "tensor.CurvatureOperator._wrap(algebra)": "to_operator wraps a full-space operator; project passes its algebra",
     "tensor.CurvatureTensor.__init__(validate)": "sums and multiples of curvature tensors skip the scan; any other matrix is checked",
+    "tensor.random_curvature(count)": "weyl-norm and decomp draw stacks of count trials; the tests and the acceptance gate draw one tensor",
 }
 
 

@@ -3,6 +3,7 @@ one-trial calls to the bit, a bad trial in a stack is caught with the
 message the one-trial check gives, and the verify suites and `sample` run
 their kernels once per chunk of trials within the chunk budget."""
 
+import hashlib
 import json
 import tracemalloc
 
@@ -23,8 +24,8 @@ CASES = {
 }
 
 
-def streams(trials: int, seed: int = 11) -> list:
-    return [np.random.default_rng([seed, trial]) for trial in range(trials)]
+def stream(seed: int = 11) -> np.random.Generator:
+    return np.random.default_rng(seed)
 
 
 def trial_count(alg) -> int:
@@ -33,11 +34,11 @@ def trial_count(alg) -> int:
     return alg.chunk_trials + 1 if alg.chunk_trials < 7 else 7
 
 
-def sample(alg, rng):
+def sample(alg, rng, count=None):
     """The sampler the suites use on alg: generic tensors on so(n)."""
     if alg.space.kind == "generic":
-        return tensor.random_curvature(alg.space, rng=rng)
-    return decomp.random_algebra_curvature(alg, rng=rng)
+        return tensor.random_curvature(alg.space, rng, count)
+    return decomp.random_algebra_curvature(alg, rng, count=count)
 
 
 def same(stacked, singles):
@@ -62,8 +63,14 @@ def same_parts(stacked, singles):
 def test_stacked_kernels_are_the_one_trial_calls(case, request):
     alg = CASES[case](request)
     trials = trial_count(alg)
-    stack = sample(alg, streams(trials))
-    singles = [sample(alg, g) for g in streams(trials)]
+    # a stack drawn in one call is the consecutive one-trial draws of the
+    # stream, and so is a stack drawn in two calls
+    stack = sample(alg, stream(), trials)
+    rng = stream()
+    singles = [sample(alg, rng) for _ in range(trials)]
+    rng = stream()
+    split = [sample(alg, rng, 1), sample(alg, rng, trials - 1)]
+    assert same(np.concatenate([s.matrix for s in split]), [s.matrix for s in singles])
     assert stack.matrix.shape == (trials,) + singles[0].matrix.shape
     assert same(stack.matrix, [s.matrix for s in singles])
 
@@ -150,17 +157,32 @@ def test_symmetry_is_checked_per_trial(rng):
             _symmetrized(matrix, "solver")
 
 
-def test_one_trial_list_is_a_stack_of_one(u3):
-    one = decomp.random_algebra_curvature(u3, rng=streams(1))
+def test_count_of_one_is_a_stack_of_one(u3):
+    one = decomp.random_algebra_curvature(u3, stream(), count=1)
     assert one.matrix.shape == (1, u3.space.bivector_dim, u3.space.bivector_dim)
-    assert np.array_equal(one.matrix[0], decomp.random_algebra_curvature(u3, rng=streams(1)[0]).matrix)
-    assert isinstance(tensor.scalar(decomp.random_algebra_curvature(u3, rng=streams(1)[0])), float)
+    assert np.array_equal(one.matrix[0], decomp.random_algebra_curvature(u3, stream()).matrix)
+    assert isinstance(tensor.scalar(decomp.random_algebra_curvature(u3, stream())), float)
+
+
+# sha256 prefixes of one-tensor draws, identical at one and two BLAS threads
+GENERIC5_SEED7 = "31d1c5b975266740"
+U3_SEED31 = "3ed6c18a86b5bfb5"
+
+
+def test_one_tensor_draw_keeps_its_bits(u3):
+    # with no count a sampler draws as it did before counts existed: these
+    # are the digests of those draws
+    def digest(rm):
+        return hashlib.sha256(rm.matrix.tobytes()).hexdigest()[:16]
+
+    assert digest(tensor.random_curvature(generic(5), np.random.default_rng(7))) == GENERIC5_SEED7
+    assert digest(decomp.random_algebra_curvature(u3, np.random.default_rng([3, 1]))) == U3_SEED31
 
 
 def test_pure_multiple_in_a_stack(qk2):
     # the model itself is a pure multiple: its ratio is undefined, the
     # others are not
-    rest = decomp.random_algebra_curvature(qk2, rng=streams(2))
+    rest = decomp.random_algebra_curvature(qk2, stream(), count=2)
     stack = tensor.CurvatureTensor(qk2.space, np.concatenate([decomp.hp(2).matrix[None], rest.matrix]))
     ratio = criteria.hat_ratio_qk(stack, qk2)
     assert ratio.pure_multiple.tolist() == [True, False, False]
@@ -196,7 +218,7 @@ def _off_symmetry(mat, rng):
 @pytest.mark.parametrize("at", [0, 3, 4])
 def test_bad_trial_raises_its_own_message(bad, at):
     space = generic(6)
-    mats = tensor.random_curvature(space, rng=streams(5)).matrix.copy()
+    mats = tensor.random_curvature(space, stream(), 5).matrix.copy()
     mats[at] = bad(mats[at], np.random.default_rng(at))
     if at < 4:  # a later bad trial does not change which one is reported
         mats[4] = _off_bianchi(mats[4], np.random.default_rng(9))
@@ -225,7 +247,7 @@ def _lone_inf(mat):
 @pytest.mark.parametrize("bad", [_nan_entry, _lone_inf], ids=["nan", "lone_inf"])
 def test_non_finite_trial_raises_its_own_message(bad):
     space = generic(5)
-    mats = tensor.random_curvature(space, rng=streams(3)).matrix.copy()
+    mats = tensor.random_curvature(space, stream(), 3).matrix.copy()
     mats[1] = bad(mats[1])
     expected = _raised(tensor.check_operator_symmetries, mats[1])
     assert expected[0] is SymmetryError and expected[1].startswith("non-finite entry")
@@ -237,7 +259,7 @@ def test_non_finite_trial_raises_its_own_message(bad):
 
 def test_earlier_bad_trial_comes_before_a_non_finite_one():
     space = generic(5)
-    mats = tensor.random_curvature(space, rng=streams(3)).matrix.copy()
+    mats = tensor.random_curvature(space, stream(), 3).matrix.copy()
     mats[0] = _off_symmetry(mats[0], np.random.default_rng(0))
     mats[1] = _lone_inf(mats[1])
     expected = _raised(tensor.check_operator_symmetries, mats[0])
@@ -246,7 +268,7 @@ def test_earlier_bad_trial_comes_before_a_non_finite_one():
 
 
 def test_trial_off_the_complex_structure_is_caught(u3):
-    mats = decomp.random_algebra_curvature(u3, rng=streams(4)).matrix.copy()
+    mats = decomp.random_algebra_curvature(u3, stream(), count=4).matrix.copy()
     mats[2] = tensor.random_curvature(u3.space, rng=np.random.default_rng(5)).matrix
     stack = tensor.CurvatureTensor(u3.space, mats)
     one = tensor.CurvatureTensor(u3.space, mats[2])
@@ -256,7 +278,7 @@ def test_trial_off_the_complex_structure_is_caught(u3):
 
 
 def test_trial_off_the_algebra_is_caught(qk2):
-    mats = decomp.random_algebra_curvature(qk2, rng=streams(4)).matrix.copy()
+    mats = decomp.random_algebra_curvature(qk2, stream(), count=4).matrix.copy()
     mats[1] = tensor.random_curvature(qk2.space, rng=np.random.default_rng(5)).matrix
     stack = tensor.CurvatureTensor(qk2.space, mats)
     one = tensor.CurvatureTensor(qk2.space, mats[1])
@@ -347,10 +369,11 @@ def test_one_chunk_stays_within_the_budget(suite, flag, size, space):
 # sample runs per stack
 
 
-def _one_row(alg, criterion, seed, trial, shift) -> dict:
-    """One row of `curvlab sample`, computed for one trial alone: the
-    reference the rows of the stacked command must equal."""
-    rm = decomp.random_algebra_curvature(alg, rng=cli._trial_rng(seed, 3, trial))
+def _one_row(alg, criterion, rng, trial, shift) -> dict:
+    """One row of `curvlab sample`, computed for one trial alone, its tensor
+    the next one-tensor draw of rng: the reference the rows of the stacked
+    command must equal."""
+    rm = decomp.random_algebra_curvature(alg, rng)
     rm = rm * (1.0 / np.sqrt(rm.norm_sq()))
     shift_t = 0.0
     if shift:
@@ -387,5 +410,6 @@ def test_sample_rows_are_the_one_trial_rows(tag, flag, size, condition):
     cfg.trials = alg.rotation_trials + 1
     report, _ = cli.cmd_sample(cfg)
     criterion = cli._preset_criterion(alg)
-    rows = [_one_row(alg, criterion, 3, trial, cfg.condition is not None) for trial in range(cfg.trials)]
+    rng = cli._stream(3, f"sample[{alg.space.kind}]", size)
+    rows = [_one_row(alg, criterion, rng, trial, cfg.condition is not None) for trial in range(cfg.trials)]
     assert cli._render([r.actual for r in report.records]) == cli._render(rows)
