@@ -818,10 +818,10 @@ def _openblas_threads():
     the same library, so its pool is the one numpy's products run on."""
     numpy_dir = os.path.dirname(np.__file__)
     for path in sorted(glob.glob(os.path.join(numpy_dir, os.pardir, "numpy.libs", "libscipy_openblas64_*"))):
-        lib = ctypes.CDLL(path)
         try:
+            lib = ctypes.CDLL(path)
             get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-        except AttributeError:
+        except (OSError, AttributeError):
             continue
         get.argtypes, get.restype = [], ctypes.c_int
         put.argtypes, put.restype = [ctypes.c_int], None

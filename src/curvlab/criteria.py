@@ -25,7 +25,8 @@ curvature_term_self) take a restricted operator (holonomy.project), which
 carries its algebra; a full-space one raises.  The spectral routes read the
 restricted operator's own spectrum, which it computes at most once, and
 rotate the structure constants into that eigenbasis with three GEMMs, one
-per slot (_rotated_structure).  curvature_term makes its own eigensolve, so
+per slot, the first two into a workspace each thread reuses
+(_rotated_structure).  curvature_term makes its own eigensolve, so
 its eigen route stays independent of everything else a caller has asked of
 the same operator, and its bilinear route needs none.  The 2-nonnegative
 shift reads only two-smallest-eigenvalue sums, of the sample and of the
