@@ -71,20 +71,12 @@ class Report:
         return {"total": len(self.records), "passed": ok, "failed": len(self.records) - ok}
 
     def canonical(self) -> dict:
+        """The report as the values _render writes, each record its
+        CheckRecord fields in declaration order (a view, not a copy)."""
         return {
             "command": self.command,
             "config": self.config,
-            "records": [
-                {
-                    "name": r.name,
-                    "inputs": r.inputs,
-                    "expected": r.expected,
-                    "actual": r.actual,
-                    "tolerance": r.tolerance,
-                    "passed": r.passed,
-                }
-                for r in self.records
-            ],
+            "records": [vars(r) for r in self.records],
             "summary": self.summary(),
         }
 
@@ -165,6 +157,11 @@ def rec_bool(name, inputs, passed, expected, actual) -> CheckRecord:
     return CheckRecord(name, inputs, expected, actual, None, bool(passed))
 
 
+def rec_info(name, inputs, actual) -> CheckRecord:
+    """A record that reports values and checks nothing."""
+    return CheckRecord(name, inputs, None, actual, None, True)
+
+
 def rec_mults(name, inputs, expected, actual, tol) -> CheckRecord:
     """Compare multiplicity tables [[value, count], ...] up to tol in values."""
     ok = len(expected) == len(actual) and all(
@@ -204,6 +201,14 @@ def _echo(cfg: argparse.Namespace) -> dict:
     return keep
 
 
+def _reject_unread_sizes(cfg: argparse.Namespace, what: str, reads: tuple[str, ...]):
+    """Usage error for a size or --trials flag given to what, which reads
+    only reads."""
+    for flag in ("m", "n", "p", "q", "trials"):
+        if flag not in reads and getattr(cfg, flag, None) is not None:
+            raise GeometryError(f"{what} does not read --{flag}")
+
+
 def parse_range(text: str) -> tuple[int, int]:
     """Inclusive integer range 'a..b'; a single value means a degenerate one."""
     try:
@@ -237,10 +242,13 @@ def _stream(seed: int, instance: str, size: int) -> np.random.Generator:
     return np.random.default_rng([seed, STREAM_IDS[instance], size])
 
 
-def _stack_counts(trials: int, per: int) -> list[int]:
-    """Sizes of the stacks that trials 0..trials-1 are drawn in, per at a
-    time: a sampler given a count draws one stack."""
-    return [min(per, trials - lo) for lo in range(0, trials, per)]
+def _draws(seed: int, instance: str, size: int, trials: int, per: int, draw):
+    """draw(rng, count=...) for each stack of trials 0..trials-1, per at a
+    time, from the instance's one stream: a sampler given a count draws one
+    stack, so trial t is the t-th block of the stream's draws."""
+    rng = _stream(seed, instance, size)
+    for lo in range(0, trials, per):
+        yield draw(rng, count=min(per, trials - lo))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +276,7 @@ def suite_hp(cfg: argparse.Namespace) -> list[CheckRecord]:
 
 
 def suite_grassmann(cfg: argparse.Namespace) -> list[CheckRecord]:
-    if cfg.p is not None and cfg.q is not None:
+    if cfg.p is not None:
         combos = [(cfg.p, cfg.q)]
     else:
         combos = [(p, q) for p, q in itertools.product((2, 3, 4), repeat=2) if p * q <= 16]
@@ -350,6 +358,11 @@ def suite_wolf(cfg: argparse.Namespace) -> list[CheckRecord]:
     return out
 
 
+def _columns(stacks) -> list[np.ndarray]:
+    """Per-stack tuples of (count,) arrays, joined into one array each."""
+    return [np.concatenate(col) for col in zip(*stacks)]
+
+
 def suite_weyl_norm(cfg: argparse.Namespace) -> list[CheckRecord]:
     lo, hi = cfg.n or (4, 8)
     trials = cfg.trials or 100
@@ -357,19 +370,18 @@ def suite_weyl_norm(cfg: argparse.Namespace) -> list[CheckRecord]:
     for n in range(lo, hi + 1):
         space = generic(n)
         alg = holonomy.by_name(space, "so")
-        rng = _stream(cfg.seed, "weyl-norm", n)
-        ratios, traces = [], []
-        for count in _stack_counts(trials, holonomy.trial_chunk(space)):
-            rm = tensor.random_curvature(space, rng, count)
-            w = decomp.weyl_decompose(rm).parts["weyl"]
-            ratios.append(4.0 * criteria.hat_norm_direct(w, alg) / w.norm_sq())
+
+        def stats(rng, count):
+            w = decomp.weyl_decompose(tensor.random_curvature(space, rng, count)).parts["weyl"]
             w_unit = w * (1.0 / np.sqrt(w.norm_sq()))
-            traces.append(np.max(tensor.total_traces(w_unit), axis=0))
+            return 4.0 * criteria.hat_norm_direct(w, alg) / w.norm_sq(), np.max(tensor.total_traces(w_unit), axis=0)
+
+        ratios, traces = _columns(_draws(cfg.seed, "weyl-norm", n, trials, holonomy.trial_chunk(space), stats))
         target = 4.0 * (n - 1)
-        dev = np.max(np.abs(np.concatenate(ratios) - target) / target)
+        dev = np.max(np.abs(ratios - target) / target)
         inputs = {"n": n, "trials": trials}
         out.append(rec_leq(f"weyl-norm[{n}].ratio_max_rel_dev", inputs, dev, RTOL))
-        out.append(rec_leq(f"weyl-norm[{n}].trace_residual_max", inputs, np.max(np.concatenate(traces)), 1e-10))
+        out.append(rec_leq(f"weyl-norm[{n}].trace_residual_max", inputs, np.max(traces), 1e-10))
     return out
 
 
@@ -380,24 +392,22 @@ def suite_bochner_norm(cfg: argparse.Namespace) -> list[CheckRecord]:
     for m in range(lo, hi + 1):
         space = kaehler(m)
         alg = holonomy.by_name(space, "u")
-        rng = _stream(cfg.seed, "bochner-norm", m)
-        ratios, traces, gaps = [], [], []
-        for count in _stack_counts(trials, holonomy.trial_chunk(space)):
+
+        def stats(rng, count):
             rm = decomp.random_algebra_curvature(alg, rng, count=count)
             b = decomp.bochner_decompose(rm).parts["bochner"]
-            ratios.append(4.0 * criteria.hat_norm_direct(b, alg) / b.norm_sq())
             b_unit = b * (1.0 / np.sqrt(b.norm_sq()))
-            traces.append(np.max(tensor.total_traces(b_unit), axis=0))
-            other = decomp.bochner_explicit(rm)
-            gaps.append(
-                np.abs(b.matrix - other.matrix).max(axis=(1, 2)) / (1.0 + np.abs(rm.matrix).max(axis=(1, 2)))
-            )
+            gap = np.abs(b.matrix - decomp.bochner_explicit(rm).matrix).max(axis=(1, 2))
+            return (4.0 * criteria.hat_norm_direct(b, alg) / b.norm_sq(), np.max(tensor.total_traces(b_unit), axis=0),
+                    gap / (1.0 + np.abs(rm.matrix).max(axis=(1, 2))))
+
+        ratios, traces, gaps = _columns(_draws(cfg.seed, "bochner-norm", m, trials, holonomy.trial_chunk(space), stats))
         target = 4.0 * (m + 1)
-        dev = np.max(np.abs(np.concatenate(ratios) - target) / target)
+        dev = np.max(np.abs(ratios - target) / target)
         inputs = {"m": m, "trials": trials}
         out.append(rec_leq(f"bochner-norm[{m}].ratio_max_rel_dev", inputs, dev, RTOL))
-        out.append(rec_leq(f"bochner-norm[{m}].trace_residual_max", inputs, np.max(np.concatenate(traces)), 1e-10))
-        out.append(rec_leq(f"bochner-norm[{m}].route_gap_max", inputs, np.max(np.concatenate(gaps)), 1e-9))
+        out.append(rec_leq(f"bochner-norm[{m}].trace_residual_max", inputs, np.max(traces), 1e-10))
+        out.append(rec_leq(f"bochner-norm[{m}].route_gap_max", inputs, np.max(gaps), 1e-9))
     return out
 
 
@@ -408,11 +418,11 @@ def suite_qk_ratio(cfg: argparse.Namespace) -> list[CheckRecord]:
     for m in range(lo, hi + 1):
         space = quaternion_kaehler(m)
         alg = holonomy.by_name(space, "sp")
-        rng = _stream(cfg.seed, "qk-ratio", m)
-        ratios = np.concatenate([
-            criteria.hat_ratio_qk(decomp.random_algebra_curvature(alg, rng, count=count), alg).ratio
-            for count in _stack_counts(trials, holonomy.trial_chunk(space))
-        ])
+
+        def ratio(rng, count):
+            return criteria.hat_ratio_qk(decomp.random_algebra_curvature(alg, rng, count=count), alg).ratio
+
+        ratios = np.concatenate([*_draws(cfg.seed, "qk-ratio", m, trials, holonomy.trial_chunk(space), ratio)])
         ratios = ratios[~np.isnan(ratios)]
         inputs = {"m": m, "trials": trials, "nondegenerate": len(ratios)}
         paper_form = (4.0 / 3.0) * (3 * m + 4)
@@ -435,42 +445,33 @@ def suite_qk_ratio(cfg: argparse.Namespace) -> list[CheckRecord]:
 
 
 def suite_tripod(cfg: argparse.Namespace) -> list[CheckRecord]:
+    """lambda on random triples, all trials in one (trials, 9) draw: row t
+    holds trial t's triple to permute, its ascending 2-nonnegative triple
+    with a negative bottom value, and its generic triple."""
     trials = cfg.trials or 500
-    rng = _stream(cfg.seed, "tripod", 3)
-    out = [
+    (z,) = _draws(cfg.seed, "tripod", 3, trials, trials, lambda rng, count: rng.standard_normal((count, 9)))
+    vals = np.array([criteria.lambda_tripod(*perm) for perm in itertools.permutations((z[:, :3] * 3.0).T)])
+    sym_dev = np.max((vals.max(axis=0) - vals.min(axis=0)) / (1.0 + np.abs(vals).max(axis=0)))
+    lo_val = -np.abs(z[:, 3])
+    mid = np.abs(lo_val) + np.abs(z[:, 4])
+    hi_val = mid + np.abs(z[:, 5])
+    lam = criteria.lambda_tripod(lo_val, mid, hi_val)
+    bound = (lo_val + mid) * (lo_val - hi_val) ** 2 + hi_val * (lo_val - mid) ** 2
+    slack = 1e-12 * (1.0 + np.abs(lam) + np.abs(bound))
+    chain_violations = int(np.sum(~((lam >= bound - slack) & (bound >= -slack))))
+    # generic 2-nonnegative ascending triple
+    x = np.sort(z[:, 6:] * 2.0, axis=1)
+    low_pair = x[:, 0] + x[:, 1]
+    x = np.where(low_pair[:, None] < 0, x - low_pair[:, None] / 2.0, x)
+    nonneg_violations = int(np.sum(criteria.lambda_tripod(*x.T) < -1e-12 * (1.0 + np.abs(x).max(axis=1)) ** 3))
+    inputs = {"trials": trials}
+    return [
         rec_eq("tripod.zero_at_equal", {}, 0.0, float(criteria.lambda_tripod(1.0, 1.0, 1.0))),
         rec_eq("tripod.basic_value", {}, 2.0, float(criteria.lambda_tripod(0.0, 1.0, 1.0))),
+        rec_leq("tripod.symmetry_max_rel_dev", inputs, sym_dev, 1e-12),
+        rec_eq("tripod.lower_bound_chain_violations", inputs, 0, chain_violations),
+        rec_eq("tripod.2nonneg_violations", inputs, 0, nonneg_violations),
     ]
-    sym_dev = 0.0
-    chain_violations = 0
-    nonneg_violations = 0
-    for _ in range(trials):
-        a, b, c = rng.standard_normal(3) * 3.0
-        vals = [
-            criteria.lambda_tripod(*perm)
-            for perm in itertools.permutations((a, b, c))
-        ]
-        scale = 1.0 + max(abs(v) for v in vals)
-        sym_dev = max(sym_dev, (max(vals) - min(vals)) / scale)
-        # ascending triple with a negative bottom eigenvalue but 2-nonnegative
-        lo_val = -abs(rng.standard_normal())
-        mid = abs(lo_val) + abs(rng.standard_normal())
-        hi_val = mid + abs(rng.standard_normal())
-        lam = criteria.lambda_tripod(lo_val, mid, hi_val)
-        bound = (lo_val + mid) * (lo_val - hi_val) ** 2 + hi_val * (lo_val - mid) ** 2
-        slack = 1e-12 * (1.0 + abs(lam) + abs(bound))
-        if not (lam >= bound - slack and bound >= -slack):
-            chain_violations += 1
-        # generic 2-nonnegative ascending triple
-        x = np.sort(rng.standard_normal(3) * 2.0)
-        if x[0] + x[1] < 0:
-            x = x - (x[0] + x[1]) / 2.0
-        if criteria.lambda_tripod(*x) < -1e-12 * (1.0 + float(np.abs(x).max()) ** 3):
-            nonneg_violations += 1
-    out.append(rec_leq("tripod.symmetry_max_rel_dev", {"trials": trials}, sym_dev, 1e-12))
-    out.append(rec_eq("tripod.lower_bound_chain_violations", {"trials": trials}, 0, chain_violations))
-    out.append(rec_eq("tripod.2nonneg_violations", {"trials": trials}, 0, nonneg_violations))
-    return out
 
 
 def suite_decomp(cfg: argparse.Namespace) -> list[CheckRecord]:
@@ -501,24 +502,20 @@ def suite_decomp(cfg: argparse.Namespace) -> list[CheckRecord]:
         return dec.residual(), dec.max_cross_inner(), np.abs(tensor.scalar(r0))
 
     split_cols = ("residual", "orthogonality", "idempotence", "trace_residual")
-    for label, space, size, fn, cols in (
-        ("generic", gsp, 6,
-         lambda rng, count: split_stats(tensor.random_curvature(gsp, rng, count), decomp.weyl_decompose, "weyl"),
-         split_cols),
-        ("kaehler", ksp, 3,
-         lambda rng, count: split_stats(decomp.random_algebra_curvature(ualg, rng, count=count),
-                                        decomp.bochner_decompose, "bochner"),
-         split_cols),
-        ("qk", qsp, 2,
-         lambda rng, count: qk_stats(decomp.random_algebra_curvature(qalg, rng, count=count)),
-         ("residual", "orthogonality", "scal_trace_free")),
+    for label, space, size, sample, stats, cols in (
+        ("generic", gsp, 6, functools.partial(tensor.random_curvature, gsp),
+         lambda rm: split_stats(rm, decomp.weyl_decompose, "weyl"), split_cols),
+        ("kaehler", ksp, 3, functools.partial(decomp.random_algebra_curvature, ualg),
+         lambda rm: split_stats(rm, decomp.bochner_decompose, "bochner"), split_cols),
+        ("qk", qsp, 2, functools.partial(decomp.random_algebra_curvature, qalg),
+         qk_stats, ("residual", "orthogonality", "scal_trace_free")),
     ):
-        rng = _stream(cfg.seed, f"decomp[{label}]", size)
-        rows = [fn(rng, count) for count in _stack_counts(trials, holonomy.trial_chunk(space))]
+        columns = _columns(_draws(cfg.seed, f"decomp[{label}]", size, trials, holonomy.trial_chunk(space),
+                                  lambda rng, count: stats(sample(rng, count=count))))
         inputs = {"type": label, "trials": trials}
-        for idx, col in enumerate(cols):
+        for col, values in zip(cols, columns):
             bound = 1e-10 if col == "trace_residual" else 1e-9
-            out.append(rec_leq(f"decomp[{label}].{col}_max", inputs, max(np.max(r[idx]) for r in rows), bound))
+            out.append(rec_leq(f"decomp[{label}].{col}_max", inputs, np.max(values), bound))
     return out
 
 
@@ -532,13 +529,25 @@ SUITES = {
     "tripod": suite_tripod,
     "decomp": suite_decomp,
 }
+# The size and trial flags each suite reads; a suite run by name given any
+# other is a usage error.  --seed is read by the sampled suites and accepted
+# by every one, as it has a default.
+SUITE_READS = {
+    "hp": ("m",), "wolf": ("m",), "grassmann": ("p", "q"), "weyl-norm": ("n", "trials"),
+    "bochner-norm": ("m", "trials"), "qk-ratio": ("m", "trials"), "tripod": ("trials",), "decomp": ("trials",),
+}
 
 
 def cmd_verify(cfg: argparse.Namespace) -> tuple[Report, int]:
-    names = list(SUITES) if cfg.suite in (None, "all") else [cfg.suite]
-    for name in names:
-        if name not in SUITES:
-            raise GeometryError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or all")
+    if cfg.suite == "all":
+        names = list(SUITES)
+    elif cfg.suite in SUITES:
+        names = [cfg.suite]
+        _reject_unread_sizes(cfg, f"verify --suite {cfg.suite}", SUITE_READS[cfg.suite])
+    else:
+        raise GeometryError(f"unknown suite {cfg.suite!r}; choose from {', '.join(SUITES)} or all")
+    if "grassmann" in names and (cfg.p is None) != (cfg.q is None):
+        raise GeometryError("verify --suite grassmann needs both --p and --q, or neither")
     report = Report(command="verify", config=_echo(cfg))
     for name in names:
         report.records.extend(SUITES[name](cfg))
@@ -547,13 +556,6 @@ def cmd_verify(cfg: argparse.Namespace) -> tuple[Report, int]:
 
 # ---------------------------------------------------------------------------
 # spectrum
-
-
-def _reject_unread_sizes(cfg: argparse.Namespace, what: str, reads: tuple[str, ...]):
-    """Usage error for a size flag given to what, which reads only reads."""
-    for flag in ("m", "n", "p", "q"):
-        if flag not in reads and getattr(cfg, flag, None) is not None:
-            raise GeometryError(f"{what} does not read --{flag}")
 
 
 def _build_model(cfg: argparse.Namespace):
@@ -587,16 +589,8 @@ def cmd_spectrum(cfg: argparse.Namespace) -> tuple[Report, int]:
     spec = op.spectrum()
     mults = [[v, c] for v, c in spec.multiplicities(GAP)]
     report = Report(command="spectrum", config=_echo(cfg))
-    report.records.append(
-        CheckRecord(
-            name=f"spectrum[{cfg.model}]",
-            inputs={"domain": domain, "dim": int(op.matrix.shape[0])},
-            expected=None,
-            actual={"multiplicities": mults, "eigenvalues": [float(v) for v in spec.values]},
-            tolerance=None,
-            passed=True,
-        )
-    )
+    report.records.append(rec_info(f"spectrum[{cfg.model}]", {"domain": domain, "dim": int(op.matrix.shape[0])},
+                                   {"multiplicities": mults, "eigenvalues": [float(v) for v in spec.values]}))
     return report, 0
 
 
@@ -630,12 +624,7 @@ def cmd_decompose(cfg: argparse.Namespace) -> tuple[Report, int]:
             f"{cfg.input_path} has {size} bytes, above the cap of {MAX_INPUT_BYTES}"
         )
     rm = tensor.load_tensor(cfg.input_path)
-    kind = holonomy.holonomy_kind(cfg.holonomy or rm.space.kind)
-    if kind != rm.space.kind:
-        raise GeometryError(
-            f"tensor carries a {rm.space.kind} structure, cannot decompose as {kind}"
-        )
-
+    kind = rm.space.kind
     alg = holonomy.by_name(rm.space, kind)
     if kind == "generic":
         dec = decomp.weyl_decompose(rm)
@@ -658,20 +647,10 @@ def cmd_decompose(cfg: argparse.Namespace) -> tuple[Report, int]:
     }
     payload["criterion"] = crit
     if kind == "qk":
-        rest_sq = dec.parts["hyperkaehler_part"].norm_sq()
-        payload["pure_model"] = bool(rest_sq <= 1e-10 * max(1.0, rm.norm_sq()))
+        payload["pure_model"] = bool(decomp.pure_multiple(dec))
 
     report = Report(command="decompose", config=_echo(cfg))
-    report.records.append(
-        CheckRecord(
-            name=f"decompose[{kind}]",
-            inputs={"n": rm.space.n, "structure": rm.space.kind},
-            expected=None,
-            actual=payload,
-            tolerance=None,
-            passed=True,
-        )
-    )
+    report.records.append(rec_info(f"decompose[{kind}]", {"n": rm.space.n, "structure": kind}, payload))
     return report, 0
 
 
@@ -681,7 +660,7 @@ def cmd_decompose(cfg: argparse.Namespace) -> tuple[Report, int]:
 
 def cmd_sample(cfg: argparse.Namespace) -> tuple[Report, int]:
     kind = holonomy.holonomy_kind(cfg.holonomy)
-    _reject_unread_sizes(cfg, f"sample --holonomy {cfg.holonomy}", ("n",) if kind == "generic" else ("m",))
+    _reject_unread_sizes(cfg, f"sample --holonomy {cfg.holonomy}", ("n" if kind == "generic" else "m", "trials"))
     if kind == "generic":
         size = cfg.n[0] if cfg.n else 4
         space = generic(size)
@@ -696,9 +675,8 @@ def cmd_sample(cfg: argparse.Namespace) -> tuple[Report, int]:
     criterion = _preset_criterion(alg)
     shift = cfg.condition == "2-nonnegative"
     report = Report(command="sample", config=_echo(cfg))
-    rng = _stream(cfg.seed, f"sample[{kind}]", size)
-    for count in _stack_counts(cfg.trials or 100, alg.rotation_trials):
-        rm = decomp.random_algebra_curvature(alg, rng, count=count)
+    for rm in _draws(cfg.seed, f"sample[{kind}]", size, cfg.trials or 100, alg.rotation_trials,
+                     functools.partial(decomp.random_algebra_curvature, alg)):
         rm = rm * (1.0 / np.sqrt(rm.norm_sq()))
         if shift:
             rm, shift_t = criteria.two_nonnegative_shift(rm, alg)
@@ -719,10 +697,9 @@ def cmd_sample(cfg: argparse.Namespace) -> tuple[Report, int]:
             cols["criterion_satisfied"] = res.satisfied
         if kind == "qk":
             cols["hat_ratio"] = criteria.hat_ratio_qk(rm, alg).ratio
-        for i in range(count):
+        for i in range(len(lam)):
             row = {"trial": len(report.records), **{k: v[i].item() for k, v in cols.items()}}
-            report.records.append(CheckRecord(name=f"sample[{row['trial']}]", inputs={"algebra": alg.name},
-                                              expected=None, actual=row, tolerance=None, passed=True))
+            report.records.append(rec_info(f"sample[{row['trial']}]", {"algebra": alg.name}, row))
     return report, 0
 
 
@@ -767,10 +744,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--model", required=True,
                     choices=("hp", "wolf", "grassmann", "sphere", "const-hol"))
 
-    pd = sub.add_parser("decompose", help="decompose a stored tensor")
+    pd = sub.add_parser("decompose", help="decompose a stored tensor by its own structure")
     flags(pd, ())
     pd.add_argument("input_path", metavar="input", help="tensor JSON file")
-    pd.add_argument("--holonomy", "--algebra", dest="holonomy", default=None)
 
     pp = sub.add_parser("sample", help="randomized property sweep")
     flags(pp, ("seed", "m", "n", "trials"), fmt_default="csv")

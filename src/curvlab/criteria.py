@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomp import qk_decompose, structure_model
+from .decomp import pure_multiple, qk_decompose, structure_model
 from .euclid import EuclideanSpace, GeometryError, _shared, symmetric_eigen, symmetric_eigenvalues
 from .holonomy import _CHUNK_BYTES, HolonomyAlgebra, project
 from .tensor import CurvatureOperator, CurvatureTensor, _hat_chunks, _value, t_hat, to_operator
@@ -320,8 +320,8 @@ def preset_for(algebra: HolonomyAlgebra) -> WeightedCriterion:
 @dataclass
 class HatRatio:
     """Squared hat norm against the squared norm of the trace-free part,
-    with ratio NaN where pure_multiple holds.  On a stack of trials each
-    field is a (T,) array."""
+    with ratio NaN where decomp.pure_multiple holds.  On a stack of trials
+    each field is a (T,) array."""
 
     hat_norm_sq: float | np.ndarray
     trace_free_norm_sq: float | np.ndarray
@@ -341,9 +341,8 @@ def hat_ratio_qk(rm: CurvatureTensor, algebra: HolonomyAlgebra) -> HatRatio:
     hat_sq = hat_norm_direct(rm, algebra)
     dec = qk_decompose(rm, algebra)
     rest_sq = dec.parts["hyperkaehler_part"].norm_sq() / 4.0
-    scale = np.maximum(1.0, rm.norm_sq() / 4.0)
-    pure = rest_sq <= 1e-10 * scale
-    if np.any(pure & (hat_sq > 1e-8 * scale)):
+    pure = pure_multiple(dec)
+    if np.any(pure & (hat_sq > 1e-8 * np.maximum(1.0, rm.norm_sq() / 4.0))):
         raise GeometryError(
             "degenerate trace-free part with nonvanishing hat components"
         )

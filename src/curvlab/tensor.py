@@ -408,6 +408,9 @@ class CurvatureOperator:
     algebra: object | None
 
     def __post_init__(self):
+        if self.algebra is None:
+            raise GeometryError("an outside matrix needs its algebra: CurvatureOperator(space, matrix, algebra); "
+                                "a full-space operator comes from to_operator")
         self.matrix = np.array(self.matrix, dtype=float)
         _freeze(self.matrix)
         d = self.algebra.dim

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -14,6 +15,12 @@ from curvlab import cli, criteria, decomp, euclid, holonomy, tensor
 from curvlab.cli import main, parse_range
 from curvlab.euclid import GeometryError
 
+# sha256 of the `verify --seed 42` report: any change to a verify byte shows
+# here, and moves these on purpose or not at all
+VERIFY_SHA256 = {
+    "json": "b98d3e826d5ee78a96745f52c107a9f50fdc23e9ddd1639bfffc14a5051e0549",
+    "csv": "10baa4fde9054054fd953a894b0e27c5f63a59268342ab7afc0459a1bbdf5202",
+}
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -61,7 +68,7 @@ class TestParsing:
         assert flags == {
             "verify": {"--seed", "--m", "--n", "--p", "--q", "--trials", "--suite", "--format", "--out"},
             "spectrum": {"--model", "--m", "--n", "--p", "--q", "--format", "--out"},
-            "decompose": {"--holonomy", "--algebra", "--format", "--out"},
+            "decompose": {"--format", "--out"},
             "sample": {"--seed", "--m", "--n", "--trials", "--holonomy", "--algebra", "--condition",
                        "--format", "--out"},
         }
@@ -91,6 +98,45 @@ class TestParsing:
         assert exit_.value.code == 2
         assert out.out == ""
         assert f"unrecognized arguments: {argv[-2]}" in out.err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("verify", "--suite", "hp", "--n", "7", "--trials", "9"), "--n"),
+        (("verify", "--suite", "hp", "--trials", "9"), "--trials"),
+        (("verify", "--suite", "wolf", "--p", "2"), "--p"),
+        (("verify", "--suite", "grassmann", "--p", "2", "--q", "3", "--m", "2"), "--m"),
+        (("verify", "--suite", "grassmann", "--trials", "5"), "--trials"),
+        (("verify", "--suite", "weyl-norm", "--m", "2"), "--m"),
+        (("verify", "--suite", "bochner-norm", "--n", "5"), "--n"),
+        (("verify", "--suite", "qk-ratio", "--q", "2"), "--q"),
+        (("verify", "--suite", "tripod", "--m", "2"), "--m"),
+        (("verify", "--suite", "decomp", "--n", "6"), "--n"),
+    ], ids=["hp-n", "hp-trials", "wolf-p", "grassmann-m", "grassmann-trials", "weyl-norm-m", "bochner-norm-n",
+            "qk-ratio-q", "tripod-m", "decomp-n"])
+    def test_flag_the_suite_does_not_read_is_usage_error(self, capsys, monkeypatch, argv, flag):
+        # a suite run by name reads only its own size and trial flags
+        for name in cli.SUITES:
+            monkeypatch.setitem(cli.SUITES, name, lambda cfg: pytest.fail("suite started"))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: verify --suite {argv[2]} does not read {flag}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--suite", "grassmann", "--p", "2"),
+        ("verify", "--suite", "grassmann", "--q", "3"),
+        ("verify", "--q", "3"),
+    ], ids=["p", "q", "all-q"])
+    def test_grassmann_takes_both_sizes_or_neither(self, capsys, monkeypatch, argv):
+        for name in cli.SUITES:
+            monkeypatch.setitem(cli.SUITES, name, lambda cfg: pytest.fail("suite started"))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: verify --suite grassmann needs both --p and --q, or neither\n"
+
+    def test_every_suite_takes_a_seed(self, capsys):
+        # --seed has a default, so any suite accepts it, read or not
+        code, out, _ = run(capsys, "verify", "--suite", "hp", "--m", "2", "--seed", "7")
+        assert code == 0
+        assert json.loads(out)["config"] == {"suite": "hp", "m": [2, 2], "seed": 7}
 
     @pytest.mark.parametrize("argv", [
         ("spectrum", "--model", "hp", "--m", "2..4"),
@@ -371,7 +417,12 @@ class TestDeterminism:
             assert b"note:" not in proc.stderr
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
-        assert json.loads(outs[0])["records"]
+        assert hashlib.sha256(outs[0]).hexdigest() == VERIFY_SHA256["json"]
+
+    def test_verify_csv_bytes_are_pinned(self, capsys):
+        code, out, _ = run(capsys, "verify", "--seed", "42", "--format", "csv")
+        assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256["csv"]
 
     def test_blas_pool_is_held_at_one_thread_and_restored(self, capsys, monkeypatch):
         threads = cli._openblas_threads()
@@ -456,7 +507,7 @@ class TestDecompose:
     def test_hp_pure_model_flag(self, capsys, tmp_path):
         path = tmp_path / "hp2.json"
         tensor.save_tensor(decomp.hp(2), path)
-        code, out, _ = run(capsys, "decompose", str(path), "--holonomy", "qk")
+        code, out, _ = run(capsys, "decompose", str(path))
         assert code == 0
         payload = json.loads(out)["records"][0]["actual"]
         assert payload["pure_model"] is True
@@ -514,10 +565,33 @@ class TestDecompose:
         assert f"above the cap of {cli.MAX_INPUT_BYTES}" in err
 
     def test_holonomy_structure_mismatch(self, capsys, tmp_path):
+        # the structure is the file's own; no flag names another
         path = tmp_path / "s5.json"
         tensor.save_tensor(decomp.sphere(5), path)
-        code, _, err = run(capsys, "decompose", str(path), "--holonomy", "qk")
-        assert code == 2
+        for flag in ("--holonomy", "--algebra"):
+            with pytest.raises(SystemExit) as exit_:
+                main(["decompose", str(path), flag, "qk"])
+            out = capsys.readouterr()
+            assert exit_.value.code == 2
+            assert out.out == ""
+            assert f"unrecognized arguments: {flag} qk" in out.err
+
+    def test_pure_model_is_the_hat_ratio_rule(self, capsys, tmp_path):
+        # a model multiple of squared norm 1 (component convention) plus a
+        # trace-free part of squared norm 2e-10: one rule calls it pure in
+        # the decompose report and in hat_ratio_qk
+        model = decomp.hp(2)
+        alg = holonomy.by_name(model.space, "sp")
+        rest = decomp.qk_decompose(decomp.random_algebra_curvature(alg, np.random.default_rng(0)), alg)
+        rest = rest.parts["hyperkaehler_part"]
+        rm = model * (1.0 / np.sqrt(model.norm_sq())) + rest * np.sqrt(2e-10 / rest.norm_sq())
+        path = tmp_path / "edge.json"
+        tensor.save_tensor(rm, path)
+        code, out, _ = run(capsys, "decompose", str(path))
+        assert code == 0
+        pure = json.loads(out)["records"][0]["actual"]["pure_model"]
+        assert pure is bool(criteria.hat_ratio_qk(tensor.load_tensor(path), alg).pure_multiple)
+        assert pure is bool(decomp.pure_multiple(decomp.qk_decompose(rm, alg)))
 
 
 class TestSample:

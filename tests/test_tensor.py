@@ -124,6 +124,12 @@ class TestOperator:
         with pytest.raises(euclid.GeometryError, match="not symmetric"):
             CurvatureOperator(sp, mat, so4)
 
+    def test_outside_matrix_needs_its_algebra(self):
+        # a full-space operator comes only from to_operator
+        sp = generic(4)
+        with pytest.raises(euclid.GeometryError, match="to_operator"):
+            CurvatureOperator(sp, np.eye(6), None)
+
     def test_rejects_non_finite_matrix(self):
         # a NaN residual compares false against any tolerance, and a lone inf
         # makes the tolerance inf too: finiteness is checked on its own
