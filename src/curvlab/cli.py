@@ -373,10 +373,12 @@ def suite_weyl_norm(cfg: argparse.Namespace) -> list[CheckRecord]:
 
         def stats(rng, count):
             w = decomp.weyl_decompose(tensor.random_curvature(space, rng, count)).parts["weyl"]
+            ratio = 4.0 * criteria.hat_norm_direct(w, alg) / w.norm_sq()
             w_unit = w * (1.0 / np.sqrt(w.norm_sq()))
-            return 4.0 * criteria.hat_norm_direct(w, alg) / w.norm_sq(), np.max(tensor.total_traces(w_unit), axis=0)
+            return ratio, np.max(tensor.total_traces(w_unit), axis=0)
 
-        ratios, traces = _columns(_draws(cfg.seed, "weyl-norm", n, trials, holonomy.trial_chunk(space), stats))
+        stacks = _draws(cfg.seed, "weyl-norm", n, trials, holonomy.trial_chunk(space), stats)
+        ratios, traces = _columns(stacks)
         target = 4.0 * (n - 1)
         dev = np.max(np.abs(ratios - target) / target)
         inputs = {"n": n, "trials": trials}
@@ -396,12 +398,14 @@ def suite_bochner_norm(cfg: argparse.Namespace) -> list[CheckRecord]:
         def stats(rng, count):
             rm = decomp.random_algebra_curvature(alg, rng, count=count)
             b = decomp.bochner_decompose(rm).parts["bochner"]
+            ratio = 4.0 * criteria.hat_norm_direct(b, alg) / b.norm_sq()
             b_unit = b * (1.0 / np.sqrt(b.norm_sq()))
-            gap = np.abs(b.matrix - decomp.bochner_explicit(rm).matrix).max(axis=(1, 2))
-            return (4.0 * criteria.hat_norm_direct(b, alg) / b.norm_sq(), np.max(tensor.total_traces(b_unit), axis=0),
-                    gap / (1.0 + np.abs(rm.matrix).max(axis=(1, 2))))
+            other = decomp.bochner_explicit(rm)
+            gap = np.abs(b.matrix - other.matrix).max(axis=(1, 2)) / (1.0 + np.abs(rm.matrix).max(axis=(1, 2)))
+            return ratio, np.max(tensor.total_traces(b_unit), axis=0), gap
 
-        ratios, traces, gaps = _columns(_draws(cfg.seed, "bochner-norm", m, trials, holonomy.trial_chunk(space), stats))
+        stacks = _draws(cfg.seed, "bochner-norm", m, trials, holonomy.trial_chunk(space), stats)
+        ratios, traces, gaps = _columns(stacks)
         target = 4.0 * (m + 1)
         dev = np.max(np.abs(ratios - target) / target)
         inputs = {"m": m, "trials": trials}
@@ -422,7 +426,8 @@ def suite_qk_ratio(cfg: argparse.Namespace) -> list[CheckRecord]:
         def ratio(rng, count):
             return criteria.hat_ratio_qk(decomp.random_algebra_curvature(alg, rng, count=count), alg).ratio
 
-        ratios = np.concatenate([*_draws(cfg.seed, "qk-ratio", m, trials, holonomy.trial_chunk(space), ratio)])
+        stacks = _draws(cfg.seed, "qk-ratio", m, trials, holonomy.trial_chunk(space), ratio)
+        ratios = np.concatenate(list(stacks))
         ratios = ratios[~np.isnan(ratios)]
         inputs = {"m": m, "trials": trials, "nondegenerate": len(ratios)}
         paper_form = (4.0 / 3.0) * (3 * m + 4)
@@ -445,11 +450,9 @@ def suite_qk_ratio(cfg: argparse.Namespace) -> list[CheckRecord]:
 
 
 def suite_tripod(cfg: argparse.Namespace) -> list[CheckRecord]:
-    """lambda on random triples, all trials in one (trials, 9) draw: row t
-    holds trial t's triple to permute, its ascending 2-nonnegative triple
-    with a negative bottom value, and its generic triple."""
+    """lambda on random triples; row t of one (trials, 9) draw holds trial t's three triples."""
     trials = cfg.trials or 500
-    (z,) = _draws(cfg.seed, "tripod", 3, trials, trials, lambda rng, count: rng.standard_normal((count, 9)))
+    z = _stream(cfg.seed, "tripod", 3).standard_normal((trials, 9))
     vals = np.array([criteria.lambda_tripod(*perm) for perm in itertools.permutations((z[:, :3] * 3.0).T)])
     sym_dev = np.max((vals.max(axis=0) - vals.min(axis=0)) / (1.0 + np.abs(vals).max(axis=0)))
     lo_val = -np.abs(z[:, 3])
@@ -463,7 +466,8 @@ def suite_tripod(cfg: argparse.Namespace) -> list[CheckRecord]:
     x = np.sort(z[:, 6:] * 2.0, axis=1)
     low_pair = x[:, 0] + x[:, 1]
     x = np.where(low_pair[:, None] < 0, x - low_pair[:, None] / 2.0, x)
-    nonneg_violations = int(np.sum(criteria.lambda_tripod(*x.T) < -1e-12 * (1.0 + np.abs(x).max(axis=1)) ** 3))
+    floor = -1e-12 * (1.0 + np.abs(x).max(axis=1) ** 3)
+    nonneg_violations = int(np.sum(criteria.lambda_tripod(*x.T) < floor))
     inputs = {"trials": trials}
     return [
         rec_eq("tripod.zero_at_equal", {}, 0.0, float(criteria.lambda_tripod(1.0, 1.0, 1.0))),
@@ -510,10 +514,10 @@ def suite_decomp(cfg: argparse.Namespace) -> list[CheckRecord]:
         ("qk", qsp, 2, functools.partial(decomp.random_algebra_curvature, qalg),
          qk_stats, ("residual", "orthogonality", "scal_trace_free")),
     ):
-        columns = _columns(_draws(cfg.seed, f"decomp[{label}]", size, trials, holonomy.trial_chunk(space),
-                                  lambda rng, count: stats(sample(rng, count=count))))
+        stacks = _draws(cfg.seed, f"decomp[{label}]", size, trials, holonomy.trial_chunk(space),
+                        lambda rng, count: stats(sample(rng, count=count)))
         inputs = {"type": label, "trials": trials}
-        for col, values in zip(cols, columns):
+        for col, values in zip(cols, _columns(stacks)):
             bound = 1e-10 if col == "trace_residual" else 1e-9
             out.append(rec_leq(f"decomp[{label}].{col}_max", inputs, np.max(values), bound))
     return out
@@ -589,8 +593,13 @@ def cmd_spectrum(cfg: argparse.Namespace) -> tuple[Report, int]:
     spec = op.spectrum()
     mults = [[v, c] for v, c in spec.multiplicities(GAP)]
     report = Report(command="spectrum", config=_echo(cfg))
-    report.records.append(rec_info(f"spectrum[{cfg.model}]", {"domain": domain, "dim": int(op.matrix.shape[0])},
-                                   {"multiplicities": mults, "eigenvalues": [float(v) for v in spec.values]}))
+    report.records.append(
+        rec_info(
+            f"spectrum[{cfg.model}]",
+            {"domain": domain, "dim": int(op.matrix.shape[0])},
+            {"multiplicities": mults, "eigenvalues": [float(v) for v in spec.values]},
+        )
+    )
     return report, 0
 
 
@@ -647,10 +656,13 @@ def cmd_decompose(cfg: argparse.Namespace) -> tuple[Report, int]:
     }
     payload["criterion"] = crit
     if kind == "qk":
-        payload["pure_model"] = bool(decomp.pure_multiple(dec))
+        rest_sq = dec.parts["hyperkaehler_part"].norm_sq() / 4.0
+        payload["pure_model"] = bool(decomp.pure_multiple(rest_sq, rm.norm_sq() / 4.0))
 
     report = Report(command="decompose", config=_echo(cfg))
-    report.records.append(rec_info(f"decompose[{kind}]", {"n": rm.space.n, "structure": kind}, payload))
+    report.records.append(
+        rec_info(f"decompose[{kind}]", {"n": rm.space.n, "structure": kind}, payload)
+    )
     return report, 0
 
 

@@ -341,8 +341,9 @@ def hat_ratio_qk(rm: CurvatureTensor, algebra: HolonomyAlgebra) -> HatRatio:
     hat_sq = hat_norm_direct(rm, algebra)
     dec = qk_decompose(rm, algebra)
     rest_sq = dec.parts["hyperkaehler_part"].norm_sq() / 4.0
-    pure = pure_multiple(dec)
-    if np.any(pure & (hat_sq > 1e-8 * np.maximum(1.0, rm.norm_sq() / 4.0))):
+    norm_sq = rm.norm_sq() / 4.0
+    pure = pure_multiple(rest_sq, norm_sq)
+    if np.any(pure & (hat_sq > 1e-8 * np.maximum(1.0, norm_sq))):
         raise GeometryError(
             "degenerate trace-free part with nonvanishing hat components"
         )

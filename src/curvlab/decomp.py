@@ -386,12 +386,12 @@ def qk_decompose(rm: CurvatureTensor, algebra: HolonomyAlgebra) -> CurvatureDeco
     )
 
 
-def pure_multiple(dec: CurvatureDecomposition):
-    """Whether the tensor that qk_decompose split is a pure model multiple:
-    its trace-free part has squared norm at most 1e-10 max(1, |R|^2), both
-    in the operator convention.  A bool, or (T,) on a stack."""
-    rest_sq = dec.parts["hyperkaehler_part"].norm_sq() / 4.0
-    return rest_sq <= 1e-10 * np.maximum(1.0, dec.source.norm_sq() / 4.0)
+def pure_multiple(rest_sq, norm_sq):
+    """Whether a quaternionic tensor of squared norm norm_sq is a pure model
+    multiple: the squared norm rest_sq of its trace-free part, from
+    qk_decompose, is at most 1e-10 max(1, norm_sq).  Both norms in the
+    operator convention (component norm / 4); a bool, or (T,) on a stack."""
+    return rest_sq <= 1e-10 * np.maximum(1.0, norm_sq)
 
 
 # ---------------------------------------------------------------------------

@@ -322,6 +322,19 @@ class TestVerify:
         assert all(r["passed"] == "true" for r in rows)
         assert {"name", "expected", "actual", "tolerance", "inputs"} <= set(rows[0])
 
+    def test_2nonneg_floor_scales_with_the_cube_of_the_largest_entry(self, monkeypatch):
+        # lambda just below -1e-12 (1 + max|x|^3) on every triple; a floor of
+        # -1e-12 (1 + max|x|)^3, up to 4 times lower, would pass every trial
+        def between(a, b, c):
+            big = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
+            return -1e-12 * ((1.0 + big**3) + (1.0 + big) ** 3) / 2.0
+
+        monkeypatch.setattr(criteria, "lambda_tripod", between)
+        argv = ["verify", "--suite", "tripod", "--trials", "40"]
+        cfg = cli._config_from_args(cli._build_parser().parse_args(argv))
+        by_name = {r.name: r for r in cli.suite_tripod(cfg)}
+        assert by_name["tripod.2nonneg_violations"].actual == 40
+
     def test_grassmann_single_pair(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--suite", "grassmann", "--p", "2", "--q", "3"
@@ -591,7 +604,7 @@ class TestDecompose:
         assert code == 0
         pure = json.loads(out)["records"][0]["actual"]["pure_model"]
         assert pure is bool(criteria.hat_ratio_qk(tensor.load_tensor(path), alg).pure_multiple)
-        assert pure is bool(decomp.pure_multiple(decomp.qk_decompose(rm, alg)))
+        assert pure is True
 
 
 class TestSample:
