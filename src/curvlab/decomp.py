@@ -241,18 +241,13 @@ def weyl_decompose(rm: CurvatureTensor) -> CurvatureDecomposition:
     g = np.eye(n)
     sc = scalar(rm)
     ric0 = ricci(rm) - _per_trial(sc / n) * g
-    scal_arr = _per_trial(sc / (2.0 * n * (n - 1))) * _kn_metric(n)
-    ricci_arr = _kn_matrix(ric0, g) / (n - 2.0)
-    weyl_arr = rm.matrix - scal_arr - ricci_arr
     space = rm.space
+    scal_part = CurvatureTensor(space, _per_trial(sc / (2.0 * n * (n - 1))) * _kn_metric(n), validate=False)
+    ric0_part = CurvatureTensor(space, _kn_matrix(ric0, g) / (n - 2.0))
     return CurvatureDecomposition(
         source=rm,
         kind="generic",
-        parts={
-            "scalar_part": CurvatureTensor(space, scal_arr),
-            "ric0_part": CurvatureTensor(space, ricci_arr),
-            "weyl": CurvatureTensor(space, weyl_arr),
-        },
+        parts={"scalar_part": scal_part, "ric0_part": ric0_part, "weyl": rm - scal_part - ric0_part},
         coefficients={"scalar": sc / (2.0 * n * (n - 1)), "ricci": 1.0 / (n - 2.0)},
     )
 
@@ -297,23 +292,18 @@ def bochner_decompose(rm: CurvatureTensor) -> CurvatureDecomposition:
 
     c1 = sc / (4.0 * m * (m + 1))
     c2 = 1.0 / (2.0 * (m + 2))
-    unit = structure_model(space).matrix
     middle = c2 * (
         _kn_matrix(ric0, g)
         + _kn_matrix(rho0, omega)
         + 2.0 * _pair_outer(rho0, omega)
         + 2.0 * _pair_outer(omega, rho0)
     )
-    scal_arr = _per_trial(c1) * unit
-    bochner_arr = rm.matrix - scal_arr - middle
+    scal_part = structure_model(space) * c1
+    ric0_part = CurvatureTensor(space, middle)
     return CurvatureDecomposition(
         source=rm,
         kind="kaehler",
-        parts={
-            "scalar_part": CurvatureTensor(space, scal_arr),
-            "ric0_part": CurvatureTensor(space, middle),
-            "bochner": CurvatureTensor(space, bochner_arr),
-        },
+        parts={"scalar_part": scal_part, "ric0_part": ric0_part, "bochner": rm - scal_part - ric0_part},
         coefficients={"scalar": c1, "ricci": c2},
     )
 
@@ -374,14 +364,10 @@ def qk_decompose(rm: CurvatureTensor, algebra: HolonomyAlgebra) -> CurvatureDeco
     model = structure_model(space)
     c = scalar(rm) / (16.0 * m * (m + 2))
     scal_part = c * model
-    rest = rm - scal_part
     return CurvatureDecomposition(
         source=rm,
         kind="qk",
-        parts={
-            "hp_multiple": CurvatureTensor(space, scal_part.matrix),
-            "hyperkaehler_part": CurvatureTensor(space, rest.matrix),
-        },
+        parts={"hp_multiple": scal_part, "hyperkaehler_part": rm - scal_part},
         coefficients={"scalar": c},
     )
 
@@ -617,6 +603,6 @@ def random_algebra_curvature(
     x *= w
     s = np.zeros(lead + (algebra.dim, algebra.dim))
     s[at + (a, b)] = x
-    s[at + (b, a)] += x
+    s += s.swapaxes(-1, -2)  # x + 0 off the diagonal, x + x on it
     c = algebra.coeff_matrix
     return CurvatureTensor(algebra.space, c.T @ s @ c)

@@ -41,8 +41,9 @@ from .tensor import CurvatureOperator, _conjugation_on_bivectors, _freeze, _norm
 # neither the (dim, D, D) hat stack nor the (n dim)^2 bracket product is
 # formed; the Bianchi-kernel rows are built in batches of blocks under it, a
 # stack of trials holds at most half of it in operators (trial_chunk) or in
-# rotated structure constants (rotation_trials), and hats are filled for as
-# many trials at once as it holds (chunk_trials).
+# rotated structure constants (rotation_trials), hats are filled for as
+# many trials at once as it holds (chunk_trials) and symmetrized for as many
+# generators as a quarter of it holds (hat_group).
 # Small enough that these temporaries come from memory the allocator already
 # holds, not from pages faulted in afresh (about 3 us a page on a 2-core VM).
 _CHUNK_BYTES = 1 << 20
@@ -215,6 +216,14 @@ class HolonomyAlgebra:
         many as _CHUNK_BYTES holds of one chunk's hats, at least one."""
         n_pairs = self.space.bivector_dim
         return max(1, _CHUNK_BYTES // (8 * n_pairs * n_pairs * min(self.chunk_size, self.dim)))
+
+    @property
+    def hat_group(self) -> int:
+        """Generators whose hats `tensor._hat_chunks` symmetrizes at once: as
+        many as a quarter of _CHUNK_BYTES holds for chunk_trials trials, at
+        least one, at most a chunk."""
+        n_pairs = self.space.bivector_dim
+        return max(1, min(self.chunk_size, self.dim, _CHUNK_BYTES // 4 // (8 * n_pairs * n_pairs * self.chunk_trials)))
 
     @property
     def rotation_trials(self) -> int:

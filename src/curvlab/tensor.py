@@ -231,13 +231,12 @@ def check_curvature_symmetries(t: np.ndarray):
 
 
 def _quad_bianchi(mat: np.ndarray, n: int) -> np.ndarray:
-    """Bianchi sum T[i,j,k,l] + T[j,k,i,l] + T[k,i,j,l], over 3, of the
+    """Bianchi sum T[i,j,k,l] + T[k,i,j,l] + T[j,k,i,l], over 3, of the
     tensor with operator mat, at every quadruple i < j < k < l; per trial
-    on a stack."""
+    on a stack.  Added in bianchi_sum's order, so it is bianchi_sum of the
+    scattered array at the quadruple to the bit."""
     first, second = _project_flat(n)
-    flat = mat.reshape(mat.shape[:-2] + (-1,))
-    at = _lead(flat, 1)
-    return (flat[at + (first[0],)] + flat[at + (second[2],)] - flat[at + (first[1],)]) / 3.0
+    return (_gather(mat, first[0], 2) - _gather(mat, first[1], 2) + _gather(mat, second[2], 2)) / 3.0
 
 
 def check_operator_symmetries(mat: np.ndarray):
@@ -323,7 +322,9 @@ class CurvatureTensor:
     library reads per trial.
 
     The matrix is validated with check_operator_symmetries unless validate
-    is False.  `components` is the rank-four array of one tensor, derived on
+    is False: a matrix built by a new formula is checked, a model multiple
+    or a linear combination of checked tensors (the arithmetic below) is
+    not.  `components` is the rank-four array of one tensor, derived on
     access.
     """
 
@@ -472,7 +473,7 @@ def _gather(a: np.ndarray, index: np.ndarray, axes: int) -> np.ndarray:
     """a's trailing axes flattened and read at index, per leading index, in
     C order: the layout the one-tensor gather has, so reductions over the
     result run in its order (a[..., index] puts the index axes first)."""
-    return np.take(a.reshape(a.shape[: a.ndim - axes] + (-1,)), index, axis=-1)
+    return a.reshape(a.shape[: a.ndim - axes] + (-1,)).take(index, axis=-1)
 
 
 def _kn_matrix(s: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -572,28 +573,32 @@ def _hat_chunks(op: CurvatureOperator, algebra):
 
     N_a R is written row by row from the chunk's action_blocks entries, one
     batched product per entry for all the chunk's trials, then symmetrized
-    one generator at a time, for all the chunk's trials at once, in cache.
+    `algebra.hat_group` generators at a time, for all the chunk's trials at
+    once, in cache.
     """
     n_pairs = op.space.bivector_dim
     mats = op.matrix.reshape((-1, n_pairs, n_pairs))
-    size, per = algebra.chunk_size, algebra.chunk_trials
+    size, per, group = algebra.chunk_size, algebra.chunk_trials, algebra.hat_group
     buffer = np.empty(min(per, len(mats)) * min(size, algebra.dim) * n_pairs * n_pairs)
-    turned = np.empty((min(per, len(mats)), n_pairs, n_pairs))
+    turned = np.empty(min(per, len(mats)) * group * n_pairs * n_pairs)
     entries, k = algebra.action_blocks, 0
     for lo in range(0, algebra.dim, size):
         hi, first = min(lo + size, algebra.dim), k
         while k < len(entries) and entries[k][2].flat[0] < hi * n_pairs:
             k += 1
+        chunk = [(blocks, sources, targets.ravel() - lo * n_pairs) for blocks, sources, targets in entries[first:k]]
         for t in range(0, len(mats), per):
             sub = mats[t : t + per]
             hats = buffer[: len(sub) * (hi - lo) * n_pairs * n_pairs].reshape(len(sub), hi - lo, n_pairs, n_pairs)
             hats.fill(0.0)
             rows = hats.reshape(len(sub), -1, n_pairs)
-            for blocks, sources, targets in entries[first:k]:  # N_a R
-                rows[:, targets.ravel() - lo * n_pairs] = (blocks @ sub[:, sources]).reshape(len(sub), -1, n_pairs)
-            for g in range(hi - lo):  # h + h^T in place
-                np.copyto(turned[: len(sub)], hats[:, g].transpose(0, 2, 1))
-                hats[:, g] += turned[: len(sub)]
+            for blocks, sources, targets in chunk:  # N_a R
+                rows[:, targets] = (blocks @ sub[:, sources]).reshape(len(sub), -1, n_pairs)
+            for g in range(0, hi - lo, group):  # h + h^T in place
+                h = hats[:, g : g + group]
+                h_t = turned[: h.size].reshape(h.shape)
+                np.copyto(h_t, h.transpose(0, 1, 3, 2))
+                h += h_t
             yield t, lo, hats
 
 

@@ -21,6 +21,13 @@ VERIFY_SHA256 = {
     "json": "b98d3e826d5ee78a96745f52c107a9f50fdc23e9ddd1639bfffc14a5051e0549",
     "csv": "10baa4fde9054054fd953a894b0e27c5f63a59268342ab7afc0459a1bbdf5202",
 }
+# sha256 of `sample --condition 2-nonnegative --seed 42 --format csv`: the
+# sampler's bytes, pinned the same way
+SAMPLE_SHA256 = {
+    ("so", "--n", "8"): "c156811d202bbf5db859da5f07152f5697f8859e5ff2a3bec369273701b47754",
+    ("u", "--m", "5"): "76e5f9a973718085f01583beb1816327611c5c25b1b941580ea6a8361f3515a5",
+    ("sp", "--m", "3"): "09f7da8721a11dd22f82aaee2fd69ce0d8ad6f77f8e09949710c9bc0485928d1",
+}
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -436,6 +443,13 @@ class TestDeterminism:
         code, out, _ = run(capsys, "verify", "--seed", "42", "--format", "csv")
         assert code == 1
         assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256["csv"]
+
+    @pytest.mark.parametrize("holonomy_args", list(SAMPLE_SHA256), ids=lambda a: a[0] + a[2])
+    def test_sample_csv_bytes_are_pinned(self, capsys, holonomy_args):
+        code, out, _ = run(capsys, "sample", "--holonomy", *holonomy_args, "--condition", "2-nonnegative",
+                           "--seed", "42", "--format", "csv")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_SHA256[holonomy_args]
 
     def test_blas_pool_is_held_at_one_thread_and_restored(self, capsys, monkeypatch):
         threads = cli._openblas_threads()

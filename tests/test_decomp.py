@@ -211,6 +211,61 @@ class TestQK:
             qk_decompose(nan, qk2)
 
 
+class TestPartChecks:
+    """A part that a new formula builds (ric0_part) is checked, and so is a
+    sample; a model multiple or a difference of checked tensors is not."""
+
+    @staticmethod
+    def _off_bianchi_kn(monkeypatch, n):
+        # _kn_matrix plus 1 at (01, 23) and (23, 01): symmetric, with Bianchi
+        # sum 1/3 at the quadruple 0 < 1 < 2 < 3
+        pair = tensor._pair_lookup(n)
+        bump = np.zeros((n * (n - 1) // 2,) * 2)
+        bump[pair[0, 1], pair[2, 3]] = bump[pair[2, 3], pair[0, 1]] = 1.0
+        kn = decomp._kn_matrix
+        monkeypatch.setattr(decomp, "_kn_matrix", lambda s, t: kn(s, t) + bump)
+
+    @pytest.mark.parametrize("count", [None, 3])
+    def test_formula_built_part_keeps_its_check(self, monkeypatch, u3, count):
+        weyl_in = tensor.random_curvature(generic(5), np.random.default_rng(1), count)
+        bochner_in = random_algebra_curvature(u3, np.random.default_rng(2), count=count)
+        decomp.structure_model(u3.space)  # the cached model, built unpatched
+        for route, rm in ((weyl_decompose, weyl_in), (bochner_decompose, bochner_in)):
+            with monkeypatch.context() as patch:
+                self._off_bianchi_kn(patch, rm.space.n)
+                with pytest.raises(tensor.SymmetryError, match="first Bianchi identity fails"):
+                    route(rm)
+
+    @pytest.mark.parametrize("count", [None, 3])
+    def test_qk_parts_are_the_model_multiple_and_the_rest(self, monkeypatch, qk2, count):
+        rm = random_algebra_curvature(qk2, np.random.default_rng(3), count=count)
+        self._off_bianchi_kn(monkeypatch, qk2.space.n)
+        dec = qk_decompose(rm, qk2)
+        multiple = dec.coefficients["scalar"] * decomp.structure_model(qk2.space)
+        assert np.array_equal(dec.parts["hp_multiple"].matrix, multiple.matrix)
+        assert np.array_equal(dec.parts["hyperkaehler_part"].matrix, rm.matrix - multiple.matrix)
+
+    def test_checks_per_call(self, monkeypatch, u3, qk2):
+        # one check per sample, one per decomposition for its ric0_part,
+        # none for the qk parts; the models are cached, built before
+        calls = []
+        check = tensor.check_operator_symmetries
+        monkeypatch.setattr(tensor, "check_operator_symmetries", lambda mat: calls.append(mat) or check(mat))
+        cases = (
+            (lambda rng: tensor.random_curvature(generic(5), rng, 3), weyl_decompose, 1),
+            (lambda rng: random_algebra_curvature(u3, rng, count=3), bochner_decompose, 1),
+            (lambda rng: random_algebra_curvature(qk2, rng, count=3), lambda rm: qk_decompose(rm, qk2), 0),
+        )
+        for draw, route, checks in cases:
+            rm = draw(np.random.default_rng(4))
+            route(rm)
+            calls.clear()
+            rm = draw(np.random.default_rng(5))
+            assert len(calls) == 1
+            route(rm)
+            assert len(calls) == 1 + checks
+
+
 # Saves the sp(5)+sp(1) coefficient rows and a seeded sp(3)+sp(1) sample to
 # the .npz path given as its argument.
 _THREAD_PROBE = """

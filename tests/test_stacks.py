@@ -4,6 +4,7 @@ message the one-trial check gives, and the verify suites and `sample` run
 their kernels once per chunk of trials within the chunk budget."""
 
 import hashlib
+import itertools
 import json
 import tracemalloc
 
@@ -230,6 +231,33 @@ def test_bad_trial_raises_its_own_message(bad, at):
         tensor.check_operator_symmetries(mats[good])
 
 
+@pytest.mark.parametrize("case", ["so5", "u3", "sp4"])
+def test_bianchi_gather_is_the_rank_four_sum(case, request):
+    # the operator gather at the increasing quadruples against bianchi_sum of
+    # the scattered array, for a sample and for trials off Bianchi, whose
+    # sums are not rounding noise
+    alg = CASES[case](request)
+    space, n = alg.space, alg.space.n
+    good = sample(alg, stream(), 1).matrix[0]
+    mats = np.stack([good, _off_bianchi(good, stream(1)), _off_bianchi(good, stream(2))])
+    quads = tuple(np.array(list(itertools.combinations(range(n), 4))).T)
+    rank_four = [tensor.bianchi_sum(tensor._tensor_array_from_matrix(space, mat))[quads] for mat in mats]
+    for mat, expected in zip(mats, rank_four):
+        assert np.array_equal(tensor._quad_bianchi(mat, n), expected)
+    assert np.array_equal(tensor._quad_bianchi(mats, n), np.stack(rank_four))
+
+
+def test_bianchi_breaking_trial_of_a_large_stack_raises_its_own_message():
+    space = quaternion_kaehler(4)
+    mats = tensor.random_curvature(space, stream(), 4).matrix.copy()
+    mats[2] = _off_bianchi(mats[2], np.random.default_rng(2))
+    expected = _raised(tensor.check_operator_symmetries, mats[2])
+    assert expected[0] is SymmetryError and expected[1].startswith("first Bianchi identity fails")
+    assert _raised(tensor.CurvatureTensor, space, mats) == expected
+    for good in (0, 1, 3):
+        tensor.check_operator_symmetries(mats[good])
+
+
 def _nan_entry(mat):
     out = mat.copy()
     out[2, 7] = np.nan
@@ -320,6 +348,23 @@ def test_chunking_leaves_the_report_as_it_is(suite, monkeypatch, capsys):
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1]
     assert json.loads(reports[0])["records"]
+
+
+@pytest.mark.parametrize("suite", ["weyl-norm", "bochner-norm", "qk-ratio"])
+def test_hat_grouping_leaves_the_report_as_it_is(suite, monkeypatch, capsys):
+    # hats symmetrized one generator at a time, three at a time (a ragged
+    # last group on the 10 generators of so(5), the 16 of u(4) and the 13 of
+    # sp(2)+sp(1)) and a whole chunk at once: the bytes of the library's own
+    # grouping, whose groups of 2 leave one over in sp(4)+sp(1)'s chunks of 9
+    argv = ["verify", "--suite", suite, "--seed", "42"]
+    cli.main(argv)
+    expected = capsys.readouterr().out
+    for group in (property(lambda self: 1), property(lambda self: 3),
+                  property(lambda self: min(self.chunk_size, self.dim))):
+        monkeypatch.setattr(holonomy.HolonomyAlgebra, "hat_group", group)
+        cli.main(argv)
+        assert capsys.readouterr().out == expected
+    assert json.loads(expected)["records"]
 
 
 def test_weyl_norm_runs_its_kernels_once_per_chunk(monkeypatch, capsys):
