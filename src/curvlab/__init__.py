@@ -67,7 +67,6 @@ from .criteria import (
     invariance_defect,
     kaehler_preset,
     lambda_tripod,
-    negative_term_search,
     qk_preset,
     two_nonnegative_shift,
     weighted_criterion,

@@ -61,13 +61,11 @@ def lambda_tripod(a: float, b: float, c: float) -> float:
 # hat components against an operator
 
 
-def _resolve(op, algebra) -> HolonomyAlgebra:
-    """The algebra of a restricted operator, which algebra, when given, must
-    equal.  A full-space operator raises: restrict it with holonomy.project."""
+def _resolve(op) -> HolonomyAlgebra:
+    """The algebra of a restricted operator.  A full-space operator raises:
+    restrict it with holonomy.project."""
     if not isinstance(op, CurvatureOperator) or op.algebra is None:
         raise GeometryError("expected a curvature operator restricted to an algebra")
-    if algebra is not None and algebra != op.algebra:
-        raise GeometryError("operator is already restricted to a different algebra")
     return op.algebra
 
 
@@ -119,7 +117,7 @@ def curvature_term(op, t) -> CurvatureTerm:
     eigensolve.  For the identity operator the value is the squared hat norm
     of t in this module's convention.
     """
-    flat = _hat_flat(t, _resolve(op, None))
+    flat = _hat_flat(t, _resolve(op))
     gram = flat @ flat.T
     bilinear = float(np.sum(op.matrix * gram))
     spec = symmetric_eigen(op.matrix)
@@ -147,11 +145,10 @@ class HatNorm:
     per_component: np.ndarray
 
 
-def _rotated_structure(op, algebra):
+def _rotated_structure(op):
     """Spectrum of the restricted operator (its memo, no new eigensolve) and
-    the structure constants of its algebra (which algebra, when given, must
-    be) in its eigenbasis q, per trial on a stack,
-    cp[i, j, k] = sum q[a, i] q[b, j] q[g, k] c[a, b, g].
+    the structure constants of its algebra in its eigenbasis q, per trial on
+    a stack, cp[i, j, k] = sum q[a, i] q[b, j] q[g, k] c[a, b, g].
 
     One broadcast GEMM per slot: each contracts the leading slot of the
     (d, d*d) view with q and appends the rotated axis last, so after three
@@ -159,7 +156,7 @@ def _rotated_structure(op, algebra):
     The first two products go to this thread's `_workspace` when both fit it;
     the third, which is returned, is always a fresh array.
     """
-    algebra = _resolve(op, algebra)
+    algebra = _resolve(op)
     spec = op.spectrum()
     q = spec.vectors
     d, lead = q.shape[-1], q.shape[:-2]
@@ -206,7 +203,7 @@ def _self_term_operands(op) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(eigenvalues, their squared differences, squared rotated structure
     constants) of a restricted operator, per trial on a stack: the operands
     of the self curvature term and of hat_norm_formula."""
-    lam, cp = _rotated_structure(op, None)
+    lam, cp = _rotated_structure(op)
     return lam, (lam[..., :, None] - lam[..., None, :]) ** 2, np.square(cp, out=cp)
 
 
@@ -214,16 +211,10 @@ def _self_sum(lam: np.ndarray, diffs: np.ndarray, cp_sq: np.ndarray):
     return _value(np.einsum("...g,...ab,...gab->...", lam, diffs, cp_sq))
 
 
-def _self_term(op) -> tuple[float, float]:
-    """Self curvature term and its scale, the same sum with |eigenvalues|."""
-    lam, diffs, cp_sq = _self_term_operands(op)
-    return _self_sum(lam, diffs, cp_sq), _self_sum(np.abs(lam), diffs, cp_sq)
-
-
 def curvature_term_self(op) -> float | np.ndarray:
     """Curvature term of a restricted operator paired with its own hat
     components, evaluated purely from the spectrum and structure constants;
-    per trial on a stack.  The value of `_self_term`, without its scale."""
+    per trial on a stack."""
     return _self_sum(*_self_term_operands(op))
 
 
@@ -352,7 +343,7 @@ def hat_ratio_qk(rm: CurvatureTensor, algebra: HolonomyAlgebra) -> HatRatio:
 
 
 # ---------------------------------------------------------------------------
-# spectral repair and search
+# 2-nonnegative shift
 
 
 def _two_smallest_sum(rm: CurvatureTensor, algebra: HolonomyAlgebra):
@@ -391,27 +382,3 @@ def two_nonnegative_shift(rm: CurvatureTensor, algebra: HolonomyAlgebra) -> tupl
     t = _value(np.maximum(0.0, -s / gain) * (1.0 + 1e-12))
     return rm + model * t, t
 
-
-def negative_term_search(
-    algebra: HolonomyAlgebra,
-    trials: int = 100,
-    seed: int = 0,
-    shift: bool = False,
-) -> dict | None:
-    """Look for a sampled tensor whose self curvature term is negative.
-
-    Returns the first witness as a dict with the trial index, term value and
-    comparison scale, or None.  With shift=True every sample is first made
-    2-nonnegative; the positivity theory says the search must then fail.
-    """
-    from .decomp import random_algebra_curvature
-
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        rm = random_algebra_curvature(algebra, rng=rng)
-        if shift:
-            rm, _ = two_nonnegative_shift(rm, algebra)
-        value, scale = _self_term(project(to_operator(rm), algebra))
-        if value < -1e-9 * (1.0 + scale):
-            return {"trial": trial, "value": value, "scale": scale}
-    return None

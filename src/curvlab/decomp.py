@@ -25,8 +25,9 @@ holonomy algebra from an orthonormal basis of the Bianchi kernel on Sym^2 of
 the algebra.  The kernel splits into exact blocks by sign-flip characters,
 and it is cached as those blocks: per run of equal blocks, their packed
 positions and null rows (`_bianchi_kernel_basis`).  No dense (k, S) basis is
-formed; a sample is one batched product per run.  Given a list of
-generators it draws a stack, trial t from generator t.
+formed; a sample is one batched product per run.  Given a count it draws a
+stack of that many trials from the caller's Generator, trial t its t-th
+one-tensor draw.
 
 Everything here that depends only on a structure or an algebra is built once
 and shared read-only, so a decomposition or a sample computes only what
@@ -577,17 +578,11 @@ def curvature_space_dim(algebra: HolonomyAlgebra) -> int:
     return _kernel_dim(_bianchi_kernel_basis(algebra))
 
 
-def random_algebra_curvature(
-    algebra: HolonomyAlgebra,
-    rng: np.random.Generator | None = None,
-    seed: int | None = None,
-    count: int | None = None,
-) -> CurvatureTensor:
-    """Gaussian sample from the curvature tensors supported on the algebra.
-    A count draws a stack of that many trials in one call, trial t the
-    tensor that the t-th of as many one-tensor draws from rng would give."""
-    if rng is None:
-        rng = np.random.default_rng(seed)
+def random_algebra_curvature(algebra: HolonomyAlgebra, rng, count: int | None = None) -> CurvatureTensor:
+    """Gaussian sample from the curvature tensors supported on the algebra,
+    drawn from the Generator rng.  A count draws a stack of that many trials
+    in one call, trial t the tensor that the t-th of as many one-tensor draws
+    from rng would give."""
     parts = _bianchi_kernel_basis(algebra)
     k = _kernel_dim(parts)
     coeffs = rng.standard_normal(k if count is None else (count, k))

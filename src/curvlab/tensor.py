@@ -707,18 +707,26 @@ def _space_for(n: int, structure: str) -> EuclideanSpace:
     raise GeometryError(f"unknown structure tag {structure!r}")
 
 
-def tensor_from_dict(data: dict) -> CurvatureTensor:
+def tensor_from_dict(data: dict, max_n: int) -> CurvatureTensor:
     """Rebuild a tensor from its dictionary form, on the standard space of
-    its dimension and structure tag, validating shape and symmetries."""
+    its dimension and structure tag, validating shape and symmetries.  A
+    dimension above max_n or a component count other than n^4 raises before
+    any space or array is built."""
     try:
         n = int(data["n"])
         structure = str(data["structure"])
-        flat = np.asarray(data["components"], dtype=float)
+        count = len(data["components"])
     except (KeyError, TypeError, ValueError) as exc:
         raise GeometryError(f"malformed tensor record: {exc}") from exc
+    if n > max_n:
+        raise GeometryError(f"dimension {n} is above the size cap {max_n}")
+    if count != n**4:
+        raise GeometryError(f"expected {n**4} components, got {count}")
     space = _space_for(n, structure)
-    if flat.shape != (n**4,):
-        raise GeometryError(f"expected {n**4} components, got {flat.shape[0]}")
+    try:
+        flat = np.fromiter(data["components"], dtype=float, count=count)
+    except (TypeError, ValueError) as exc:
+        raise GeometryError(f"malformed tensor record: {exc}") from exc
     return CurvatureTensor.from_components(space, flat.reshape(n, n, n, n))
 
 
@@ -728,10 +736,12 @@ def save_tensor(rm: CurvatureTensor, path: str):
         fh.write("\n")
 
 
-def load_tensor(path: str) -> CurvatureTensor:
+def load_tensor(path: str, max_n: int) -> CurvatureTensor:
+    """The tensor that save_tensor wrote to path (tensor_from_dict, under the
+    dimension cap max_n)."""
     with open(path) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise GeometryError(f"invalid tensor file {path}: {exc}") from exc
-    return tensor_from_dict(data)
+    return tensor_from_dict(data, max_n)

@@ -4,12 +4,28 @@ import pytest
 from curvlab import decomp, euclid, holonomy
 
 
+def _rotation(n: int, seed: int) -> np.ndarray:
+    """A random rotation of R^n, seeded."""
+    return np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))[0]
+
+
 def rotated_kaehler(m: int, seed: int = 0):
     """R^{2m} with the standard complex structure conjugated by a random
     rotation: every coordinate is linked to every other, one component."""
-    q = np.linalg.qr(np.random.default_rng(seed).standard_normal((2 * m, 2 * m)))[0]
+    q = _rotation(2 * m, seed)
     return euclid.EuclideanSpace(
         2 * m, euclid.HolonomyStructure("kaehler", J=q @ euclid.kaehler(m).J @ q.T)
+    )
+
+
+def rotated_quaternionic(m: int, seed: int = 0):
+    """R^{4m} with the standard quaternionic structure conjugated by one
+    random rotation g, (g I g^T, g J g^T, g K g^T): no coordinate block
+    of the standard frame survives."""
+    g = _rotation(4 * m, seed)
+    base = euclid.quaternion_kaehler(m)
+    return euclid.EuclideanSpace(
+        4 * m, euclid.HolonomyStructure("qk", *(g @ s @ g.T for s in (base.I, base.J, base.K)))
     )
 
 

@@ -214,7 +214,7 @@ def test_criterion_6_positivity_property():
             rm = decomp.random_algebra_curvature(alg, rng=rng)
             rm, _ = two_nonnegative_shift(rm, alg)
             op = project(to_operator(rm), alg)
-            lam, cp = _rotated_structure(op, None)
+            lam, cp = _rotated_structure(op)
             diffs = (lam[:, None] - lam[None, :]) ** 2
             self_route = float(np.einsum("g,ab,gab->", lam, diffs, cp**2))
             scale = float(np.einsum("g,ab,gab->", np.abs(lam), diffs, cp**2))
@@ -315,6 +315,6 @@ def test_measured_qk_ratio_law():
     for m in (2, 3):
         alg = sp_sp1_algebra(quaternion_kaehler(m))
         for seed in range(5):
-            rm = decomp.random_algebra_curvature(alg, seed=seed)
+            rm = decomp.random_algebra_curvature(alg, rng=np.random.default_rng(seed))
             hr = hat_ratio_qk(rm, alg)
             assert hr.ratio == pytest.approx(4.0 * (m + 2), rel=1e-9)

@@ -71,7 +71,7 @@ class TestModels:
 
     def test_results_built_from_models_are_writable(self, qk2):
         before = {id(m): m.matrix.copy() for m in (hp(2), wolf(2))}
-        rm = random_algebra_curvature(qk2, seed=3)
+        rm = random_algebra_curvature(qk2, np.random.default_rng(3))
         shifted, _ = criteria.two_nonnegative_shift(rm, qk2)
         dec = qk_decompose(rm, qk2)
         wolf_dec = qk_decompose(wolf(2), qk2)
@@ -275,7 +275,7 @@ from curvlab import decomp, holonomy
 from curvlab.euclid import quaternion_kaehler
 
 coeff = holonomy.sp_sp1_algebra(quaternion_kaehler(5)).coeff_matrix
-rm = decomp.random_algebra_curvature(holonomy.sp_sp1_algebra(quaternion_kaehler(3)), seed=3)
+rm = decomp.random_algebra_curvature(holonomy.sp_sp1_algebra(quaternion_kaehler(3)), np.random.default_rng(3))
 np.savez(sys.argv[1], coeff=coeff, sample=rm.matrix)
 """
 
@@ -300,8 +300,8 @@ class TestKernelSampler:
 
     def test_cache_tells_apart_complex_structures(self, u3, u3_swapped):
         # both algebras are named u(3); their kernels live on different pairs
-        random_algebra_curvature(u3, seed=0)
-        rm = random_algebra_curvature(u3_swapped, seed=0)
+        random_algebra_curvature(u3, np.random.default_rng(0))
+        rm = random_algebra_curvature(u3_swapped, np.random.default_rng(0))
         assert holonomy.complement_mass(to_operator(rm), u3_swapped) < 1e-10
         assert curvature_space_dim(u3_swapped) == 36
 
@@ -310,10 +310,10 @@ class TestKernelSampler:
         # characters there, so another kernel basis
         on_kaehler, on_generic = (holonomy.so_algebra(s) for s in (kaehler(3), generic(6)))
         _bianchi_kernel_basis.cache_clear()
-        first = random_algebra_curvature(on_kaehler, seed=1).matrix
+        first = random_algebra_curvature(on_kaehler, np.random.default_rng(1)).matrix
         _bianchi_kernel_basis.cache_clear()
-        random_algebra_curvature(on_generic, seed=1)
-        assert np.array_equal(random_algebra_curvature(on_kaehler, seed=1).matrix, first)
+        random_algebra_curvature(on_generic, np.random.default_rng(1))
+        assert np.array_equal(random_algebra_curvature(on_kaehler, np.random.default_rng(1)).matrix, first)
 
     def test_rebuilt_algebra_hits_cache(self):
         first = _bianchi_kernel_basis(holonomy.u_algebra(kaehler(3)))
@@ -328,8 +328,8 @@ class TestKernelSampler:
         assert holonomy.complement_mass(to_operator(rm), u3) < 1e-10
 
     def test_seeded_reproducibility(self, qk2):
-        a = random_algebra_curvature(qk2, seed=11)
-        b = random_algebra_curvature(qk2, seed=11)
+        a = random_algebra_curvature(qk2, np.random.default_rng(11))
+        b = random_algebra_curvature(qk2, np.random.default_rng(11))
         assert np.array_equal(a.components, b.components)
 
     def test_blas_thread_count_moves_samples_only_at_rounding_level(self, tmp_path):
@@ -373,7 +373,7 @@ class TestKernelSampler:
         dim = curvature_space_dim(alg)
         mats = []
         for k in range(dim + 5):
-            rm = random_algebra_curvature(alg, seed=k)
+            rm = random_algebra_curvature(alg, np.random.default_rng(k))
             mats.append(to_operator(rm).matrix.reshape(-1))
         rank = np.linalg.matrix_rank(np.stack(mats), tol=1e-8)
         assert rank == dim
@@ -518,7 +518,7 @@ class TestKernelBasis:
             s[a, b] = x
             s[b, a] += x
             ref = c.T @ s @ c
-            got = random_algebra_curvature(alg, seed=seed).matrix
+            got = random_algebra_curvature(alg, np.random.default_rng(seed)).matrix
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize(
@@ -784,7 +784,7 @@ class TestStructureCaches:
         assert np.array_equal(unit, _kaehler_unit(space))
         assert not unit.flags.writeable
         alg = holonomy.by_name(space, "u")
-        rm = random_algebra_curvature(alg, seed=5)
+        rm = random_algebra_curvature(alg, np.random.default_rng(5))
         c1 = scalar(rm) / (4.0 * space.m * (space.m + 1))
         part = bochner_decompose(rm).parts["scalar_part"].matrix
         assert np.array_equal(part, c1 * _kaehler_unit(space))
@@ -880,7 +880,7 @@ class TestStructureCaches:
         space = kaehler(3)
         alg = holonomy.u_algebra(space)
         for seed in range(100):
-            rm = random_algebra_curvature(alg, seed=seed)
+            rm = random_algebra_curvature(alg, np.random.default_rng(seed))
             bochner_decompose(rm)
             total_traces(rm)
             criteria.two_nonnegative_shift(rm, alg)

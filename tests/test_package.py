@@ -1,6 +1,7 @@
 """Package-level guards: what the package exports is used, every defaulted
 parameter is one some caller leaves out, what the benchmark instrument
-wraps is bound, and the CLI runs its trials in the calling thread."""
+wraps is bound, the CLI runs its trials in the calling thread, and only
+the CLI seeds a Generator."""
 
 import ast
 import importlib
@@ -9,6 +10,8 @@ import pathlib
 import subprocess
 import sys
 import types
+
+import pytest
 
 import curvlab
 
@@ -20,7 +23,6 @@ KEPT_REFERENCES = {
     "lie_action": "slot-by-slot single-generator reference the tests check the hats against",
     "bianchi_project": "rank-four reference the tests check the operator Bianchi projection against",
     "curvature_term": "two-route mixed curvature term, for checking the sharp constants in verify",
-    "negative_term_search": "seeded search for a negative self term, the start of an adversary",
     "save_tensor": "writes the tensor files that `curvlab decompose` reads",
 }
 
@@ -58,12 +60,7 @@ def test_every_export_is_referenced_or_kept():
 KEPT_DEFAULTS = {
     "cli.Report.__init__(records)": "a command's report starts empty and appends its records",
     "cli.main(argv)": "the console script calls main() to read sys.argv; the tests pass a list",
-    "criteria.negative_term_search(seed)": "knob of the seeded adversary search, until a checked adversary replaces it",
-    "criteria.negative_term_search(shift)": "knob of the seeded adversary search, until a checked adversary replaces it",
-    "criteria.negative_term_search(trials)": "knob of the seeded adversary search, until a checked adversary replaces it",
     "decomp.random_algebra_curvature(count)": "the suites and `sample` draw stacks of count trials; perfbench's cold-start, the tests and the acceptance gate draw one tensor",
-    "decomp.random_algebra_curvature(rng)": "the suites and `sample` pass their instance's stream, perfbench one stream; the tests and the acceptance gate pass seed=",
-    "decomp.random_algebra_curvature(seed)": "the suites and `sample` pass their instance's stream, perfbench one stream; the tests and the acceptance gate pass seed=",
     "euclid.EuclideanSpace.__init__(structure)": "generic(n) is the space with no holonomy structure",
     "euclid.HolonomyStructure.__init__(I)": "a structure holds only its kind's matrices: none, J, or I, J, K",
     "euclid.HolonomyStructure.__init__(J)": "a structure holds only its kind's matrices: none, J, or I, J, K",
@@ -130,3 +127,19 @@ def test_cli_starts_no_thread_pool():
     assert out.stdout == "False\n"
     readers = [path.name for path in sorted(SRC.glob("*.py")) if "CURVLAB_THREADS" in path.read_text()]
     assert not readers, f"modules reading CURVLAB_THREADS: {readers}"
+
+
+def test_only_the_cli_seeds_a_generator():
+    # the library draws from the Generator its caller passes; only the CLI
+    # builds one, per suite instance (cli._stream)
+    seeding = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "cli.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "default_rng"
+    ]
+    assert not seeding, f"modules building a Generator: {seeding}"
+    alg = curvlab.so_algebra(curvlab.generic(4))
+    with pytest.raises(TypeError):
+        curvlab.random_algebra_curvature(alg)

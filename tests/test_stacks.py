@@ -124,7 +124,7 @@ def test_stacked_kernels_are_the_one_trial_calls(case, request):
     spec = rop.spectrum()
     assert same(spec.values, [r.spectrum().values for r in rops])
     assert same(spec.vectors, [r.spectrum().vectors for r in rops])
-    assert same(criteria._rotated_structure(rop, None)[1], [criteria._rotated_structure(r, None)[1] for r in rops])
+    assert same(criteria._rotated_structure(rop)[1], [criteria._rotated_structure(r)[1] for r in rops])
     hat = criteria.hat_norm_formula(rop)
     assert same(hat.total, [criteria.hat_norm_formula(r).total for r in rops])
     assert same(hat.per_component, [criteria.hat_norm_formula(r).per_component for r in rops])
