@@ -685,6 +685,11 @@ def random_curvature(space: EuclideanSpace, rng, count: int | None = None) -> Cu
     return CurvatureTensor(space, _bianchi_project_matrix(0.5 * (raw + raw.swapaxes(-1, -2))))
 
 
+# the largest dimension tensor_from_dict reads: n^4 components, an so(n) of
+# n(n-1)/2 generators, and the sizes the CLI builds kernels for (4 * MAX_M)
+MAX_FILE_N = 24
+
+
 def tensor_to_dict(rm: CurvatureTensor) -> dict:
     return {
         "n": rm.space.n,
@@ -707,24 +712,27 @@ def _space_for(n: int, structure: str) -> EuclideanSpace:
     raise GeometryError(f"unknown structure tag {structure!r}")
 
 
-def tensor_from_dict(data: dict, max_n: int) -> CurvatureTensor:
+def tensor_from_dict(data: dict) -> CurvatureTensor:
     """Rebuild a tensor from its dictionary form, on the standard space of
     its dimension and structure tag, validating shape and symmetries.  A
-    dimension above max_n or a component count other than n^4 raises before
-    any space or array is built."""
+    dimension above MAX_FILE_N, or components other than a list of n^4
+    numbers, raises before any space or array is built."""
     try:
         n = int(data["n"])
         structure = str(data["structure"])
-        count = len(data["components"])
-    except (KeyError, TypeError, ValueError) as exc:
+        components = data["components"]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GeometryError(f"malformed tensor record: {exc}") from exc
-    if n > max_n:
-        raise GeometryError(f"dimension {n} is above the size cap {max_n}")
-    if count != n**4:
-        raise GeometryError(f"expected {n**4} components, got {count}")
+    if not isinstance(components, list):
+        kind = type(components).__name__
+        raise GeometryError(f"malformed tensor record: components is a {kind}, not a list")
+    if n > MAX_FILE_N:
+        raise GeometryError(f"dimension {n} is above the size cap {MAX_FILE_N}")
+    if len(components) != n**4:
+        raise GeometryError(f"expected {n**4} components, got {len(components)}")
     space = _space_for(n, structure)
     try:
-        flat = np.fromiter(data["components"], dtype=float, count=count)
+        flat = np.fromiter(components, dtype=float, count=len(components))
     except (TypeError, ValueError) as exc:
         raise GeometryError(f"malformed tensor record: {exc}") from exc
     return CurvatureTensor.from_components(space, flat.reshape(n, n, n, n))
@@ -736,12 +744,10 @@ def save_tensor(rm: CurvatureTensor, path: str):
         fh.write("\n")
 
 
-def load_tensor(path: str, max_n: int) -> CurvatureTensor:
-    """The tensor that save_tensor wrote to path (tensor_from_dict, under the
-    dimension cap max_n)."""
+def load_tensor(path: str) -> CurvatureTensor:
     with open(path) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise GeometryError(f"invalid tensor file {path}: {exc}") from exc
-    return tensor_from_dict(data, max_n)
+    return tensor_from_dict(data)

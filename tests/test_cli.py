@@ -592,15 +592,18 @@ class TestDecompose:
         assert f"above the cap of {cli.MAX_INPUT_BYTES}" in err
 
     @pytest.mark.parametrize(
-        "n,structure,count,message",
+        "n,structure,components,message",
         [
-            (28, "generic", 28**4, "dimension 28 is above the size cap 24"),
-            (28, "generic", 1, "dimension 28 is above the size cap 24"),
-            (2000, "qk", 1, "dimension 2000 is above the size cap 24"),
-            (24, "qk", 1, f"expected {24**4} components, got 1"),
+            ("28", "generic", "[" + ",".join(["0"] * 28**4) + "]", "dimension 28 is above the size cap 24"),
+            ("28", "generic", "[0]", "dimension 28 is above the size cap 24"),
+            ("2000", "qk", "[0]", "dimension 2000 is above the size cap 24"),
+            ("24", "qk", "[0]", f"expected {24**4} components, got 1"),
+            ("2", "generic", "0", "components is a int, not a list"),
+            ("2", "generic", '"' + "0" * 16 + '"', "components is a str, not a list"),
+            ("Infinity", "generic", "[0]", "malformed tensor record"),
         ],
     )
-    def test_input_size_is_checked_before_any_space(self, capsys, monkeypatch, tmp_path, n, structure, count, message):
+    def test_input_size_is_checked_before_any_space(self, capsys, monkeypatch, tmp_path, n, structure, components, message):
         # the byte cap does not bound n: 1.2 MB of zeros at n = 28 would build
         # so(28), and a 50-byte file naming n = 2000 the structures of R^2000
         def no_space(*args):
@@ -608,7 +611,7 @@ class TestDecompose:
 
         monkeypatch.setattr(tensor, "_space_for", no_space)
         path = tmp_path / "sized.json"
-        path.write_text(f'{{"n": {n}, "structure": "{structure}", "components": [{",".join(["0"] * count)}]}}')
+        path.write_text(f'{{"n": {n}, "structure": "{structure}", "components": {components}}}')
         code, out, err = run(capsys, "decompose", str(path))
         assert code == 2
         assert out == ""
@@ -640,7 +643,7 @@ class TestDecompose:
         code, out, _ = run(capsys, "decompose", str(path))
         assert code == 0
         pure = json.loads(out)["records"][0]["actual"]["pure_model"]
-        assert pure is bool(criteria.hat_ratio_qk(tensor.load_tensor(path, 8), alg).pure_multiple)
+        assert pure is bool(criteria.hat_ratio_qk(tensor.load_tensor(path), alg).pure_multiple)
         assert pure is True
 
 

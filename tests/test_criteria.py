@@ -289,6 +289,14 @@ class TestHatRatio:
             assert not hr.pure_multiple
             assert hr.ratio == pytest.approx(16.0, rel=1e-10)
 
+    def test_constant_on_a_rotated_stack(self):
+        # every basis row of sp(2)+sp(1) meets every character here
+        alg = holonomy.by_name(rotated_quaternionic(2), "sp")
+        stack = decomp.random_algebra_curvature(alg, np.random.default_rng(0), count=20)
+        ratio = hat_ratio_qk(stack, alg).ratio
+        assert ratio.shape == (20,)
+        assert np.abs(ratio / 16.0 - 1.0).max() <= 1e-9
+
     def test_pure_multiple_flag(self, hp2, qk2):
         hr = hat_ratio_qk(hp2, qk2)
         assert hr.pure_multiple
@@ -403,11 +411,17 @@ class TestShift:
             assert abs(gain - lam[:2].sum()) <= 1e-12 * (1.0 + float(np.abs(lam).max()))
             assert criteria._shift_gain(model.space, alg) == gain
 
-    @pytest.mark.parametrize("tag", ["u", "sp"])
+    @pytest.mark.parametrize("tag", ["u", "sp", "sp_rotated"])
     def test_shift_uses_the_sample_structure(self, tag):
-        # the structures conjugated by the swap of coordinates 0 and 1: the
-        # standard models are not supported on these algebras
-        alg = holonomy.by_name(_swapped(kaehler(3) if tag == "u" else quaternion_kaehler(2)), tag)
+        # the structures conjugated by the swap of coordinates 0 and 1, and the
+        # quaternionic one under a seeded rotation: the standard models are
+        # not supported on these algebras
+        space = {
+            "u": lambda: _swapped(kaehler(3)),
+            "sp": lambda: _swapped(quaternion_kaehler(2)),
+            "sp_rotated": lambda: rotated_quaternionic(2),
+        }[tag]()
+        alg = holonomy.by_name(space, tag[:2])
         rm = decomp.random_algebra_curvature(alg, np.random.default_rng(0))
         shifted, t = two_nonnegative_shift(rm, alg)
         assert t > 0
@@ -430,34 +444,6 @@ class TestShift:
         assert witnesses.size and witnesses[0] == 1
         assert value[1] == pytest.approx(-142.60, abs=0.01)
         assert scale[1] == pytest.approx(441.80, abs=0.01)
-
-
-class TestRotatedQuaternionic:
-    """sp(2)+sp(1) on the quaternionic structure under one seeded rotation,
-    where every basis row meets every character: the standard frame's
-    blocks, models and constants must not be what makes these hold."""
-
-    @pytest.fixture(scope="class")
-    def alg(self):
-        return holonomy.by_name(rotated_quaternionic(2), "sp")
-
-    @pytest.fixture(scope="class")
-    def stack(self, alg):
-        return decomp.random_algebra_curvature(alg, np.random.default_rng(0), count=20)
-
-    def test_curvature_space_dimension(self, alg):
-        assert decomp.curvature_space_dim(alg) == 36
-
-    def test_hat_ratio_is_4_m_plus_2(self, alg, stack):
-        ratio = hat_ratio_qk(stack, alg).ratio
-        assert ratio.shape == (20,)
-        assert np.abs(ratio / 16.0 - 1.0).max() <= 1e-9
-
-    def test_shift_stays_on_the_algebra(self, alg, stack):
-        shifted, t = two_nonnegative_shift(stack, alg)
-        assert np.all(t > 0)
-        scale = 1.0 + np.abs(shifted.matrix).max(axis=(-2, -1))
-        assert np.all(holonomy.complement_mass(to_operator(shifted), alg) <= 1e-13 * scale)
 
 
 @settings(max_examples=20, deadline=None)

@@ -6,7 +6,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from conftest import misplaced_unitary, rotated_kaehler
+from conftest import misplaced_unitary, rotated_kaehler, rotated_quaternionic
 
 from curvlab import criteria, decomp, euclid, holonomy, tensor
 from curvlab.decomp import (
@@ -287,6 +287,7 @@ class TestKernelSampler:
             (lambda: holonomy.so_algebra(generic(5)), 50),
             (lambda: holonomy.u_algebra(kaehler(3)), 36),
             (lambda: holonomy.sp_sp1_algebra(quaternion_kaehler(2)), 36),
+            (lambda: holonomy.sp_sp1_algebra(rotated_quaternionic(2)), 36),
         ],
     )
     def test_dimensions(self, builder, expected):

@@ -294,7 +294,7 @@ class TestSerialization:
         rm = random_curvature(generic(5), rng=rng)
         path = tmp_path / "t.json"
         save_tensor(rm, path)
-        back = load_tensor(path, rm.space.n)
+        back = load_tensor(path)
         assert back.space == rm.space
         assert np.allclose(back.components, rm.components)
 
@@ -302,7 +302,7 @@ class TestSerialization:
         rm = decomp.random_algebra_curvature(qk2, rng=rng)
         path = tmp_path / "q.json"
         save_tensor(rm, path)
-        back = load_tensor(path, rm.space.n)
+        back = load_tensor(path)
         assert back.space.kind == "qk"
         assert back.space == rm.space
         assert np.allclose(back.components, rm.components)
@@ -311,7 +311,7 @@ class TestSerialization:
         path = tmp_path / "bad.json"
         path.write_text('{"n": 4, "structure": "generic", "components": [0.0, 1.0]}')
         with pytest.raises(euclid.GeometryError):
-            load_tensor(path, 4)
+            load_tensor(path)
 
     def test_rejects_unknown_structure(self, tmp_path):
         comp = [0.0] * 16
@@ -320,7 +320,7 @@ class TestSerialization:
             '{"n": 2, "structure": "octonion", "components": %s}' % comp
         )
         with pytest.raises(euclid.GeometryError):
-            load_tensor(path, 2)
+            load_tensor(path)
 
     def test_load_validates_symmetries(self, tmp_path):
         comp = np.zeros((4, 4, 4, 4))
@@ -331,7 +331,7 @@ class TestSerialization:
             % comp.ravel().tolist()
         )
         with pytest.raises(SymmetryError):
-            load_tensor(path, 4)
+            load_tensor(path)
 
 
 # ---------------------------------------------------------------------------
