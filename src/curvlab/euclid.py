@@ -295,13 +295,16 @@ _SYMMETRY_RTOL = 1e-10
 
 
 def _symmetrized(matrix: np.ndarray, solver: str) -> np.ndarray:
-    """0.5 * (M + M^T) of a square matrix M, or of each of a stack, symmetric
-    to _SYMMETRY_RTOL * (1 + max|entry|) of its own; raises GeometryError
-    otherwise.  The one validation of both solvers, named solver in messages."""
+    """0.5 * (M + M^T) of a finite square matrix M, or of each of a stack,
+    symmetric to _SYMMETRY_RTOL * (1 + max|entry|) of its own; raises
+    GeometryError otherwise.  The one validation of both solvers, named
+    solver in messages."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim < 2 or matrix.shape[-1] != matrix.shape[-2]:
         raise GeometryError(f"{solver} expects a square matrix")
     scale = 1.0 + np.abs(matrix).max(axis=(-2, -1), initial=0.0)
+    if not np.all(np.isfinite(scale)):  # before M - M^T, whose NaN residual passes the test below
+        raise GeometryError("matrix has a non-finite entry")
     transposed = matrix.swapaxes(-1, -2)
     if np.any(np.abs(matrix - transposed).max(axis=(-2, -1), initial=0.0) > _SYMMETRY_RTOL * scale):
         raise GeometryError("matrix is not symmetric")

@@ -12,18 +12,18 @@ e_i ^ e_j.  Half the Frobenius pairing of the matrices is the dot product of
 the coefficient rows, so the lexicographic pair basis is orthonormal.
 
 The unitary and symplectic cases are the commutants of the parallel
-structures.  The identity and the structures form
-a group up to sign, so the mean of their conjugations on bivectors is the
-orthogonal projector onto the commutant, and the basis spans its range.  That
-works for any admissible structure, not just the standard one.  Each
-conjugation keeps the sign-flip character of a pair (`_pair_characters`), so
-the projector is solved one character at a time and every basis row lies on
-the pairs of one character; the Bianchi kernel is blocked by that basis, and so
-is the action of the basis on the pairs (`HolonomyAlgebra.action_blocks`),
-from which the hats are computed.  Hats and the structure constants are
-built over chunks of generators (`HolonomyAlgebra.chunk_size`), so no array
-of either scales with the whole algebra squared.  Algebras compare and hash
-by `HolonomyAlgebra.key`; `by_name` builds each once per space and kind.
+structures.  The identity and the structures form a group up to sign, so the
+mean of their conjugations on bivectors is the orthogonal projector onto the
+commutant, and the basis spans its range.  That works for any admissible
+structure, not just the standard one.  Each conjugation keeps the sign-flip
+character of a pair (`_pair_characters`), so the projector is solved one
+character at a time and every basis row lies on the pairs of one character.
+The Bianchi kernel is blocked by that basis, and the hats are computed from
+each chunk's dense action on the pairs, cut into blocks by character
+(`HolonomyAlgebra.action_blocks`).  Hats, blocks and structure constants are
+built by chunks of generators (`HolonomyAlgebra.chunk_size`), so no array of
+them scales with the algebra squared.  Algebras compare and hash by
+`HolonomyAlgebra.key`; `by_name` builds each once per space and kind.
 """
 
 from __future__ import annotations
@@ -240,90 +240,60 @@ class HolonomyAlgebra:
         the hat of a bivector operator R along a is N_a R + (N_a R)^T.  Entry
         (P, P') with P = (x, y), P' = (u, v) is
         -(a[u, x][v = y] - a[v, x][u = y] + [x = u] a[v, y] - [x = v] a[u, y]),
-        nonzero only where the pairs share one index.  Then N_a maps the pairs
-        of character chi(P') to those of chi(P') XOR chi_a (`characters`), so
-        row (a, P) of the stacked products reads only the pairs of the source
-        character chi(P) XOR chi_a.  Within one chunk of generators
-        (`chunk_size`), the rows of one source that hold a nonzero entry and
-        the source's pairs span a dense block.  Each row (a, P) belongs to one
-        block at most, so it is written once, by plain assignment; rows in no
-        block are zero.
+        nonzero only where the pairs share one index.  N_a maps the pairs of
+        character chi(P') to those of chi(P') XOR chi_a (`characters`), so a
+        row (a, P) reads only the pairs of one source character.  For each
+        chunk of generators (`chunk_size`), the dense action (size * D, D) is
+        filled from the formula; its rows with a nonzero entry are grouped by
+        the character of their first nonzero column, and each group is cut as
+        a dense block of those rows by that character's pairs.
 
         Each entry is (blocks, sources, targets) for `count` blocks of one
         chunk and one block shape (T rows, s pairs): blocks (count, T, s),
-        sources (count, s) the sources' pair indices, targets (count, T) the
-        rows a * D + P of the (dim * D, D) view of the hat stack.  There is
-        one entry per chunk and block shape, and the entries of a chunk are
-        consecutive, in chunk order.  All arrays are read-only.  With every
-        character 0 there is one source: the dense action, cut by chunk.
+        sources (count, s) the sources' pair indices, ascending, targets
+        (count, T) the rows a * D + P of the (dim * D, D) view of the hat
+        stack, ascending.  Entries run by chunk, then by s, then by T, and
+        the blocks of an entry by source character.  Each row with a nonzero
+        entry lies in one block, and the other rows are zero.  All arrays are
+        read-only.  With every character 0 there is one source: the dense
+        action, cut by chunk.
         """
         n_pairs = self.space.bivector_dim
-        pair_chars, gen_chars = self.characters
+        pair_chars = self.characters[0]
         p_order, p_starts, p_counts, p_values = _runs(pair_chars)
-        n_src = p_values.size
-        col_slot = np.empty(n_pairs, dtype=np.intp)  # place of a pair in its character
-        col_slot[p_order] = np.arange(n_pairs) - np.repeat(p_starts, p_counts)
-        pair_run = np.empty(n_pairs, dtype=np.intp)  # its character's run
-        pair_run[p_order] = np.repeat(np.arange(n_src), p_counts)
-
-        # the entries of the action formula at the pairs that share one index,
-        # for the generators whose character they match; zeros are dropped
+        pair_run = np.searchsorted(p_values, pair_chars)
+        # (sign, positions (P, P') of one indicator, the read on P', the read on P)
         pr, pc = self.space.pair_rows, self.space.pair_cols
-        x, y = pr[:, None], pc[:, None]
-        u, v = pr[None, :], pc[None, :]
-        offdiag = x != u
-        offdiag |= y != v
-        parts = []
-        # (sign, indicator, index of a read on P', index of a read on P)
+        x, y, u, v = pr[:, None], pc[:, None], pr[None, :], pc[None, :]
+        terms = []
         for sign, mask, first, second in (
             (-1.0, v == y, pr, pr),
             (1.0, u == y, pc, pr),
             (-1.0, x == u, pc, pc),
             (1.0, x == v, pr, pc),
         ):
-            p, q = np.nonzero(mask & offdiag)
-            parts.append((p, q, np.full(p.size, sign), first[q], second[p]))
-        p, q, sign, first, second = (np.concatenate(col) for col in zip(*parts))
-        gen, k = np.nonzero((gen_chars[:, None] ^ pair_chars[p]) == pair_chars[q])
-        values = sign[k] * self.matrices[gen, first[k], second[k]]
-        live = values != 0
-        values, q = values[live], q[k[live]]
-        entry_rows = (gen * n_pairs + p[k])[live]
-        entry_cols = col_slot[q]
-
-        # the rows a * D + P that hold an entry, grouped by (chunk, source)
-        rows, first_entry = np.unique(entry_rows, return_index=True)
-        chunk_of = rows // (self.chunk_size * n_pairs)
-        r_order, r_starts, r_counts, r_keys = _runs(chunk_of * n_src + pair_run[q[first_entry]])
-        row_slot = np.empty(rows.size, dtype=np.intp)  # place of a row in its group
-        row_slot[r_order] = np.arange(rows.size) - np.repeat(r_starts, r_counts)
-        row_group = np.empty(rows.size, dtype=np.intp)
-        row_group[r_order] = np.repeat(np.arange(r_keys.size), r_counts)
-        at_row = np.searchsorted(rows, entry_rows)
-
-        # entries: the groups of one chunk and one block shape, chunks ascending
-        r_sources = r_keys % n_src
-        widths = p_counts[r_sources]
-        shapes = ((r_keys // n_src) * (n_pairs + 1) + widths) * (rows.size + 1) + r_counts
-        s_order, s_starts, s_counts, _ = _runs(shapes)
-        entry_of = np.empty(r_keys.size, dtype=np.intp)
-        place_of = np.empty(r_keys.size, dtype=np.intp)
-        entries = []
-        for start, count in zip(s_starts, s_counts):
-            member = s_order[start : start + count]
-            entry_of[member] = len(entries)
-            place_of[member] = np.arange(count)
-            height, width = int(r_counts[member[0]]), int(widths[member[0]])
-            sources = p_order[p_starts[r_sources[member]][:, None] + np.arange(width)]
-            targets = rows[r_order[r_starts[member][:, None] + np.arange(height)]]
-            entries.append((np.zeros((count, height, width)), sources, targets))
-        e_group = row_group[at_row]
-        e_order, e_starts, e_counts, e_entries = _runs(entry_of[e_group])
-        for start, count, b in zip(e_starts, e_counts, e_entries):
-            sel = e_order[start : start + count]
-            entries[b][0][place_of[e_group[sel]], row_slot[at_row[sel]], entry_cols[sel]] = values[sel]
-        for entry in entries:
-            _freeze(*entry)
+            p, q = np.nonzero(mask)
+            terms.append((sign, p, q, first[q], second[p]))
+        size = min(self.chunk_size, self.dim)
+        dense, entries = np.zeros((size, n_pairs, n_pairs)), []
+        for lo in range(0, self.dim, size):
+            gens = self.matrices[lo : lo + size]
+            act = dense[: len(gens)]
+            for sign, p, q, first, second in terms:
+                # + 0.0 stores a zero read as +0.0, not as the -0.0 of its negation
+                act[:, p, q] = sign * gens[:, first, second] + 0.0
+            flat = act.reshape(-1, n_pairs)
+            rows = np.flatnonzero(flat.any(axis=1))
+            r_order, r_starts, r_counts, r_runs = _runs(pair_run[np.argmax(flat[rows] != 0, axis=1)])
+            widths = p_counts[r_runs]
+            s_order, s_starts, s_counts, _ = _runs(widths * (rows.size + 1) + r_counts)
+            for start, count in zip(s_starts, s_counts):
+                member = s_order[start : start + count]
+                sources = p_order[p_starts[r_runs[member]][:, None] + np.arange(widths[member[0]])]
+                local = rows[r_order[r_starts[member][:, None] + np.arange(r_counts[member[0]])]]
+                entry = (flat[local[:, :, None], sources[:, None, :]], sources, local + lo * n_pairs)
+                _freeze(*entry)
+                entries.append(entry)
         return entries
 
     def _brackets(self) -> tuple[np.ndarray, float]:

@@ -425,10 +425,10 @@ class CurvatureOperator:
         self._spectrum = None  # (matrix, SpectralData) of a restricted operator
 
     @classmethod
-    def _wrap(cls, space: EuclideanSpace, matrix: np.ndarray, algebra=None) -> "CurvatureOperator":
+    def _wrap(cls, space: EuclideanSpace, matrix: np.ndarray, algebra) -> "CurvatureOperator":
         """An operator on matrix, aliased, with no checks: for a float matrix
         of the right shape that is symmetric by construction.  A restricted
-        one (algebra given) freezes matrix in place."""
+        one (algebra not None) freezes matrix in place."""
         op = cls.__new__(cls)
         op.space, op.matrix, op.algebra, op._spectrum = space, matrix, algebra, None
         if algebra is not None:
@@ -511,7 +511,7 @@ def to_operator(rm: CurvatureTensor) -> CurvatureOperator:
     matrix is symmetric by the type invariant, so it is not scanned again.
     This is the one source of full-space operators; the constructor builds
     restricted ones from outside matrices, and checks them."""
-    return CurvatureOperator._wrap(rm.space, rm.matrix)
+    return CurvatureOperator._wrap(rm.space, rm.matrix, None)
 
 
 def _tensor_array_from_matrix(space: EuclideanSpace, mat: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 import pytest
 
-from curvlab import criteria, decomp, holonomy, tensor
+from curvlab import decomp, tensor
 from curvlab.cli import _merge_mults
 from curvlab.criteria import (
     curvature_term,
@@ -26,7 +26,7 @@ from curvlab.criteria import (
     _rotated_structure,
 )
 from curvlab.euclid import generic, kaehler, quaternion_kaehler
-from curvlab.holonomy import complement_mass, project, so_algebra, sp_sp1_algebra, u_algebra
+from curvlab.holonomy import project, so_algebra, sp_sp1_algebra, u_algebra
 from curvlab.tensor import scalar, to_operator, total_traces
 
 GAP = 1e-6

@@ -820,7 +820,7 @@ class TestStructureCaches:
         m = rng.standard_normal((c.shape[1],) * 2)
         supported = c.T @ (c @ (m + m.T) @ c.T) @ c
         for mat in (m + m.T, supported):
-            op = tensor.CurvatureOperator._wrap(alg.space, mat)
+            op = tensor.CurvatureOperator._wrap(alg.space, mat, None)
             mass = holonomy.complement_mass(op, alg)
             assert mass == float(np.linalg.norm(op.matrix - c.T @ (c @ op.matrix @ c.T) @ c))
             by_p = float(np.linalg.norm(op.matrix - p @ op.matrix @ p))

@@ -208,6 +208,17 @@ class TestEigen:
         with pytest.raises(GeometryError, match="^matrix is not symmetric$"):
             solver(m + 1e3 * (skew - skew.T))
 
+    @pytest.mark.parametrize("solver", [symmetric_eigen, symmetric_eigenvalues])
+    def test_both_solvers_reject_non_finite_input(self, solver):
+        # an inf - inf or NaN residual compares false against the tolerance,
+        # so these would pass the symmetry test and yield NaN eigenvalues;
+        # a RuntimeWarning on the way fails the test (pyproject filterwarnings)
+        stack = np.stack([np.eye(3)] * 3)
+        stack[1, 0, 2] = np.nan
+        for matrix in ([[1.0, np.inf], [np.inf, 1.0]], [[1.0, np.nan], [0.0, 1.0]], stack):
+            with pytest.raises(GeometryError, match="^matrix has a non-finite entry$"):
+                solver(matrix)
+
     def test_deterministic_sign(self, rng):
         m = rng.standard_normal((6, 6))
         m = m + m.T

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -467,6 +468,20 @@ BLOCK_CASES = (
 )
 
 
+# sha256 of each algebra's action_blocks: dtype, shape, strides and bytes of
+# every array, in entry order.  Moves with any change to an entry's order,
+# a block's rows or columns, or the sign of a stored zero
+BLOCKS_SHA256 = {
+    "so12": ("710221fa42a6f88c68c288641c419b5bfd991f7e5933ba198e4255727ab7fb8e", lambda: so_algebra(generic(12))),
+    "u6": ("4bc47a07eed876aba81e2e3d71d32abe0b540987fd97923ed3b21982e4d79b6b", lambda: u_algebra(kaehler(6))),
+    "qk5": ("266a08b8210692d4800e3146767526cd08c01544ad319acb34995b21920b0ae4",
+            lambda: sp_sp1_algebra(quaternion_kaehler(5))),
+    "u3_rotated": ("54348cb359fbf71c6f101cf17cc67f4609ad76fdc31a318de14e50a34a7157b3",
+                   lambda: u_algebra(rotated_kaehler(3))),
+    "u3_misplaced": ("54348cb359fbf71c6f101cf17cc67f4609ad76fdc31a318de14e50a34a7157b3", lambda: misplaced_unitary(3)),
+}
+
+
 class TestActionBlocks:
     @pytest.mark.parametrize("builder", BLOCK_CASES)
     def test_blocks_hold_exactly_the_nonzeros_of_the_formula(self, builder):
@@ -530,6 +545,16 @@ class TestActionBlocks:
                 seen.append((chunk, blocks.shape[1:]))
             assert len(set(seen)) == len(seen)
             assert [c for c, _ in seen] == sorted(c for c, _ in seen)
+
+    @pytest.mark.parametrize("name", list(BLOCKS_SHA256))
+    def test_block_bytes_are_pinned(self, name):
+        expected, builder = BLOCKS_SHA256[name]
+        digest = hashlib.sha256()
+        for entry in builder().action_blocks:
+            for a in entry:
+                digest.update(f"{a.dtype.str} {a.shape} {a.strides}".encode())
+                digest.update(a.tobytes())
+        assert digest.hexdigest() == expected
 
     def test_verify_never_reads_the_dense_stack(self, monkeypatch, capsys):
         from curvlab import cli

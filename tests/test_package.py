@@ -1,7 +1,7 @@
-"""Package-level guards: what the package exports is used, every defaulted
-parameter is one some caller leaves out, what the benchmark instrument
-wraps is bound, the CLI runs its trials in the calling thread, and only
-the CLI seeds a Generator."""
+"""Package-level guards: what the package exports is used, no module imports
+a name it never reads, every defaulted parameter is one some caller leaves
+out, what the benchmark instrument wraps is bound, the CLI runs its trials
+in the calling thread, and only the CLI seeds a Generator."""
 
 import ast
 import importlib
@@ -16,7 +16,8 @@ import pytest
 import curvlab
 
 SRC = pathlib.Path(curvlab.__file__).parent
-SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+TESTS = pathlib.Path(__file__).resolve().parent
+SPANS = TESTS.parent / "perfbench" / "spans.py"
 
 # Exports that no library module calls, kept on purpose, each with why.
 KEPT_REFERENCES = {
@@ -55,6 +56,20 @@ def test_every_export_is_referenced_or_kept():
     assert set(KEPT_REFERENCES) <= set(exported)
 
 
+def test_every_top_level_import_is_read():
+    # __init__.py's imports are the exports, checked above
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"] + sorted(TESTS.glob("*.py"))
+    unused = []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                bound = ((a.asname or a.name).split(".")[0] for a in node.names)
+                unused += [f"{path.name}: {name}" for name in bound if name not in read]
+    assert not unused, f"imported but never read: {unused}"
+
+
 # Defaulted parameters of the library, each with the callers that leave it
 # out.  A parameter every caller passes is required, or a module constant.
 KEPT_DEFAULTS = {
@@ -65,7 +80,6 @@ KEPT_DEFAULTS = {
     "euclid.HolonomyStructure.__init__(I)": "a structure holds only its kind's matrices: none, J, or I, J, K",
     "euclid.HolonomyStructure.__init__(J)": "a structure holds only its kind's matrices: none, J, or I, J, K",
     "euclid.HolonomyStructure.__init__(K)": "a structure holds only its kind's matrices: none, J, or I, J, K",
-    "tensor.CurvatureOperator._wrap(algebra)": "to_operator wraps a full-space operator; project passes its algebra",
     "tensor.CurvatureTensor.__init__(validate)": "sums and multiples of curvature tensors skip the scan; any other matrix is checked",
     "tensor.random_curvature(count)": "weyl-norm and decomp draw stacks of count trials; the tests and the acceptance gate draw one tensor",
 }
