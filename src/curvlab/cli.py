@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import criteria, decomp, holonomy, tensor
-from .euclid import GeometryError, generic, kaehler, quaternion_kaehler
+from .euclid import EuclideanSpace, GeometryError, generic, kaehler, quaternion_kaehler
 
 GAP = 1e-6  # eigenvalue clustering threshold, relative to max|eigenvalue|
 RTOL = 1e-8  # relative tolerance of the closed-form checks
@@ -675,6 +675,18 @@ def cmd_decompose(cfg: argparse.Namespace) -> tuple[Report, int]:
 # sample
 
 
+def _sample_chunk(space: EuclideanSpace) -> int:
+    """Trials per stack of `sample`, sized by its operators: about eight
+    (T, D, D) stacks are live at once (the draw, its normalized and shifted
+    copies, the restriction, its symmetrized copy and its eigenvectors), so
+    a stack holds a quarter of holonomy.trial_chunk, which is half of
+    _CHUNK_BYTES of operators; at least one.  The rotated structure
+    constants, (T, d, d, d), are the one larger array, and
+    `criteria.curvature_term_self` rotates them in sub-chunks of
+    HolonomyAlgebra.rotation_trials trials."""
+    return max(1, holonomy.trial_chunk(space) // 4)
+
+
 def cmd_sample(cfg: argparse.Namespace) -> tuple[Report, int]:
     kind = holonomy.holonomy_kind(cfg.holonomy)
     _reject_unread_sizes(cfg, f"sample --holonomy {cfg.holonomy}", ("n" if kind == "generic" else "m", "trials"))
@@ -692,7 +704,7 @@ def cmd_sample(cfg: argparse.Namespace) -> tuple[Report, int]:
     criterion = _preset_criterion(alg)
     shift = cfg.condition == "2-nonnegative"
     report = Report(command="sample", config=_echo(cfg))
-    for rm in _draws(cfg.seed, f"sample[{kind}]", size, cfg.trials or 100, alg.rotation_trials,
+    for rm in _draws(cfg.seed, f"sample[{kind}]", size, cfg.trials or 100, _sample_chunk(space),
                      functools.partial(decomp.random_algebra_curvature, alg)):
         rm = rm * (1.0 / np.sqrt(rm.norm_sq()))
         if shift:

@@ -25,14 +25,17 @@ curvature_term_self) take a restricted operator (holonomy.project), which
 carries its algebra; a full-space one raises.  The spectral routes read the
 restricted operator's own spectrum, which it computes at most once, and
 rotate the structure constants into that eigenbasis with three GEMMs, one
-per slot, the first two into a workspace each thread reuses
-(_rotated_structure).  curvature_term makes its own eigensolve, so
-its eigen route stays independent of everything else a caller has asked of
-the same operator, and its bilinear route needs none.  The 2-nonnegative
-shift reads only two-smallest-eigenvalue sums, of the sample and of the
-shift model, from a values-only solve (`_two_smallest_sum`); the model's
-depends only on the space and the algebra, and is shared per pair of them
-(`_shift_gain`, through `euclid._shared`).
+per slot (_rotate), for a sub-chunk of HolonomyAlgebra.rotation_trials
+trials at a time, all three into a workspace each thread reuses
+(_self_term_operands); each sub-chunk is reduced before the next, so no
+(T, d, d, d) array of a whole stack is formed.  curvature_term makes its
+own eigensolve, so its eigen route stays independent of everything else a
+caller has asked of the same operator, and its bilinear route needs none.
+The 2-nonnegative shift reads only two-smallest-eigenvalue sums, of the
+sample and of the shift model, from a values-only solve
+(`_two_smallest_sum`); the model's depends only on the space and the
+algebra, and is shared per pair of them (`_shift_gain`, through
+`euclid._shared`).
 """
 
 from __future__ import annotations
@@ -145,29 +148,34 @@ class HatNorm:
     per_component: np.ndarray
 
 
-def _rotated_structure(op):
-    """Spectrum of the restricted operator (its memo, no new eigensolve) and
-    the structure constants of its algebra in its eigenbasis q, per trial on
-    a stack, cp[i, j, k] = sum q[a, i] q[b, j] q[g, k] c[a, b, g].
+def _rotate(algebra: HolonomyAlgebra, q: np.ndarray, work: np.ndarray | None) -> np.ndarray:
+    """The structure constants of the algebra in each eigenbasis of a (T, d, d)
+    stack q, cp[t, i, j, k] = sum q[t, a, i] q[t, b, j] q[t, g, k] c[a, b, g].
 
     One broadcast GEMM per slot: each contracts the leading slot of the
     (d, d*d) view with q and appends the rotated axis last, so after three
     the slots are back in order.  No einsum path search on a per-sample route.
-    The first two products go to this thread's `_workspace` when both fit it;
-    the third, which is returned, is always a fresh array.
+    With work, product k goes to its k-th third and the result views it;
+    without, each product is a fresh array.
     """
-    algebra = _resolve(op)
-    spec = op.spectrum()
-    q = spec.vectors
-    d, lead = q.shape[-1], q.shape[:-2]
-    shape = lead + (d * d, d)
-    size = int(np.prod(shape))
-    work = _workspace(2 * size)
+    count, d = q.shape[0], q.shape[-1]
+    shape = (count, d * d, d)
+    size = count * d**3
     cp = algebra.structure_constants.reshape(d, d * d)
     for slot in range(3):
-        out = None if work is None or slot == 2 else work[slot * size : (slot + 1) * size].reshape(shape)
-        cp = np.matmul(cp.swapaxes(-1, -2), q, out=out).reshape(lead + (d, d * d))
-    return spec.values, cp.reshape(lead + (d, d, d))
+        out = None if work is None else work[slot * size : (slot + 1) * size].reshape(shape)
+        cp = np.matmul(cp.swapaxes(-1, -2), q, out=out).reshape(count, d, d * d)
+    return cp.reshape(count, d, d, d)
+
+
+def _rotated_structure(op):
+    """Spectrum of the restricted operator (its memo, no new eigensolve) and
+    the structure constants of its algebra in its eigenbasis q, per trial on
+    a stack (`_rotate`), as a fresh array."""
+    spec = op.spectrum()
+    d = spec.values.shape[-1]
+    cp = _rotate(_resolve(op), spec.vectors.reshape(-1, d, d), None)
+    return spec.values, cp.reshape(spec.values.shape[:-1] + (d, d, d))
 
 
 _scratch = threading.local()
@@ -177,13 +185,41 @@ def _workspace(count: int) -> np.ndarray | None:
     """count floats of a buffer of holonomy._CHUNK_BYTES that this thread
     reuses from call to call, so its pages are faulted in once, not on every
     product above the allocator's mmap threshold; None when count floats do
-    not fit it.  Its contents are scratch: nothing returned views it."""
+    not fit it.  Its contents are scratch: no value this module returns
+    views it."""
     if 8 * count > _CHUNK_BYTES:
         return None
     buffer = getattr(_scratch, "buffer", None)
     if buffer is None:
         buffer = _scratch.buffer = np.empty(_CHUNK_BYTES // 8)
     return buffer[:count]
+
+
+def _self_term_operands(op):
+    """(eigenvalues, their squared differences, squared rotated structure
+    constants) of a restricted operator, the operands of the self curvature
+    term and of hat_norm_formula, yielded for each sub-chunk of
+    HolonomyAlgebra.rotation_trials trials in turn: (t, d), (t, d, d) and
+    (t, d, d, d), one trial as t = 1.  The structure constants are rotated
+    into this thread's `_workspace` when a sub-chunk's three products fit it,
+    so the caller reduces each sub-chunk before it asks for the next."""
+    algebra = _resolve(op)
+    spec = op.spectrum()
+    d = algebra.dim
+    lam, q = spec.values.reshape(-1, d), spec.vectors.reshape(-1, d, d)
+    per = algebra.rotation_trials
+    work = _workspace(3 * min(per, len(q)) * d**3)
+    for lo in range(0, len(q), per):
+        cp = _rotate(algebra, q[lo : lo + per], work)
+        sub = lam[lo : lo + per]
+        yield sub, (sub[:, :, None] - sub[:, None, :]) ** 2, np.square(cp, out=cp)
+
+
+def _per_trial_sum(op, reduce) -> np.ndarray:
+    """reduce(lam, diffs, cp_sq) of each sub-chunk of `_self_term_operands`,
+    joined on the trial axis and shaped as the operator's trials."""
+    parts = [reduce(*operands) for operands in _self_term_operands(op)]
+    return np.concatenate(parts).reshape(op.matrix.shape[:-2] + parts[0].shape[1:])
 
 
 def hat_norm_formula(op) -> HatNorm:
@@ -194,28 +230,19 @@ def hat_norm_formula(op) -> HatNorm:
     it bridges, weighted by the squared structure constants.  Agrees with
     hat_norm_direct on tensors supported on the algebra.
     """
-    _, diffs, cp_sq = _self_term_operands(op)
-    per = np.einsum("...ab,...gab->...g", diffs, cp_sq)
+    per = _per_trial_sum(op, lambda lam, diffs, cp_sq: np.einsum("...ab,...gab->...g", diffs, cp_sq))
     return HatNorm(total=_value(per.sum(axis=-1)), per_component=per)
 
 
-def _self_term_operands(op) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(eigenvalues, their squared differences, squared rotated structure
-    constants) of a restricted operator, per trial on a stack: the operands
-    of the self curvature term and of hat_norm_formula."""
-    lam, cp = _rotated_structure(op)
-    return lam, (lam[..., :, None] - lam[..., None, :]) ** 2, np.square(cp, out=cp)
-
-
-def _self_sum(lam: np.ndarray, diffs: np.ndarray, cp_sq: np.ndarray):
-    return _value(np.einsum("...g,...ab,...gab->...", lam, diffs, cp_sq))
+def _self_sum(lam: np.ndarray, diffs: np.ndarray, cp_sq: np.ndarray) -> np.ndarray:
+    return np.einsum("...g,...ab,...gab->...", lam, diffs, cp_sq)
 
 
 def curvature_term_self(op) -> float | np.ndarray:
     """Curvature term of a restricted operator paired with its own hat
     components, evaluated purely from the spectrum and structure constants;
     per trial on a stack."""
-    return _self_sum(*_self_term_operands(op))
+    return _value(_per_trial_sum(op, _self_sum))
 
 
 def invariance_defect(t, algebra: HolonomyAlgebra):

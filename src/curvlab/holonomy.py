@@ -40,10 +40,11 @@ from .tensor import CurvatureOperator, _conjugation_on_bivectors, _freeze, _norm
 # whose arrays stay within this many bytes (HolonomyAlgebra.chunk_size), so
 # neither the (dim, D, D) hat stack nor the (n dim)^2 bracket product is
 # formed; the Bianchi-kernel rows are built in batches of blocks under it, a
-# stack of trials holds at most half of it in operators (trial_chunk) or in
-# rotated structure constants (rotation_trials), hats are filled for as
-# many trials at once as it holds (chunk_trials) and symmetrized for as many
-# generators as a quarter of it holds (hat_group).
+# stack of trials holds at most half of it in operators (trial_chunk), the
+# three products that rotate the structure constants of a sub-chunk of
+# trials fit it (rotation_trials), hats are filled for as many trials at
+# once as it holds (chunk_trials) and symmetrized for as many generators as
+# a quarter of it holds (hat_group).
 # Small enough that these temporaries come from memory the allocator already
 # holds, not from pages faulted in afresh (about 3 us a page on a 2-core VM).
 _CHUNK_BYTES = 1 << 20
@@ -227,10 +228,11 @@ class HolonomyAlgebra:
 
     @property
     def rotation_trials(self) -> int:
-        """Trials per stack of `curvlab sample`: as many as half of _CHUNK_BYTES
-        holds of their rotated structure constants (T, d, d, d), at least one;
-        d^3 >= D^2 here, so their operators fit `trial_chunk` too."""
-        return max(1, _CHUNK_BYTES // 2 // (8 * self.dim**3))
+        """Trials whose structure constants the spectral routes of `criteria`
+        rotate at once: as many as _CHUNK_BYTES holds of the three (t, d, d, d)
+        rotation products, at least one.  A stack of more trials is rotated
+        in sub-chunks of this many, the last one ragged."""
+        return max(1, _CHUNK_BYTES // (3 * 8 * self.dim**3))
 
     @cached_property
     def action_blocks(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:

@@ -753,11 +753,13 @@ def test_one_eigensolve_per_sampled_operator(capsys, monkeypatch, condition, val
                                              values_per_algebra):
     # every stack of rows solves its (shifted) operators once, with vectors,
     # for the eigenvalue columns, the criterion and curvature_term_self; the
-    # shift reads eigenvalues only.  20 rows of u(4) are two stacks, 16 + 4
+    # shift reads eigenvalues only.  Four rows more than a stack of u(4)
+    # holds are two stacks, one full and one ragged
     criteria._shift_gain.cache_clear()
     calls = _count_eigensolves(monkeypatch)
-    rows = 20
-    stacks = -(-rows // holonomy.by_name(euclid.kaehler(4), "u").rotation_trials)
+    per = cli._sample_chunk(euclid.kaehler(4))
+    rows = per + 4
+    stacks = -(-rows // per)
     assert stacks == 2
     argv = ("sample", "--holonomy", "u", "--m", "4", "--trials", str(rows), "--condition", condition)
     code, first, _ = run(capsys, *argv)

@@ -437,9 +437,10 @@ class TestShift:
         alg = so_algebra(generic(4))
         draws = [decomp.random_algebra_curvature(alg, np.random.default_rng([0, t])) for t in range(60)]
         rm = tensor.CurvatureTensor(alg.space, np.stack([d.matrix for d in draws]))
-        lam, diffs, cp_sq = criteria._self_term_operands(project(to_operator(rm), alg))
-        value = criteria._self_sum(lam, diffs, cp_sq)
-        scale = criteria._self_sum(np.abs(lam), diffs, cp_sq)
+        rop = project(to_operator(rm), alg)
+        value = curvature_term_self(rop)
+        scale = np.concatenate([criteria._self_sum(np.abs(lam), diffs, cp_sq)
+                                for lam, diffs, cp_sq in criteria._self_term_operands(rop)])
         witnesses = np.flatnonzero(value < -1e-9 * (1.0 + scale))
         assert witnesses.size and witnesses[0] == 1
         assert value[1] == pytest.approx(-142.60, abs=0.01)
@@ -506,25 +507,51 @@ def test_gemm_rotation_matches_einsum(builder):
     assert to_operator(rm).matrix is rm.matrix
 
 
-def test_rotated_structure_reuses_one_workspace(u3):
-    # the first two products go to one per-thread buffer; the third, which
-    # is returned (and squared in place by its callers), is fresh, so a
-    # second call on another operator leaves the first result as it was
+def test_rotation_products_reuse_one_workspace(u3):
+    # the spectral routes rotate each sub-chunk's three products into one
+    # per-thread buffer; _rotated_structure returns a fresh array, so the
+    # kernels' later calls leave it as it was
     ops = [project(to_operator(decomp.random_algebra_curvature(u3, np.random.default_rng(s))), u3) for s in (1, 2)]
     first = _rotated_structure(ops[0])[1]
     kept = first.copy()
-    second = _rotated_structure(ops[1])[1]
-    assert np.array_equal(first, kept)
-    assert not np.array_equal(first, second)
-    assert np.array_equal(second, _rotated_structure(ops[1])[1])
-    work = criteria._workspace(2 * first.size)
+    work = criteria._workspace(holonomy._CHUNK_BYTES // 8)
     assert np.shares_memory(work, criteria._workspace(1))
-    assert not np.shares_memory(first, work) and not np.shares_memory(second, work)
-    # a product pair above the budget allocates as before
+    for _, _, cp_sq in criteria._self_term_operands(ops[1]):
+        assert np.shares_memory(cp_sq, work)
+    values = (curvature_term_self(ops[1]), hat_norm_formula(ops[1]).total)
+    assert np.array_equal(first, kept)
+    assert not np.shares_memory(first, work)
+    assert values == (curvature_term_self(ops[1]), hat_norm_formula(ops[1]).total)
+    # three products above the budget are fresh arrays, as before: one trial
+    # of so(10) rotates 3 x 0.73 MB
     assert criteria._workspace(holonomy._CHUNK_BYTES // 8 + 1) is None
     big = project(to_operator(decomp.random_algebra_curvature(so_algebra(generic(10)), np.random.default_rng(3))), so_algebra(generic(10)))
+    assert 3 * 8 * big.algebra.dim**3 > holonomy._CHUNK_BYTES
+    for _, _, cp_sq in criteria._self_term_operands(big):
+        assert not np.shares_memory(cp_sq, work)
     lam, cp = _rotated_structure(big)
     ref_lam, ref_cp = _rotated_reference(big)
-    assert 2 * cp.nbytes > holonomy._CHUNK_BYTES
     assert np.array_equal(lam, ref_lam)
     assert np.abs(cp - ref_cp).max() <= 1e-13 * np.abs(ref_cp).max()
+
+
+@pytest.mark.parametrize("builder", [
+    lambda: so_algebra(generic(7)),
+    lambda: so_algebra(generic(8)),
+    lambda: holonomy.u_algebra(kaehler(5)),
+], ids=["so7", "so8", "u5"])
+def test_rotation_sub_chunks_are_the_one_trial_values(builder):
+    # two trials more than a rotation sub-chunk holds: a stack that ends in
+    # a further sub-chunk (ragged on so(7)), each value the one-trial value
+    # to the bit
+    alg = builder()
+    count = alg.rotation_trials + 2
+    rm = decomp.random_algebra_curvature(alg, np.random.default_rng(13), count=count)
+    stack = project(to_operator(rm), alg)
+    singles = [project(to_operator(tensor.CurvatureTensor(alg.space, m)), alg) for m in rm.matrix]
+    hat = hat_norm_formula(stack)
+    ones = [hat_norm_formula(op) for op in singles]
+    assert np.array_equal(curvature_term_self(stack), [curvature_term_self(op) for op in singles])
+    assert np.array_equal(hat.total, [h.total for h in ones])
+    assert np.array_equal(hat.per_component, np.stack([h.per_component for h in ones]))
+    assert len(set(np.asarray(hat.total).tolist())) == count

@@ -334,16 +334,18 @@ SUITE_SIZES = {"weyl-norm": ("--n", "4..6"), "bochner-norm": ("--m", "2..3"),
 @pytest.mark.parametrize("suite", list(SUITE_SIZES) + ["sample"])
 def test_chunking_leaves_the_report_as_it_is(suite, monkeypatch, capsys):
     # chunks of 3 out of 7 trials (a ragged last chunk) against one trial
-    # per chunk: the same bytes
+    # per chunk, and for `sample` rotation sub-chunks of 2 out of each 3 (a
+    # ragged last sub-chunk) against one: the same bytes
     if suite == "sample":
         argv = ["sample", "--holonomy", "qk", "--m", "2", "--condition", "2-nonnegative", "--format", "json"]
     else:
         flag, sizes = SUITE_SIZES[suite]
         argv = ["verify", "--suite", suite] + ([flag, sizes] if flag else [])
     reports = []
-    for per in (1, 3):
+    for per, sub in ((1, 1), (3, 2)):
         monkeypatch.setattr(holonomy, "trial_chunk", lambda space, per=per: per)
-        monkeypatch.setattr(holonomy.HolonomyAlgebra, "rotation_trials", per)
+        monkeypatch.setattr(cli, "_sample_chunk", lambda space, per=per: per)
+        monkeypatch.setattr(holonomy.HolonomyAlgebra, "rotation_trials", sub)
         cli.main(argv + ["--trials", "7", "--seed", "5"])
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1]
@@ -390,14 +392,15 @@ def test_weyl_norm_runs_its_kernels_once_per_chunk(monkeypatch, capsys):
 ])
 def test_one_chunk_stays_within_the_budget(suite, flag, size, space):
     # one chunk of trials: the draw, the checks, the hats over (trial,
-    # generator) and the decomposition, or sample's shift, solves and
-    # rotated structure constants, with the cached constants built outside
-    # the trace
+    # generator) and the decomposition within 3 x _CHUNK_BYTES, or one stack
+    # of sample's shift, solves and rotated structure constants, whose
+    # products go to the reused workspace, within 2 x; the cached constants
+    # and the workspace are built outside the trace
     if suite is cli.cmd_sample:
-        per = holonomy.by_name(space, space.kind).rotation_trials
+        per, bound = cli._sample_chunk(space), 2
         argv = ["sample", "--holonomy", space.kind, "--condition", "2-nonnegative"]
     else:
-        per = holonomy.trial_chunk(space)
+        per, bound = holonomy.trial_chunk(space), 3
         argv = ["verify"]
     cfg = cli._config_from_args(cli._build_parser().parse_args(argv + [f"--{flag}", str(size), "--trials", str(per)]))
     suite(cfg)
@@ -407,7 +410,7 @@ def test_one_chunk_stays_within_the_budget(suite, flag, size, space):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * holonomy._CHUNK_BYTES, peak / holonomy._CHUNK_BYTES
+    assert peak <= bound * holonomy._CHUNK_BYTES, peak / holonomy._CHUNK_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +455,7 @@ def test_sample_rows_are_the_one_trial_rows(tag, flag, size, condition):
     cfg = cli._config_from_args(cli._build_parser().parse_args(argv))
     alg = holonomy.by_name(generic(size) if tag == "so" else kaehler(size) if tag == "u" else quaternion_kaehler(size),
                            holonomy.holonomy_kind(tag))
-    cfg.trials = alg.rotation_trials + 1
+    cfg.trials = cli._sample_chunk(alg.space) + 1
     report, _ = cli.cmd_sample(cfg)
     criterion = cli._preset_criterion(alg)
     rng = cli._stream(3, f"sample[{alg.space.kind}]", size)
