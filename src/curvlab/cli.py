@@ -43,7 +43,7 @@ ADJ_TOL = 1e-7  # relative tolerance of matching a published closed form
 MAX_N = 12  # --n
 MAX_M = 6  # --m
 assert tensor.MAX_FILE_N == 4 * MAX_M
-MAX_TRIALS = 10**5  # --trials: a sample row holds about 830 B until rendered, 83 MB at the cap
+MAX_TRIALS = 10**5  # --trials: a sample row holds about 670 B until rendered, 67 MB at the cap
 MAX_INPUT_BYTES = 1 << 24
 
 
@@ -680,11 +680,13 @@ def _sample_chunk(space: EuclideanSpace) -> int:
     (T, D, D) stacks are live at once (the draw, its normalized and shifted
     copies, the restriction, its symmetrized copy and its eigenvectors), so
     a stack holds a quarter of holonomy.trial_chunk, which is half of
-    _CHUNK_BYTES of operators; at least one.  The rotated structure
+    _CHUNK_BYTES of operators, rounded up, as a stack's fixed cost (the
+    shift, `hat_ratio_qk`, the solves) outweighs a trial more: 4 at
+    sp(3)+sp(1), not 3.  The rotated structure
     constants, (T, d, d, d), are the one larger array, and
     `criteria.curvature_term_self` rotates them in sub-chunks of
     HolonomyAlgebra.rotation_trials trials."""
-    return max(1, holonomy.trial_chunk(space) // 4)
+    return -(-holonomy.trial_chunk(space) // 4)
 
 
 def cmd_sample(cfg: argparse.Namespace) -> tuple[Report, int]:
@@ -703,6 +705,7 @@ def cmd_sample(cfg: argparse.Namespace) -> tuple[Report, int]:
         )
     criterion = _preset_criterion(alg)
     shift = cfg.condition == "2-nonnegative"
+    inputs = {"algebra": alg.name}  # one dict, shared by the run's records
     report = Report(command="sample", config=_echo(cfg))
     for rm in _draws(cfg.seed, f"sample[{kind}]", size, cfg.trials or 100, _sample_chunk(space),
                      functools.partial(decomp.random_algebra_curvature, alg)):
@@ -726,10 +729,24 @@ def cmd_sample(cfg: argparse.Namespace) -> tuple[Report, int]:
             cols["criterion_satisfied"] = res.satisfied
         if kind == "qk":
             cols["hat_ratio"] = criteria.hat_ratio_qk(rm, alg).ratio
-        for i in range(len(lam)):
-            row = {"trial": len(report.records), **{k: v[i].item() for k, v in cols.items()}}
-            report.records.append(rec_info(f"sample[{row['trial']}]", {"algebra": alg.name}, row))
+        # one tolist() per column: the python floats and bools .item() gives per cell
+        keys = ("trial", *cols)
+        first = len(report.records)
+        for values in zip(range(first, first + len(lam)), *(v.tolist() for v in cols.values())):
+            report.records.append(
+                CheckRecord(f"sample[{values[0]}]", inputs, None, dict(zip(keys, values)), None, True)
+            )
     return report, 0
+
+
+def _other_cell(value) -> str:
+    return _csv_cell(_scalar_text(value))
+
+
+# A sample CSV cell's text by the exact type of its value: the text _render
+# gives a python float, bool or int, none of which needs quoting; any other
+# value goes through _other_cell, as Report.to_csv renders it.
+_CELL_TEXT = {float: "%.17g".__mod__, bool: ("false", "true").__getitem__, int: str}
 
 
 def _sample_csv(report: Report) -> str:
@@ -737,9 +754,10 @@ def _sample_csv(report: Report) -> str:
     if not rows:
         return "\n"
     cols = list(rows[0].keys())
+    cell = _CELL_TEXT.get
     lines = [",".join(cols)]
     for row in rows:
-        lines.append(",".join(_csv_cell(_scalar_text(row.get(c))) for c in cols))
+        lines.append(",".join([cell(type(v), _other_cell)(v) for v in map(row.get, cols)]))
     return "\n".join(lines) + "\n"
 
 

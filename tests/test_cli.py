@@ -28,6 +28,12 @@ SAMPLE_SHA256 = {
     ("u", "--m", "5"): "76e5f9a973718085f01583beb1816327611c5c25b1b941580ea6a8361f3515a5",
     ("sp", "--m", "3"): "09f7da8721a11dd22f82aaee2fd69ce0d8ad6f77f8e09949710c9bc0485928d1",
 }
+# the same runs with --format json: the records the csv is read from
+SAMPLE_JSON_SHA256 = {
+    ("so", "--n", "8"): "e1809eed2f8f40138c80c714ff5a4e5fd29809fa4ba584af5221837b56b59089",
+    ("u", "--m", "5"): "40a5e40e14713b6347f443bc5e32b7bdf6768d77f3470dfaef4e07ee486c46b5",
+    ("sp", "--m", "3"): "5092b21ea4151b4c367e91912c09ca52d21042a51713bd0b4a7895a74ebcb153",
+}
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -451,6 +457,13 @@ class TestDeterminism:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_SHA256[holonomy_args]
 
+    @pytest.mark.parametrize("holonomy_args", list(SAMPLE_JSON_SHA256), ids=lambda a: a[0] + a[2])
+    def test_sample_json_bytes_are_pinned(self, capsys, holonomy_args):
+        code, out, _ = run(capsys, "sample", "--holonomy", *holonomy_args, "--condition", "2-nonnegative",
+                           "--seed", "42", "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_JSON_SHA256[holonomy_args]
+
     def test_blas_pool_is_held_at_one_thread_and_restored(self, capsys, monkeypatch):
         threads = cli._openblas_threads()
         assert threads is not None, "numpy bundles no scipy-openblas here"
@@ -802,16 +815,20 @@ def test_parser_is_built_once_and_reused(capsys):
 
 
 def test_csv_cells_render_as_before():
-    # %.17g for floats, lowercase bools, str(int), "nan", and None empty;
-    # the python-float shortcut gives the bytes the general branches give
+    # %.17g for floats (infinities, subnormals and large integral values
+    # among them), lowercase bools, str(int) at any size, "nan", None empty,
+    # a string with a comma quoted, and a numpy float as the python float
     row = {"float": 0.1, "tiny": 1e-300, "negzero": -0.0, "bool": True, "int": 3,
-           "nan": float("nan"), "none": None}
+           "nan": float("nan"), "none": None, "inf": float("inf"), "neginf": float("-inf"),
+           "subnormal": 5e-324, "small": 1e-05, "large": 1e16, "bigint": 2**70,
+           "text": "a,b", "npfloat": np.float64(0.1)}
     report = cli.Report(command="sample", config={})
     report.records.append(cli.CheckRecord(name="sample[0]", inputs={}, expected=None,
                                           actual=row, tolerance=None, passed=True))
     assert cli._sample_csv(report) == (
-        "float,tiny,negzero,bool,int,nan,none\n"
-        "0.10000000000000001,1e-300,-0,true,3,nan,\n"
+        "float,tiny,negzero,bool,int,nan,none,inf,neginf,subnormal,small,large,bigint,text,npfloat\n"
+        "0.10000000000000001,1e-300,-0,true,3,nan,,inf,-inf,4.9406564584124654e-324,"
+        '1.0000000000000001e-05,10000000000000000,1180591620717411303424,"a,b",0.10000000000000001\n'
     )
     # a record holds python values: a numpy scalar that is not a float is
     # not converted on the way out, it is refused

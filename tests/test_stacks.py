@@ -389,6 +389,7 @@ def test_weyl_norm_runs_its_kernels_once_per_chunk(monkeypatch, capsys):
     (cli.suite_weyl_norm, "n", 8, generic(8)),
     (cli.cmd_sample, "n", 8, generic(8)),
     (cli.cmd_sample, "m", 5, kaehler(5)),
+    (cli.cmd_sample, "m", 3, quaternion_kaehler(3)),
 ])
 def test_one_chunk_stays_within_the_budget(suite, flag, size, space):
     # one chunk of trials: the draw, the checks, the hats over (trial,
