@@ -22,7 +22,12 @@ The Bianchi kernel is blocked by that basis, and the hats are computed from
 each chunk's dense action on the pairs, cut into blocks by character
 (`HolonomyAlgebra.action_blocks`).  Hats, blocks and structure constants are
 built by chunks of generators (`HolonomyAlgebra.chunk_size`), so no array of
-them scales with the algebra squared.  Algebras compare and hash by
+them scales with the algebra squared.  Construction only checks closure: the
+(d, d, d) structure constants, which only the spectral routes of `criteria`
+read, are built on first read, at the cost of one more bracket pass, so a
+run that never reads them never holds them.  At so(24) they are 168 MB, and
+`curvlab decompose` of an n = 24 file peaks at about 52 MB of RSS, down from
+209 MB when construction kept them.  Algebras compare and hash by
 `HolonomyAlgebra.key`; `by_name` builds each once per space and kind.
 """
 
@@ -133,9 +138,12 @@ class HolonomyAlgebra:
     coeff_matrix has one row per basis element; rows are orthonormal with
     respect to the bivector inner product.  It is a read-only copy of the
     rows given, so `key`, by which algebras compare and hash, stays valid.
-    Construction computes the read-only structure_constants
-    c[a, b, g] = <[basis_a, basis_b], basis_g> and checks closure under the
-    bracket, in one pass (`_brackets`).
+    Construction checks closure under the bracket in one pass (`_brackets`)
+    that keeps only the defect.  The read-only structure_constants
+    c[a, b, g] = <[basis_a, basis_b], basis_g> are built on first read, by
+    one more bracket pass over the same products, so they cost nothing to a
+    run that never reads them (`curvlab decompose` at n = 24 peaks at about
+    52 MB, not 209 MB).
     """
 
     space: EuclideanSpace
@@ -151,7 +159,7 @@ class HolonomyAlgebra:
         gram = self.coeff_matrix @ self.coeff_matrix.T
         if not np.allclose(gram, np.eye(d), atol=1e-9):
             raise GeometryError(f"basis of {self.name} is not orthonormal")
-        self.structure_constants, self._closure_defect = self._brackets()
+        self._closure_defect = self._brackets(keep=False)[1]
         if self._closure_defect > 1e-8:
             raise GeometryError(
                 f"{self.name} is not closed under the bracket ({self._closure_defect:.2e})"
@@ -298,14 +306,25 @@ class HolonomyAlgebra:
                 entries.append(entry)
         return entries
 
-    def _brackets(self) -> tuple[np.ndarray, float]:
+    @cached_property
+    def structure_constants(self) -> np.ndarray:
+        """c[a, b, g] = <[basis_a, basis_b], basis_g>, shape (d, d, d),
+        read-only.  Built on first read by a second bracket pass, the one that
+        checked closure, so its bytes do not depend on when it is read; only
+        the spectral routes of `criteria` read it."""
+        consts = self._brackets(keep=True)[0]
+        _freeze(consts)
+        return consts
+
+    def _brackets(self, keep: bool) -> tuple[np.ndarray | None, float]:
         """(structure constants, closure defect) from the basis matrices,
-        one chunk of generators a at a time."""
+        one chunk of generators a at a time; the constants are None unless
+        kept, so a pass that only checks closure holds no (d, d, d) array."""
         d, n = self.dim, self.space.n
         ii, jj = self.space.pair_rows, self.space.pair_cols
         mats, coeffs = self.matrices, self.coeff_matrix
         right = mats.transpose(1, 2, 0).reshape(n, n * d)
-        consts, defect = np.empty((d, d, d)), 0.0
+        consts, defect = np.empty((d, d, d)) if keep else None, 0.0
         for lo in range(0, d, self.chunk_size):
             size = min(self.chunk_size, d - lo)
             # prod[i, a, k, b] = (basis_a basis_b)[i, k] from one GEMM; its
@@ -314,10 +333,10 @@ class HolonomyAlgebra:
             brackets = (prod[jj, :, ii] - prod[ii, :, jj]).reshape(-1, size * d)  # read off pairs
             del prod
             part = coeffs @ brackets
-            consts[lo : lo + size] = part.T.reshape(size, d, d)
+            if keep:
+                consts[lo : lo + size] = part.T.reshape(size, d, d)
             brackets -= coeffs.T @ part
             defect = max(defect, float(np.sqrt(np.sum(np.square(brackets, out=brackets), axis=0)).max()))
-        _freeze(consts)
         return consts, defect
 
     def closure_defect(self) -> float:

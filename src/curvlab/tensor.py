@@ -500,10 +500,11 @@ def _pair_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _conjugation_on_bivectors(space: EuclideanSpace, s: np.ndarray) -> np.ndarray:
     """Matrix of xi -> s mat(xi) s^T on the pair basis."""
-    # entry (xy, zw) is s[y, w] s[x, z] - s[y, z] s[x, w]
-    xz, yw, xw, yz = _kn_tables(space.n)
-    s = s.ravel()
-    return s[yw] * s[xz] - s[yz] * s[xw]
+    # entry (xy, zw) is s[y, w] s[x, z] - s[y, z] s[x, w], read off the rows
+    # of s at each pair's x and y: no D x D index table
+    ii, jj = space.pair_rows, space.pair_cols
+    sx, sy = s[ii], s[jj]
+    return sy[:, jj] * sx[:, ii] - sy[:, ii] * sx[:, jj]
 
 
 def to_operator(rm: CurvatureTensor) -> CurvatureOperator:

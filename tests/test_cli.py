@@ -560,6 +560,24 @@ class TestDecompose:
         assert payload["coefficients"]["scalar"] == pytest.approx(0.25)
         assert payload["pure_model"] is False
 
+    def test_generic_decompose_holds_no_structure_constants(self, capsys, tmp_path):
+        # decompose builds so(20) but reads none of its (190, 190, 190)
+        # structure constants, 55 MB; the rest of the run stays near 9 MB
+        import tracemalloc
+
+        path = tmp_path / "g20.json"
+        tensor.save_tensor(tensor.random_curvature(euclid.generic(20), np.random.default_rng(20)), path)
+        holonomy._algebra.cache_clear()  # the build is part of the run
+        tracemalloc.start()
+        try:
+            code = main(["decompose", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak < 16e6, peak / 1e6
+
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")

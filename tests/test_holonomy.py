@@ -27,6 +27,19 @@ from curvlab.holonomy import (
 )
 
 
+# sha256 of each algebra's structure_constants: dtype, shape and bytes,
+# taken when construction built them.  They are built on first read now, by
+# a second bracket pass over the same products, so the bytes must not move
+STRUCTURE_SHA256 = {
+    "so8": ("67ec76c6e05da579f9fd090bae9479f340843e8115ab63c37c1dc15cdbde635e", lambda: so_algebra(generic(8))),
+    "u5": ("b7ce9fa5a0a5577b2a12e35ec15ab8777db78a0920c2ad06949241c214496042", lambda: u_algebra(kaehler(5))),
+    "qk3": ("20a79b54505d42f25e4e08780b094678900550dfe6145518951826fc23fa7b58",
+            lambda: sp_sp1_algebra(quaternion_kaehler(3))),
+    "qk5": ("5be950163949df32ebc482d7e7a101f358d7862c9708148bdc50fb7e18d0f865",
+            lambda: sp_sp1_algebra(quaternion_kaehler(5))),
+}
+
+
 class TestAlgebras:
     def test_so_dim(self, so5):
         assert so5.dim == 10
@@ -87,6 +100,27 @@ class TestAlgebras:
         brackets = (prod - prod.transpose(1, 0, 2, 3))[:, :, jj, ii]
         reference = np.einsum("abp,gp->abg", brackets, qk2.coeff_matrix)
         assert np.abs(qk2.structure_constants - reference).max() < 1e-14
+
+    @pytest.mark.parametrize("name", list(STRUCTURE_SHA256))
+    def test_structure_bytes_are_pinned(self, name):
+        expected, builder = STRUCTURE_SHA256[name]
+        c = builder().structure_constants
+        digest = hashlib.sha256(f"{c.dtype.str} {c.shape}".encode())
+        digest.update(c.tobytes())
+        assert digest.hexdigest() == expected
+
+    @pytest.mark.parametrize("space", [generic(6), kaehler(3), quaternion_kaehler(2)], ids=["so6", "u3", "qk2"])
+    def test_structure_constants_are_built_on_first_read(self, space):
+        # building the algebra and its Bianchi kernel checks closure but
+        # keeps no (d, d, d) array; the first read builds it, read-only, once
+        holonomy._algebra.cache_clear()
+        alg = by_name(space, space.kind)
+        decomp.curvature_space_dim(alg)
+        assert "structure_constants" not in vars(alg)
+        c = alg.structure_constants
+        assert vars(alg)["structure_constants"] is c and alg.structure_constants is c
+        assert not c.flags.writeable
+        assert c.shape == (alg.dim,) * 3
 
     def test_by_name(self, so5_space, u3_space, qk2_space):
         assert by_name(so5_space, "so").dim == 10
@@ -572,6 +606,15 @@ class TestActionBlocks:
         assert used  # the pass did compute hats, from the blocks
 
 
+def test_algebra_builds_fill_no_index_tables():
+    # the conjugations that solve the commutant read the structures by pair
+    # rows; only tensor._kn_matrix builds the D x D tables of tensor._kn_tables
+    tensor._kn_tables.cache_clear()
+    for alg in (u_algebra(kaehler(5)), sp_sp1_algebra(quaternion_kaehler(3))):
+        decomp._bianchi_kernel_basis.__wrapped__(alg)
+    assert tensor._kn_tables.cache_info().currsize == 0
+
+
 @pytest.mark.parametrize("m,bound_mb", [(5, 10), (7, 32)])
 def test_algebra_build_holds_no_bracket_table(m, bound_mb):
     # the bracket pass runs chunk by chunk: the whole (n d)^2 product of the
@@ -607,6 +650,7 @@ class TestAlgebraCache:
         assert other is not first and other.name == first.name
         assert by_name(kaehler(3), "so") is not by_name(generic(6), "so")  # the space is part of it
         for alg in (first, other):
+            assert "structure_constants" not in vars(alg)  # the read below builds them
             for arr in (alg.coeff_matrix, alg.matrices, alg.structure_constants, *alg.characters):
                 assert not arr.flags.writeable
 

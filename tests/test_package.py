@@ -1,7 +1,8 @@
 """Package-level guards: what the package exports is used, no module imports
 a name it never reads, every defaulted parameter is one some caller leaves
-out, what the benchmark instrument wraps is bound, the CLI runs its trials
-in the calling thread, and only the CLI seeds a Generator."""
+out, only the spectral routes read the structure constants, what the
+benchmark instrument wraps is bound, the CLI runs its trials in the calling
+thread, and only the CLI seeds a Generator."""
 
 import ast
 import importlib
@@ -109,6 +110,39 @@ def test_defaulted_parameters_are_kept():
     assert sorted(found - set(KEPT_DEFAULTS)) == [], "defaulted parameters with no reason in KEPT_DEFAULTS"
     assert sorted(set(KEPT_DEFAULTS) - found) == [], "KEPT_DEFAULTS entries that are gone"
     assert all(KEPT_DEFAULTS.values())
+
+
+# Where the library reads HolonomyAlgebra.structure_constants: construction
+# does not build them, so any other read, above all one during a build,
+# would hold the (d, d, d) array in runs that never use it.
+STRUCTURE_READERS = {"criteria._rotate", "holonomy.HolonomyAlgebra.structure_constants"}
+
+
+def _structure_reads() -> set[str]:
+    """"module.qualname" of each function in src/curvlab that names
+    structure_constants: reads or sets it as an attribute, or spells its name
+    in a string, as getattr would."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + [node.name]
+        if getattr(node, "attr", None) == "structure_constants" or (
+            isinstance(node, ast.Constant) and node.value == "structure_constants"
+        ):
+            found.add(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), [path.stem])
+    return found
+
+
+def test_structure_constants_are_read_only_by_the_spectral_routes():
+    reads = _structure_reads()
+    assert "criteria._rotate" in reads
+    assert reads <= STRUCTURE_READERS, f"reads of structure_constants outside {sorted(STRUCTURE_READERS)}"
 
 
 def _wrapped() -> list[tuple]:

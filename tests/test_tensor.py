@@ -2,7 +2,7 @@ import functools
 
 import numpy as np
 import pytest
-from conftest import scattered_action
+from conftest import rotated_quaternionic, scattered_action
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -495,6 +495,23 @@ class TestPairIndexFormulas:
         for s in forms:
             ref = _gather(space, np.einsum("ax,by,abzw->xyzw", s, s, rm.components))
             assert _close(tensor._conjugation_on_bivectors(space, s.T) @ rm.matrix, ref)
+
+    @pytest.mark.parametrize("space", ["kaehler", "swapped", "quaternionic", "rotated"])
+    def test_conjugation_matches_the_table_form(self, space, u3_swapped_space, rng):
+        # the same two products of the same entries, in the same order, as the
+        # form read through the D x D tables of tensor._kn_tables: equal bits
+        space = {
+            "kaehler": euclid.kaehler(3),
+            "swapped": u3_swapped_space,
+            "quaternionic": euclid.quaternion_kaehler(2),
+            "rotated": rotated_quaternionic(2),
+        }[space]
+        xz, yw, xw, yz = tensor._kn_tables(space.n)
+        structs = [s for s in (space.structure.I, space.structure.J, space.structure.K) if s is not None]
+        for s in structs + [s.T for s in structs] + [rng.standard_normal((space.n, space.n))]:
+            flat = s.ravel()
+            ref = flat[yw] * flat[xz] - flat[yz] * flat[xw]
+            assert np.array_equal(tensor._conjugation_on_bivectors(space, s), ref)
 
     def test_bianchi_projection(self, formula_algebra, rng):
         space = formula_algebra.space
