@@ -20,9 +20,7 @@ from .tensor import (
     CurvatureOperator,
     CurvatureTensor,
     SymmetryError,
-    bianchi_project,
     bianchi_sum,
-    lie_action,
     load_tensor,
     random_curvature,
     ricci,
@@ -56,7 +54,6 @@ from .decomp import (
 from .criteria import (
     CriterionResult,
     CurvatureTerm,
-    HatNorm,
     HatRatio,
     WeightedCriterion,
     curvature_term,

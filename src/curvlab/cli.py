@@ -328,7 +328,7 @@ def suite_wolf(cfg: argparse.Namespace) -> list[CheckRecord]:
         out.append(rec_close(f"wolf[{m}].trace_free_norm_sq", inputs, 9.0 * m * (m - 1), r0_sq, RTOL))
 
         hat_direct = criteria.hat_norm_direct(rm, alg)
-        hat_formula = criteria.hat_norm_formula(rop).total
+        hat_formula = criteria.hat_norm_formula(rop)
         out.append(
             rec_leq(
                 f"wolf[{m}].hat_route_gap",

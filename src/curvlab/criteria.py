@@ -28,9 +28,14 @@ rotate the structure constants into that eigenbasis with three GEMMs, one
 per slot (_rotate), for a sub-chunk of HolonomyAlgebra.rotation_trials
 trials at a time, all three into a workspace each thread reuses
 (_self_term_operands); each sub-chunk is reduced before the next, so no
-(T, d, d, d) array of a whole stack is formed.  curvature_term makes its
-own eigensolve, so its eigen route stays independent of everything else a
-caller has asked of the same operator, and its bilinear route needs none.
+(T, d, d, d) array of a whole stack is formed.
+
+curvature_term, CurvatureTerm and _hat_flat (with tensor.t_hat, the stack
+they read) are the eigen-vs-bilinear oracle of the curvature term that
+the acceptance gate checks the self term against; no command runs them.
+curvature_term makes its own eigensolve, so its eigen route stays
+independent of everything else a caller has asked of the same operator,
+and its bilinear route needs none.
 The 2-nonnegative shift reads only two-smallest-eigenvalue sums, of the
 sample and of the shift model, from a values-only solve
 (`_two_smallest_sum`); the model's depends only on the space and the
@@ -136,18 +141,6 @@ def hat_norm_direct(t, algebra: HolonomyAlgebra):
     return _value(np.sum(_hat_row_norms_sq(t, algebra), axis=-1))
 
 
-@dataclass
-class HatNorm:
-    """Squared hat norm of a curvature tensor from structure constants.
-
-    per_component is indexed by the operator eigenbasis (ascending
-    eigenvalues), not by the original algebra basis.
-    """
-
-    total: float | np.ndarray
-    per_component: np.ndarray
-
-
 def _rotate(algebra: HolonomyAlgebra, q: np.ndarray, work: np.ndarray | None) -> np.ndarray:
     """The structure constants of the algebra in each eigenbasis of a (T, d, d)
     stack q, cp[t, i, j, k] = sum q[t, a, i] q[t, b, j] q[t, g, k] c[a, b, g].
@@ -166,16 +159,6 @@ def _rotate(algebra: HolonomyAlgebra, q: np.ndarray, work: np.ndarray | None) ->
         out = None if work is None else work[slot * size : (slot + 1) * size].reshape(shape)
         cp = np.matmul(cp.swapaxes(-1, -2), q, out=out).reshape(count, d, d * d)
     return cp.reshape(count, d, d, d)
-
-
-def _rotated_structure(op):
-    """Spectrum of the restricted operator (its memo, no new eigensolve) and
-    the structure constants of its algebra in its eigenbasis q, per trial on
-    a stack (`_rotate`), as a fresh array."""
-    spec = op.spectrum()
-    d = spec.values.shape[-1]
-    cp = _rotate(_resolve(op), spec.vectors.reshape(-1, d, d), None)
-    return spec.values, cp.reshape(spec.values.shape[:-1] + (d, d, d))
 
 
 _scratch = threading.local()
@@ -222,16 +205,18 @@ def _per_trial_sum(op, reduce) -> np.ndarray:
     return np.concatenate(parts).reshape(op.matrix.shape[:-2] + parts[0].shape[1:])
 
 
-def hat_norm_formula(op) -> HatNorm:
-    """Squared hat norm of the tensor behind a restricted operator.
+def hat_norm_formula(op) -> float | np.ndarray:
+    """Squared hat norm of the tensor behind a restricted operator; per trial
+    on a stack.
 
     Uses only the operator spectrum and the algebra structure constants:
     each eigenbasis generator contributes the squared eigenvalue differences
-    it bridges, weighted by the squared structure constants.  Agrees with
-    hat_norm_direct on tensors supported on the algebra.
+    it bridges, weighted by the squared structure constants, and the
+    contributions are summed per trial.  Agrees with hat_norm_direct on
+    tensors supported on the algebra.
     """
     per = _per_trial_sum(op, lambda lam, diffs, cp_sq: np.einsum("...ab,...gab->...g", diffs, cp_sq))
-    return HatNorm(total=_value(per.sum(axis=-1)), per_component=per)
+    return _value(per.sum(axis=-1))
 
 
 def _self_sum(lam: np.ndarray, diffs: np.ndarray, cp_sq: np.ndarray) -> np.ndarray:

@@ -159,11 +159,9 @@ class HolonomyAlgebra:
         gram = self.coeff_matrix @ self.coeff_matrix.T
         if not np.allclose(gram, np.eye(d), atol=1e-9):
             raise GeometryError(f"basis of {self.name} is not orthonormal")
-        self._closure_defect = self._brackets(keep=False)[1]
-        if self._closure_defect > 1e-8:
-            raise GeometryError(
-                f"{self.name} is not closed under the bracket ({self._closure_defect:.2e})"
-            )
+        defect = self._brackets(keep=False)[1]
+        if defect > 1e-8:
+            raise GeometryError(f"{self.name} is not closed under the bracket ({defect:.2e})")
 
     @property
     def dim(self) -> int:
@@ -318,8 +316,10 @@ class HolonomyAlgebra:
 
     def _brackets(self, keep: bool) -> tuple[np.ndarray | None, float]:
         """(structure constants, closure defect) from the basis matrices,
-        one chunk of generators a at a time; the constants are None unless
-        kept, so a pass that only checks closure holds no (d, d, d) array."""
+        one chunk of generators a at a time.  The defect is the largest
+        bivector-norm distance of a basis bracket from the span; the
+        constants are None unless kept, so a pass that only checks closure
+        holds no (d, d, d) array."""
         d, n = self.dim, self.space.n
         ii, jj = self.space.pair_rows, self.space.pair_cols
         mats, coeffs = self.matrices, self.coeff_matrix
@@ -338,10 +338,6 @@ class HolonomyAlgebra:
             brackets -= coeffs.T @ part
             defect = max(defect, float(np.sqrt(np.sum(np.square(brackets, out=brackets), axis=0)).max()))
         return consts, defect
-
-    def closure_defect(self) -> float:
-        """Largest bivector-norm distance of a basis bracket from the span."""
-        return self._closure_defect
 
 
 def _algebra_key(algebra: HolonomyAlgebra) -> tuple:

@@ -35,14 +35,15 @@ Conventions, fixed once here and relied on everywhere else:
   chunk of (trial, generator) pairs at a time, into one reused buffer of
   about holonomy._CHUNK_BYTES.  t_hat copies them into the whole (dim, D, D)
   stack of the H_a of an unrestricted CurvatureOperator, whose squared
-  norms are Frobenius norms.  lie_action keeps the slot-by-slot definition,
-  on the skew matrix of one generator, as the independent single-generator
-  reference.  Hats are reduced only in criteria.
+  norms are Frobenius norms, for the bilinear route of
+  criteria.curvature_term.  Hats are reduced only in criteria.
 
 Products, traces and projections act on the operator through pair-index
-formulas with index tables cached per dimension.  The rank-four routes
-(bianchi_sum, bianchi_project, lie_action) stay as the references the tests
-check the pair-index formulas and the hats against.
+formulas with index tables cached per dimension.  The one rank-four route
+left is bianchi_sum, which checks arrays that come from outside; the
+slot-by-slot references that the pair-index formulas and the hats are
+checked against (the rank-four Bianchi projection and the single-generator
+action) are test helpers, in tests/conftest.py.
 
 What depends only on the dimension or the structure is built once and
 shared read-only, so per-sample calls touch only the sample: per dimension
@@ -280,23 +281,15 @@ def bianchi_sum(t: np.ndarray) -> np.ndarray:
     return (t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)) / 3.0
 
 
-def bianchi_project(t: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of a pair-symmetric array onto Bianchi kernel.
-
-    The cyclic average is itself an orthogonal projection (onto the fully
-    antisymmetric part), so subtracting it projects onto curvature type.
-    """
-    return t - bianchi_sum(t)
-
-
 def _bianchi_project_matrix(mat: np.ndarray) -> np.ndarray:
-    """bianchi_project on the operator of an exactly symmetric matrix, or on
-    each matrix of a stack.
+    """Orthogonal projection onto the Bianchi kernel, t - bianchi_sum(t), of
+    the rank-four array of an exactly symmetric matrix, on that matrix, or
+    on each matrix of a stack.
 
     The removed part is the four-form with value b at (ij, kl), -b at
     (ik, jl) and b at (il, jk), b the Bianchi sum at i < j < k < l.  Each
-    slot subtracts the cyclic sum in the order bianchi_project adds it at
-    that slot, so the result is the same to the last bit.
+    slot subtracts the cyclic sum in the order bianchi_sum adds it at that
+    slot, so the result is the rank-four projection's to the last bit.
     """
     first, second = _project_flat(_dim_of_pairs(mat.shape[-1]))
     src = mat.reshape(mat.shape[:-2] + (-1,))
@@ -533,37 +526,6 @@ def _tensor_array_from_matrix(space: EuclideanSpace, mat: np.ndarray) -> np.ndar
 # derivations
 
 
-def _lie_array(a: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Derivation action of a matrix generator on a rank-2 or rank-4 array.
-
-    Each slot contributes minus the generator contracted into that slot,
-    matching the derivative of the pullback along the flow of a.
-    """
-    if t.ndim == 2:
-        return -(np.einsum("sx,sy->xy", a, t) + np.einsum("sy,xs->xy", a, t))
-    if t.ndim == 4:
-        return -(
-            np.einsum("sx,syzw->xyzw", a, t)
-            + np.einsum("sy,xszw->xyzw", a, t)
-            + np.einsum("sz,xysw->xyzw", a, t)
-            + np.einsum("sw,xyzs->xyzw", a, t)
-        )
-    raise GeometryError(f"lie action supports rank 2 or 4, got rank {t.ndim}")
-
-
-def lie_action(a: np.ndarray, t):
-    """Infinitesimal rotation action of a generator, given as its skew
-    matrix (a row of `HolonomyAlgebra.matrices`), on a tensor.
-
-    Accepts a rank-2 or rank-4 ndarray, or a CurvatureTensor; returns the
-    same kind.  The action preserves the curvature symmetry class.
-    """
-    a = np.asarray(a, dtype=float)
-    if isinstance(t, CurvatureTensor):
-        return CurvatureTensor.from_components(t.space, _lie_array(a, t.components))
-    return _lie_array(a, np.asarray(t, dtype=float))
-
-
 def _hat_chunks(op: CurvatureOperator, algebra):
     """Operator hats H_a = N_a R + (N_a R)^T of op, one operator or a stack
     of trials, by chunks of (trial, generator) pairs: yields (t, lo, hats),
@@ -716,14 +678,15 @@ def _space_for(n: int, structure: str) -> EuclideanSpace:
 def tensor_from_dict(data: dict) -> CurvatureTensor:
     """Rebuild a tensor from its dictionary form, on the standard space of
     its dimension and structure tag, validating shape and symmetries.  A
-    dimension above MAX_FILE_N, or components other than a list of n^4
-    numbers, raises before any space or array is built."""
+    dimension that is not a JSON integer or is above MAX_FILE_N, or
+    components other than a list of n^4 JSON numbers, raises before any
+    space or array is built."""
     try:
-        n = int(data["n"])
-        structure = str(data["structure"])
-        components = data["components"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        n, structure, components = data["n"], str(data["structure"]), data["components"]
+    except (KeyError, TypeError) as exc:
         raise GeometryError(f"malformed tensor record: {exc}") from exc
+    if type(n) is not int:  # not isinstance: json's true is an int to it
+        raise GeometryError(f"malformed tensor record: n is a {type(n).__name__}, not an integer")
     if not isinstance(components, list):
         kind = type(components).__name__
         raise GeometryError(f"malformed tensor record: components is a {kind}, not a list")
@@ -731,10 +694,14 @@ def tensor_from_dict(data: dict) -> CurvatureTensor:
         raise GeometryError(f"dimension {n} is above the size cap {MAX_FILE_N}")
     if len(components) != n**4:
         raise GeometryError(f"expected {n**4} components, got {len(components)}")
+    if not set(map(type, components)) <= {float, int}:
+        bad = next(i for i, x in enumerate(components) if type(x) not in (float, int))
+        kind = type(components[bad]).__name__
+        raise GeometryError(f"malformed tensor record: component {bad} is a {kind}, not a number")
     space = _space_for(n, structure)
     try:
         flat = np.fromiter(components, dtype=float, count=len(components))
-    except (TypeError, ValueError) as exc:
+    except OverflowError as exc:
         raise GeometryError(f"malformed tensor record: {exc}") from exc
     return CurvatureTensor.from_components(space, flat.reshape(n, n, n, n))
 

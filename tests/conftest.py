@@ -1,7 +1,11 @@
+import ctypes
+import glob
+import os
+
 import numpy as np
 import pytest
 
-from curvlab import decomp, euclid, holonomy
+from curvlab import criteria, decomp, euclid, holonomy, tensor
 
 
 def _rotation(n: int, seed: int) -> np.ndarray:
@@ -52,6 +56,71 @@ def scattered_action(alg) -> np.ndarray:
     for blocks, sources, targets in alg.action_blocks:
         act[targets[:, :, None], sources[:, None, :]] = blocks
     return act.reshape(alg.dim, n_pairs, n_pairs)
+
+
+def lie_action(a: np.ndarray, t):
+    """Infinitesimal rotation action of a generator, given as its skew
+    matrix (a row of `HolonomyAlgebra.matrices`), on a rank-2 or rank-4
+    array, or on a CurvatureTensor (validated slot by slot); returns the
+    same kind.  Each slot contributes minus the generator contracted into
+    that slot, the derivative of the pullback along the flow of a: the
+    slot-by-slot single-generator reference the operator hats are checked
+    against."""
+    if isinstance(t, tensor.CurvatureTensor):
+        return tensor.CurvatureTensor.from_components(t.space, lie_action(a, t.components))
+    slots = "xyzw"[: t.ndim]
+    return -sum(np.einsum(f"s{x},{slots.replace(x, 's')}->{slots}", a, t) for x in slots)
+
+
+def bianchi_project(t: np.ndarray) -> np.ndarray:
+    """Orthogonal projection of a pair-symmetric rank-four array onto the
+    Bianchi kernel: the cyclic average is itself an orthogonal projection
+    (onto the fully antisymmetric part), so subtracting it projects onto
+    curvature type.  The reference of tensor._bianchi_project_matrix."""
+    return t - tensor.bianchi_sum(t)
+
+
+def rotated_structure(op):
+    """Spectrum of a restricted operator (its memo, no new eigensolve) and
+    the structure constants of its algebra in its eigenbasis, per trial on
+    a stack (criteria._rotate), as a fresh array."""
+    spec = op.spectrum()
+    d = spec.values.shape[-1]
+    cp = criteria._rotate(op.algebra, spec.vectors.reshape(-1, d, d), None)
+    return spec.values, cp.reshape(spec.values.shape[:-1] + (d, d, d))
+
+
+def closure_defect(alg) -> float:
+    """Largest bivector-norm distance of a basis bracket of alg from its
+    span, from the bracket pass that construction checks."""
+    return alg._brackets(keep=False)[1]
+
+
+# The OpenBLAS core the byte pins were computed under.  Another core sums a
+# product in another order, so values move at rounding level and the pins
+# fail with every verdict unchanged.
+PIN_CORE = "SkylakeX"
+
+
+def openblas_core() -> str:
+    """Name of the core that numpy's bundled OpenBLAS runs, read from the
+    library cli._openblas_threads opens (the same file, so the same loaded
+    library), or a note that there is none."""
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*")
+    for path in sorted(glob.glob(pattern)):
+        try:
+            name = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        name.argtypes, name.restype = [], ctypes.c_char_p
+        return name().decode()
+    return "unknown (numpy bundles no scipy-openblas)"
+
+
+def pin_note() -> str:
+    """The failure message of a byte pin: the core it was computed under
+    and the core of this run."""
+    return f"byte pins hold under OpenBLAS core {PIN_CORE}; this run uses {openblas_core()}"
 
 
 @pytest.fixture(scope="session")

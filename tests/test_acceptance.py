@@ -11,6 +11,7 @@ import itertools
 
 import numpy as np
 import pytest
+from conftest import rotated_structure
 
 from curvlab import decomp, tensor
 from curvlab.cli import _merge_mults
@@ -23,7 +24,6 @@ from curvlab.criteria import (
     qk_preset,
     two_nonnegative_shift,
     weyl_preset,
-    _rotated_structure,
 )
 from curvlab.euclid import generic, kaehler, quaternion_kaehler
 from curvlab.holonomy import project, so_algebra, sp_sp1_algebra, u_algebra
@@ -214,7 +214,7 @@ def test_criterion_6_positivity_property():
             rm = decomp.random_algebra_curvature(alg, rng=rng)
             rm, _ = two_nonnegative_shift(rm, alg)
             op = project(to_operator(rm), alg)
-            lam, cp = _rotated_structure(op)
+            lam, cp = rotated_structure(op)
             diffs = (lam[:, None] - lam[None, :]) ** 2
             self_route = float(np.einsum("g,ab,gab->", lam, diffs, cp**2))
             scale = float(np.einsum("g,ab,gab->", np.abs(lam), diffs, cp**2))

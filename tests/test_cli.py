@@ -9,6 +9,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import pin_note
 
 import curvlab
 from curvlab import cli, criteria, decomp, euclid, holonomy, tensor
@@ -35,6 +36,9 @@ SAMPLE_JSON_SHA256 = {
     ("sp", "--m", "3"): "5092b21ea4151b4c367e91912c09ca52d21042a51713bd0b4a7895a74ebcb153",
 }
 
+EXPECTED = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -50,6 +54,15 @@ def _clear_shared_caches():
         tensor._kn_metric, tensor._project_flat,
     ):
         fn.cache_clear()
+
+
+@pytest.fixture(scope="module")
+def verify_csv(tmp_path_factory) -> tuple[int, str]:
+    """(exit code, report) of `verify --seed 42 --format csv`, run once for
+    the tests that read it."""
+    path = tmp_path_factory.mktemp("verify") / "report.csv"
+    code = main(["verify", "--seed", "42", "--format", "csv", "--out", str(path)])
+    return code, path.read_text()
 
 
 class TestParsing:
@@ -443,26 +456,26 @@ class TestDeterminism:
             assert b"note:" not in proc.stderr
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
-        assert hashlib.sha256(outs[0]).hexdigest() == VERIFY_SHA256["json"]
+        assert hashlib.sha256(outs[0]).hexdigest() == VERIFY_SHA256["json"], pin_note()
 
-    def test_verify_csv_bytes_are_pinned(self, capsys):
-        code, out, _ = run(capsys, "verify", "--seed", "42", "--format", "csv")
+    def test_verify_csv_bytes_are_pinned(self, verify_csv):
+        code, out = verify_csv
         assert code == 1
-        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256["csv"]
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256["csv"], pin_note()
 
     @pytest.mark.parametrize("holonomy_args", list(SAMPLE_SHA256), ids=lambda a: a[0] + a[2])
     def test_sample_csv_bytes_are_pinned(self, capsys, holonomy_args):
         code, out, _ = run(capsys, "sample", "--holonomy", *holonomy_args, "--condition", "2-nonnegative",
                            "--seed", "42", "--format", "csv")
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_SHA256[holonomy_args]
+        assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_SHA256[holonomy_args], pin_note()
 
     @pytest.mark.parametrize("holonomy_args", list(SAMPLE_JSON_SHA256), ids=lambda a: a[0] + a[2])
     def test_sample_json_bytes_are_pinned(self, capsys, holonomy_args):
         code, out, _ = run(capsys, "sample", "--holonomy", *holonomy_args, "--condition", "2-nonnegative",
                            "--seed", "42", "--format", "json")
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_JSON_SHA256[holonomy_args]
+        assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_JSON_SHA256[holonomy_args], pin_note()
 
     def test_blas_pool_is_held_at_one_thread_and_restored(self, capsys, monkeypatch):
         threads = cli._openblas_threads()
@@ -489,6 +502,19 @@ class TestDeterminism:
         assert code == 0
         assert json.loads(out)["records"]
         assert err.startswith("note: numpy's OpenBLAS thread count cannot be held")
+
+
+def test_verify_records_mirror_the_benchmark_verdicts(verify_csv):
+    # the benchmark's verify pass checks each record's verdict against its
+    # map in perfbench/expected.json, and counts a record the map lacks, an
+    # entry the report lacks, and a changed verdict as failed operations
+    verdicts = json.loads(EXPECTED.read_text())["verify-all"]["verdicts"]
+    passed = {row["name"]: row["passed"] == "true" for row in csv.DictReader(io.StringIO(verify_csv[1]))}
+    problems = [f"{name}: not in the verdict map" for name in passed if name not in verdicts]
+    problems += [f"{name}: missing from the report" for name in verdicts if name not in passed]
+    problems += [f"{name}: passed={passed[name]}, the map says {verdicts[name]}"
+                 for name in passed if name in verdicts and passed[name] is not verdicts[name]]
+    assert not problems, "the benchmark counts each of these as a failed operation: " + "; ".join(problems)
 
 
 class TestSpectrum:
@@ -647,6 +673,34 @@ class TestDecompose:
         assert code == 2
         assert out == ""
         assert message in err
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("n", "4.5", "n is a float, not an integer"),
+            ("n", "4.0", "n is a float, not an integer"),
+            ("n", '"4"', "n is a str, not an integer"),
+            ("n", "true", "n is a bool, not an integer"),
+            ("component", '"0"', "component 0 is a str, not a number"),
+            ("component", "false", "component 0 is a bool, not a number"),
+            ("component", "null", "component 0 is a NoneType, not a number"),
+            ("component", "1" + "0" * 400, "int too large to convert to float"),
+        ],
+    )
+    def test_record_types_are_json_numbers(self, capsys, tmp_path, field, value, message):
+        # a valid sphere file but for one field: n must be a JSON integer and
+        # each component a JSON number, not text or a bool that converts to one
+        comp = [json.dumps(x) for x in decomp.sphere(4).components.ravel().tolist()]
+        n = "4"
+        if field == "n":
+            n = value
+        else:
+            comp[0] = value
+        path = tmp_path / "typed.json"
+        path.write_text(f'{{"n": {n}, "structure": "generic", "components": [{", ".join(comp)}]}}')
+        code, out, err = run(capsys, "decompose", str(path))
+        assert (code, out) == (2, "")
+        assert f"malformed tensor record: {message}" in err
 
     def test_holonomy_structure_mismatch(self, capsys, tmp_path):
         # the structure is the file's own; no flag names another

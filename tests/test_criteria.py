@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import misplaced_unitary, rotated_kaehler, rotated_quaternionic
+from conftest import lie_action, misplaced_unitary, rotated_kaehler, rotated_quaternionic, rotated_structure
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +20,6 @@ from curvlab.criteria import (
     weighted_criterion,
     weyl_preset,
     WeightedCriterion,
-    _rotated_structure,
 )
 from curvlab.euclid import GeometryError, generic, kaehler, quaternion_kaehler, symmetric_eigen
 from curvlab.holonomy import project, so_algebra
@@ -63,15 +62,13 @@ class TestHatNorms:
     def test_routes_agree_on_wolf(self, wolf2, qk2):
         direct = hat_norm_direct(wolf2, qk2)
         rop = project(to_operator(wolf2), qk2)
-        via_formula = hat_norm_formula(rop)
-        assert direct == pytest.approx(via_formula.total, rel=1e-12)
-        assert via_formula.per_component.sum() == pytest.approx(direct, rel=1e-12)
+        assert direct == pytest.approx(hat_norm_formula(rop), rel=1e-12)
 
     def test_routes_agree_on_samples(self, qk2, rng):
         rm = decomp.random_algebra_curvature(qk2, rng=rng)
         direct = hat_norm_direct(rm, qk2)
         rop = project(to_operator(rm), qk2)
-        assert direct == pytest.approx(hat_norm_formula(rop).total, rel=1e-9)
+        assert direct == pytest.approx(hat_norm_formula(rop), rel=1e-9)
 
     def test_invariant_model_has_zero_hat(self, hp2, qk2):
         assert hat_norm_direct(hp2, qk2) < 1e-20
@@ -92,7 +89,7 @@ class TestNormConventions:
         alg = request.getfixturevalue(request.param)
         rm = tensor.random_curvature(alg.space, rng=rng)
         comp_sq = [
-            float(np.sum(tensor.lie_action(gen, rm).components ** 2))
+            float(np.sum(lie_action(gen, rm).components ** 2))
             for gen in alg.matrices
         ]
         assert max(comp_sq) > 1e-3
@@ -457,9 +454,7 @@ def test_self_term_is_tripod_sum_over_triples(seed):
     rng = np.random.default_rng(seed)
     rm = decomp.random_algebra_curvature(alg, rng=rng)
     op = project(to_operator(rm), alg)
-    from curvlab.criteria import _rotated_structure
-
-    lam, cp = _rotated_structure(op)
+    lam, cp = rotated_structure(op)
     total = 0.0
     d = alg.dim
     for a in range(d):
@@ -471,7 +466,7 @@ def test_self_term_is_tripod_sum_over_triples(seed):
 
 
 def _rotated_reference(op):
-    """The four-operand einsum that the per-slot GEMMs of _rotated_structure
+    """The four-operand einsum that the per-slot GEMMs of criteria._rotate
     replace: the structure constants in the eigenbasis of a fresh solve."""
     spec = symmetric_eigen(op.matrix)
     q = spec.vectors
@@ -492,7 +487,7 @@ def test_gemm_rotation_matches_einsum(builder):
     alg = builder()
     rm = decomp.random_algebra_curvature(alg, np.random.default_rng(11))
     op = project(to_operator(rm), alg)
-    lam, cp = _rotated_structure(op)
+    lam, cp = rotated_structure(op)
     ref_lam, ref_cp = _rotated_reference(op)
     assert np.array_equal(lam, ref_lam)
     assert np.abs(cp - ref_cp).max() <= 1e-13 * np.abs(ref_cp).max()
@@ -509,19 +504,19 @@ def test_gemm_rotation_matches_einsum(builder):
 
 def test_rotation_products_reuse_one_workspace(u3):
     # the spectral routes rotate each sub-chunk's three products into one
-    # per-thread buffer; _rotated_structure returns a fresh array, so the
+    # per-thread buffer; rotating without it gives a fresh array, so the
     # kernels' later calls leave it as it was
     ops = [project(to_operator(decomp.random_algebra_curvature(u3, np.random.default_rng(s))), u3) for s in (1, 2)]
-    first = _rotated_structure(ops[0])[1]
+    first = rotated_structure(ops[0])[1]
     kept = first.copy()
     work = criteria._workspace(holonomy._CHUNK_BYTES // 8)
     assert np.shares_memory(work, criteria._workspace(1))
     for _, _, cp_sq in criteria._self_term_operands(ops[1]):
         assert np.shares_memory(cp_sq, work)
-    values = (curvature_term_self(ops[1]), hat_norm_formula(ops[1]).total)
+    values = (curvature_term_self(ops[1]), hat_norm_formula(ops[1]))
     assert np.array_equal(first, kept)
     assert not np.shares_memory(first, work)
-    assert values == (curvature_term_self(ops[1]), hat_norm_formula(ops[1]).total)
+    assert values == (curvature_term_self(ops[1]), hat_norm_formula(ops[1]))
     # three products above the budget are fresh arrays, as before: one trial
     # of so(10) rotates 3 x 0.73 MB
     assert criteria._workspace(holonomy._CHUNK_BYTES // 8 + 1) is None
@@ -529,7 +524,7 @@ def test_rotation_products_reuse_one_workspace(u3):
     assert 3 * 8 * big.algebra.dim**3 > holonomy._CHUNK_BYTES
     for _, _, cp_sq in criteria._self_term_operands(big):
         assert not np.shares_memory(cp_sq, work)
-    lam, cp = _rotated_structure(big)
+    lam, cp = rotated_structure(big)
     ref_lam, ref_cp = _rotated_reference(big)
     assert np.array_equal(lam, ref_lam)
     assert np.abs(cp - ref_cp).max() <= 1e-13 * np.abs(ref_cp).max()
@@ -552,6 +547,5 @@ def test_rotation_sub_chunks_are_the_one_trial_values(builder):
     hat = hat_norm_formula(stack)
     ones = [hat_norm_formula(op) for op in singles]
     assert np.array_equal(curvature_term_self(stack), [curvature_term_self(op) for op in singles])
-    assert np.array_equal(hat.total, [h.total for h in ones])
-    assert np.array_equal(hat.per_component, np.stack([h.per_component for h in ones]))
-    assert len(set(np.asarray(hat.total).tolist())) == count
+    assert np.array_equal(hat, ones)
+    assert len(set(hat.tolist())) == count

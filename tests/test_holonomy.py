@@ -3,7 +3,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from conftest import misplaced_unitary, rotated_kaehler, scattered_action, wedge_coeffs
+from conftest import closure_defect, lie_action, misplaced_unitary, pin_note, rotated_kaehler, scattered_action, wedge_coeffs
 
 from curvlab import decomp, holonomy, tensor
 from curvlab.euclid import (
@@ -56,7 +56,7 @@ class TestAlgebras:
         assert np.allclose(gram, np.eye(u3.dim))
 
     def test_closure(self, qk2):
-        assert qk2.closure_defect() < 1e-12
+        assert closure_defect(qk2) < 1e-12
 
     def test_u_elements_commute_with_J(self, u3):
         j = u3.space.J
@@ -107,7 +107,7 @@ class TestAlgebras:
         c = builder().structure_constants
         digest = hashlib.sha256(f"{c.dtype.str} {c.shape}".encode())
         digest.update(c.tobytes())
-        assert digest.hexdigest() == expected
+        assert digest.hexdigest() == expected, pin_note()
 
     @pytest.mark.parametrize("space", [generic(6), kaehler(3), quaternion_kaehler(2)], ids=["so6", "u3", "qk2"])
     def test_structure_constants_are_built_on_first_read(self, space):
@@ -399,7 +399,7 @@ def test_u_family(m):
 def test_sp_family(m):
     alg = sp_sp1_algebra(quaternion_kaehler(m))
     assert alg.dim == m * (2 * m + 1) + 3
-    assert alg.closure_defect() < 1e-10
+    assert closure_defect(alg) < 1e-10
 
 
 def test_so_projection_is_identity(so5):
@@ -551,7 +551,7 @@ class TestActionBlocks:
             gens = sorted(set(np.unique(alg.characters[1], return_index=True)[1]) | {alg.dim - 1})
         scale = 1.0 + float(np.abs(hats).max())
         for b in gens:
-            ref = tensor.to_operator(tensor.lie_action(alg.matrices[b], rm)).matrix
+            ref = tensor.to_operator(lie_action(alg.matrices[b], rm)).matrix
             assert float(np.abs(hats[b] - ref).max()) <= 1e-12 * scale
 
     @pytest.mark.parametrize("builder", [lambda: u_algebra(rotated_kaehler(3)), lambda: misplaced_unitary(3)],
@@ -588,7 +588,7 @@ class TestActionBlocks:
             for a in entry:
                 digest.update(f"{a.dtype.str} {a.shape} {a.strides}".encode())
                 digest.update(a.tobytes())
-        assert digest.hexdigest() == expected
+        assert digest.hexdigest() == expected, pin_note()
 
     def test_verify_never_reads_the_dense_stack(self, monkeypatch, capsys):
         from curvlab import cli

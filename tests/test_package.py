@@ -2,16 +2,19 @@
 a name it never reads, every defaulted parameter is one some caller leaves
 out, only the spectral routes read the structure constants, what the
 benchmark instrument wraps is bound, the CLI runs its trials in the calling
-thread, and only the CLI seeds a Generator."""
+thread, only the CLI seeds a Generator, and every library function is run
+by a command or listed with the reason it stays."""
 
 import ast
 import importlib
 import inspect
+import json
 import pathlib
 import subprocess
 import sys
 import types
 
+import numpy as np
 import pytest
 
 import curvlab
@@ -22,9 +25,7 @@ SPANS = TESTS.parent / "perfbench" / "spans.py"
 
 # Exports that no library module calls, kept on purpose, each with why.
 KEPT_REFERENCES = {
-    "lie_action": "slot-by-slot single-generator reference the tests check the hats against",
-    "bianchi_project": "rank-four reference the tests check the operator Bianchi projection against",
-    "curvature_term": "two-route mixed curvature term, for checking the sharp constants in verify",
+    "curvature_term": "eigen-vs-bilinear curvature term, the oracle acceptance criterion 6 checks the self term against",
     "save_tensor": "writes the tensor files that `curvlab decompose` reads",
 }
 
@@ -191,3 +192,105 @@ def test_only_the_cli_seeds_a_generator():
     alg = curvlab.so_algebra(curvlab.generic(4))
     with pytest.raises(TypeError):
         curvlab.random_algebra_curvature(alg)
+
+
+# The commands the reach guard runs, in one fresh process: every report
+# format, every sampled holonomy at both conditions, every spectrum model,
+# and a decompose of each structure.
+REACH_COMMANDS = (
+    [["verify", "--seed", "42"], ["verify", "--suite", "hp", "--m", "2", "--format", "csv"]]
+    + [
+        ["sample", "--holonomy", holonomy, "--condition", condition, "--format", fmt]
+        for holonomy in ("so", "u", "sp")
+        for condition in ("none", "2-nonnegative")
+        for fmt in ("json", "csv")
+    ]
+    + [
+        ["spectrum", "--model", "hp", "--m", "2"],
+        ["spectrum", "--model", "wolf", "--m", "2"],
+        ["spectrum", "--model", "grassmann", "--p", "2", "--q", "3"],
+        ["spectrum", "--model", "sphere", "--n", "4"],
+        ["spectrum", "--model", "const-hol", "--m", "2"],
+    ]
+)
+
+# Profiles the commands given as a JSON list on argv and prints their exit
+# codes and the (file, first line) of every code object called, the profile
+# installed before curvlab is imported so its import-time calls count.
+_REACH_SCRIPT = """
+import contextlib, io, json, sys
+seen, codes = set(), []
+sys.setprofile(lambda frame, event, arg: seen.add(frame.f_code) if event == "call" else None)
+from curvlab import cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(cli.main(argv))
+sys.setprofile(None)
+print(json.dumps([codes, sorted({(code.co_filename, code.co_firstlineno) for code in seen})]))
+"""
+
+# Functions of src/curvlab that no command of the reach guard runs, each
+# with why it stays.  The list may only shrink: a route only tests reach
+# moves to tests/conftest.py.
+UNREACHED = {
+    "cli._other_cell": "the sample CSV cell of a value that is not a python float, bool or int, as Report.to_csv renders it; every column `sample` writes is one of those",
+    "criteria.CurvatureTerm.spread": "eigen-vs-bilinear curvature term, the oracle acceptance criterion 6 checks the self term against",
+    "criteria.CurvatureTerm.value": "eigen-vs-bilinear curvature term, the oracle acceptance criterion 6 checks the self term against",
+    "criteria._hat_flat": "eigen-vs-bilinear curvature term, the oracle acceptance criterion 6 checks the self term against",
+    "criteria.curvature_term": "eigen-vs-bilinear curvature term, the oracle acceptance criterion 6 checks the self term against",
+    "decomp.curvature_space_dim": "perfbench's cold-start pass and warm-up call it",
+    "holonomy.HolonomyAlgebra.__eq__": "a cache keyed on an algebra (criteria._shift_gain) calls it only for two objects of one hash; a command builds one algebra per space (holonomy._algebra)",
+    "tensor.CurvatureOperator.__post_init__": "checks a restricted operator built from an outside matrix; the commands restrict with holonomy.project, whose product is symmetric by construction and skips it",
+    "tensor._non_finite": "error path: the message for a non-finite entry, which no command's input holds",
+    "tensor.save_tensor": "writes the tensor files that `curvlab decompose` reads",
+    "tensor.t_hat": "the whole hat stack that the bilinear route of criteria.curvature_term reads (criterion 6); perfbench wraps it",
+    "tensor.tensor_to_dict": "the record save_tensor writes",
+}
+
+
+def _functions() -> dict[tuple[str, int], str]:
+    """"module.qualname" of every function and method in src/curvlab, keyed
+    on (file, first line), the first line a decorator's if it has one, as in
+    the code object."""
+    found = {}
+
+    def visit(node, scope, path):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + [child.name]
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found[(path, first)] = ".".join(inner)
+            visit(child, inner, path)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), [path.stem], str(path.resolve()))
+    return found
+
+
+def test_unreached_functions_are_listed(tmp_path):
+    # decompose reads one tensor file of each structure, written here
+    rng = np.random.default_rng(5)
+    files = {
+        "generic": curvlab.random_curvature(curvlab.generic(5), rng),
+        "kaehler": curvlab.random_algebra_curvature(curvlab.u_algebra(curvlab.kaehler(2)), rng),
+        "qk": curvlab.random_algebra_curvature(curvlab.sp_sp1_algebra(curvlab.quaternion_kaehler(2)), rng),
+    }
+    commands = list(REACH_COMMANDS)
+    for kind, rm in files.items():
+        curvlab.save_tensor(rm, tmp_path / f"{kind}.json")
+        commands.append(["decompose", str(tmp_path / f"{kind}.json")])
+    env = {"PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run([sys.executable, "-B", "-c", _REACH_SCRIPT, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    codes, called = json.loads(proc.stdout)
+    assert codes == [1] + [0] * (len(commands) - 1)  # verify --seed 42 is red by design
+    seen = {(str(pathlib.Path(name).resolve()), line) for name, line in called}
+    functions = _functions()
+    unreached = {name for key, name in functions.items() if key not in seen}
+    missing, stale = sorted(unreached - set(UNREACHED)), sorted(set(UNREACHED) - unreached)
+    assert not missing, f"functions no command runs, with no reason in UNREACHED: {missing}"
+    assert not stale, f"UNREACHED entries that a command now runs, or that are gone: {stale}"
+    assert all(UNREACHED.values())

@@ -2,7 +2,7 @@ import functools
 
 import numpy as np
 import pytest
-from conftest import rotated_quaternionic, scattered_action
+from conftest import bianchi_project, lie_action, rotated_quaternionic, scattered_action
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,11 +12,9 @@ from curvlab.tensor import (
     CurvatureOperator,
     CurvatureTensor,
     SymmetryError,
-    bianchi_project,
     bianchi_sum,
     check_curvature_symmetries,
     check_operator_symmetries,
-    lie_action,
     load_tensor,
     random_curvature,
     ricci,
