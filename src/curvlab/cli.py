@@ -179,6 +179,7 @@ def _merge_mults(pairs: list[tuple[float, int]]) -> list[list]:
     """Merge an expected (value, count) table at the clustering threshold
     GAP of SpectralData.multiplicities."""
     out: list[list] = []
+    pairs = [(v, c) for v, c in pairs if c]  # an eigenvalue the model lacks
     tol = GAP * max((abs(v) for v, _ in pairs), default=0.0)
     for v, c in sorted(pairs):
         if out and v - out[-1][0] <= tol:
@@ -206,7 +207,7 @@ def _echo(cfg: argparse.Namespace) -> dict:
     return keep
 
 
-def _reject_unread_sizes(cfg: argparse.Namespace, what: str, reads: tuple[str, ...]):
+def _reject_unread_sizes(cfg: argparse.Namespace, what: str, reads: tuple[str, ...] | dict[str, int]):
     """Usage error for a size or --trials flag given to what, which reads
     only reads."""
     for flag in ("m", "n", "p", "q", "trials"):
@@ -538,12 +539,14 @@ SUITES = {
     "tripod": suite_tripod,
     "decomp": suite_decomp,
 }
-# The size and trial flags each suite reads; a suite run by name given any
-# other is a usage error.  --seed is read by the sampled suites and accepted
-# by every one, as it has a default.
+# The size and trial flags each suite reads, each with the smallest value the
+# suite takes ("p*q" bounds the product of --p and --q).  A suite run by name
+# given any other flag is a usage error.  --seed is read by the sampled
+# suites and accepted by every one, as it has a default.
 SUITE_READS = {
-    "hp": ("m",), "wolf": ("m",), "grassmann": ("p", "q"), "weyl-norm": ("n", "trials"),
-    "bochner-norm": ("m", "trials"), "qk-ratio": ("m", "trials"), "tripod": ("trials",), "decomp": ("trials",),
+    "hp": {"m": 2}, "wolf": {"m": 2}, "grassmann": {"p": 1, "q": 1, "p*q": 2},
+    "weyl-norm": {"n": 4, "trials": 1}, "bochner-norm": {"m": 2, "trials": 1},
+    "qk-ratio": {"m": 2, "trials": 1}, "tripod": {"trials": 1}, "decomp": {"trials": 1},
 }
 
 
@@ -557,6 +560,12 @@ def cmd_verify(cfg: argparse.Namespace) -> tuple[Report, int]:
         raise GeometryError(f"unknown suite {cfg.suite!r}; choose from {', '.join(SUITES)} or all")
     if "grassmann" in names and (cfg.p is None) != (cfg.q is None):
         raise GeometryError("verify --suite grassmann needs both --p and --q, or neither")
+    least = {"m": cfg.m and cfg.m[0], "n": cfg.n and cfg.n[0], "p": cfg.p, "q": cfg.q,
+             "p*q": cfg.p and cfg.p * cfg.q, "trials": cfg.trials}  # None: unset
+    for name in names:  # every bound before the first suite runs
+        for flag, bound in SUITE_READS[name].items():
+            if least[flag] is not None and least[flag] < bound:
+                raise GeometryError(f"verify --suite {name} needs --{flag} of at least {bound}, got {least[flag]}")
     report = Report(command="verify", config=_echo(cfg))
     for name in names:
         report.records.extend(SUITES[name](cfg))

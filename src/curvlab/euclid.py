@@ -1,5 +1,7 @@
-"""Euclidean spaces with holonomy structure, pair bookkeeping and symmetric
-spectra.
+"""Euclidean spaces, pair bookkeeping and symmetric spectra.
+
+A space is one validated value, `EuclideanSpace(n, kind, I, J, K)`: R^n with
+the parallel structures its holonomy kind holds, checked when it is built.
 
 The second exterior power of R^n is coordinatized over the lexicographic
 pairs {(i, j) : i < j}; `EuclideanSpace.pair_rows` and `pair_cols` list them
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +44,7 @@ def pair_count(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# holonomy structures
+# spaces
 
 
 _KAEHLER_BLOCK = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -83,68 +85,47 @@ def _block_diag(block: np.ndarray, copies: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class HolonomyStructure:
-    """Parallel complex or quaternionic structure on R^n.
+class EuclideanSpace:
+    """R^n with the standard metric and the parallel structure of its kind.
 
-    kind is one of "generic", "kaehler", "qk".  For "kaehler" the field J
-    holds an orthogonal complex structure; for "qk" the triple (I, J, K)
-    satisfies the quaternion relations with IJ = K.  The structure keeps
-    read-only float copies of the matrices it is given, so what a cache keyed
-    on them (`_structure_key`) holds cannot go stale.
+    kind is one of "generic", "kaehler", "qk", and the space holds exactly
+    that kind's matrices: none, an orthogonal complex structure J, or a
+    triple (I, J, K) with the quaternion relations and IJ = K; a matrix the
+    kind does not hold is None.  The space keeps read-only float copies of
+    the n x n matrices it is given, so what a cache keyed on them
+    (`_structure_key`) holds cannot go stale.  Spaces are equal, and hash
+    alike, when their `structure_key`s are.
     """
 
+    n: int
     kind: str
     I: np.ndarray | None = None
     J: np.ndarray | None = None
     K: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("generic", "kaehler", "qk"):
+        if self.n < 2:
+            raise GeometryError("need dimension at least 2 for a bivector basis")
+        held = {"generic": "", "kaehler": "J", "qk": "IJK"}.get(self.kind)  # the kind's matrices
+        if held is None:
             raise GeometryError(f"unknown holonomy kind {self.kind!r}")
-        for name in ("I", "J", "K"):
+        for name in "IJK":
             a = getattr(self, name)
+            if (a is None) == (name in held):
+                raise GeometryError(f"a {self.kind} space {'needs' if a is None else 'holds no'} structure {name}")
             if a is None:
                 continue
             a = np.array(a, dtype=float)
             a.flags.writeable = False
             object.__setattr__(self, name, a)
-            n = a.shape[0]
-            if a.shape != (n, n):
-                raise GeometryError(f"structure {name} must be square")
-            if not np.allclose(a @ a, -np.eye(n), atol=1e-12):
+            if a.shape != (self.n, self.n):
+                raise GeometryError(f"structure {name} has shape {a.shape}, not {(self.n, self.n)}")
+            if not np.allclose(a @ a, -np.eye(self.n), atol=1e-12):
                 raise GeometryError(f"structure {name} does not square to -identity")
             if not np.allclose(a.T, -a, atol=1e-12):
                 raise GeometryError(f"structure {name} is not skew (hence not orthogonal)")
-        if self.kind == "kaehler" and self.J is None:
-            raise GeometryError("kaehler structure requires J")
-        if self.kind == "qk":
-            if self.I is None or self.J is None or self.K is None:
-                raise GeometryError("quaternion-Kaehler structure requires I, J, K")
-            if not np.allclose(self.I @ self.J, self.K, atol=1e-12):
-                raise GeometryError("quaternion relations fail: IJ != K")
-
-
-@dataclass(frozen=True, eq=False)
-class EuclideanSpace:
-    """R^n with the standard metric and an optional holonomy structure;
-    spaces are equal, and hash alike, when their `structure_key`s are."""
-
-    n: int
-    structure: HolonomyStructure = field(
-        default_factory=lambda: HolonomyStructure("generic")
-    )
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise GeometryError("need dimension at least 2 for a bivector basis")
-        if self.kind == "kaehler" and self.n % 2:
-            raise GeometryError("kaehler spaces have even dimension")
-        if self.kind == "qk" and self.n % 4:
-            raise GeometryError("quaternion-Kaehler spaces have dimension 4m")
-
-    @property
-    def kind(self) -> str:
-        return self.structure.kind
+        if self.kind == "qk" and not np.allclose(self.I @ self.J, self.K, atol=1e-12):
+            raise GeometryError("quaternion relations fail: IJ != K")
 
     @property
     def m(self) -> int:
@@ -167,24 +148,6 @@ class EuclideanSpace:
     def pair_cols(self) -> np.ndarray:
         return _pair_table(self.n)[1]
 
-    @property
-    def I(self) -> np.ndarray:
-        if self.structure.I is None:
-            raise GeometryError("space carries no I structure")
-        return self.structure.I
-
-    @property
-    def J(self) -> np.ndarray:
-        if self.structure.J is None:
-            raise GeometryError("space carries no J structure")
-        return self.structure.J
-
-    @property
-    def K(self) -> np.ndarray:
-        if self.structure.K is None:
-            raise GeometryError("space carries no K structure")
-        return self.structure.K
-
     @functools.cached_property
     def structure_key(self) -> tuple:
         """`_structure_key` of this space, built once: the structure's
@@ -206,8 +169,7 @@ def _structure_key(space: EuclideanSpace) -> tuple:
     of a name, so spaces that share a kind and size but not a structure
     (u(3) on two complex structures) get their own entries.  Callers read it
     once per space, as `EuclideanSpace.structure_key`."""
-    st = space.structure
-    return (space.kind, space.n) + tuple(b"" if s is None else s.tobytes() for s in (st.I, st.J, st.K))
+    return (space.kind, space.n) + tuple(b"" if s is None else s.tobytes() for s in (space.I, space.J, space.K))
 
 
 def _shared(fn):
@@ -230,7 +192,7 @@ def _shared(fn):
 
 def generic(n: int) -> EuclideanSpace:
     """R^n with no extra structure (full rotation algebra as holonomy)."""
-    return EuclideanSpace(n)
+    return EuclideanSpace(n, "generic")
 
 
 def kaehler(m: int) -> EuclideanSpace:
@@ -238,7 +200,7 @@ def kaehler(m: int) -> EuclideanSpace:
     if m < 1:
         raise GeometryError("kaehler block count must be positive")
     J = _block_diag(_KAEHLER_BLOCK, m)
-    return EuclideanSpace(2 * m, HolonomyStructure("kaehler", J=J))
+    return EuclideanSpace(2 * m, "kaehler", J=J)
 
 
 def quaternion_kaehler(m: int) -> EuclideanSpace:
@@ -249,15 +211,7 @@ def quaternion_kaehler(m: int) -> EuclideanSpace:
     """
     if m < 2:
         raise GeometryError("quaternion-Kaehler block count must be at least 2")
-    return EuclideanSpace(
-        4 * m,
-        HolonomyStructure(
-            "qk",
-            I=_block_diag(_I_BLOCK, m),
-            J=_block_diag(_J_BLOCK, m),
-            K=_block_diag(_K_BLOCK, m),
-        ),
-    )
+    return EuclideanSpace(4 * m, "qk", *(_block_diag(block, m) for block in (_I_BLOCK, _J_BLOCK, _K_BLOCK)))
 
 
 # ---------------------------------------------------------------------------

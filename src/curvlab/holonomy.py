@@ -88,7 +88,7 @@ def _pair_characters(space: EuclideanSpace) -> np.ndarray:
     """
     n = space.n
     link = np.eye(n, dtype=bool)
-    for s in (space.structure.I, space.structure.J, space.structure.K):
+    for s in (space.I, space.J, space.K):
         if s is not None:
             link |= (s != 0) | (s.T != 0)
     label = np.arange(n)
@@ -360,7 +360,7 @@ def so_algebra(space: EuclideanSpace) -> HolonomyAlgebra:
 
 def u_algebra(space: EuclideanSpace) -> HolonomyAlgebra:
     """Bivectors commuting with the complex structure J; dimension (n/2)^2."""
-    if space.structure.J is None:
+    if space.J is None:
         raise GeometryError("u_algebra needs a space with a complex structure")
     rows = _commutant_rows(space, [space.J])
     m = space.n // 2

@@ -8,7 +8,7 @@ import pytest
 from curvlab import criteria, decomp, euclid, holonomy, tensor
 
 
-def _rotation(n: int, seed: int) -> np.ndarray:
+def rotation(n: int, seed: int) -> np.ndarray:
     """A random rotation of R^n, seeded."""
     return np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))[0]
 
@@ -16,21 +16,17 @@ def _rotation(n: int, seed: int) -> np.ndarray:
 def rotated_kaehler(m: int, seed: int = 0):
     """R^{2m} with the standard complex structure conjugated by a random
     rotation: every coordinate is linked to every other, one component."""
-    q = _rotation(2 * m, seed)
-    return euclid.EuclideanSpace(
-        2 * m, euclid.HolonomyStructure("kaehler", J=q @ euclid.kaehler(m).J @ q.T)
-    )
+    q = rotation(2 * m, seed)
+    return euclid.EuclideanSpace(2 * m, "kaehler", J=q @ euclid.kaehler(m).J @ q.T)
 
 
 def rotated_quaternionic(m: int, seed: int = 0):
     """R^{4m} with the standard quaternionic structure conjugated by one
     random rotation g, (g I g^T, g J g^T, g K g^T): no coordinate block
     of the standard frame survives."""
-    g = _rotation(4 * m, seed)
+    g = rotation(4 * m, seed)
     base = euclid.quaternion_kaehler(m)
-    return euclid.EuclideanSpace(
-        4 * m, euclid.HolonomyStructure("qk", *(g @ s @ g.T for s in (base.I, base.J, base.K)))
-    )
+    return euclid.EuclideanSpace(4 * m, "qk", *(g @ s @ g.T for s in (base.I, base.J, base.K)))
 
 
 def misplaced_unitary(m: int):
@@ -147,9 +143,7 @@ def u3(u3_space):
 def u3_swapped_space(u3_space):
     """kaehler(3) with J conjugated by the swap of coordinates 0 and 1."""
     p = np.eye(6)[[1, 0, 2, 3, 4, 5]]
-    return euclid.EuclideanSpace(
-        6, euclid.HolonomyStructure("kaehler", J=p @ u3_space.J @ p.T)
-    )
+    return euclid.EuclideanSpace(6, "kaehler", J=p @ u3_space.J @ p.T)
 
 
 @pytest.fixture(scope="session")

@@ -158,6 +158,45 @@ class TestParsing:
         assert (code, out) == (2, "")
         assert err == "error: verify --suite grassmann needs both --p and --q, or neither\n"
 
+    @pytest.mark.parametrize("argv, error", [
+        (("--suite", "bochner-norm", "--m", "1"), "bochner-norm needs --m of at least 2, got 1"),
+        (("--suite", "hp", "--m", "1..3"), "hp needs --m of at least 2, got 1"),
+        (("--suite", "wolf", "--m", "1"), "wolf needs --m of at least 2, got 1"),
+        (("--suite", "qk-ratio", "--m", "0..2"), "qk-ratio needs --m of at least 2, got 0"),
+        (("--suite", "weyl-norm", "--n", "3..5"), "weyl-norm needs --n of at least 4, got 3"),
+        (("--suite", "grassmann", "--p", "1", "--q", "1"), "grassmann needs --p*q of at least 2, got 1"),
+        (("--m", "2..6", "--n", "3"), "weyl-norm needs --n of at least 4, got 3"),
+        (("--p", "1", "--q", "1"), "grassmann needs --p*q of at least 2, got 1"),
+        (("--m", "1"), "hp needs --m of at least 2, got 1"),
+    ], ids=["bochner-norm-m", "hp-m", "wolf-m", "qk-ratio-m", "weyl-norm-n", "grassmann-pq",
+            "all-n", "all-pq", "all-m"])
+    def test_size_below_a_suites_least_is_usage_error(self, capsys, monkeypatch, argv, error):
+        # every selected suite's bounds hold before the first suite runs,
+        # for --suite all too
+        for name in cli.SUITES:
+            monkeypatch.setitem(cli.SUITES, name, lambda cfg: pytest.fail("suite started"))
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: verify --suite {error}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("--suite", "hp", "--m", "2"), ("--suite", "wolf", "--m", "2"),
+        ("--suite", "grassmann", "--p", "1", "--q", "2"), ("--suite", "grassmann", "--p", "2", "--q", "1"),
+        ("--suite", "weyl-norm", "--n", "4", "--trials", "2"),
+        ("--suite", "bochner-norm", "--m", "2", "--trials", "2"),
+        ("--suite", "qk-ratio", "--m", "2", "--trials", "2"),
+    ], ids=["hp", "wolf", "grassmann-1-2", "grassmann-2-1", "weyl-norm", "bochner-norm", "qk-ratio"])
+    def test_each_suite_runs_at_its_least_sizes(self, capsys, argv):
+        # the only red records are the refuted published constants (the
+        # standing findings of acceptance criteria 3 and 4)
+        code, out, _ = run(capsys, "verify", *argv)
+        records = json.loads(out)["records"]
+        failed = {r["name"].split(".")[-1] for r in records if not r["passed"]}
+        assert records
+        assert failed <= {"hat_candidate_proof", "hat_candidate_statement", "hat_adjudication",
+                          "matches_published_form"}
+        assert code == (1 if failed else 0)
+
     def test_every_suite_takes_a_seed(self, capsys):
         # --seed has a default, so any suite accepts it, read or not
         code, out, _ = run(capsys, "verify", "--suite", "hp", "--m", "2", "--seed", "7")
@@ -360,6 +399,16 @@ class TestVerify:
         cfg = cli._config_from_args(cli._build_parser().parse_args(argv))
         by_name = {r.name: r for r in cli.suite_tripod(cfg)}
         assert by_name["tripod.2nonneg_violations"].actual == 40
+
+    def test_grassmann_with_an_empty_eigenvalue(self, capsys):
+        # G(1, 4) is the round 4-sphere: no kernel and no eigenvalue 4, so
+        # the expected table holds no zero-count entries
+        assert cli._merge_mults([(0.0, 0), (1.0, 6), (4.0, 0)]) == [[1.0, 6]]
+        code, out, _ = run(capsys, "verify", "--suite", "grassmann", "--p", "1", "--q", "4")
+        assert code == 0
+        spectrum = json.loads(out)["records"][0]
+        assert spectrum["name"] == "grassmann[1,4].spectrum"
+        assert spectrum["expected"] == spectrum["actual"] == [[1, 6]]
 
     def test_grassmann_single_pair(self, capsys):
         code, out, _ = run(

@@ -333,9 +333,8 @@ class TestQkLawsPastCliRange:
 def _swapped(base):
     """base with its structures conjugated by the swap of coordinates 0 and 1."""
     p = np.eye(base.n)[[1, 0, *range(2, base.n)]]
-    st = base.structure
-    return euclid.EuclideanSpace(base.n, euclid.HolonomyStructure(
-        st.kind, *(None if s is None else p @ s @ p.T for s in (st.I, st.J, st.K))))
+    return euclid.EuclideanSpace(
+        base.n, base.kind, *(None if s is None else p @ s @ p.T for s in (base.I, base.J, base.K)))
 
 
 # the sampled algebras of the shift: the standard so(5..8), u(2..5) and

@@ -6,9 +6,9 @@ from math import comb
 
 import numpy as np
 import pytest
-from conftest import misplaced_unitary, rotated_kaehler, rotated_quaternionic
+from conftest import misplaced_unitary, rotated_kaehler, rotated_quaternionic, rotation
 
-from curvlab import criteria, decomp, euclid, holonomy, tensor
+from curvlab import cli, criteria, decomp, euclid, holonomy, tensor
 from curvlab.decomp import (
     _bianchi_kernel_basis,
     bochner_decompose,
@@ -108,6 +108,32 @@ class TestModels:
 
     def test_wolf_supported_on_algebra(self, wolf2, qk2):
         assert holonomy.complement_mass(to_operator(wolf2), qk2) < 1e-12
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_hp_and_wolf_hold_on_a_rotated_frame(self, m):
+        # hp(m) and wolf(m) moved by g, C M C^T, keep every closed form of
+        # the hp and wolf suites on the structure moved by g
+        g = rotation(4 * m, 0)
+        space = rotated_quaternionic(m)
+        base = quaternion_kaehler(m)
+        assert space == euclid.EuclideanSpace(4 * m, "qk", *(g @ s @ g.T for s in (base.I, base.J, base.K)))
+        conj = tensor._conjugation_on_bivectors(space, g)
+        alg = holonomy.by_name(space, "sp")
+        standard = holonomy.by_name(base, "sp")
+        for model, hat in ((hp(m), 0.0), (wolf(m), 36.0 * m * (m - 1) * (m + 2))):
+            moved = tensor.CurvatureTensor(space, conj @ model.matrix @ conj.T)
+            op = to_operator(moved)
+            assert holonomy.complement_mass(op, alg) <= 1e-9
+            rop = holonomy.project(op, alg)
+            mults = rop.spectrum().multiplicities(cli.GAP)
+            want = holonomy.project(to_operator(model), standard).spectrum().multiplicities(cli.GAP)
+            assert [c for _, c in mults] == [c for _, c in want]
+            assert [v for v, _ in mults] == pytest.approx([v for v, _ in want], rel=1e-9, abs=1e-9)
+            direct, formula = criteria.hat_norm_direct(moved, alg), criteria.hat_norm_formula(rop)
+            assert direct == pytest.approx(hat, rel=1e-9, abs=1e-9)
+            assert formula == pytest.approx(hat, rel=1e-9, abs=1e-9)
+        transported_hp = conj @ hp(m).matrix @ conj.T
+        assert np.allclose(decomp.structure_model(space).matrix, transported_hp, rtol=0, atol=1e-12)
 
 
 class TestWeyl:
@@ -443,9 +469,7 @@ def _array_bytes(obj) -> int:
 def _swapped_kaehler(m: int):
     """kaehler(m) with J conjugated by the swap of coordinates 0 and 1."""
     p = np.eye(2 * m)[[1, 0, *range(2, 2 * m)]]
-    return euclid.EuclideanSpace(
-        2 * m, euclid.HolonomyStructure("kaehler", J=p @ kaehler(m).J @ p.T)
-    )
+    return euclid.EuclideanSpace(2 * m, "kaehler", J=p @ kaehler(m).J @ p.T)
 
 
 class TestKernelBasis:
@@ -843,7 +867,7 @@ class TestStructureCaches:
 
     def test_caller_arrays_are_copied(self):
         j = np.array(_swapped_kaehler(3).J)
-        space = euclid.EuclideanSpace(6, euclid.HolonomyStructure("kaehler", J=j))
+        space = euclid.EuclideanSpace(6, "kaehler", J=j)
         rows = np.array(holonomy.by_name(space, "u").coeff_matrix)
         alg = holonomy.HolonomyAlgebra(space, "u(3)", rows)
         keys = (space.structure_key, alg.key)

@@ -86,6 +86,26 @@ class TestSpaces:
         with pytest.raises(GeometryError):
             quaternion_kaehler(0)
 
+    @pytest.mark.parametrize("kind, matrices, message", [
+        ("kaehler", {"J": kaehler(2).J}, r"structure J has shape \(4, 4\), not \(6, 6\)"),
+        ("generic", {"J": kaehler(3).J}, "a generic space holds no structure J"),
+        ("kaehler", {"I": kaehler(3).J, "J": kaehler(3).J}, "a kaehler space holds no structure I"),
+        ("kaehler", {}, "a kaehler space needs structure J"),
+        ("qk", {"I": quaternion_kaehler(2).I, "J": quaternion_kaehler(2).J}, "a qk space needs structure K"),
+        ("symplectic", {}, "unknown holonomy kind 'symplectic'"),
+    ], ids=["j-size", "generic-j", "kaehler-i", "kaehler-no-j", "qk-no-k", "unknown-kind"])
+    def test_a_space_holds_exactly_its_kinds_n_by_n_matrices(self, kind, matrices, message):
+        # a mis-sized J once reached by_name and failed there with an
+        # IndexError; a stray J on a generic space entered its key
+        n = 8 if kind == "qk" else 6
+        with pytest.raises(GeometryError, match=message):
+            euclid.EuclideanSpace(n, kind, **matrices)
+
+    def test_generic_holds_no_matrices(self):
+        space = generic(4)
+        assert (space.kind, space.I, space.J, space.K) == ("generic", None, None, None)
+        assert kaehler(2).I is None and kaehler(2).K is None
+
 
 class TestBivectors:
     """The skew-matrix convention of HolonomyAlgebra.matrices, on so(n),

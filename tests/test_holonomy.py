@@ -9,7 +9,6 @@ from curvlab import decomp, holonomy, tensor
 from curvlab.euclid import (
     EuclideanSpace,
     GeometryError,
-    HolonomyStructure,
     generic,
     kaehler,
     quaternion_kaehler,
@@ -643,7 +642,7 @@ class TestAlgebraCache:
     def test_by_name_builds_once_per_structure(self):
         holonomy._algebra.cache_clear()
         p = np.eye(6)[[1, 0, 2, 3, 4, 5]]
-        swapped = EuclideanSpace(6, HolonomyStructure("kaehler", J=p @ kaehler(3).J @ p.T))
+        swapped = EuclideanSpace(6, "kaehler", J=p @ kaehler(3).J @ p.T)
         first = by_name(kaehler(3), "u")
         assert by_name(kaehler(3), "bochner") is first  # a fresh equal space, another tag
         other = by_name(swapped, "u")

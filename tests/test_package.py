@@ -78,10 +78,9 @@ KEPT_DEFAULTS = {
     "cli.Report.__init__(records)": "a command's report starts empty and appends its records",
     "cli.main(argv)": "the console script calls main() to read sys.argv; the tests pass a list",
     "decomp.random_algebra_curvature(count)": "the suites and `sample` draw stacks of count trials; perfbench's cold-start, the tests and the acceptance gate draw one tensor",
-    "euclid.EuclideanSpace.__init__(structure)": "generic(n) is the space with no holonomy structure",
-    "euclid.HolonomyStructure.__init__(I)": "a structure holds only its kind's matrices: none, J, or I, J, K",
-    "euclid.HolonomyStructure.__init__(J)": "a structure holds only its kind's matrices: none, J, or I, J, K",
-    "euclid.HolonomyStructure.__init__(K)": "a structure holds only its kind's matrices: none, J, or I, J, K",
+    "euclid.EuclideanSpace.__init__(I)": "a space holds only its kind's matrices: generic none, kaehler J, qk I, J, K",
+    "euclid.EuclideanSpace.__init__(J)": "a space holds only its kind's matrices: generic none, kaehler J, qk I, J, K",
+    "euclid.EuclideanSpace.__init__(K)": "a space holds only its kind's matrices: generic none, kaehler J, qk I, J, K",
     "tensor.CurvatureTensor.__init__(validate)": "sums and multiples of curvature tensors skip the scan; any other matrix is checked",
     "tensor.random_curvature(count)": "weyl-norm and decomp draw stacks of count trials; the tests and the acceptance gate draw one tensor",
 }

@@ -505,7 +505,7 @@ class TestPairIndexFormulas:
             "rotated": rotated_quaternionic(2),
         }[space]
         xz, yw, xw, yz = tensor._kn_tables(space.n)
-        structs = [s for s in (space.structure.I, space.structure.J, space.structure.K) if s is not None]
+        structs = [s for s in (space.I, space.J, space.K) if s is not None]
         for s in structs + [s.T for s in structs] + [rng.standard_normal((space.n, space.n))]:
             flat = s.ravel()
             ref = flat[yw] * flat[xz] - flat[yz] * flat[xw]
