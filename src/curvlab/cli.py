@@ -89,21 +89,7 @@ class Report:
         return _render(self.canonical()) + "\n"
 
     def to_csv(self) -> str:
-        lines = ["name,passed,expected,actual,tolerance,inputs"]
-        for r in self.records:
-            lines.append(
-                ",".join(
-                    [
-                        _csv_cell(r.name),
-                        "true" if r.passed else "false",
-                        _csv_cell(_scalar_text(r.expected)),
-                        _csv_cell(_scalar_text(r.actual)),
-                        _scalar_text(r.tolerance),
-                        _csv_cell(_render(r.inputs)),
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
+        return _csv(("name", "passed", "expected", "actual", "tolerance", "inputs"), map(vars, self.records))
 
 
 def _render(x) -> str:
@@ -129,25 +115,41 @@ def _render(x) -> str:
     raise GeometryError(f"cannot serialize {type(x).__name__}")
 
 
-def _scalar_text(x) -> str:
-    """A CSV cell: the _render text, with None empty and strings unquoted."""
-    if x is None:
-        return ""
-    return x if isinstance(x, str) else _render(x)
+# A CSV cell's text by the exact type of its value: the text _render gives a
+# python float, bool or int, none of which needs quoting; any other value
+# goes through _other_cell.
+_CELL_TEXT = {float: "%.17g".__mod__, bool: ("false", "true").__getitem__, int: str}
 
 
-def _csv_cell(s: str) -> str:
+def _other_cell(value) -> str:
+    """The _render text of a value, None empty and a string unquoted, in
+    CSV quotes when it holds a comma, a quote or a newline."""
+    s = "" if value is None else value if isinstance(value, str) else _render(value)
     if any(ch in s for ch in ',"\n'):
         return '"' + s.replace('"', '""') + '"'
     return s
 
 
+def _csv(columns, rows) -> str:
+    """The one CSV writer: a header of columns, then each row (a dict) read
+    at them, a cell by _CELL_TEXT."""
+    cell = _CELL_TEXT.get
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join([cell(type(v), _other_cell)(v) for v in map(row.get, columns)]))
+    return "\n".join(lines) + "\n"
+
+
 # record constructors
 
 
+def _close(actual, expected, rtol):
+    """The one rule for a value (or an array of them) matching a closed form."""
+    return abs(actual - expected) <= rtol * (1.0 + abs(expected))
+
+
 def rec_close(name, inputs, expected, actual, rtol) -> CheckRecord:
-    ok = bool(abs(actual - expected) <= rtol * (1.0 + abs(expected)))
-    return CheckRecord(name, inputs, float(expected), float(actual), rtol, ok)
+    return CheckRecord(name, inputs, float(expected), float(actual), rtol, bool(_close(actual, expected, rtol)))
 
 
 def rec_leq(name, inputs, actual, bound) -> CheckRecord:
@@ -207,12 +209,50 @@ def _echo(cfg: argparse.Namespace) -> dict:
     return keep
 
 
-def _reject_unread_sizes(cfg: argparse.Namespace, what: str, reads: tuple[str, ...] | dict[str, int]):
-    """Usage error for a size or --trials flag given to what, which reads
-    only reads."""
-    for flag in ("m", "n", "p", "q", "trials"):
-        if flag not in reads and getattr(cfg, flag, None) is not None:
-            raise GeometryError(f"{what} does not read --{flag}")
+# The size and trial flags each command selection reads (a verify suite, a
+# spectrum model, a sample holonomy kind of holonomy.holonomy_kind), each
+# with its least value ("p*q" bounds the product of --p and --q).  --seed is
+# read by the sampled suites and accepted by every one, as it has a default.
+FLAGS = {
+    "verify": {
+        "hp": {"m": 2}, "wolf": {"m": 2}, "grassmann": {"p": 1, "q": 1, "p*q": 2},
+        "weyl-norm": {"n": 4, "trials": 1}, "bochner-norm": {"m": 2, "trials": 1},
+        "qk-ratio": {"m": 2, "trials": 1}, "tripod": {"trials": 1}, "decomp": {"trials": 1},
+    },
+    "spectrum": {
+        "hp": {"m": 2}, "wolf": {"m": 2}, "const-hol": {"m": 1}, "sphere": {"n": 2},
+        "grassmann": {"p": 1, "q": 1, "p*q": 2},
+    },
+    "sample": {"generic": {"n": 3, "trials": 1}, "kaehler": {"m": 2, "trials": 1}, "qk": {"m": 2, "trials": 1}},
+}
+SELECTOR = {"verify": "suite", "spectrum": "model", "sample": "holonomy"}
+
+
+def _check_flags(cfg: argparse.Namespace, command: str, names: list[str]):
+    """Usage errors, raised before any space, model or algebra is built: a
+    size or --trials flag that no selected entry of FLAGS[command] reads,
+    one of --p and --q without the other, and a value below an entry's
+    least.  spectrum sizes have no defaults, so a model needs every flag it
+    reads.  A message names the selection as given, or each suite of
+    `verify --suite all` by its name."""
+    select = f"{command} --{SELECTOR[command]} "
+    given = select + getattr(cfg, SELECTOR[command])
+    entries = {(given if len(names) == 1 else select + name): FLAGS[command][name] for name in names}
+    m, n, p, q = (getattr(cfg, flag, None) for flag in "mnpq")
+    value = {"m": m and m[0], "n": n and n[0], "p": p, "q": q, "p*q": p and q and p * q,
+             "trials": getattr(cfg, "trials", None)}  # None: unset
+    for flag, v in value.items():
+        if v is not None and not any(flag in reads for reads in entries.values()):
+            raise GeometryError(f"{given} does not read --{flag}")
+    for what, reads in entries.items():
+        if command == "spectrum" and any(value[flag] is None for flag in reads):
+            raise GeometryError(f"{what} needs {' and '.join(f'--{f}' for f in reads if f != 'p*q')}")
+        if "p" in reads and (p is None) != (q is None):
+            raise GeometryError(f"{what} needs both --p and --q, or neither")
+    for what, reads in entries.items():
+        for flag, least in reads.items():
+            if value[flag] is not None and value[flag] < least:
+                raise GeometryError(f"{what} needs --{flag} of at least {least}, got {value[flag]}")
 
 
 def parse_range(text: str) -> tuple[int, int]:
@@ -339,25 +379,13 @@ def suite_wolf(cfg: argparse.Namespace) -> list[CheckRecord]:
             )
         )
         # adjudication of the two published closed forms against the oracle
-        cand_proof = 12.0 * m * (m - 1) * (3 * m + 4)
-        cand_statement = 36.0 * m * m * (m - 1)
-        match_proof = abs(hat_direct - cand_proof) <= ADJ_TOL * (1.0 + cand_proof)
-        match_statement = abs(hat_direct - cand_statement) <= ADJ_TOL * (1.0 + cand_statement)
-        out.append(rec_close(f"wolf[{m}].hat_candidate_proof", inputs, cand_proof, hat_direct, ADJ_TOL))
-        out.append(rec_close(f"wolf[{m}].hat_candidate_statement", inputs, cand_statement, hat_direct, ADJ_TOL))
-        out.append(
-            rec_bool(
-                f"wolf[{m}].hat_adjudication",
-                inputs,
-                match_proof ^ match_statement,
-                "exactly one candidate matches",
-                {
-                    "matches_proof_form": match_proof,
-                    "matches_statement_form": match_statement,
-                    "measured": hat_direct,
-                },
-            )
-        )
+        proof = rec_close(f"wolf[{m}].hat_candidate_proof", inputs, 12.0 * m * (m - 1) * (3 * m + 4), hat_direct, ADJ_TOL)
+        statement = rec_close(f"wolf[{m}].hat_candidate_statement", inputs, 36.0 * m * m * (m - 1), hat_direct, ADJ_TOL)
+        out += [proof, statement]
+        out.append(rec_bool(f"wolf[{m}].hat_adjudication", inputs, proof.passed ^ statement.passed,
+                            "exactly one candidate matches",
+                            {"matches_proof_form": proof.passed, "matches_statement_form": statement.passed,
+                             "measured": hat_direct}))
         out.append(
             rec_close(f"wolf[{m}].hat_resolved_form", inputs, 36.0 * m * (m - 1) * (m + 2), hat_direct, RTOL)
         )
@@ -437,7 +465,7 @@ def suite_qk_ratio(cfg: argparse.Namespace) -> list[CheckRecord]:
         ratios = ratios[~np.isnan(ratios)]
         inputs = {"m": m, "trials": trials, "nondegenerate": len(ratios)}
         paper_form = (4.0 / 3.0) * (3 * m + 4)
-        matched = int(np.sum(np.abs(ratios - paper_form) <= ADJ_TOL * paper_form))
+        matched = int(np.sum(_close(ratios, paper_form, ADJ_TOL)))
         out.append(
             rec_bool(
                 f"qk-ratio[{m}].matches_published_form",
@@ -539,33 +567,13 @@ SUITES = {
     "tripod": suite_tripod,
     "decomp": suite_decomp,
 }
-# The size and trial flags each suite reads, each with the smallest value the
-# suite takes ("p*q" bounds the product of --p and --q).  A suite run by name
-# given any other flag is a usage error.  --seed is read by the sampled
-# suites and accepted by every one, as it has a default.
-SUITE_READS = {
-    "hp": {"m": 2}, "wolf": {"m": 2}, "grassmann": {"p": 1, "q": 1, "p*q": 2},
-    "weyl-norm": {"n": 4, "trials": 1}, "bochner-norm": {"m": 2, "trials": 1},
-    "qk-ratio": {"m": 2, "trials": 1}, "tripod": {"trials": 1}, "decomp": {"trials": 1},
-}
 
 
 def cmd_verify(cfg: argparse.Namespace) -> tuple[Report, int]:
-    if cfg.suite == "all":
-        names = list(SUITES)
-    elif cfg.suite in SUITES:
-        names = [cfg.suite]
-        _reject_unread_sizes(cfg, f"verify --suite {cfg.suite}", SUITE_READS[cfg.suite])
-    else:
+    if cfg.suite != "all" and cfg.suite not in SUITES:
         raise GeometryError(f"unknown suite {cfg.suite!r}; choose from {', '.join(SUITES)} or all")
-    if "grassmann" in names and (cfg.p is None) != (cfg.q is None):
-        raise GeometryError("verify --suite grassmann needs both --p and --q, or neither")
-    least = {"m": cfg.m and cfg.m[0], "n": cfg.n and cfg.n[0], "p": cfg.p, "q": cfg.q,
-             "p*q": cfg.p and cfg.p * cfg.q, "trials": cfg.trials}  # None: unset
-    for name in names:  # every bound before the first suite runs
-        for flag, bound in SUITE_READS[name].items():
-            if least[flag] is not None and least[flag] < bound:
-                raise GeometryError(f"verify --suite {name} needs --{flag} of at least {bound}, got {least[flag]}")
+    names = list(SUITES) if cfg.suite == "all" else [cfg.suite]
+    _check_flags(cfg, "verify", names)  # every selected suite, before the first one runs
     report = Report(command="verify", config=_echo(cfg))
     for name in names:
         report.records.extend(SUITES[name](cfg))
@@ -578,26 +586,18 @@ def cmd_verify(cfg: argparse.Namespace) -> tuple[Report, int]:
 
 def _build_model(cfg: argparse.Namespace):
     """Returns (tensor, algebra or None for full-space spectra)."""
-    name = cfg.model
-    reads = {"grassmann": ("p", "q"), "sphere": ("n",)}.get(name, ("m",))
-    _reject_unread_sizes(cfg, f"spectrum --model {name}", reads)
-    if name == "grassmann":
-        if cfg.p is None or cfg.q is None:
-            raise GeometryError("spectrum --model grassmann needs --p and --q")
+    if cfg.model == "grassmann":
         return decomp.grassmannian(cfg.p, cfg.q), None
-    if name == "sphere":
-        if cfg.n is None:
-            raise GeometryError("spectrum --model sphere needs --n")
+    if cfg.model == "sphere":
         return decomp.sphere(cfg.n[0]), None
-    if cfg.m is None:
-        raise GeometryError(f"spectrum --model {name} needs --m")
-    if name == "const-hol":
+    if cfg.model == "const-hol":
         return decomp.const_hol(cfg.m[0]), None
-    rm = decomp.hp(cfg.m[0]) if name == "hp" else decomp.wolf(cfg.m[0])
+    rm = decomp.hp(cfg.m[0]) if cfg.model == "hp" else decomp.wolf(cfg.m[0])
     return rm, holonomy.by_name(rm.space, "sp")
 
 
 def cmd_spectrum(cfg: argparse.Namespace) -> tuple[Report, int]:
+    _check_flags(cfg, "spectrum", [cfg.model])
     rm, alg = _build_model(cfg)
     op = tensor.to_operator(rm)
     domain = "full"
@@ -690,9 +690,8 @@ def _sample_chunk(space: EuclideanSpace) -> int:
     copies, the restriction, its symmetrized copy and its eigenvectors), so
     a stack holds a quarter of holonomy.trial_chunk, which is half of
     _CHUNK_BYTES of operators, rounded up, as a stack's fixed cost (the
-    shift, `hat_ratio_qk`, the solves) outweighs a trial more: 4 at
-    sp(3)+sp(1), not 3.  The rotated structure
-    constants, (T, d, d, d), are the one larger array, and
+    shift, `hat_ratio_qk`, the solves) outweighs a trial more.  The rotated
+    structure constants, (T, d, d, d), are the one larger array, and
     `criteria.curvature_term_self` rotates them in sub-chunks of
     HolonomyAlgebra.rotation_trials trials."""
     return -(-holonomy.trial_chunk(space) // 4)
@@ -700,7 +699,7 @@ def _sample_chunk(space: EuclideanSpace) -> int:
 
 def cmd_sample(cfg: argparse.Namespace) -> tuple[Report, int]:
     kind = holonomy.holonomy_kind(cfg.holonomy)
-    _reject_unread_sizes(cfg, f"sample --holonomy {cfg.holonomy}", ("n" if kind == "generic" else "m", "trials"))
+    _check_flags(cfg, "sample", [kind])
     if kind == "generic":
         size = cfg.n[0] if cfg.n else 4
         space = generic(size)
@@ -708,10 +707,6 @@ def cmd_sample(cfg: argparse.Namespace) -> tuple[Report, int]:
         size = cfg.m[0] if cfg.m else 2
         space = kaehler(size) if kind == "kaehler" else quaternion_kaehler(size)
     alg = holonomy.by_name(space, kind)
-    if alg.dim < 2:
-        raise GeometryError(
-            f"sample reads the two smallest eigenvalues, {alg.name} has dimension {alg.dim}"
-        )
     criterion = _preset_criterion(alg)
     shift = cfg.condition == "2-nonnegative"
     inputs = {"algebra": alg.name}  # one dict, shared by the run's records
@@ -748,26 +743,9 @@ def cmd_sample(cfg: argparse.Namespace) -> tuple[Report, int]:
     return report, 0
 
 
-def _other_cell(value) -> str:
-    return _csv_cell(_scalar_text(value))
-
-
-# A sample CSV cell's text by the exact type of its value: the text _render
-# gives a python float, bool or int, none of which needs quoting; any other
-# value goes through _other_cell, as Report.to_csv renders it.
-_CELL_TEXT = {float: "%.17g".__mod__, bool: ("false", "true").__getitem__, int: str}
-
-
 def _sample_csv(report: Report) -> str:
-    rows = [r.actual for r in report.records]
-    if not rows:
-        return "\n"
-    cols = list(rows[0].keys())
-    cell = _CELL_TEXT.get
-    lines = [",".join(cols)]
-    for row in rows:
-        lines.append(",".join([cell(type(v), _other_cell)(v) for v in map(row.get, cols)]))
-    return "\n".join(lines) + "\n"
+    """The sample rows as CSV, a column per key of a row."""
+    return _csv(list(report.records[0].actual), [r.actual for r in report.records])
 
 
 # ---------------------------------------------------------------------------
@@ -843,11 +821,12 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
 
 
 @functools.cache
-def _openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS that numpy bundles
-    (scipy-openblas, 64-bit interface), or None when numpy carries none, as
-    with another BLAS build.  Loading the file numpy has already loaded gives
-    the same library, so its pool is the one numpy's products run on."""
+def _openblas():
+    """The OpenBLAS that numpy bundles (scipy-openblas, 64-bit interface),
+    opened once, with its thread count's get and set typed; None when numpy
+    carries none, as with another BLAS build.  Loading the file numpy has
+    already loaded gives the same library, so its pool is the one numpy's
+    products run on."""
     numpy_dir = os.path.dirname(np.__file__)
     for path in sorted(glob.glob(os.path.join(numpy_dir, os.pardir, "numpy.libs", "libscipy_openblas64_*"))):
         try:
@@ -857,7 +836,7 @@ def _openblas_threads():
             continue
         get.argtypes, get.restype = [], ctypes.c_int
         put.argtypes, put.restype = [ctypes.c_int], None
-        return get, put
+        return lib
     return None
 
 
@@ -868,19 +847,18 @@ def _one_blas_thread():
     at rounding level, so reports are byte-identical across
     OPENBLAS_NUM_THREADS only under this hold; without the library it says
     so on stderr."""
-    threads = _openblas_threads()
-    if threads is None:
+    lib = _openblas()
+    if lib is None:
         print("note: numpy's OpenBLAS thread count cannot be held; report bytes may "
               "depend on the BLAS thread count", file=sys.stderr)
         yield
         return
-    get, put = threads
-    before = get()
-    put(1)
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
     try:
         yield
     finally:
-        put(before)
+        lib.scipy_openblas_set_num_threads64_(before)
 
 
 def main(argv=None) -> int:

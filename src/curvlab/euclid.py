@@ -16,6 +16,7 @@ space is keyed on its structure, never on a name or an object.
 from __future__ import annotations
 
 import functools
+import operator
 import threading
 from dataclasses import dataclass
 
@@ -104,6 +105,7 @@ class EuclideanSpace:
     K: np.ndarray | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "dimension"))
         if self.n < 2:
             raise GeometryError("need dimension at least 2 for a bivector basis")
         held = {"generic": "", "kaehler": "J", "qk": "IJK"}.get(self.kind)  # the kind's matrices
@@ -190,6 +192,14 @@ def _shared(fn):
     return shared
 
 
+def _integer(value, what: str) -> int:
+    """value as an int (a numpy integer passes), or GeometryError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise GeometryError(f"{what} must be an integer, got {value!r}") from None
+
+
 def generic(n: int) -> EuclideanSpace:
     """R^n with no extra structure (full rotation algebra as holonomy)."""
     return EuclideanSpace(n, "generic")
@@ -197,7 +207,7 @@ def generic(n: int) -> EuclideanSpace:
 
 def kaehler(m: int) -> EuclideanSpace:
     """R^{2m} with the standard block complex structure."""
-    if m < 1:
+    if _integer(m, "block count") < 1:
         raise GeometryError("kaehler block count must be positive")
     J = _block_diag(_KAEHLER_BLOCK, m)
     return EuclideanSpace(2 * m, "kaehler", J=J)
@@ -209,7 +219,7 @@ def quaternion_kaehler(m: int) -> EuclideanSpace:
     Coordinates come in quadruples (f, If, Jf, Kf); m >= 2 because the
     four-dimensional case degenerates into a product of rotation planes.
     """
-    if m < 2:
+    if _integer(m, "block count") < 2:
         raise GeometryError("quaternion-Kaehler block count must be at least 2")
     return EuclideanSpace(4 * m, "qk", *(_block_diag(block, m) for block in (_I_BLOCK, _J_BLOCK, _K_BLOCK)))
 

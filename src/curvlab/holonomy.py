@@ -26,9 +26,9 @@ them scales with the algebra squared.  Construction only checks closure: the
 (d, d, d) structure constants, which only the spectral routes of `criteria`
 read, are built on first read, at the cost of one more bracket pass, so a
 run that never reads them never holds them.  At so(24) they are 168 MB, and
-`curvlab decompose` of an n = 24 file peaks at about 52 MB of RSS, down from
-209 MB when construction kept them.  Algebras compare and hash by
-`HolonomyAlgebra.key`; `by_name` builds each once per space and kind.
+`curvlab decompose` of an n = 24 file peaks at about 52 MB of RSS.  Algebras
+compare and hash by `HolonomyAlgebra.key`; `by_name` builds each once per
+space and kind.
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ class HolonomyAlgebra:
     c[a, b, g] = <[basis_a, basis_b], basis_g> are built on first read, by
     one more bracket pass over the same products, so they cost nothing to a
     run that never reads them (`curvlab decompose` at n = 24 peaks at about
-    52 MB, not 209 MB).
+    52 MB).
     """
 
     space: EuclideanSpace

@@ -1,11 +1,9 @@
 import ctypes
-import glob
-import os
 
 import numpy as np
 import pytest
 
-from curvlab import criteria, decomp, euclid, holonomy, tensor
+from curvlab import cli, criteria, decomp, euclid, holonomy, tensor
 
 
 def rotation(n: int, seed: int) -> np.ndarray:
@@ -100,17 +98,13 @@ PIN_CORE = "SkylakeX"
 
 def openblas_core() -> str:
     """Name of the core that numpy's bundled OpenBLAS runs, read from the
-    library cli._openblas_threads opens (the same file, so the same loaded
-    library), or a note that there is none."""
-    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*")
-    for path in sorted(glob.glob(pattern)):
-        try:
-            name = ctypes.CDLL(path).scipy_openblas_get_corename64_
-        except (OSError, AttributeError):
-            continue
-        name.argtypes, name.restype = [], ctypes.c_char_p
-        return name().decode()
-    return "unknown (numpy bundles no scipy-openblas)"
+    one handle cli._openblas opens, or a note that there is none."""
+    lib = cli._openblas()
+    if lib is None:
+        return "unknown (numpy bundles no scipy-openblas)"
+    name = lib.scipy_openblas_get_corename64_
+    name.argtypes, name.restype = [], ctypes.c_char_p
+    return name().decode()
 
 
 def pin_note() -> str:

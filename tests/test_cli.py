@@ -246,6 +246,27 @@ class TestParsing:
         assert out == ""
         assert err == f"error: {' '.join(argv[:3])} does not read {flag}\n"
 
+    @pytest.mark.parametrize("argv, error", [
+        (("spectrum", "--model", "hp", "--m", "1"), "spectrum --model hp needs --m of at least 2, got 1"),
+        (("spectrum", "--model", "grassmann", "--p", "1", "--q", "1"),
+         "spectrum --model grassmann needs --p*q of at least 2, got 1"),
+        (("spectrum", "--model", "grassmann", "--p", "2"), "spectrum --model grassmann needs --p and --q"),
+        (("spectrum", "--model", "sphere"), "spectrum --model sphere needs --n"),
+    ], ids=["hp-m", "grassmann-pq", "grassmann-p", "sphere"])
+    def test_spectrum_size_below_the_models_least_is_usage_error(self, capsys, monkeypatch, argv, error):
+        # a model's least sizes hold, and its sizes are given, before any
+        # model or algebra is built; sample's least sizes are checked in
+        # TestSample::test_one_dimensional_algebra_is_usage_error
+        def no_work(*args):
+            raise AssertionError("work started")
+
+        for name in ("hp", "wolf", "const_hol", "sphere", "grassmannian"):
+            monkeypatch.setattr(decomp, name, no_work)
+        monkeypatch.setattr(holonomy, "by_name", no_work)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {error}\n"
+
     def test_model_name_with_underscore_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exit_:
             main(["spectrum", "--model", "const_hol", "--m", "2"])
@@ -527,9 +548,9 @@ class TestDeterminism:
         assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_JSON_SHA256[holonomy_args], pin_note()
 
     def test_blas_pool_is_held_at_one_thread_and_restored(self, capsys, monkeypatch):
-        threads = cli._openblas_threads()
-        assert threads is not None, "numpy bundles no scipy-openblas here"
-        get, put = threads
+        lib = cli._openblas()
+        assert lib is not None, "numpy bundles no scipy-openblas here"
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
         seen = []
 
         def suite(cfg):
@@ -546,11 +567,21 @@ class TestDeterminism:
             put(before)
 
     def test_without_the_bundled_blas_the_contract_is_not_claimed(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
+        monkeypatch.setattr(cli, "_openblas", lambda: None)
         code, out, err = run(capsys, "verify", "--suite", "tripod", "--trials", "5")
         assert code == 0
         assert json.loads(out)["records"]
         assert err.startswith("note: numpy's OpenBLAS thread count cannot be held")
+
+
+    def test_openblas_core_reads_the_library_numpy_runs(self):
+        # cli._openblas opens the library numpy has loaded, so the core it
+        # names is the one OPENBLAS_CORETYPE selects for numpy's products
+        path = os.pathsep.join([str(pathlib.Path(curvlab.__file__).parents[1]), str(pathlib.Path(__file__).parent)])
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "PYTHONPATH": path}
+        proc = subprocess.run([sys.executable, "-B", "-c", "import conftest; print(conftest.openblas_core())"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, "Haswell\n"), proc.stderr[-500:]
 
 
 def test_verify_records_mirror_the_benchmark_verdicts(verify_csv):
@@ -817,18 +848,22 @@ class TestSample:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert any(float(r["curvature_term_self"]) < 0 for r in rows)
 
-    @pytest.mark.parametrize("argv", [("--holonomy", "u", "--m", "1"), ("--n", "2")],
-                             ids=["u1", "so2"])
-    def test_one_dimensional_algebra_is_usage_error(self, capsys, monkeypatch, argv):
+    @pytest.mark.parametrize("argv, error", [
+        (("--holonomy", "u", "--m", "1"), "sample --holonomy u needs --m of at least 2, got 1"),
+        (("--n", "2"), "sample --holonomy so needs --n of at least 3, got 2"),
+    ], ids=["u1", "so2"])
+    def test_one_dimensional_algebra_is_usage_error(self, capsys, monkeypatch, argv, error):
+        # the rows read the two smallest eigenvalues: so(2) and u(1) have
+        # one, and the least sizes reject them before any algebra is built
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampling started")
 
         monkeypatch.setattr(decomp, "_bianchi_kernel_basis", no_sampling)
         monkeypatch.setattr(decomp, "random_algebra_curvature", no_sampling)
+        monkeypatch.setattr(holonomy, "by_name", no_sampling)
         code, out, err = run(capsys, "sample", *argv, "--trials", "3")
-        assert code == 2
-        assert out == ""
-        assert "dimension 1" in err
+        assert (code, out) == (2, "")
+        assert err == f"error: {error}\n"
 
     @pytest.mark.parametrize("tag, size, name", [
         ("weyl", ("--n", "4"), "so(4)"), ("Generic", ("--n", "4"), "so(4)"),

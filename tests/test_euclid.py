@@ -101,6 +101,22 @@ class TestSpaces:
         with pytest.raises(GeometryError, match=message):
             euclid.EuclideanSpace(n, kind, **matrices)
 
+    @pytest.mark.parametrize("build, size, message", [
+        (lambda n: euclid.EuclideanSpace(n, "generic"), 4.5, "dimension must be an integer, got 4.5"),
+        (generic, 4.0, "dimension must be an integer, got 4.0"),
+        (kaehler, 2.0, "block count must be an integer, got 2.0"),
+        (quaternion_kaehler, 2.0, "block count must be an integer, got 2.0"),
+    ], ids=["space", "generic", "kaehler", "qk"])
+    def test_a_non_integer_size_is_rejected(self, build, size, message):
+        # a float size once built a space whose bivector_dim was a float,
+        # and failed later in by_name or _block_diag with a TypeError
+        with pytest.raises(GeometryError, match=message):
+            build(size)
+
+    def test_a_numpy_integer_size_is_an_int(self):
+        for space in (generic(np.int64(5)), kaehler(np.int32(2)), quaternion_kaehler(np.int64(2))):
+            assert type(space.n) is int and type(space.bivector_dim) is int
+
     def test_generic_holds_no_matrices(self):
         space = generic(4)
         assert (space.kind, space.I, space.J, space.K) == ("generic", None, None, None)

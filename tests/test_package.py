@@ -232,7 +232,6 @@ print(json.dumps([codes, sorted({(code.co_filename, code.co_firstlineno) for cod
 # with why it stays.  The list may only shrink: a route only tests reach
 # moves to tests/conftest.py.
 UNREACHED = {
-    "cli._other_cell": "the sample CSV cell of a value that is not a python float, bool or int, as Report.to_csv renders it; every column `sample` writes is one of those",
     "criteria.CurvatureTerm.spread": "eigen-vs-bilinear curvature term, the oracle acceptance criterion 6 checks the self term against",
     "criteria.CurvatureTerm.value": "eigen-vs-bilinear curvature term, the oracle acceptance criterion 6 checks the self term against",
     "criteria._hat_flat": "eigen-vs-bilinear curvature term, the oracle acceptance criterion 6 checks the self term against",
