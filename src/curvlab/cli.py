@@ -211,19 +211,21 @@ def _echo(cfg: argparse.Namespace) -> dict:
 
 # The size and trial flags each command selection reads (a verify suite, a
 # spectrum model, a sample holonomy kind of holonomy.holonomy_kind), each
-# with its least value ("p*q" bounds the product of --p and --q).  --seed is
+# with the least value the selection needs ("p*q" bounds the product of --p
+# and --q), None where only _config_from_args's floor of 1 holds.  --seed is
 # read by the sampled suites and accepted by every one, as it has a default.
 FLAGS = {
     "verify": {
-        "hp": {"m": 2}, "wolf": {"m": 2}, "grassmann": {"p": 1, "q": 1, "p*q": 2},
-        "weyl-norm": {"n": 4, "trials": 1}, "bochner-norm": {"m": 2, "trials": 1},
-        "qk-ratio": {"m": 2, "trials": 1}, "tripod": {"trials": 1}, "decomp": {"trials": 1},
+        "hp": {"m": 2}, "wolf": {"m": 2}, "grassmann": {"p": None, "q": None, "p*q": 2},
+        "weyl-norm": {"n": 4, "trials": None}, "bochner-norm": {"m": 2, "trials": None},
+        "qk-ratio": {"m": 2, "trials": None}, "tripod": {"trials": None}, "decomp": {"trials": None},
     },
     "spectrum": {
         "hp": {"m": 2}, "wolf": {"m": 2}, "const-hol": {"m": 1}, "sphere": {"n": 2},
-        "grassmann": {"p": 1, "q": 1, "p*q": 2},
+        "grassmann": {"p": None, "q": None, "p*q": 2},
     },
-    "sample": {"generic": {"n": 3, "trials": 1}, "kaehler": {"m": 2, "trials": 1}, "qk": {"m": 2, "trials": 1}},
+    "sample": {"generic": {"n": 3, "trials": None}, "kaehler": {"m": 2, "trials": None},
+               "qk": {"m": 2, "trials": None}},
 }
 SELECTOR = {"verify": "suite", "spectrum": "model", "sample": "holonomy"}
 
@@ -251,7 +253,7 @@ def _check_flags(cfg: argparse.Namespace, command: str, names: list[str]):
             raise GeometryError(f"{what} needs both --p and --q, or neither")
     for what, reads in entries.items():
         for flag, least in reads.items():
-            if value[flag] is not None and value[flag] < least:
+            if None not in (least, value[flag]) and value[flag] < least:
                 raise GeometryError(f"{what} needs --{flag} of at least {least}, got {value[flag]}")
 
 
@@ -802,15 +804,12 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
         if lo != hi and args.command != "verify":
             raise GeometryError(f"{args.command} takes one value of --{flag}, got the range {text!r}")
         setattr(args, flag, (lo, hi))
-    p, q = getattr(args, "p", None), getattr(args, "q", None)
-    for flag, value in (("--p", p), ("--q", q)):
+    p, q, trials = (getattr(args, flag, None) for flag in ("p", "q", "trials"))
+    for flag, value in (("p", p), ("q", q), ("trials", trials)):  # the floor of every count; FLAGS has the rest
         if value is not None and value < 1:
-            raise GeometryError(f"{flag} must be at least 1")
+            raise GeometryError(f"--{flag} must be at least 1")
     if p is not None and q is not None and p * q > 4 * MAX_M:
         raise GeometryError(f"--p {p} --q {q} is dimension {p * q}, above the size cap {4 * MAX_M}")
-    trials = getattr(args, "trials", None)
-    if trials is not None and trials < 1:
-        raise GeometryError("--trials must be at least 1")
     if trials is not None and trials > MAX_TRIALS:
         raise GeometryError(f"--trials {trials} is above the cap {MAX_TRIALS}")
     if getattr(args, "seed", 0) < 0:

@@ -17,8 +17,8 @@ test suite plays against each other.  On a tensor that holds a (T, D, D)
 stack of trials (see `tensor`) every routine runs once for the stack: the
 parts are stacks, the coefficients, residuals and cross inner products
 (T,) arrays, each trial's entry the one-trial value to the bit, and the
-Kaehler-invariance and leak checks hold every trial to its own tolerance,
-which a NaN fails.
+Kaehler-invariance and leak checks hold every trial to euclid._first_over's
+rule, which a NaN fails.
 
 random_algebra_curvature samples the curvature tensors supported on a
 holonomy algebra from an orthonormal basis of the Bianchi kernel on Sym^2 of
@@ -50,6 +50,7 @@ import numpy as np
 
 from .euclid import (
     GeometryError,
+    _first_over,
     _shared,
     _sign_fix,
     generic,
@@ -264,12 +265,14 @@ def _kaehler_conjugation(space) -> np.ndarray:
 def _check_kaehler_invariance(rm: CurvatureTensor):
     """Raise unless T[x, y, z, w] = sum_ab J[a, x] J[b, y] T[a, b, z, w]: on
     the operator, M = C M with C the matrix of xi -> J^T mat(xi) J.  Every
-    trial of a stack at its own tolerance."""
-    moved = _kaehler_conjugation(rm.space) @ rm.matrix
-    np.subtract(rm.matrix, moved, out=moved)
-    defect = np.abs(moved, out=moved).max(axis=(-2, -1))
-    scale = 1.0 + np.maximum(rm.matrix.max(axis=(-2, -1)), -rm.matrix.min(axis=(-2, -1)))
-    if not np.all(defect <= 1e-9 * scale):  # NaN fails
+    trial of a stack at 1e-9 by euclid._first_over's rule."""
+    conj = _kaehler_conjugation(rm.space)
+
+    def defect(mat):
+        moved = conj @ mat
+        return (np.abs(np.subtract(mat, moved, out=moved), out=moved).max(axis=(-2, -1)),)
+
+    if _first_over(rm.matrix, defect, 1e-9):
         raise GeometryError("tensor is not invariant under the complex structure")
 
 
@@ -346,21 +349,17 @@ def qk_decompose(rm: CurvatureTensor, algebra: HolonomyAlgebra) -> CurvatureDeco
     """Split a quaternion-Kaehler tensor into the model multiple and the
     trace-free remainder.
 
-    The operator must be supported on the quaternionic holonomy algebra;
-    its complement mass is checked against 1e-8 relative, on a stack per
-    trial, and the first trial that leaks is reported.
+    The operator must be supported on the quaternionic holonomy algebra:
+    its complement mass is checked at 1e-8 by euclid._first_over's rule,
+    and the first trial of a stack that leaks is reported.
     """
     space = rm.space
     if space.kind != "qk":
         raise GeometryError("qk_decompose needs a quaternion-Kaehler space")
-    op = to_operator(rm)
-    mass = complement_mass(op, algebra)
-    scale = 1.0 + np.maximum(op.matrix.max(axis=(-2, -1)), -op.matrix.min(axis=(-2, -1)))
-    leaks = np.flatnonzero(np.atleast_1d(~(mass <= 1e-8 * scale)))  # NaN leaks
-    if leaks.size:
-        raise GeometryError(
-            f"operator leaks off the holonomy algebra (mass {np.atleast_1d(mass)[leaks[0]]:.2e})"
-        )
+    leak = _first_over(rm.matrix, lambda m: (
+        complement_mass(to_operator(CurvatureTensor(space, m, validate=False)), algebra),), 1e-8)
+    if leak:
+        raise GeometryError(f"operator leaks off the holonomy algebra (mass {leak[2]:.2e})")
     m = space.m
     model = structure_model(space)
     c = scalar(rm) / (16.0 * m * (m + 2))

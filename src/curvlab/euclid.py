@@ -10,12 +10,14 @@ representation of a bivector, and `holonomy.HolonomyAlgebra.matrices` holds
 their skew matrices.
 
 Spaces compare and hash by `structure_key`, so what `_shared` builds once per
-space is keyed on its structure, never on a name or an object.
+space is keyed on its structure, never on a name or an object.  Every check
+of an operator in the library raises by one rule, written in `_first_over`.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import threading
 from dataclasses import dataclass
@@ -254,25 +256,49 @@ class SpectralData:
         return out
 
 
-# relative tolerance of every symmetry scan: the solvers', tensor's, operators'
+# rtol of every symmetry scan, _first_over's unless a caller sets its own
 _SYMMETRY_RTOL = 1e-10
 
 
+def _first_over(a: np.ndarray, residuals, rtol: float = _SYMMETRY_RTOL, axes: int = 2):
+    """The check rule: a trial passes when its entries are finite and each of
+    its residuals is at most rtol * (1 + max|entry|), NaN failing.  A trial
+    is an array over the last `axes` axes; a holds one, or a stack over its
+    leading axes in C order.  None when every trial passes, else (trial, k,
+    value) of the first that fails: k and value its first residual over, or
+    None and NaN when an entry is not finite.  residuals(b) gives each
+    residual of the trials of b, a float for one trial or a per-trial array;
+    b is a, or the trials before the first non-finite one, so no residual is
+    formed from a non-finite entry."""
+    scale = 1.0 + abs(a).max(axis=tuple(range(-axes, 0)), initial=0.0)  # NaN or inf exactly when an entry is
+    finite = np.isfinite(scale)
+    if finite.all():
+        values = residuals(a)
+        if (functools.reduce(np.maximum, values) <= rtol * scale).all():  # the worst is NaN if any is
+            return None
+        bad = scale.size
+    else:
+        bad = int(np.argmin(finite.reshape(-1)))
+        values = residuals(a.reshape((-1,) + a.shape[a.ndim - axes :])[:bad]) if bad else ()
+    tol = rtol * scale.reshape(-1)
+    for t, k in itertools.product(range(bad), range(len(values))):
+        r = np.reshape(values[k], -1)[t]
+        if not r <= tol[t]:
+            return t, k, r
+    return bad, None, np.nan
+
+
 def _symmetrized(matrix: np.ndarray, solver: str) -> np.ndarray:
-    """0.5 * (M + M^T) of a finite square matrix M, or of each of a stack,
-    symmetric to _SYMMETRY_RTOL * (1 + max|entry|) of its own; raises
-    GeometryError otherwise.  The one validation of both solvers, named
-    solver in messages."""
+    """0.5 * (M + M^T) of a square matrix M, or of each of a stack, that
+    passes the symmetry scan; raises GeometryError otherwise.  The one
+    validation of both solvers, named solver in messages."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim < 2 or matrix.shape[-1] != matrix.shape[-2]:
         raise GeometryError(f"{solver} expects a square matrix")
-    scale = 1.0 + np.abs(matrix).max(axis=(-2, -1), initial=0.0)
-    if not np.all(np.isfinite(scale)):  # before M - M^T, whose NaN residual passes the test below
-        raise GeometryError("matrix has a non-finite entry")
-    transposed = matrix.swapaxes(-1, -2)
-    if np.any(np.abs(matrix - transposed).max(axis=(-2, -1), initial=0.0) > _SYMMETRY_RTOL * scale):
-        raise GeometryError("matrix is not symmetric")
-    return 0.5 * (matrix + transposed)
+    failed = _first_over(matrix, lambda m: (np.abs(m - m.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0),))
+    if failed:
+        raise GeometryError("matrix has a non-finite entry" if failed[1] is None else "matrix is not symmetric")
+    return 0.5 * (matrix + matrix.swapaxes(-1, -2))
 
 
 def symmetric_eigen(matrix: np.ndarray) -> SpectralData:

@@ -8,7 +8,7 @@ Conventions, fixed once here and relied on everywhere else:
   by construction; pair interchange is the symmetry of M, and the first
   Bianchi identity T[x,y,z,w] + T[y,z,x,w] + T[z,x,y,w] = 0 is checked at
   the C(n,4) increasing quadruples.  Both, and finite entries, are part of
-  the type invariant;
+  the type invariant, held by the one check rule of euclid._first_over;
 * the rank-four component array is derived from M on request.  Rank-four
   arrays that come from outside (files, the Grassmannian formula) are
   validated slot by slot with check_curvature_symmetries before they are
@@ -24,8 +24,8 @@ Conventions, fixed once here and relied on everywhere else:
   one-trial case of the same code: a value is a float for one tensor and a
   (T,) array for a stack, each entry the one-tensor value of its trial to
   the bit (reductions run per trial, in the one-tensor order).  Checks run
-  per trial at the one-tensor tolerance and report the first trial that
-  fails, with that trial's own message;
+  per trial by that rule and report the first trial that fails, with that
+  trial's own message;
 * hat components (derivatives along an algebra's basis rotations) are
   computed on bivector operators, H_a = N_a R + (N_a R)^T with N_a the
   action of generator a on the pairs.  N_a R comes from the algebra's
@@ -65,7 +65,7 @@ import numpy as np
 from .euclid import (
     EuclideanSpace,
     GeometryError,
-    _SYMMETRY_RTOL,
+    _first_over,
     _pair_table,
     _shared,
     generic,
@@ -76,11 +76,6 @@ from .euclid import (
 
 class SymmetryError(GeometryError):
     """Raised when an array fails the curvature symmetry validation."""
-
-
-def _sym_scale(a: np.ndarray) -> float:
-    """1 + max|entry|: NaN or inf exactly when an entry is."""
-    return 1.0 + float(np.abs(a).max(initial=0.0))
 
 
 def _non_finite(a: np.ndarray) -> SymmetryError:
@@ -210,25 +205,20 @@ def _dim_of_pairs(d: int) -> int:
 # symmetry validation and Bianchi projection
 
 
+# check_curvature_symmetries's residuals in order; check_operator_symmetries checks the last two
+_CURVATURE_CHECKS = ("not antisymmetric in the first pair", "not antisymmetric in the second pair",
+                     "not symmetric under pair interchange", "first Bianchi identity fails")
+
+
 def check_curvature_symmetries(t: np.ndarray):
     """Raise SymmetryError unless the rank-four array t is finite and has
-    all curvature symmetries plus Bianchi, to _SYMMETRY_RTOL * (1 + max|entry|)."""
-    scale = _sym_scale(t)
-    if not np.isfinite(scale):
-        raise _non_finite(t)
-    tol = _SYMMETRY_RTOL * scale
-    r = float(np.abs(t + t.transpose(1, 0, 2, 3)).max(initial=0.0))
-    if r > tol:
-        raise SymmetryError(f"not antisymmetric in the first pair, residual {r:.3e}")
-    r = float(np.abs(t + t.transpose(0, 1, 3, 2)).max(initial=0.0))
-    if r > tol:
-        raise SymmetryError(f"not antisymmetric in the second pair, residual {r:.3e}")
-    r = float(np.abs(t - t.transpose(2, 3, 0, 1)).max(initial=0.0))
-    if r > tol:
-        raise SymmetryError(f"not symmetric under pair interchange, residual {r:.3e}")
-    r = float(np.abs(bianchi_sum(t)).max(initial=0.0))
-    if r > tol:
-        raise SymmetryError(f"first Bianchi identity fails, residual {r:.3e}")
+    all curvature symmetries plus Bianchi, by euclid._first_over's rule."""
+    failed = _first_over(t, lambda a: [abs(r).max(initial=0.0) for r in (
+        a + a.transpose(1, 0, 2, 3), a + a.transpose(0, 1, 3, 2), a - a.transpose(2, 3, 0, 1), bianchi_sum(a)
+    )], axes=4)
+    if failed:
+        _, k, r = failed
+        raise _non_finite(t) if k is None else SymmetryError(f"{_CURVATURE_CHECKS[k]}, residual {r:.3e}")
 
 
 def _quad_bianchi(mat: np.ndarray, n: int) -> np.ndarray:
@@ -245,35 +235,21 @@ def check_operator_symmetries(mat: np.ndarray):
     (T, D, D) stack, is the operator of a curvature tensor: finite,
     symmetric, and Bianchi at the increasing quadruples.
 
-    Same tolerance and messages as check_curvature_symmetries on the array
+    Same rule and messages as check_curvature_symmetries on the array
     scattered from a matrix, whose largest entry is the matrix's; the pair
-    antisymmetries of that array hold by construction.  On a stack every
-    trial is checked at its own tolerance, and the first trial that fails
-    raises the message the check of that trial alone raises.  A non-finite
-    entry shows in the largest |entry| of its trial, so finiteness costs one
-    np.isfinite over the (T,) peaks, and no residual is formed from it.
+    antisymmetries of that array hold by construction.  On a stack the first
+    trial that fails raises the message it raises alone.
     """
     if mat.ndim not in (2, 3) or mat.shape[-2] != mat.shape[-1]:
         raise SymmetryError(f"operator must be a square matrix or a stack of them, got shape {mat.shape}")
     n = _dim_of_pairs(mat.shape[-1])
-    peak = abs(mat).max(axis=(-2, -1))
-    finite = np.isfinite(peak)
-    if not finite.all():
-        if mat.ndim == 3:
-            first = int(np.argmin(finite))
-            check_operator_symmetries(mat[:first])  # an earlier trial that fails comes first
-            mat = mat[first]
-        raise _non_finite(mat)
-    tol = _SYMMETRY_RTOL * (1.0 + peak)
-    asym = abs(mat - mat.swapaxes(-1, -2)).max(axis=(-2, -1))
-    bianchi = abs(_quad_bianchi(mat, n)).max(axis=-1, initial=0.0)
-    failed = (asym > tol) | (bianchi > tol)
-    if np.count_nonzero(failed):
-        t = np.flatnonzero(failed)[0]
-        asym, bianchi, tol = (np.atleast_1d(x)[t] for x in (asym, bianchi, tol))
-        if asym > tol:
-            raise SymmetryError(f"not symmetric under pair interchange, residual {asym:.3e}")
-        raise SymmetryError(f"first Bianchi identity fails, residual {bianchi:.3e}")
+    failed = _first_over(mat, lambda m: (
+        abs(m - m.swapaxes(-1, -2)).max(axis=(-2, -1)), abs(_quad_bianchi(m, n)).max(axis=-1, initial=0.0)
+    ))
+    if failed:
+        t, k, r = failed
+        raise _non_finite(mat.reshape(-1, *mat.shape[-2:])[t]) if k is None else SymmetryError(
+            f"{_CURVATURE_CHECKS[2 + k]}, residual {r:.3e}")
 
 
 def bianchi_sum(t: np.ndarray) -> np.ndarray:
@@ -410,11 +386,9 @@ class CurvatureOperator:
         d = self.algebra.dim
         if self.matrix.shape != (d, d):
             raise GeometryError(f"operator matrix must be {d} x {d}, got {self.matrix.shape}")
-        scale = _sym_scale(self.matrix)
-        if not np.isfinite(scale):
-            raise _non_finite(self.matrix)
-        if float(np.abs(self.matrix - self.matrix.T).max(initial=0.0)) > _SYMMETRY_RTOL * scale:
-            raise GeometryError("operator matrix is not symmetric")
+        failed = _first_over(self.matrix, lambda m: (abs(m - m.T).max(initial=0.0),))
+        if failed:
+            raise _non_finite(self.matrix) if failed[1] is None else GeometryError("operator matrix is not symmetric")
         self._spectrum = None  # (matrix, SpectralData) of a restricted operator
 
     @classmethod

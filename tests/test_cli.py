@@ -85,6 +85,15 @@ class TestParsing:
         code, _, err = run(capsys, "verify", "--suite", "tripod", "--trials", "0")
         assert code == 2
 
+    def test_count_floors_live_only_in_the_config_check(self, capsys):
+        # --p, --q and --trials are at least 1 on every command, a rule of
+        # _config_from_args; the table holds only the leasts above it
+        for argv in (("verify", "--suite", "tripod"), ("sample", "--holonomy", "u", "--m", "3")):
+            assert run(capsys, *argv, "--trials", "0") == (2, "", "error: --trials must be at least 1\n")
+        floors = {least for reads in cli.FLAGS.values() for entry in reads.values()
+                  for flag, least in entry.items() if flag in ("p", "q", "trials")}
+        assert floors == {None}
+
     def test_each_command_takes_only_the_flags_it_reads(self):
         subparsers = next(a for a in cli._build_parser()._actions if a.dest == "command")
         flags = {

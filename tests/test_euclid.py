@@ -274,6 +274,38 @@ class TestEigen:
         assert np.array_equal(fixed, [[1.0, -1.0, -0.5], [0.5, 1.0, -1.0], [0.0, 2.0, 0.0]])
 
 
+def test_first_over_is_the_rule():
+    # three 2 x 2 trials of max|entry| 1, so each bound is exactly 2 * rtol
+    stack = np.stack([np.eye(2)] * 3)
+    bound = 2.0 * euclid._SYMMETRY_RTOL
+    seen = []
+
+    def planted(residual):
+        def residuals(b):
+            seen.append(len(b))
+            return (np.zeros(len(b)), np.asarray(residual)[: len(b)])
+        return residuals
+
+    assert euclid._first_over(stack, planted([0.0, bound, bound])) is None
+    assert euclid._first_over(stack, planted([0.0, np.nextafter(bound, 1.0), np.inf])) == (
+        1, 1, np.nextafter(bound, 1.0))
+    trial, k, value = euclid._first_over(stack, planted([0.0, 0.0, np.nan]))  # a NaN residual is over
+    assert (trial, k) == (2, 1) and np.isnan(value)
+    # no residual is formed from a non-finite trial or any after it
+    stack[1, 0, 1] = np.nan
+    seen.clear()
+    trial, k, value = euclid._first_over(stack, planted([np.inf, np.inf, np.inf]))
+    assert (trial, k, seen) == (0, 1, [1])
+    trial, k, value = euclid._first_over(stack, planted([0.0, 0.0, 0.0]))
+    assert (trial, k, seen) == (1, None, [1, 1]) and np.isnan(value)
+    stack[0, 1, 1] = np.inf
+    seen.clear()
+    assert euclid._first_over(stack, planted([0.0] * 3))[:2] == (0, None) and seen == []
+    # the trial is an array over the last `axes` axes, counted in C order
+    assert euclid._first_over(np.zeros((2, 3, 2, 2)), lambda b: (np.arange(6.0).reshape(2, 3),), axes=2)[:2] == (1, 0)
+    assert euclid._first_over(np.zeros((2,) * 4), lambda t: (np.float64(1.0),), axes=4)[:2] == (0, 0)
+
+
 def test_shared_builds_once_per_key_across_threads():
     import sys
     import threading

@@ -1,6 +1,7 @@
 """Package-level guards: what the package exports is used, no module imports
 a name it never reads, every defaulted parameter is one some caller leaves
-out, only the spectral routes read the structure constants, what the
+out, only the spectral routes read the structure constants, the
+operator-check rule is written once, what the
 benchmark instrument wraps is bound, the CLI runs its trials in the calling
 thread, only the CLI seeds a Generator, and every library function is run
 by a command or listed with the reason it stays."""
@@ -81,6 +82,8 @@ KEPT_DEFAULTS = {
     "euclid.EuclideanSpace.__init__(I)": "a space holds only its kind's matrices: generic none, kaehler J, qk I, J, K",
     "euclid.EuclideanSpace.__init__(J)": "a space holds only its kind's matrices: generic none, kaehler J, qk I, J, K",
     "euclid.EuclideanSpace.__init__(K)": "a space holds only its kind's matrices: generic none, kaehler J, qk I, J, K",
+    "euclid._first_over(axes)": "operators are matrices; check_curvature_symmetries passes 4 for a rank-four array",
+    "euclid._first_over(rtol)": "the symmetry scans check at _SYMMETRY_RTOL; decomp's invariance and leak checks pass their own bounds",
     "tensor.CurvatureTensor.__init__(validate)": "sums and multiples of curvature tensors skip the scan; any other matrix is checked",
     "tensor.random_curvature(count)": "weyl-norm and decomp draw stacks of count trials; the tests and the acceptance gate draw one tensor",
 }
@@ -143,6 +146,55 @@ def test_structure_constants_are_read_only_by_the_spectral_routes():
     reads = _structure_reads()
     assert "criteria._rotate" in reads
     assert reads <= STRUCTURE_READERS, f"reads of structure_constants outside {sorted(STRUCTURE_READERS)}"
+
+
+# The operator-check rule, residual <= rtol * (1 + max|entry|) per trial, is
+# written once, in euclid._first_over: a function that reads _SYMMETRY_RTOL
+# or forms a scale 1 + max|...| is a second copy of it.  The scales of
+# verify and sample records below are report values, not checks that raise;
+# the list may only shrink.
+RULE_HOME = "euclid._first_over"
+RECORD_SCALES = {
+    "cli._preset_criterion.evaluate": "sample's noise-floor slack for the preset criterion, a record verdict",
+    "cli.suite_bochner_norm.stats": "the route gap the bochner-norm record reports, relative to the tensor's scale",
+    "cli.suite_tripod": "the spread of lambda over permutations that the tripod record reports",
+}
+
+
+def _rule_reads() -> dict[str, set[str]]:
+    """"module.qualname" of each function in src/curvlab that reads
+    _SYMMETRY_RTOL (as a name or an attribute), and of each that forms
+    1 + a max reduction (x.max(...), np.max, np.amax or np.maximum)."""
+    found = {"rtol": set(), "scale": set()}
+
+    def peak(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) in {
+            "max", "amax", "maximum"}
+
+    def one(node):
+        return isinstance(node, ast.Constant) and node.value == 1
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + [node.name]
+        if "_SYMMETRY_RTOL" in (getattr(node, "id", None), getattr(node, "attr", None)) and isinstance(
+                node.ctx, ast.Load):
+            found["rtol"].add(".".join(scope))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add) and one(node.left) and peak(node.right):
+            found["scale"].add(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), [path.stem])
+    return found
+
+
+def test_the_operator_check_rule_has_one_home():
+    reads = _rule_reads()
+    assert reads["rtol"] == {RULE_HOME}, f"_SYMMETRY_RTOL read outside {RULE_HOME}: {sorted(reads['rtol'])}"
+    assert reads["scale"] - set(RECORD_SCALES) == {RULE_HOME}, "a 1 + max|entry| scale outside " + RULE_HOME
+    assert set(RECORD_SCALES) <= reads["scale"], "RECORD_SCALES entries that are gone"
 
 
 def _wrapped() -> list[tuple]:

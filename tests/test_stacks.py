@@ -13,7 +13,7 @@ import pytest
 from conftest import pin_note, rotated_kaehler, rotated_structure
 
 from curvlab import cli, criteria, decomp, holonomy, tensor
-from curvlab.euclid import GeometryError, _symmetrized, generic, kaehler, quaternion_kaehler
+from curvlab.euclid import _SYMMETRY_RTOL, GeometryError, _symmetrized, generic, kaehler, quaternion_kaehler
 from curvlab.tensor import SymmetryError, to_operator
 
 CASES = {
@@ -312,6 +312,69 @@ def test_trial_off_the_algebra_is_caught(qk2):
     assert expected[1].startswith("operator leaks off the holonomy algebra")
     assert _raised(decomp.qk_decompose, stack, qk2) == expected
     assert _raised(criteria.hat_ratio_qk, stack, qk2) == expected
+
+
+def _trial_by_trial(check):
+    """A check of one matrix, run on each trial of a stack in order."""
+    return lambda stack: [check(m) for m in stack]
+
+
+def _rule_case(name, monkeypatch):
+    """(check of a (k, D, D) stack, base trial, (p, q), rtol) for each check
+    of the operator-check rule.  The base has max|entry| 1 and no residual,
+    and its entry (p, q) is 0, so a delta planted there is a residual of
+    exactly delta and the trial's bound is exactly 2 * rtol."""
+    so4 = holonomy.so_algebra(generic(4))
+    if name == "symmetrized":
+        return (lambda stack: _symmetrized(stack, "solver")), np.eye(6), (0, 1), _SYMMETRY_RTOL
+    if name == "restricted_operator":
+        check = _trial_by_trial(lambda m: tensor.CurvatureOperator(so4.space, m, so4))
+        return check, np.eye(6), (0, 1), _SYMMETRY_RTOL
+    if name == "curvature_array":
+        # planted at pairs (0, 1), (0, 2): pair interchange is off by delta,
+        # Bianchi by delta / 3
+        check = _trial_by_trial(
+            lambda m: tensor.check_curvature_symmetries(tensor._tensor_array_from_matrix(so4.space, m))
+        )
+        return check, np.eye(6), (0, 1), _SYMMETRY_RTOL
+    if name == "operator":
+        return tensor.check_operator_symmetries, np.eye(6), (0, 1), _SYMMETRY_RTOL
+    if name == "kaehler_invariance":
+        # (I + C) / 2 is fixed by C, a signed permutation of the pairs that
+        # moves pair 1 to pair 4, so a delta at (1, 0) is a defect of delta
+        space = kaehler(2)
+        base = (np.eye(6) + decomp._kaehler_conjugation(space)) / 2.0
+        return (lambda stack: decomp._check_kaehler_invariance(tensor.CurvatureTensor(space, stack, validate=False)),
+                base, (1, 0), 1e-9)
+    # the leak check, with a stand-in mass that reads the planted entry: no
+    # operator has a complement mass of exactly a given float
+    qk2 = holonomy.sp_sp1_algebra(quaternion_kaehler(2))
+    monkeypatch.setattr(decomp, "complement_mass", lambda op, algebra: np.abs(op.matrix[:, 0, 1]))
+    return (lambda stack: decomp.qk_decompose(tensor.CurvatureTensor(qk2.space, stack, validate=False), qk2),
+            np.eye(28), (0, 1), 1e-8)
+
+
+@pytest.mark.parametrize("name", ["symmetrized", "restricted_operator", "curvature_array", "operator",
+                                  "kaehler_invariance", "qk_leak"])
+def test_every_check_keeps_one_rule(name, monkeypatch):
+    # trial 0 passes, trial 1 is just over (or exactly at) its bound, and
+    # trial 2 holds a NaN: the stack raises trial 1's own message when it is
+    # over, passes it at the bound, and fails on the NaN
+    check, base, (p, q), rtol = _rule_case(name, monkeypatch)
+    bound = 2.0 * rtol
+
+    def stack(delta):
+        out = np.stack([base] * 3)
+        out[1, p, q] = delta
+        out[2, 2, 2] = np.nan
+        return out
+
+    over, at = stack(np.nextafter(bound, 1.0)), stack(bound)
+    expected = _raised(check, over[1:2])
+    assert _raised(check, over) == expected
+    check(at[:2])
+    expected = _raised(check, at[2:])
+    assert _raised(check, at) == expected
 
 
 def test_stack_shape_is_checked(so5):

@@ -158,7 +158,7 @@ class TestOperator:
         def scan(*args):
             raise AssertionError("symmetry scan on a wrapped tensor")
 
-        monkeypatch.setattr(tensor, "_sym_scale", scan)
+        monkeypatch.setattr(tensor, "_first_over", scan)
         op = to_operator(rm)
         assert op.matrix is rm.matrix and op.algebra is None
         assert op.spectrum().values.shape == (10,)
