@@ -71,6 +71,7 @@ from .tensor import (
     _kn_metric,
     _lead,
     _norm,
+    _pair_lookup,
     _pair_outer,
     _per_trial,
     _quad_pairs,
@@ -157,20 +158,19 @@ def grassmannian(p: int, q: int) -> CurvatureTensor:
     """Curvature tensor of the Grassmannian of p-planes in (p+q)-space.
 
     The tangent space is the q x p matrices with the trace metric; the basis
-    matrix with a one in row i, column a sits at flat index i*p + a.
+    matrix with a one in row i, column a sits at flat index x = i*p + a.  The
+    operator is (cols (x) cols) C_rows + (rows (x) rows) C_cols: rows[x, y] =
+    [i = j], cols[x, y] = [a = b], C_s the conjugation by s on bivectors.
     """
     if p < 1 or q < 1:
         raise GeometryError("grassmannian needs positive plane dimensions")
-    n = p * q
-    iq = np.eye(q)
-    ip = np.eye(p)
-    t8 = (
-        -np.einsum("kj,il,ab,cd->iajbkcld", iq, iq, ip, ip)
-        + np.einsum("ki,jl,ab,cd->iajbkcld", iq, iq, ip, ip)
-        - np.einsum("ij,kl,bc,ad->iajbkcld", iq, iq, ip, ip)
-        + np.einsum("ij,kl,ac,bd->iajbkcld", iq, iq, ip, ip)
+    space, x = generic(p * q), np.arange(p * q)
+    rows, cols = (np.equal.outer(k, k).astype(float) for k in (x // p, x % p))
+    mat = (
+        _pair_outer(cols, cols) * _conjugation_on_bivectors(space, rows)
+        + _pair_outer(rows, rows) * _conjugation_on_bivectors(space, cols)
     )
-    return _read_only(CurvatureTensor.from_components(generic(n), t8.reshape(n, n, n, n)))
+    return _read_only(CurvatureTensor(space, mat))
 
 
 @functools.cache
@@ -178,19 +178,17 @@ def wolf(m: int) -> CurvatureTensor:
     """grassmannian(m, 4) transported onto the quaternion-Kaehler R^{4m}.
 
     Row i of a tangent matrix feeds the i-th member of the quadruple
-    (f, If, Jf, Kf) of block j, so flat index i*m + j maps to coordinate
-    4j + i.
+    (f, If, Jf, Kf) of block j, so coordinate 4j + i reads flat index
+    sigma = i*m + j, and a pair that sigma reverses reads with sign -1: a
+    product, so a zero read reversed is -0.0.
     """
     if m < 2:
         raise GeometryError("the four-plane model needs m >= 2")
-    base = grassmannian(m, 4).components
-    n = 4 * m
-    sigma = np.empty(n, dtype=np.intp)
-    for i in range(4):
-        for j in range(m):
-            sigma[4 * j + i] = i * m + j
     space = quaternion_kaehler(m)
-    return _read_only(CurvatureTensor.from_components(space, base[np.ix_(sigma, sigma, sigma, sigma)]))
+    sigma = np.arange(4 * m).reshape(4, m).T.ravel()
+    a, b = sigma[space.pair_rows], sigma[space.pair_cols]
+    at, sign = _pair_lookup(4 * m)[a, b], np.where(a < b, 1.0, -1.0)
+    return _read_only(CurvatureTensor(space, np.outer(sign, sign) * grassmannian(m, 4).matrix[np.ix_(at, at)]))
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +315,7 @@ def bochner_explicit(rm: CurvatureTensor) -> CurvatureTensor:
 
     Independent of bochner_decompose: uses the raw Ricci contraction and a
     different constant grouping; agreement of the two routes is a test
-    invariant, not a code path.
+    invariant, not a code path, so it checks its own input for invariance.
     """
     space = rm.space
     if space.kind != "kaehler":

@@ -22,13 +22,13 @@ The Bianchi kernel is blocked by that basis, and the hats are computed from
 each chunk's dense action on the pairs, cut into blocks by character
 (`HolonomyAlgebra.action_blocks`).  Hats, blocks and structure constants are
 built by chunks of generators (`HolonomyAlgebra.chunk_size`), so no array of
-them scales with the algebra squared.  Construction only checks closure: the
-(d, d, d) structure constants, which only the spectral routes of `criteria`
-read, are built on first read, at the cost of one more bracket pass, so a
-run that never reads them never holds them.  At so(24) they are 168 MB, and
-`curvlab decompose` of an n = 24 file peaks at about 52 MB of RSS.  Algebras
-compare and hash by `HolonomyAlgebra.key`; `by_name` builds each once per
-space and kind.
+them scales with the algebra squared.  Construction only checks closure (not
+for so(n), which is closed): the (d, d, d) structure constants, which only
+the spectral routes of `criteria` read, are built on first read by a bracket
+pass, so a run that never reads them never holds them.  At so(24) they are
+168 MB, and `curvlab decompose` of an n = 24 file peaks at about 49 MB of
+RSS.  Algebras compare and hash by `HolonomyAlgebra.key`; `by_name` builds
+each once per space and kind.
 """
 
 from __future__ import annotations
@@ -139,11 +139,11 @@ class HolonomyAlgebra:
     respect to the bivector inner product.  It is a read-only copy of the
     rows given, so `key`, by which algebras compare and hash, stays valid.
     Construction checks closure under the bracket in one pass (`_brackets`)
-    that keeps only the defect.  The read-only structure_constants
-    c[a, b, g] = <[basis_a, basis_b], basis_g> are built on first read, by
-    one more bracket pass over the same products, so they cost nothing to a
-    run that never reads them (`curvlab decompose` at n = 24 peaks at about
-    52 MB).
+    that keeps only the defect, or none when d = D (so(n) is closed).  The
+    read-only structure_constants c[a, b, g] = <[basis_a, basis_b], basis_g>
+    are built on first read, by a bracket pass over the same products, so
+    they cost nothing to a run that never reads them (`curvlab decompose`
+    at n = 24 peaks at about 49 MB).
     """
 
     space: EuclideanSpace
@@ -159,7 +159,7 @@ class HolonomyAlgebra:
         gram = self.coeff_matrix @ self.coeff_matrix.T
         if not np.allclose(gram, np.eye(d), atol=1e-9):
             raise GeometryError(f"basis of {self.name} is not orthonormal")
-        defect = self._brackets(keep=False)[1]
+        defect = self._brackets(keep=False)[1] if d < cols else 0.0  # d = D orthonormal rows span so(n)
         if defect > 1e-8:
             raise GeometryError(f"{self.name} is not closed under the bracket ({defect:.2e})")
 
@@ -307,9 +307,9 @@ class HolonomyAlgebra:
     @cached_property
     def structure_constants(self) -> np.ndarray:
         """c[a, b, g] = <[basis_a, basis_b], basis_g>, shape (d, d, d),
-        read-only.  Built on first read by a second bracket pass, the one that
-        checked closure, so its bytes do not depend on when it is read; only
-        the spectral routes of `criteria` read it."""
+        read-only.  Built on first read by the bracket pass that checks
+        closure, so its bytes do not depend on when it is read; only the
+        spectral routes of `criteria` read it."""
         consts = self._brackets(keep=True)[0]
         _freeze(consts)
         return consts

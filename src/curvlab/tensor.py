@@ -10,9 +10,8 @@ Conventions, fixed once here and relied on everywhere else:
   the C(n,4) increasing quadruples.  Both, and finite entries, are part of
   the type invariant, held by the one check rule of euclid._first_over;
 * the rank-four component array is derived from M on request.  Rank-four
-  arrays that come from outside (files, the Grassmannian formula) are
-  validated slot by slot with check_curvature_symmetries before they are
-  gathered into an operator;
+  arrays come only from tensor files, and are validated slot by slot with
+  check_curvature_symmetries before they are gathered into an operator;
 * the operator of the metric double product g (*) g is twice the identity
   on bivectors;
 * squared norms: the component-array norm of a curvature tensor is four
@@ -38,12 +37,11 @@ Conventions, fixed once here and relied on everywhere else:
   norms are Frobenius norms, for the bilinear route of
   criteria.curvature_term.  Hats are reduced only in criteria.
 
-Products, traces and projections act on the operator through pair-index
-formulas with index tables cached per dimension.  The one rank-four route
-left is bianchi_sum, which checks arrays that come from outside; the
-slot-by-slot references that the pair-index formulas and the hats are
-checked against (the rank-four Bianchi projection and the single-generator
-action) are test helpers, in tests/conftest.py.
+Products, traces, projections and the models are pair-index formulas on the
+operator, with index tables cached per dimension.  The rank-four route
+(from_components, check_curvature_symmetries, bianchi_sum, components) serves
+only tensor_from_dict and tensor_to_dict; the slot-by-slot references of the
+formulas, hats and models are test helpers, in tests/conftest.py.
 
 What depends only on the dimension or the structure is built once and
 shared read-only, so per-sample calls touch only the sample: per dimension
@@ -212,9 +210,12 @@ _CURVATURE_CHECKS = ("not antisymmetric in the first pair", "not antisymmetric i
 
 def check_curvature_symmetries(t: np.ndarray):
     """Raise SymmetryError unless the rank-four array t is finite and has
-    all curvature symmetries plus Bianchi, by euclid._first_over's rule."""
-    failed = _first_over(t, lambda a: [abs(r).max(initial=0.0) for r in (
-        a + a.transpose(1, 0, 2, 3), a + a.transpose(0, 1, 3, 2), a - a.transpose(2, 3, 0, 1), bianchi_sum(a)
+    all curvature symmetries plus Bianchi, by euclid._first_over's rule.
+    The residuals are formed and reduced one at a time, so at most one n^4
+    residual is alive."""
+    failed = _first_over(t, lambda a: [abs(residual(a)).max(initial=0.0) for residual in (
+        lambda a: a + a.transpose(1, 0, 2, 3), lambda a: a + a.transpose(0, 1, 3, 2),
+        lambda a: a - a.transpose(2, 3, 0, 1), bianchi_sum,
     )], axes=4)
     if failed:
         _, k, r = failed

@@ -74,6 +74,32 @@ def bianchi_project(t: np.ndarray) -> np.ndarray:
     return t - tensor.bianchi_sum(t)
 
 
+def grassmannian_reference(p: int, q: int):
+    """decomp.grassmannian(p, q) from the rank-four formula of its
+    components, one 8-index einsum per term over the (row, column) indices
+    of the q x p tangent matrices, validated slot by slot."""
+    n = p * q
+    iq, ip = np.eye(q), np.eye(p)
+    t8 = (
+        -np.einsum("kj,il,ab,cd->iajbkcld", iq, iq, ip, ip)
+        + np.einsum("ki,jl,ab,cd->iajbkcld", iq, iq, ip, ip)
+        - np.einsum("ij,kl,bc,ad->iajbkcld", iq, iq, ip, ip)
+        + np.einsum("ij,kl,ac,bd->iajbkcld", iq, iq, ip, ip)
+    )
+    return tensor.CurvatureTensor.from_components(euclid.generic(n), t8.reshape(n, n, n, n))
+
+
+def wolf_reference(m: int):
+    """decomp.wolf(m) as the reference Grassmannian's components moved slot
+    by slot: coordinate 4j + i reads flat index i*m + j."""
+    sigma = np.empty(4 * m, dtype=np.intp)
+    for i in range(4):
+        for j in range(m):
+            sigma[4 * j + i] = i * m + j
+    moved = grassmannian_reference(m, 4).components[np.ix_(sigma, sigma, sigma, sigma)]
+    return tensor.CurvatureTensor.from_components(euclid.quaternion_kaehler(m), moved)
+
+
 def rotated_structure(op):
     """Spectrum of a restricted operator (its memo, no new eigensolve) and
     the structure constants of its algebra in its eigenbasis, per trial on

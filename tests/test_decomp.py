@@ -2,11 +2,19 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from math import comb
 
 import numpy as np
 import pytest
-from conftest import misplaced_unitary, rotated_kaehler, rotated_quaternionic, rotation
+from conftest import (
+    grassmannian_reference,
+    misplaced_unitary,
+    rotated_kaehler,
+    rotated_quaternionic,
+    rotation,
+    wolf_reference,
+)
 
 from curvlab import cli, criteria, decomp, euclid, holonomy, tensor
 from curvlab.decomp import (
@@ -100,6 +108,30 @@ class TestModels:
         a = to_operator(grassmannian(2, 3)).spectrum().values
         b = to_operator(grassmannian(3, 2)).spectrum().values
         assert np.allclose(np.sort(a), np.sort(b))
+
+    @pytest.mark.parametrize("p, q", [(p, q) for p in range(1, 17) for q in range(1, 17) if 2 <= p * q <= 16]
+                             + [(4, 6), (6, 4), (3, 8), (2, 12), (1, 24)])
+    def test_grassmannian_is_the_rank_four_formula(self, p, q):
+        # tobytes: the sign of every zero counts
+        assert grassmannian(p, q).matrix.tobytes() == grassmannian_reference(p, q).matrix.tobytes()
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_wolf_is_the_moved_rank_four_array(self, m):
+        assert wolf(m).matrix.tobytes() == wolf_reference(m).matrix.tobytes()
+
+    @pytest.mark.parametrize("build, args", [(grassmannian, (4, 6)), (grassmannian, (6, 4)), (wolf, (6,))],
+                             ids=["grassmannian-4-6", "grassmannian-6-4", "wolf-6"])
+    def test_models_form_no_rank_four_array(self, build, args):
+        # the operator formulas peak at a few D x D arrays (D = 276); the
+        # rank-four route peaked at about 30 arrays' worth
+        grassmannian(6, 4)
+        tracemalloc.start()
+        try:
+            build.__wrapped__(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 8 * 276**2
 
     def test_wolf_matches_grassmann_spectrum(self, wolf2):
         a = np.sort(to_operator(wolf2).spectrum().values)

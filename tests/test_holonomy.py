@@ -146,6 +146,35 @@ class TestAlgebras:
             HolonomyAlgebra(so5_space, "bad", rows)
 
 
+    def test_so_build_makes_no_bracket_pass(self, monkeypatch):
+        # d = D orthonormal rows span so(n), which is closed; the subalgebras
+        # and an outside basis with d < D still check closure
+        calls = []
+        brackets = HolonomyAlgebra._brackets
+
+        def counted(self, keep):
+            calls.append(self.name)
+            return brackets(self, keep)
+
+        def refused(self, keep):
+            raise AssertionError(f"bracket pass while building {self.name}")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(HolonomyAlgebra, "_brackets", refused)
+            for n in (2, 5, 8):
+                assert so_algebra(generic(n)).dim == n * (n - 1) // 2
+            patch.setattr(HolonomyAlgebra, "_brackets", counted)
+            u_algebra(kaehler(3))
+            sp_sp1_algebra(quaternion_kaehler(2))
+            assert calls == ["u(3)", "sp(2)+sp(1)"]
+            rows = np.zeros((3, 10))
+            pair = tensor._pair_lookup(5)
+            rows[[0, 1, 2], [pair[0, 1], pair[2, 3], pair[0, 2]]] = 1.0
+            with pytest.raises(GeometryError, match="not closed"):
+                HolonomyAlgebra(generic(5), "bad", rows)
+            assert calls[2:] == ["bad"]
+
+
 class TestProjection:
     def test_projection_of_supported_operator_is_lossless(self, qk2, hp2):
         op = tensor.to_operator(hp2)

@@ -1,10 +1,10 @@
 """Package-level guards: what the package exports is used, no module imports
 a name it never reads, every defaulted parameter is one some caller leaves
-out, only the spectral routes read the structure constants, the
-operator-check rule is written once, what the
-benchmark instrument wraps is bound, the CLI runs its trials in the calling
-thread, only the CLI seeds a Generator, and every library function is run
-by a command or listed with the reason it stays."""
+out, only the spectral routes read the structure constants, only the file
+routines read the rank-four route, the operator-check rule is written once,
+what the benchmark instrument wraps is bound, the CLI runs its trials in the
+calling thread, only the CLI seeds a Generator, and every library function
+is run by a command or listed with the reason it stays."""
 
 import ast
 import importlib
@@ -197,6 +197,51 @@ def test_the_operator_check_rule_has_one_home():
     assert set(RECORD_SCALES) <= reads["scale"], "RECORD_SCALES entries that are gone"
 
 
+# Where the library reads the rank-four route: tensor files hold n^4
+# components, so the file routines build and validate rank-four arrays, and
+# the route's own definitions call each other.  Models and decompositions
+# are operator formulas; a read anywhere else forms an n^4 array that no
+# result needs.
+RANK_FOUR_ROUTE = {"from_components", "check_curvature_symmetries", "bianchi_sum", "_tensor_array_from_matrix"}
+RANK_FOUR_HOME = {
+    "tensor.tensor_from_dict",
+    "tensor.tensor_to_dict",
+    "tensor.CurvatureTensor.from_components",
+    "tensor.CurvatureTensor.components",
+    "tensor.check_curvature_symmetries",
+    "tensor.bianchi_sum",
+    "tensor._tensor_array_from_matrix",
+}
+
+
+def _rank_four_reads() -> set[str]:
+    """"module.qualname" of each function in src/curvlab that reads a name of
+    RANK_FOUR_ROUTE (as a name or an attribute) or the components
+    attribute."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + [node.name]
+        if isinstance(getattr(node, "ctx", None), ast.Load) and (
+            getattr(node, "id", None) in RANK_FOUR_ROUTE
+            or getattr(node, "attr", None) in RANK_FOUR_ROUTE | {"components"}
+        ):
+            found.add(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), [path.stem])
+    return found
+
+
+def test_rank_four_arrays_stay_at_the_file_boundary():
+    reads = _rank_four_reads()
+    assert {"tensor.tensor_from_dict", "tensor.tensor_to_dict"} <= reads
+    assert reads <= RANK_FOUR_HOME, f"rank-four route read outside the file routines: {sorted(reads - RANK_FOUR_HOME)}"
+
+
 def _wrapped() -> list[tuple]:
     """perfbench/spans.py WRAPPED, from the file as it stands; compiled and
     run in a fresh module, so no bytecode is written next to it."""
@@ -290,8 +335,10 @@ UNREACHED = {
     "criteria.curvature_term": "eigen-vs-bilinear curvature term, the oracle acceptance criterion 6 checks the self term against",
     "decomp.curvature_space_dim": "perfbench's cold-start pass and warm-up call it",
     "holonomy.HolonomyAlgebra.__eq__": "a cache keyed on an algebra (criteria._shift_gain) calls it only for two objects of one hash; a command builds one algebra per space (holonomy._algebra)",
+    "tensor.CurvatureTensor.components": "writes the tensor files that `curvlab decompose` reads; perfbench's cold-start hashes rm.components",
     "tensor.CurvatureOperator.__post_init__": "checks a restricted operator built from an outside matrix; the commands restrict with holonomy.project, whose product is symmetric by construction and skips it",
     "tensor._non_finite": "error path: the message for a non-finite entry, which no command's input holds",
+    "tensor._tensor_array_from_matrix": "writes the tensor files that `curvlab decompose` reads; perfbench's cold-start hashes rm.components",
     "tensor.save_tensor": "writes the tensor files that `curvlab decompose` reads",
     "tensor.t_hat": "the whole hat stack that the bilinear route of criteria.curvature_term reads (criterion 6); perfbench wraps it",
     "tensor.tensor_to_dict": "the record save_tensor writes",

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,17 @@ class TestSymmetries:
             anti[b, a, d, c] += s
         with pytest.raises(SymmetryError, match="Bianchi"):
             check_curvature_symmetries(t + anti)
+
+    def test_one_residual_at_a_time(self, rng):
+        # each n^4 residual is reduced before the next is formed
+        t = random_curvature(generic(16), rng).components
+        tracemalloc.start()
+        try:
+            check_curvature_symmetries(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * t.nbytes
 
     def test_bianchi_project_idempotent(self, rng):
         m = rng.standard_normal((10, 10))
