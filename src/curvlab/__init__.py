@@ -20,7 +20,6 @@ from .tensor import (
     CurvatureOperator,
     CurvatureTensor,
     SymmetryError,
-    bianchi_sum,
     load_tensor,
     random_curvature,
     ricci,

@@ -260,17 +260,17 @@ class SpectralData:
 _SYMMETRY_RTOL = 1e-10
 
 
-def _first_over(a: np.ndarray, residuals, rtol: float = _SYMMETRY_RTOL, axes: int = 2):
+def _first_over(a: np.ndarray, residuals, rtol: float = _SYMMETRY_RTOL):
     """The check rule: a trial passes when its entries are finite and each of
     its residuals is at most rtol * (1 + max|entry|), NaN failing.  A trial
-    is an array over the last `axes` axes; a holds one, or a stack over its
+    is a matrix over the last two axes; a holds one, or a stack over its
     leading axes in C order.  None when every trial passes, else (trial, k,
     value) of the first that fails: k and value its first residual over, or
     None and NaN when an entry is not finite.  residuals(b) gives each
     residual of the trials of b, a float for one trial or a per-trial array;
     b is a, or the trials before the first non-finite one, so no residual is
     formed from a non-finite entry."""
-    scale = 1.0 + abs(a).max(axis=tuple(range(-axes, 0)), initial=0.0)  # NaN or inf exactly when an entry is
+    scale = 1.0 + abs(a).max(axis=(-2, -1), initial=0.0)  # NaN or inf exactly when an entry is
     finite = np.isfinite(scale)
     if finite.all():
         values = residuals(a)
@@ -279,7 +279,7 @@ def _first_over(a: np.ndarray, residuals, rtol: float = _SYMMETRY_RTOL, axes: in
         bad = scale.size
     else:
         bad = int(np.argmin(finite.reshape(-1)))
-        values = residuals(a.reshape((-1,) + a.shape[a.ndim - axes :])[:bad]) if bad else ()
+        values = residuals(a.reshape((-1,) + a.shape[-2:])[:bad]) if bad else ()
     tol = rtol * scale.reshape(-1)
     for t, k in itertools.product(range(bad), range(len(values))):
         r = np.reshape(values[k], -1)[t]

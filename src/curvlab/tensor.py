@@ -10,8 +10,8 @@ Conventions, fixed once here and relied on everywhere else:
   the C(n,4) increasing quadruples.  Both, and finite entries, are part of
   the type invariant, held by the one check rule of euclid._first_over;
 * the rank-four component array is derived from M on request.  Rank-four
-  arrays come only from tensor files, and are validated slot by slot with
-  check_curvature_symmetries before they are gathered into an operator;
+  arrays come only from tensor files, and check_curvature_symmetries reads
+  them through the operator that every tensor's check runs on;
 * the operator of the metric double product g (*) g is twice the identity
   on bivectors;
 * squared norms: the component-array norm of a curvature tensor is four
@@ -39,9 +39,9 @@ Conventions, fixed once here and relied on everywhere else:
 
 Products, traces, projections and the models are pair-index formulas on the
 operator, with index tables cached per dimension.  The rank-four route
-(from_components, check_curvature_symmetries, bianchi_sum, components) serves
+(check_curvature_symmetries, _tensor_array_from_matrix, components) serves
 only tensor_from_dict and tensor_to_dict; the slot-by-slot references of the
-formulas, hats and models are test helpers, in tests/conftest.py.
+checks, formulas, hats and models are test helpers, in tests/conftest.py.
 
 What depends only on the dimension or the structure is built once and
 shared read-only, so per-sample calls touch only the sample: per dimension
@@ -139,7 +139,7 @@ def _quad_pairs(n: int) -> np.ndarray:
     (M[ij, kl] + M[jk, il] - M[ik, jl]) / 3, and the Bianchi sum of a
     pair-symmetric array is totally antisymmetric, so these are all of it.
     """
-    quads = np.array(list(itertools.combinations(range(n), 4)), dtype=np.intp).reshape(-1, 4)
+    quads = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), 4)), np.intp).reshape(-1, 4)
     pair = _pair_lookup(n)
     out = np.stack(
         [pair[quads[:, x], quads[:, y]] for x, y in ((0, 1), (2, 3), (1, 2), (0, 3), (0, 2), (1, 3))]
@@ -203,30 +203,32 @@ def _dim_of_pairs(d: int) -> int:
 # symmetry validation and Bianchi projection
 
 
-# check_curvature_symmetries's residuals in order; check_operator_symmetries checks the last two
-_CURVATURE_CHECKS = ("not antisymmetric in the first pair", "not antisymmetric in the second pair",
-                     "not symmetric under pair interchange", "first Bianchi identity fails")
+# the file check's residual, then check_operator_symmetries's two
+_CURVATURE_CHECKS = ("not antisymmetric in each pair", "not symmetric under pair interchange",
+                     "first Bianchi identity fails")
 
 
-def check_curvature_symmetries(t: np.ndarray):
-    """Raise SymmetryError unless the rank-four array t is finite and has
-    all curvature symmetries plus Bianchi, by euclid._first_over's rule.
-    The residuals are formed and reduced one at a time, so at most one n^4
-    residual is alive."""
-    failed = _first_over(t, lambda a: [abs(residual(a)).max(initial=0.0) for residual in (
-        lambda a: a + a.transpose(1, 0, 2, 3), lambda a: a + a.transpose(0, 1, 3, 2),
-        lambda a: a - a.transpose(2, 3, 0, 1), bianchi_sum,
-    )], axes=4)
+def check_curvature_symmetries(space: EuclideanSpace, t: np.ndarray) -> "CurvatureTensor":
+    """The tensor of the (n, n, n, n) array t, read at the increasing pairs,
+    or SymmetryError.  t must equal the scatter of that operator by
+    euclid._first_over's rule on the (n^2, n^2) reshape (the one n^4 residual,
+    reduced in place; a non-finite entry is named at its four indices), and
+    construction checks the operator: exactly the curvature symmetries."""
+    n, ii, jj = space.n, space.pair_rows, space.pair_cols
+    mat = t[ii[:, None], jj[:, None], ii[None, :], jj[None, :]]
+    failed = _first_over(t.reshape(n * n, n * n), lambda a: (  # s - a, written into the scatter s
+        np.abs(np.subtract(s := _tensor_array_from_matrix(space, mat).reshape(a.shape), a, out=s), out=s).max(),))
     if failed:
-        _, k, r = failed
-        raise _non_finite(t) if k is None else SymmetryError(f"{_CURVATURE_CHECKS[k]}, residual {r:.3e}")
+        raise _non_finite(t) if failed[1] is None else SymmetryError(
+            f"{_CURVATURE_CHECKS[0]}, residual {failed[2]:.3e}")
+    return CurvatureTensor(space, mat)
 
 
 def _quad_bianchi(mat: np.ndarray, n: int) -> np.ndarray:
     """Bianchi sum T[i,j,k,l] + T[k,i,j,l] + T[j,k,i,l], over 3, of the
     tensor with operator mat, at every quadruple i < j < k < l; per trial
-    on a stack.  Added in bianchi_sum's order, so it is bianchi_sum of the
-    scattered array at the quadruple to the bit."""
+    on a stack, in the order of the rank-four cyclic average over the first
+    three slots: that average of the scattered array, to the bit."""
     first, second = _project_flat(n)
     return (_gather(mat, first[0], 2) - _gather(mat, first[1], 2) + _gather(mat, second[2], 2)) / 3.0
 
@@ -234,12 +236,10 @@ def _quad_bianchi(mat: np.ndarray, n: int) -> np.ndarray:
 def check_operator_symmetries(mat: np.ndarray):
     """Raise SymmetryError unless the D x D matrix mat, or every matrix of a
     (T, D, D) stack, is the operator of a curvature tensor: finite,
-    symmetric, and Bianchi at the increasing quadruples.
-
-    Same rule and messages as check_curvature_symmetries on the array
-    scattered from a matrix, whose largest entry is the matrix's; the pair
-    antisymmetries of that array hold by construction.  On a stack the first
-    trial that fails raises the message it raises alone.
+    symmetric, and Bianchi at the increasing quadruples, by
+    euclid._first_over's rule; the array scattered from a matrix has the
+    pair antisymmetries by construction.  On a stack the first trial that
+    fails raises the message it raises alone.
     """
     if mat.ndim not in (2, 3) or mat.shape[-2] != mat.shape[-1]:
         raise SymmetryError(f"operator must be a square matrix or a stack of them, got shape {mat.shape}")
@@ -250,22 +250,17 @@ def check_operator_symmetries(mat: np.ndarray):
     if failed:
         t, k, r = failed
         raise _non_finite(mat.reshape(-1, *mat.shape[-2:])[t]) if k is None else SymmetryError(
-            f"{_CURVATURE_CHECKS[2 + k]}, residual {r:.3e}")
-
-
-def bianchi_sum(t: np.ndarray) -> np.ndarray:
-    """Cyclic average over the first three slots; zero on curvature tensors."""
-    return (t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)) / 3.0
+            f"{_CURVATURE_CHECKS[1 + k]}, residual {r:.3e}")
 
 
 def _bianchi_project_matrix(mat: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto the Bianchi kernel, t - bianchi_sum(t), of
-    the rank-four array of an exactly symmetric matrix, on that matrix, or
-    on each matrix of a stack.
+    """Orthogonal projection onto the Bianchi kernel, t minus the cyclic
+    average over its first three slots, of the rank-four array t of an
+    exactly symmetric matrix, on that matrix, or on each matrix of a stack.
 
     The removed part is the four-form with value b at (ij, kl), -b at
     (ik, jl) and b at (il, jk), b the Bianchi sum at i < j < k < l.  Each
-    slot subtracts the cyclic sum in the order bianchi_sum adds it at that
+    slot subtracts the cyclic sum in the rank-four average's order at that
     slot, so the result is the rank-four projection's to the last bit.
     """
     first, second = _project_flat(_dim_of_pairs(mat.shape[-1]))
@@ -312,19 +307,6 @@ class CurvatureTensor:
             raise SymmetryError(f"operator must have shape {(d, d)} or (trials, {d}, {d}), got {self.matrix.shape}")
         if self.validate:
             check_operator_symmetries(self.matrix)
-
-    @classmethod
-    def from_components(cls, space: EuclideanSpace, components) -> "CurvatureTensor":
-        """Tensor from a rank-four component array, validated slot by slot
-        with check_curvature_symmetries and read off at increasing pairs."""
-        arr = np.asarray(components, dtype=float)
-        n = space.n
-        if arr.shape != (n, n, n, n):
-            raise SymmetryError(f"components must have shape {(n, n, n, n)}, got {arr.shape}")
-        check_curvature_symmetries(arr)
-        ii, jj = space.pair_rows, space.pair_cols
-        mat = arr[ii[:, None], jj[:, None], ii[None, :], jj[None, :]]
-        return cls(space, mat, validate=False)
 
     @property
     def components(self) -> np.ndarray:
@@ -678,7 +660,7 @@ def tensor_from_dict(data: dict) -> CurvatureTensor:
         flat = np.fromiter(components, dtype=float, count=len(components))
     except OverflowError as exc:
         raise GeometryError(f"malformed tensor record: {exc}") from exc
-    return CurvatureTensor.from_components(space, flat.reshape(n, n, n, n))
+    return check_curvature_symmetries(space, flat.reshape(n, n, n, n))
 
 
 def save_tensor(rm: CurvatureTensor, path: str):

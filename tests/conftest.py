@@ -52,6 +52,41 @@ def scattered_action(alg) -> np.ndarray:
     return act.reshape(alg.dim, n_pairs, n_pairs)
 
 
+# The rank-four checks the file check replaced, each residual's message in
+# order: the slot-by-slot references of tensor.check_curvature_symmetries.
+RANK_FOUR_CHECKS = ("not antisymmetric in the first pair", "not antisymmetric in the second pair",
+                    "not symmetric under pair interchange", "first Bianchi identity fails")
+
+
+def bianchi_sum(t: np.ndarray) -> np.ndarray:
+    """Cyclic average over the first three slots; zero on curvature tensors."""
+    return (t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)) / 3.0
+
+
+def check_rank_four(t: np.ndarray):
+    """Raise SymmetryError unless the rank-four array t is finite and has
+    all curvature symmetries plus Bianchi, slot by slot: four n^4 residuals,
+    formed and reduced one at a time, held to euclid._first_over's rule on
+    the (n^2, n^2) reshape.  At a repeated-index slot T[i, i, k, l] the
+    first-pair residual reads 2|t|."""
+    n = t.shape[0]
+    residuals = (lambda a: a + a.transpose(1, 0, 2, 3), lambda a: a + a.transpose(0, 1, 3, 2),
+                 lambda a: a - a.transpose(2, 3, 0, 1), bianchi_sum)
+    failed = euclid._first_over(t.reshape(n * n, n * n), lambda a: [abs(r(a.reshape(t.shape))).max() for r in residuals])
+    if failed:
+        _, k, r = failed
+        raise tensor._non_finite(t) if k is None else tensor.SymmetryError(f"{RANK_FOUR_CHECKS[k]}, residual {r:.3e}")
+
+
+def from_components(space, components) -> tensor.CurvatureTensor:
+    """Tensor from a rank-four component array, validated slot by slot with
+    check_rank_four and read off at the increasing pairs."""
+    arr = np.asarray(components, dtype=float)
+    check_rank_four(arr)
+    ii, jj = space.pair_rows, space.pair_cols
+    return tensor.CurvatureTensor(space, arr[ii[:, None], jj[:, None], ii[None, :], jj[None, :]], validate=False)
+
+
 def lie_action(a: np.ndarray, t):
     """Infinitesimal rotation action of a generator, given as its skew
     matrix (a row of `HolonomyAlgebra.matrices`), on a rank-2 or rank-4
@@ -61,7 +96,7 @@ def lie_action(a: np.ndarray, t):
     slot-by-slot single-generator reference the operator hats are checked
     against."""
     if isinstance(t, tensor.CurvatureTensor):
-        return tensor.CurvatureTensor.from_components(t.space, lie_action(a, t.components))
+        return from_components(t.space, lie_action(a, t.components))
     slots = "xyzw"[: t.ndim]
     return -sum(np.einsum(f"s{x},{slots.replace(x, 's')}->{slots}", a, t) for x in slots)
 
@@ -71,7 +106,7 @@ def bianchi_project(t: np.ndarray) -> np.ndarray:
     Bianchi kernel: the cyclic average is itself an orthogonal projection
     (onto the fully antisymmetric part), so subtracting it projects onto
     curvature type.  The reference of tensor._bianchi_project_matrix."""
-    return t - tensor.bianchi_sum(t)
+    return t - bianchi_sum(t)
 
 
 def grassmannian_reference(p: int, q: int):
@@ -86,7 +121,7 @@ def grassmannian_reference(p: int, q: int):
         - np.einsum("ij,kl,bc,ad->iajbkcld", iq, iq, ip, ip)
         + np.einsum("ij,kl,ac,bd->iajbkcld", iq, iq, ip, ip)
     )
-    return tensor.CurvatureTensor.from_components(euclid.generic(n), t8.reshape(n, n, n, n))
+    return from_components(euclid.generic(n), t8.reshape(n, n, n, n))
 
 
 def wolf_reference(m: int):
@@ -97,7 +132,32 @@ def wolf_reference(m: int):
         for j in range(m):
             sigma[4 * j + i] = i * m + j
     moved = grassmannian_reference(m, 4).components[np.ix_(sigma, sigma, sigma, sigma)]
-    return tensor.CurvatureTensor.from_components(euclid.quaternion_kaehler(m), moved)
+    return from_components(euclid.quaternion_kaehler(m), moved)
+
+
+class _IdentityDraws:
+    """A stand-in Generator: standard_normal((k, k)) is the identity."""
+
+    @staticmethod
+    def standard_normal(shape):
+        return np.eye(shape[-1])
+
+
+def algebra_basis(algebra) -> tensor.CurvatureTensor:
+    """The k basis tensors of the curvature tensors supported on the
+    algebra, as one (k, D, D) stack: random_algebra_curvature with identity
+    coefficients, each trial one row of the Bianchi-kernel basis."""
+    k = decomp.curvature_space_dim(algebra)
+    return decomp.random_algebra_curvature(algebra, _IdentityDraws(), count=k)
+
+
+def relative_eigenvalues(q: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of q relative to the positive definite gram,
+    q v = lambda gram v: with gram = L L^T (Cholesky), those of
+    L^-1 q L^-T."""
+    low = np.linalg.cholesky(gram)
+    a = np.linalg.solve(low, np.linalg.solve(low, q).T)
+    return np.linalg.eigvalsh(0.5 * (a + a.T))
 
 
 def rotated_structure(op):

@@ -8,6 +8,8 @@ from math import comb
 import numpy as np
 import pytest
 from conftest import (
+    bianchi_sum,
+    check_rank_four,
     grassmannian_reference,
     misplaced_unitary,
     rotated_kaehler,
@@ -380,7 +382,7 @@ class TestKernelSampler:
 
     def test_samples_have_symmetries(self, qk2, rng):
         rm = random_algebra_curvature(qk2, rng=rng)
-        tensor.check_curvature_symmetries(rm.components)
+        check_rank_four(rm.components)
 
     def test_samples_supported_on_algebra(self, u3, rng):
         rm = random_algebra_curvature(u3, rng=rng)
@@ -462,7 +464,7 @@ def _oracle_constraints(algebra) -> np.ndarray:
     c, n = algebra.coeff_matrix, algebra.space.n
     quads = tuple(np.array(list(itertools.combinations(range(n), 4))).T)
     cols = [
-        tensor.bianchi_sum(_tensor_array_from_matrix(algebra.space, c.T @ e @ c))[quads]
+        bianchi_sum(_tensor_array_from_matrix(algebra.space, c.T @ e @ c))[quads]
         for e in _sym_units(algebra.dim)
     ]
     return np.stack(cols, axis=1)
@@ -546,9 +548,7 @@ class TestKernelBasis:
         assert np.abs(basis.T @ basis - _svd_kernel_projector(alg)).max() < 1e-10
         c = alg.coeff_matrix
         for s in mats:
-            tensor.check_curvature_symmetries(
-                _tensor_array_from_matrix(alg.space, c.T @ s @ c)
-            )
+            check_rank_four(_tensor_array_from_matrix(alg.space, c.T @ s @ c))
 
     @pytest.mark.parametrize(
         "builder",

@@ -301,9 +301,10 @@ def test_first_over_is_the_rule():
     stack[0, 1, 1] = np.inf
     seen.clear()
     assert euclid._first_over(stack, planted([0.0] * 3))[:2] == (0, None) and seen == []
-    # the trial is an array over the last `axes` axes, counted in C order
-    assert euclid._first_over(np.zeros((2, 3, 2, 2)), lambda b: (np.arange(6.0).reshape(2, 3),), axes=2)[:2] == (1, 0)
-    assert euclid._first_over(np.zeros((2,) * 4), lambda t: (np.float64(1.0),), axes=4)[:2] == (0, 0)
+    # the trial is a matrix over the last two axes, counted in C order; a
+    # rank-four array is one trial as its (n^2, n^2) reshape
+    assert euclid._first_over(np.zeros((2, 3, 2, 2)), lambda b: (np.arange(6.0).reshape(2, 3),))[:2] == (1, 0)
+    assert euclid._first_over(np.zeros((2,) * 4).reshape(4, 4), lambda t: (np.float64(1.0),))[:2] == (0, 0)
 
 
 def test_shared_builds_once_per_key_across_threads():

@@ -1,10 +1,11 @@
 """Package-level guards: what the package exports is used, no module imports
 a name it never reads, every defaulted parameter is one some caller leaves
 out, only the spectral routes read the structure constants, only the file
-routines read the rank-four route, the operator-check rule is written once,
-what the benchmark instrument wraps is bound, the CLI runs its trials in the
-calling thread, only the CLI seeds a Generator, and every library function
-is run by a command or listed with the reason it stays."""
+routines read the rank-four route, each build that skips the operator check
+is listed, the operator-check rule is written once, what the benchmark
+instrument wraps is bound, the CLI runs its trials in the calling thread,
+only the CLI seeds a Generator, and every library function is run by a
+command or listed with the reason it stays."""
 
 import ast
 import importlib
@@ -82,7 +83,6 @@ KEPT_DEFAULTS = {
     "euclid.EuclideanSpace.__init__(I)": "a space holds only its kind's matrices: generic none, kaehler J, qk I, J, K",
     "euclid.EuclideanSpace.__init__(J)": "a space holds only its kind's matrices: generic none, kaehler J, qk I, J, K",
     "euclid.EuclideanSpace.__init__(K)": "a space holds only its kind's matrices: generic none, kaehler J, qk I, J, K",
-    "euclid._first_over(axes)": "operators are matrices; check_curvature_symmetries passes 4 for a rank-four array",
     "euclid._first_over(rtol)": "the symmetry scans check at _SYMMETRY_RTOL; decomp's invariance and leak checks pass their own bounds",
     "tensor.CurvatureTensor.__init__(validate)": "sums and multiples of curvature tensors skip the scan; any other matrix is checked",
     "tensor.random_curvature(count)": "weyl-norm and decomp draw stacks of count trials; the tests and the acceptance gate draw one tensor",
@@ -198,18 +198,16 @@ def test_the_operator_check_rule_has_one_home():
 
 
 # Where the library reads the rank-four route: tensor files hold n^4
-# components, so the file routines build and validate rank-four arrays, and
-# the route's own definitions call each other.  Models and decompositions
-# are operator formulas; a read anywhere else forms an n^4 array that no
-# result needs.
-RANK_FOUR_ROUTE = {"from_components", "check_curvature_symmetries", "bianchi_sum", "_tensor_array_from_matrix"}
+# components, so the file routines read rank-four arrays through the
+# operator, and the route's own definitions call each other.  Models and
+# decompositions are operator formulas; a read anywhere else forms an n^4
+# array that no result needs.
+RANK_FOUR_ROUTE = {"check_curvature_symmetries", "_tensor_array_from_matrix"}
 RANK_FOUR_HOME = {
     "tensor.tensor_from_dict",
     "tensor.tensor_to_dict",
-    "tensor.CurvatureTensor.from_components",
     "tensor.CurvatureTensor.components",
     "tensor.check_curvature_symmetries",
-    "tensor.bianchi_sum",
     "tensor._tensor_array_from_matrix",
 }
 
@@ -240,6 +238,52 @@ def test_rank_four_arrays_stay_at_the_file_boundary():
     reads = _rank_four_reads()
     assert {"tensor.tensor_from_dict", "tensor.tensor_to_dict"} <= reads
     assert reads <= RANK_FOUR_HOME, f"rank-four route read outside the file routines: {sorted(reads - RANK_FOUR_HOME)}"
+
+
+# Where the library builds a CurvatureTensor that skips the operator check
+# (validate=False), each with why its matrix needs none.  Every site
+# combines tensors that were checked; a matrix from outside the library, a
+# tensor file's included, is always checked.  The list may only shrink.
+UNCHECKED_BUILDS = {
+    "tensor.CurvatureTensor.__add__": "a sum of two checked tensors",
+    "tensor.CurvatureTensor.__sub__": "a difference of two checked tensors",
+    "tensor.CurvatureTensor.__mul__": "a multiple of a checked tensor, per trial on a stack",
+    "decomp.CurvatureDecomposition.total": "the sum of the parts, each checked or a combination of checked tensors",
+    "decomp.weyl_decompose": "the scalar part, a multiple of the operator of g (*) g, twice the identity",
+    "decomp.qk_decompose": "the leak check wraps each trial of its checked input, to read the complement mass",
+}
+
+
+def _unchecked_builds() -> set[str]:
+    """"module.qualname" of each function in src/curvlab with a call that
+    passes validate other than the constant True, or CurvatureTensor a
+    third positional argument."""
+    found = set()
+
+    def skips(call):
+        name = getattr(call.func, "id", getattr(call.func, "attr", None))
+        return (name == "CurvatureTensor" and len(call.args) > 2) or any(
+            kw.arg == "validate" and not (isinstance(kw.value, ast.Constant) and kw.value.value is True)
+            for kw in call.keywords)
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + [node.name]
+        if isinstance(node, ast.Call) and skips(node):
+            found.add(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), [path.stem])
+    return found
+
+
+def test_every_unchecked_build_is_listed():
+    found = _unchecked_builds()
+    assert sorted(found - set(UNCHECKED_BUILDS)) == [], "validate=False with no reason in UNCHECKED_BUILDS"
+    assert sorted(set(UNCHECKED_BUILDS) - found) == [], "UNCHECKED_BUILDS entries that are gone"
+    assert not found & {"tensor.tensor_from_dict", "tensor.load_tensor", "tensor.check_curvature_symmetries"}
 
 
 def _wrapped() -> list[tuple]:
@@ -338,7 +382,6 @@ UNREACHED = {
     "tensor.CurvatureTensor.components": "writes the tensor files that `curvlab decompose` reads; perfbench's cold-start hashes rm.components",
     "tensor.CurvatureOperator.__post_init__": "checks a restricted operator built from an outside matrix; the commands restrict with holonomy.project, whose product is symmetric by construction and skips it",
     "tensor._non_finite": "error path: the message for a non-finite entry, which no command's input holds",
-    "tensor._tensor_array_from_matrix": "writes the tensor files that `curvlab decompose` reads; perfbench's cold-start hashes rm.components",
     "tensor.save_tensor": "writes the tensor files that `curvlab decompose` reads",
     "tensor.t_hat": "the whole hat stack that the bilinear route of criteria.curvature_term reads (criterion 6); perfbench wraps it",
     "tensor.tensor_to_dict": "the record save_tensor writes",

@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import pin_note, rotated_kaehler, rotated_structure
+from conftest import bianchi_sum, pin_note, rotated_kaehler, rotated_structure
 
 from curvlab import cli, criteria, decomp, holonomy, tensor
 from curvlab.euclid import _SYMMETRY_RTOL, GeometryError, _symmetrized, generic, kaehler, quaternion_kaehler
@@ -239,7 +239,7 @@ def test_bianchi_gather_is_the_rank_four_sum(case, request):
     good = sample(alg, stream(), 1).matrix[0]
     mats = np.stack([good, _off_bianchi(good, stream(1)), _off_bianchi(good, stream(2))])
     quads = tuple(np.array(list(itertools.combinations(range(n), 4))).T)
-    rank_four = [tensor.bianchi_sum(tensor._tensor_array_from_matrix(space, mat))[quads] for mat in mats]
+    rank_four = [bianchi_sum(tensor._tensor_array_from_matrix(space, mat))[quads] for mat in mats]
     for mat, expected in zip(mats, rank_four):
         assert np.array_equal(tensor._quad_bianchi(mat, n), expected)
     assert np.array_equal(tensor._quad_bianchi(mats, n), np.stack(rank_four))
@@ -331,10 +331,11 @@ def _rule_case(name, monkeypatch):
         check = _trial_by_trial(lambda m: tensor.CurvatureOperator(so4.space, m, so4))
         return check, np.eye(6), (0, 1), _SYMMETRY_RTOL
     if name == "curvature_array":
-        # planted at pairs (0, 1), (0, 2): pair interchange is off by delta,
+        # the file check of the scattered array, planted at pairs (0, 1),
+        # (0, 2): the scatter matches, pair interchange is off by delta,
         # Bianchi by delta / 3
         check = _trial_by_trial(
-            lambda m: tensor.check_curvature_symmetries(tensor._tensor_array_from_matrix(so4.space, m))
+            lambda m: tensor.check_curvature_symmetries(so4.space, tensor._tensor_array_from_matrix(so4.space, m))
         )
         return check, np.eye(6), (0, 1), _SYMMETRY_RTOL
     if name == "operator":

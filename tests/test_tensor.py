@@ -1,9 +1,18 @@
 import functools
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import bianchi_project, lie_action, rotated_quaternionic, scattered_action
+from conftest import (
+    bianchi_project,
+    bianchi_sum,
+    check_rank_four,
+    from_components,
+    lie_action,
+    rotated_quaternionic,
+    scattered_action,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +22,6 @@ from curvlab.tensor import (
     CurvatureOperator,
     CurvatureTensor,
     SymmetryError,
-    bianchi_sum,
     check_curvature_symmetries,
     check_operator_symmetries,
     load_tensor,
@@ -29,12 +37,12 @@ from curvlab.tensor import (
 
 class TestSymmetries:
     def test_sphere_passes(self):
-        check_curvature_symmetries(decomp.sphere(4).components)
+        check_curvature_symmetries(generic(4), decomp.sphere(4).components)
 
     def test_first_pair(self, rng):
         t = rng.standard_normal((4,) * 4)
-        with pytest.raises(SymmetryError, match="first pair"):
-            check_curvature_symmetries(t)
+        with pytest.raises(SymmetryError, match="not antisymmetric in each pair"):
+            check_curvature_symmetries(generic(4), t)
 
     def test_bianchi_detected(self, so5_space, rng):
         # pair-symmetric but with a fully antisymmetric contamination
@@ -54,14 +62,14 @@ class TestSymmetries:
             anti[a, b, d, c] -= s
             anti[b, a, d, c] += s
         with pytest.raises(SymmetryError, match="Bianchi"):
-            check_curvature_symmetries(t + anti)
+            check_curvature_symmetries(so5_space, t + anti)
 
     def test_one_residual_at_a_time(self, rng):
-        # each n^4 residual is reduced before the next is formed
+        # the scatter is the one n^4 residual, reduced in place
         t = random_curvature(generic(16), rng).components
         tracemalloc.start()
         try:
-            check_curvature_symmetries(t)
+            check_curvature_symmetries(generic(16), t)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -89,7 +97,7 @@ class TestKulkarniNomizu:
         s = rng.standard_normal((4, 4))
         s = s + s.T
         rm = CurvatureTensor(sp, tensor._kn_matrix(s, np.eye(4)))
-        check_curvature_symmetries(rm.components)
+        check_rank_four(rm.components)
 
     def test_rejects_skew_input(self, rng):
         # the double product of two antisymmetric forms breaks Bianchi
@@ -161,7 +169,7 @@ class TestOperator:
         comps = decomp.sphere(4).components.copy()
         comps[0, 1, 0, 1] = comps[1, 0, 1, 0] = np.nan
         with pytest.raises(SymmetryError, match=r"^non-finite entry nan at \(0, 1, 0, 1\)$"):
-            CurvatureTensor.from_components(generic(4), comps)
+            check_curvature_symmetries(generic(4), comps)
 
     def test_to_operator_does_no_symmetry_scan(self, rng, monkeypatch):
         # the tensor's matrix was validated (or built symmetric) once
@@ -192,7 +200,7 @@ class TestLieAction:
 
     def test_preserves_symmetries(self, so5, rng):
         rm = random_curvature(so5.space, rng=rng)
-        check_curvature_symmetries(lie_action(_generator(so5, rng), rm).components)
+        check_rank_four(lie_action(_generator(so5, rng), rm).components)
 
     def test_rank2_derivation(self, so5, rng):
         # L_A acts on a symmetric matrix as minus the symmetrized product
@@ -291,7 +299,7 @@ class TestTraces:
 class TestRandom:
     def test_has_symmetries(self, rng):
         rm = random_curvature(generic(6), rng=rng)
-        check_curvature_symmetries(rm.components)
+        check_rank_four(rm.components)
 
     def test_seeded_reproducibility(self):
         a = random_curvature(generic(5), rng=np.random.default_rng(7))
@@ -411,12 +419,12 @@ class TestOperatorStorage:
 
     def test_from_components_round_trip(self, rng):
         rm = random_curvature(generic(5), rng=rng)
-        back = CurvatureTensor.from_components(rm.space, rm.components)
+        back = check_curvature_symmetries(rm.space, rm.components)
         assert np.array_equal(back.matrix, rm.matrix)
 
     def test_from_components_validates_slots(self, rng):
-        with pytest.raises(SymmetryError, match="first pair"):
-            CurvatureTensor.from_components(generic(4), rng.standard_normal((4,) * 4))
+        with pytest.raises(SymmetryError, match="not antisymmetric in each pair"):
+            check_curvature_symmetries(generic(4), rng.standard_normal((4,) * 4))
 
     def test_rank_four_array_is_not_an_operator(self):
         with pytest.raises(SymmetryError, match="shape"):
@@ -449,7 +457,7 @@ def test_operator_validation_matches_rank_four(seed, base, kind, factor):
             mat[p, q] += sign * size
             mat[q, p] += sign * size
     try:
-        check_curvature_symmetries(tensor._tensor_array_from_matrix(space, mat))
+        check_rank_four(tensor._tensor_array_from_matrix(space, mat))
         reference_raises = False
     except SymmetryError:
         reference_raises = True
@@ -459,6 +467,72 @@ def test_operator_validation_matches_rank_four(seed, base, kind, factor):
     except SymmetryError:
         raises = True
     assert raises == reference_raises == (factor > 1)
+
+
+def _parity(perm) -> int:
+    return (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+
+
+def _perturbed(t: np.ndarray, kind: str, quad, delta: float) -> np.ndarray:
+    """t with the entry of class kind at the distinct indices quad = (a, b,
+    c, d) moved by delta, along with its images under the symmetries that
+    the class keeps: a slot of one pair alone (first, second), the four
+    slots of both pair antisymmetries (interchange), the four-form
+    e_a ^ e_b ^ e_c ^ e_d (Bianchi), or T[a, a, c, d] (repeated); or a NaN
+    at quad."""
+    t = t.copy()
+    a, b, c, d = quad
+    if kind == "first pair":
+        t[a, b, c, d] += delta
+    elif kind == "second pair":
+        t[a, b, d, c] += delta
+    elif kind == "pair interchange":
+        for slot, sign in (((a, b, c, d), 1), ((b, a, c, d), -1), ((a, b, d, c), -1), ((b, a, d, c), 1)):
+            t[slot] += sign * delta
+    elif kind == "Bianchi":
+        for perm in itertools.permutations(range(4)):
+            t[tuple(quad[p] for p in perm)] += _parity(perm) * delta
+    elif kind == "repeated index":
+        t[a, a, c, d] += delta
+    else:
+        t[quad] = np.nan
+    return t
+
+
+def _message(check, *args):
+    try:
+        check(*args)
+    except SymmetryError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("kind", ["first pair", "second pair", "pair interchange", "Bianchi", "repeated index", "NaN"])
+def test_file_check_matches_rank_four(n, kind):
+    # one class of slot moved off curvature type by 10x and by 0.1x the
+    # tolerance: the four-residual reference and the file check both reject,
+    # and both accept; a NaN is rejected at any size.  Interchange, Bianchi
+    # and a NaN raise the reference's message; an antisymmetry is one class,
+    # whose residual reads |delta| at a repeated-index slot, where the
+    # reference reads 2|delta|
+    space = generic(n)
+    rng = np.random.default_rng(100 + n)
+    t = random_curvature(space, rng).components
+    quad = tuple(int(i) for i in rng.choice(n, size=4, replace=False))
+    tol = 1e-10 * (1.0 + np.abs(t).max())
+    for factor in (10.0, 0.1):
+        bad = _perturbed(t, kind, quad, factor * tol * rng.choice([-1.0, 1.0]))
+        reference, got = _message(check_rank_four, bad), _message(check_curvature_symmetries, space, bad)
+        if factor < 1 and kind != "NaN":
+            assert reference is None and got is None
+            assert np.array_equal(check_curvature_symmetries(space, bad).matrix, from_components(space, bad).matrix)
+            continue
+        assert reference is not None and got is not None
+        if kind in ("pair interchange", "Bianchi", "NaN"):
+            assert got == reference
+        else:
+            assert got.startswith("not antisymmetric in each pair, residual")
 
 
 class TestPairIndexFormulas:
