@@ -23,7 +23,6 @@ from .tensor import (
     load_tensor,
     random_curvature,
     ricci,
-    save_tensor,
     scalar,
     t_hat,
     to_operator,

@@ -34,17 +34,12 @@ ADJ_TOL = 1e-7  # relative tolerance of matching a published closed form
 # error (exit 2).  Bianchi kernels grow like n^8 and hat stacks like n^6, so
 # these are the sizes the oracle is built and timed for: so(n) up to n = 12,
 # u(m) and sp(m)+sp(1) up to m = 6 (n = 24), and a Grassmannian or a
-# decompose input of dimension at most 24 (4 * MAX_M, tensor.MAX_FILE_N).
-# A decompose input file holds at most 16 MiB, checked before it is read;
-# the bytes do not bound n (a 16 MiB file of zeros holds the n^4 components
-# of n = 53, whose so(n) structure constants are 21 GB), so the loader
-# checks its n and its component count, n^4, before any space, array or
-# algebra is built.
+# decompose input of dimension at most 24 (4 * MAX_M, tensor.MAX_FILE_N);
+# tensor.load_tensor checks a decompose input's bytes, n and component count.
 MAX_N = 12  # --n
 MAX_M = 6  # --m
 assert tensor.MAX_FILE_N == 4 * MAX_M
 MAX_TRIALS = 10**5  # --trials: a sample row holds about 670 B until rendered, 67 MB at the cap
-MAX_INPUT_BYTES = 1 << 24
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +60,7 @@ class CheckRecord:
 class Report:
     command: str
     config: dict
-    records: list = field(default_factory=list)
+    records: list = field(default_factory=list, init=False)
 
     @property
     def passed(self) -> bool:
@@ -641,13 +636,6 @@ def _preset_criterion(alg):
 
 
 def cmd_decompose(cfg: argparse.Namespace) -> tuple[Report, int]:
-    if not cfg.input_path:
-        raise GeometryError("decompose needs an input tensor file")
-    size = os.path.getsize(cfg.input_path)
-    if size > MAX_INPUT_BYTES:
-        raise GeometryError(
-            f"{cfg.input_path} has {size} bytes, above the cap of {MAX_INPUT_BYTES}"
-        )
     rm = tensor.load_tensor(cfg.input_path)
     kind = rm.space.kind
     alg = holonomy.by_name(rm.space, kind)

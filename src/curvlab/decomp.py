@@ -241,9 +241,8 @@ def weyl_decompose(rm: CurvatureTensor) -> CurvatureDecomposition:
     g = np.eye(n)
     sc = scalar(rm)
     ric0 = ricci(rm) - _per_trial(sc / n) * g
-    space = rm.space
-    scal_part = CurvatureTensor(space, _per_trial(sc / (2.0 * n * (n - 1))) * _kn_metric(n), validate=False)
-    ric0_part = CurvatureTensor(space, _kn_matrix(ric0, g) / (n - 2.0))
+    scal_part = sphere(n) * (sc / (2.0 * n * (n - 1)))
+    ric0_part = CurvatureTensor(rm.space, _kn_matrix(ric0, g) / (n - 2.0))
     return CurvatureDecomposition(
         source=rm,
         kind="generic",

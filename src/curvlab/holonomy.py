@@ -26,8 +26,8 @@ them scales with the algebra squared.  Construction only checks closure (not
 for so(n), which is closed): the (d, d, d) structure constants, which only
 the spectral routes of `criteria` read, are built on first read by a bracket
 pass, so a run that never reads them never holds them.  At so(24) they are
-168 MB, and `curvlab decompose` of an n = 24 file peaks at about 49 MB of
-RSS.  Algebras compare and hash by `HolonomyAlgebra.key`; `by_name` builds
+168 MB, and `curvlab decompose` of an n = 24 file peaks at about 49.5 MB
+of RSS.  Algebras compare and hash by `HolonomyAlgebra.key`; `by_name` builds
 each once per space and kind.
 """
 
@@ -143,7 +143,7 @@ class HolonomyAlgebra:
     read-only structure_constants c[a, b, g] = <[basis_a, basis_b], basis_g>
     are built on first read, by a bracket pass over the same products, so
     they cost nothing to a run that never reads them (`curvlab decompose`
-    at n = 24 peaks at about 49 MB).
+    at n = 24 peaks at about 49.5 MB).
     """
 
     space: EuclideanSpace

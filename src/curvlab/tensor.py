@@ -40,8 +40,9 @@ Conventions, fixed once here and relied on everywhere else:
 Products, traces, projections and the models are pair-index formulas on the
 operator, with index tables cached per dimension.  The rank-four route
 (check_curvature_symmetries, _tensor_array_from_matrix, components) serves
-only tensor_from_dict and tensor_to_dict; the slot-by-slot references of the
-checks, formulas, hats and models are test helpers, in tests/conftest.py.
+only load_tensor, the one tensor-file reader, and components; the writer and
+the slot-by-slot references of the checks, formulas, hats and models are
+test helpers, in tests/conftest.py.
 
 What depends only on the dimension or the structure is built once and
 shared read-only, so per-sample calls touch only the sample: per dimension
@@ -56,6 +57,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -592,7 +594,7 @@ def _form_rows(space: EuclideanSpace) -> tuple[np.ndarray, ...]:
 
 
 # ---------------------------------------------------------------------------
-# random generation and serialization
+# random generation and the tensor file
 
 
 def random_curvature(space: EuclideanSpace, rng, count: int | None = None) -> CurvatureTensor:
@@ -605,17 +607,13 @@ def random_curvature(space: EuclideanSpace, rng, count: int | None = None) -> Cu
     return CurvatureTensor(space, _bianchi_project_matrix(0.5 * (raw + raw.swapaxes(-1, -2))))
 
 
-# the largest dimension tensor_from_dict reads: n^4 components, an so(n) of
-# n(n-1)/2 generators, and the sizes the CLI builds kernels for (4 * MAX_M)
+# Caps of a tensor file.  Its bytes are checked before it is read, but do not
+# bound n (16 MiB of zeros holds the n^4 components of n = 53, whose so(n)
+# structure constants are 21 GB), so the record's n and component count are
+# checked before any space, array or algebra is built.  MAX_FILE_N is the
+# largest size the CLI builds kernels for (4 * MAX_M).
+MAX_FILE_BYTES = 1 << 24
 MAX_FILE_N = 24
-
-
-def tensor_to_dict(rm: CurvatureTensor) -> dict:
-    return {
-        "n": rm.space.n,
-        "structure": rm.space.kind,
-        "components": [float(x) for x in rm.components.reshape(-1)],
-    }
 
 
 def _space_for(n: int, structure: str) -> EuclideanSpace:
@@ -632,14 +630,13 @@ def _space_for(n: int, structure: str) -> EuclideanSpace:
     raise GeometryError(f"unknown structure tag {structure!r}")
 
 
-def tensor_from_dict(data: dict) -> CurvatureTensor:
-    """Rebuild a tensor from its dictionary form, on the standard space of
-    its dimension and structure tag, validating shape and symmetries.  A
-    dimension that is not a JSON integer or is above MAX_FILE_N, or
-    components other than a list of n^4 JSON numbers, raises before any
-    space or array is built."""
+def _record_array(record) -> tuple[EuclideanSpace, np.ndarray]:
+    """The standard space of a tensor record's dimension and structure tag,
+    and its components as an (n, n, n, n) array.  A dimension that is not a
+    JSON integer or is above MAX_FILE_N, or components other than a list of
+    n^4 JSON numbers, raises before any space or array is built."""
     try:
-        n, structure, components = data["n"], str(data["structure"]), data["components"]
+        n, structure, components = record["n"], str(record["structure"]), record["components"]
     except (KeyError, TypeError) as exc:
         raise GeometryError(f"malformed tensor record: {exc}") from exc
     if type(n) is not int:  # not isinstance: json's true is an int to it
@@ -660,19 +657,22 @@ def tensor_from_dict(data: dict) -> CurvatureTensor:
         flat = np.fromiter(components, dtype=float, count=len(components))
     except OverflowError as exc:
         raise GeometryError(f"malformed tensor record: {exc}") from exc
-    return check_curvature_symmetries(space, flat.reshape(n, n, n, n))
-
-
-def save_tensor(rm: CurvatureTensor, path: str):
-    with open(path, "w") as fh:
-        json.dump(tensor_to_dict(rm), fh)
-        fh.write("\n")
+    return space, flat.reshape(n, n, n, n)
 
 
 def load_tensor(path: str) -> CurvatureTensor:
+    """The tensor of a tensor file, {"n", "structure", "components"} in JSON
+    with the n^4 components in C order, on the standard space of its tag.
+    The caps and the record are checked before any space or array is built,
+    the symmetries once the parsed record (n^4 Python floats) is dropped."""
+    size = os.path.getsize(path)
+    if size > MAX_FILE_BYTES:
+        raise GeometryError(f"{path} has {size} bytes, above the cap of {MAX_FILE_BYTES}")
     with open(path) as fh:
         try:
-            data = json.load(fh)
+            record = json.load(fh)
         except json.JSONDecodeError as exc:
             raise GeometryError(f"invalid tensor file {path}: {exc}") from exc
-    return tensor_from_dict(data)
+    space, t = _record_array(record)
+    del record  # about 12 MB of Python floats at n = 24
+    return check_curvature_symmetries(space, t)

@@ -1,4 +1,5 @@
 import ctypes
+import json
 
 import numpy as np
 import pytest
@@ -50,6 +51,16 @@ def scattered_action(alg) -> np.ndarray:
     for blocks, sources, targets in alg.action_blocks:
         act[targets[:, :, None], sources[:, None, :]] = blocks
     return act.reshape(alg.dim, n_pairs, n_pairs)
+
+
+def save_tensor(rm: tensor.CurvatureTensor, path):
+    """Write one tensor as the tensor file tensor.load_tensor reads: its
+    dimension, structure tag and n^4 components in C order.  No command
+    writes tensor files; the tests make their decompose inputs with this."""
+    record = {"n": rm.space.n, "structure": rm.space.kind, "components": rm.components.ravel().tolist()}
+    with open(path, "w") as fh:
+        json.dump(record, fh)
+        fh.write("\n")
 
 
 # The rank-four checks the file check replaced, each residual's message in

@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import pin_note
+from conftest import pin_note, save_tensor
 
 import curvlab
 from curvlab import cli, criteria, decomp, euclid, holonomy, tensor
@@ -652,7 +652,7 @@ class TestSpectrum:
 class TestDecompose:
     def test_sphere_has_no_weyl(self, capsys, tmp_path):
         path = tmp_path / "s6.json"
-        tensor.save_tensor(decomp.sphere(6), path)
+        save_tensor(decomp.sphere(6), path)
         code, out, _ = run(capsys, "decompose", str(path))
         assert code == 0
         payload = json.loads(out)["records"][0]["actual"]
@@ -661,7 +661,7 @@ class TestDecompose:
 
     def test_hp_pure_model_flag(self, capsys, tmp_path):
         path = tmp_path / "hp2.json"
-        tensor.save_tensor(decomp.hp(2), path)
+        save_tensor(decomp.hp(2), path)
         code, out, _ = run(capsys, "decompose", str(path))
         assert code == 0
         payload = json.loads(out)["records"][0]["actual"]
@@ -669,7 +669,7 @@ class TestDecompose:
 
     def test_wolf_coefficient(self, capsys, tmp_path):
         path = tmp_path / "w3.json"
-        tensor.save_tensor(decomp.wolf(3), path)
+        save_tensor(decomp.wolf(3), path)
         code, out, _ = run(capsys, "decompose", str(path))
         payload = json.loads(out)["records"][0]["actual"]
         assert payload["coefficients"]["scalar"] == pytest.approx(0.25)
@@ -681,7 +681,7 @@ class TestDecompose:
         import tracemalloc
 
         path = tmp_path / "g20.json"
-        tensor.save_tensor(tensor.random_curvature(euclid.generic(20), np.random.default_rng(20)), path)
+        save_tensor(tensor.random_curvature(euclid.generic(20), np.random.default_rng(20)), path)
         holonomy._algebra.cache_clear()  # the build is part of the run
         tracemalloc.start()
         try:
@@ -726,16 +726,16 @@ class TestDecompose:
     def test_input_above_byte_cap_is_usage_error(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "big.json"
         with open(path, "wb") as fh:
-            fh.truncate(cli.MAX_INPUT_BYTES + 1)  # sparse: nothing is written
+            fh.truncate(tensor.MAX_FILE_BYTES + 1)  # sparse: nothing is written
 
         def no_load(*args, **kwargs):
             raise AssertionError("file read")
 
-        monkeypatch.setattr(tensor, "load_tensor", no_load)
+        monkeypatch.setattr(json, "load", no_load)
         code, out, err = run(capsys, "decompose", str(path))
         assert code == 2
         assert out == ""
-        assert f"above the cap of {cli.MAX_INPUT_BYTES}" in err
+        assert f"above the cap of {tensor.MAX_FILE_BYTES}" in err
 
     @pytest.mark.parametrize(
         "n,structure,components,message",
@@ -794,7 +794,7 @@ class TestDecompose:
     def test_holonomy_structure_mismatch(self, capsys, tmp_path):
         # the structure is the file's own; no flag names another
         path = tmp_path / "s5.json"
-        tensor.save_tensor(decomp.sphere(5), path)
+        save_tensor(decomp.sphere(5), path)
         for flag in ("--holonomy", "--algebra"):
             with pytest.raises(SystemExit) as exit_:
                 main(["decompose", str(path), flag, "qk"])
@@ -813,7 +813,7 @@ class TestDecompose:
         rest = rest.parts["hyperkaehler_part"]
         rm = model * (1.0 / np.sqrt(model.norm_sq())) + rest * np.sqrt(2e-10 / rest.norm_sq())
         path = tmp_path / "edge.json"
-        tensor.save_tensor(rm, path)
+        save_tensor(rm, path)
         code, out, _ = run(capsys, "decompose", str(path))
         assert code == 0
         pure = json.loads(out)["records"][0]["actual"]["pure_model"]

@@ -1,11 +1,12 @@
 """Package-level guards: what the package exports is used, no module imports
 a name it never reads, every defaulted parameter is one some caller leaves
 out, only the spectral routes read the structure constants, only the file
-routines read the rank-four route, each build that skips the operator check
-is listed, the operator-check rule is written once, what the benchmark
-instrument wraps is bound, the CLI runs its trials in the calling thread,
-only the CLI seeds a Generator, and every library function is run by a
-command or listed with the reason it stays."""
+reader reads the rank-four route, each build that skips the operator check
+is listed, the operator-check rule is written once, only the tensor reader
+and the --out write touch files, what the benchmark instrument wraps is
+bound, the CLI runs its trials in the calling thread, only the CLI seeds a
+Generator, and every library function is run by a command or listed with
+the reason it stays."""
 
 import ast
 import importlib
@@ -18,6 +19,7 @@ import types
 
 import numpy as np
 import pytest
+from conftest import save_tensor
 
 import curvlab
 
@@ -25,10 +27,27 @@ SRC = pathlib.Path(curvlab.__file__).parent
 TESTS = pathlib.Path(__file__).resolve().parent
 SPANS = TESTS.parent / "perfbench" / "spans.py"
 
+
+def _scoped(node, scope: str):
+    """(qualname, node) for node and every node below it, the qualname the
+    scope of the innermost function or class that is or holds the node."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scope = f"{scope}.{node.name}"
+    yield scope, node
+    for child in ast.iter_child_nodes(node):
+        yield from _scoped(child, scope)
+
+
+def _src_nodes():
+    """("module.qualname", node) for every AST node of src/curvlab, the one
+    walk of the guards below."""
+    for path in sorted(SRC.glob("*.py")):
+        yield from _scoped(ast.parse(path.read_text()), path.stem)
+
+
 # Exports that no library module calls, kept on purpose, each with why.
 KEPT_REFERENCES = {
     "curvature_term": "eigen-vs-bilinear curvature term, the oracle acceptance criterion 6 checks the self term against",
-    "save_tensor": "writes the tensor files that `curvlab decompose` reads",
 }
 
 
@@ -77,7 +96,6 @@ def test_every_top_level_import_is_read():
 # Defaulted parameters of the library, each with the callers that leave it
 # out.  A parameter every caller passes is required, or a module constant.
 KEPT_DEFAULTS = {
-    "cli.Report.__init__(records)": "a command's report starts empty and appends its records",
     "cli.main(argv)": "the console script calls main() to read sys.argv; the tests pass a list",
     "decomp.random_algebra_curvature(count)": "the suites and `sample` draw stacks of count trials; perfbench's cold-start, the tests and the acceptance gate draw one tensor",
     "euclid.EuclideanSpace.__init__(I)": "a space holds only its kind's matrices: generic none, kaehler J, qk I, J, K",
@@ -125,21 +143,11 @@ def _structure_reads() -> set[str]:
     """"module.qualname" of each function in src/curvlab that names
     structure_constants: reads or sets it as an attribute, or spells its name
     in a string, as getattr would."""
-    found = set()
-
-    def visit(node, scope):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            scope = scope + [node.name]
-        if getattr(node, "attr", None) == "structure_constants" or (
-            isinstance(node, ast.Constant) and node.value == "structure_constants"
-        ):
-            found.add(".".join(scope))
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    for path in sorted(SRC.glob("*.py")):
-        visit(ast.parse(path.read_text()), [path.stem])
-    return found
+    return {
+        name for name, node in _src_nodes()
+        if getattr(node, "attr", None) == "structure_constants"
+        or (isinstance(node, ast.Constant) and node.value == "structure_constants")
+    }
 
 
 def test_structure_constants_are_read_only_by_the_spectral_routes():
@@ -174,19 +182,12 @@ def _rule_reads() -> dict[str, set[str]]:
     def one(node):
         return isinstance(node, ast.Constant) and node.value == 1
 
-    def visit(node, scope):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            scope = scope + [node.name]
+    for name, node in _src_nodes():
         if "_SYMMETRY_RTOL" in (getattr(node, "id", None), getattr(node, "attr", None)) and isinstance(
                 node.ctx, ast.Load):
-            found["rtol"].add(".".join(scope))
+            found["rtol"].add(name)
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add) and one(node.left) and peak(node.right):
-            found["scale"].add(".".join(scope))
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    for path in sorted(SRC.glob("*.py")):
-        visit(ast.parse(path.read_text()), [path.stem])
+            found["scale"].add(name)
     return found
 
 
@@ -198,14 +199,13 @@ def test_the_operator_check_rule_has_one_home():
 
 
 # Where the library reads the rank-four route: tensor files hold n^4
-# components, so the file routines read rank-four arrays through the
+# components, so the file reader reads rank-four arrays through the
 # operator, and the route's own definitions call each other.  Models and
 # decompositions are operator formulas; a read anywhere else forms an n^4
 # array that no result needs.
 RANK_FOUR_ROUTE = {"check_curvature_symmetries", "_tensor_array_from_matrix"}
 RANK_FOUR_HOME = {
-    "tensor.tensor_from_dict",
-    "tensor.tensor_to_dict",
+    "tensor.load_tensor",
     "tensor.CurvatureTensor.components",
     "tensor.check_curvature_symmetries",
     "tensor._tensor_array_from_matrix",
@@ -216,28 +216,19 @@ def _rank_four_reads() -> set[str]:
     """"module.qualname" of each function in src/curvlab that reads a name of
     RANK_FOUR_ROUTE (as a name or an attribute) or the components
     attribute."""
-    found = set()
-
-    def visit(node, scope):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            scope = scope + [node.name]
+    return {
+        name for name, node in _src_nodes()
         if isinstance(getattr(node, "ctx", None), ast.Load) and (
             getattr(node, "id", None) in RANK_FOUR_ROUTE
             or getattr(node, "attr", None) in RANK_FOUR_ROUTE | {"components"}
-        ):
-            found.add(".".join(scope))
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    for path in sorted(SRC.glob("*.py")):
-        visit(ast.parse(path.read_text()), [path.stem])
-    return found
+        )
+    }
 
 
 def test_rank_four_arrays_stay_at_the_file_boundary():
     reads = _rank_four_reads()
-    assert {"tensor.tensor_from_dict", "tensor.tensor_to_dict"} <= reads
-    assert reads <= RANK_FOUR_HOME, f"rank-four route read outside the file routines: {sorted(reads - RANK_FOUR_HOME)}"
+    assert "tensor.load_tensor" in reads
+    assert reads <= RANK_FOUR_HOME, f"rank-four route read outside the file reader: {sorted(reads - RANK_FOUR_HOME)}"
 
 
 # Where the library builds a CurvatureTensor that skips the operator check
@@ -249,7 +240,6 @@ UNCHECKED_BUILDS = {
     "tensor.CurvatureTensor.__sub__": "a difference of two checked tensors",
     "tensor.CurvatureTensor.__mul__": "a multiple of a checked tensor, per trial on a stack",
     "decomp.CurvatureDecomposition.total": "the sum of the parts, each checked or a combination of checked tensors",
-    "decomp.weyl_decompose": "the scalar part, a multiple of the operator of g (*) g, twice the identity",
     "decomp.qk_decompose": "the leak check wraps each trial of its checked input, to read the complement mass",
 }
 
@@ -258,32 +248,37 @@ def _unchecked_builds() -> set[str]:
     """"module.qualname" of each function in src/curvlab with a call that
     passes validate other than the constant True, or CurvatureTensor a
     third positional argument."""
-    found = set()
-
     def skips(call):
         name = getattr(call.func, "id", getattr(call.func, "attr", None))
         return (name == "CurvatureTensor" and len(call.args) > 2) or any(
             kw.arg == "validate" and not (isinstance(kw.value, ast.Constant) and kw.value.value is True)
             for kw in call.keywords)
 
-    def visit(node, scope):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            scope = scope + [node.name]
-        if isinstance(node, ast.Call) and skips(node):
-            found.add(".".join(scope))
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    for path in sorted(SRC.glob("*.py")):
-        visit(ast.parse(path.read_text()), [path.stem])
-    return found
+    return {name for name, node in _src_nodes() if isinstance(node, ast.Call) and skips(node)}
 
 
 def test_every_unchecked_build_is_listed():
     found = _unchecked_builds()
     assert sorted(found - set(UNCHECKED_BUILDS)) == [], "validate=False with no reason in UNCHECKED_BUILDS"
     assert sorted(set(UNCHECKED_BUILDS) - found) == [], "UNCHECKED_BUILDS entries that are gone"
-    assert not found & {"tensor.tensor_from_dict", "tensor.load_tensor", "tensor.check_curvature_symmetries"}
+    assert not found & {"tensor._record_array", "tensor.load_tensor", "tensor.check_curvature_symmetries"}
+
+
+# Where the library touches the file system: the tensor-file reader, which
+# caps, parses and checks a decompose input in one pass, and main's write of
+# --out.  Any other open, parse or size check is a second file boundary with
+# its own rules.
+FILE_CALLS = {"open", "json.load", "os.path.getsize"}
+FILE_HOMES = {"tensor.load_tensor", "cli.main"}
+
+
+def test_files_are_touched_only_by_the_tensor_reader_and_the_out_write():
+    calls = {}
+    for name, node in _src_nodes():
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in FILE_CALLS:
+            calls.setdefault(name, set()).add(ast.unparse(node.func))
+    assert calls.get("tensor.load_tensor") == FILE_CALLS
+    assert set(calls) <= FILE_HOMES, f"file calls outside {sorted(FILE_HOMES)}: {sorted(set(calls) - FILE_HOMES)}"
 
 
 def _wrapped() -> list[tuple]:
@@ -379,12 +374,9 @@ UNREACHED = {
     "criteria.curvature_term": "eigen-vs-bilinear curvature term, the oracle acceptance criterion 6 checks the self term against",
     "decomp.curvature_space_dim": "perfbench's cold-start pass and warm-up call it",
     "holonomy.HolonomyAlgebra.__eq__": "a cache keyed on an algebra (criteria._shift_gain) calls it only for two objects of one hash; a command builds one algebra per space (holonomy._algebra)",
-    "tensor.CurvatureTensor.components": "writes the tensor files that `curvlab decompose` reads; perfbench's cold-start hashes rm.components",
+    "tensor.CurvatureTensor.components": "perfbench's cold-start hashes rm.components; the tests write tensor files from it",
     "tensor.CurvatureOperator.__post_init__": "checks a restricted operator built from an outside matrix; the commands restrict with holonomy.project, whose product is symmetric by construction and skips it",
-    "tensor._non_finite": "error path: the message for a non-finite entry, which no command's input holds",
-    "tensor.save_tensor": "writes the tensor files that `curvlab decompose` reads",
     "tensor.t_hat": "the whole hat stack that the bilinear route of criteria.curvature_term reads (criterion 6); perfbench wraps it",
-    "tensor.tensor_to_dict": "the record save_tensor writes",
 }
 
 
@@ -393,19 +385,10 @@ def _functions() -> dict[tuple[str, int], str]:
     on (file, first line), the first line a decorator's if it has one, as in
     the code object."""
     found = {}
-
-    def visit(node, scope, path):
-        for child in ast.iter_child_nodes(node):
-            inner = scope
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                inner = scope + [child.name]
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
-                found[(path, first)] = ".".join(inner)
-            visit(child, inner, path)
-
-    for path in sorted(SRC.glob("*.py")):
-        visit(ast.parse(path.read_text()), [path.stem], str(path.resolve()))
+    for name, node in _src_nodes():
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            path = str((SRC / f"{name.split('.')[0]}.py").resolve())
+            found[(path, min([node.lineno] + [d.lineno for d in node.decorator_list]))] = name
     return found
 
 
@@ -419,14 +402,17 @@ def test_unreached_functions_are_listed(tmp_path):
     }
     commands = list(REACH_COMMANDS)
     for kind, rm in files.items():
-        curvlab.save_tensor(rm, tmp_path / f"{kind}.json")
+        save_tensor(rm, tmp_path / f"{kind}.json")
         commands.append(["decompose", str(tmp_path / f"{kind}.json")])
+    # json reads NaN: a file holding one is refused, exit 2, with the entry named
+    (tmp_path / "nan.json").write_text('{"n": 4, "structure": "generic", "components": [NaN' + ", 0" * 255 + "]}")
+    commands.append(["decompose", str(tmp_path / "nan.json")])
     env = {"PYTHONPATH": str(SRC.parent)}
     proc = subprocess.run([sys.executable, "-B", "-c", _REACH_SCRIPT, json.dumps(commands)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     codes, called = json.loads(proc.stdout)
-    assert codes == [1] + [0] * (len(commands) - 1)  # verify --seed 42 is red by design
+    assert codes == [1] + [0] * (len(commands) - 2) + [2]  # verify --seed 42 is red by design
     seen = {(str(pathlib.Path(name).resolve()), line) for name, line in called}
     functions = _functions()
     unreached = {name for key, name in functions.items() if key not in seen}

@@ -11,6 +11,7 @@ from conftest import (
     from_components,
     lie_action,
     rotated_quaternionic,
+    save_tensor,
     scattered_action,
 )
 from hypothesis import given, settings
@@ -27,7 +28,6 @@ from curvlab.tensor import (
     load_tensor,
     random_curvature,
     ricci,
-    save_tensor,
     scalar,
     t_hat,
     to_operator,
@@ -339,6 +339,27 @@ class TestSerialization:
         )
         with pytest.raises(euclid.GeometryError):
             load_tensor(path)
+
+    def test_record_is_dropped_before_the_symmetry_check(self, monkeypatch, tmp_path, rng):
+        # the parsed record of an n = 16 file holds 65 536 Python floats,
+        # about four times the component array; the n^4 check runs with the
+        # array alone
+        path = tmp_path / "g16.json"
+        save_tensor(random_curvature(generic(16), rng=rng), path)
+        check, entry = tensor.check_curvature_symmetries, []
+
+        def traced(space, t):
+            entry.append((tracemalloc.get_traced_memory()[0], t.nbytes))
+            return check(space, t)
+
+        monkeypatch.setattr(tensor, "check_curvature_symmetries", traced)
+        tracemalloc.start()
+        try:
+            load_tensor(path)
+        finally:
+            tracemalloc.stop()
+        [(current, nbytes)] = entry
+        assert current <= 2 * nbytes, (current, nbytes)
 
     def test_load_validates_symmetries(self, tmp_path):
         comp = np.zeros((4, 4, 4, 4))
