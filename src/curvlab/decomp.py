@@ -425,10 +425,13 @@ def _bianchi_blocks(algebra: HolonomyAlgebra):
     only the quadruples of that character.  blocks lists (positions, grams):
     grams (count, R, R) are the Gram matrices rows @ rows.T of count blocks
     of R rows each, positions (count, R) their packed indices; blocks of one
-    shape are built together, in batches whose constraint rows stay within
-    holonomy._CHUNK_BYTES.  free holds the packed pairs that no quadruple
-    constrains.  The characters are `HolonomyAlgebra.characters`: if any row
-    of c meets two characters, every character is 0 and there is one block.
+    shape are built together, in batches whose whole working set, not only
+    their constraint rows, stays within holonomy._CHUNK_BYTES (a block that
+    alone is larger is a batch of one).  Each Gram matrix is the product of
+    its own rows whatever the batch, so batching moves no bit.  free holds
+    the packed pairs that no quadruple constrains.  The characters are
+    `HolonomyAlgebra.characters`: if any row of c meets two characters, every
+    character is 0 and there is one block.
     """
     space, c = algebra.space, algebra.coeff_matrix
     pair_chars, gen_chars = algebra.characters
@@ -448,21 +451,26 @@ def _bianchi_blocks(algebra: HolonomyAlgebra):
         group = runs[shape_order[start : start + count]]
         pos = s_order[s_starts[group][:, None] + np.arange(s_counts[group[0]])]
         quads = q_order[q_starts[at[group]][:, None] + np.arange(q_counts[at[group[0]]])]
-        grams = np.empty((group.size, pos.shape[1], pos.shape[1]))
-        per = max(1, _CHUNK_BYTES // (8 * pos.shape[1] * quads.shape[1]))
+        R, K = pos.shape[1], quads.shape[1]
+        grams = np.empty((group.size, R, R))
+        # a block of a batch holds its rows, a product term and one gathered
+        # factor, (R, K) each, and its slices of x and y, (d, K) each
+        per = max(1, _CHUNK_BYTES // (8 * K * (3 * R + 2 * algebra.dim)))
         for lo in range(0, group.size, per):
             sub_pos, sub_quads = pos[lo : lo + per], quads[lo : lo + per]
             # c[:, pair] at the blocks' quadruples is (d, count, K); indexed by
             # (generator, block) it gives contiguous runs of K
             blk = np.arange(sub_pos.shape[0])[:, None]
             at_a, at_b = (pa[sub_pos], blk), (pb[sub_pos], blk)
-            rows = np.zeros(sub_pos.shape + sub_quads.shape[1:])
+            rows = np.zeros(sub_pos.shape + (K,))
             for first, second, accumulate in ((0, 1, np.add), (2, 3, np.add), (4, 5, np.subtract)):
                 x, y = c[:, quad[first][sub_quads]], c[:, quad[second][sub_quads]]
-                accumulate(rows, x[at_a] * y[at_b], out=rows)
-                accumulate(rows, x[at_b] * y[at_a], out=rows)
+                for left, right in ((at_a, at_b), (at_b, at_a)):
+                    term = x[left]
+                    term *= y[right]
+                    accumulate(rows, term, out=rows)
             rows *= w[sub_pos][:, :, None]
-            grams[lo : lo + per] = rows @ rows.transpose(0, 2, 1)
+            np.matmul(rows, rows.transpose(0, 2, 1), out=grams[lo : lo + per])
         blocks.append((pos, grams))
     return blocks, s_order[np.repeat(~hit, s_counts)]
 

@@ -22,13 +22,13 @@ The Bianchi kernel is blocked by that basis, and the hats are computed from
 each chunk's dense action on the pairs, cut into blocks by character
 (`HolonomyAlgebra.action_blocks`).  Hats, blocks and structure constants are
 built by chunks of generators (`HolonomyAlgebra.chunk_size`), so no array of
-them scales with the algebra squared.  Construction only checks closure (not
-for so(n), which is closed): the (d, d, d) structure constants, which only
-the spectral routes of `criteria` read, are built on first read by a bracket
-pass, so a run that never reads them never holds them.  At so(24) they are
-168 MB, and `curvlab decompose` of an n = 24 file peaks at about 49.5 MB
-of RSS.  Algebras compare and hash by `HolonomyAlgebra.key`; `by_name` builds
-each once per space and kind.
+them scales with the algebra squared.  Construction only checks closure,
+once per unordered pair of generators (not for so(n), which is closed): the
+(d, d, d) structure constants, which only the spectral routes of `criteria`
+read, are built on first read by a bracket pass, so a run that never reads
+them never holds them.  At so(24) they are 168 MB, and `curvlab decompose`
+of an n = 24 file peaks at about 49.5 MB of RSS.  Algebras compare and hash
+by `HolonomyAlgebra.key`; `by_name` builds each once per space and kind.
 """
 
 from __future__ import annotations
@@ -44,14 +44,16 @@ from .tensor import CurvatureOperator, _conjugation_on_bivectors, _freeze, _norm
 # Chunk budget: hats and brackets are built over contiguous generator ranges
 # whose arrays stay within this many bytes (HolonomyAlgebra.chunk_size), so
 # neither the (dim, D, D) hat stack nor the (n dim)^2 bracket product is
-# formed; the Bianchi-kernel rows are built in batches of blocks under it, a
-# stack of trials holds at most half of it in operators (trial_chunk), the
-# three products that rotate the structure constants of a sub-chunk of
-# trials fit it (rotation_trials), hats are filled for as many trials at
-# once as it holds (chunk_trials) and symmetrized for as many generators as
-# a quarter of it holds (hat_group).
+# formed; a batch of Bianchi constraint blocks holds its whole working set
+# under it (decomp._bianchi_blocks), a stack of trials holds at most half of
+# it in operators (trial_chunk), the three products that rotate the
+# structure constants of a sub-chunk of trials fit it (rotation_trials),
+# hats are filled for as many trials at once as it holds (chunk_trials) and
+# symmetrized for as many generators as a quarter of it holds (hat_group).
 # Small enough that these temporaries come from memory the allocator already
-# holds, not from pages faulted in afresh (about 3 us a page on a 2-core VM).
+# holds, not from pages faulted in afresh: the sp(4)+sp(1) constraint rows
+# built on 4.2 MB take 10.4 ms a call and 3 476 page faults, within the
+# budget 4.4 ms and 386, and both about 3 ms when freed memory is kept.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -139,11 +141,12 @@ class HolonomyAlgebra:
     respect to the bivector inner product.  It is a read-only copy of the
     rows given, so `key`, by which algebras compare and hash, stays valid.
     Construction checks closure under the bracket in one pass (`_brackets`)
-    that keeps only the defect, or none when d = D (so(n) is closed).  The
-    read-only structure_constants c[a, b, g] = <[basis_a, basis_b], basis_g>
-    are built on first read, by a bracket pass over the same products, so
-    they cost nothing to a run that never reads them (`curvlab decompose`
-    at n = 24 peaks at about 49.5 MB).
+    that reads each unordered pair of generators once and keeps only the
+    defect, or none when d = D (so(n) is closed).  The read-only
+    structure_constants c[a, b, g] = <[basis_a, basis_b], basis_g> are built
+    on first read, by a bracket pass over all ordered pairs, so they cost
+    nothing to a run that never reads them (`curvlab decompose` at n = 24
+    peaks at about 49.5 MB).
     """
 
     space: EuclideanSpace
@@ -319,18 +322,23 @@ class HolonomyAlgebra:
         one chunk of generators a at a time.  The defect is the largest
         bivector-norm distance of a basis bracket from the span; the
         constants are None unless kept, so a pass that only checks closure
-        holds no (d, d, d) array."""
+        holds no (d, d, d) array.  [b, a] = -[a, b] has the same distance,
+        so that pass brackets the chunk from generator lo with the partners
+        b >= lo only: each unordered pair once, or twice within a chunk."""
         d, n = self.dim, self.space.n
         ii, jj = self.space.pair_rows, self.space.pair_cols
         mats, coeffs = self.matrices, self.coeff_matrix
-        right = mats.transpose(1, 2, 0).reshape(n, n * d)
+        right = np.ascontiguousarray(mats.transpose(1, 2, 0))  # right[l, k, b] = basis_b[l, k]
         consts, defect = np.empty((d, d, d)) if keep else None, 0.0
         for lo in range(0, d, self.chunk_size):
             size = min(self.chunk_size, d - lo)
+            first = 0 if keep else lo
+            width = d - first
             # prod[i, a, k, b] = (basis_a basis_b)[i, k] from one GEMM; its
             # transpose is basis_b basis_a, so the bracket is prod minus that
-            prod = (mats[lo : lo + size].transpose(1, 0, 2).reshape(n * size, n) @ right).reshape(n, size, n, d)
-            brackets = (prod[jj, :, ii] - prod[ii, :, jj]).reshape(-1, size * d)  # read off pairs
+            left = mats[lo : lo + size].transpose(1, 0, 2).reshape(n * size, n)
+            prod = (left @ right[:, :, first:].reshape(n, n * width)).reshape(n, size, n, width)
+            brackets = (prod[jj, :, ii] - prod[ii, :, jj]).reshape(-1, size * width)  # read off pairs
             del prod
             part = coeffs @ brackets
             if keep:

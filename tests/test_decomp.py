@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import subprocess
@@ -12,6 +13,7 @@ from conftest import (
     check_rank_four,
     grassmannian_reference,
     misplaced_unitary,
+    pin_note,
     rotated_kaehler,
     rotated_quaternionic,
     rotation,
@@ -506,6 +508,21 @@ def _swapped_kaehler(m: int):
     return euclid.EuclideanSpace(2 * m, "kaehler", J=p @ kaehler(m).J @ p.T)
 
 
+# sha256 of each algebra's uncached `_bianchi_kernel_basis` under one BLAS
+# thread, as the commands build it: every part's arrays, dtype, shape,
+# strides and bytes, in order.  The constraint batches and the closure pass
+# may change how they work, never these bytes
+KERNEL_SHA256 = {
+    "qk4": ("5babdb76fce2997402196573c4661f24a61bafdb885db6926912d43539202f11",
+            lambda: holonomy.sp_sp1_algebra(quaternion_kaehler(4))),
+    "qk5": ("4db58235ecb18c0fd36bb83ab3375e7da1e078cb9b028883ff16bc92a6c1aab4",
+            lambda: holonomy.sp_sp1_algebra(quaternion_kaehler(5))),
+    "qk6": ("3fd948975e279ce12d62b5da35914d3fc95ea1189cc57914e8438f64b0e65f82",
+            lambda: holonomy.sp_sp1_algebra(quaternion_kaehler(6))),
+    "u5": ("496fd7fcd941c28aedc6dbe09dd5865e177c14f0f0e8330c62da3c74758b8dee", lambda: holonomy.u_algebra(kaehler(5))),
+}
+
+
 class TestKernelBasis:
     @pytest.mark.parametrize(
         "tag,space,expected",
@@ -609,6 +626,31 @@ class TestKernelBasis:
         alg = holonomy.sp_sp1_algebra(quaternion_kaehler(5))
         assert _array_bytes(_bianchi_kernel_basis(alg)) <= 2_000_000
 
+    @pytest.mark.parametrize("name", list(KERNEL_SHA256))
+    def test_kernel_bytes_are_pinned(self, name):
+        expected, builder = KERNEL_SHA256[name]
+        digest = hashlib.sha256()
+        with cli._one_blas_thread():
+            parts = _bianchi_kernel_basis.__wrapped__(builder())
+        for part in parts:
+            for a in part:
+                digest.update(f"{a.dtype.str} {a.shape} {a.strides}".encode())
+                digest.update(a.tobytes())
+        assert digest.hexdigest() == expected, pin_note()
+
+    def test_constraint_batches_stay_within_the_budget(self):
+        # a batch sized by its rows alone held the gathered factors and a
+        # product besides: 4.2 MB at sp(4)+sp(1) for 0.68 MB of Gram matrices
+        alg = holonomy.sp_sp1_algebra(quaternion_kaehler(4))
+        tracemalloc.start()
+        try:
+            blocks, _ = decomp._bianchi_blocks(alg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        gram_bytes = sum(grams.nbytes for _, grams in blocks)
+        assert peak <= gram_bytes + 1.5 * decomp._CHUNK_BYTES, (peak / 1e6, gram_bytes / 1e6)
+
     def test_uncached_build_peak(self):
         # the dense build at sp(6)+sp(1) peaked at 43.9 MB, its 36 MB (k, S)
         # basis included
@@ -681,12 +723,15 @@ class TestKernelBasis:
     @pytest.mark.parametrize(
         "builder",
         [lambda: holonomy.so_algebra(generic(7)), lambda: holonomy.u_algebra(kaehler(4)),
-         lambda: holonomy.sp_sp1_algebra(quaternion_kaehler(4))],
-        ids=["so7", "u4", "qk4"],
+         lambda: holonomy.sp_sp1_algebra(quaternion_kaehler(4)),
+         lambda: holonomy.sp_sp1_algebra(quaternion_kaehler(5))],
+        ids=["so7", "u4", "qk4", "qk5"],
     )
     def test_batched_blocks_are_the_whole_blocks(self, builder, monkeypatch):
-        # the constraint rows are built in batches of blocks under the chunk
-        # budget; one block per batch gives the same Gram matrices, bit for bit
+        # the constraint rows are built in batches of blocks whose working set
+        # fits the chunk budget, and a block above it (the 271-row block of
+        # sp(5)+sp(1)) alone; one block per batch gives the same Gram
+        # matrices, bit for bit
         alg = builder()
         whole, free = decomp._bianchi_blocks(alg)
         monkeypatch.setattr(decomp, "_CHUNK_BYTES", 1)

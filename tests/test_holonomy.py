@@ -174,6 +174,26 @@ class TestAlgebras:
                 HolonomyAlgebra(generic(5), "bad", rows)
             assert calls[2:] == ["bad"]
 
+    def test_closure_pass_reads_each_pair_once(self, monkeypatch):
+        # [b, a] = -[a, b], so the closure check of the chunk from generator
+        # lo reads partners b >= lo only; with one generator a chunk, every
+        # unordered pair is read once and the defect is that of all brackets
+        monkeypatch.setattr(holonomy, "_CHUNK_BYTES", 1)
+        rows = np.zeros((3, 10))
+        pair = tensor._pair_lookup(5)
+        rows[[0, 1, 2], [pair[0, 1], pair[2, 3], pair[0, 2]]] = 1.0
+        bad = object.__new__(HolonomyAlgebra)  # the unchecked basis {e01, e23, e02}
+        bad.space, bad.name, bad.coeff_matrix = generic(5), "bad", rows
+        defects = []
+        for alg in (sp_sp1_algebra(quaternion_kaehler(2)), bad):
+            assert alg.chunk_size == 1
+            checked, kept = alg._brackets(keep=False)[1], alg._brackets(keep=True)[1]
+            assert checked == pytest.approx(kept, rel=1e-12, abs=1e-15)
+            defects.append(checked)
+        assert defects[0] < 1e-12 and defects[1] > 0.5
+        with pytest.raises(GeometryError, match="not closed"):
+            HolonomyAlgebra(generic(5), "bad", rows)
+
 
 class TestProjection:
     def test_projection_of_supported_operator_is_lossless(self, qk2, hp2):
