@@ -10,20 +10,16 @@ significant digits so reports are diffable.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import ctypes
 import functools
-import glob
 import itertools
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import criteria, decomp, holonomy, tensor
+from . import criteria, decomp, euclid, holonomy, tensor
 from .euclid import EuclideanSpace, GeometryError, generic, kaehler, quaternion_kaehler
 
 GAP = 1e-6  # eigenvalue clustering threshold, relative to max|eigenvalue|
@@ -690,12 +686,10 @@ def _sample_chunk(space: EuclideanSpace) -> int:
 def cmd_sample(cfg: argparse.Namespace) -> tuple[Report, int]:
     kind = holonomy.holonomy_kind(cfg.holonomy)
     _check_flags(cfg, "sample", [kind])
-    if kind == "generic":
-        size = cfg.n[0] if cfg.n else 4
-        space = generic(size)
-    else:
-        size = cfg.m[0] if cfg.m else 2
-        space = kaehler(size) if kind == "kaehler" else quaternion_kaehler(size)
+    # --n sizes a generic space, --m the others by their blocks (_check_flags
+    # rejects the other one); the defaults are so(4), u(2) and sp(2)+sp(1)
+    size = (cfg.n or cfg.m or (4 if kind == "generic" else 2,))[0]
+    space = euclid.standard_space(kind, size * euclid._KINDS[kind][1])
     alg = holonomy.by_name(space, kind)
     criterion = _preset_criterion(alg)
     shift = cfg.condition == "2-nonnegative"
@@ -807,54 +801,16 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
-@functools.cache
-def _openblas():
-    """The OpenBLAS that numpy bundles (scipy-openblas, 64-bit interface),
-    opened once, with its thread count's get and set typed; None when numpy
-    carries none, as with another BLAS build.  Loading the file numpy has
-    already loaded gives the same library, so its pool is the one numpy's
-    products run on."""
-    numpy_dir = os.path.dirname(np.__file__)
-    for path in sorted(glob.glob(os.path.join(numpy_dir, os.pardir, "numpy.libs", "libscipy_openblas64_*"))):
-        try:
-            lib = ctypes.CDLL(path)
-            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
-        return lib
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Hold numpy's OpenBLAS at one thread and restore its count after.  A
-    threaded product splits its sums differently, which moves report values
-    at rounding level, so reports are byte-identical across
-    OPENBLAS_NUM_THREADS only under this hold; without the library it says
-    so on stderr."""
-    lib = _openblas()
-    if lib is None:
-        print("note: numpy's OpenBLAS thread count cannot be held; report bytes may "
-              "depend on the BLAS thread count", file=sys.stderr)
-        yield
-        return
-    before = lib.scipy_openblas_get_num_threads64_()
-    lib.scipy_openblas_set_num_threads64_(1)
-    try:
-        yield
-    finally:
-        lib.scipy_openblas_set_num_threads64_(before)
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = _config_from_args(args)
         start = time.monotonic()
-        with _one_blas_thread():
+        with euclid._one_blas_thread() as held:
+            if not held:
+                print("note: numpy's OpenBLAS thread count cannot be held; report bytes may "
+                      "depend on the BLAS thread count", file=sys.stderr)
             if cfg.command == "verify":
                 report, code = cmd_verify(cfg)
             elif cfg.command == "spectrum":

@@ -51,6 +51,7 @@ import numpy as np
 from .euclid import (
     GeometryError,
     _first_over,
+    _one_blas_thread,
     _shared,
     _sign_fix,
     generic,
@@ -145,10 +146,9 @@ def structure_model(space) -> CurvatureTensor:
         )
     else:
         mat = np.eye(space.bivector_dim)
-        structs = (space.I, space.J, space.K)
-        for s in structs:
+        for s in space.structures:
             mat += _conjugation_on_bivectors(space, s)
-        for s in structs:
+        for s in space.structures:
             mat += 2.0 * _pair_outer(s, s)
     return _read_only(CurvatureTensor(space, mat))
 
@@ -561,12 +561,14 @@ def _bianchi_kernel_basis(algebra: HolonomyAlgebra) -> tuple[tuple[np.ndarray, n
     Shared per algebra, which compares by `HolonomyAlgebra.key` (the space's
     structure and the algebra's coefficient rows), so algebras that share a
     name (u(3) on two complex structures) get their own bases; `__wrapped__`
-    is the uncached build.
+    is the uncached build, run under `euclid._one_blas_thread` (at two BLAS
+    threads the sp(3..6)+sp(1) null rows move).
     """
-    blocks, free = _bianchi_blocks(algebra)
-    parts = []
-    for (pos, _), runs in zip(blocks, _null_spaces([grams for _, grams in blocks])):
-        parts.extend((pos[owners], rows) for owners, rows in runs)
+    with _one_blas_thread():
+        blocks, free = _bianchi_blocks(algebra)
+        parts = []
+        for (pos, _), runs in zip(blocks, _null_spaces([grams for _, grams in blocks])):
+            parts.extend((pos[owners], rows) for owners, rows in runs)
     parts.append((free[:, None], np.ones((free.size, 1, 1))))
     _freeze(*(arr for part in parts for arr in part))
     return tuple(parts)

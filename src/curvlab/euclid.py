@@ -2,6 +2,8 @@
 
 A space is one validated value, `EuclideanSpace(n, kind, I, J, K)`: R^n with
 the parallel structures its holonomy kind holds, checked when it is built.
+The kinds have one table, `_KINDS`; other modules read a space's structures
+as `EuclideanSpace.structures` and build standard spaces by `standard_space`.
 
 The second exterior power of R^n is coordinatized over the lexicographic
 pairs {(i, j) : i < j}; `EuclideanSpace.pair_rows` and `pair_cols` list them
@@ -12,13 +14,18 @@ their skew matrices.
 Spaces compare and hash by `structure_key`, so what `_shared` builds once per
 space is keyed on its structure, never on a name or an object.  Every check
 of an operator in the library raises by one rule, written in `_first_over`.
+Builds whose bytes move with the BLAS pool size run under `_one_blas_thread`.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
+import glob
 import itertools
 import operator
+import os
 import threading
 from dataclasses import dataclass
 
@@ -79,6 +86,11 @@ _K_BLOCK = np.array(
 )
 
 
+# The holonomy kinds: the parallel structures each one holds, in I, J, K
+# order, and the real dimension of one block, so n = block * m.
+_KINDS = {"generic": ("", 1), "kaehler": ("J", 2), "qk": ("IJK", 4)}
+
+
 def _block_diag(block: np.ndarray, copies: int) -> np.ndarray:
     k = block.shape[0]
     out = np.zeros((k * copies, k * copies))
@@ -110,12 +122,11 @@ class EuclideanSpace:
         object.__setattr__(self, "n", _integer(self.n, "dimension"))
         if self.n < 2:
             raise GeometryError("need dimension at least 2 for a bivector basis")
-        held = {"generic": "", "kaehler": "J", "qk": "IJK"}.get(self.kind)  # the kind's matrices
-        if held is None:
+        if self.kind not in _KINDS:
             raise GeometryError(f"unknown holonomy kind {self.kind!r}")
         for name in "IJK":
             a = getattr(self, name)
-            if (a is None) == (name in held):
+            if (a is None) == (name in _KINDS[self.kind][0]):
                 raise GeometryError(f"a {self.kind} space {'needs' if a is None else 'holds no'} structure {name}")
             if a is None:
                 continue
@@ -134,11 +145,15 @@ class EuclideanSpace:
     @property
     def m(self) -> int:
         """Block count: n = 2m for kaehler, n = 4m for qk."""
-        if self.kind == "kaehler":
-            return self.n // 2
-        if self.kind == "qk":
-            return self.n // 4
-        raise GeometryError("block count is only defined with a holonomy structure")
+        if not self.structures:
+            raise GeometryError("block count is only defined with a holonomy structure")
+        return self.n // _KINDS[self.kind][1]
+
+    @property
+    def structures(self) -> tuple[np.ndarray, ...]:
+        """The parallel structures the space holds, in I, J, K order: none on
+        a generic space, (J,) on a kaehler one, (I, J, K) on a qk one."""
+        return tuple(getattr(self, name) for name in _KINDS[self.kind][0])
 
     @property
     def bivector_dim(self) -> int:
@@ -224,6 +239,72 @@ def quaternion_kaehler(m: int) -> EuclideanSpace:
     if _integer(m, "block count") < 2:
         raise GeometryError("quaternion-Kaehler block count must be at least 2")
     return EuclideanSpace(4 * m, "qk", *(_block_diag(block, m) for block in (_I_BLOCK, _J_BLOCK, _K_BLOCK)))
+
+
+def standard_space(kind: str, n: int) -> EuclideanSpace:
+    """The standard space of a kind and dimension: generic(n), kaehler(n / 2)
+    or quaternion_kaehler(n / 4).  GeometryError on an unknown kind, or when
+    n is not a whole number of the kind's blocks."""
+    if kind not in _KINDS:
+        raise GeometryError(f"unknown holonomy kind {kind!r}")
+    block = _KINDS[kind][1]
+    if _integer(n, "dimension") % block:
+        raise GeometryError(f"{kind} structure needs dimension {block}m, got {n}")
+    return {"generic": generic, "kaehler": kaehler, "qk": quaternion_kaehler}[kind](n // block)
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+
+
+@functools.cache
+def _openblas():
+    """The OpenBLAS that numpy bundles (scipy-openblas, 64-bit interface),
+    opened once, with its thread count's get and set typed; None when numpy
+    carries none, as with another BLAS build.  Loading the file numpy has
+    already loaded gives the same library, so its pool is the one numpy's
+    products run on."""
+    numpy_dir = os.path.dirname(np.__file__)
+    for path in sorted(glob.glob(os.path.join(numpy_dir, os.pardir, "numpy.libs", "libscipy_openblas64_*"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return lib
+    return None
+
+
+_blas_lock = threading.Lock()
+_blas_holds = [0, 1]  # holds open now, and the pool size the first one found
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread and restore its count after; yields
+    whether it could (False without the library).  A threaded product splits
+    its sums differently, which moves values at rounding level, so only
+    under this hold are bytes the same at every OPENBLAS_NUM_THREADS.  Holds
+    nest and overlap across threads: the first one in sets the pool to one
+    thread, the last one out restores it."""
+    lib = _openblas()
+    if lib is None:
+        yield False
+        return
+    with _blas_lock:
+        if not _blas_holds[0]:
+            _blas_holds[1] = lib.scipy_openblas_get_num_threads64_()
+            lib.scipy_openblas_set_num_threads64_(1)
+        _blas_holds[0] += 1
+    try:
+        yield True
+    finally:
+        with _blas_lock:
+            _blas_holds[0] -= 1
+            if not _blas_holds[0]:
+                lib.scipy_openblas_set_num_threads64_(_blas_holds[1])
 
 
 # ---------------------------------------------------------------------------

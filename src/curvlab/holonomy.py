@@ -38,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .euclid import EuclideanSpace, GeometryError, _shared, _sign_fix
+from .euclid import EuclideanSpace, GeometryError, _one_blas_thread, _shared, _sign_fix
 from .tensor import CurvatureOperator, _conjugation_on_bivectors, _freeze, _norm, _value
 
 # Chunk budget: hats and brackets are built over contiguous generator ranges
@@ -81,18 +81,18 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
 def _pair_characters(space: EuclideanSpace) -> np.ndarray:
     """Sign-flip character of each lexicographic pair, as a uint64 bit set.
 
-    Coordinates x and y are linked when a parallel structure has a nonzero
-    (x, y) entry.  A sign vector that is constant on each connected component
-    commutes with the structures, so it normalizes the holonomy algebra, and
-    it acts on e_x ^ e_y by the product of the two signs.  Bit c stands for
+    Coordinates x and y are linked when a parallel structure of the space
+    (`EuclideanSpace.structures`) has a nonzero (x, y) entry.  A sign vector
+    that is constant on each connected component commutes with the
+    structures, so it normalizes the holonomy algebra, and it acts on
+    e_x ^ e_y by the product of the two signs.  Bit c stands for
     component c; a pair's character is the XOR of its coordinates' bits.
     With more than 64 components every character is 0: one block.
     """
     n = space.n
     link = np.eye(n, dtype=bool)
-    for s in (space.I, space.J, space.K):
-        if s is not None:
-            link |= (s != 0) | (s.T != 0)
+    for s in space.structures:
+        link |= (s != 0) | (s.T != 0)
     label = np.arange(n)
     while True:  # each coordinate takes the smallest label linked to it
         nxt = np.where(link, label[None, :], n).min(axis=1)
@@ -106,9 +106,10 @@ def _pair_characters(space: EuclideanSpace) -> np.ndarray:
     return bits[space.pair_rows] ^ bits[space.pair_cols]
 
 
-def _commutant_rows(space: EuclideanSpace, structs: list[np.ndarray]) -> np.ndarray:
+def _commutant_rows(space: EuclideanSpace) -> np.ndarray:
     """Orthonormal rows spanning the bivectors that commute with every
-    structure, each row on the pairs of one character.
+    parallel structure of the space (`EuclideanSpace.structures`), each row
+    on the pairs of one character.
 
     The projector onto the commutant is the mean of the identity and the
     structures' conjugations.  Each conjugation keeps a pair's character, so
@@ -118,9 +119,9 @@ def _commutant_rows(space: EuclideanSpace, structs: list[np.ndarray]) -> np.ndar
     tolerance.
     """
     proj = np.eye(space.bivector_dim)
-    for s in structs:
+    for s in space.structures:
         proj += _conjugation_on_bivectors(space, s)
-    proj /= len(structs) + 1
+    proj /= len(space.structures) + 1
     order, starts, counts, _ = _runs(_pair_characters(space))
     rows = []
     for start, count in zip(starts, counts):
@@ -312,8 +313,10 @@ class HolonomyAlgebra:
         """c[a, b, g] = <[basis_a, basis_b], basis_g>, shape (d, d, d),
         read-only.  Built on first read by the bracket pass that checks
         closure, so its bytes do not depend on when it is read; only the
-        spectral routes of `criteria` read it."""
-        consts = self._brackets(keep=True)[0]
+        spectral routes of `criteria` read it.  The pass runs under one BLAS
+        thread (`euclid._one_blas_thread`): at two, sp(4)+sp(1)'s move."""
+        with _one_blas_thread():
+            consts = self._brackets(keep=True)[0]
         _freeze(consts)
         return consts
 
@@ -368,10 +371,10 @@ def so_algebra(space: EuclideanSpace) -> HolonomyAlgebra:
 
 def u_algebra(space: EuclideanSpace) -> HolonomyAlgebra:
     """Bivectors commuting with the complex structure J; dimension (n/2)^2."""
-    if space.J is None:
-        raise GeometryError("u_algebra needs a space with a complex structure")
-    rows = _commutant_rows(space, [space.J])
-    m = space.n // 2
+    if space.kind != "kaehler":
+        raise GeometryError("u_algebra needs a Kaehler space")
+    rows = _commutant_rows(space)
+    m = space.m
     if rows.shape[0] != m * m:
         raise GeometryError(
             f"unitary algebra has dimension {rows.shape[0]}, expected {m * m}"
@@ -390,13 +393,13 @@ def sp_sp1_algebra(space: EuclideanSpace) -> HolonomyAlgebra:
     if space.kind != "qk":
         raise GeometryError("sp_sp1_algebra needs a quaternion-Kaehler space")
     m = space.m
-    rows = _commutant_rows(space, [space.I, space.J, space.K])
+    rows = _commutant_rows(space)
     if rows.shape[0] != m * (2 * m + 1):
         raise GeometryError(
             f"symplectic block has dimension {rows.shape[0]}, expected {m * (2 * m + 1)}"
         )
     pr, pc = space.pair_rows, space.pair_cols
-    omegas = np.stack([s[pc, pr] / np.sqrt(2 * m) for s in (space.I, space.J, space.K)])
+    omegas = np.stack([s[pc, pr] / np.sqrt(2 * m) for s in space.structures])
     return HolonomyAlgebra(space, f"sp({m})+sp(1)", np.vstack([rows, omegas]))
 
 

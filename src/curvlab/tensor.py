@@ -42,14 +42,16 @@ operator, with index tables cached per dimension.  The rank-four route
 (check_curvature_symmetries, _tensor_array_from_matrix, components) serves
 only load_tensor, the one tensor-file reader, and components; the writer and
 the slot-by-slot references of the checks, formulas, hats and models are
-test helpers, in tests/conftest.py.
+test helpers, in tests/conftest.py.  A file's tensor lives on
+euclid.standard_space of its structure tag and dimension.
 
 What depends only on the dimension or the structure is built once and
 shared read-only, so per-sample calls touch only the sample: per dimension
 (functools.cache) the index tables, the flat indices of the Bianchi sum
 and projection (_project_flat) and the operator of g (*) g (_kn_metric); per
 space (euclid._shared, so equal structures share one entry) the rows of the
-parallel forms that total_traces contracts against (_form_rows).
+parallel forms that total_traces contracts against (_form_rows), one per
+matrix of EuclideanSpace.structures.
 """
 
 from __future__ import annotations
@@ -68,9 +70,7 @@ from .euclid import (
     _first_over,
     _pair_table,
     _shared,
-    generic,
-    kaehler,
-    quaternion_kaehler,
+    standard_space,
 )
 
 
@@ -578,17 +578,13 @@ def total_traces(rm: CurvatureTensor) -> list:
     return out
 
 
-_FORM_NAMES = {"generic": (), "kaehler": ("J",), "qk": ("I", "J", "K")}
-
-
 @_shared
 def _form_rows(space: EuclideanSpace) -> tuple[np.ndarray, ...]:
     """S[rows, cols] - S[cols, rows] at the increasing pairs for each
-    parallel structure S of the space (J, or I, J, K; none on a generic
-    space), read-only."""
+    parallel structure S of the space (`EuclideanSpace.structures`: J, or
+    I, J, K; none on a generic space), read-only."""
     rows, cols = space.pair_rows, space.pair_cols
-    structs = (getattr(space, name) for name in _FORM_NAMES[space.kind])
-    forms = tuple(s[rows, cols] - s[cols, rows] for s in structs)
+    forms = tuple(s[rows, cols] - s[cols, rows] for s in space.structures)
     _freeze(*forms)
     return forms
 
@@ -616,20 +612,6 @@ MAX_FILE_BYTES = 1 << 24
 MAX_FILE_N = 24
 
 
-def _space_for(n: int, structure: str) -> EuclideanSpace:
-    if structure == "generic":
-        return generic(n)
-    if structure == "kaehler":
-        if n % 2:
-            raise GeometryError(f"kaehler structure needs even dimension, got {n}")
-        return kaehler(n // 2)
-    if structure == "qk":
-        if n % 4:
-            raise GeometryError(f"qk structure needs dimension 4m, got {n}")
-        return quaternion_kaehler(n // 4)
-    raise GeometryError(f"unknown structure tag {structure!r}")
-
-
 def _record_array(record) -> tuple[EuclideanSpace, np.ndarray]:
     """The standard space of a tensor record's dimension and structure tag,
     and its components as an (n, n, n, n) array.  A dimension that is not a
@@ -652,7 +634,7 @@ def _record_array(record) -> tuple[EuclideanSpace, np.ndarray]:
         bad = next(i for i, x in enumerate(components) if type(x) not in (float, int))
         kind = type(components[bad]).__name__
         raise GeometryError(f"malformed tensor record: component {bad} is a {kind}, not a number")
-    space = _space_for(n, structure)
+    space = standard_space(structure, n)
     try:
         flat = np.fromiter(components, dtype=float, count=len(components))
     except OverflowError as exc:

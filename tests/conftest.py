@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from curvlab import cli, criteria, decomp, euclid, holonomy, tensor
+from curvlab import criteria, decomp, euclid, holonomy, tensor
 
 
 def rotation(n: int, seed: int) -> np.ndarray:
@@ -25,7 +25,7 @@ def rotated_quaternionic(m: int, seed: int = 0):
     of the standard frame survives."""
     g = rotation(4 * m, seed)
     base = euclid.quaternion_kaehler(m)
-    return euclid.EuclideanSpace(4 * m, "qk", *(g @ s @ g.T for s in (base.I, base.J, base.K)))
+    return euclid.EuclideanSpace(4 * m, "qk", *(g @ s @ g.T for s in base.structures))
 
 
 def misplaced_unitary(m: int):
@@ -195,8 +195,8 @@ PIN_CORE = "SkylakeX"
 
 def openblas_core() -> str:
     """Name of the core that numpy's bundled OpenBLAS runs, read from the
-    one handle cli._openblas opens, or a note that there is none."""
-    lib = cli._openblas()
+    one handle euclid._openblas opens, or a note that there is none."""
+    lib = euclid._openblas()
     if lib is None:
         return "unknown (numpy bundles no scipy-openblas)"
     name = lib.scipy_openblas_get_corename64_

@@ -557,7 +557,7 @@ class TestDeterminism:
         assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_JSON_SHA256[holonomy_args], pin_note()
 
     def test_blas_pool_is_held_at_one_thread_and_restored(self, capsys, monkeypatch):
-        lib = cli._openblas()
+        lib = euclid._openblas()
         assert lib is not None, "numpy bundles no scipy-openblas here"
         get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
         seen = []
@@ -576,7 +576,7 @@ class TestDeterminism:
             put(before)
 
     def test_without_the_bundled_blas_the_contract_is_not_claimed(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_openblas", lambda: None)
+        monkeypatch.setattr(euclid, "_openblas", lambda: None)
         code, out, err = run(capsys, "verify", "--suite", "tripod", "--trials", "5")
         assert code == 0
         assert json.loads(out)["records"]
@@ -584,7 +584,7 @@ class TestDeterminism:
 
 
     def test_openblas_core_reads_the_library_numpy_runs(self):
-        # cli._openblas opens the library numpy has loaded, so the core it
+        # euclid._openblas opens the library numpy has loaded, so the core it
         # names is the one OPENBLAS_CORETYPE selects for numpy's products
         path = os.pathsep.join([str(pathlib.Path(curvlab.__file__).parents[1]), str(pathlib.Path(__file__).parent)])
         env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "PYTHONPATH": path}
@@ -755,7 +755,7 @@ class TestDecompose:
         def no_space(*args):
             raise AssertionError("space built")
 
-        monkeypatch.setattr(tensor, "_space_for", no_space)
+        monkeypatch.setattr(tensor, "standard_space", no_space)
         path = tmp_path / "sized.json"
         path.write_text(f'{{"n": {n}, "structure": "{structure}", "components": {components}}}')
         code, out, err = run(capsys, "decompose", str(path))
@@ -790,6 +790,15 @@ class TestDecompose:
         code, out, err = run(capsys, "decompose", str(path))
         assert (code, out) == (2, "")
         assert f"malformed tensor record: {message}" in err
+
+    @pytest.mark.parametrize("n,structure,block", [(5, "kaehler", 2), (6, "qk", 4)])
+    def test_dimension_must_be_whole_blocks(self, capsys, tmp_path, n, structure, block):
+        # the record passes its caps; the standard space of its tag refuses n
+        path = tmp_path / "blocks.json"
+        path.write_text(f'{{"n": {n}, "structure": "{structure}", "components": [{", ".join(["0"] * n**4)}]}}')
+        code, out, err = run(capsys, "decompose", str(path))
+        assert (code, out) == (2, "")
+        assert f"error: {structure} structure needs dimension {block}m, got {n}\n" == err
 
     def test_holonomy_structure_mismatch(self, capsys, tmp_path):
         # the structure is the file's own; no flag names another

@@ -152,7 +152,7 @@ class TestModels:
         g = rotation(4 * m, 0)
         space = rotated_quaternionic(m)
         base = quaternion_kaehler(m)
-        assert space == euclid.EuclideanSpace(4 * m, "qk", *(g @ s @ g.T for s in (base.I, base.J, base.K)))
+        assert space == euclid.EuclideanSpace(4 * m, "qk", *(g @ s @ g.T for s in base.structures))
         conj = tensor._conjugation_on_bivectors(space, g)
         alg = holonomy.by_name(space, "sp")
         standard = holonomy.by_name(base, "sp")
@@ -626,17 +626,40 @@ class TestKernelBasis:
         alg = holonomy.sp_sp1_algebra(quaternion_kaehler(5))
         assert _array_bytes(_bianchi_kernel_basis(alg)) <= 2_000_000
 
-    @pytest.mark.parametrize("name", list(KERNEL_SHA256))
-    def test_kernel_bytes_are_pinned(self, name):
-        expected, builder = KERNEL_SHA256[name]
+    @staticmethod
+    def _digest(parts) -> str:
         digest = hashlib.sha256()
-        with cli._one_blas_thread():
-            parts = _bianchi_kernel_basis.__wrapped__(builder())
         for part in parts:
             for a in part:
                 digest.update(f"{a.dtype.str} {a.shape} {a.strides}".encode())
                 digest.update(a.tobytes())
-        assert digest.hexdigest() == expected, pin_note()
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("name", list(KERNEL_SHA256))
+    def test_kernel_bytes_are_pinned(self, name):
+        expected, builder = KERNEL_SHA256[name]
+        assert self._digest(_bianchi_kernel_basis.__wrapped__(builder())) == expected, pin_note()
+
+    def test_library_builds_hold_one_blas_thread(self):
+        # at two BLAS threads the sp(4)+sp(1) kernel and structure constants
+        # of a build outside the CLI's hold moved at rounding level
+        lib = euclid._openblas()
+        assert lib is not None, "numpy bundles no scipy-openblas here"
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        expected, builder = KERNEL_SHA256["qk4"]
+        with euclid._one_blas_thread():
+            one_thread = builder().structure_constants.tobytes()
+        before = get()
+        put(2)
+        try:
+            alg = builder()
+            parts = _bianchi_kernel_basis.__wrapped__(alg)
+            consts = alg.structure_constants.tobytes()
+            assert get() == 2  # each build restored the pool
+        finally:
+            put(before)
+        assert self._digest(parts) == expected, pin_note()
+        assert consts == one_thread, pin_note()
 
     def test_constraint_batches_stay_within_the_budget(self):
         # a batch sized by its rows alone held the gathered factors and a
@@ -667,8 +690,8 @@ class TestKernelBasis:
 
     @pytest.mark.parametrize(
         "space,adapted",
-        [pytest.param(kaehler(m), True, id=f"u{m}") for m in range(2, 6)]
-        + [pytest.param(quaternion_kaehler(m), True, id=f"qk{m}") for m in range(2, 6)]
+        [pytest.param(euclid.standard_space("kaehler", 2 * m), True, id=f"u{m}") for m in range(2, 6)]
+        + [pytest.param(euclid.standard_space("qk", 4 * m), True, id=f"qk{m}") for m in range(2, 6)]
         + [pytest.param(_swapped_kaehler(3), True, id="u3_swapped"),
            pytest.param(rotated_kaehler(3), False, id="u3_rotated")],
     )
@@ -676,15 +699,15 @@ class TestKernelBasis:
         # the commuting block of u(m) or sp(m)+sp(1), then sp(1)'s three forms
         m = space.m
         if space.kind == "kaehler":
-            alg, structs, dim = holonomy.u_algebra(space), [space.J], m * m
+            alg, dim = holonomy.u_algebra(space), m * m
         else:
-            alg, structs, dim = holonomy.sp_sp1_algebra(space), [space.I, space.J, space.K], m * (2 * m + 1)
+            alg, dim = holonomy.sp_sp1_algebra(space), m * (2 * m + 1)
         c = alg.coeff_matrix
         assert c.shape[0] == dim + (3 if space.kind == "qk" else 0)
         assert np.abs(c @ c.T - np.eye(c.shape[0])).max() <= 1e-12
         assert np.array_equal(euclid._sign_fix(c), c)
         mats = alg.matrices[:dim]
-        for s in structs:
+        for s in space.structures:
             assert np.abs(mats @ s - s @ mats).max() <= 1e-12
         if adapted:
             # each row lies on the pairs of one character: the blocked kernel
@@ -902,10 +925,9 @@ class TestStructureCaches:
     def test_form_rows(self, name):
         space = _CACHE_SPACES[name]()
         rows, cols = space.pair_rows, space.pair_cols
-        structs = [space.J] if space.kind == "kaehler" else [space.I, space.J, space.K]
         forms = tensor._form_rows(space)
-        assert len(forms) == len(structs)
-        for form, s in zip(forms, structs):
+        assert len(forms) == len(space.structures)
+        for form, s in zip(forms, space.structures):
             assert np.array_equal(form, s[rows, cols] - s[cols, rows])
             assert not form.flags.writeable
         assert tensor._form_rows(generic(5)) == ()

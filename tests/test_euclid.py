@@ -1,10 +1,13 @@
 import ast
 import itertools
 import pathlib
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
-from conftest import rotated_kaehler, wedge_coeffs
+from conftest import rotated_kaehler, rotated_quaternionic, wedge_coeffs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +18,7 @@ from curvlab.euclid import (
     kaehler,
     pair_count,
     quaternion_kaehler,
+    standard_space,
     symmetric_eigen,
     symmetric_eigenvalues,
 )
@@ -121,6 +125,71 @@ class TestSpaces:
         space = generic(4)
         assert (space.kind, space.I, space.J, space.K) == ("generic", None, None, None)
         assert kaehler(2).I is None and kaehler(2).K is None
+
+
+class TestKinds:
+    """The kind table behind EuclideanSpace: structures and standard_space."""
+
+    def test_structures_are_the_held_matrices_in_ijk_order(self, u3_swapped_space):
+        assert generic(5).structures == ()
+        for space in (kaehler(3), u3_swapped_space, rotated_kaehler(3)):
+            assert len(space.structures) == 1 and space.structures[0] is space.J
+        for space in (quaternion_kaehler(2), rotated_quaternionic(2)):
+            assert len(space.structures) == 3
+            assert all(a is b for a, b in zip(space.structures, (space.I, space.J, space.K)))
+
+    @pytest.mark.parametrize("kind, block, build, sizes", [
+        ("generic", 1, generic, range(2, 25)),
+        ("kaehler", 2, kaehler, range(1, 13)),
+        ("qk", 4, quaternion_kaehler, range(2, 7)),
+    ], ids=["generic", "kaehler", "qk"])
+    def test_standard_space_is_the_kinds_constructor(self, kind, block, build, sizes):
+        for size in sizes:
+            space = standard_space(kind, block * size)
+            assert space == build(size) and (space.kind, space.n) == (kind, block * size)
+
+    @pytest.mark.parametrize("kind, n, message", [
+        ("symplectic", 8, "unknown holonomy kind 'symplectic'"),
+        ("kaehler", 5, "kaehler structure needs dimension 2m, got 5"),
+        ("qk", 6, "qk structure needs dimension 4m, got 6"),
+    ], ids=["unknown", "kaehler5", "qk6"])
+    def test_standard_space_rejects(self, kind, n, message):
+        with pytest.raises(GeometryError, match=f"^{message}$"):
+            standard_space(kind, n)
+
+
+def test_overlapping_blas_holds_keep_one_thread():
+    # builds on several threads hold the pool at once: none may see it
+    # restored while its own hold is open, and the last one out restores it
+    lib = euclid._openblas()
+    assert lib is not None, "numpy bundles no scipy-openblas here"
+    get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    seen, interval, before = [], sys.getswitchinterval(), get()
+    start = threading.Barrier(4)
+
+    def hold():
+        start.wait(timeout=60)
+        for _ in range(1000):
+            with euclid._one_blas_thread():
+                with euclid._one_blas_thread():
+                    time.sleep(0)  # let another thread enter or leave its hold
+                    seen.append(get())
+                time.sleep(0)
+                seen.append(get())
+
+    put(2)
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=hold) for _ in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+        assert not any(w.is_alive() for w in workers)
+        assert (len(seen), set(seen), get()) == (4 * 2000, {1}, 2)
+    finally:
+        sys.setswitchinterval(interval)
+        put(before)
 
 
 class TestBivectors:

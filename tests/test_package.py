@@ -6,7 +6,7 @@ is listed, the operator-check rule is written once, only the tensor reader
 and the --out write touch files, what the benchmark instrument wraps is
 bound, the CLI runs its trials in the calling thread, only the CLI seeds a
 Generator, and every library function is run by a command or listed with
-the reason it stays."""
+the reason it stays, and only euclid holds the table of holonomy kinds."""
 
 import ast
 import importlib
@@ -327,6 +327,40 @@ def test_only_the_cli_seeds_a_generator():
     alg = curvlab.so_algebra(curvlab.generic(4))
     with pytest.raises(TypeError):
         curvlab.random_algebra_curvature(alg)
+
+
+# The holonomy kinds have one table, euclid._KINDS: the structures each
+# holds and the size of its block.  Every other module reads a space's
+# structures as EuclideanSpace.structures, so no function outside euclid
+# reads a space's I or K, and no module keeps its own table from the kinds
+# to the structures they hold.
+KIND_HOME = "euclid"
+KINDS = {"generic", "kaehler", "qk"}
+
+
+def _names_a_structure(node) -> bool:
+    """Whether node or a node below it names a structure: a string of the
+    letters I, J, K, or the attribute I, J or K."""
+    return any(
+        (isinstance(sub, ast.Constant) and isinstance(sub.value, str) and sub.value and set(sub.value) <= set("IJK"))
+        or getattr(sub, "attr", None) in ("I", "J", "K")
+        for sub in ast.walk(node)
+    )
+
+
+def test_the_kind_table_has_one_home():
+    reads, tables = set(), set()
+    for name, node in _src_nodes():
+        if name.split(".")[0] == KIND_HOME:
+            continue
+        if getattr(node, "attr", None) in ("I", "K"):
+            reads.add(name)
+        if isinstance(node, ast.Dict):
+            keys = {key.value for key in node.keys if isinstance(key, ast.Constant)}
+            if len(keys & KINDS) >= 2 and any(map(_names_a_structure, node.values)):
+                tables.add(name)
+    assert not reads, f"reads of a space's I or K outside {KIND_HOME}: {sorted(reads)}"
+    assert not tables, f"tables of the kinds' structures outside {KIND_HOME}: {sorted(tables)}"
 
 
 # The commands the reach guard runs, in one fresh process: every report

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from conftest import bianchi_sum, pin_note, rotated_kaehler, rotated_structure
 
-from curvlab import cli, criteria, decomp, holonomy, tensor
+from curvlab import cli, criteria, decomp, euclid, holonomy, tensor
 from curvlab.euclid import _SYMMETRY_RTOL, GeometryError, _symmetrized, generic, kaehler, quaternion_kaehler
 from curvlab.tensor import SymmetryError, to_operator
 
@@ -516,8 +516,8 @@ def test_sample_rows_are_the_one_trial_rows(tag, flag, size, condition):
     # one more trial than a stack holds: a full stack and a ragged one
     argv = ["sample", "--holonomy", tag, f"--{flag}", str(size), "--condition", condition, "--seed", "3"]
     cfg = cli._config_from_args(cli._build_parser().parse_args(argv))
-    alg = holonomy.by_name(generic(size) if tag == "so" else kaehler(size) if tag == "u" else quaternion_kaehler(size),
-                           holonomy.holonomy_kind(tag))
+    kind = holonomy.holonomy_kind(tag)
+    alg = holonomy.by_name(euclid.standard_space(kind, size * euclid._KINDS[kind][1]), kind)
     cfg.trials = cli._sample_chunk(alg.space) + 1
     report, _ = cli.cmd_sample(cfg)
     criterion = cli._preset_criterion(alg)

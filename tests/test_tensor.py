@@ -398,12 +398,11 @@ def _kn_array(s, t):
 ALGEBRAS = [("so", n) for n in range(4, 10)] + [("u", m) for m in (2, 3, 4)] + [
     ("sp_sp1", m) for m in (2, 3)
 ]
-_SPACES = {"so": generic, "u": euclid.kaehler, "sp_sp1": euclid.quaternion_kaehler}
-
-
 @functools.cache
 def _algebra(tag, size):
-    return holonomy.by_name(_SPACES[tag](size), tag)
+    # size is n for so, the block count m for u and sp_sp1
+    kind = holonomy.holonomy_kind(tag)
+    return holonomy.by_name(euclid.standard_space(kind, size * euclid._KINDS[kind][1]), tag)
 
 
 @pytest.fixture(params=ALGEBRAS, ids=[f"{t}{s}" for t, s in ALGEBRAS])
@@ -582,10 +581,8 @@ class TestPairIndexFormulas:
         ric = np.einsum("sxsw->xw", comp)
         assert _close(ricci(rm), ric)
         assert _close(np.array(scalar(rm)), np.array(np.einsum("sxsx->", comp)))
-        structs = {"generic": [], "kaehler": ["J"], "qk": ["I", "J", "K"]}[rm.space.kind]
         ref = [np.linalg.norm(ric)] + [
-            np.linalg.norm(0.5 * np.einsum("st,stzw->zw", getattr(rm.space, s), comp))
-            for s in structs
+            np.linalg.norm(0.5 * np.einsum("st,stzw->zw", s, comp)) for s in rm.space.structures
         ]
         assert _close(np.array(total_traces(rm)), np.array(ref))
 
@@ -612,7 +609,7 @@ class TestPairIndexFormulas:
             "rotated": rotated_quaternionic(2),
         }[space]
         xz, yw, xw, yz = tensor._kn_tables(space.n)
-        structs = [s for s in (space.I, space.J, space.K) if s is not None]
+        structs = list(space.structures)
         for s in structs + [s.T for s in structs] + [rng.standard_normal((space.n, space.n))]:
             flat = s.ravel()
             ref = flat[yw] * flat[xz] - flat[yz] * flat[xw]
