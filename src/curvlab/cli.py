@@ -358,7 +358,7 @@ def suite_wolf(cfg: argparse.Namespace) -> list[CheckRecord]:
         actual = [[v, c] for v, c in rop.spectrum().multiplicities(GAP)]
         out.append(rec_mults(f"wolf[{m}].spectrum", inputs, expected, actual, RTOL))
         out.append(rec_leq(f"wolf[{m}].complement_mass", inputs, holonomy.complement_mass(op, alg), 1e-9))
-        r0_sq = decomp.qk_decompose(rm, alg).parts["hyperkaehler_part"].norm_sq() / 4.0
+        r0_sq = decomp.qk_decompose(rm).parts["hyperkaehler_part"].norm_sq() / 4.0
         out.append(rec_close(f"wolf[{m}].trace_free_norm_sq", inputs, 9.0 * m * (m - 1), r0_sq, RTOL))
 
         hat_direct = criteria.hat_norm_direct(rm, alg)
@@ -528,7 +528,7 @@ def suite_decomp(cfg: argparse.Namespace) -> list[CheckRecord]:
         return dec.residual(), dec.max_cross_inner(), idem, np.max(tensor.total_traces(x), axis=0)
 
     def qk_stats(rm):
-        dec = decomp.qk_decompose(normalize(rm), qalg)
+        dec = decomp.qk_decompose(normalize(rm))
         r0 = dec.parts["hyperkaehler_part"]
         return dec.residual(), dec.max_cross_inner(), np.abs(tensor.scalar(r0))
 
@@ -635,12 +635,7 @@ def cmd_decompose(cfg: argparse.Namespace) -> tuple[Report, int]:
     rm = tensor.load_tensor(cfg.input_path)
     kind = rm.space.kind
     alg = holonomy.by_name(rm.space, kind)
-    if kind == "generic":
-        dec = decomp.weyl_decompose(rm)
-    elif kind == "kaehler":
-        dec = decomp.bochner_decompose(rm)
-    else:
-        dec = decomp.qk_decompose(rm, alg)
+    dec = {"generic": decomp.weyl_decompose, "kaehler": decomp.bochner_decompose, "qk": decomp.qk_decompose}[kind](rm)
 
     evaluate = _preset_criterion(alg)
     crit = None

@@ -342,7 +342,7 @@ def hat_ratio_qk(rm: CurvatureTensor, algebra: HolonomyAlgebra) -> HatRatio:
     tensors supported on the algebra and raises.
     """
     hat_sq = hat_norm_direct(rm, algebra)
-    dec = qk_decompose(rm, algebra)
+    dec = qk_decompose(rm)
     rest_sq = dec.parts["hyperkaehler_part"].norm_sq() / 4.0
     norm_sq = rm.norm_sq() / 4.0
     pure = pure_multiple(rest_sq, norm_sq)

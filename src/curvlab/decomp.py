@@ -16,9 +16,11 @@ paired with an independent route (explicit formula vs subtraction) that the
 test suite plays against each other.  On a tensor that holds a (T, D, D)
 stack of trials (see `tensor`) every routine runs once for the stack: the
 parts are stacks, the coefficients, residuals and cross inner products
-(T,) arrays, each trial's entry the one-trial value to the bit, and the
-Kaehler-invariance and leak checks hold every trial to euclid._first_over's
-rule, which a NaN fails.
+(T,) arrays, each trial's entry the one-trial value to the bit.  The
+Kaehler and quaternion-Kaehler routines check their input one way,
+`_check_supported`: the operator lies in S^2 of the holonomy algebra, by the
+complement mass of every trial at 1e-9 (euclid._first_over's rule, which a
+NaN fails); on a Kaehler space that is J-invariance.
 
 random_algebra_curvature samples the curvature tensors supported on a
 holonomy algebra from an orthonormal basis of the Bianchi kernel on Sym^2 of
@@ -34,9 +36,9 @@ and shared read-only, so a decomposition or a sample computes only what
 depends on its input: the models (functools.cache), g (*) g
 (`tensor._kn_metric`, per n), and through `euclid._shared`, keyed on the
 space or algebra itself, the model of a structure (`structure_model`, whose
-matrix is the Kaehler unit of the Bochner routes), the J-conjugation on
-bivectors that checks Kaehler invariance (`_kaehler_conjugation`) and the
-Bianchi kernel (`_bianchi_kernel_basis`).  Spaces and algebras compare by
+matrix is the Kaehler unit of the Bochner routes), the holonomy algebra that
+`_check_supported` reads (`holonomy.by_name`) and the Bianchi kernel
+(`_bianchi_kernel_basis`).  Spaces and algebras compare by
 value (`EuclideanSpace.structure_key`, `HolonomyAlgebra.key`), never by name.
 """
 
@@ -62,6 +64,7 @@ from .holonomy import (
     _CHUNK_BYTES,
     HolonomyAlgebra,
     _runs,
+    by_name,
     complement_mass,
 )
 from .tensor import (
@@ -126,30 +129,21 @@ def hp(m: int) -> CurvatureTensor:
 
 @_shared
 def structure_model(space) -> CurvatureTensor:
-    """The model of a space's kind on the space's own structure: the round
-    sphere, constant holomorphic curvature on its J, or hp on its I, J, K.
-
-    On the standard structures these are sphere(n), const_hol(m) and hp(m).
-    The Kaehler model's matrix is the unit 0.5 g(*)g + 0.5 w(*)w + 2 w(x)w
-    of the Bochner routes, w the bilinear form of the parallel 2-form; the
-    parallel form of each quaternionic structure L is the bivector L[x, y],
-    x < y.  Shared per space, read-only.
+    """The model of a space's kind on the space's own structure: sphere(n) on
+    a generic space, else 0.5 g(*)g + sum_S 0.5 w_S(*)w_S + sum_S 2 w_S(x)w_S
+    over its structures S, w_S = S^T the bilinear form of S's parallel 2-form.
+    With J alone this is constant holomorphic curvature, the unit of the
+    Bochner routes; with I, J, K it is hp (0.5 w_S(*)w_S conjugates by S).
+    On the standard structures these are const_hol(m) and hp(m).  Shared per
+    space, read-only.
     """
-    if space.kind == "generic":
+    if not space.structures:
         return sphere(space.n)
-    if space.kind == "kaehler":
-        omega = space.J.T
-        mat = (
-            0.5 * _kn_metric(space.n)
-            + 0.5 * _kn_matrix(omega, omega)
-            + 2.0 * _pair_outer(omega, omega)
-        )
-    else:
-        mat = np.eye(space.bivector_dim)
-        for s in space.structures:
-            mat += _conjugation_on_bivectors(space, s)
-        for s in space.structures:
-            mat += 2.0 * _pair_outer(s, s)
+    mat = 0.5 * _kn_metric(space.n)
+    for s in space.structures:
+        mat += 0.5 * _kn_matrix(s.T, s.T)
+    for s in space.structures:
+        mat += 2.0 * _pair_outer(s.T, s.T)
     return _read_only(CurvatureTensor(space, mat))
 
 
@@ -251,26 +245,17 @@ def weyl_decompose(rm: CurvatureTensor) -> CurvatureDecomposition:
     )
 
 
-@_shared
-def _kaehler_conjugation(space) -> np.ndarray:
-    """Matrix of xi -> J^T mat(xi) J on the pair basis, read-only."""
-    conj = _conjugation_on_bivectors(space, space.J.T)
-    _freeze(conj)
-    return conj
-
-
-def _check_kaehler_invariance(rm: CurvatureTensor):
-    """Raise unless T[x, y, z, w] = sum_ab J[a, x] J[b, y] T[a, b, z, w]: on
-    the operator, M = C M with C the matrix of xi -> J^T mat(xi) J.  Every
-    trial of a stack at 1e-9 by euclid._first_over's rule."""
-    conj = _kaehler_conjugation(rm.space)
-
-    def defect(mat):
-        moved = conj @ mat
-        return (np.abs(np.subtract(mat, moved, out=moved), out=moved).max(axis=(-2, -1)),)
-
-    if _first_over(rm.matrix, defect, 1e-9):
-        raise GeometryError("tensor is not invariant under the complex structure")
+def _check_supported(rm: CurvatureTensor):
+    """Raise unless the operator lies in S^2 of the space's holonomy algebra:
+    its complement mass (`holonomy.complement_mass`) is at most 1e-9 by
+    euclid._first_over's rule, every trial of a stack, and the first trial
+    that leaks is reported.  On a Kaehler space this is J-invariance."""
+    space = rm.space
+    algebra = by_name(space, space.kind)
+    leak = _first_over(rm.matrix, lambda m: (
+        complement_mass(to_operator(CurvatureTensor(space, m, validate=False)), algebra),), 1e-9)
+    if leak:
+        raise GeometryError(f"operator leaks off the holonomy algebra (mass {leak[2]:.2e})")
 
 
 def bochner_decompose(rm: CurvatureTensor) -> CurvatureDecomposition:
@@ -278,12 +263,12 @@ def bochner_decompose(rm: CurvatureTensor) -> CurvatureDecomposition:
 
     Parts: the constant-holomorphic piece carrying the scalar curvature, the
     traceless-Ricci piece, and the totally trace-free remainder.  Input must
-    be invariant under the complex structure.
+    be supported on u(m) (`_check_supported`).
     """
     space = rm.space
     if space.kind != "kaehler":
         raise GeometryError("bochner_decompose needs a Kaehler space")
-    _check_kaehler_invariance(rm)
+    _check_supported(rm)
     n, m = space.n, space.m
     g = np.eye(n)
     omega = space.J.T
@@ -314,12 +299,12 @@ def bochner_explicit(rm: CurvatureTensor) -> CurvatureTensor:
 
     Independent of bochner_decompose: uses the raw Ricci contraction and a
     different constant grouping; agreement of the two routes is a test
-    invariant, not a code path, so it checks its own input for invariance.
+    invariant, not a code path, so it checks its own input (`_check_supported`).
     """
     space = rm.space
     if space.kind != "kaehler":
         raise GeometryError("bochner_explicit needs a Kaehler space")
-    _check_kaehler_invariance(rm)
+    _check_supported(rm)
     n, m = space.n, space.m
     g = np.eye(n)
     omega = space.J.T
@@ -342,21 +327,15 @@ def bochner_explicit(rm: CurvatureTensor) -> CurvatureTensor:
     return CurvatureTensor(space, arr)
 
 
-def qk_decompose(rm: CurvatureTensor, algebra: HolonomyAlgebra) -> CurvatureDecomposition:
+def qk_decompose(rm: CurvatureTensor) -> CurvatureDecomposition:
     """Split a quaternion-Kaehler tensor into the model multiple and the
-    trace-free remainder.
-
-    The operator must be supported on the quaternionic holonomy algebra:
-    its complement mass is checked at 1e-8 by euclid._first_over's rule,
-    and the first trial of a stack that leaks is reported.
+    trace-free remainder.  Input must be supported on sp(m)+sp(1)
+    (`_check_supported`).
     """
     space = rm.space
     if space.kind != "qk":
         raise GeometryError("qk_decompose needs a quaternion-Kaehler space")
-    leak = _first_over(rm.matrix, lambda m: (
-        complement_mass(to_operator(CurvatureTensor(space, m, validate=False)), algebra),), 1e-8)
-    if leak:
-        raise GeometryError(f"operator leaks off the holonomy algebra (mass {leak[2]:.2e})")
+    _check_supported(rm)
     m = space.m
     model = structure_model(space)
     c = scalar(rm) / (16.0 * m * (m + 2))

@@ -38,7 +38,10 @@ Conventions, fixed once here and relied on everywhere else:
   criteria.curvature_term.  Hats are reduced only in criteria.
 
 Products, traces, projections and the models are pair-index formulas on the
-operator, with index tables cached per dimension.  The rank-four route
+operator.  The products of forms (_kn_matrix, _pair_outer,
+_conjugation_on_bivectors) read their factors' rows at each pair's indices,
+with no D x D table; the traces and the Bianchi sum and projection read
+index tables cached per dimension.  The rank-four route
 (check_curvature_symmetries, _tensor_array_from_matrix, components) serves
 only load_tensor, the one tensor-file reader, and components; the writer and
 the slot-by-slot references of the checks, formulas, hats and models are
@@ -47,11 +50,11 @@ euclid.standard_space of its structure tag and dimension.
 
 What depends only on the dimension or the structure is built once and
 shared read-only, so per-sample calls touch only the sample: per dimension
-(functools.cache) the index tables, the flat indices of the Bianchi sum
-and projection (_project_flat) and the operator of g (*) g (_kn_metric); per
-space (euclid._shared, so equal structures share one entry) the rows of the
-parallel forms that total_traces contracts against (_form_rows), one per
-matrix of EuclideanSpace.structures.
+(functools.cache) the pair and contraction tables, the flat indices of the
+Bianchi sum and projection (_project_flat) and the operator of g (*) g
+(_kn_metric); per space (euclid._shared, so equal structures share one
+entry) the rows of the parallel forms that total_traces contracts against
+(_form_rows), one per matrix of EuclideanSpace.structures.
 """
 
 from __future__ import annotations
@@ -162,18 +165,6 @@ def _project_flat(n: int) -> tuple[np.ndarray, np.ndarray]:
     second = np.stack([kl * d + ij, jl * d + ik, jk * d + il])
     _freeze(first, second)
     return first, second
-
-
-@functools.cache
-def _kn_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Flat indices (xz, yw, xw, yz) into an n x n form, each D x D, at the
-    increasing pairs (x, y) (rows) and (z, w) (columns)."""
-    rows, cols = _pair_table(n)
-    x, y = rows[:, None] * n, cols[:, None] * n
-    z, w = rows[None, :], cols[None, :]
-    out = (x + z, y + w, x + w, y + z)
-    _freeze(*out)
-    return out
 
 
 @functools.cache
@@ -433,12 +424,17 @@ def _kn_matrix(s: np.ndarray, t: np.ndarray) -> np.ndarray:
     per trial where either is a (T, n, n) stack; curvature symmetries need
     both symmetric or both antisymmetric, and Bianchi only holds in the
     symmetric case."""
-    xz, yw, xw, yz = _kn_tables(s.shape[-1])
+    # the columns of s and t at each pair's z and w, read at the rows x and y:
+    # no D x D index table.  take keeps every factor C-ordered (s[..., rows]
+    # would not be), so reductions over the product run in the one-tensor
+    # order; columns first, so the second take copies whole rows
+    rows, cols = _pair_table(s.shape[-1])
+    sz, sw, tz, tw = (a.take(at, axis=-1) for a in (s, t) for at in (rows, cols))
     return (
-        _gather(s, xz, 2) * _gather(t, yw, 2)
-        - _gather(s, xw, 2) * _gather(t, yz, 2)
-        + _gather(s, yw, 2) * _gather(t, xz, 2)
-        - _gather(s, yz, 2) * _gather(t, xw, 2)
+        sz.take(rows, axis=-2) * tw.take(cols, axis=-2)
+        - sw.take(rows, axis=-2) * tz.take(cols, axis=-2)
+        + sw.take(cols, axis=-2) * tz.take(rows, axis=-2)
+        - sz.take(cols, axis=-2) * tw.take(rows, axis=-2)
     )
 
 
@@ -646,14 +642,15 @@ def load_tensor(path: str) -> CurvatureTensor:
     """The tensor of a tensor file, {"n", "structure", "components"} in JSON
     with the n^4 components in C order, on the standard space of its tag.
     The caps and the record are checked before any space or array is built,
-    the symmetries once the parsed record (n^4 Python floats) is dropped."""
+    the symmetries once the parsed record (n^4 Python floats) is dropped.  A
+    file that is not UTF-8 JSON, or is nested too deep, is a GeometryError."""
     size = os.path.getsize(path)
     if size > MAX_FILE_BYTES:
         raise GeometryError(f"{path} has {size} bytes, above the cap of {MAX_FILE_BYTES}")
     with open(path) as fh:
         try:
             record = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON or bad UTF-8; nesting too deep
             raise GeometryError(f"invalid tensor file {path}: {exc}") from exc
     space, t = _record_array(record)
     del record  # about 12 MB of Python floats at n = 24

@@ -286,7 +286,7 @@ def test_criterion_8_decomposition_suite():
         rng = np.random.default_rng((41 << 20) ^ trial)
         rm = decomp.random_algebra_curvature(qalg, rng=rng)
         rm = rm * (1.0 / np.sqrt(rm.norm_sq()))
-        dec = decomp.qk_decompose(rm, qalg)
+        dec = decomp.qk_decompose(rm)
         err = check(dec, "hyperkaehler_part")
         if err:
             problems.append(("qk", trial, err))
@@ -306,7 +306,7 @@ def test_measured_wolf_hat_law():
         measured = hat_norm_direct(rm, alg)
         assert measured == pytest.approx(36.0 * m * (m - 1) * (m + 2), rel=1e-10)
         # trace-free part follows 9m(m-1), so the measured ratio is 4(m+2)
-        r0_sq = decomp.qk_decompose(rm, alg).parts["hyperkaehler_part"].norm_sq() / 4.0
+        r0_sq = decomp.qk_decompose(rm).parts["hyperkaehler_part"].norm_sq() / 4.0
         assert r0_sq == pytest.approx(9.0 * m * (m - 1), rel=1e-10)
         assert measured / r0_sq == pytest.approx(4.0 * (m + 2), rel=1e-10)
 

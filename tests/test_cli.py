@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import hashlib
 import io
@@ -16,6 +17,12 @@ from curvlab import cli, criteria, decomp, euclid, holonomy, tensor
 from curvlab.cli import main, parse_range
 from curvlab.euclid import GeometryError
 
+# the OpenBLAS cores the verdicts are checked on, the byte pins' core first,
+# each with the name the bundled library reports once OPENBLAS_CORETYPE
+# selects it (an unknown name falls back to the detected core unreported; a
+# build without its older cores runs Katmai's kernels for Prescott)
+BLAS_CORES = {"SkylakeX": "SkylakeX", "Haswell": "Haswell", "Sandybridge": "Sandybridge", "Nehalem": "Nehalem",
+              "Prescott": "Katmai"}
 # sha256 of the `verify --seed 42` report: any change to a verify byte shows
 # here, and moves these on purpose or not at all
 VERIFY_SHA256 = {
@@ -49,7 +56,7 @@ def _clear_shared_caches():
     """Empty every cache of a per-structure, per-algebra or per-dimension
     constant that a trial builds on first use."""
     for fn in (
-        decomp._kaehler_conjugation, decomp.structure_model, decomp._bianchi_kernel_basis,
+        decomp.structure_model, decomp._bianchi_kernel_basis,
         tensor._form_rows, holonomy._algebra, criteria._shift_gain,
         tensor._kn_metric, tensor._project_flat,
     ):
@@ -592,6 +599,44 @@ class TestDeterminism:
                               env=env, capture_output=True, text=True, timeout=60)
         assert (proc.returncode, proc.stdout) == (0, "Haswell\n"), proc.stderr[-500:]
 
+    def test_verdicts_hold_on_every_blas_core(self):
+        # verify --seed 42 under each OpenBLAS core, two processes at a time:
+        # the same records, verdicts and non-float fields as under the pin's
+        # core, every number within RTOL (1 + |that core's value|)
+        path = os.pathsep.join([str(pathlib.Path(curvlab.__file__).parents[1]), str(pathlib.Path(__file__).parent)])
+        code = ("import sys, conftest\nfrom curvlab import cli\nsys.stderr.write(conftest.openblas_core() + '\\n')\n"
+                "sys.exit(cli.main(['verify', '--seed', '42']))")
+
+        def verify_under(core):
+            env = {**os.environ, "OPENBLAS_CORETYPE": core, "PYTHONPATH": path}
+            return subprocess.run([sys.executable, "-B", "-c", code], env=env, capture_output=True, text=True, timeout=120)
+
+        with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+            procs = dict(zip(BLAS_CORES, pool.map(verify_under, BLAS_CORES)))
+        runs = {}
+        for core, proc in procs.items():
+            ran = proc.returncode in (0, 1) and proc.stderr.split("\n", 1)[0] == BLAS_CORES[core]
+            assert ran, f"verify did not run under OpenBLAS core {core}: exit {proc.returncode}, {proc.stderr[-300:]!r}"
+            runs[core] = (proc.returncode, json.loads(proc.stdout)["records"])
+        cores = list(BLAS_CORES)
+        base_code, base = runs[cores[0]]
+
+        def drift(ref, got, at):
+            if isinstance(ref, (int, float)) and not isinstance(ref, bool):
+                same_kind = isinstance(got, (int, float)) and not isinstance(got, bool)
+                return [] if same_kind and abs(got - ref) <= cli.RTOL * (1.0 + abs(ref)) else [f"{at}: {got!r} vs {ref!r}"]
+            if isinstance(ref, dict) and isinstance(got, dict) and list(ref) == list(got):
+                return [d for k in ref for d in drift(ref[k], got[k], f"{at}.{k}")]
+            if isinstance(ref, list) and isinstance(got, list) and len(ref) == len(got):
+                return [d for i, (r, g) in enumerate(zip(ref, got)) for d in drift(r, g, f"{at}[{i}]")]
+            return [] if type(ref) is type(got) and ref == got else [f"{at}: {got!r} vs {ref!r}"]
+
+        for core, (exit_code, records) in runs.items():
+            assert exit_code == base_code, core
+            assert [(r["name"], r["passed"]) for r in records] == [(r["name"], r["passed"]) for r in base], core
+            problems = [d for r, b in zip(records, base) for d in drift(b, r, r["name"])]
+            assert not problems, f"{core} against {cores[0]}: " + "; ".join(problems[:5])
+
 
 def test_verify_records_mirror_the_benchmark_verdicts(verify_csv):
     # the benchmark's verify pass checks each record's verdict against its
@@ -699,6 +744,16 @@ class TestDecompose:
         code, _, err = run(capsys, "decompose", str(path))
         assert code == 2
         assert "invalid tensor file" in err
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000], ids=["not_utf8", "nested_too_deep"])
+    def test_unparsable_file_is_an_input_error(self, capsys, tmp_path, content):
+        # a decode error and a parse that runs out of recursion are bad
+        # input, reported with the path and exit 2, not a traceback
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, _, err = run(capsys, "decompose", str(path))
+        assert code == 2
+        assert f"invalid tensor file {path}" in err and "Traceback" not in err
 
     def test_symmetry_violation_reports_residual(self, capsys, tmp_path):
         comp = np.zeros((4, 4, 4, 4))
@@ -818,7 +873,7 @@ class TestDecompose:
         # the decompose report and in hat_ratio_qk
         model = decomp.hp(2)
         alg = holonomy.by_name(model.space, "sp")
-        rest = decomp.qk_decompose(decomp.random_algebra_curvature(alg, np.random.default_rng(0)), alg)
+        rest = decomp.qk_decompose(decomp.random_algebra_curvature(alg, np.random.default_rng(0)))
         rest = rest.parts["hyperkaehler_part"]
         rm = model * (1.0 / np.sqrt(model.norm_sq())) + rest * np.sqrt(2e-10 / rest.norm_sq())
         path = tmp_path / "edge.json"

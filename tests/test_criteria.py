@@ -326,7 +326,7 @@ class TestQkLawsPastCliRange:
 
     def test_wolf_hyperkaehler_norm(self, m):
         alg = holonomy.by_name(quaternion_kaehler(m), "sp")
-        part = decomp.qk_decompose(decomp.wolf(m), alg).parts["hyperkaehler_part"]
+        part = decomp.qk_decompose(decomp.wolf(m)).parts["hyperkaehler_part"]
         assert to_operator(part).norm_sq() == pytest.approx(9.0 * m * (m - 1), rel=1e-10)
 
 

@@ -85,8 +85,8 @@ class TestModels:
         before = {id(m): m.matrix.copy() for m in (hp(2), wolf(2))}
         rm = random_algebra_curvature(qk2, np.random.default_rng(3))
         shifted, _ = criteria.two_nonnegative_shift(rm, qk2)
-        dec = qk_decompose(rm, qk2)
-        wolf_dec = qk_decompose(wolf(2), qk2)
+        dec = qk_decompose(rm)
+        wolf_dec = qk_decompose(wolf(2))
         wolf_shifted, _ = criteria.two_nonnegative_shift(wolf(2), qk2)
         arrays = [shifted.components, wolf_shifted.components] + [
             p.components for p in (*dec.parts.values(), *wolf_dec.parts.values())
@@ -172,6 +172,77 @@ class TestModels:
         assert np.allclose(decomp.structure_model(space).matrix, transported_hp, rtol=0, atol=1e-12)
 
 
+def _unit(rm):
+    return rm * (1.0 / np.sqrt(rm.norm_sq()))
+
+
+class TestRotatedFrames:
+    """The sampled suites' kernels on a structure moved by a random rotation,
+    where no coordinate block of the standard frame survives: every closed
+    form and every bound of bochner-norm, qk-ratio and decomp holds there,
+    and grassmann's and weyl-norm's hold on rotation-conjugated tensors."""
+
+    TRIALS = 20
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_bochner_kernels(self, m):
+        space = rotated_kaehler(m)
+        alg = holonomy.by_name(space, "u")
+        rm = random_algebra_curvature(alg, np.random.default_rng(m), count=self.TRIALS)
+        b = bochner_decompose(rm).parts["bochner"]
+        ratio = 4.0 * criteria.hat_norm_direct(b, alg) / b.norm_sq()
+        assert np.abs(ratio / (4.0 * (m + 1)) - 1.0).max() <= cli.RTOL
+        assert np.max(total_traces(_unit(b))) <= 1e-10
+        gap = np.abs(b.matrix - bochner_explicit(rm).matrix).max(axis=(1, 2))
+        assert (gap <= 1e-9 * (1.0 + np.abs(rm.matrix).max(axis=(1, 2)))).all()
+        dec = bochner_decompose(_unit(rm))
+        assert np.max(dec.residual()) <= 1e-9 and np.max(dec.max_cross_inner()) <= 1e-9
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_qk_kernels(self, m):
+        space = rotated_quaternionic(m)
+        alg = holonomy.by_name(space, "sp")
+        rm = random_algebra_curvature(alg, np.random.default_rng(m), count=self.TRIALS)
+        ratio = criteria.hat_ratio_qk(rm, alg).ratio
+        assert np.abs(ratio / (4.0 * (m + 2)) - 1.0).max() <= cli.RTOL
+        dec = qk_decompose(_unit(rm))
+        assert np.max(dec.residual()) <= 1e-9 and np.max(dec.max_cross_inner()) <= 1e-9
+        assert np.abs(scalar(dec.parts["hyperkaehler_part"])).max() <= 1e-9
+
+    @pytest.mark.parametrize("space", [rotated_kaehler(m) for m in (2, 3, 4)]
+                             + [rotated_quaternionic(m) for m in (2, 3)], ids=lambda s: f"{s.kind}{s.n}")
+    def test_support_check_rejects_a_generic_tensor(self, space):
+        rm = tensor.random_curvature(space, np.random.default_rng(0))
+        with pytest.raises(GeometryError, match="leaks off the holonomy algebra"):
+            decomp._check_supported(rm)
+
+    @pytest.mark.parametrize("p,q", [(2, 2), (2, 3), (3, 4), (4, 4)])
+    def test_grassmann_closed_forms(self, p, q):
+        # the model moved by a rotation g, C M C^T with C the conjugation by g
+        conj = tensor._conjugation_on_bivectors(generic(p * q), rotation(p * q, 1))
+        moved = tensor.CurvatureTensor(generic(p * q), conj @ grassmannian(p, q).matrix @ conj.T)
+        d = moved.space.bivector_dim
+        mults = to_operator(moved).spectrum().multiplicities(cli.GAP)
+        want = cli._merge_mults([(0.0, d - q * (q - 1) // 2 - p * (p - 1) // 2), (float(p), q * (q - 1) // 2),
+                                 (float(q), p * (p - 1) // 2)])
+        assert [c for _, c in mults] == [c for _, c in want]
+        assert [v for v, _ in mults] == pytest.approx([v for v, _ in want], rel=1e-9, abs=1e-9)
+        assert scalar(moved) == pytest.approx(p * q * (p + q - 2), rel=cli.RTOL)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_weyl_norm_closed_forms(self, n):
+        space, alg = generic(n), holonomy.by_name(generic(n), "so")
+        conj = tensor._conjugation_on_bivectors(space, rotation(n, 2))
+        rm = tensor.random_curvature(space, np.random.default_rng(n), count=self.TRIALS)
+        moved = tensor.CurvatureTensor(space, conj @ rm.matrix @ conj.T)
+        w = weyl_decompose(moved).parts["weyl"]
+        ratio = 4.0 * criteria.hat_norm_direct(w, alg) / w.norm_sq()
+        assert np.abs(ratio / (4.0 * (n - 1)) - 1.0).max() <= cli.RTOL
+        assert np.max(total_traces(_unit(w))) <= 1e-10
+        # the Weyl part moves with the tensor
+        assert np.abs(w.matrix - conj @ weyl_decompose(rm).parts["weyl"].matrix @ conj.T).max() <= 1e-12 * n
+
+
 class TestWeyl:
     def test_reconstruction_and_orthogonality(self, rng):
         rm = tensor.random_curvature(generic(6), rng=rng)
@@ -221,10 +292,10 @@ class TestBochner:
             bochner_decompose(rm)
 
     def test_rejects_nan(self, u3):
-        # a tensor built unchecked: the invariance defect is NaN, which fails
+        # a tensor built unchecked: the complement mass is NaN, which fails
         nan = tensor.CurvatureTensor(u3.space, np.full((15, 15), np.nan), validate=False)
         for route in (bochner_decompose, bochner_explicit):
-            with pytest.raises(GeometryError, match="not invariant"):
+            with pytest.raises(GeometryError, match="leaks off the holonomy algebra"):
                 route(nan)
 
     def test_const_hol_has_no_bochner(self):
@@ -243,12 +314,12 @@ class TestBochner:
 
 class TestQK:
     def test_hp_is_pure_model(self, hp2, qk2):
-        dec = qk_decompose(hp2, qk2)
+        dec = qk_decompose(hp2)
         assert dec.parts["hyperkaehler_part"].norm_sq() < 1e-20
         assert dec.coefficients["scalar"] == pytest.approx(1.0)
 
     def test_wolf_coefficient(self, wolf2, qk2):
-        dec = qk_decompose(wolf2, qk2)
+        dec = qk_decompose(wolf2)
         m = 2
         assert dec.coefficients["scalar"] == pytest.approx(
             scalar(wolf2) / (16.0 * m * (m + 2))
@@ -256,7 +327,7 @@ class TestQK:
 
     def test_trace_free_part(self, qk2, rng):
         rm = random_algebra_curvature(qk2, rng=rng)
-        dec = qk_decompose(rm, qk2)
+        dec = qk_decompose(rm)
         r0 = dec.parts["hyperkaehler_part"]
         assert abs(scalar(r0)) < 1e-10
         assert dec.residual() < 1e-12 * (1 + np.abs(rm.components).max())
@@ -264,13 +335,13 @@ class TestQK:
     def test_rejects_leaky_tensor(self, qk2, rng):
         rm = tensor.random_curvature(qk2.space, rng=rng)
         with pytest.raises(GeometryError, match="leak"):
-            qk_decompose(rm, qk2)
+            qk_decompose(rm)
 
     def test_rejects_nan(self, qk2, hp2):
         # a tensor built unchecked: its complement mass is NaN, which leaks
         nan = tensor.CurvatureTensor(qk2.space, hp2.matrix * np.nan, validate=False)
         with pytest.raises(GeometryError, match="leaks off the holonomy algebra"):
-            qk_decompose(nan, qk2)
+            qk_decompose(nan)
 
 
 class TestPartChecks:
@@ -302,7 +373,7 @@ class TestPartChecks:
     def test_qk_parts_are_the_model_multiple_and_the_rest(self, monkeypatch, qk2, count):
         rm = random_algebra_curvature(qk2, np.random.default_rng(3), count=count)
         self._off_bianchi_kn(monkeypatch, qk2.space.n)
-        dec = qk_decompose(rm, qk2)
+        dec = qk_decompose(rm)
         multiple = dec.coefficients["scalar"] * decomp.structure_model(qk2.space)
         assert np.array_equal(dec.parts["hp_multiple"].matrix, multiple.matrix)
         assert np.array_equal(dec.parts["hyperkaehler_part"].matrix, rm.matrix - multiple.matrix)
@@ -316,7 +387,7 @@ class TestPartChecks:
         cases = (
             (lambda rng: tensor.random_curvature(generic(5), rng, 3), weyl_decompose, 1),
             (lambda rng: random_algebra_curvature(u3, rng, count=3), bochner_decompose, 1),
-            (lambda rng: random_algebra_curvature(qk2, rng, count=3), lambda rm: qk_decompose(rm, qk2), 0),
+            (lambda rng: random_algebra_curvature(qk2, rng, count=3), lambda rm: qk_decompose(rm), 0),
         )
         for draw, route, checks in cases:
             rm = draw(np.random.default_rng(4))
@@ -915,11 +986,22 @@ class TestStructureCaches:
         assert np.array_equal(part, c1 * _kaehler_unit(space))
 
     @pytest.mark.parametrize("name", _KAEHLER_SPACES)
-    def test_kaehler_conjugation(self, name):
+    def test_support_is_kaehler_invariance(self, name, rng):
+        # the projector onto u(m) is c^T c = (I + C) / 2, C the conjugation by
+        # J on bivectors, so the support check is J-invariance: with
+        # Q = (I - C) / 2, |M - C M| = 2 |Q M|, and on symmetric M the mass
+        # sqrt(|Q M|^2 + |P M Q|^2) lies in [1, sqrt(2)] times |Q M|
         space = _CACHE_SPACES[name]()
-        conj = decomp._kaehler_conjugation(space)
-        assert np.array_equal(conj, tensor._conjugation_on_bivectors(space, space.J.T))
-        assert conj is decomp._kaehler_conjugation(space) and not conj.flags.writeable
+        alg = holonomy.by_name(space, space.kind)
+        conj = tensor._conjugation_on_bivectors(space, space.J)
+        c, d = alg.coeff_matrix, space.bivector_dim
+        assert np.abs(c.T @ c - (np.eye(d) + conj) / 2.0).max() <= 1e-15
+        for _ in range(20):
+            m = rng.standard_normal((d, d))
+            m += m.T
+            mass = holonomy.complement_mass(tensor.CurvatureOperator._wrap(space, m, None), alg)
+            defect = float(np.linalg.norm(m - conj @ m))
+            assert 0.5 * defect <= mass <= defect / np.sqrt(2.0)
 
     @pytest.mark.parametrize("name", list(_CACHE_SPACES))
     def test_form_rows(self, name):
@@ -951,14 +1033,11 @@ class TestStructureCaches:
         assert mass <= 1e-13 * float(np.linalg.norm(supported))
 
     def test_kaehler_structures_of_one_size_key_apart(self):
-        caches = [decomp._kaehler_conjugation, decomp.structure_model, tensor._form_rows]
+        caches = [decomp.structure_model, tensor._form_rows]
         for fn in caches:
             fn.cache_clear()
         spaces = [kaehler(3), _swapped_kaehler(3), rotated_kaehler(3)]
-        got = [
-            (decomp._kaehler_conjugation(s), decomp.structure_model(s).matrix, tensor._form_rows(s)[0])
-            for s in spaces
-        ]
+        got = [(decomp.structure_model(s).matrix, tensor._form_rows(s)[0]) for s in spaces]
         for fn in caches:
             assert fn.cache_info().currsize == len(spaces)
         for a, b in itertools.combinations(got, 2):
@@ -975,7 +1054,6 @@ class TestStructureCaches:
 
         def built():
             return (
-                decomp._kaehler_conjugation(space),
                 decomp.structure_model(space).matrix,
                 tensor._form_rows(space)[0],
                 decomp._bianchi_kernel_basis(alg)[0][1],

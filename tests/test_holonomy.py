@@ -655,12 +655,25 @@ class TestActionBlocks:
 
 
 def test_algebra_builds_fill_no_index_tables():
-    # the conjugations that solve the commutant read the structures by pair
-    # rows; only tensor._kn_matrix builds the D x D tables of tensor._kn_tables
-    tensor._kn_tables.cache_clear()
-    for alg in (u_algebra(kaehler(5)), sp_sp1_algebra(quaternion_kaehler(3))):
+    # the conjugations that solve the commutant and the Kulkarni-Nomizu
+    # products of the models read the structures by pair rows: what an
+    # algebra build, its kernel and its model leave in tensor's per-dimension
+    # caches holds no D x D index table
+    per_dim = [fn for fn in vars(tensor).values()
+               if hasattr(fn, "cache_clear") and fn.__wrapped__.__code__.co_varnames[:1] == ("n",)]
+    for fn in per_dim:
+        fn.cache_clear()
+    spaces = (kaehler(5), quaternion_kaehler(3))
+    for alg in (u_algebra(spaces[0]), sp_sp1_algebra(spaces[1])):
         decomp._bianchi_kernel_basis.__wrapped__(alg)
-    assert tensor._kn_tables.cache_info().currsize == 0
+        decomp.structure_model.__wrapped__(alg.space)
+    assert not hasattr(tensor, "_kn_tables")
+    for fn in per_dim:
+        for space in spaces if fn.cache_info().currsize else ():
+            out = fn(space.n)
+            for arr in out if isinstance(out, tuple) else (out,):
+                d = space.bivector_dim
+                assert not (arr.dtype.kind in "iu" and arr.shape[-2:] == (d, d)), fn.__name__
 
 
 @pytest.mark.parametrize("m,bound_mb", [(5, 10), (7, 32)])

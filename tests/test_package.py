@@ -240,7 +240,7 @@ UNCHECKED_BUILDS = {
     "tensor.CurvatureTensor.__sub__": "a difference of two checked tensors",
     "tensor.CurvatureTensor.__mul__": "a multiple of a checked tensor, per trial on a stack",
     "decomp.CurvatureDecomposition.total": "the sum of the parts, each checked or a combination of checked tensors",
-    "decomp.qk_decompose": "the leak check wraps each trial of its checked input, to read the complement mass",
+    "decomp._check_supported": "the support check wraps each trial of its checked input, to read the complement mass",
 }
 
 
@@ -332,10 +332,12 @@ def test_only_the_cli_seeds_a_generator():
 # The holonomy kinds have one table, euclid._KINDS: the structures each
 # holds and the size of its block.  Every other module reads a space's
 # structures as EuclideanSpace.structures, so no function outside euclid
-# reads a space's I or K, and no module keeps its own table from the kinds
-# to the structures they hold.
+# reads a space's I or K, only the Bochner routes, whose closed formulas
+# are written in J, read its J, and no module keeps its own table from the
+# kinds to the structures they hold.
 KIND_HOME = "euclid"
 KINDS = {"generic", "kaehler", "qk"}
+J_READERS = {"decomp.bochner_decompose", "decomp.bochner_explicit"}
 
 
 def _names_a_structure(node) -> bool:
@@ -349,17 +351,20 @@ def _names_a_structure(node) -> bool:
 
 
 def test_the_kind_table_has_one_home():
-    reads, tables = set(), set()
+    reads, j_reads, tables = set(), set(), set()
     for name, node in _src_nodes():
         if name.split(".")[0] == KIND_HOME:
             continue
         if getattr(node, "attr", None) in ("I", "K"):
             reads.add(name)
+        if getattr(node, "attr", None) == "J":
+            j_reads.add(name)
         if isinstance(node, ast.Dict):
             keys = {key.value for key in node.keys if isinstance(key, ast.Constant)}
             if len(keys & KINDS) >= 2 and any(map(_names_a_structure, node.values)):
                 tables.add(name)
     assert not reads, f"reads of a space's I or K outside {KIND_HOME}: {sorted(reads)}"
+    assert j_reads == J_READERS, f"reads of a space's J outside {KIND_HOME} and the Bochner routes: {sorted(j_reads)}"
     assert not tables, f"tables of the kinds' structures outside {KIND_HOME}: {sorted(tables)}"
 
 

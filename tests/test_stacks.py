@@ -110,7 +110,7 @@ def test_stacked_kernels_are_the_one_trial_calls(case, request):
         same_parts(decomp.bochner_decompose(stack), [decomp.bochner_decompose(s) for s in singles])
         assert same(decomp.bochner_explicit(stack).matrix, [decomp.bochner_explicit(s).matrix for s in singles])
     if kind == "qk":
-        same_parts(decomp.qk_decompose(stack, alg), [decomp.qk_decompose(s, alg) for s in singles])
+        same_parts(decomp.qk_decompose(stack), [decomp.qk_decompose(s) for s in singles])
         ratio = criteria.hat_ratio_qk(stack, alg)
         ones = [criteria.hat_ratio_qk(s, alg) for s in singles]
         assert same(ratio.hat_norm_sq, [r.hat_norm_sq for r in ones])
@@ -298,7 +298,7 @@ def test_trial_off_the_complex_structure_is_caught(u3):
     mats[2] = tensor.random_curvature(u3.space, rng=np.random.default_rng(5)).matrix
     stack = tensor.CurvatureTensor(u3.space, mats)
     one = tensor.CurvatureTensor(u3.space, mats[2])
-    for fn in (decomp.bochner_decompose, decomp.bochner_explicit, decomp._check_kaehler_invariance):
+    for fn in (decomp.bochner_decompose, decomp.bochner_explicit, decomp._check_supported):
         assert _raised(fn, stack) == _raised(fn, one)
         fn(tensor.CurvatureTensor(u3.space, mats[:2]))
 
@@ -308,9 +308,9 @@ def test_trial_off_the_algebra_is_caught(qk2):
     mats[1] = tensor.random_curvature(qk2.space, rng=np.random.default_rng(5)).matrix
     stack = tensor.CurvatureTensor(qk2.space, mats)
     one = tensor.CurvatureTensor(qk2.space, mats[1])
-    expected = _raised(decomp.qk_decompose, one, qk2)
+    expected = _raised(decomp.qk_decompose, one)
     assert expected[1].startswith("operator leaks off the holonomy algebra")
-    assert _raised(decomp.qk_decompose, stack, qk2) == expected
+    assert _raised(decomp.qk_decompose, stack) == expected
     assert _raised(criteria.hat_ratio_qk, stack, qk2) == expected
 
 
@@ -340,19 +340,13 @@ def _rule_case(name, monkeypatch):
         return check, np.eye(6), (0, 1), _SYMMETRY_RTOL
     if name == "operator":
         return tensor.check_operator_symmetries, np.eye(6), (0, 1), _SYMMETRY_RTOL
-    if name == "kaehler_invariance":
-        # (I + C) / 2 is fixed by C, a signed permutation of the pairs that
-        # moves pair 1 to pair 4, so a delta at (1, 0) is a defect of delta
-        space = kaehler(2)
-        base = (np.eye(6) + decomp._kaehler_conjugation(space)) / 2.0
-        return (lambda stack: decomp._check_kaehler_invariance(tensor.CurvatureTensor(space, stack, validate=False)),
-                base, (1, 0), 1e-9)
-    # the leak check, with a stand-in mass that reads the planted entry: no
+    # the support check on a Kaehler space (J-invariance) and on a
+    # quaternionic one, with a stand-in mass that reads the planted entry: no
     # operator has a complement mass of exactly a given float
-    qk2 = holonomy.sp_sp1_algebra(quaternion_kaehler(2))
+    space = kaehler(2) if name == "kaehler_invariance" else quaternion_kaehler(2)
     monkeypatch.setattr(decomp, "complement_mass", lambda op, algebra: np.abs(op.matrix[:, 0, 1]))
-    return (lambda stack: decomp.qk_decompose(tensor.CurvatureTensor(qk2.space, stack, validate=False), qk2),
-            np.eye(28), (0, 1), 1e-8)
+    return (lambda stack: decomp._check_supported(tensor.CurvatureTensor(space, stack, validate=False)),
+            np.eye(space.bivector_dim), (0, 1), 1e-9)
 
 
 @pytest.mark.parametrize("name", ["symmetrized", "restricted_operator", "curvature_array", "operator",

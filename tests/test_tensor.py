@@ -555,6 +555,15 @@ def test_file_check_matches_rank_four(n, kind):
             assert got.startswith("not antisymmetric in each pair, residual")
 
 
+def _flat_tables(n):
+    """Flat indices (xz, yw, xw, yz) into an n x n form, each D x D, at the
+    increasing pairs (x, y) (rows) and (z, w) (columns): the table form of
+    the pair-row products."""
+    rows, cols = np.triu_indices(n, 1)
+    x, y, z, w = rows[:, None] * n, cols[:, None] * n, rows[None, :], cols[None, :]
+    return x + z, y + w, x + w, y + z
+
+
 class TestPairIndexFormulas:
     """Pair-index formulas on operators against their einsum references on
     rank-four arrays, 1e-12 relative."""
@@ -601,19 +610,35 @@ class TestPairIndexFormulas:
     @pytest.mark.parametrize("space", ["kaehler", "swapped", "quaternionic", "rotated"])
     def test_conjugation_matches_the_table_form(self, space, u3_swapped_space, rng):
         # the same two products of the same entries, in the same order, as the
-        # form read through the D x D tables of tensor._kn_tables: equal bits
+        # form read through D x D tables of flat indices: equal bits
         space = {
             "kaehler": euclid.kaehler(3),
             "swapped": u3_swapped_space,
             "quaternionic": euclid.quaternion_kaehler(2),
             "rotated": rotated_quaternionic(2),
         }[space]
-        xz, yw, xw, yz = tensor._kn_tables(space.n)
+        xz, yw, xw, yz = _flat_tables(space.n)
         structs = list(space.structures)
         for s in structs + [s.T for s in structs] + [rng.standard_normal((space.n, space.n))]:
             flat = s.ravel()
             ref = flat[yw] * flat[xz] - flat[yz] * flat[xw]
             assert np.array_equal(tensor._conjugation_on_bivectors(space, s), ref)
+
+    @pytest.mark.parametrize("shapes", [((6, 6), (6, 6)), ((3, 6, 6), (3, 6, 6)), ((6, 6), (3, 6, 6))])
+    def test_kn_matrix_matches_the_table_form(self, shapes, rng):
+        # the pair-row product reads the entries the D x D tables read, in
+        # the same order, and is C-ordered like the tables' gather: equal
+        # bits, and reductions over it run in the one-tensor order
+        s, t = (rng.standard_normal(shape) for shape in shapes)
+        xz, yw, xw, yz = _flat_tables(6)
+
+        def at(a, index):
+            return tensor._gather(a, index, 2)
+
+        ref = at(s, xz) * at(t, yw) - at(s, xw) * at(t, yz) + at(s, yw) * at(t, xz) - at(s, yz) * at(t, xw)
+        got = tensor._kn_matrix(s, t)
+        assert np.array_equal(got, ref)
+        assert got.flags.c_contiguous
 
     def test_bianchi_projection(self, formula_algebra, rng):
         space = formula_algebra.space
