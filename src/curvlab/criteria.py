@@ -1,12 +1,15 @@
 """Weighted spectral positivity criteria and curvature terms.
 
 Everything here measures curvature tensors through their bivector
-operators: hat components are the operator hats of tensor.t_hat, and their
-squared norms are Frobenius norms, one quarter of the component-array norms
-used in the tensor module.  That choice makes the outputs commensurable with
-operator Frobenius norms and with the closed-form model constants.  Tensors
-come in as CurvatureTensor objects, never as raw rank-four arrays, and
-k-nonnegativity is weighted_criterion with weight 0.
+operators: hat components are the operator hats that tensor._hat_chunks
+fills (tensor.t_hat copies them into one whole stack only for the bilinear
+route of curvature_term), and their squared norms are Frobenius norms, one
+quarter of the component-array norms used in the tensor module.  That
+choice makes the outputs commensurable with operator Frobenius norms and
+with the closed-form model constants.  Tensors come in as CurvatureTensor
+objects, never as raw rank-four arrays; an algebra on another R^n than the
+tensor's raises GeometryError (tensor._full_operator).  k-nonnegativity is
+weighted_criterion with weight 0.
 
 Hats are reduced here and nowhere else: _hat_norms_sq gives the diagonal
 of the hat Gram.  hat_norm_direct and invariance_defect read it chunk by
@@ -257,7 +260,7 @@ class WeightedCriterion:
             raise GeometryError("criterion weight must be nonnegative")
 
 
-@dataclass
+@dataclass(eq=False)
 class CriterionResult:
     criterion: WeightedCriterion
     value: float | np.ndarray
@@ -320,7 +323,7 @@ def preset_for(algebra: HolonomyAlgebra) -> WeightedCriterion:
 # quaternion-Kaehler hat ratio
 
 
-@dataclass
+@dataclass(eq=False)
 class HatRatio:
     """Squared hat norm against the squared norm of the trace-free part,
     with ratio NaN where decomp.pure_multiple holds.  On a stack of trials

@@ -80,6 +80,7 @@ from .tensor import (
     _per_trial,
     _quad_pairs,
     _value,
+    _wrap,
     ricci,
     scalar,
     to_operator,
@@ -189,7 +190,7 @@ def wolf(m: int) -> CurvatureTensor:
 # decompositions
 
 
-@dataclass
+@dataclass(eq=False)
 class CurvatureDecomposition:
     """Orthogonal splitting of a curvature tensor into invariant parts."""
 
@@ -200,7 +201,7 @@ class CurvatureDecomposition:
 
     def total(self) -> CurvatureTensor:
         arrays = [p.matrix for p in self.parts.values()]
-        return CurvatureTensor(self.source.space, sum(arrays), validate=False)
+        return _wrap(CurvatureTensor, space=self.source.space, matrix=sum(arrays))
 
     def residual(self):
         """Component-norm distance between the input and the sum of parts,
@@ -253,7 +254,7 @@ def _check_supported(rm: CurvatureTensor):
     space = rm.space
     algebra = by_name(space, space.kind)
     leak = _first_over(rm.matrix, lambda m: (
-        complement_mass(to_operator(CurvatureTensor(space, m, validate=False)), algebra),), 1e-9)
+        complement_mass(to_operator(_wrap(CurvatureTensor, space=space, matrix=m)), algebra),), 1e-9)
     if leak:
         raise GeometryError(f"operator leaks off the holonomy algebra (mass {leak[2]:.2e})")
 

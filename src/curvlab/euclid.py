@@ -311,7 +311,7 @@ def _one_blas_thread():
 # symmetric spectra
 
 
-@dataclass
+@dataclass(eq=False)
 class SpectralData:
     """Eigendecomposition of a symmetric operator, eigenvalues ascending."""
 

@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .euclid import EuclideanSpace, GeometryError, _one_blas_thread, _shared, _sign_fix
-from .tensor import CurvatureOperator, _conjugation_on_bivectors, _freeze, _norm, _value
+from .tensor import CurvatureOperator, _conjugation_on_bivectors, _freeze, _full_operator, _norm, _value, _wrap
 
 # Chunk budget: hats and brackets are built over contiguous generator ranges
 # whose arrays stay within this many bytes (HolonomyAlgebra.chunk_size), so
@@ -442,16 +442,17 @@ def _algebra(space: EuclideanSpace, kind: str) -> HolonomyAlgebra:
 
 
 def project(op: CurvatureOperator, algebra: HolonomyAlgebra) -> CurvatureOperator:
-    """Restrict a full bivector operator to the subalgebra; a tensor comes
-    in as `tensor.to_operator(rm)`, and anything else raises GeometryError.
-
-    c M c^T is a fresh array, symmetric to rounding, and the spectrum solves
-    its symmetric part: it is frozen in place, with no copy and no symmetry
-    scan (`CurvatureOperator._wrap`)."""
-    if not isinstance(op, CurvatureOperator) or op.algebra is not None:
-        raise GeometryError("projection needs a full bivector-space operator")
+    """Restrict a full bivector operator to the subalgebra: the one source of
+    restricted operators.  A tensor comes in as `tensor.to_operator(rm)`;
+    anything else, or an algebra on another R^n, raises GeometryError
+    (`tensor._full_operator`).  c M c^T is a fresh array, symmetric to
+    rounding, and the spectrum solves its symmetric part: it is frozen in
+    place and wrapped (`tensor._wrap`), with no copy and no symmetry scan."""
+    _full_operator(op, algebra, "projection needs")
     c = algebra.coeff_matrix
-    return CurvatureOperator._wrap(op.space, c @ op.matrix @ c.T, algebra)
+    matrix = c @ op.matrix @ c.T
+    _freeze(matrix)
+    return _wrap(CurvatureOperator, space=op.space, matrix=matrix, algebra=algebra)
 
 
 def complement_mass(op: CurvatureOperator, algebra: HolonomyAlgebra):
@@ -459,10 +460,9 @@ def complement_mass(op: CurvatureOperator, algebra: HolonomyAlgebra):
     on the subalgebra; zero iff the algebra is invariant and the complement
     is annihilated.  A float, or a (T,) array for an operator on a stack of
     trials.  The supported part is c^T (c M c^T) c, through the d x d
-    restriction: no D x D projector is formed.  Anything but an unrestricted
-    CurvatureOperator raises GeometryError, as in project."""
-    if not isinstance(op, CurvatureOperator) or op.algebra is not None:
-        raise GeometryError("complement mass needs a full bivector-space operator")
+    restriction: no D x D projector is formed.  Its input is checked as in
+    project."""
+    _full_operator(op, algebra, "complement mass needs")
     c = algebra.coeff_matrix
     rest = c.T @ (c @ op.matrix @ c.T) @ c
     np.subtract(op.matrix, rest, out=rest)

@@ -9,6 +9,10 @@ Conventions, fixed once here and relied on everywhere else:
   Bianchi identity T[x,y,z,w] + T[y,z,x,w] + T[z,x,y,w] = 0 is checked at
   the C(n,4) increasing quadruples.  Both, and finite entries, are part of
   the type invariant, held by the one check rule of euclid._first_over;
+* a value is built by its checked constructor or by _wrap, the one trusted
+  build (no constructor, no check): sums, differences and finite multiples
+  of checked tensors, and the operators of to_operator and holonomy.project,
+  the only builders of a CurvatureOperator.  Values compare by identity;
 * the rank-four component array is derived from M on request.  Rank-four
   arrays come only from tensor files, and check_curvature_symmetries reads
   them through the operator that every tensor's check runs on;
@@ -272,23 +276,31 @@ def _bianchi_project_matrix(mat: np.ndarray) -> np.ndarray:
 # core types
 
 
-@dataclass
+def _wrap(cls, **fields):
+    """A cls value holding fields, built with no constructor and no check:
+    the one trusted build of a curvature value.  Every call is listed, with
+    why its value needs no check, in tests/test_package.py UNCHECKED_BUILDS."""
+    out = cls.__new__(cls)
+    vars(out).update(fields)
+    return out
+
+
+@dataclass(eq=False)
 class CurvatureTensor:
     """Algebraic curvature tensor on a Euclidean space, stored as its
     symmetric bivector operator `matrix` (see the module conventions): one
     (D, D) matrix, or a (T, D, D) stack of trials that every kernel of the
     library reads per trial.
 
-    The matrix is validated with check_operator_symmetries unless validate
-    is False: a matrix built by a new formula is checked, a model multiple
-    or a linear combination of checked tensors (the arithmetic below) is
-    not.  `components` is the rank-four array of one tensor, derived on
-    access.
+    The constructor always checks the matrix with check_operator_symmetries.
+    A sum, difference or finite multiple of checked tensors (the arithmetic
+    below) is built through _wrap, with no second scan.  `components` is the
+    rank-four array of one tensor, derived on access.  Values compare by
+    identity.
     """
 
     space: EuclideanSpace
     matrix: np.ndarray
-    validate: bool = True
 
     # an array of per-trial factors times a tensor is the tensor's __rmul__
     __array_ufunc__ = None
@@ -298,8 +310,7 @@ class CurvatureTensor:
         d = self.space.bivector_dim
         if self.matrix.ndim not in (2, 3) or self.matrix.shape[-2:] != (d, d):
             raise SymmetryError(f"operator must have shape {(d, d)} or (trials, {d}, {d}), got {self.matrix.shape}")
-        if self.validate:
-            check_operator_symmetries(self.matrix)
+        check_operator_symmetries(self.matrix)
 
     @property
     def components(self) -> np.ndarray:
@@ -313,17 +324,19 @@ class CurvatureTensor:
         arr.flags.writeable = self.matrix.flags.writeable
         return arr
 
-    # linear combinations stay in the symmetry class, skip re-validation
     def __add__(self, other: "CurvatureTensor") -> "CurvatureTensor":
-        return CurvatureTensor(self.space, self.matrix + other.matrix, validate=False)
+        return _wrap(CurvatureTensor, space=self.space, matrix=self.matrix + other.matrix)
 
     def __sub__(self, other: "CurvatureTensor") -> "CurvatureTensor":
-        return CurvatureTensor(self.space, self.matrix - other.matrix, validate=False)
+        return _wrap(CurvatureTensor, space=self.space, matrix=self.matrix - other.matrix)
 
     def __mul__(self, scalar) -> "CurvatureTensor":
         """A float scales every trial; a (T,) array scales trial t by its
-        entry t, and makes a stack of one tensor."""
-        return CurvatureTensor(self.space, self.matrix * _per_trial(scalar), validate=False)
+        entry t, and makes a stack of one tensor.  A non-finite factor
+        raises SymmetryError."""
+        if not np.isfinite(scalar).all():
+            raise SymmetryError(f"non-finite factor {scalar}")
+        return _wrap(CurvatureTensor, space=self.space, matrix=self.matrix * _per_trial(scalar))
 
     __rmul__ = __mul__
 
@@ -336,47 +349,18 @@ class CurvatureTensor:
         return _value(4.0 * (self.matrix * other.matrix).sum(axis=(-2, -1)))
 
 
-@dataclass
+@dataclass(init=False, eq=False)
 class CurvatureOperator:
-    """Symmetric operator on bivectors, on the full bivector space or
-    restricted to a subalgebra.
-
-    A restricted operator (algebra given) acts in the coordinates of the
-    algebra's orthonormal basis, on a read-only matrix whose spectrum is
-    computed at most once: a copy of one given from outside, checked finite
-    and symmetric here, or the product holonomy.project froze in place.  A
-    full-space one (algebra None) comes only from to_operator, which aliases
-    the tensor's matrix in the lexicographic pair basis.
-    """
+    """Symmetric operator on bivectors, with no public constructor.  On the
+    full bivector space (algebra None) it comes only from to_operator, which
+    aliases the tensor's matrix in the lexicographic pair basis; restricted to
+    a subalgebra, only from holonomy.project, in the coordinates of the
+    algebra's orthonormal basis, on the product project froze in place, with
+    its spectrum computed at most once.  Values compare by identity."""
 
     space: EuclideanSpace
     matrix: np.ndarray
     algebra: object | None
-
-    def __post_init__(self):
-        if self.algebra is None:
-            raise GeometryError("an outside matrix needs its algebra: CurvatureOperator(space, matrix, algebra); "
-                                "a full-space operator comes from to_operator")
-        self.matrix = np.array(self.matrix, dtype=float)
-        _freeze(self.matrix)
-        d = self.algebra.dim
-        if self.matrix.shape != (d, d):
-            raise GeometryError(f"operator matrix must be {d} x {d}, got {self.matrix.shape}")
-        failed = _first_over(self.matrix, lambda m: (abs(m - m.T).max(initial=0.0),))
-        if failed:
-            raise _non_finite(self.matrix) if failed[1] is None else GeometryError("operator matrix is not symmetric")
-        self._spectrum = None  # (matrix, SpectralData) of a restricted operator
-
-    @classmethod
-    def _wrap(cls, space: EuclideanSpace, matrix: np.ndarray, algebra) -> "CurvatureOperator":
-        """An operator on matrix, aliased, with no checks: for a float matrix
-        of the right shape that is symmetric by construction.  A restricted
-        one (algebra not None) freezes matrix in place."""
-        op = cls.__new__(cls)
-        op.space, op.matrix, op.algebra, op._spectrum = space, matrix, algebra, None
-        if algebra is not None:
-            _freeze(matrix)
-        return op
 
     def spectrum(self):
         """Eigendecomposition of the matrix, ascending.  A restricted
@@ -386,7 +370,7 @@ class CurvatureOperator:
 
         if self.algebra is None:
             return symmetric_eigen(self.matrix)
-        memo = self._spectrum
+        memo = getattr(self, "_spectrum", None)  # (matrix, SpectralData)
         if memo is None or memo[0] is not self.matrix:
             spec = symmetric_eigen(self.matrix)
             _freeze(spec.values, spec.vectors)
@@ -396,6 +380,15 @@ class CurvatureOperator:
     def norm_sq(self) -> float:
         """Frobenius squared norm (one quarter of the component convention)."""
         return float(np.sum(self.matrix**2))
+
+
+def _full_operator(op, algebra, what: str):
+    """Raise GeometryError unless op is an unrestricted CurvatureOperator on
+    the algebra's R^n; `what` starts the first message with its caller."""
+    if not isinstance(op, CurvatureOperator) or op.algebra is not None:
+        raise GeometryError(f"{what} a full bivector-space operator")
+    if algebra.space.n != op.space.n:
+        raise GeometryError(f"{algebra.name} acts on R^{algebra.space.n}, the operator on R^{op.space.n}")
 
 
 # ---------------------------------------------------------------------------
@@ -458,9 +451,8 @@ def _conjugation_on_bivectors(space: EuclideanSpace, s: np.ndarray) -> np.ndarra
 def to_operator(rm: CurvatureTensor) -> CurvatureOperator:
     """The stored bivector operator, wrapped without a copy.  A tensor's
     matrix is symmetric by the type invariant, so it is not scanned again.
-    This is the one source of full-space operators; the constructor builds
-    restricted ones from outside matrices, and checks them."""
-    return CurvatureOperator._wrap(rm.space, rm.matrix, None)
+    This is the one source of full-space operators."""
+    return _wrap(CurvatureOperator, space=rm.space, matrix=rm.matrix, algebra=None)
 
 
 def _tensor_array_from_matrix(space: EuclideanSpace, mat: np.ndarray) -> np.ndarray:
@@ -492,8 +484,9 @@ def _hat_chunks(op: CurvatureOperator, algebra):
     N_a R is written row by row from the chunk's action_blocks entries, one
     batched product per entry for all the chunk's trials, then symmetrized
     `algebra.hat_group` generators at a time, for all the chunk's trials at
-    once, in cache.
+    once, in cache.  Its input is checked as in t_hat (`_full_operator`).
     """
+    _full_operator(op, algebra, "hat components need")
     n_pairs = op.space.bivector_dim
     mats = op.matrix.reshape((-1, n_pairs, n_pairs))
     size, per, group = algebra.chunk_size, algebra.chunk_trials, algebra.hat_group
@@ -528,10 +521,10 @@ def t_hat(op: CurvatureOperator, algebra) -> np.ndarray:
     convention).
 
     Anything else, a restricted operator included (it has lost the
-    off-algebra entries its hats need), raises GeometryError.
+    off-algebra entries its hats need), or an algebra on another R^n, raises
+    GeometryError.
     """
-    if not isinstance(op, CurvatureOperator) or op.algebra is not None:
-        raise GeometryError("hat components need a full bivector-space operator")
+    _full_operator(op, algebra, "hat components need")
     n_pairs = op.space.bivector_dim
     hats = np.empty(op.matrix.shape[:-2] + (algebra.dim, n_pairs, n_pairs))
     flat = hats.reshape((-1,) + hats.shape[-3:])

@@ -95,7 +95,8 @@ def from_components(space, components) -> tensor.CurvatureTensor:
     arr = np.asarray(components, dtype=float)
     check_rank_four(arr)
     ii, jj = space.pair_rows, space.pair_cols
-    return tensor.CurvatureTensor(space, arr[ii[:, None], jj[:, None], ii[None, :], jj[None, :]], validate=False)
+    mat = arr[ii[:, None], jj[:, None], ii[None, :], jj[None, :]]
+    return tensor._wrap(tensor.CurvatureTensor, space=space, matrix=mat)
 
 
 def lie_action(a: np.ndarray, t):

@@ -180,9 +180,7 @@ class TestCurvatureTerm:
 
     def test_identity_operator_gives_hat_norm(self, qk2, rng):
         rm = decomp.random_algebra_curvature(qk2, rng=rng)
-        ident = tensor.CurvatureOperator(
-            qk2.space, np.eye(qk2.dim), algebra=qk2
-        )
+        ident = tensor._wrap(tensor.CurvatureOperator, space=qk2.space, matrix=np.eye(qk2.dim), algebra=qk2)
         ct = curvature_term(ident, rm)
         assert ct.value == pytest.approx(hat_norm_direct(rm, qk2), rel=1e-12)
 
@@ -191,9 +189,7 @@ class TestCurvatureTerm:
         r2 = decomp.random_algebra_curvature(qk2, rng=rng)
         op1 = project(to_operator(r1), qk2)
         op2 = project(to_operator(r2), qk2)
-        combo = tensor.CurvatureOperator(
-            qk2.space, op1.matrix + 2.0 * op2.matrix, algebra=qk2
-        )
+        combo = project(to_operator(r1 + r2 * 2.0), qk2)
         lhs = curvature_term(combo, r1).value
         rhs = curvature_term(op1, r1).value + 2.0 * curvature_term(op2, r1).value
         assert lhs == pytest.approx(rhs, rel=1e-9)
@@ -207,6 +203,25 @@ class TestCurvatureTerm:
             with pytest.raises(GeometryError, match="restricted to an algebra"):
                 route()
         assert np.isfinite(curvature_term(project(op, so5), rm).value)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_algebra_on_another_space_raises(n, rng):
+    # an algebra of so(4) would read wrong numbers off a tensor on R^5, and
+    # one of so(6) would read out of range: every route names the mismatch
+    rm = tensor.random_curvature(generic(5), rng)
+    alg = so_algebra(generic(n))
+    routes = (
+        lambda: hat_norm_direct(rm, alg),
+        lambda: invariance_defect(rm, alg),
+        lambda: two_nonnegative_shift(rm, alg),
+        lambda: project(to_operator(rm), alg),
+        lambda: holonomy.complement_mass(to_operator(rm), alg),
+        lambda: tensor.t_hat(to_operator(rm), alg),
+    )
+    for route in routes:
+        with pytest.raises(GeometryError, match=rf"^so\({n}\) acts on R\^{n}, the operator on R\^5$"):
+            route()
 
 
 class TestWeightedCriterion:

@@ -293,7 +293,7 @@ class TestBochner:
 
     def test_rejects_nan(self, u3):
         # a tensor built unchecked: the complement mass is NaN, which fails
-        nan = tensor.CurvatureTensor(u3.space, np.full((15, 15), np.nan), validate=False)
+        nan = tensor._wrap(tensor.CurvatureTensor, space=u3.space, matrix=np.full((15, 15), np.nan))
         for route in (bochner_decompose, bochner_explicit):
             with pytest.raises(GeometryError, match="leaks off the holonomy algebra"):
                 route(nan)
@@ -339,7 +339,7 @@ class TestQK:
 
     def test_rejects_nan(self, qk2, hp2):
         # a tensor built unchecked: its complement mass is NaN, which leaks
-        nan = tensor.CurvatureTensor(qk2.space, hp2.matrix * np.nan, validate=False)
+        nan = tensor._wrap(tensor.CurvatureTensor, space=qk2.space, matrix=hp2.matrix * np.nan)
         with pytest.raises(GeometryError, match="leaks off the holonomy algebra"):
             qk_decompose(nan)
 
@@ -999,7 +999,7 @@ class TestStructureCaches:
         for _ in range(20):
             m = rng.standard_normal((d, d))
             m += m.T
-            mass = holonomy.complement_mass(tensor.CurvatureOperator._wrap(space, m, None), alg)
+            mass = holonomy.complement_mass(tensor._wrap(tensor.CurvatureOperator, space=space, matrix=m, algebra=None), alg)
             defect = float(np.linalg.norm(m - conj @ m))
             assert 0.5 * defect <= mass <= defect / np.sqrt(2.0)
 
@@ -1025,7 +1025,7 @@ class TestStructureCaches:
         m = rng.standard_normal((c.shape[1],) * 2)
         supported = c.T @ (c @ (m + m.T) @ c.T) @ c
         for mat in (m + m.T, supported):
-            op = tensor.CurvatureOperator._wrap(alg.space, mat, None)
+            op = tensor._wrap(tensor.CurvatureOperator, space=alg.space, matrix=mat, algebra=None)
             mass = holonomy.complement_mass(op, alg)
             assert mass == float(np.linalg.norm(op.matrix - c.T @ (c @ op.matrix @ c.T) @ c))
             by_p = float(np.linalg.norm(op.matrix - p @ op.matrix @ p))

@@ -2,11 +2,12 @@
 a name it never reads, every defaulted parameter is one some caller leaves
 out, only the spectral routes read the structure constants, only the file
 reader reads the rank-four route, each build that skips the operator check
-is listed, the operator-check rule is written once, only the tensor reader
-and the --out write touch files, what the benchmark instrument wraps is
-bound, the CLI runs its trials in the calling thread, only the CLI seeds a
-Generator, and every library function is run by a command or listed with
-the reason it stays, and only euclid holds the table of holonomy kinds."""
+is a listed tensor._wrap call, the operator-check rule is written once, only
+the tensor reader and the --out write touch files, what the benchmark
+instrument wraps is bound, the CLI runs its trials in the calling thread,
+only the CLI seeds a Generator, and every library function is run by a
+command or listed with the reason it stays, and only euclid holds the table
+of holonomy kinds."""
 
 import ast
 import importlib
@@ -102,7 +103,6 @@ KEPT_DEFAULTS = {
     "euclid.EuclideanSpace.__init__(J)": "a space holds only its kind's matrices: generic none, kaehler J, qk I, J, K",
     "euclid.EuclideanSpace.__init__(K)": "a space holds only its kind's matrices: generic none, kaehler J, qk I, J, K",
     "euclid._first_over(rtol)": "the symmetry scans check at _SYMMETRY_RTOL; decomp's invariance and leak checks pass their own bounds",
-    "tensor.CurvatureTensor.__init__(validate)": "sums and multiples of curvature tensors skip the scan; any other matrix is checked",
     "tensor.random_curvature(count)": "weyl-norm and decomp draw stacks of count trials; the tests and the acceptance gate draw one tensor",
 }
 
@@ -231,37 +231,44 @@ def test_rank_four_arrays_stay_at_the_file_boundary():
     assert reads <= RANK_FOUR_HOME, f"rank-four route read outside the file reader: {sorted(reads - RANK_FOUR_HOME)}"
 
 
-# Where the library builds a CurvatureTensor that skips the operator check
-# (validate=False), each with why its matrix needs none.  Every site
-# combines tensors that were checked; a matrix from outside the library, a
-# tensor file's included, is always checked.  The list may only shrink.
+# Where the library builds a curvature value with no check: every call of
+# tensor._wrap, the one trusted build, each with why its value needs none.
+# Every site combines tensors that were checked or wraps one; a matrix from
+# outside the library, a tensor file's included, is always checked.  The list
+# may only shrink.
 UNCHECKED_BUILDS = {
     "tensor.CurvatureTensor.__add__": "a sum of two checked tensors",
     "tensor.CurvatureTensor.__sub__": "a difference of two checked tensors",
-    "tensor.CurvatureTensor.__mul__": "a multiple of a checked tensor, per trial on a stack",
+    "tensor.CurvatureTensor.__mul__": "a multiple of a checked tensor, per trial on a stack; a non-finite factor raises",
+    "tensor.to_operator": "the full-space operator aliases the checked tensor's matrix",
+    "holonomy.project": "c M c^T of a checked operator, symmetric to rounding, frozen in place; the spectrum solves its symmetric part",
     "decomp.CurvatureDecomposition.total": "the sum of the parts, each checked or a combination of checked tensors",
     "decomp._check_supported": "the support check wraps each trial of its checked input, to read the complement mass",
 }
 
 
-def _unchecked_builds() -> set[str]:
-    """"module.qualname" of each function in src/curvlab with a call that
-    passes validate other than the constant True, or CurvatureTensor a
-    third positional argument."""
-    def skips(call):
-        name = getattr(call.func, "id", getattr(call.func, "attr", None))
-        return (name == "CurvatureTensor" and len(call.args) > 2) or any(
-            kw.arg == "validate" and not (isinstance(kw.value, ast.Constant) and kw.value.value is True)
-            for kw in call.keywords)
-
-    return {name for name, node in _src_nodes() if isinstance(node, ast.Call) and skips(node)}
+def _unchecked_builds() -> tuple[set[str], set[str], set[str]]:
+    """"module.qualname" of each function in src/curvlab that calls _wrap,
+    of each that passes a validate keyword, and of each that calls
+    __new__."""
+    found = {"_wrap": set(), "validate": set(), "__new__": set()}
+    for name, node in _src_nodes():
+        if isinstance(node, ast.Call):
+            called = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if called in ("_wrap", "__new__"):
+                found[called].add(name)
+            if any(kw.arg == "validate" for kw in node.keywords):
+                found["validate"].add(name)
+    return found["_wrap"], found["validate"], found["__new__"]
 
 
 def test_every_unchecked_build_is_listed():
-    found = _unchecked_builds()
-    assert sorted(found - set(UNCHECKED_BUILDS)) == [], "validate=False with no reason in UNCHECKED_BUILDS"
+    found, validate, new = _unchecked_builds()
+    assert sorted(found - set(UNCHECKED_BUILDS)) == [], "_wrap calls with no reason in UNCHECKED_BUILDS"
     assert sorted(set(UNCHECKED_BUILDS) - found) == [], "UNCHECKED_BUILDS entries that are gone"
     assert not found & {"tensor._record_array", "tensor.load_tensor", "tensor.check_curvature_symmetries"}
+    assert validate == set(), f"a validate keyword skips a check: {sorted(validate)}"
+    assert new == {"tensor._wrap"}, f"__new__ called outside tensor._wrap: {sorted(new - {'tensor._wrap'})}"
 
 
 # Where the library touches the file system: the tensor-file reader, which
@@ -414,7 +421,6 @@ UNREACHED = {
     "decomp.curvature_space_dim": "perfbench's cold-start pass and warm-up call it",
     "holonomy.HolonomyAlgebra.__eq__": "a cache keyed on an algebra (criteria._shift_gain) calls it only for two objects of one hash; a command builds one algebra per space (holonomy._algebra)",
     "tensor.CurvatureTensor.components": "perfbench's cold-start hashes rm.components; the tests write tensor files from it",
-    "tensor.CurvatureOperator.__post_init__": "checks a restricted operator built from an outside matrix; the commands restrict with holonomy.project, whose product is symmetric by construction and skips it",
     "tensor.t_hat": "the whole hat stack that the bilinear route of criteria.curvature_term reads (criterion 6); perfbench wraps it",
 }
 

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -131,35 +132,23 @@ class TestOperator:
         rm = random_curvature(generic(6), rng=rng)
         assert scalar(rm) == pytest.approx(2.0 * np.trace(to_operator(rm).matrix))
 
-    def test_rejects_asymmetric_matrix(self, rng):
-        sp = generic(4)
-        so4 = holonomy.so_algebra(sp)
-        with pytest.raises(euclid.GeometryError):
-            CurvatureOperator(sp, rng.standard_normal((6, 6)), so4)
-        # a matrix from outside is scanned, though project skips the scan
-        mat = holonomy.project(to_operator(random_curvature(sp, rng=rng)), so4).matrix.copy()
-        mat[0, 5] += 1e-6
-        with pytest.raises(euclid.GeometryError, match="not symmetric"):
-            CurvatureOperator(sp, mat, so4)
-
-    def test_outside_matrix_needs_its_algebra(self):
-        # a full-space operator comes only from to_operator
-        sp = generic(4)
-        with pytest.raises(euclid.GeometryError, match="to_operator"):
-            CurvatureOperator(sp, np.eye(6), None)
+    def test_operator_has_no_public_constructor(self, so5, rng):
+        # an operator comes only from to_operator or holonomy.project
+        rm = random_curvature(so5.space, rng=rng)
+        with pytest.raises(TypeError):
+            CurvatureOperator(so5.space, rm.matrix, None)
+        with pytest.raises(TypeError):
+            CurvatureOperator(so5.space, holonomy.project(to_operator(rm), so5).matrix, so5)
 
     def test_rejects_non_finite_matrix(self):
         # a NaN residual compares false against any tolerance, and a lone inf
         # makes the tolerance inf too: finiteness is checked on its own
         sp = generic(4)
-        so4 = holonomy.so_algebra(sp)
         lone_inf = np.zeros((6, 6))
         lone_inf[0, 1] = np.inf
         for mat in (np.full((6, 6), np.nan), lone_inf):
             with pytest.raises(SymmetryError, match="^non-finite entry"):
                 CurvatureTensor(sp, mat)
-            with pytest.raises(SymmetryError, match="^non-finite entry"):
-                CurvatureOperator(sp, mat, so4)
         with pytest.raises(SymmetryError, match=r"^non-finite entry nan at \(0, 0\)$"):
             check_operator_symmetries(np.full((6, 6), np.nan))
         with pytest.raises(SymmetryError, match=r"^non-finite entry inf at \(0, 1\)$"):
@@ -182,6 +171,16 @@ class TestOperator:
         op = to_operator(rm)
         assert op.matrix is rm.matrix and op.algebra is None
         assert op.spectrum().values.shape == (10,)
+
+
+    @pytest.mark.parametrize("factor", [np.nan, np.inf, np.array([1.0, np.nan])], ids=["nan", "inf", "array"])
+    def test_non_finite_factor_raises(self, so5, rng, factor):
+        # a multiple is built with no scan, so its factor is checked: a NaN
+        # or inf would make a tensor of non-finite entries
+        rm = random_curvature(so5.space, rng=rng)
+        for product in (lambda: rm * factor, lambda: factor * rm):
+            with pytest.raises(SymmetryError, match=f"^non-finite factor {re.escape(str(factor))}$"):
+                product()
 
 
 def _generator(alg, rng):
