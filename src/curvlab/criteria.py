@@ -33,9 +33,9 @@ trials at a time, all three into a workspace each thread reuses
 (_self_term_operands); each sub-chunk is reduced before the next, so no
 (T, d, d, d) array of a whole stack is formed.
 
-curvature_term, CurvatureTerm and _hat_flat (with tensor.t_hat, the stack
-they read) are the eigen-vs-bilinear oracle of the curvature term that
-the acceptance gate checks the self term against; no command runs them.
+curvature_term and CurvatureTerm (with tensor.t_hat, the stack it reads)
+are the eigen-vs-bilinear oracle of the curvature term that the acceptance
+gate checks the self term against; no command runs them.
 curvature_term makes its own eigensolve, so its eigen route stays
 independent of everything else a caller has asked of the same operator,
 and its bilinear route needs none.
@@ -78,11 +78,6 @@ def _resolve(op) -> HolonomyAlgebra:
     if not isinstance(op, CurvatureOperator) or op.algebra is None:
         raise GeometryError("expected a curvature operator restricted to an algebra")
     return op.algebra
-
-
-def _hat_flat(t, algebra: HolonomyAlgebra) -> np.ndarray:
-    """The operator hat stack of a tensor, one flattened row per generator."""
-    return t_hat(to_operator(t), algebra).reshape(algebra.dim, -1)
 
 
 def _hat_norms_sq(flat: np.ndarray) -> np.ndarray:
@@ -128,7 +123,8 @@ def curvature_term(op, t) -> CurvatureTerm:
     eigensolve.  For the identity operator the value is the squared hat norm
     of t in this module's convention.
     """
-    flat = _hat_flat(t, _resolve(op))
+    algebra = _resolve(op)
+    flat = t_hat(to_operator(t), algebra).reshape(algebra.dim, -1)
     gram = flat @ flat.T
     bilinear = float(np.sum(op.matrix * gram))
     spec = symmetric_eigen(op.matrix)

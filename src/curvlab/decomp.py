@@ -199,15 +199,11 @@ class CurvatureDecomposition:
     parts: dict
     coefficients: dict
 
-    def total(self) -> CurvatureTensor:
-        arrays = [p.matrix for p in self.parts.values()]
-        return _wrap(CurvatureTensor, space=self.source.space, matrix=sum(arrays))
-
     def residual(self):
         """Component-norm distance between the input and the sum of parts,
         twice the Frobenius distance of the operators; per trial on a
         stack."""
-        return _value(2.0 * _norm(self.source.matrix - self.total().matrix, 2))
+        return _value(2.0 * _norm(self.source.matrix - sum(p.matrix for p in self.parts.values()), 2))
 
     def max_cross_inner(self):
         """Largest pairwise component inner product between distinct parts;
@@ -229,14 +225,14 @@ class CurvatureDecomposition:
 
 
 def weyl_decompose(rm: CurvatureTensor) -> CurvatureDecomposition:
-    """Scalar + traceless-Ricci + Weyl splitting; needs dimension >= 4."""
+    """Scalar + traceless-Ricci + Weyl splitting on the tensor's space; needs dimension >= 4."""
     n = rm.space.n
     if n < 4:
         raise GeometryError("the Weyl part only exists in dimension >= 4")
     g = np.eye(n)
     sc = scalar(rm)
     ric0 = ricci(rm) - _per_trial(sc / n) * g
-    scal_part = sphere(n) * (sc / (2.0 * n * (n - 1)))
+    scal_part = CurvatureTensor(rm.space, _kn_metric(n)) * (sc / (2.0 * n * (n - 1)))
     ric0_part = CurvatureTensor(rm.space, _kn_matrix(ric0, g) / (n - 2.0))
     return CurvatureDecomposition(
         source=rm,
@@ -250,7 +246,9 @@ def _check_supported(rm: CurvatureTensor):
     """Raise unless the operator lies in S^2 of the space's holonomy algebra:
     its complement mass (`holonomy.complement_mass`) is at most 1e-9 by
     euclid._first_over's rule, every trial of a stack, and the first trial
-    that leaks is reported.  On a Kaehler space this is J-invariance."""
+    that leaks is reported.  Each trial that _first_over passes, a finite
+    trial of the checked input, is wrapped (`tensor._wrap`) to read its mass.
+    On a Kaehler space this is J-invariance."""
     space = rm.space
     algebra = by_name(space, space.kind)
     leak = _first_over(rm.matrix, lambda m: (
@@ -554,14 +552,10 @@ def _bianchi_kernel_basis(algebra: HolonomyAlgebra) -> tuple[tuple[np.ndarray, n
     return tuple(parts)
 
 
-def _kernel_dim(parts) -> int:
-    """Rows of the basis that `_bianchi_kernel_basis` returns as parts."""
-    return sum(rows.shape[0] * rows.shape[1] for _, rows in parts)
-
-
 def curvature_space_dim(algebra: HolonomyAlgebra) -> int:
-    """Dimension of the curvature tensors supported on the algebra."""
-    return _kernel_dim(_bianchi_kernel_basis(algebra))
+    """Dimension of the curvature tensors supported on the algebra: the rows
+    of its `_bianchi_kernel_basis`."""
+    return sum(rows.shape[0] * rows.shape[1] for _, rows in _bianchi_kernel_basis(algebra))
 
 
 def random_algebra_curvature(algebra: HolonomyAlgebra, rng, count: int | None = None) -> CurvatureTensor:
@@ -569,8 +563,7 @@ def random_algebra_curvature(algebra: HolonomyAlgebra, rng, count: int | None = 
     drawn from the Generator rng.  A count draws a stack of that many trials
     in one call, trial t the tensor that the t-th of as many one-tensor draws
     from rng would give."""
-    parts = _bianchi_kernel_basis(algebra)
-    k = _kernel_dim(parts)
+    parts, k = _bianchi_kernel_basis(algebra), curvature_space_dim(algebra)
     coeffs = rng.standard_normal(k if count is None else (count, k))
     lead, at = coeffs.shape[:-1], _lead(coeffs, 1)
     a, b, w = _packed_sym(algebra.dim)

@@ -135,11 +135,11 @@ class EuclideanSpace:
             object.__setattr__(self, name, a)
             if a.shape != (self.n, self.n):
                 raise GeometryError(f"structure {name} has shape {a.shape}, not {(self.n, self.n)}")
-            if not np.allclose(a @ a, -np.eye(self.n), atol=1e-12):
+            if not np.allclose(a @ a, -np.eye(self.n), rtol=0.0, atol=1e-12):
                 raise GeometryError(f"structure {name} does not square to -identity")
-            if not np.allclose(a.T, -a, atol=1e-12):
+            if not np.allclose(a.T, -a, rtol=0.0, atol=1e-12):
                 raise GeometryError(f"structure {name} is not skew (hence not orthogonal)")
-        if self.kind == "qk" and not np.allclose(self.I @ self.J, self.K, atol=1e-12):
+        if self.kind == "qk" and not np.allclose(self.I @ self.J, self.K, rtol=0.0, atol=1e-12):
             raise GeometryError("quaternion relations fail: IJ != K")
 
     @property

@@ -161,7 +161,7 @@ class HolonomyAlgebra:
         if cols != self.space.bivector_dim:
             raise GeometryError("coefficient rows must live on the bivector space")
         gram = self.coeff_matrix @ self.coeff_matrix.T
-        if not np.allclose(gram, np.eye(d), atol=1e-9):
+        if not np.allclose(gram, np.eye(d), rtol=0.0, atol=1e-9):
             raise GeometryError(f"basis of {self.name} is not orthonormal")
         defect = self._brackets(keep=False)[1] if d < cols else 0.0  # d = D orthonormal rows span so(n)
         if defect > 1e-8:

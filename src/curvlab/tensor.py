@@ -9,10 +9,12 @@ Conventions, fixed once here and relied on everywhere else:
   Bianchi identity T[x,y,z,w] + T[y,z,x,w] + T[z,x,y,w] = 0 is checked at
   the C(n,4) increasing quadruples.  Both, and finite entries, are part of
   the type invariant, held by the one check rule of euclid._first_over;
-* a value is built by its checked constructor or by _wrap, the one trusted
-  build (no constructor, no check): sums, differences and finite multiples
-  of checked tensors, and the operators of to_operator and holonomy.project,
-  the only builders of a CurvatureOperator.  Values compare by identity;
+* a value is built by its checked constructor or by _wrap (no constructor,
+  no check) at one of four trusted sites: _combine, of sums, differences
+  and multiples of checked tensors on one space, finite or refused;
+  to_operator and holonomy.project, the only builders of a
+  CurvatureOperator; and decomp._check_supported, of each finite trial of
+  its checked input.  Values compare by identity;
 * the rank-four component array is derived from M on request.  Rank-four
   arrays come only from tensor files, and check_curvature_symmetries reads
   them through the operator that every tensor's check runs on;
@@ -277,12 +279,21 @@ def _bianchi_project_matrix(mat: np.ndarray) -> np.ndarray:
 
 
 def _wrap(cls, **fields):
-    """A cls value holding fields, built with no constructor and no check:
-    the one trusted build of a curvature value.  Every call is listed, with
-    why its value needs no check, in tests/test_package.py UNCHECKED_BUILDS."""
+    """A cls value holding fields, built with no constructor and no check.
+    Every call is listed, with why its value needs no check, in
+    tests/test_package.py UNCHECKED_BUILDS."""
     out = cls.__new__(cls)
     vars(out).update(fields)
     return out
+
+
+def _combine(space: EuclideanSpace, matrix: np.ndarray) -> "CurvatureTensor":
+    """The tensor on space of a sum, difference or multiple of checked
+    operators on it: the one unchecked build of arithmetic.  A sum or
+    multiple can overflow, so a non-finite entry raises SymmetryError."""
+    if not np.isfinite(matrix).all():
+        raise _non_finite(matrix)
+    return _wrap(CurvatureTensor, space=space, matrix=matrix)
 
 
 @dataclass(eq=False)
@@ -293,10 +304,10 @@ class CurvatureTensor:
     library reads per trial.
 
     The constructor always checks the matrix with check_operator_symmetries.
-    A sum, difference or finite multiple of checked tensors (the arithmetic
-    below) is built through _wrap, with no second scan.  `components` is the
-    rank-four array of one tensor, derived on access.  Values compare by
-    identity.
+    A sum or difference on one space, or a multiple, of checked tensors (the
+    arithmetic below) is built by _combine, with no second scan.
+    `components` is the rank-four array of one tensor, derived on access.
+    Values compare by identity.
     """
 
     space: EuclideanSpace
@@ -324,19 +335,26 @@ class CurvatureTensor:
         arr.flags.writeable = self.matrix.flags.writeable
         return arr
 
+    def _operand(self, other: "CurvatureTensor") -> np.ndarray:
+        """other's matrix, or GeometryError unless other is on this space."""
+        if other.space != self.space:
+            raise GeometryError("tensors on two spaces do not combine: "
+                                f"{self.space.kind} R^{self.space.n} and {other.space.kind} R^{other.space.n}")
+        return other.matrix
+
     def __add__(self, other: "CurvatureTensor") -> "CurvatureTensor":
-        return _wrap(CurvatureTensor, space=self.space, matrix=self.matrix + other.matrix)
+        return _combine(self.space, self.matrix + self._operand(other))
 
     def __sub__(self, other: "CurvatureTensor") -> "CurvatureTensor":
-        return _wrap(CurvatureTensor, space=self.space, matrix=self.matrix - other.matrix)
+        return _combine(self.space, self.matrix - self._operand(other))
 
     def __mul__(self, scalar) -> "CurvatureTensor":
         """A float scales every trial; a (T,) array scales trial t by its
-        entry t, and makes a stack of one tensor.  A non-finite factor
-        raises SymmetryError."""
+        entry t, and makes a stack of one tensor.  A non-finite factor, or a
+        product that overflows, raises SymmetryError."""
         if not np.isfinite(scalar).all():
             raise SymmetryError(f"non-finite factor {scalar}")
-        return _wrap(CurvatureTensor, space=self.space, matrix=self.matrix * _per_trial(scalar))
+        return _combine(self.space, self.matrix * _per_trial(scalar))
 
     __rmul__ = __mul__
 

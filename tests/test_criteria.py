@@ -105,7 +105,7 @@ class TestNormConventions:
 
     def test_reduction_is_gram_diagonal(self, case):
         rm, alg, _ = case
-        flat = criteria._hat_flat(rm, alg)
+        flat = tensor.t_hat(to_operator(rm), alg).reshape(alg.dim, -1)
         ref = np.diag(flat @ flat.T)
         got = criteria._hat_norms_sq(flat)
         assert np.abs(got - ref).max() <= 1e-12 * ref.max()

@@ -271,6 +271,15 @@ class TestWeyl:
         with pytest.raises(GeometryError):
             weyl_decompose(sphere(3))
 
+    def test_parts_live_on_the_tensors_space(self, u3):
+        # a difference across spaces raises, so the scalar part is read on
+        # the input's space, not on generic(n)
+        for rm in (random_algebra_curvature(u3, np.random.default_rng(4)), hp(2)):
+            dec = weyl_decompose(rm)
+            assert all(part.space == rm.space for part in dec.parts.values())
+            assert np.array_equal(dec.parts["scalar_part"].matrix, sphere(rm.space.n).matrix * dec.coefficients["scalar"])
+            assert dec.residual() < 1e-12 * (1 + np.abs(rm.matrix).max())
+
 
 class TestBochner:
     def test_routes_agree(self, u3, rng):
@@ -379,13 +388,14 @@ class TestPartChecks:
         assert np.array_equal(dec.parts["hyperkaehler_part"].matrix, rm.matrix - multiple.matrix)
 
     def test_checks_per_call(self, monkeypatch, u3, qk2):
-        # one check per sample, one per decomposition for its ric0_part,
-        # none for the qk parts; the models are cached, built before
+        # one check per sample, one per decomposition for its ric0_part and
+        # one more for weyl's unit g (*) g, a single matrix built on the
+        # input's space; none for the qk parts, whose model is cached
         calls = []
         check = tensor.check_operator_symmetries
         monkeypatch.setattr(tensor, "check_operator_symmetries", lambda mat: calls.append(mat) or check(mat))
         cases = (
-            (lambda rng: tensor.random_curvature(generic(5), rng, 3), weyl_decompose, 1),
+            (lambda rng: tensor.random_curvature(generic(5), rng, 3), weyl_decompose, 2),
             (lambda rng: random_algebra_curvature(u3, rng, count=3), bochner_decompose, 1),
             (lambda rng: random_algebra_curvature(qk2, rng, count=3), lambda rm: qk_decompose(rm), 0),
         )

@@ -105,6 +105,31 @@ class TestSpaces:
         with pytest.raises(GeometryError, match=message):
             euclid.EuclideanSpace(n, kind, **matrices)
 
+    @pytest.mark.parametrize("case, message", [
+        ("j-scaled", "structure J does not square to -identity"),
+        ("k-entry", "structure K does not square to -identity"),
+        ("k-turned", "quaternion relations fail: IJ != K"),
+    ], ids=["j-scaled", "k-entry", "k-turned"])
+    def test_structure_checks_hold_their_absolute_tolerance(self, case, message):
+        # np.allclose's default rtol = 1e-5 once let an error of 7e-8 to 8e-6
+        # through checks stated at atol = 1e-12
+        if case == "j-scaled":  # |J^2 + I| = 8e-6
+            n, kind, matrices = 4, "kaehler", {"J": kaehler(2).J * (1 + 4e-6)}
+        elif case == "k-entry":  # one entry of K off IJ by 4e-6, so K^2 + I is off by as much
+            base = quaternion_kaehler(2)
+            k = base.K.copy()
+            k[0, 3] *= 1 + 4e-6
+            n, kind, matrices = 8, "qk", {"I": base.I, "J": base.J, "K": k}
+        else:  # K of a rotated frame turned by 1e-7 in one coordinate plane:
+            # still a skew square root of -identity, but off IJ by 7e-8
+            i, j, k = rotated_quaternionic(2).structures
+            c, s = np.cos(1e-7), np.sin(1e-7)
+            r = np.eye(8)
+            r[:2, :2] = [[c, -s], [s, c]]
+            n, kind, matrices = 8, "qk", {"I": i, "J": j, "K": r @ k @ r.T}
+        with pytest.raises(GeometryError, match=f"^{message}$"):
+            euclid.EuclideanSpace(n, kind, **matrices)
+
     @pytest.mark.parametrize("build, size, message", [
         (lambda n: euclid.EuclideanSpace(n, "generic"), 4.5, "dimension must be an integer, got 4.5"),
         (generic, 4.0, "dimension must be an integer, got 4.0"),

@@ -137,6 +137,12 @@ class TestAlgebras:
         with pytest.raises(GeometryError):
             HolonomyAlgebra(so5_space, "bad", rows)
 
+    def test_orthonormality_holds_its_absolute_tolerance(self):
+        # |c c^T - I| = 8e-6 against atol 1e-9: np.allclose's default rtol
+        # once passed it
+        with pytest.raises(GeometryError, match="^basis of so4 is not orthonormal$"):
+            HolonomyAlgebra(generic(4), "so4", np.eye(6) * (1 + 4e-6))
+
     def test_rejects_non_closed(self, so5_space):
         # span{e1^e2, e3^e4, e1^e3} is not a subalgebra of so(5)
         rows = np.zeros((3, 10))

@@ -2,12 +2,12 @@
 a name it never reads, every defaulted parameter is one some caller leaves
 out, only the spectral routes read the structure constants, only the file
 reader reads the rank-four route, each build that skips the operator check
-is a listed tensor._wrap call, the operator-check rule is written once, only
-the tensor reader and the --out write touch files, what the benchmark
-instrument wraps is bound, the CLI runs its trials in the calling thread,
-only the CLI seeds a Generator, and every library function is run by a
-command or listed with the reason it stays, and only euclid holds the table
-of holonomy kinds."""
+is a listed tensor._wrap call, the operator-check rule is written once,
+every closeness check states its rtol, only the tensor reader and the --out
+write touch files, what the benchmark instrument wraps is bound, the CLI
+runs its trials in the calling thread, only the CLI seeds a Generator, and
+every library function is run by a command or listed with the reason it
+stays, and only euclid holds the table of holonomy kinds."""
 
 import ast
 import importlib
@@ -198,6 +198,15 @@ def test_the_operator_check_rule_has_one_home():
     assert set(RECORD_SCALES) <= reads["scale"], "RECORD_SCALES entries that are gone"
 
 
+def test_closeness_checks_state_their_rtol():
+    # np.allclose and np.isclose add rtol = 1e-5 of the reference to atol by
+    # default, which overrides a stated atol of 1e-12 by seven orders
+    loose = sorted({name for name, node in _src_nodes()
+                    if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.allclose", "np.isclose")
+                    and "rtol" not in {kw.arg for kw in node.keywords}})
+    assert loose == [], f"np.allclose or np.isclose with numpy's default rtol: {loose}"
+
+
 # Where the library reads the rank-four route: tensor files hold n^4
 # components, so the file reader reads rank-four arrays through the
 # operator, and the route's own definitions call each other.  Models and
@@ -232,40 +241,41 @@ def test_rank_four_arrays_stay_at_the_file_boundary():
 
 
 # Where the library builds a curvature value with no check: every call of
-# tensor._wrap, the one trusted build, each with why its value needs none.
-# Every site combines tensors that were checked or wraps one; a matrix from
-# outside the library, a tensor file's included, is always checked.  The list
-# may only shrink.
+# tensor._wrap, each with why its value needs none.  Every site combines
+# tensors that were checked or wraps one; a matrix from outside the library,
+# a tensor file's included, is always checked.  The list may only shrink.
 UNCHECKED_BUILDS = {
-    "tensor.CurvatureTensor.__add__": "a sum of two checked tensors",
-    "tensor.CurvatureTensor.__sub__": "a difference of two checked tensors",
-    "tensor.CurvatureTensor.__mul__": "a multiple of a checked tensor, per trial on a stack; a non-finite factor raises",
+    "tensor._combine": "the one unchecked build of arithmetic: a sum or difference of two checked tensors on one "
+                       "space, or a multiple of one by a finite factor (COMBINERS); a non-finite result raises",
     "tensor.to_operator": "the full-space operator aliases the checked tensor's matrix",
     "holonomy.project": "c M c^T of a checked operator, symmetric to rounding, frozen in place; the spectrum solves its symmetric part",
-    "decomp.CurvatureDecomposition.total": "the sum of the parts, each checked or a combination of checked tensors",
-    "decomp._check_supported": "the support check wraps each trial of its checked input, to read the complement mass",
+    "decomp._check_supported": "the support check wraps each trial of its checked input that _first_over passes, "
+                               "finite by that rule, to read the complement mass",
 }
+# The callers of tensor._combine: the arithmetic, which can overflow.
+COMBINERS = {"tensor.CurvatureTensor.__add__", "tensor.CurvatureTensor.__sub__", "tensor.CurvatureTensor.__mul__"}
 
 
-def _unchecked_builds() -> tuple[set[str], set[str], set[str]]:
+def _unchecked_builds() -> tuple[set[str], set[str], set[str], set[str]]:
     """"module.qualname" of each function in src/curvlab that calls _wrap,
-    of each that passes a validate keyword, and of each that calls
-    __new__."""
-    found = {"_wrap": set(), "validate": set(), "__new__": set()}
+    of each that calls _combine, of each that passes a validate keyword,
+    and of each that calls __new__."""
+    found = {"_wrap": set(), "_combine": set(), "validate": set(), "__new__": set()}
     for name, node in _src_nodes():
         if isinstance(node, ast.Call):
             called = getattr(node.func, "id", getattr(node.func, "attr", None))
-            if called in ("_wrap", "__new__"):
+            if called in ("_wrap", "_combine", "__new__"):
                 found[called].add(name)
             if any(kw.arg == "validate" for kw in node.keywords):
                 found["validate"].add(name)
-    return found["_wrap"], found["validate"], found["__new__"]
+    return found["_wrap"], found["_combine"], found["validate"], found["__new__"]
 
 
 def test_every_unchecked_build_is_listed():
-    found, validate, new = _unchecked_builds()
+    found, combiners, validate, new = _unchecked_builds()
     assert sorted(found - set(UNCHECKED_BUILDS)) == [], "_wrap calls with no reason in UNCHECKED_BUILDS"
     assert sorted(set(UNCHECKED_BUILDS) - found) == [], "UNCHECKED_BUILDS entries that are gone"
+    assert combiners == COMBINERS, f"tensor._combine callers: {sorted(combiners ^ COMBINERS)}"
     assert not found & {"tensor._record_array", "tensor.load_tensor", "tensor.check_curvature_symmetries"}
     assert validate == set(), f"a validate keyword skips a check: {sorted(validate)}"
     assert new == {"tensor._wrap"}, f"__new__ called outside tensor._wrap: {sorted(new - {'tensor._wrap'})}"
@@ -416,9 +426,7 @@ print(json.dumps([codes, sorted({(code.co_filename, code.co_firstlineno) for cod
 UNREACHED = {
     "criteria.CurvatureTerm.spread": "eigen-vs-bilinear curvature term, the oracle acceptance criterion 6 checks the self term against",
     "criteria.CurvatureTerm.value": "eigen-vs-bilinear curvature term, the oracle acceptance criterion 6 checks the self term against",
-    "criteria._hat_flat": "eigen-vs-bilinear curvature term, the oracle acceptance criterion 6 checks the self term against",
     "criteria.curvature_term": "eigen-vs-bilinear curvature term, the oracle acceptance criterion 6 checks the self term against",
-    "decomp.curvature_space_dim": "perfbench's cold-start pass and warm-up call it",
     "holonomy.HolonomyAlgebra.__eq__": "a cache keyed on an algebra (criteria._shift_gain) calls it only for two objects of one hash; a command builds one algebra per space (holonomy._algebra)",
     "tensor.CurvatureTensor.components": "perfbench's cold-start hashes rm.components; the tests write tensor files from it",
     "tensor.t_hat": "the whole hat stack that the bilinear route of criteria.curvature_term reads (criterion 6); perfbench wraps it",

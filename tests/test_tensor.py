@@ -182,6 +182,32 @@ class TestOperator:
             with pytest.raises(SymmetryError, match=f"^non-finite factor {re.escape(str(factor))}$"):
                 product()
 
+    def test_overflow_raises(self, so5, rng):
+        # a finite factor or two finite tensors can still overflow; the
+        # result is refused, its first inf named, not built unchecked.  numpy
+        # warns of the overflow itself, which is not what is tested here
+        rm = random_curvature(so5.space, rng=rng)
+        big = rm * (1e308 / np.abs(rm.matrix).max())
+        overflows = (lambda: rm * 1e308, lambda: 1e308 * rm, lambda: big + big, lambda: big - big * -1.0,
+                     lambda: big * np.ones(2) + big)
+        for overflow in overflows:
+            with np.errstate(over="ignore"), pytest.raises(SymmetryError, match="^non-finite entry -?inf at "):
+                overflow()
+
+    @pytest.mark.parametrize("case", ["dimension", "kind", "structure"])
+    def test_arithmetic_across_spaces_raises(self, case, rng, u3_space, u3_swapped_space):
+        # a sum or difference lives on its operands' one space, equal by value:
+        # across n numpy once failed to broadcast, and across structures the
+        # result silently took the left operand's space
+        spaces = {"dimension": (generic(5), generic(6)), "kind": (euclid.kaehler(2), generic(4)),
+                  "structure": (u3_space, u3_swapped_space)}[case]
+        a, b = (decomp.structure_model(space) + random_curvature(space, rng) for space in spaces)
+        for x, y in ((a, b), (b, a)):
+            names = " and ".join(f"{t.space.kind} R^{t.space.n}" for t in (x, y))
+            for combine in (x.__add__, x.__sub__):
+                with pytest.raises(euclid.GeometryError, match=re.escape(f"on two spaces do not combine: {names}")):
+                    combine(y)
+
 
 def _generator(alg, rng):
     """Skew matrix of a random element of the algebra."""
